@@ -31,7 +31,8 @@ pub mod signing;
 pub use digest::{digest_bytes, digest_chained, digest_fields};
 pub use hmac::{hmac_sha256, MacKey, TAG_LEN};
 pub use merkle::{
-    fold_proof, leaf_digest, proof_index, verify_inclusion, MerkleTree, ProofStep, MAX_PROOF_DEPTH,
+    fold_proof, leaf_digest, proof_index, root_of_leaf_digests, verify_inclusion, MerkleTree,
+    ProofStep, MAX_PROOF_DEPTH,
 };
 pub use sha256::Sha256;
 pub use signing::{BatchVerifier, KeyStore, Keypair, PublicKey, VerifyError, SIGNATURE_LEN};

@@ -24,6 +24,13 @@ fn node_hash(left: &Digest, right: &Digest) -> Digest {
     Digest(h.finalize())
 }
 
+/// Node `p` of the level above `level`: the hash of its two children,
+/// an odd last node promoting by pairing with itself.
+fn parent_hash(level: &[Digest], p: usize) -> Digest {
+    let left = &level[2 * p];
+    node_hash(left, level.get(2 * p + 1).unwrap_or(left))
+}
+
 /// Upper bound on inclusion-proof length, shared by the prover and
 /// every wire decoder that parses proofs (`spotless-runtime`'s
 /// envelope codec). A binary tree with more than `2^64` leaves cannot
@@ -43,6 +50,7 @@ pub struct ProofStep {
 }
 
 /// A Merkle tree over a batch's transactions.
+#[derive(Clone)]
 pub struct MerkleTree {
     /// levels[0] = leaves; last level = [root]. Empty input ⇒ one level
     /// holding the zero digest.
@@ -63,19 +71,43 @@ impl MerkleTree {
             .collect::<Vec<_>>()];
         while levels.last().expect("non-empty").len() > 1 {
             let prev = levels.last().expect("non-empty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
-                let combined = match pair {
-                    [left, right] => node_hash(left, right),
-                    // Odd node promotes by pairing with itself.
-                    [only] => node_hash(only, only),
-                    _ => unreachable!("chunks(2)"),
-                };
-                next.push(combined);
-            }
+            let next = (0..prev.len().div_ceil(2))
+                .map(|p| parent_hash(prev, p))
+                .collect();
             levels.push(next);
         }
         MerkleTree { levels }
+    }
+
+    /// Replaces the payloads of the given leaves in place and re-hashes
+    /// only their ancestor paths — each shared ancestor once — so a
+    /// long-lived tree pays `O(changed · log leaves)` per update instead
+    /// of a rebuild. The result is indistinguishable from
+    /// [`build`](MerkleTree::build) over the final payloads: same root,
+    /// same proofs. Indices may repeat (the last payload wins); one out
+    /// of range panics, as the leaf count of a tree is fixed for life.
+    pub fn update<T: AsRef<[u8]>>(&mut self, changes: &[(usize, T)]) {
+        if changes.is_empty() {
+            return;
+        }
+        assert!(!self.is_empty(), "the empty tree has no leaf to update");
+        let mut touched: Vec<usize> = Vec::with_capacity(changes.len());
+        for (index, item) in changes {
+            self.levels[0][*index] = leaf_hash(item.as_ref());
+            touched.push(*index);
+        }
+        touched.sort_unstable();
+        for level in 1..self.levels.len() {
+            // Children are ascending, so equal parents are adjacent.
+            for t in &mut touched {
+                *t /= 2;
+            }
+            touched.dedup();
+            let (below, above) = self.levels.split_at_mut(level);
+            for &p in &touched {
+                above[0][p] = parent_hash(&below[level - 1], p);
+            }
+        }
     }
 
     /// The root digest.
@@ -143,6 +175,26 @@ pub fn proof_index(proof: &[ProofStep]) -> usize {
 /// [`verify_inclusion`].
 pub fn leaf_digest(item: &[u8]) -> Digest {
     leaf_hash(item)
+}
+
+/// The root of the tree whose leaf digests ([`leaf_digest`]) are
+/// `level`, folded in place — for small fixed-shape trees whose root is
+/// wanted often and whose proofs are wanted rarely. Equal to
+/// [`MerkleTree::build`]'s root over the same leaves; `level` is
+/// scratch afterwards.
+pub fn root_of_leaf_digests(level: &mut [Digest]) -> Digest {
+    let mut width = level.len();
+    if width == 0 {
+        return Digest::ZERO;
+    }
+    while width > 1 {
+        let parents = width.div_ceil(2);
+        for p in 0..parents {
+            level[p] = parent_hash(&level[..width], p);
+        }
+        width = parents;
+    }
+    level[0]
 }
 
 /// Folds a digest up through a proof's steps, returning the root the
@@ -280,6 +332,43 @@ mod tests {
                 joined.extend_from_slice(&top_proof);
                 assert!(!verify_inclusion(item, &joined, &top.root()));
             }
+        }
+    }
+
+    #[test]
+    fn in_place_update_matches_a_rebuild() {
+        for n in [1usize, 2, 3, 5, 8, 9, 128] {
+            let mut data = items(n);
+            let mut tree = MerkleTree::build(&data);
+            // Two leaves sharing ancestors, one of them written twice.
+            let changes = [
+                (n - 1, b"last".to_vec()),
+                (0, b"first".to_vec()),
+                (n - 1, b"again".to_vec()),
+            ];
+            tree.update(&changes);
+            for (i, item) in &changes {
+                data[*i] = item.clone();
+            }
+            let rebuilt = MerkleTree::build(&data);
+            assert_eq!(tree.root(), rebuilt.root(), "n={n}");
+            for i in 0..n {
+                assert_eq!(tree.prove(i), rebuilt.prove(i), "n={n} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn folded_root_matches_the_built_tree() {
+        assert_eq!(root_of_leaf_digests(&mut []), Digest::ZERO);
+        for n in [1usize, 2, 3, 5, 8, 9, 100] {
+            let data = items(n);
+            let mut level: Vec<Digest> = data.iter().map(|d| leaf_digest(d)).collect();
+            assert_eq!(
+                root_of_leaf_digests(&mut level),
+                MerkleTree::build(&data).root(),
+                "n={n}"
+            );
         }
     }
 

@@ -135,6 +135,38 @@ proptest! {
         }
     }
 
+    /// A tree kept alive through any sequence of in-place leaf updates
+    /// is the tree `build` makes over the final leaves: same root, same
+    /// proof for every leaf. Widths 1..=130 cover a lone leaf, odd
+    /// widths at every level, and both sides of the 128-leaf shard tree
+    /// the state root maintains this way.
+    #[test]
+    fn leaf_updates_match_a_rebuild_over_the_final_leaves(
+        items in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..24), 1..131),
+        rounds in prop::collection::vec(
+            prop::collection::vec((any::<u64>(), prop::collection::vec(any::<u8>(), 0..24)), 0..12),
+            1..6,
+        ),
+    ) {
+        let mut leaves = items.clone();
+        let mut tree = MerkleTree::build(&items);
+        for round in rounds {
+            let changes: Vec<(usize, Vec<u8>)> = round
+                .into_iter()
+                .map(|(pick, item)| ((pick % leaves.len() as u64) as usize, item))
+                .collect();
+            tree.update(&changes);
+            for (i, item) in changes {
+                leaves[i] = item;
+            }
+            let rebuilt = MerkleTree::build(&leaves);
+            prop_assert_eq!(tree.root(), rebuilt.root());
+            for i in 0..leaves.len() {
+                prop_assert_eq!(tree.prove(i), rebuilt.prove(i), "leaf {}", i);
+            }
+        }
+    }
+
     /// Changing any item changes the root (collision-freedom smoke
     /// test at the structure level).
     #[test]

@@ -34,12 +34,12 @@
 //!   digests of slice-owned buckets the batch touched. The caller
 //!   walks the batches in commit order, absorbing each batch's
 //!   [`BatchEffect`], overlaying sub-root snapshots onto the running
-//!   shard-root vector and bucket digests onto the contested shards'
-//!   digest vectors (rebuilding those shards' roots via
-//!   [`shard_root_from_digests`]); [`top_state_root`] over the result
+//!   shard-root vector and writing bucket digests into its copy of
+//!   each contested shard's tree (`MerkleTree::update`: the touched
+//!   leaves' paths, not a rebuild); [`top_state_root`] over the result
 //!   reproduces, per block, exactly the root serial execution would
 //!   have sealed. The serial-vs-parallel equivalence proptests in the
-//!   facade crate pin this byte-for-byte at both granularities.
+//!   facade crate pin this byte-for-byte, inline and pooled.
 //!
 //! ## Work stealing
 //!
@@ -58,24 +58,12 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
+use spotless_crypto::MerkleTree;
 use spotless_types::Digest;
 use spotless_workload::{
-    batch_bucket_footprint, execute_on_parts, shard_of_bucket, shard_root_from_digests,
-    top_state_root, BatchEffect, BucketFootprint, KvStore, Shard, ShardSlice, Transaction,
-    EXEC_SHARDS, SHARD_BUCKETS,
+    batch_bucket_footprint, execute_on_parts, shard_of_bucket, top_state_root, BatchEffect,
+    BucketFootprint, KvStore, Shard, ShardSlice, Transaction, EXEC_SHARDS, SHARD_BUCKETS,
 };
-
-/// Conflict-detection granularity for [`execute_group_with`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Granularity {
-    /// 1024-bucket footprints: batches sharing a shard but no bucket
-    /// run concurrently on detached shard slices. The default.
-    Bucket,
-    /// Legacy 8-shard footprints: any two batches sharing a shard
-    /// serialize. Kept as a comparison baseline (benches) and as the
-    /// coarse half of the equivalence suite.
-    Shard,
-}
 
 /// What executing one batch produced, keyed back to its commit-order
 /// position by the caller.
@@ -88,9 +76,8 @@ struct BatchOutcome {
     /// this job owns that the batch touched.
     shard_roots: Vec<(usize, Digest)>,
     /// `(global bucket, leaf digest after this batch)` for every
-    /// **slice-owned** bucket the batch touched — the fold overlays
-    /// these onto the contested shard's digest vector and rebuilds
-    /// its root.
+    /// **slice-owned** bucket the batch touched — the fold writes
+    /// these into its copy of the contested shard's tree.
     bucket_roots: Vec<(usize, Digest)>,
 }
 
@@ -259,29 +246,6 @@ pub struct SealedBatch {
     pub state_root: Digest,
 }
 
-/// [`execute_group_with`] at the default [`Granularity::Bucket`].
-pub fn execute_group(
-    pool: Option<&mut ExecutorPool>,
-    kv: &mut KvStore,
-    batches: Vec<Option<Vec<Transaction>>>,
-) -> Vec<SealedBatch> {
-    execute_group_with(pool, kv, batches, Granularity::Bucket)
-}
-
-/// Widens a footprint to whole shards — the legacy conflict relation.
-fn expand_to_shards(fp: &BucketFootprint) -> BucketFootprint {
-    let mut out = BucketFootprint::EMPTY;
-    let mask = fp.shard_mask();
-    for s in 0..EXEC_SHARDS {
-        if mask & (1 << s) != 0 {
-            for b in s * SHARD_BUCKETS..(s + 1) * SHARD_BUCKETS {
-                out.insert(b);
-            }
-        }
-    }
-    out
-}
-
 /// Executes a commit-ordered group of decoded batches against `kv` —
 /// in parallel across conflict components when `pool` is available —
 /// and returns each batch's sealed `(state_digest, state_root)` pair
@@ -289,25 +253,18 @@ fn expand_to_shards(fp: &BucketFootprint) -> BucketFootprint {
 /// payloads: they execute nothing and seal the unchanged root.
 ///
 /// Byte-equivalent to calling `kv.execute_batch` + `kv.state_root`
-/// per batch in order, at either granularity; see the module docs for
-/// why.
-pub fn execute_group_with(
+/// per batch in order; see the module docs for why.
+pub fn execute_group(
     pool: Option<&mut ExecutorPool>,
     kv: &mut KvStore,
     batches: Vec<Option<Vec<Transaction>>>,
-    granularity: Granularity,
 ) -> Vec<SealedBatch> {
     let n = batches.len();
     let footprints: Vec<BucketFootprint> = batches
         .iter()
         .map(|b| {
-            let fine = b
-                .as_ref()
-                .map_or(BucketFootprint::EMPTY, |txns| batch_bucket_footprint(txns));
-            match granularity {
-                Granularity::Bucket => fine,
-                Granularity::Shard => expand_to_shards(&fine),
-            }
+            b.as_ref()
+                .map_or(BucketFootprint::EMPTY, |txns| batch_bucket_footprint(txns))
         })
         .collect();
 
@@ -374,13 +331,13 @@ pub fn execute_group_with(
     }
 
     // Seed the commit-order fold BEFORE shards leave the store: the
-    // running shard-root vector, plus — for contested shards — the
-    // full per-bucket digest vector the bucket overlays apply to.
+    // running shard-root vector, plus — for contested shards — a copy
+    // of the shard's tree for the bucket overlays to write into.
     let mut roots = kv.shard_sub_roots();
-    let mut contested_digests: Vec<Option<Vec<Digest>>> = (0..EXEC_SHARDS).map(|_| None).collect();
+    let mut contested_trees: [Option<MerkleTree>; EXEC_SHARDS] = Default::default();
     for (s, comps) in comps_of_shard.iter().enumerate() {
         if comps.len() >= 2 {
-            contested_digests[s] = Some(kv.shard_bucket_digests(s));
+            contested_trees[s] = Some(kv.shard_tree(s));
         }
     }
 
@@ -466,18 +423,20 @@ pub fn execute_group_with(
             for (s, r) in outcome.shard_roots {
                 roots[s] = r;
             }
-            let mut rebuilt = 0u8;
-            for (g, d) in outcome.bucket_roots {
-                let s = shard_of_bucket(g);
-                contested_digests[s]
-                    .as_mut()
-                    .expect("contested shard seeded")[g % SHARD_BUCKETS] = d;
-                rebuilt |= 1 << s;
-            }
-            for (s, digests) in contested_digests.iter().enumerate() {
-                if rebuilt & (1 << s) != 0 {
-                    roots[s] = shard_root_from_digests(digests.as_ref().expect("seeded"));
-                }
+            // Buckets ascend, so one shard's leaves are adjacent and
+            // go into its tree as one update.
+            let same_shard = |a: &(usize, Digest), b: &(usize, Digest)| {
+                shard_of_bucket(a.0) == shard_of_bucket(b.0)
+            };
+            for leaves in outcome.bucket_roots.chunk_by(same_shard) {
+                let s = shard_of_bucket(leaves[0].0);
+                let tree = contested_trees[s].as_mut().expect("contested shard seeded");
+                let changes: Vec<(usize, [u8; 32])> = leaves
+                    .iter()
+                    .map(|(g, d)| (g % SHARD_BUCKETS, d.0))
+                    .collect();
+                tree.update(&changes);
+                roots[s] = tree.root();
             }
         }
         sealed.push(SealedBatch {
@@ -536,13 +495,9 @@ mod tests {
         }
     }
 
-    /// Runs the same group serially and through `execute_group_with`,
+    /// Runs the same group serially and through `execute_group`,
     /// asserting identical per-batch digests and roots.
-    fn assert_equivalent_at(
-        batches: Vec<Option<Vec<Transaction>>>,
-        pool: Option<&mut ExecutorPool>,
-        granularity: Granularity,
-    ) {
+    fn assert_equivalent(batches: Vec<Option<Vec<Transaction>>>, pool: Option<&mut ExecutorPool>) {
         let mut serial = KvStore::new();
         let mut expect = Vec::new();
         for b in &batches {
@@ -553,7 +508,7 @@ mod tests {
             expect.push((state_digest, serial.state_root()));
         }
         let mut parallel = KvStore::new();
-        let sealed = execute_group_with(pool, &mut parallel, batches, granularity);
+        let sealed = execute_group(pool, &mut parallel, batches);
         let got: Vec<(Digest, Digest)> = sealed
             .into_iter()
             .map(|s| (s.state_digest, s.state_root))
@@ -563,10 +518,6 @@ mod tests {
         assert_eq!(parallel.state_root(), serial.state_root());
         assert_eq!(parallel.writes_applied(), serial.writes_applied());
         assert_eq!(parallel.reads_served(), serial.reads_served());
-    }
-
-    fn assert_equivalent(batches: Vec<Option<Vec<Transaction>>>, pool: Option<&mut ExecutorPool>) {
-        assert_equivalent_at(batches, pool, Granularity::Bucket);
     }
 
     #[test]
@@ -587,20 +538,15 @@ mod tests {
 
     #[test]
     fn contested_shard_splits_into_slices_and_matches_serial() {
-        // Three batches: two share shard 2 but not a bucket (bucket
-        // granularity keeps them in separate components, on slices),
-        // one lives in shard 5. At shard granularity the first two
-        // merge instead. Both must match serial byte-for-byte.
+        // Three batches: two share shard 2 but not a bucket (separate
+        // components, each on its own slice), one lives in shard 5.
         let (ka, kb) = contested_pair(2);
-        let mk = || {
-            vec![
-                Some(vec![write(1, ka), read(2, ka), write(3, ka)]),
-                Some(vec![write(4, kb), write(5, kb)]),
-                Some(vec![write(6, key_in_shard(5, 6))]),
-            ]
-        };
-        assert_equivalent_at(mk(), None, Granularity::Bucket);
-        assert_equivalent_at(mk(), None, Granularity::Shard);
+        let batches = vec![
+            Some(vec![write(1, ka), read(2, ka), write(3, ka)]),
+            Some(vec![write(4, kb), write(5, kb)]),
+            Some(vec![write(6, key_in_shard(5, 6))]),
+        ];
+        assert_equivalent(batches, None);
     }
 
     #[tokio::test(flavor = "multi_thread")]

@@ -54,7 +54,7 @@ pub use envelope::{
     BufferPool, CatchUpBlock, CatchUpBlockRef, ChunkInfo, ChunkTransfer, ChunkTransferRef,
     Envelope, Payload, TransferManifest, TransferManifestRef, WireMsg, WireMsgRef, WIRE_VERSION,
 };
-pub use executor::{execute_group, execute_group_with, ExecutorPool, Granularity, SealedBatch};
+pub use executor::{execute_group, ExecutorPool, SealedBatch};
 pub use fabric::Fabric;
 pub use observe::{CommitLog, CommittedEntry, Inform, NetStats, SnapshotStats};
 pub use runtime::{

@@ -32,10 +32,13 @@
 //! meta leaf ([`META_LEAF`]). A bucket therefore proves into the root
 //! through a two-part proof — shard-level steps, then the shard's
 //! top-level steps — composed via `spotless_crypto::fold_proof`
-//! ([`verify_bucket`]). Writes mark only their bucket dirty; sealing a
-//! block rehashes just the dirty buckets, the touched shards' trees,
-//! and the constant 9-leaf top tree. [`KvStore::rebuild_state_root`]
-//! recomputes everything from scratch as the audit path.
+//! ([`verify_bucket`]). Each shard keeps its 128-leaf tree alive for
+//! life: writes mark only their bucket dirty, and sealing a block
+//! re-hashes the dirty buckets, their ancestor paths in the owning
+//! shards' trees (`MerkleTree::update`), and the 9-leaf top tree —
+//! work proportional to what the block wrote, not to the tree size.
+//! [`KvStore::rebuild_state_root`] recomputes everything from scratch
+//! as the audit path.
 //!
 //! The **rolling digest** chains one summary per committed batch: the
 //! fold of the batch's write entries in transaction order
@@ -56,6 +59,7 @@ use crate::ycsb::{Operation, Transaction};
 use spotless_crypto::{MerkleTree, ProofStep};
 use spotless_types::Digest;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 /// Number of fixed state buckets the key space is partitioned into.
 /// **Consensus-critical**: every replica must use the same count (and
@@ -188,17 +192,6 @@ pub fn batch_bucket_footprint(txns: &[Transaction]) -> BucketFootprint {
         fp.insert(bucket_of(txn.op.key()));
     }
     fp
-}
-
-/// A shard's sub-root recomputed from a full vector of its
-/// [`SHARD_BUCKETS`] bucket leaf digests — the same tree
-/// [`Shard::sub_root`] maintains, exposed so a bucket-level
-/// commit-order fold can overlay per-batch bucket digests and reseal
-/// the shard root without owning the shard.
-pub fn shard_root_from_digests(digests: &[Digest]) -> Digest {
-    debug_assert_eq!(digests.len(), SHARD_BUCKETS);
-    let leaves: Vec<Vec<u8>> = digests.iter().map(|d| d.0.to_vec()).collect();
-    MerkleTree::build(&leaves).root()
 }
 
 /// Domain prefix of a bucket digest (a shard-tree Merkle leaf payload).
@@ -334,13 +327,14 @@ pub fn bucket_leaf_digest(encoded_bucket: &[u8]) -> Digest {
 /// tracks sub-roots per shard and calls this per block, never touching
 /// the shard trees themselves.
 pub fn top_state_root(shard_roots: &[Digest], meta: &[u8]) -> Digest {
-    debug_assert_eq!(shard_roots.len(), EXEC_SHARDS);
-    let mut leaves: Vec<Vec<u8>> = Vec::with_capacity(EXEC_SHARDS + 1);
-    for d in shard_roots {
-        leaves.push(d.0.to_vec());
+    use spotless_crypto::{leaf_digest, root_of_leaf_digests};
+    assert_eq!(shard_roots.len(), EXEC_SHARDS);
+    let mut level = [Digest::ZERO; EXEC_SHARDS + 1];
+    for (leaf, root) in level.iter_mut().zip(shard_roots) {
+        *leaf = leaf_digest(&root.0);
     }
-    leaves.push(meta.to_vec());
-    MerkleTree::build(&leaves).root()
+    level[META_LEAF] = leaf_digest(meta);
+    root_of_leaf_digests(&mut level)
 }
 
 /// Verifies bucket `b`'s canonical encoding against a state root
@@ -399,23 +393,33 @@ impl Default for BatchEffect {
 }
 
 /// One execution shard: exclusive owner of a contiguous
-/// [`SHARD_BUCKETS`]-bucket slice of the table, its leaf digests, and
-/// its sub-root cache. Shards are `Send`, carry no shared state, and
-/// can be taken out of a [`KvStore`] ([`KvStore::take_shards`]) to
-/// execute batches on worker threads.
+/// [`SHARD_BUCKETS`]-bucket slice of the table and of the Merkle tree
+/// over its bucket leaf digests. Shards are `Send`, carry no shared
+/// state, and can be taken out of a [`KvStore`]
+/// ([`KvStore::take_shards`]) to execute batches on worker threads.
 pub struct Shard {
     id: usize,
     table: HashMap<u64, Vec<u8>>,
     /// Sorted key membership per local bucket (canonical bucket order).
     bucket_keys: Vec<BTreeSet<u64>>,
-    /// Cached per-bucket leaf digests; entries flagged `dirty` are
-    /// stale and recomputed lazily at the next sub-root call.
-    bucket_digests: Vec<Digest>,
+    /// The tree over the [`SHARD_BUCKETS`] bucket leaf digests, kept for
+    /// the shard's life. Leaves flagged `dirty` are stale until the
+    /// next [`refresh`](Shard::refresh) re-hashes them and their paths.
+    tree: MerkleTree,
     dirty: Vec<bool>,
     any_dirty: bool,
-    /// Cached sub-root; `None` whenever contents changed since the last
-    /// computation.
-    cached_sub_root: Option<Digest>,
+}
+
+/// The tree of a shard whose buckets are all empty (every shard starts
+/// as a clone of it, clean).
+fn empty_shard_tree() -> MerkleTree {
+    static EMPTY: OnceLock<MerkleTree> = OnceLock::new();
+    EMPTY
+        .get_or_init(|| {
+            let leaf = bucket_leaf_digest(&0u32.to_le_bytes());
+            MerkleTree::build(&[leaf.0; SHARD_BUCKETS])
+        })
+        .clone()
 }
 
 impl Shard {
@@ -425,10 +429,9 @@ impl Shard {
             id,
             table: HashMap::new(),
             bucket_keys: vec![BTreeSet::new(); SHARD_BUCKETS],
-            bucket_digests: vec![Digest::ZERO; SHARD_BUCKETS],
-            dirty: vec![true; SHARD_BUCKETS],
-            any_dirty: true,
-            cached_sub_root: None,
+            tree: empty_shard_tree(),
+            dirty: vec![false; SHARD_BUCKETS],
+            any_dirty: false,
         }
     }
 
@@ -454,7 +457,6 @@ impl Shard {
         self.table.insert(key, value);
         self.dirty[local] = true;
         self.any_dirty = true;
-        self.cached_sub_root = None;
     }
 
     /// Canonical encoding of local bucket `local`: `count:u32` then, per
@@ -473,37 +475,34 @@ impl Shard {
         out
     }
 
-    /// Recomputes the leaf digests of dirty buckets (cheap on the hot
-    /// path: only buckets touched since the last call).
+    /// Brings the tree up to date: re-hashes the dirty buckets and
+    /// their ancestor paths — nothing else (cheap on the hot path: only
+    /// buckets touched since the last call).
     fn refresh(&mut self) {
         if !self.any_dirty {
             return;
         }
+        let mut changes = Vec::new();
         for local in 0..SHARD_BUCKETS {
             if self.dirty[local] {
-                self.bucket_digests[local] = bucket_leaf_digest(&self.encode_local_bucket(local));
+                let leaf = bucket_leaf_digest(&self.encode_local_bucket(local));
+                changes.push((local, leaf.0));
                 self.dirty[local] = false;
             }
         }
+        self.tree.update(&changes);
         self.any_dirty = false;
     }
 
-    /// The shard's Merkle tree over its bucket leaf digests.
-    fn merkle(&mut self) -> MerkleTree {
+    /// The shard's up-to-date tree over its bucket leaf digests.
+    fn tree(&mut self) -> &MerkleTree {
         self.refresh();
-        let leaves: Vec<Vec<u8>> = self.bucket_digests.iter().map(|d| d.0.to_vec()).collect();
-        MerkleTree::build(&leaves)
+        &self.tree
     }
 
-    /// The shard's sub-root — one leaf of the top state tree. Cached;
-    /// recomputed only over dirty buckets.
+    /// The shard's sub-root — one leaf of the top state tree.
     pub fn sub_root(&mut self) -> Digest {
-        if let Some(root) = self.cached_sub_root {
-            return root;
-        }
-        let root = self.merkle().root();
-        self.cached_sub_root = Some(root);
-        root
+        self.tree().root()
     }
 
     /// Detaches the given global buckets (which must all belong to this
@@ -543,9 +542,9 @@ impl Shard {
     }
 
     /// Re-attaches a slice detached from this shard. Buckets the slice
-    /// wrote are marked dirty (their cached digests are stale); buckets
-    /// it only read come back with their digests — and, when nothing
-    /// was written at all, the shard's cached sub-root — still valid.
+    /// wrote are marked dirty (their tree leaves are stale); buckets it
+    /// only read come back with their leaves — and, when nothing was
+    /// written at all, the whole tree — still valid.
     pub fn attach_slice(&mut self, slice: ShardSlice) {
         let ShardSlice {
             shard,
@@ -568,10 +567,7 @@ impl Shard {
             }
         }
         self.table.extend(table);
-        if any_written {
-            self.any_dirty = true;
-            self.cached_sub_root = None;
-        }
+        self.any_dirty |= any_written;
     }
 }
 
@@ -756,10 +752,9 @@ impl StateProver {
 /// executable shards, with deterministic per-batch state digesting and
 /// an incrementally maintained two-level Merkle state root.
 pub struct KvStore {
-    /// Shard `i` at index `i`. Temporarily replaced by empty
-    /// placeholders while taken for parallel execution
-    /// ([`KvStore::take_shards`]); the pipeline blocks on the join
-    /// before touching the store again.
+    /// Shard `i` at index `i`. Empty while the shards are taken for
+    /// parallel execution ([`KvStore::take_shards`]); the pipeline
+    /// blocks on the join before touching the store again.
     shards: Vec<Shard>,
     /// Rolling digest over the absorbed batch-effect sequence.
     state: Digest,
@@ -828,13 +823,12 @@ impl KvStore {
     }
 
     /// Takes ownership of all shards for parallel execution, leaving
-    /// empty placeholders behind. The caller must return the same
-    /// shards via [`restore_shards`](KvStore::restore_shards) before
-    /// the store is used again; every read/root path in between would
-    /// see an empty table.
+    /// nothing behind. The caller must return the same shards via
+    /// [`restore_shards`](KvStore::restore_shards) before the store is
+    /// used again; in between it reads as empty and has no root.
     pub fn take_shards(&mut self) -> Vec<Shard> {
         self.cached_root = None;
-        std::mem::replace(&mut self.shards, (0..EXEC_SHARDS).map(Shard::new).collect())
+        std::mem::take(&mut self.shards)
     }
 
     /// Restores shards taken by [`take_shards`](KvStore::take_shards),
@@ -856,13 +850,13 @@ impl KvStore {
         self.shards.iter_mut().map(|s| s.sub_root()).collect()
     }
 
-    /// Current per-bucket leaf digests of one shard (refreshing dirty
-    /// buckets first) — the seed the bucket-level executor fold starts
-    /// from for a contested shard: slice jobs report digests only for
-    /// buckets they own, and these fill the rest.
-    pub fn shard_bucket_digests(&mut self, shard: usize) -> Vec<Digest> {
-        self.shards[shard].refresh();
-        self.shards[shard].bucket_digests.clone()
+    /// A copy of one shard's up-to-date tree over its bucket leaf
+    /// digests (leaf `i` = local bucket `i`'s [`bucket_leaf_digest`])
+    /// — the seed the executor's commit-order fold starts from for a
+    /// contested shard: slice jobs report digests only for buckets they
+    /// own, and the fold writes those into its copy leaf by leaf.
+    pub fn shard_tree(&mut self, shard: usize) -> MerkleTree {
+        self.shards[shard].tree().clone()
     }
 
     /// Absorbs a batch effect in commit order: counter deltas, and —
@@ -978,12 +972,12 @@ impl KvStore {
     /// Freezes the full two-level proof structure — per-shard trees
     /// plus the top tree — for serving chunk inclusion proofs.
     pub fn state_prover(&mut self) -> StateProver {
-        let shard_trees: Vec<MerkleTree> = self.shards.iter_mut().map(|s| s.merkle()).collect();
-        let mut top_leaves: Vec<Vec<u8>> = Vec::with_capacity(EXEC_SHARDS + 1);
-        for t in &shard_trees {
-            top_leaves.push(t.root().0.to_vec());
-        }
-        top_leaves.push(self.transfer_meta());
+        let shard_trees: Vec<MerkleTree> =
+            self.shards.iter_mut().map(|s| s.tree().clone()).collect();
+        let sub_roots: Vec<Digest> = shard_trees.iter().map(MerkleTree::root).collect();
+        let meta = self.transfer_meta();
+        let mut top_leaves: Vec<&[u8]> = sub_roots.iter().map(|r| &r.0[..]).collect();
+        top_leaves.push(&meta);
         StateProver {
             shard_trees,
             top: MerkleTree::build(&top_leaves),
@@ -991,9 +985,9 @@ impl KvStore {
     }
 
     /// The Merkle commitment over the store's contents — what every
-    /// ledger block seals as its `state_root`. Incremental: rehashes
-    /// only dirty buckets, their shards' trees, and the 9-leaf top
-    /// tree.
+    /// ledger block seals as its `state_root`. Incremental: re-hashes
+    /// only dirty buckets, their paths in their shards' trees, and the
+    /// 9-leaf top tree.
     pub fn state_root(&mut self) -> Digest {
         if let Some(root) = self.cached_root {
             return root;
@@ -1016,7 +1010,7 @@ impl KvStore {
             for &key in shard.table.keys() {
                 buckets[bucket_of(key) % SHARD_BUCKETS].insert(key);
             }
-            let mut leaves: Vec<Vec<u8>> = Vec::with_capacity(SHARD_BUCKETS);
+            let mut leaves: Vec<[u8; 32]> = Vec::with_capacity(SHARD_BUCKETS);
             for (local, keys) in buckets.iter().enumerate() {
                 let mut enc = Vec::with_capacity(4 + keys.len() * 16);
                 enc.extend_from_slice(&(keys.len() as u32).to_le_bytes());
@@ -1027,7 +1021,7 @@ impl KvStore {
                     enc.extend_from_slice(value);
                 }
                 debug_assert_eq!(enc, shard.encode_local_bucket(local));
-                leaves.push(bucket_leaf_digest(&enc).0.to_vec());
+                leaves.push(bucket_leaf_digest(&enc).0);
             }
             sub_roots.push(MerkleTree::build(&leaves).root());
         }
@@ -1477,7 +1471,7 @@ mod tests {
         serial.execute_batch(&batch_b);
 
         let mut par = KvStore::initialized(500, 16);
-        let seed = par.shard_bucket_digests(0);
+        let mut folded = par.shard_tree(0);
         let mut shards = par.take_shards();
         let contested = &mut shards[0];
         let fa = batch_bucket_footprint(&batch_a);
@@ -1489,16 +1483,16 @@ mod tests {
         let eb = execute_on_parts(&mut [], std::slice::from_mut(&mut slice_b), &batch_b);
 
         // Overlay each slice's post-execution bucket digests onto the
-        // pre-execution seed — commit order, though disjoint buckets
+        // pre-execution tree — commit order, though disjoint buckets
         // make it commutative here.
-        let mut digests = seed;
-        for g in fa.buckets() {
-            digests[g % SHARD_BUCKETS] = slice_a.bucket_digest(g);
+        for (fp, slice) in [(&fa, &slice_a), (&fb, &slice_b)] {
+            let leaves: Vec<(usize, [u8; 32])> = fp
+                .buckets()
+                .map(|g| (g % SHARD_BUCKETS, slice.bucket_digest(g).0))
+                .collect();
+            folded.update(&leaves);
         }
-        for g in fb.buckets() {
-            digests[g % SHARD_BUCKETS] = slice_b.bucket_digest(g);
-        }
-        let rebuilt = shard_root_from_digests(&digests);
+        let rebuilt = folded.root();
 
         contested.attach_slice(slice_a);
         contested.attach_slice(slice_b);
@@ -1513,18 +1507,17 @@ mod tests {
     }
 
     #[test]
-    fn read_only_slice_keeps_cached_sub_root() {
+    fn read_only_slice_keeps_the_tree_clean() {
         let (key, _) = two_keys_same_shard_different_buckets();
         let mut store = KvStore::initialized(200, 8);
         let root_before = store.state_root();
         let mut shards = store.take_shards();
-        assert!(shards[0].cached_sub_root.is_some());
+        assert!(!shards[0].any_dirty);
         let mut slice = shards[0].detach_slice(&[bucket_of(key)]);
         let effect = execute_on_parts(&mut [], std::slice::from_mut(&mut slice), &[read(0, key)]);
         assert_eq!(effect.reads, 1);
         shards[0].attach_slice(slice);
-        // Nothing was written: digests and the cached sub-root survive.
-        assert!(shards[0].cached_sub_root.is_some());
+        // Nothing was written: every leaf and the sub-root stay valid.
         assert!(!shards[0].any_dirty);
         store.restore_shards(shards);
         assert_eq!(store.state_root(), root_before);
@@ -1558,6 +1551,27 @@ mod tests {
                 "incremental maintenance must agree with the audit rebuild"
             );
         }
+    }
+
+    /// The state-root definition, pinned: any change to the record,
+    /// bucket-leaf, shard-tree or top-tree hashing moves this value and
+    /// needs a storage and wire version bump alongside it.
+    #[test]
+    fn state_root_definition_is_pinned() {
+        let mut generator = WorkloadGen::new(YcsbConfig::default(), 16);
+        let mut store = KvStore::initialized(300, 16);
+        store.execute_batch(&generator.next_batch(100));
+        let hex: String = store
+            .state_root()
+            .0
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "f26ef04a51ab9fd7cde1faaac16fc034775a85fab4f9ecab4a6ac42e8d2a8dbd"
+        );
+        assert_eq!(store.state_root(), store.rebuild_state_root());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! divergence.
 
 use proptest::prelude::*;
-use spotless::runtime::{execute_group_with, ExecutorPool, Granularity};
+use spotless::runtime::{execute_group, ExecutorPool};
 use spotless::types::Digest;
 use spotless::workload::{
     batch_bucket_footprint, batch_footprint, bucket_of, shard_of_key, KvStore, Operation,
@@ -52,8 +52,10 @@ fn to_txns(ops: &[(bool, u64, u8)], batch: usize) -> Vec<Transaction> {
 
 /// The serial reference: per-batch `(state_digest, state_root)` via
 /// one `execute_batch` call per batch, in commit order.
-fn serial_reference(batches: &[Option<Vec<Transaction>>]) -> (Vec<(Digest, Digest)>, KvStore) {
-    let mut kv = KvStore::new();
+fn serial_reference(
+    mut kv: KvStore,
+    batches: &[Option<Vec<Transaction>>],
+) -> (Vec<(Digest, Digest)>, KvStore) {
     let mut sealed = Vec::new();
     for b in batches {
         let digest = match b {
@@ -65,19 +67,22 @@ fn serial_reference(batches: &[Option<Vec<Transaction>>]) -> (Vec<(Digest, Diges
     (sealed, kv)
 }
 
-fn assert_matches_serial_at(
+/// Runs `group` through `execute_group` and through the serial
+/// reference, each over its own copy of `store()`, and requires the
+/// same seals and the same final store.
+fn assert_matches_serial_over(
+    store: fn() -> KvStore,
     group: Vec<Option<Vec<(bool, u64, u8)>>>,
     pool: Option<&mut ExecutorPool>,
-    granularity: Granularity,
 ) {
     let batches: Vec<Option<Vec<Transaction>>> = group
         .iter()
         .enumerate()
         .map(|(i, ops)| ops.as_ref().map(|o| to_txns(o, i)))
         .collect();
-    let (expect, mut serial_kv) = serial_reference(&batches);
-    let mut kv = KvStore::new();
-    let got: Vec<(Digest, Digest)> = execute_group_with(pool, &mut kv, batches, granularity)
+    let (expect, mut serial_kv) = serial_reference(store(), &batches);
+    let mut kv = store();
+    let got: Vec<(Digest, Digest)> = execute_group(pool, &mut kv, batches)
         .into_iter()
         .map(|s| (s.state_digest, s.state_root))
         .collect();
@@ -86,6 +91,7 @@ fn assert_matches_serial_at(
         "per-batch sealed digests/roots must match serial"
     );
     assert_eq!(kv.state_root(), serial_kv.state_root());
+    assert_eq!(kv.state_root(), kv.rebuild_state_root());
     assert_eq!(kv.state_digest(), serial_kv.state_digest());
     assert_eq!(kv.writes_applied(), serial_kv.writes_applied());
     assert_eq!(kv.reads_served(), serial_kv.reads_served());
@@ -95,7 +101,16 @@ fn assert_matches_serial(
     group: Vec<Option<Vec<(bool, u64, u8)>>>,
     pool: Option<&mut ExecutorPool>,
 ) {
-    assert_matches_serial_at(group, pool, Granularity::Bucket);
+    assert_matches_serial_over(KvStore::new, group, pool);
+}
+
+/// A store whose every bucket already holds records and whose shard
+/// trees are sealed: the group's writes land as in-place path updates
+/// over existing leaves, not as first fills of an empty tree.
+fn populated() -> KvStore {
+    let mut kv = KvStore::initialized(4096, 16);
+    kv.state_root();
+    kv
 }
 
 proptest! {
@@ -114,25 +129,20 @@ proptest! {
         assert_matches_serial(group, Some(&mut pool));
     }
 
-    /// Bucket-level and shard-level conflict footprints over the SAME
-    /// random group, inline: both granularities must seal the serial
-    /// per-batch digests and roots byte-for-byte — the footprint only
-    /// changes what runs concurrently, never what is observable.
+    /// The same random groups over a populated, already-sealed store,
+    /// inline: the commit-order fold starts from live shard trees.
     #[test]
-    fn both_granularities_match_serial_inline(group in groups()) {
-        assert_matches_serial_at(group.clone(), None, Granularity::Bucket);
-        assert_matches_serial_at(group, None, Granularity::Shard);
+    fn inline_execution_matches_serial_on_a_populated_store(group in groups()) {
+        assert_matches_serial_over(populated, group, None);
     }
 
-    /// Same cross-granularity pin through a real (work-stealing) pool:
-    /// bucket-level scheduling splits contested shards into slices and
-    /// idle workers steal queued components, and the sealed roots must
-    /// still be byte-identical to serial — and to shard-level.
+    /// And through a real (work-stealing) pool: contested shards split
+    /// into slices, idle workers steal queued components, and the fold's
+    /// tree copies must still seal the serial roots.
     #[test]
-    fn both_granularities_match_serial_pooled(group in groups()) {
+    fn pooled_execution_matches_serial_on_a_populated_store(group in groups()) {
         let mut pool = ExecutorPool::spawn(3);
-        assert_matches_serial_at(group.clone(), Some(&mut pool), Granularity::Bucket);
-        assert_matches_serial_at(group, Some(&mut pool), Granularity::Shard);
+        assert_matches_serial_over(populated, group, Some(&mut pool));
     }
 }
 
@@ -176,9 +186,8 @@ fn full_conflict_and_bridge_groups_match_serial() {
 }
 
 /// The refinement bucket-level footprints buy: batches that share a
-/// shard but not a bucket. Shard-level analysis merges them into one
-/// serial component; bucket-level keeps them independent (the contested
-/// shard splits into slices). Both schedules must seal serial roots.
+/// shard but not a bucket stay independent components (the contested
+/// shard splits into slices) and must still seal serial roots.
 #[test]
 fn same_shard_distinct_buckets_split_and_match_serial() {
     let mut first = None;
@@ -207,6 +216,6 @@ fn same_shard_distinct_buckets_split_and_match_serial() {
     assert_eq!(fa.shard_mask(), fb.shard_mask(), "same shard");
     assert!(!fa.intersects(&fb), "distinct buckets");
     let mut pool = ExecutorPool::spawn(2);
-    assert_matches_serial_at(group.clone(), Some(&mut pool), Granularity::Bucket);
-    assert_matches_serial_at(group, Some(&mut pool), Granularity::Shard);
+    assert_matches_serial(group.clone(), Some(&mut pool));
+    assert_matches_serial_over(populated, group, Some(&mut pool));
 }
