@@ -9,7 +9,7 @@
 //! ## Payload layout (wire format v2, binary)
 //!
 //! ```text
-//! payload := WIRE_VERSION (1 byte, 0xB2) ‖ tag (1 byte) ‖ body
+//! payload := WIRE_VERSION (1 byte, 0xB5) ‖ tag (1 byte) ‖ body
 //! ```
 //!
 //! Bodies are encoded with the streaming binary codec (`serde::bin`):
@@ -20,9 +20,9 @@
 //! replicas serializing the same message sign the same bytes.
 //!
 //! The leading [`WIRE_VERSION`] byte is the fail-closed switch for
-//! mixed-format clusters: a v1 (JSON-era) replica reads `0xB2` as an
-//! unknown tag and drops the frame; a v2 replica requires `0xB2` first
-//! and drops anything else — deliberately outside the tag range, so no
+//! mixed-format clusters: a v1 (JSON-era) replica reads it as an
+//! unknown tag and drops the frame; a v2 replica requires its own
+//! revision's byte first and drops anything else — deliberately outside the tag range, so no
 //! payload of either generation can be misparsed as the other. Bump it
 //! on any layout change. JSON remains in the tree where a human reads
 //! the output — `serde_json` debug dumps, bench observability tables —
@@ -69,16 +69,20 @@ use spotless_ledger::Block;
 use spotless_types::{BatchId, Digest, ReplicaId};
 use std::sync::Arc;
 
-/// Leading byte of every payload: binary codec, wire revision 4 (the
-/// state tree became two-level — sharded sub-roots under a top tree —
-/// so chunk transfers carry a shard-level proof per bucket plus one
-/// shared top proof, and chunk descriptors gained fragment fields for
-/// splitting oversized buckets across frames). Chosen outside the tag
+/// Leading byte of every payload: binary codec, wire revision 5.
+/// Revision 4 made the state tree two-level — sharded sub-roots under a
+/// top tree — so chunk transfers carry a shard-level proof per bucket
+/// plus one shared top proof, and chunk descriptors gained fragment
+/// fields for splitting oversized buckets across frames. Revision 5
+/// changes no layout: the bucket leaf those proofs start from became
+/// the digest of the bucket's per-record digests (state-root definition
+/// v2), so a revision-4 peer's chunks and sealed roots would all fail
+/// verification — better to drop its frames unread. Chosen outside the tag
 /// range so v1 payloads (which started with their tag byte) and later
 /// payloads can never be confused — either side drops the other's
 /// frames unread. Bump on any layout change; mixed-version clusters
 /// then fail closed instead of misinterpreting each other.
-pub const WIRE_VERSION: u8 = 0xB4;
+pub const WIRE_VERSION: u8 = 0xB5;
 
 // The fail-closed argument above requires the version byte to be
 // unmistakable for any tag of the previous (tag-first) generation.

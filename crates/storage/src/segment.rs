@@ -35,12 +35,15 @@ pub const MAGIC: [u8; 8] = *b"SPLSSEG1";
 /// two-level tree (per-shard sub-trees under a top tree, enabling
 /// deterministic parallel execution) — the byte layout is unchanged but
 /// every root differs from version 4's single-level tree, so replaying
-/// an old log would fail its seal checks. There is no in-place upgrade:
+/// an old log would fail its seal checks. Version 6 did the same again
+/// one layer down: a bucket's leaf became the digest of its per-record
+/// digests (state-root definition v2) — same layout, different roots.
+/// There is no in-place upgrade:
 /// a store written by an older version fails with a clean
 /// [`StorageError::UnsupportedVersion`](crate::StorageError) rather
 /// than a misleading corruption diagnosis, and the operator recovers
 /// the replica via state transfer from its peers.
-pub const VERSION: u32 = 5;
+pub const VERSION: u32 = 6;
 /// Size of the fixed segment header.
 pub const HEADER_LEN: u64 = 32;
 /// Per-record framing overhead (length + CRC).

@@ -48,10 +48,13 @@ pub const MAGIC: [u8; 8] = *b"SPLSSNP1";
 /// version 5 revved the embedded chunk and meta encodings (chunks
 /// gained fragment fields so one oversized bucket can span several
 /// chunks, and the head's `state_root` became the root of the
-/// two-level sharded state tree). Older stores are rejected with a
+/// two-level sharded state tree); version 6 keeps that layout under
+/// state-root definition v2 (bucket leaves over per-record digests), so
+/// a version-5 snapshot's state no longer re-seals to its head's
+/// `state_root`. Older stores are rejected with a
 /// clean [`StorageError::UnsupportedVersion`] — the migration story is
 /// state transfer from peers, not in-place upgrade.
-pub const VERSION: u32 = 5;
+pub const VERSION: u32 = 6;
 
 /// A decoded snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -329,3 +329,75 @@ fn recovery_report_flags_truncated_tail() {
     assert!(report.truncated_tail);
     assert_eq!(led.ledger().height(), 3);
 }
+
+/// Rewrites the format version in a segment or snapshot-manifest file
+/// (both carry it at bytes 8..12) and re-seals the CRC that covers it,
+/// so the file is exactly what the older writer would have produced.
+fn stamp_version(path: &Path, version: u32, crc_at: impl Fn(usize) -> usize) {
+    let mut data = fs::read(path).unwrap();
+    data[8..12].copy_from_slice(&version.to_le_bytes());
+    let at = crc_at(data.len());
+    let crc = spotless_storage::crc32::crc32c(&data[..at]);
+    data[at..at + 4].copy_from_slice(&crc.to_le_bytes());
+    fs::write(path, data).unwrap();
+}
+
+#[test]
+fn a_version_5_store_is_refused_not_replayed() {
+    // Version 5 and 6 share every byte layout; what changed is the
+    // state-root definition the sealed roots were computed under. A v5
+    // directory must therefore stop recovery with a clean
+    // `UnsupportedVersion` — replaying it would "succeed" structurally
+    // and then fail every seal check one layer up.
+    let opts = DurableLedgerOptions {
+        snapshot_every: 0,
+        ..DurableLedgerOptions::default()
+    };
+    let fill = |dir: &Path, snapshot: bool| {
+        let (mut led, _) = DurableLedger::open(dir, opts).unwrap();
+        for i in 0..5u64 {
+            led.append_batch(
+                BatchId(i),
+                Digest::from_u64(i),
+                10,
+                Digest::from_u64(i + 800),
+                proof(i),
+                b"payload",
+            )
+            .unwrap();
+        }
+        if snapshot {
+            led.force_snapshot(b"meta", &[b"chunk".to_vec()]).unwrap();
+        }
+    };
+
+    // An old log.
+    let dir = tempfile::tempdir().unwrap();
+    fill(dir.path(), false);
+    stamp_version(&newest_segment(dir.path()), 5, |_| 28);
+    match DurableLedger::open(dir.path(), opts) {
+        Err(StorageError::UnsupportedVersion { version: 5, .. }) => {}
+        Err(e) => panic!("expected UnsupportedVersion, got {e}"),
+        Ok(_) => panic!("a v5 log must not open"),
+    }
+
+    // An old snapshot manifest (beside a current log).
+    let dir = tempfile::tempdir().unwrap();
+    fill(dir.path(), true);
+    let manifest = fs::read_dir(dir.path())
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .and_then(spotless_storage::snapshot::parse_snapshot_file_name)
+                .is_some()
+        })
+        .expect("a snapshot manifest exists");
+    stamp_version(&manifest, 5, |len| len - 4);
+    match DurableLedger::open(dir.path(), opts) {
+        Err(StorageError::UnsupportedVersion { version: 5, .. }) => {}
+        Err(e) => panic!("expected UnsupportedVersion, got {e}"),
+        Ok(_) => panic!("a v5 snapshot must not open"),
+    }
+}

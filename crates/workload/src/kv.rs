@@ -26,19 +26,30 @@
 //! ([`execute_on_shards`] is the single execution routine both the
 //! serial and the parallel path run).
 //!
-//! The state root is a **two-level Merkle tree**: each shard maintains a
-//! sub-root over its bucket digests, and the block-sealed root is the
-//! root of a tiny top tree over the [`EXEC_SHARDS`] sub-roots plus the
-//! meta leaf ([`META_LEAF`]). A bucket therefore proves into the root
-//! through a two-part proof — shard-level steps, then the shard's
-//! top-level steps — composed via `spotless_crypto::fold_proof`
-//! ([`verify_bucket`]). Each shard keeps its 128-leaf tree alive for
-//! life: writes mark only their bucket dirty, and sealing a block
-//! re-hashes the dirty buckets, their ancestor paths in the owning
-//! shards' trees (`MerkleTree::update`), and the 9-leaf top tree —
-//! work proportional to what the block wrote, not to the tree size.
-//! [`KvStore::rebuild_state_root`] recomputes everything from scratch
-//! as the audit path.
+//! The state root commits to the table in four layers (definition v2):
+//!
+//! 1. a **record digest** per key, `digest_fields([key_be, value])`
+//!    ([`record_digest`]) — the same digest a write folds into the
+//!    batch's write chain, cached beside the value;
+//! 2. a **bucket leaf** per bucket, `digest_fields([domain, count,
+//!    d₁‖…‖dₙ])` over its record digests in ascending key order
+//!    ([`bucket_leaf_digest`]);
+//! 3. a **shard tree** per shard over its [`SHARD_BUCKETS`] bucket
+//!    leaves, whose root is the shard's sub-root;
+//! 4. the **top tree** over the [`EXEC_SHARDS`] sub-roots plus the meta
+//!    leaf ([`META_LEAF`]) — its root is what a block seals.
+//!
+//! A bucket proves into the root through a two-part proof — shard-level
+//! steps, then the shard's top-level steps — composed via
+//! `spotless_crypto::fold_proof` ([`verify_bucket`], which recomputes
+//! the record digests from the received bucket bytes). Each shard keeps
+//! its 128-leaf tree alive for life: a write hashes its own value once
+//! and marks its bucket dirty, and sealing a block re-hashes, per dirty
+//! bucket, 32 B per record in it, then the bucket's ancestor path in
+//! its shard's tree (`MerkleTree::update`), then the 9-leaf top tree —
+//! work proportional to what the block wrote, not to the bytes stored
+//! beside it. [`KvStore::rebuild_state_root`] recomputes everything
+//! from the table contents alone as the audit path.
 //!
 //! The **rolling digest** chains one summary per committed batch: the
 //! fold of the batch's write entries in transaction order
@@ -195,7 +206,8 @@ pub fn batch_bucket_footprint(txns: &[Transaction]) -> BucketFootprint {
 }
 
 /// Domain prefix of a bucket digest (a shard-tree Merkle leaf payload).
-const BUCKET_DOMAIN: &[u8] = b"spotless-kv-bucket-v1";
+/// v2: the leaf covers the bucket's record digests, not its encoding.
+const BUCKET_DOMAIN: &[u8] = b"spotless-kv-bucket-v2";
 /// Magic prefix of the canonical metadata encoding (the meta leaf).
 /// v2: the rolling digest chains per-batch write summaries (parallel
 /// execution semantics) instead of per-write entries.
@@ -314,11 +326,50 @@ impl StateChunk {
 /// system can hold in memory; a larger claim is a malformed frame.
 pub const MAX_BUCKET_FRAGMENTS: u32 = 1 << 16;
 
-/// Digest of one canonically encoded bucket — the shard-tree Merkle
-/// leaf payload for that bucket's index. Verifiers recompute this over
-/// received bucket bytes before checking the inclusion proof.
-pub fn bucket_leaf_digest(encoded_bucket: &[u8]) -> Digest {
-    spotless_crypto::digest_fields(&[BUCKET_DOMAIN, encoded_bucket])
+/// Digest of one record — what a write contributes to its batch's
+/// write chain ([`BatchEffect::write_chain`]) and to its bucket's leaf.
+/// **Consensus-critical.**
+pub fn record_digest(key: u64, value: &[u8]) -> Digest {
+    spotless_crypto::digest_fields(&[&key.to_be_bytes(), value])
+}
+
+/// Digest of one bucket — the shard-tree Merkle leaf payload for that
+/// bucket's index: `digest_fields([domain, count:u32 le, d₁‖…‖dₙ])`
+/// over the [`record_digest`]s of its records in ascending key order.
+/// A flat list, not a tree: buckets hold a few dozen records at most.
+/// **Consensus-critical** — the one definition every path (dirty-bucket
+/// refresh, slice snapshots, the audit rebuild, chunk verification)
+/// goes through.
+pub fn bucket_leaf_digest(record_digests: impl IntoIterator<Item = Digest>) -> Digest {
+    let mut joined = Vec::new();
+    let mut count = 0u32;
+    for d in record_digests {
+        joined.extend_from_slice(&d.0);
+        count += 1;
+    }
+    spotless_crypto::digest_fields(&[BUCKET_DOMAIN, &count.to_le_bytes(), &joined])
+}
+
+/// Parses one canonically encoded bucket without copying values,
+/// enforcing the canonical form: keys strictly ascending, every key
+/// placed in bucket `b` by [`bucket_of`], no trailing bytes. `None` on
+/// any violation.
+fn parse_bucket(b: usize, bytes: &[u8]) -> Option<Vec<(u64, &[u8])>> {
+    use spotless_types::bytes::take;
+    let mut rest = bytes;
+    let count = u32::from_le_bytes(take(&mut rest, 4)?.try_into().ok()?);
+    let mut entries = Vec::with_capacity(count.min(1 << 20) as usize);
+    let mut last: Option<u64> = None;
+    for _ in 0..count {
+        let key = u64::from_le_bytes(take(&mut rest, 8)?.try_into().ok()?);
+        if bucket_of(key) != b || last.is_some_and(|l| l >= key) {
+            return None;
+        }
+        last = Some(key);
+        let len = u32::from_le_bytes(take(&mut rest, 4)?.try_into().ok()?) as usize;
+        entries.push((key, take(&mut rest, len)?));
+    }
+    rest.is_empty().then_some(entries)
 }
 
 /// The block-sealed state root implied by per-shard sub-roots plus the
@@ -340,8 +391,11 @@ pub fn top_state_root(shard_roots: &[Digest], meta: &[u8]) -> Digest {
 /// Verifies bucket `b`'s canonical encoding against a state root
 /// through a two-part proof: `shard_proof` carries the bucket to its
 /// shard's sub-root, `top_proof` carries that sub-root to the root.
-/// Position-pinned on both levels — a valid proof for any *other*
-/// bucket or shard slot is rejected.
+/// The leaf is recomputed from the received bytes — every record's
+/// digest from its key and value — so bytes that do not parse as
+/// bucket `b`'s canonical encoding fail closed. Position-pinned on both
+/// levels — a valid proof for any *other* bucket or shard slot is
+/// rejected.
 pub fn verify_bucket(
     b: usize,
     encoded_bucket: &[u8],
@@ -356,7 +410,14 @@ pub fn verify_bucket(
     {
         return false;
     }
-    let leaf = bucket_leaf_digest(encoded_bucket);
+    let Some(records) = parse_bucket(b, encoded_bucket) else {
+        return false;
+    };
+    let leaf = bucket_leaf_digest(
+        records
+            .iter()
+            .map(|(key, value)| record_digest(*key, value)),
+    );
     let sub_root = fold_proof(leaf_digest(&leaf.0), shard_proof);
     verify_inclusion(&sub_root.0, top_proof, root)
 }
@@ -372,8 +433,8 @@ pub struct BatchEffect {
     pub writes: u64,
     /// Reads the batch served.
     pub reads: u64,
-    /// Fold (from the zero digest) of `digest_fields([key_be, value])`
-    /// per write, chained in transaction order.
+    /// Fold (from the zero digest) of the [`record_digest`] of each
+    /// write, chained in transaction order.
     pub write_chain: Digest,
 }
 
@@ -399,7 +460,7 @@ impl Default for BatchEffect {
 /// ([`KvStore::take_shards`]) to execute batches on worker threads.
 pub struct Shard {
     id: usize,
-    table: HashMap<u64, Vec<u8>>,
+    table: HashMap<u64, Record>,
     /// Sorted key membership per local bucket (canonical bucket order).
     bucket_keys: Vec<BTreeSet<u64>>,
     /// The tree over the [`SHARD_BUCKETS`] bucket leaf digests, kept for
@@ -410,13 +471,40 @@ pub struct Shard {
     any_dirty: bool,
 }
 
+/// A stored value and its [`record_digest`], computed once when the
+/// value was written.
+struct Record {
+    value: Vec<u8>,
+    digest: Digest,
+}
+
+/// The canonical bucket encoding of `keys` (one bucket's membership)
+/// over `table`.
+fn encode_records(keys: &BTreeSet<u64>, table: &HashMap<u64, Record>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + keys.len() * 16);
+    out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
+    for key in keys {
+        let value = &table[key].value;
+        out.extend_from_slice(&key.to_le_bytes());
+        out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+        out.extend_from_slice(value);
+    }
+    out
+}
+
+/// The leaf of the bucket holding `keys`, from the record digests
+/// cached in `table`.
+fn leaf_of_records(keys: &BTreeSet<u64>, table: &HashMap<u64, Record>) -> Digest {
+    bucket_leaf_digest(keys.iter().map(|key| table[key].digest))
+}
+
 /// The tree of a shard whose buckets are all empty (every shard starts
 /// as a clone of it, clean).
 fn empty_shard_tree() -> MerkleTree {
     static EMPTY: OnceLock<MerkleTree> = OnceLock::new();
     EMPTY
         .get_or_init(|| {
-            let leaf = bucket_leaf_digest(&0u32.to_le_bytes());
+            let leaf = bucket_leaf_digest([]);
             MerkleTree::build(&[leaf.0; SHARD_BUCKETS])
         })
         .clone()
@@ -450,11 +538,11 @@ impl Shard {
         self.table.is_empty()
     }
 
-    fn raw_insert(&mut self, key: u64, value: Vec<u8>) {
+    fn raw_insert(&mut self, key: u64, record: Record) {
         debug_assert_eq!(shard_of_key(key), self.id, "key routed to wrong shard");
         let local = bucket_of(key) % SHARD_BUCKETS;
         self.bucket_keys[local].insert(key);
-        self.table.insert(key, value);
+        self.table.insert(key, record);
         self.dirty[local] = true;
         self.any_dirty = true;
     }
@@ -463,21 +551,13 @@ impl Shard {
     /// key in ascending order, `key:u64 len:u32 value` — identical bytes
     /// to the pre-shard layout (the bucket encoding is shard-agnostic).
     fn encode_local_bucket(&self, local: usize) -> Vec<u8> {
-        let keys = &self.bucket_keys[local];
-        let mut out = Vec::with_capacity(4 + keys.len() * 16);
-        out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-        for &key in keys {
-            let value = &self.table[&key];
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            out.extend_from_slice(value);
-        }
-        out
+        encode_records(&self.bucket_keys[local], &self.table)
     }
 
-    /// Brings the tree up to date: re-hashes the dirty buckets and
-    /// their ancestor paths — nothing else (cheap on the hot path: only
-    /// buckets touched since the last call).
+    /// Brings the tree up to date: re-hashes the dirty buckets' record
+    /// digest lists and their ancestor paths — nothing else (cheap on
+    /// the hot path: only buckets touched since the last call, and no
+    /// value bytes).
     fn refresh(&mut self) {
         if !self.any_dirty {
             return;
@@ -485,7 +565,7 @@ impl Shard {
         let mut changes = Vec::new();
         for local in 0..SHARD_BUCKETS {
             if self.dirty[local] {
-                let leaf = bucket_leaf_digest(&self.encode_local_bucket(local));
+                let leaf = leaf_of_records(&self.bucket_keys[local], &self.table);
                 changes.push((local, leaf.0));
                 self.dirty[local] = false;
             }
@@ -585,7 +665,7 @@ pub struct ShardSlice {
     /// Per-bucket written flag (parallel to `globals`).
     written: Vec<bool>,
     any_written: bool,
-    table: HashMap<u64, Vec<u8>>,
+    table: HashMap<u64, Record>,
 }
 
 impl ShardSlice {
@@ -599,13 +679,13 @@ impl ShardSlice {
         self.globals.binary_search(&g).is_ok()
     }
 
-    fn raw_insert(&mut self, key: u64, value: Vec<u8>) {
+    fn raw_insert(&mut self, key: u64, record: Record) {
         let slot = self
             .globals
             .binary_search(&bucket_of(key))
             .expect("batch routed to unscheduled bucket");
         self.bucket_keys[slot].insert(key);
-        self.table.insert(key, value);
+        self.table.insert(key, record);
         self.written[slot] = true;
         self.any_written = true;
     }
@@ -615,22 +695,14 @@ impl ShardSlice {
     /// bucket contents.
     pub fn encode_bucket(&self, g: usize) -> Vec<u8> {
         let slot = self.globals.binary_search(&g).expect("bucket owned");
-        let keys = &self.bucket_keys[slot];
-        let mut out = Vec::with_capacity(4 + keys.len() * 16);
-        out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-        for &key in keys {
-            let value = &self.table[&key];
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            out.extend_from_slice(value);
-        }
-        out
+        encode_records(&self.bucket_keys[slot], &self.table)
     }
 
     /// Current leaf digest of owned bucket `g` (recomputed on demand —
     /// slices are short-lived and touch few buckets).
     pub fn bucket_digest(&self, g: usize) -> Digest {
-        bucket_leaf_digest(&self.encode_bucket(g))
+        let slot = self.globals.binary_search(&g).expect("bucket owned");
+        leaf_of_records(&self.bucket_keys[slot], &self.table)
     }
 }
 
@@ -692,14 +764,20 @@ pub fn execute_on_parts(
             }
             Operation::Update { key, value } => {
                 effect.writes += 1;
-                let entry = spotless_crypto::digest_fields(&[&key.to_be_bytes(), value]);
-                effect.write_chain = spotless_crypto::digest_chained(&effect.write_chain, &entry);
+                // One hash of the value serves both commitments: the
+                // write chain now, the bucket leaf at the next seal.
+                let digest = record_digest(*key, value);
+                effect.write_chain = spotless_crypto::digest_chained(&effect.write_chain, &digest);
+                let record = Record {
+                    value: value.clone(),
+                    digest,
+                };
                 if slot != usize::MAX {
-                    shards[slot].raw_insert(*key, value.clone());
+                    shards[slot].raw_insert(*key, record);
                 } else {
                     let sl = slice_pos[home];
                     assert!(sl != usize::MAX, "batch routed to unscheduled shard");
-                    slices[sl].raw_insert(*key, value.clone());
+                    slices[sl].raw_insert(*key, record);
                 }
             }
         }
@@ -791,7 +869,8 @@ impl KvStore {
     /// Inserts without touching the rolling digest or counters (used by
     /// initialization and snapshot restore).
     fn raw_insert(&mut self, key: u64, value: Vec<u8>) {
-        self.shards[shard_of_key(key)].raw_insert(key, value);
+        let digest = record_digest(key, &value);
+        self.shards[shard_of_key(key)].raw_insert(key, Record { value, digest });
         self.cached_root = None;
     }
 
@@ -886,7 +965,7 @@ impl KvStore {
                 let value_digest = self.shards[shard_of_key(*key)]
                     .table
                     .get(key)
-                    .map(|v| spotless_crypto::digest_bytes(v))
+                    .map(|r| spotless_crypto::digest_bytes(&r.value))
                     .unwrap_or(Digest::ZERO);
                 ExecResult::Read { value_digest }
             }
@@ -909,8 +988,8 @@ impl KvStore {
 
     /// Canonical encoding of bucket `b` (global index): `count:u32`
     /// then, per key in ascending order, `key:u64 len:u32 value`. This
-    /// is both the shard-tree leaf preimage (via [`bucket_leaf_digest`])
-    /// and the transfer payload unit.
+    /// is the transfer payload unit; a receiver derives the bucket's
+    /// shard-tree leaf from it record by record ([`verify_bucket`]).
     pub fn encode_bucket(&self, b: usize) -> Vec<u8> {
         self.shards[shard_of_bucket(b)].encode_local_bucket(b % SHARD_BUCKETS)
     }
@@ -921,24 +1000,8 @@ impl KvStore {
     /// cannot smuggle a key into the wrong bucket (its inclusion proof
     /// would cover the wrong leaf).
     pub fn decode_bucket(b: usize, bytes: &[u8]) -> Option<Vec<(u64, Vec<u8>)>> {
-        use spotless_types::bytes::take;
-        let mut rest = bytes;
-        let count = u32::from_le_bytes(take(&mut rest, 4)?.try_into().ok()?);
-        let mut entries = Vec::with_capacity(count.min(1 << 20) as usize);
-        let mut last: Option<u64> = None;
-        for _ in 0..count {
-            let key = u64::from_le_bytes(take(&mut rest, 8)?.try_into().ok()?);
-            if bucket_of(key) != b || last.is_some_and(|l| l >= key) {
-                return None;
-            }
-            last = Some(key);
-            let len = u32::from_le_bytes(take(&mut rest, 4)?.try_into().ok()?) as usize;
-            entries.push((key, take(&mut rest, len)?.to_vec()));
-        }
-        if !rest.is_empty() {
-            return None;
-        }
-        Some(entries)
+        let records = parse_bucket(b, bytes)?;
+        Some(records.into_iter().map(|(k, v)| (k, v.to_vec())).collect())
     }
 
     /// Canonical encoding of the meta leaf: rolling digest + counters.
@@ -998,8 +1061,9 @@ impl KvStore {
         root
     }
 
-    /// Audit path: recomputes the state root from nothing but the table
-    /// contents and meta — no cached bucket digests, no dirty tracking.
+    /// Audit path: recomputes the state root from nothing but the keys,
+    /// values and meta — no cached record digests, no long-lived trees,
+    /// no dirty tracking.
     /// [`state_root`](KvStore::state_root) must always agree with this;
     /// snapshot installation uses it as the final gate on assembled
     /// state.
@@ -1010,19 +1074,15 @@ impl KvStore {
             for &key in shard.table.keys() {
                 buckets[bucket_of(key) % SHARD_BUCKETS].insert(key);
             }
-            let mut leaves: Vec<[u8; 32]> = Vec::with_capacity(SHARD_BUCKETS);
-            for (local, keys) in buckets.iter().enumerate() {
-                let mut enc = Vec::with_capacity(4 + keys.len() * 16);
-                enc.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-                for &key in keys {
-                    let value = &shard.table[&key];
-                    enc.extend_from_slice(&key.to_le_bytes());
-                    enc.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                    enc.extend_from_slice(value);
-                }
-                debug_assert_eq!(enc, shard.encode_local_bucket(local));
-                leaves.push(bucket_leaf_digest(&enc).0);
-            }
+            let leaves: Vec<[u8; 32]> = buckets
+                .iter()
+                .map(|keys| {
+                    let digests = keys
+                        .iter()
+                        .map(|&key| record_digest(key, &shard.table[&key].value));
+                    bucket_leaf_digest(digests).0
+                })
+                .collect();
             sub_roots.push(MerkleTree::build(&leaves).root());
         }
         top_state_root(&sub_roots, &self.transfer_meta())
@@ -1181,7 +1241,7 @@ impl KvStore {
             .collect();
         keys.sort_unstable();
         for key in keys {
-            let value = &self.shards[shard_of_key(key)].table[&key];
+            let value = &self.shards[shard_of_key(key)].table[&key].value;
             out.extend_from_slice(&key.to_le_bytes());
             out.extend_from_slice(&(value.len() as u32).to_le_bytes());
             out.extend_from_slice(value);
@@ -1569,7 +1629,7 @@ mod tests {
             .collect();
         assert_eq!(
             hex,
-            "f26ef04a51ab9fd7cde1faaac16fc034775a85fab4f9ecab4a6ac42e8d2a8dbd"
+            "9ed3e6f0ab64360e2b3e3c8da55063119379a37a71222242dba8af1643cfb54a"
         );
         assert_eq!(store.state_root(), store.rebuild_state_root());
     }
@@ -1793,6 +1853,127 @@ mod tests {
         let meta_proof = prover.prove_meta().expect("meta leaf");
         assert_eq!(proof_index(&meta_proof), META_LEAF);
         assert!(verify_inclusion(&store.transfer_meta(), &meta_proof, &root));
+    }
+
+    /// A populated bucket of `store` with its proofs and the root, for
+    /// the rejection tests below.
+    fn proven_bucket(store: &mut KvStore) -> (usize, Vec<u8>, Vec<ProofStep>, Vec<ProofStep>) {
+        let b = (0..STATE_BUCKETS)
+            .find(|&b| {
+                KvStore::decode_bucket(b, &store.encode_bucket(b)).is_some_and(|e| e.len() >= 2)
+            })
+            .expect("some bucket holds two records");
+        let (shard_proof, top_proof) = store.state_prover().prove_bucket(b).expect("in range");
+        (b, store.encode_bucket(b), shard_proof, top_proof)
+    }
+
+    #[test]
+    fn verify_bucket_fails_closed_on_unparseable_bytes() {
+        let mut store = KvStore::initialized(4000, 8);
+        let root = store.state_root();
+        let (b, enc, shard_proof, top_proof) = proven_bucket(&mut store);
+        assert!(verify_bucket(b, &enc, &shard_proof, &top_proof, &root));
+        // Truncated anywhere — mid-count, mid-key, mid-value — and with
+        // a trailing byte: none of it parses, none of it verifies.
+        for cut in [0, 3, 4, 9, enc.len() - 1] {
+            assert!(
+                !verify_bucket(b, &enc[..cut], &shard_proof, &top_proof, &root),
+                "cut {cut}"
+            );
+        }
+        let mut trailing = enc.clone();
+        trailing.push(0);
+        assert!(!verify_bucket(
+            b,
+            &trailing,
+            &shard_proof,
+            &top_proof,
+            &root
+        ));
+    }
+
+    #[test]
+    fn verify_bucket_rejects_reordered_keys_and_swapped_values() {
+        let mut store = KvStore::initialized(4000, 8);
+        let root = store.state_root();
+        let (b, enc, shard_proof, top_proof) = proven_bucket(&mut store);
+        let entries = KvStore::decode_bucket(b, &enc).expect("canonical");
+        let encode = |entries: &[(u64, Vec<u8>)]| {
+            let mut out = (entries.len() as u32).to_le_bytes().to_vec();
+            for (key, value) in entries {
+                out.extend_from_slice(&key.to_le_bytes());
+                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+                out.extend_from_slice(value);
+            }
+            out
+        };
+        assert_eq!(encode(&entries), enc);
+        // The same records, first two out of order: not canonical.
+        let mut reordered = entries.clone();
+        reordered.swap(0, 1);
+        assert!(!verify_bucket(
+            b,
+            &encode(&reordered),
+            &shard_proof,
+            &top_proof,
+            &root
+        ));
+        // The same keys and the same record count, one value replaced:
+        // parses, but that record's digest — recomputed from the bytes,
+        // never taken from the sender — moves the leaf.
+        let mut swapped = entries.clone();
+        swapped[1].1 = vec![0x5A; swapped[1].1.len()];
+        assert!(!verify_bucket(
+            b,
+            &encode(&swapped),
+            &shard_proof,
+            &top_proof,
+            &root
+        ));
+        // One record dropped.
+        assert!(!verify_bucket(
+            b,
+            &encode(&entries[1..]),
+            &shard_proof,
+            &top_proof,
+            &root
+        ));
+    }
+
+    #[test]
+    fn verify_bucket_rejects_a_valid_bucket_at_the_wrong_index() {
+        let mut store = KvStore::initialized(4000, 8);
+        let root = store.state_root();
+        let (b, enc, shard_proof, top_proof) = proven_bucket(&mut store);
+        let other = (b + 1) % STATE_BUCKETS;
+        // Its own bytes under another bucket's index: the keys do not
+        // belong there, and the proof's direction bits name `b`.
+        assert!(!verify_bucket(other, &enc, &shard_proof, &top_proof, &root));
+        // Another bucket's (valid) bytes and index under `b`'s proof.
+        let other_enc = store.encode_bucket(other);
+        assert!(!verify_bucket(
+            other,
+            &other_enc,
+            &shard_proof,
+            &top_proof,
+            &root
+        ));
+        // An empty bucket encodes identically everywhere, so only the
+        // proof pins it: present it where a populated bucket lives.
+        let empty = 0u32.to_le_bytes();
+        assert!(!verify_bucket(b, &empty, &shard_proof, &top_proof, &root));
+    }
+
+    #[test]
+    fn bucket_leaf_commits_to_count_order_and_content() {
+        let d = |i: u64| record_digest(i, b"v");
+        assert_ne!(bucket_leaf_digest([]), bucket_leaf_digest([d(1)]));
+        assert_ne!(
+            bucket_leaf_digest([d(1), d(2)]),
+            bucket_leaf_digest([d(2), d(1)])
+        );
+        assert_ne!(record_digest(1, b"v"), record_digest(1, b"w"));
+        assert_ne!(record_digest(1, b"v"), record_digest(2, b"v"));
     }
 
     #[test]

@@ -112,7 +112,7 @@ fn sample_chunk() -> ChunkTransfer {
 
 // ── golden vectors: the pinned binary layout ────────────────────────
 //
-// Layout recap (README §"Wire format"): `0xB4` version byte, tag byte,
+// Layout recap (README §"Wire format"): `0xB5` version byte, tag byte,
 // then the body in the streaming binary codec — canonical LEB128
 // varints, raw byte slices, structs field-by-field in declaration
 // order, enum variants by declaration index.
@@ -120,11 +120,11 @@ fn sample_chunk() -> ChunkTransfer {
 #[test]
 fn golden_protocol_sync() {
     let enc = encode_protocol(&sample_sync());
-    assert_eq!(enc[0], 0xB4, "wire version");
+    assert_eq!(enc[0], 0xB5, "wire version");
     assert_eq!(enc[1], TAG_PROTOCOL);
     assert_eq!(
         hex(&enc),
-        "b4000101ac0201ab0200000000000000090000000000000000000000\
+        "b5000101ac0201ab0200000000000000090000000000000000000000\
          0000000000000000000000000001ac02000000000000000a00000000\
          000000000000000000000000000000000000000001dddddddddddddd\
          dddddddddddddddddddddddddddddddddddddddddddddddddddddddd\
@@ -151,7 +151,7 @@ fn golden_protocol_sync() {
 fn golden_catchup_req() {
     let enc = encode_catchup_req(300);
     assert_eq!(enc[1], TAG_CATCHUP_REQ);
-    assert_eq!(hex(&enc), "b401ac02");
+    assert_eq!(hex(&enc), "b501ac02");
     assert!(matches!(
         decode::<u64>(&enc),
         Some(WireMsg::CatchUpReq { from_height: 300 })
@@ -168,7 +168,7 @@ fn golden_catchup_resp() {
     assert_eq!(enc[1], TAG_CATCHUP_RESP);
     assert_eq!(
         hex(&enc),
-        "b4020401000000000000000000000000000000000000000000000000\
+        "b5020401000000000000000000000000000000000000000000000000\
          000000000000000000000000000000004d0000000000000000000000\
          00000000000000000000000000070200000000000001f40000000000\
          00000000000000000000000000000000000000000300000000000000\
@@ -204,7 +204,7 @@ fn golden_manifest() {
     assert_eq!(enc[1], TAG_CATCHUP_MANIFEST);
     assert_eq!(
         hex(&enc),
-        "b4030104000000000000000000000000000000000000000000000000\
+        "b5030104000000000000000000000000000000000000000000000000\
          000000000000000000000000000000004d0000000000000000000000\
          00000000000000000000000000070200000000000001f40000000000\
          00000000000000000000000000000000000000000300000000000000\
@@ -235,7 +235,7 @@ fn golden_manifest() {
 fn golden_chunk_req() {
     let enc = encode_chunk_req(300, 3);
     assert_eq!(enc[1], TAG_CATCHUP_CHUNK_REQ);
-    assert_eq!(hex(&enc), "b404ac0203");
+    assert_eq!(hex(&enc), "b504ac0203");
     assert!(matches!(
         decode::<u64>(&enc),
         Some(WireMsg::ChunkReq {
@@ -252,7 +252,7 @@ fn golden_chunk() {
     assert_eq!(enc[1], TAG_CATCHUP_CHUNK);
     assert_eq!(
         hex(&enc),
-        "b40501000b6368756e6b2d62797465730101000000000000000d0000\
+        "b50501000b6368756e6b2d62797465730101000000000000000d0000\
          00000000000000000000000000000000000000000000000100000000\
          0000000e000000000000000000000000000000000000000000000000\
          01"
