@@ -143,23 +143,19 @@ impl std::fmt::Display for ProofError {
 
 impl std::error::Error for ProofError {}
 
-/// Verifies a commit proof against the cluster's quorum rules **and**
-/// key material: non-empty, signature list parallel to the signer list,
-/// every id a real replica, no duplicates, at least the phase's quorum
-/// of distinct signers — and every signature batch-verifies (via
-/// [`KeyStore::verify_quorum`]) over the proof's vote statement. The
-/// runtime calls this before any block — locally decided or received
-/// via state transfer — reaches durable storage, so a forged quorum is
-/// rejected even when its signer *identities* look plausible.
+/// The structural and quorum rules of a commit proof — everything
+/// [`verify_proof`] checks short of a signature: non-empty, signature
+/// list parallel to the signer list, every id a real replica, no
+/// duplicates, at least the phase's quorum of distinct signers.
 ///
-/// Structural checks run first: they are cheap, and a proof that fails
-/// them should be reported as malformed rather than as a signature
-/// failure.
-pub fn verify_proof(
-    proof: &CommitProof,
-    rules: &ProofRules,
-    keys: &KeyStore,
-) -> Result<(), ProofError> {
+/// On its own this is only enough for a proof whose every (signer,
+/// signature) pair the caller has *already* verified over
+/// [`CommitProof::statement`] — the runtime's live path, where the
+/// certificate sanitizer's signature pass decides which votes survive
+/// into the proof, and re-verifying the survivors would check the same
+/// signatures twice. Anything received from a peer goes through
+/// [`verify_proof`].
+pub fn verify_proof_rules(proof: &CommitProof, rules: &ProofRules) -> Result<(), ProofError> {
     if proof.signers.is_empty() {
         return Err(ProofError::Empty);
     }
@@ -188,6 +184,25 @@ pub fn verify_proof(
             need,
         });
     }
+    Ok(())
+}
+
+/// Verifies a commit proof against the cluster's quorum rules **and**
+/// key material: [`verify_proof_rules`] first — cheap, and a proof that
+/// fails them should be reported as malformed rather than as a
+/// signature failure — then every signature batch-verifies (via
+/// [`KeyStore::verify_quorum`]) over the proof's vote statement. The
+/// runtime calls this on every block received via state transfer
+/// before it reaches durable storage, so a forged quorum is rejected
+/// even when its signer *identities* look plausible; locally decided
+/// blocks get the same two checks, the signature pass coming from the
+/// certificate sanitizer.
+pub fn verify_proof(
+    proof: &CommitProof,
+    rules: &ProofRules,
+    keys: &KeyStore,
+) -> Result<(), ProofError> {
+    verify_proof_rules(proof, rules)?;
     let votes: Vec<(ReplicaId, Signature)> = proof
         .signers
         .iter()
@@ -929,6 +944,30 @@ mod tests {
             verify_proof(&p, &rules, keys),
             Err(ProofError::BadSignature(_))
         ));
+    }
+
+    #[test]
+    fn rules_pass_checks_structure_and_quorum_but_no_signature() {
+        let rules = rules_n4();
+        // The rules alone say nothing about signatures: a forged one
+        // passes them and only the full check objects.
+        let mut forged = signed_proof(1);
+        forged.sigs[0] = spotless_types::Signature::ZERO;
+        assert_eq!(verify_proof_rules(&forged, &rules), Ok(()));
+        assert!(verify_proof(&forged, &rules, &stores()[0]).is_err());
+        // Every structural rejection is theirs, with the same error
+        // the full check reports.
+        let mut short = signed_proof(1);
+        short.signers.truncate(2);
+        short.sigs.truncate(2);
+        assert_eq!(
+            verify_proof_rules(&short, &rules),
+            Err(ProofError::BelowQuorum { got: 2, need: 3 })
+        );
+        assert_eq!(
+            verify_proof(&short, &rules, &stores()[0]),
+            verify_proof_rules(&short, &rules)
+        );
     }
 
     #[test]

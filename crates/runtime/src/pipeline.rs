@@ -22,15 +22,17 @@
 //! certificate**: the protocol layer surfaces the certifying votes
 //! (signer set plus one Ed25519 signature per signer over the vote
 //! statement) through `CommitInfo::cert`, this worker copies them into
-//! the block's `CommitProof`, and `spotless_ledger::verify_proof`
-//! gates the append — non-empty, duplicate-free, known signers meeting
-//! the phase's quorum, **and every signature batch-re-verified against
-//! the signer's public key** — on the live path and on every block
-//! received through state transfer alike. Live certificates are
-//! sanitized first: (signer, signature) pairs that fail verification
-//! are dropped and the phase downgraded if the survivors no longer
-//! meet the strong quorum, so one forged vote smuggled into an
-//! otherwise-valid quorum cannot poison the pipeline.
+//! the block's `CommitProof`, and two checks gate the append —
+//! non-empty, duplicate-free, known signers meeting the phase's quorum,
+//! **and every signature batch-verified against the signer's public
+//! key**. Blocks received through state transfer get both from
+//! `spotless_ledger::verify_proof`. Live certificates get the
+//! signature pass from the sanitizer — (signer, signature) pairs that
+//! fail verification are dropped and the phase downgraded if the
+//! survivors no longer meet the strong quorum, so one forged vote
+//! smuggled into an otherwise-valid quorum cannot poison the pipeline —
+//! and then only `verify_proof_rules` on what survived: each vote is
+//! verified once per commit, not twice.
 //!
 //! The worker also owns the runtime-level **state-transfer** exchange,
 //! which runs in two modes. A replica that restarts from its durable
@@ -73,7 +75,9 @@ use crate::executor::{execute_group, ExecutorPool};
 use crate::fabric::Fabric;
 use crate::observe::{CommitLog, CommittedEntry, Inform, SnapshotStats};
 use spotless_crypto::{proof_index, verify_inclusion, KeyStore, ProofStep};
-use spotless_ledger::{verify_proof, Block, CommitProof, Ledger, ProofRules, RecentBatches};
+use spotless_ledger::{
+    verify_proof, verify_proof_rules, Block, CommitProof, Ledger, ProofRules, RecentBatches,
+};
 use spotless_storage::snapshot::Snapshot;
 use spotless_storage::transfer::{InstallJournal, InstallManifest};
 use spotless_storage::DurableLedger;
@@ -667,28 +671,34 @@ impl<F: Fabric> Pipeline<F> {
                 Err(()) => continue, // malformed payload: never commit it
             };
             // The protocol's commit certificate becomes the block's
-            // durable proof — and the ledger refuses it unless the
-            // signer set is non-empty, duplicate-free, within the
-            // cluster, meets the phase's quorum, and every signature
-            // verifies against its signer's key. Sanitize first: drop
-            // (signer, signature) pairs that fail verification and
-            // downgrade the phase when the survivors fall below the
-            // strong quorum, so a single forged vote riding an
-            // otherwise-valid quorum costs that vote, not the replica.
-            // (When every pair verifies — the hot path — the sanitizer
-            // is one batch verification and copies nothing out.)
-            let (signers, sigs, phase) =
-                sanitize_cert(&info.cert, info.instance, &self.keystore, &self.rules);
-            let proof = CommitProof {
+            // durable proof — and it is refused unless the signer set
+            // is non-empty, duplicate-free, within the cluster, meets
+            // the phase's quorum, and every signature verifies against
+            // its signer's key. The sanitizer is the signature pass:
+            // it drops (signer, signature) pairs that fail
+            // verification and downgrades the phase when the survivors
+            // fall below the strong quorum, so a single forged vote
+            // riding an otherwise-valid quorum costs that vote, not
+            // the replica. (When every pair verifies — the hot path —
+            // it is one batch verification and copies nothing out.)
+            // Every pair it lets through has verified, so the rules
+            // are all that is left to check.
+            let mut proof = CommitProof {
                 instance: info.instance,
                 view: info.view,
-                phase,
+                phase: info.cert.phase,
                 voted: info.cert.voted,
                 slot: info.cert.slot,
-                signers,
-                sigs,
+                signers: Vec::new(),
+                sigs: Vec::new(),
             };
-            if verify_proof(&proof, &self.rules, &self.keystore).is_err() {
+            // Votes are checked over the statement the persisted proof
+            // will claim, so what passes here is exactly what a third
+            // party (or a catch-up peer) re-verifies later.
+            let statement = proof.statement();
+            (proof.signers, proof.sigs, proof.phase) =
+                sanitize_cert(&info.cert, &statement, &self.keystore, &self.rules);
+            if verify_proof_rules(&proof, &self.rules).is_err() {
                 // The batch WAS decided cluster-wide; skipping it while
                 // continuing to append later commits would leave a
                 // silent hole that forks this replica's chain and
@@ -1548,21 +1558,24 @@ fn decode_payload(payload: &[u8]) -> Result<Option<Vec<Transaction>>, ()> {
 
 /// Drops certificate votes whose signature fails verification and
 /// downgrades the phase when the survivors no longer meet the strong
-/// quorum. Weak certificates are never upgraded; the final quorum check
-/// belongs to `verify_proof`, which runs on the sanitized result (so a
-/// certificate stripped below the weak quorum still poisons the
-/// pipeline). Lists of unequal length pass through untouched —
-/// `verify_proof` rejects those structurally with better attribution.
+/// quorum — the one signature pass a live certificate gets: every pair
+/// returned has verified over `statement` (an unknown signer never
+/// verifies). Weak certificates are never
+/// upgraded; the final quorum check belongs to `verify_proof_rules`,
+/// which runs on the sanitized result (so a certificate stripped below
+/// the weak quorum still poisons the pipeline). Lists of unequal length
+/// pass through untouched and unverified — the rules reject those
+/// structurally with better attribution.
 fn sanitize_cert(
     cert: &spotless_types::CommitCertificate,
-    instance: spotless_types::InstanceId,
+    statement: &spotless_types::VoteStatement,
     keys: &KeyStore,
     rules: &ProofRules,
 ) -> (Vec<ReplicaId>, Vec<spotless_types::Signature>, CertPhase) {
     if cert.signers.len() != cert.sigs.len() {
         return (cert.signers.clone(), cert.sigs.clone(), cert.phase);
     }
-    let message = cert.statement(instance).signing_bytes();
+    let message = statement.signing_bytes();
     let votes: Vec<_> = cert
         .signers
         .iter()
