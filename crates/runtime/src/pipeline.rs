@@ -680,24 +680,19 @@ impl<F: Fabric> Pipeline<F> {
             // fall below the strong quorum, so a single forged vote
             // riding an otherwise-valid quorum costs that vote, not
             // the replica. (When every pair verifies — the hot path —
-            // it is one batch verification and copies nothing out.)
-            // Every pair it lets through has verified, so the rules
-            // are all that is left to check.
+            // it is one batch verification.) Every pair it leaves in
+            // the proof has verified, so the rules are all that is
+            // left to check.
             let mut proof = CommitProof {
                 instance: info.instance,
                 view: info.view,
                 phase: info.cert.phase,
                 voted: info.cert.voted,
                 slot: info.cert.slot,
-                signers: Vec::new(),
-                sigs: Vec::new(),
+                signers: info.cert.signers.clone(),
+                sigs: info.cert.sigs.clone(),
             };
-            // Votes are checked over the statement the persisted proof
-            // will claim, so what passes here is exactly what a third
-            // party (or a catch-up peer) re-verifies later.
-            let statement = proof.statement();
-            (proof.signers, proof.sigs, proof.phase) =
-                sanitize_cert(&info.cert, &statement, &self.keystore, &self.rules);
+            sanitize_proof(&mut proof, &self.keystore, &self.rules);
             if verify_proof_rules(&proof, &self.rules).is_err() {
                 // The batch WAS decided cluster-wide; skipping it while
                 // continuing to append later commits would leave a
@@ -1556,47 +1551,40 @@ fn decode_payload(payload: &[u8]) -> Result<Option<Vec<Transaction>>, ()> {
     decode_txns(payload).map(Some).ok_or(())
 }
 
-/// Drops certificate votes whose signature fails verification and
-/// downgrades the phase when the survivors no longer meet the strong
-/// quorum — the one signature pass a live certificate gets: every pair
-/// returned has verified over `statement` (an unknown signer never
-/// verifies). Weak certificates are never
-/// upgraded; the final quorum check belongs to `verify_proof_rules`,
-/// which runs on the sanitized result (so a certificate stripped below
-/// the weak quorum still poisons the pipeline). Lists of unequal length
-/// pass through untouched and unverified — the rules reject those
-/// structurally with better attribution.
-fn sanitize_cert(
-    cert: &spotless_types::CommitCertificate,
-    statement: &spotless_types::VoteStatement,
-    keys: &KeyStore,
-    rules: &ProofRules,
-) -> (Vec<ReplicaId>, Vec<spotless_types::Signature>, CertPhase) {
-    if cert.signers.len() != cert.sigs.len() {
-        return (cert.signers.clone(), cert.sigs.clone(), cert.phase);
+/// Drops the votes of a live certificate's proof whose signature fails
+/// verification and downgrades the phase when the survivors no longer
+/// meet the strong quorum — the one signature pass a live certificate
+/// gets. Votes are checked over the statement the proof itself claims
+/// ([`CommitProof::statement`]), so every pair left in it is exactly
+/// what a third party (or a catch-up peer) re-verifies later; an
+/// unknown signer never verifies. Weak certificates are never upgraded;
+/// the final quorum check belongs to `verify_proof_rules`, which runs
+/// on the sanitized result (so a certificate stripped below the weak
+/// quorum still poisons the pipeline). Lists of unequal length are left
+/// untouched and unverified — the rules reject those structurally with
+/// better attribution.
+fn sanitize_proof(proof: &mut CommitProof, keys: &KeyStore, rules: &ProofRules) {
+    if proof.signers.len() != proof.sigs.len() {
+        return;
     }
-    let message = statement.signing_bytes();
-    let votes: Vec<_> = cert
+    let votes: Vec<_> = proof
         .signers
         .iter()
         .copied()
-        .zip(cert.sigs.iter().copied())
+        .zip(proof.sigs.iter().copied())
         .collect();
-    let mask = keys.filter_valid(&message, &votes);
+    let mask = keys.filter_valid(&proof.statement().signing_bytes(), &votes);
     if mask.iter().all(|&ok| ok) {
-        return (cert.signers.clone(), cert.sigs.clone(), cert.phase);
+        return;
     }
-    let (signers, sigs): (Vec<_>, Vec<_>) = votes
+    (proof.signers, proof.sigs) = votes
         .into_iter()
         .zip(mask)
         .filter_map(|(vote, ok)| ok.then_some(vote))
         .unzip();
-    let phase = if signers.len() >= rules.strong as usize {
-        cert.phase
-    } else {
-        CertPhase::Weak
-    };
-    (signers, sigs, phase)
+    if proof.signers.len() < rules.strong as usize {
+        proof.phase = CertPhase::Weak;
+    }
 }
 
 /// Reconstructs commit metadata for a block applied via catch-up,

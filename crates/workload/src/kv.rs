@@ -341,7 +341,8 @@ pub fn record_digest(key: u64, value: &[u8]) -> Digest {
 /// refresh, slice snapshots, the audit rebuild, chunk verification)
 /// goes through.
 pub fn bucket_leaf_digest(record_digests: impl IntoIterator<Item = Digest>) -> Digest {
-    let mut joined = Vec::new();
+    let record_digests = record_digests.into_iter();
+    let mut joined = Vec::with_capacity(32 * record_digests.size_hint().0);
     let mut count = 0u32;
     for d in record_digests {
         joined.extend_from_slice(&d.0);
@@ -478,8 +479,9 @@ struct Record {
     digest: Digest,
 }
 
-/// The canonical bucket encoding of `keys` (one bucket's membership)
-/// over `table`.
+/// The canonical encoding of the bucket holding `keys` (its sorted
+/// membership) over `table`: `count:u32` then, per key in ascending
+/// order, `key:u64 len:u32 value`, little-endian.
 fn encode_records(keys: &BTreeSet<u64>, table: &HashMap<u64, Record>) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + keys.len() * 16);
     out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
@@ -545,13 +547,6 @@ impl Shard {
         self.table.insert(key, record);
         self.dirty[local] = true;
         self.any_dirty = true;
-    }
-
-    /// Canonical encoding of local bucket `local`: `count:u32` then, per
-    /// key in ascending order, `key:u64 len:u32 value` — identical bytes
-    /// to the pre-shard layout (the bucket encoding is shard-agnostic).
-    fn encode_local_bucket(&self, local: usize) -> Vec<u8> {
-        encode_records(&self.bucket_keys[local], &self.table)
     }
 
     /// Brings the tree up to date: re-hashes the dirty buckets' record
@@ -991,7 +986,8 @@ impl KvStore {
     /// is the transfer payload unit; a receiver derives the bucket's
     /// shard-tree leaf from it record by record ([`verify_bucket`]).
     pub fn encode_bucket(&self, b: usize) -> Vec<u8> {
-        self.shards[shard_of_bucket(b)].encode_local_bucket(b % SHARD_BUCKETS)
+        let shard = &self.shards[shard_of_bucket(b)];
+        encode_records(&shard.bucket_keys[b % SHARD_BUCKETS], &shard.table)
     }
 
     /// Decodes one canonically encoded bucket, enforcing the canonical
