@@ -15,7 +15,7 @@
 use spotless_baselines::PbftReplica;
 use spotless_bench::FigureTable;
 use spotless_core::{ReplicaConfig, SpotLessReplica};
-use spotless_runtime::{RuntimeConfig, StorageConfig};
+use spotless_runtime::StorageConfig;
 use spotless_transport::InProcCluster;
 use spotless_types::{BatchId, ClientBatch, ClientId, ClusterConfig, ReplicaId, SimTime};
 use spotless_workload::{encode_txns, Operation, Transaction, WorkloadGen, YcsbConfig};
@@ -172,21 +172,23 @@ fn wire_sent(handle: &InProcCluster) -> String {
     format!("{:7.2} MiB", bytes as f64 / (1024.0 * 1024.0))
 }
 
-/// One pool-sweep configuration: committed-txn/s of the `real_batch`
-/// load with `tune` applied to every replica's `RuntimeConfig` (a pool
-/// size of 0 runs that stage inline on its calling thread — the
-/// pre-pool baseline). Best of two trials, same rationale as
-/// [`exec_run`].
-async fn tuned_run(count: u64, tune: impl Fn(&mut RuntimeConfig) + Copy) -> (f64, String) {
+/// One sealer-sweep configuration: committed-txn/s with the given
+/// egress sealing pool size (0 = inline signing on the event-loop
+/// thread, the pre-pool baseline). Best of two trials, same rationale
+/// as [`exec_run`].
+async fn seal_run(count: u64, seal_pool: usize) -> (f64, String) {
     let mut best = (0.0f64, String::new());
     for _ in 0..2 {
         let cluster = ClusterConfig::new(4);
         let c = cluster.clone();
-        let handle =
-            InProcCluster::spawn_tuned(cluster, vec![None; 4], vec![false; 4], tune, move |r| {
-                SpotLessReplica::new(ReplicaConfig::honest(c.clone(), r))
-            })
-            .expect("in-memory cluster (pool sweep)");
+        let handle = InProcCluster::spawn_tuned(
+            cluster,
+            vec![None; 4],
+            vec![false; 4],
+            |cfg| cfg.seal_pool = seal_pool,
+            move |r| SpotLessReplica::new(ReplicaConfig::honest(c.clone(), r)),
+        )
+        .expect("in-memory cluster (sealer sweep)");
         let secs = drive(&handle, (0..count).map(real_batch).collect()).await;
         let wire = wire_sent(&handle);
         handle.shutdown().await;
@@ -198,24 +200,6 @@ async fn tuned_run(count: u64, tune: impl Fn(&mut RuntimeConfig) + Copy) -> (f64
     best
 }
 
-/// The CI floor every pool-vs-inline pair below shares: **bounded
-/// overhead**. Queueing, hand-off and wake-ups must cost less than 20 %
-/// of committed-ops/s against running the stage inline, at any core
-/// count. The floors used to demand a strict win wherever a second core
-/// exists; on a 2-core runner the replicas' event loops already fill
-/// both cores, single-digit-percent differences flipped the strict form
-/// run to run, and since sealing a block became proportional to what it
-/// wrote the executor pool's inline baseline wins there outright. Both
-/// rows of every pair stay in the table; whether a pool keeps its place
-/// is decided by paired benchmark runs (ROADMAP item 6), not here.
-fn assert_bounded_overhead(stage: &str, pooled: f64, inline: f64) {
-    assert!(
-        pooled > inline * 0.80,
-        "{stage}: the pool must stay within 20 % of inline: \
-         pooled {pooled:.0} tx/s vs inline {inline:.0} tx/s"
-    );
-}
-
 #[tokio::main]
 async fn main() {
     let mut table = FigureTable::new(
@@ -224,25 +208,80 @@ async fn main() {
     );
     let count = batches();
     let total_txns = (count * u64::from(TXNS_PER_BATCH)) as f64;
-    let mut row = |label: &str, batches: u64, (tps, wire): (f64, String)| {
-        table.row(&[
-            label.into(),
-            format!("{batches}"),
-            format!("{:8.1} ktxn/s", tps / 1_000.0),
-            wire,
-        ]);
-        tps
-    };
+    // Detected once, up front: every pool-vs-inline floor below is
+    // gated on whether a second core actually exists — on a single-core
+    // host an off-thread stage cannot win by construction (same total
+    // work plus hop overhead), so the floors degrade to bounded
+    // overhead there.
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
 
     // SpotLess, in-memory chain: the pure pipeline hot path, with the
-    // default off-thread ingress verification pool — then the same
-    // cluster and load with the pool disabled, every inbound Ed25519
-    // check running serially on the event-loop thread.
-    let pooled = tuned_run(count, |_| {}).await;
-    let pooled = row("SpotLess inproc (mem)", count, pooled);
-    let inline = tuned_run(count, |cfg| cfg.verify_pool = 0).await;
-    let inline = row("SpotLess inproc (mem, inline verify)", count, inline);
-    assert_bounded_overhead("ingress verification", pooled, inline);
+    // default off-thread ingress verification pool.
+    let pooled_tps = {
+        let cluster = ClusterConfig::new(4);
+        let c = cluster.clone();
+        let handle = InProcCluster::spawn_with(cluster, vec![None; 4], vec![false; 4], move |r| {
+            SpotLessReplica::new(ReplicaConfig::honest(c.clone(), r))
+        })
+        .expect("in-memory cluster");
+        let secs = drive(&handle, (0..count).map(real_batch).collect()).await;
+        table.row(&[
+            "SpotLess inproc (mem)".into(),
+            format!("{count}"),
+            format!("{:8.1} ktxn/s", total_txns / secs / 1_000.0),
+            wire_sent(&handle),
+        ]);
+        handle.shutdown().await;
+        total_txns / secs
+    };
+
+    // Same cluster and load with the verification pool disabled: every
+    // inbound Ed25519 check runs serially on the event-loop thread,
+    // which is exactly the bottleneck the ingress stage removes.
+    let inline_tps = {
+        let cluster = ClusterConfig::new(4);
+        let c = cluster.clone();
+        let handle = InProcCluster::spawn_tuned(
+            cluster,
+            vec![None; 4],
+            vec![false; 4],
+            |cfg| cfg.verify_pool = 0,
+            move |r| SpotLessReplica::new(ReplicaConfig::honest(c.clone(), r)),
+        )
+        .expect("in-memory cluster (inline verify)");
+        let secs = drive(&handle, (0..count).map(real_batch).collect()).await;
+        table.row(&[
+            "SpotLess inproc (mem, inline verify)".into(),
+            format!("{count}"),
+            format!("{:8.1} ktxn/s", total_txns / secs / 1_000.0),
+            wire_sent(&handle),
+        ]);
+        handle.shutdown().await;
+        total_txns / secs
+    };
+
+    // CI floor: off-thread batch verification must beat in-loop
+    // verification on end-to-end committed-ops/s at n = 4. The win is
+    // parallelism — the event loop sheds ~50 µs-class Ed25519 checks
+    // onto worker threads — so it only exists where a second core
+    // exists.
+    if cores >= 2 {
+        assert!(
+            pooled_tps > inline_tps,
+            "ingress verification pool must beat inline verification on \
+             {cores} cores: pooled {pooled_tps:.0} tx/s vs inline {inline_tps:.0} tx/s"
+        );
+    } else {
+        println!(
+            "single-core host: skipping the pool-beats-inline floor \
+             (pooled {pooled_tps:.0} tx/s vs inline {inline_tps:.0} tx/s)"
+        );
+        assert!(
+            pooled_tps > inline_tps * 0.80,
+            "even single-core, the ingress pool must stay within 20 % of \
+             inline verification: pooled {pooled_tps:.0} tx/s vs inline {inline_tps:.0} tx/s"
+        );
+    }
 
     // Executor sweep: the conflict-aware parallel executor against the
     // inline serial baseline, at both ends of the YCSB contention dial.
@@ -251,25 +290,78 @@ async fn main() {
     // makes every batch pair conflict, so the scheduler serializes and
     // the comparison measures pure scheduling overhead.
     let exec_count = count / 2;
-    let par_low = exec_run(exec_count, 0.0, 2).await;
-    let par_low = row("SpotLess exec=2 (spread)", exec_count, par_low);
-    let ser_low = exec_run(exec_count, 0.0, 0).await;
-    let ser_low = row("SpotLess exec=serial (spread)", exec_count, ser_low);
-    assert_bounded_overhead("executor, low contention", par_low, ser_low);
-    let par_hot = exec_run(exec_count, 1.0, 2).await;
-    let par_hot = row("SpotLess exec=2 (hot shard)", exec_count, par_hot);
-    let ser_hot = exec_run(exec_count, 1.0, 0).await;
-    let ser_hot = row("SpotLess exec=serial (hot shard)", exec_count, ser_hot);
-    assert_bounded_overhead("executor, full contention", par_hot, ser_hot);
+    let mut exec_row = |table: &mut FigureTable, label: &str, tps: f64, wire: String| {
+        table.row(&[
+            label.into(),
+            format!("{exec_count}"),
+            format!("{:8.1} ktxn/s", tps / 1_000.0),
+            wire,
+        ]);
+    };
+    let (par_low, w) = exec_run(exec_count, 0.0, 2).await;
+    exec_row(&mut table, "SpotLess exec=2 (spread)", par_low, w);
+    let (ser_low, w) = exec_run(exec_count, 0.0, 0).await;
+    exec_row(&mut table, "SpotLess exec=serial (spread)", ser_low, w);
+    let (par_hot, w) = exec_run(exec_count, 1.0, 2).await;
+    exec_row(&mut table, "SpotLess exec=2 (hot shard)", par_hot, w);
+    let (ser_hot, w) = exec_run(exec_count, 1.0, 0).await;
+    exec_row(&mut table, "SpotLess exec=serial (hot shard)", ser_hot, w);
+
+    // CI floors for the executor: bounded overhead at every core count.
+    // Scheduling, footprint analysis and shard hand-off must cost less
+    // than 20 % against inline execution, at low contention and at
+    // full. The floor used to demand a strict win on ≥ 2 cores; since
+    // sealing became proportional to what a batch wrote, most of the
+    // work the pool overlapped is gone and serial wins on 2 cores.
+    // Both rows stay in the table; whether the pool keeps its place is
+    // a paired-run decision (ROADMAP item 6), not this floor's.
+    assert!(
+        par_low > ser_low * 0.80,
+        "at low contention on {cores} cores the executor must stay within 20 % of \
+         serial: parallel {par_low:.0} tx/s vs serial {ser_low:.0} tx/s"
+    );
+    assert!(
+        par_hot > ser_hot * 0.80,
+        "under full contention the executor degenerates to commit order and \
+         must stay within 20 % of serial: parallel {par_hot:.0} tx/s vs \
+         serial {ser_hot:.0} tx/s"
+    );
 
     // Sealer sweep: egress signing on dedicated lanes (batched
     // fixed-base Ed25519, ordered emitter) against inline sealing on
     // the event-loop thread.
-    let sealed = tuned_run(count, |cfg| cfg.seal_pool = 2).await;
-    let sealed = row("SpotLess seal=2", count, sealed);
-    let seal_inline = tuned_run(count, |cfg| cfg.seal_pool = 0).await;
-    let seal_inline = row("SpotLess seal=inline", count, seal_inline);
-    assert_bounded_overhead("egress sealing", sealed, seal_inline);
+    let (sealed_tps, w) = seal_run(count, 2).await;
+    table.row(&[
+        "SpotLess seal=2".into(),
+        format!("{count}"),
+        format!("{:8.1} ktxn/s", sealed_tps / 1_000.0),
+        w,
+    ]);
+    let (seal_inline_tps, w) = seal_run(count, 0).await;
+    table.row(&[
+        "SpotLess seal=inline".into(),
+        format!("{count}"),
+        format!("{:8.1} ktxn/s", seal_inline_tps / 1_000.0),
+        w,
+    ]);
+    // CI floor: where a second core exists, the sealer pool must not
+    // lose committed-ops/s to inline sealing — the event loop sheds a
+    // per-envelope Ed25519 signing onto worker lanes, and batching
+    // amortizes what it costs. Single-core keeps the bounded-overhead
+    // check.
+    if cores >= 2 {
+        assert!(
+            sealed_tps >= seal_inline_tps,
+            "egress sealer pool must not lose to inline sealing on {cores} \
+             cores: pool {sealed_tps:.0} tx/s vs inline {seal_inline_tps:.0} tx/s"
+        );
+    } else {
+        assert!(
+            sealed_tps > seal_inline_tps * 0.80,
+            "single-core, the sealer pool must stay within 20 % of inline: \
+             pool {sealed_tps:.0} tx/s vs inline {seal_inline_tps:.0} tx/s"
+        );
+    }
 
     // SpotLess, durable: group commit + certificate-verified appends.
     {

@@ -85,12 +85,19 @@ impl MerkleTree {
     /// of a rebuild. The result is indistinguishable from
     /// [`build`](MerkleTree::build) over the final payloads: same root,
     /// same proofs. Indices may repeat (the last payload wins); one out
-    /// of range panics, as the leaf count of a tree is fixed for life.
+    /// of range panics before any leaf is written — the leaf count of a
+    /// tree is fixed for life — so a caught panic leaves the tree as it
+    /// was.
     pub fn update<T: AsRef<[u8]>>(&mut self, changes: &[(usize, T)]) {
         if changes.is_empty() {
             return;
         }
         assert!(!self.is_empty(), "the empty tree has no leaf to update");
+        assert!(
+            changes.iter().all(|(index, _)| *index < self.len()),
+            "leaf index out of range for a tree of {} leaves",
+            self.len()
+        );
         let mut touched: Vec<usize> = Vec::with_capacity(changes.len());
         for (index, item) in changes {
             self.levels[0][*index] = leaf_hash(item.as_ref());
@@ -356,6 +363,22 @@ mod tests {
                 assert_eq!(tree.prove(i), rebuilt.prove(i), "n={n} i={i}");
             }
         }
+    }
+
+    #[test]
+    fn out_of_range_update_panics_before_writing_any_leaf() {
+        let data = items(5);
+        let mut tree = MerkleTree::build(&data);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tree.update(&[
+                (0, b"written first".to_vec()),
+                (5, b"no such leaf".to_vec()),
+            ]);
+        }));
+        assert!(caught.is_err());
+        let intact = MerkleTree::build(&data);
+        assert_eq!(tree.root(), intact.root());
+        assert_eq!(tree.prove(0), intact.prove(0));
     }
 
     #[test]

@@ -1850,6 +1850,24 @@ mod tests {
     }
 
     #[test]
+    fn certificate_from_another_view_poisons_and_persists_nothing() {
+        let mut p = synced_pipeline();
+        // Genuine votes, but over the certificate's own view while the
+        // commit is reported (and would be persisted) under a later
+        // one — a straggler's inherited certificate. The persisted
+        // proof claims `info.view`, none of the votes verify over that
+        // statement, so nothing survives and the rules reject: only
+        // pairs verified over the persisted statement ever reach disk.
+        let mut info = commit_info(1);
+        info.view = View(2);
+        assert_ne!(info.cert.view, info.view);
+        p.flush(vec![info]);
+        assert!(p.poisoned, "an unverifiable decided commit must loud-stall");
+        assert_eq!(p.store.ledger().height(), 0, "nothing appended");
+        assert_eq!(p.kv_height, 0, "rejected before execution");
+    }
+
+    #[test]
     fn forged_catchup_extension_is_rejected_then_honest_replay_lands() {
         // A peer commits two blocks under fully valid certificates.
         // The batch digest must hash the (empty) payload here, unlike
