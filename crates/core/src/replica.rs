@@ -26,7 +26,22 @@ use std::sync::Arc;
 /// view with a no-op (§4.1: execution is gated on the slowest instance,
 /// so views burned ahead of it are pure waste). Within the slack,
 /// no-ops flow freely so the execution cut never deadlocks.
-const INSTANCE_SLACK: u64 = 16;
+///
+/// The slack is a jitter buffer between instances that meet at the
+/// execution cut, and it has to be small. Every view an instance is
+/// ahead adds one view time to the latency of its real batches; its
+/// clients then return later, its views carry more no-ops and get
+/// cheaper, and it stays pinned at the slack. With a flat 16 that
+/// drift took tens of seconds to build on the n = m = 4 runtime and
+/// moved closed-loop throughput by a quarter within one run; at 4 the
+/// instances stay within a commit chain of each other. The buffer
+/// still has to absorb the spread of the slowest of `m` instances:
+/// simulated n = m = 16 under light load loses a tenth of its
+/// throughput at 4 and nothing at 8, hence half of `m` between the two
+/// ends.
+fn instance_slack(m: usize) -> u64 {
+    (m as u64 / 2).clamp(4, 16)
+}
 
 /// Construction-time configuration of one replica.
 #[derive(Clone, Debug)]
@@ -203,6 +218,7 @@ impl SpotLessReplica {
     /// every input, so a release is never delayed past the event that
     /// enabled it.
     fn release_held_instances(&mut self, ctx: &mut dyn Context<Message = Message>) {
+        let slack = instance_slack(self.instances.len());
         loop {
             let min_view = self
                 .instances
@@ -214,7 +230,7 @@ impl SpotLessReplica {
                 .filter(|&i| {
                     self.instances[i].held()
                         && (self.mempool.len(InstanceId(i as u32)) > 0
-                            || self.instances[i].view().0 <= min_view.0 + INSTANCE_SLACK)
+                            || self.instances[i].view().0 <= min_view.0 + slack)
                 })
                 .collect();
             if due.is_empty() {
@@ -270,7 +286,8 @@ impl SpotLessReplica {
             // its instance is not ahead of the slowest sibling — ahead
             // instances hold instead (execution is gated on the slowest
             // instance, so racing ahead with no-ops only burns views).
-            let within_slack = self.instances[i].view().0 <= min_view.0 + INSTANCE_SLACK;
+            let within_slack =
+                self.instances[i].view().0 <= min_view.0 + instance_slack(self.instances.len());
             let mut pick = move |now: spotless_types::SimTime| -> Option<ClientBatch> {
                 match pool.pick_real(instance) {
                     Some(b) => Some(b),
