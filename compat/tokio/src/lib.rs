@@ -8,6 +8,9 @@
 //! - channel/`sleep`/socket futures **block inside `poll`** (safe here
 //!   precisely because every task owns its thread — nothing else is
 //!   scheduled on it);
+//! - [`time::timeout`] / [`time::timeout_at`] bound an `mpsc` receive
+//!   by a deadline without a timer thread: the blocked receive waits on
+//!   its condition variable only until the deadline (see [`time`]);
 //! - `#[tokio::main]` / `#[tokio::test]` wrap the body in [`block_on`].
 //!
 //! The async *interfaces* are identical, so the transport code compiles

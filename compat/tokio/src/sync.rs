@@ -1,11 +1,15 @@
 //! `mpsc` (bounded + unbounded) and `oneshot` channels whose send and
 //! receive futures block inside `poll` — each task owns a thread, so
-//! blocking is harmless.
+//! blocking is harmless. The two `mpsc` receives bound their wait by
+//! the deadline of an enclosing [`crate::time::timeout`].
 
 /// Multi-producer single-consumer channels.
 pub mod mpsc {
+    use crate::time::wait_in_deadline;
     use std::collections::VecDeque;
+    use std::future::poll_fn;
     use std::sync::{Arc, Condvar, Mutex};
+    use std::task::Poll;
 
     struct State<T> {
         queue: VecDeque<T>,
@@ -88,18 +92,25 @@ pub mod mpsc {
 
     impl<T> UnboundedReceiver<T> {
         /// Waits for the next value; `None` once all senders are dropped
-        /// and the queue is drained.
+        /// and the queue is drained. Under [`crate::time::timeout`] the
+        /// wait ends at the deadline with the queue untouched.
         pub async fn recv(&mut self) -> Option<T> {
-            let mut state = self.chan.state.lock().unwrap();
-            loop {
-                if let Some(value) = state.queue.pop_front() {
-                    return Some(value);
+            poll_fn(|_| {
+                let mut state = self.chan.state.lock().unwrap();
+                loop {
+                    if let Some(value) = state.queue.pop_front() {
+                        return Poll::Ready(Some(value));
+                    }
+                    if state.senders == 0 {
+                        return Poll::Ready(None);
+                    }
+                    match wait_in_deadline(&self.chan.ready, state) {
+                        Some(woken) => state = woken,
+                        None => return Poll::Pending,
+                    }
                 }
-                if state.senders == 0 {
-                    return None;
-                }
-                state = self.chan.ready.wait(state).unwrap();
-            }
+            })
+            .await
         }
 
         /// Non-blocking variant.
@@ -110,7 +121,13 @@ pub mod mpsc {
 
     impl<T> Drop for UnboundedReceiver<T> {
         fn drop(&mut self) {
-            self.chan.state.lock().unwrap().receiver_alive = false;
+            let mut state = self.chan.state.lock().unwrap();
+            state.receiver_alive = false;
+            // Like tokio, what is still queued goes with the receiver
+            // rather than with the last (possibly long-lived) sender.
+            let queued = std::mem::take(&mut state.queue);
+            drop(state);
+            drop(queued);
         }
     }
 
@@ -215,19 +232,26 @@ pub mod mpsc {
 
     impl<T> Receiver<T> {
         /// Waits for the next value; `None` once all senders are dropped
-        /// and the queue is drained.
+        /// and the queue is drained. Under [`crate::time::timeout`] the
+        /// wait ends at the deadline with the queue untouched.
         pub async fn recv(&mut self) -> Option<T> {
-            let mut state = self.chan.state.lock().unwrap();
-            loop {
-                if let Some(value) = state.queue.pop_front() {
-                    self.chan.space.notify_one();
-                    return Some(value);
+            poll_fn(|_| {
+                let mut state = self.chan.state.lock().unwrap();
+                loop {
+                    if let Some(value) = state.queue.pop_front() {
+                        self.chan.space.notify_one();
+                        return Poll::Ready(Some(value));
+                    }
+                    if state.senders == 0 {
+                        return Poll::Ready(None);
+                    }
+                    match wait_in_deadline(&self.chan.ready, state) {
+                        Some(woken) => state = woken,
+                        None => return Poll::Pending,
+                    }
                 }
-                if state.senders == 0 {
-                    return None;
-                }
-                state = self.chan.ready.wait(state).unwrap();
-            }
+            })
+            .await
         }
 
         /// Non-blocking variant.

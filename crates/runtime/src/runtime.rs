@@ -47,12 +47,13 @@ use spotless_types::{
     Signature, SimDuration, SimTime, TimerId, TimerKind, View, VoteStatement,
 };
 use spotless_workload::KvStore;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tokio::sync::mpsc;
-use tokio::time::Instant;
+use tokio::time::{timeout_at, Instant};
 
 /// Timer kind reserved for the runtime's catch-up retry tick. Protocols
 /// must not arm `Custom(0xCA7C)` themselves (none in this workspace do;
@@ -188,7 +189,10 @@ pub enum ControlMsg {
 #[derive(Clone)]
 pub struct ReplicaHandle {
     me: ReplicaId,
-    control: mpsc::UnboundedSender<ControlMsg>,
+    /// Puts a control message on the replica's event queue. Erased to a
+    /// closure because the queue's element type names the protocol's
+    /// message type and the handle does not.
+    control: Arc<dyn Fn(ControlMsg) + Send + Sync>,
     recovery: Option<Arc<RecoveryInfo>>,
     synced: Arc<AtomicBool>,
     stopped: Arc<AtomicBool>,
@@ -205,12 +209,12 @@ impl ReplicaHandle {
     /// Submits a client batch to this replica (fire-and-forget; the
     /// inform path carries the result).
     pub fn submit(&self, batch: ClientBatch) {
-        let _ = self.control.send(ControlMsg::Request(batch));
+        (self.control)(ControlMsg::Request(batch));
     }
 
     /// Asks the replica to stop. Idempotent.
     pub fn shutdown(&self) {
-        let _ = self.control.send(ControlMsg::Shutdown);
+        (self.control)(ControlMsg::Shutdown);
     }
 
     /// What recovery reconstructed at spawn (None without storage).
@@ -316,6 +320,35 @@ impl<M> Context for RuntimeCtx<'_, M> {
     }
 }
 
+/// The event loop's armed timers: a min-heap on deadline, ties broken
+/// by arming order. Nothing is ever cancelled — a [`TimerId`] carries
+/// its instance and view, and protocols recognise a stale fire by them.
+#[derive(Default)]
+struct TimerHeap {
+    heap: BinaryHeap<Reverse<(Instant, u64, TimerId)>>,
+    /// Timers armed so far (the tie-break sequence).
+    armed: u64,
+}
+
+impl TimerHeap {
+    fn arm(&mut self, id: TimerId, deadline: Instant) {
+        self.heap.push(Reverse((deadline, self.armed, id)));
+        self.armed += 1;
+    }
+
+    fn next_deadline(&self) -> Option<Instant> {
+        self.heap.peek().map(|Reverse((deadline, ..))| *deadline)
+    }
+
+    /// Takes the earliest timer if its deadline is at or before `now`.
+    fn pop_due(&mut self, now: Instant) -> Option<TimerId> {
+        if self.next_deadline()? > now {
+            return None;
+        }
+        self.heap.pop().map(|Reverse((.., id))| id)
+    }
+}
+
 /// Internal event-loop alphabet.
 pub(crate) enum Event<M> {
     /// A signed envelope arrived from the fabric.
@@ -323,8 +356,6 @@ pub(crate) enum Event<M> {
     /// Local self-delivery (broadcast includes the sender, Remark 3.1) —
     /// skips serialization and signature verification entirely.
     Loopback(M),
-    /// An armed timer fired.
-    Timer(TimerId),
     /// A client batch arrived.
     Request(ClientBatch),
     /// Stop.
@@ -343,6 +374,21 @@ impl ReplicaRuntime {
     /// reply paths (typically shared across a cluster).
     ///
     /// Must be called inside a tokio runtime.
+    ///
+    /// # Thread budget
+    ///
+    /// Every task is a thread under the thread-backed `tokio` stand-in,
+    /// and a replica's count is fixed at spawn — timers live on the
+    /// event loop's deadline heap and the handle writes to the event
+    /// queue directly, so nothing is spawned afterwards. Per replica:
+    /// the event loop (1), the commit pipeline (1), the ingress
+    /// dispatcher plus `verify_pool` lanes (1 + 2), the `seal_pool`
+    /// lanes plus the ordered emitter (2 + 1) and the `exec_pool`
+    /// workers (2) — **10** at the default pool sizes. A pool sized 0
+    /// drops its threads (`verify_pool == 0`, and any silent replica,
+    /// keeps one plain envelope forwarder in their place). The TCP
+    /// fabric adds its own per replica: one acceptor and, per peer, one
+    /// reader and one sender task.
     pub fn spawn<N, F>(
         node: N,
         cfg: RuntimeConfig,
@@ -400,7 +446,6 @@ impl ReplicaRuntime {
             durable = Some(store);
         }
 
-        let (control_tx, mut control_rx) = mpsc::unbounded_channel::<ControlMsg>();
         let (events_tx, events_rx) = mpsc::unbounded_channel::<Event<N::Message>>();
         let (pipeline_tx, pipeline_rx) = mpsc::channel::<PipelineCmd>(cfg.commit_queue.max(1));
         let synced = Arc::new(AtomicBool::new(true));
@@ -444,11 +489,12 @@ impl ReplicaRuntime {
         });
 
         // 3. Ingress: fabric envelopes and the control plane both feed
-        //    the single typed event queue. With a verify pool, inbound
-        //    signatures are batch-checked off-thread and only verified
-        //    envelopes reach the queue; with `verify_pool == 0` (or a
-        //    silent replica, which drops everything anyway) a plain
-        //    forwarder keeps the pre-pool inline-verify path.
+        //    the single typed event queue — the handle writes to it
+        //    directly. With a verify pool, inbound signatures are
+        //    batch-checked off-thread and only verified envelopes reach
+        //    the queue; with `verify_pool == 0` (or a silent replica,
+        //    which drops everything anyway) a plain forwarder keeps the
+        //    pre-pool inline-verify path.
         let verify_pool = if cfg.silent { 0 } else { cfg.verify_pool };
         if verify_pool > 0 {
             crate::ingress::spawn_verify_pool(
@@ -472,17 +518,12 @@ impl ReplicaRuntime {
             });
         }
         let ctl_events = events_tx.clone();
-        tokio::spawn(async move {
-            while let Some(msg) = control_rx.recv().await {
-                let stop = matches!(msg, ControlMsg::Shutdown);
-                let event = match msg {
-                    ControlMsg::Request(batch) => Event::Request(batch),
-                    ControlMsg::Shutdown => Event::Shutdown,
-                };
-                if ctl_events.send(event).is_err() || stop {
-                    break;
-                }
-            }
+        let control = Arc::new(move |msg| {
+            // Fails only once the loop has stopped; nothing to tell then.
+            let _ = ctl_events.send(match msg {
+                ControlMsg::Request(batch) => Event::Request(batch),
+                ControlMsg::Shutdown => Event::Shutdown,
+            });
         });
 
         // 4. Egress: with a sealer pool, outbound envelopes are
@@ -513,6 +554,7 @@ impl ReplicaRuntime {
             pipeline_tx,
             synced: synced.clone(),
             catchup_interval: cfg.catchup_interval,
+            timers: TimerHeap::default(),
             start: Instant::now(),
             silent: cfg.silent,
             verify_ingress: verify_pool == 0,
@@ -523,7 +565,7 @@ impl ReplicaRuntime {
 
         Ok(ReplicaHandle {
             me: cfg.me,
-            control: control_tx,
+            control,
             recovery,
             synced,
             stopped,
@@ -549,6 +591,9 @@ struct EventLoop<N: Node, F: Fabric> {
     pipeline_tx: mpsc::Sender<PipelineCmd>,
     synced: Arc<AtomicBool>,
     catchup_interval: SimDuration,
+    /// Every armed timer, the catch-up tick included; `run` sleeps no
+    /// further than its earliest deadline.
+    timers: TimerHeap,
     start: Instant,
     silent: bool,
     /// Whether this loop still verifies envelope signatures inline
@@ -602,7 +647,17 @@ where
         // (aging out a frozen outgoing snapshot whose requester
         // vanished mid-transfer).
         self.arm_catchup_tick();
-        while let Some(ev) = events.recv().await {
+        loop {
+            // Wait for the next event or the earliest deadline,
+            // whichever comes first — a quiet cluster's timeouts do not
+            // depend on traffic.
+            let ev = match self.timers.next_deadline() {
+                Some(deadline) => timeout_at(deadline, events.recv()).await.ok(),
+                None => Some(events.recv().await),
+            };
+            // Checked on every wake-up and before the event in hand is
+            // looked at: the first protocol message to arrive after
+            // catch-up completes must find the node started.
             if !started && self.synced.load(Ordering::Relaxed) {
                 self.step(Input::Start).await;
                 started = true;
@@ -610,6 +665,30 @@ where
                     self.step(Input::Request(batch)).await;
                 }
             }
+            // Due timers step before the event, earliest deadline
+            // first. `now` is read once, so a timer armed by one of
+            // these steps waits for the next pass and queued events are
+            // never starved.
+            let now = Instant::now();
+            while let Some(id) = self.timers.pop_due(now) {
+                if id.kind == CATCHUP_TICK {
+                    // While behind, the tick drives catch-up retries
+                    // (and doubles as the start signal via the check
+                    // above, so a quiet cluster still starts the node
+                    // promptly); while synced it drives the pipeline's
+                    // serving-side maintenance. Always re-armed — the
+                    // tick is the replica's heartbeat.
+                    let _ = self.pipeline_tx.send(PipelineCmd::Tick).await;
+                    self.arm_catchup_tick();
+                } else if started {
+                    self.step(Input::Timer(id)).await;
+                }
+            }
+            let ev = match ev {
+                Some(Some(ev)) => ev,
+                Some(None) => return, // every sender is gone
+                None => continue,     // woken by a deadline
+            };
             match ev {
                 Event::Envelope(env) => {
                     // With the ingress pool active the signature was
@@ -661,21 +740,6 @@ where
                         .await;
                     }
                 }
-                Event::Timer(id) if id.kind == CATCHUP_TICK => {
-                    // While behind, the tick drives catch-up retries
-                    // (and doubles as the start signal via the check at
-                    // the top of the loop, so a quiet cluster still
-                    // starts the node promptly); while synced it drives
-                    // the pipeline's serving-side maintenance. Always
-                    // re-armed — the tick is the replica's heartbeat.
-                    let _ = self.pipeline_tx.send(PipelineCmd::Tick).await;
-                    self.arm_catchup_tick();
-                }
-                Event::Timer(id) => {
-                    if started {
-                        self.step(Input::Timer(id)).await;
-                    }
-                }
                 Event::Request(batch) => {
                     if started {
                         self.step(Input::Request(batch)).await;
@@ -689,8 +753,8 @@ where
     }
 
     /// Steps the protocol once and applies its effects: commits into
-    /// the bounded pipeline, timers onto real sleeps, messages sealed
-    /// once and fanned out through the fabric.
+    /// the bounded pipeline, timers onto the deadline heap, messages
+    /// sealed once and fanned out through the fabric.
     async fn step(&mut self, input: Input<N::Message>) {
         let mut ctx = RuntimeCtx {
             start: self.start,
@@ -717,8 +781,12 @@ where
             // pipeline is `commit_queue` slots behind (the ack queue).
             let _ = self.pipeline_tx.send(PipelineCmd::Commit(info)).await;
         }
+        // One clock read per step: timers armed together with equal
+        // durations share a deadline and fire in arming order.
+        let now = Instant::now();
         for (id, after) in timers {
-            self.arm_timer(id, after);
+            self.timers
+                .arm(id, now + std::time::Duration::from_nanos(after.as_nanos()));
         }
         for (to, msg) in sends {
             let NodeId::Replica(to) = to else {
@@ -770,19 +838,154 @@ where
         }
     }
 
-    fn arm_timer(&self, id: TimerId, after: SimDuration) {
-        let tx = self.events_tx.clone();
-        let dur = std::time::Duration::from_nanos(after.as_nanos());
-        tokio::spawn(async move {
-            tokio::time::sleep(dur).await;
-            let _ = tx.send(Event::Timer(id));
-        });
+    fn arm_catchup_tick(&mut self) {
+        self.timers.arm(
+            TimerId::new(CATCHUP_TICK, InstanceId(0), View(0)),
+            Instant::now() + std::time::Duration::from_nanos(self.catchup_interval.as_nanos()),
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parking_lot::Mutex;
+    use std::time::Duration;
+
+    /// A fabric that drops everything: these replicas have no peers.
+    #[derive(Clone)]
+    struct NullFabric;
+
+    impl Fabric for NullFabric {
+        fn send(&self, _to: ReplicaId, _env: Envelope) {}
     }
 
-    fn arm_catchup_tick(&self) {
-        self.arm_timer(
-            TimerId::new(CATCHUP_TICK, InstanceId(0), View(0)),
-            self.catchup_interval,
-        );
+    type Fired = Arc<Mutex<Vec<(TimerId, Instant)>>>;
+
+    /// A node that does nothing but arm the timers its script names —
+    /// `(trigger, timer, milliseconds)`, the trigger being `None` for
+    /// `Start` or the timer whose firing arms this one — and log every
+    /// fire.
+    struct Scripted {
+        script: Vec<(Option<TimerId>, TimerId, u64)>,
+        fired: Fired,
+    }
+
+    impl Node for Scripted {
+        type Message = spotless_core::Message;
+
+        fn on_input(
+            &mut self,
+            input: Input<Self::Message>,
+            ctx: &mut dyn Context<Message = Self::Message>,
+        ) {
+            let trigger = match input {
+                Input::Start => None,
+                Input::Timer(id) => {
+                    self.fired.lock().push((id, Instant::now()));
+                    Some(id)
+                }
+                _ => return,
+            };
+            for &(when, id, ms) in &self.script {
+                if when == trigger {
+                    ctx.set_timer(id, SimDuration::from_millis(ms));
+                }
+            }
+        }
+    }
+
+    fn timer(k: u64) -> TimerId {
+        TimerId::new(TimerKind::Custom(1), InstanceId(0), View(k))
+    }
+
+    /// A lone memory-only replica running `script`, with the catch-up
+    /// heartbeat pushed out of the way so the script's timers are the
+    /// only deadlines and nothing else ever wakes the loop. The
+    /// returned senders keep its inbound channels open.
+    fn spawn_scripted(
+        script: Vec<(Option<TimerId>, TimerId, u64)>,
+    ) -> (ReplicaHandle, Fired, impl Sized) {
+        let fired = Fired::default();
+        let node = Scripted {
+            script,
+            fired: fired.clone(),
+        };
+        let keystore = KeyStore::cluster(b"timer-heap-test", 4).remove(0);
+        let mut cfg = RuntimeConfig::new(ClusterConfig::new(4), ReplicaId(0), keystore);
+        cfg.catchup_interval = SimDuration::from_secs(3600);
+        let (env_tx, env_rx) = mpsc::unbounded_channel();
+        let (inform_tx, inform_rx) = mpsc::unbounded_channel();
+        let handle = ReplicaRuntime::spawn(
+            node,
+            cfg,
+            NullFabric,
+            env_rx,
+            CommitLog::default(),
+            inform_tx,
+        )
+        .expect("memory-only spawn cannot fail");
+        (handle, fired, (env_tx, inform_rx))
+    }
+
+    async fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let began = Instant::now();
+        while !done() {
+            assert!(
+                began.elapsed() < Duration::from_secs(10),
+                "timed out: {what}"
+            );
+            tokio::time::sleep(Duration::from_millis(2)).await;
+        }
+    }
+
+    #[tokio::test]
+    async fn due_timers_step_in_deadline_then_arming_order() {
+        // Armed in one step, so equal durations are equal deadlines.
+        let script = [(5, 60), (1, 20), (2, 20), (4, 40), (3, 20)]
+            .map(|(k, ms)| (None, timer(k), ms))
+            .to_vec();
+        let (handle, fired, _open) = spawn_scripted(script);
+        wait_for("five timers", || fired.lock().len() == 5).await;
+        let order: Vec<u64> = fired.lock().iter().map(|(id, _)| id.view.0).collect();
+        assert_eq!(order, [1, 2, 3, 4, 5]);
+        handle.shutdown();
+    }
+
+    #[tokio::test]
+    async fn a_timer_on_an_idle_loop_fires_without_any_traffic() {
+        // No envelope, request or heartbeat arrives: only the deadline
+        // itself can wake the loop, as for a quiet cluster's Recording
+        // timeout.
+        const AFTER: Duration = Duration::from_millis(250);
+        let armed = Instant::now();
+        let (handle, fired, _open) =
+            spawn_scripted(vec![(None, timer(1), AFTER.as_millis() as u64)]);
+        wait_for("the lone timer", || !fired.lock().is_empty()).await;
+        let at = fired.lock()[0].1.duration_since(armed);
+        assert!(at >= AFTER, "fired early, after {at:?}");
+        assert!(at < 2 * AFTER, "fired late, after {at:?}");
+        handle.shutdown();
+    }
+
+    #[tokio::test]
+    async fn a_timer_armed_from_a_timer_step_is_honoured() {
+        let script = vec![(None, timer(1), 20), (Some(timer(1)), timer(2), 30)];
+        let (handle, fired, _open) = spawn_scripted(script);
+        wait_for("the chained timer", || fired.lock().len() == 2).await;
+        let log = fired.lock().clone();
+        assert_eq!((log[0].0, log[1].0), (timer(1), timer(2)));
+        assert!(log[1].1.duration_since(log[0].1) >= Duration::from_millis(30));
+        handle.shutdown();
+    }
+
+    #[tokio::test]
+    async fn shutdown_with_timers_pending_returns_promptly() {
+        let (handle, fired, _open) = spawn_scripted(vec![(None, timer(1), 3_600_000)]);
+        let began = Instant::now();
+        handle.shutdown();
+        wait_for("the replica to stop", || handle.is_stopped()).await;
+        assert!(began.elapsed() < Duration::from_secs(2));
+        assert!(fired.lock().is_empty());
     }
 }
