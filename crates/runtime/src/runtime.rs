@@ -249,17 +249,46 @@ impl ReplicaHandle {
     }
 }
 
-/// One verified-vote memo: a `(signer, statement, signature)` triple
-/// and whether it verified. Ed25519 verification is ~80 µs; protocols
-/// legitimately re-see the same vote (retransmission, Sync summaries
-/// that re-carry certificates), and the memo turns every re-check into
-/// a hash lookup.
-type VoteCacheKey = (ReplicaId, VoteStatement, Signature);
+/// One vote as the memo keys it: signer, statement and signature.
+type VoteKey = (ReplicaId, VoteStatement, Signature);
 
-/// Entries the vote memo holds before it is wholesale cleared. A full
-/// clear (rather than LRU) keeps the structure trivial; the cache
-/// refills within one certificate's worth of traffic.
-const VOTE_CACHE_MAX: usize = 8192;
+/// Verdicts the vote memo holds at most.
+const VOTE_MEMO_MAX: usize = 8192;
+
+/// The event loop's record of which votes this replica's keystore has
+/// checked, and with what verdict. Ed25519 verification is ~80 µs;
+/// protocols legitimately re-see the same vote (retransmission, Sync
+/// summaries that re-carry certificates), and the memo turns every
+/// re-check into a hash lookup.
+///
+/// Bounded by two generations rather than an LRU: verdicts enter
+/// `current`; when that holds half the cap it becomes `previous`,
+/// whose old content is dropped; lookups consult both. The newest
+/// `VOTE_MEMO_MAX / 2` verdicts therefore survive every rotation —
+/// the live `CP` entries and the certificates of commits in flight
+/// among them.
+#[derive(Default)]
+pub(crate) struct VoteMemo {
+    current: HashMap<VoteKey, bool>,
+    previous: HashMap<VoteKey, bool>,
+}
+
+impl VoteMemo {
+    /// The recorded verdict on `key`, if it is still remembered.
+    pub(crate) fn get(&self, key: &VoteKey) -> Option<bool> {
+        self.current
+            .get(key)
+            .or_else(|| self.previous.get(key))
+            .copied()
+    }
+
+    fn insert(&mut self, key: VoteKey, ok: bool) {
+        if self.current.len() >= VOTE_MEMO_MAX / 2 {
+            self.previous = std::mem::take(&mut self.current);
+        }
+        self.current.insert(key, ok);
+    }
+}
 
 /// Buffered effect collector handed to the protocol on each step.
 /// Carries the replica's [`KeyStore`] so the protocol's
@@ -268,9 +297,9 @@ const VOTE_CACHE_MAX: usize = 8192;
 /// simulation placeholders), plus the event loop's verified-vote memo.
 struct RuntimeCtx<'a, M> {
     start: Instant,
-    me: NodeId,
+    me: ReplicaId,
     keystore: &'a KeyStore,
-    vote_cache: &'a mut HashMap<VoteCacheKey, bool>,
+    votes: &'a mut VoteMemo,
     sends: Vec<(NodeId, M)>,
     broadcasts: Vec<M>,
     timers: Vec<(TimerId, SimDuration)>,
@@ -284,7 +313,7 @@ impl<M> Context for RuntimeCtx<'_, M> {
         SimTime(self.start.elapsed().as_nanos() as u64)
     }
     fn id(&self) -> NodeId {
-        self.me
+        self.me.into()
     }
     fn send(&mut self, to: NodeId, msg: M) {
         self.sends.push((to, msg));
@@ -308,14 +337,11 @@ impl<M> Context for RuntimeCtx<'_, M> {
         sig: &Signature,
     ) -> bool {
         let key = (signer, *statement, *sig);
-        if let Some(&ok) = self.vote_cache.get(&key) {
+        if let Some(ok) = self.votes.get(&key) {
             return ok;
         }
         let ok = self.keystore.verify_vote(signer, statement, sig).is_ok();
-        if self.vote_cache.len() >= VOTE_CACHE_MAX {
-            self.vote_cache.clear();
-        }
-        self.vote_cache.insert(key, ok);
+        self.votes.insert(key, ok);
         ok
     }
 }
@@ -559,7 +585,7 @@ impl ReplicaRuntime {
             silent: cfg.silent,
             verify_ingress: verify_pool == 0,
             net: net.clone(),
-            vote_cache: HashMap::new(),
+            votes: VoteMemo::default(),
         };
         tokio::spawn(event_loop.run(events_rx));
 
@@ -601,8 +627,8 @@ struct EventLoop<N: Node, F: Fabric> {
     /// arrive pre-verified and the loop never touches a signature.
     verify_ingress: bool,
     net: NetStats,
-    /// Memo of verified votes shared across steps (see [`VoteCacheKey`]).
-    vote_cache: HashMap<VoteCacheKey, bool>,
+    /// Verdicts on votes, shared across steps.
+    votes: VoteMemo,
 }
 
 impl<N, F> EventLoop<N, F>
@@ -758,9 +784,9 @@ where
     async fn step(&mut self, input: Input<N::Message>) {
         let mut ctx = RuntimeCtx {
             start: self.start,
-            me: self.me.into(),
+            me: self.me,
             keystore: &self.keystore,
-            vote_cache: &mut self.vote_cache,
+            votes: &mut self.votes,
             sends: Vec::new(),
             broadcasts: Vec::new(),
             timers: Vec::new(),
@@ -937,6 +963,27 @@ mod tests {
             );
             tokio::time::sleep(Duration::from_millis(2)).await;
         }
+    }
+
+    #[test]
+    fn the_vote_memo_rotates_generations_instead_of_forgetting_everything() {
+        const HALF: u64 = VOTE_MEMO_MAX as u64 / 2;
+        let key = |i: u64| {
+            let statement =
+                VoteStatement::new(InstanceId(0), View(i), spotless_types::Digest::from_u64(i));
+            (ReplicaId(0), statement, Signature::ZERO)
+        };
+        let mut memo = VoteMemo::default();
+        for i in 0..6 * HALF {
+            memo.insert(key(i), i % 2 == 0);
+            // Whatever the rotation phase, the newest half-cap of
+            // verdicts is remembered and the whole stays within the cap.
+            let oldest = i.saturating_sub(HALF - 1);
+            assert_eq!(memo.get(&key(oldest)), Some(oldest % 2 == 0), "at {i}");
+            assert_eq!(memo.get(&key(i)), Some(i % 2 == 0));
+            assert!(memo.current.len() + memo.previous.len() <= VOTE_MEMO_MAX);
+        }
+        assert_eq!(memo.get(&key(0)), None, "old verdicts are forgotten");
     }
 
     #[tokio::test]
