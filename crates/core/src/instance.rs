@@ -183,6 +183,11 @@ pub struct InstanceState {
     /// backs both evidence routes, and `signer_evidence` can hand the
     /// ledger a certificate whose signatures third parties can re-check.
     vote_sigs: HashMap<ProposalRef, HashMap<ReplicaId, Signature>>,
+    /// This replica's own vote signatures. A proposal stays in `CP` for
+    /// several views, and every `Sync` of those views re-carries the
+    /// endorsement: it is signed the first time and copied afterwards
+    /// (Ed25519 is deterministic, so the bytes are the same either way).
+    own_sigs: HashMap<ProposalRef, Signature>,
     /// Prepared by reference, body still missing (recovered via `Ask`).
     pending_body: HashSet<ProposalRef>,
     /// Outstanding `Ask` retry counters.
@@ -227,6 +232,7 @@ impl InstanceState {
             prepared_set: HashSet::new(),
             cp_endorsers: HashMap::new(),
             vote_sigs: HashMap::new(),
+            own_sigs: HashMap::new(),
             pending_body: HashSet::new(),
             asked: HashMap::new(),
             lock: None,
@@ -256,6 +262,12 @@ impl InstanceState {
             self.pending_propose = false;
             self.propose(sh, out, pick);
         }
+    }
+
+    /// How many of this replica's own vote signatures the instance
+    /// holds (observability/testing).
+    pub fn own_sigs_len(&self) -> usize {
+        self.own_sigs.len()
     }
 
     /// Current view (observability/testing).
@@ -769,6 +781,17 @@ impl InstanceState {
         VoteStatement::new(self.id, r.view, r.digest)
     }
 
+    /// This replica's signature on the vote for `r`, signed through the
+    /// context at most once per proposal.
+    fn own_sig(&mut self, r: ProposalRef, out: &mut Outbox<'_, '_>) -> Signature {
+        if let Some(&sig) = self.own_sigs.get(&r) {
+            return sig;
+        }
+        let sig = out.ctx.sign_vote(&self.vote_statement(r));
+        self.own_sigs.insert(r, sig);
+        sig
+    }
+
     fn send_sync(
         &mut self,
         claim: Option<ProposalRef>,
@@ -778,13 +801,10 @@ impl InstanceState {
     ) {
         let cp = self.cp_list();
         let claim_sig = match claim {
-            Some(c) => out.ctx.sign_vote(&self.vote_statement(c)),
+            Some(c) => self.own_sig(c, out),
             None => Signature::ZERO, // ∅ claims never enter certificates
         };
-        let cp_sigs = cp
-            .iter()
-            .map(|&e| out.ctx.sign_vote(&self.vote_statement(e)))
-            .collect();
+        let cp_sigs = cp.iter().map(|&e| self.own_sig(e, out)).collect();
         let msg = SyncMsg {
             instance: self.id,
             view: self.view,
@@ -995,10 +1015,7 @@ impl InstanceState {
                 continue;
             }
             let cp = self.cp_list();
-            let cp_sigs = cp
-                .iter()
-                .map(|&e| out.ctx.sign_vote(&self.vote_statement(e)))
-                .collect();
+            let cp_sigs = cp.iter().map(|&e| self.own_sig(e, out)).collect();
             let msg = SyncMsg {
                 instance: self.id,
                 view: u,
@@ -1398,6 +1415,7 @@ impl InstanceState {
         self.prepared = self.prepared.split_off(&floor);
         self.cp_endorsers.retain(|r, _| r.view >= floor);
         self.vote_sigs.retain(|r, _| r.view >= floor);
+        self.own_sigs.retain(|r, _| r.view >= floor);
         self.pending_body.retain(|r| r.view >= floor);
         self.asked.retain(|r, _| r.view >= floor);
     }

@@ -3,10 +3,13 @@
 
 use spotless_core::messages::{Justification, Message, Proposal, SyncMsg};
 use spotless_core::{Phase, ReplicaConfig, SpotLessReplica};
+use spotless_crypto::KeyStore;
 use spotless_types::{
     BatchId, ClientBatch, ClientId, ClusterConfig, CommitInfo, Context, Digest, Input, InstanceId,
-    Node as _, NodeId, ReplicaId, SimDuration, SimTime, TimerId, TimerKind, View,
+    Node as _, NodeId, ReplicaId, Signature, SimDuration, SimTime, TimerId, TimerKind, View,
+    VoteStatement,
 };
+use std::collections::HashMap;
 use std::sync::Arc;
 
 struct Ctx {
@@ -14,6 +17,11 @@ struct Ctx {
     sent: Vec<(Option<NodeId>, Message)>,
     timers: Vec<(TimerId, SimDuration)>,
     commits: Vec<CommitInfo>,
+    /// Vote key, when the test wants real signatures; the simulation
+    /// placeholder otherwise.
+    keys: Option<KeyStore>,
+    /// `sign_vote` calls per statement.
+    signed: HashMap<VoteStatement, u32>,
 }
 
 impl Ctx {
@@ -23,6 +31,8 @@ impl Ctx {
             sent: Vec::new(),
             timers: Vec::new(),
             commits: Vec::new(),
+            keys: None,
+            signed: HashMap::new(),
         }
     }
 
@@ -63,6 +73,13 @@ impl Context for Ctx {
     }
     fn commit(&mut self, info: CommitInfo) {
         self.commits.push(info);
+    }
+    fn sign_vote(&mut self, statement: &VoteStatement) -> Signature {
+        *self.signed.entry(*statement).or_default() += 1;
+        match &self.keys {
+            Some(keys) => keys.sign_vote(statement),
+            None => Signature::ZERO,
+        }
     }
 }
 
@@ -515,4 +532,148 @@ fn gap_in_views_does_not_commit() {
         "commit across a view gap violates Definition 3.3: {:?}",
         ctx.commits
     );
+}
+
+/// Four replicas of a single-instance cluster wired back to back: every
+/// message a replica emits is delivered at once, in emission order,
+/// except across `cut` (a replica whose links are down); timers fire
+/// only when nothing is left to deliver.
+struct Wired {
+    replicas: Vec<SpotLessReplica>,
+    ctxs: Vec<Ctx>,
+    delivered: Vec<usize>,
+    cut: Option<usize>,
+}
+
+impl Wired {
+    fn start() -> Wired {
+        let cluster = ClusterConfig::with_instances(4, 1);
+        let keys = KeyStore::cluster(b"rvs-rules-sign-once", 4);
+        let mut replicas = Vec::new();
+        let mut ctxs = Vec::new();
+        for (r, keys) in cluster.replicas().zip(keys) {
+            let mut replica = SpotLessReplica::new(ReplicaConfig::honest(cluster.clone(), r));
+            let mut ctx = Ctx::new();
+            ctx.keys = Some(keys);
+            replica.on_input(Input::Start, &mut ctx);
+            replicas.push(replica);
+            ctxs.push(ctx);
+        }
+        Wired {
+            replicas,
+            ctxs,
+            delivered: vec![0; 4],
+            cut: None,
+        }
+    }
+
+    fn view(&self, r: usize) -> u64 {
+        self.replicas[r].instance(InstanceId(0)).view().0
+    }
+
+    /// Delivers until replica `r` has reached `view`.
+    fn run_until(&mut self, r: usize, view: u64) {
+        while self.view(r) < view {
+            let mut moved = false;
+            for from in 0..4 {
+                let Some((to, msg)) = self.ctxs[from].sent.get(self.delivered[from]).cloned()
+                else {
+                    continue;
+                };
+                self.delivered[from] += 1;
+                moved = true;
+                let to: Vec<usize> = match to {
+                    None => (0..4).collect(),
+                    Some(NodeId::Replica(to)) => vec![to.as_usize()],
+                    Some(_) => continue,
+                };
+                for to in to {
+                    if from != to && (self.cut == Some(from) || self.cut == Some(to)) {
+                        continue;
+                    }
+                    deliver(
+                        &mut self.replicas[to],
+                        &mut self.ctxs[to],
+                        from as u32,
+                        msg.clone(),
+                    );
+                }
+            }
+            if !moved {
+                self.fire_timers();
+            }
+        }
+    }
+
+    /// Nothing left to deliver: time passes, and every armed timer
+    /// fires (the protocol ignores the stale ones).
+    fn fire_timers(&mut self) {
+        let wait = self
+            .ctxs
+            .iter()
+            .flat_map(|ctx| ctx.timers.iter().map(|&(_, after)| after))
+            .max()
+            .expect("a quiet cluster has timers armed");
+        for (replica, ctx) in self.replicas.iter_mut().zip(&mut self.ctxs) {
+            ctx.now += wait;
+            for (id, _) in std::mem::take(&mut ctx.timers) {
+                replica.on_input(Input::Timer(id), ctx);
+            }
+        }
+    }
+}
+
+#[test]
+fn every_vote_is_signed_once_and_every_sync_carries_the_fresh_signatures() {
+    let mut net = Wired::start();
+    net.run_until(0, 20);
+    // Replica 3 drops off while the others run 30 views ahead, then
+    // hears them again: an f + 1 jump with its Υ backfill.
+    net.cut = Some(3);
+    net.run_until(0, 50);
+    assert!(net.view(3) <= 21);
+    net.cut = None;
+    net.run_until(3, 50);
+    let backfill = net.ctxs[3]
+        .syncs()
+        .iter()
+        .filter(|s| s.upsilon && s.claim.is_none())
+        .count();
+    assert!(backfill >= 1, "replica 3 rejoined by a backfilled jump");
+    net.run_until(3, 300);
+
+    for (r, ctx) in net.ctxs.iter().enumerate() {
+        let keys = ctx.keys.as_ref().expect("wired replicas sign for real");
+        let statement = |p: spotless_core::messages::ProposalRef| {
+            VoteStatement::new(InstanceId(0), p.view, p.digest)
+        };
+        let mut slots = 0;
+        for sync in ctx.syncs() {
+            let mut fresh = sync.clone();
+            fresh.claim_sig = match sync.claim {
+                Some(c) => keys.sign_vote(&statement(c)),
+                None => Signature::ZERO,
+            };
+            fresh.cp_sigs = sync
+                .cp
+                .iter()
+                .map(|&e| keys.sign_vote(&statement(e)))
+                .collect();
+            assert_eq!(sync, &fresh, "replica {r}, view {:?}", sync.view);
+            slots += usize::from(sync.claim.is_some()) + sync.cp.len();
+        }
+        assert!(ctx.signed.len() >= 250, "replica {r} voted in most views");
+        assert!(
+            ctx.signed.values().all(|&calls| calls == 1),
+            "replica {r} signed some statement twice"
+        );
+        assert!(
+            slots >= 2 * ctx.signed.len(),
+            "replica {r}: {slots} signature slots from {} signatures",
+            ctx.signed.len()
+        );
+        // `gc()` collects them with the instance's other per-view state.
+        let held = net.replicas[r].instance(InstanceId(0)).own_sigs_len();
+        assert!(held <= 100, "replica {r} still holds {held} signatures");
+    }
 }

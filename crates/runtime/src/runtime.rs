@@ -328,7 +328,11 @@ impl<M> Context for RuntimeCtx<'_, M> {
         self.commits.push(info);
     }
     fn sign_vote(&mut self, statement: &VoteStatement) -> Signature {
-        self.keystore.sign_vote(statement)
+        let sig = self.keystore.sign_vote(statement);
+        // What this replica signed verifies: its own `Sync` coming back
+        // through the loopback is a memo hit, not a signature check.
+        self.votes.insert((self.me, *statement, sig), true);
+        sig
     }
     fn verify_vote(
         &mut self,
