@@ -26,13 +26,16 @@
 //! non-empty, duplicate-free, known signers meeting the phase's quorum,
 //! **and every signature batch-verified against the signer's public
 //! key**. Blocks received through state transfer get both from
-//! `spotless_ledger::verify_proof`. Live certificates get the
-//! signature pass from the sanitizer — (signer, signature) pairs that
-//! fail verification are dropped and the phase downgraded if the
-//! survivors no longer meet the strong quorum, so one forged vote
-//! smuggled into an otherwise-valid quorum cannot poison the pipeline —
-//! and then only `verify_proof_rules` on what survived: each vote is
-//! verified once per commit, not twice.
+//! `spotless_ledger::verify_proof`. Live certificates need no
+//! signature pass here when the event loop's vote memo already holds a
+//! passing verdict on every one of their votes — the protocol checked
+//! each as it arrived — and says so with a [`VerifiedProof`] witness.
+//! Any other live certificate gets the pass from the sanitizer —
+//! (signer, signature) pairs that fail verification are dropped and
+//! the phase downgraded if the survivors no longer meet the strong
+//! quorum, so one forged vote smuggled into an otherwise-valid quorum
+//! cannot poison the pipeline. Either way only `verify_proof_rules`
+//! runs on the result: each vote is verified once per replica.
 //!
 //! The worker also owns the runtime-level **state-transfer** exchange,
 //! which runs in two modes. A replica that restarts from its durable
@@ -74,6 +77,7 @@ use crate::envelope::{
 use crate::executor::{execute_group, ExecutorPool};
 use crate::fabric::Fabric;
 use crate::observe::{CommitLog, CommittedEntry, Inform, SnapshotStats};
+use crate::runtime::VoteMemo;
 use spotless_crypto::{proof_index, verify_inclusion, KeyStore, ProofStep};
 use spotless_ledger::{
     verify_proof, verify_proof_rules, Block, CommitProof, Ledger, ProofRules, RecentBatches,
@@ -148,8 +152,10 @@ const OUTGOING_SNAPSHOT_SLOTS: usize = 2;
 // boxing it would buy queue-slot bytes with an allocation per commit.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum PipelineCmd {
-    /// A consensus decision to persist, execute, and acknowledge.
-    Commit(CommitInfo),
+    /// A consensus decision to persist, execute, and acknowledge —
+    /// with the event loop's witness that every vote of its certificate
+    /// has already verified, when the vote memo could give one.
+    Commit(CommitInfo, Option<VerifiedProof>),
     /// A signature-verified transfer-family envelope (any tag except
     /// `TAG_PROTOCOL`), still encoded. The pipeline decodes it with the
     /// borrowing reader off the event-loop thread and copies bytes only
@@ -580,23 +586,23 @@ impl<F: Fabric> Pipeline<F> {
                     None => break,
                 }
             }
-            let mut group: Vec<CommitInfo> = Vec::new();
+            let mut group = Vec::new();
             for cmd in cmds {
                 match cmd {
-                    PipelineCmd::Commit(info) => group.push(info),
+                    PipelineCmd::Commit(info, witness) => group.push((info, witness)),
                     other => {
-                        self.flush(std::mem::take(&mut group));
+                        self.flush_group(std::mem::take(&mut group));
                         self.handle(other);
                     }
                 }
             }
-            self.flush(group);
+            self.flush_group(group);
         }
     }
 
     fn handle(&mut self, cmd: PipelineCmd) {
         match cmd {
-            PipelineCmd::Commit(_) => unreachable!("commits are grouped by the caller"),
+            PipelineCmd::Commit(..) => unreachable!("commits are grouped by the caller"),
             PipelineCmd::Transfer { from, payload } => self.on_transfer(from, &payload),
             PipelineCmd::Tick => self.on_tick(),
         }
@@ -628,13 +634,14 @@ impl<F: Fabric> Pipeline<F> {
     /// shard footprints when a worker pool is attached), then seal and
     /// append in commit order — followed by one fsync and the
     /// acknowledgements. While catching up, commits are buffered
-    /// instead — they sit after the gap in the execution order.
-    fn flush(&mut self, group: Vec<CommitInfo>) {
+    /// instead — they sit after the gap in the execution order — and
+    /// their witnesses dropped: whatever waited is re-verified.
+    fn flush_group(&mut self, group: Vec<(CommitInfo, Option<VerifiedProof>)>) {
         if group.is_empty() || self.poisoned {
             return;
         }
         if let Mode::CatchingUp { pending, .. } = &mut self.mode {
-            pending.extend(group);
+            pending.extend(group.into_iter().map(|(info, _)| info));
             return;
         }
         // Execute-then-seal. The roots sealed below are a function of
@@ -659,7 +666,7 @@ impl<F: Fabric> Pipeline<F> {
         // serves wrong payloads.
         let mut prepared: Vec<(CommitInfo, Option<Vec<Transaction>>, CommitProof)> = Vec::new();
         let mut seen = std::collections::HashSet::new();
-        for info in group {
+        for (info, witness) in group {
             if info.batch.is_noop()
                 || self.store.knows_batch(info.batch.id)
                 || !seen.insert(info.batch.id)
@@ -674,25 +681,18 @@ impl<F: Fabric> Pipeline<F> {
             // durable proof — and it is refused unless the signer set
             // is non-empty, duplicate-free, within the cluster, meets
             // the phase's quorum, and every signature verifies against
-            // its signer's key. The sanitizer is the signature pass:
-            // it drops (signer, signature) pairs that fail
-            // verification and downgrades the phase when the survivors
-            // fall below the strong quorum, so a single forged vote
-            // riding an otherwise-valid quorum costs that vote, not
-            // the replica. (When every pair verifies — the hot path —
-            // it is one batch verification.) Every pair it leaves in
-            // the proof has verified, so the rules are all that is
-            // left to check.
-            let mut proof = CommitProof {
-                instance: info.instance,
-                view: info.view,
-                phase: info.cert.phase,
-                voted: info.cert.voted,
-                slot: info.cert.slot,
-                signers: info.cert.signers.clone(),
-                sigs: info.cert.sigs.clone(),
-            };
-            sanitize_proof(&mut proof, &self.keystore, &self.rules);
+            // its signer's key. A witnessed proof has had its signature
+            // pass already, vote by vote, in the event loop. For any
+            // other the sanitizer is the signature pass: it drops
+            // (signer, signature) pairs that fail verification and
+            // downgrades the phase when the survivors fall below the
+            // strong quorum, so a single forged vote riding an
+            // otherwise-valid quorum costs that vote, not the replica.
+            // Every pair left in a `VerifiedProof` has verified, so
+            // the rules are all that is left to check.
+            let proof = witness
+                .unwrap_or_else(|| sanitize_proof(live_proof(&info), &self.keystore, &self.rules))
+                .into_proof();
             if verify_proof_rules(&proof, &self.rules).is_err() {
                 // The batch WAS decided cluster-wide; skipping it while
                 // continuing to append later commits would leave a
@@ -765,6 +765,11 @@ impl<F: Fabric> Pipeline<F> {
                 result,
             });
         }
+    }
+
+    /// [`Self::flush_group`] for commits that carry no witness.
+    fn flush(&mut self, group: Vec<CommitInfo>) {
+        self.flush_group(group.into_iter().map(|info| (info, None)).collect());
     }
 
     /// Snapshots if due and trims the in-memory payload cache: to the
@@ -1551,39 +1556,97 @@ fn decode_payload(payload: &[u8]) -> Result<Option<Vec<Transaction>>, ()> {
     decode_txns(payload).map(Some).ok_or(())
 }
 
-/// Drops the votes of a live certificate's proof whose signature fails
-/// verification and downgrades the phase when the survivors no longer
-/// meet the strong quorum — the one signature pass a live certificate
-/// gets. Votes are checked over the statement the proof itself claims
-/// ([`CommitProof::statement`]), so every pair left in it is exactly
-/// what a third party (or a catch-up peer) re-verifies later; an
-/// unknown signer never verifies. Weak certificates are never upgraded;
-/// the final quorum check belongs to `verify_proof_rules`, which runs
-/// on the sanitized result (so a certificate stripped below the weak
-/// quorum still poisons the pipeline). Lists of unequal length are left
-/// untouched and unverified — the rules reject those structurally with
-/// better attribution.
-fn sanitize_proof(proof: &mut CommitProof, keys: &KeyStore, rules: &ProofRules) {
-    if proof.signers.len() != proof.sigs.len() {
-        return;
+/// The proof a live commit is persisted under. The one place that says
+/// which statement a live certificate's votes are held to — the event
+/// loop's witness and the sanitizer both start from it — and that
+/// statement claims the *commit's* view: a certificate inherited from
+/// another view verifies under neither.
+pub(crate) fn live_proof(info: &CommitInfo) -> CommitProof {
+    CommitProof {
+        instance: info.instance,
+        view: info.view,
+        phase: info.cert.phase,
+        voted: info.cert.voted,
+        slot: info.cert.slot,
+        signers: info.cert.signers.clone(),
+        sigs: info.cert.sigs.clone(),
     }
-    let votes: Vec<_> = proof
-        .signers
-        .iter()
-        .copied()
-        .zip(proof.sigs.iter().copied())
-        .collect();
-    let mask = keys.filter_valid(&proof.statement().signing_bytes(), &votes);
-    if mask.iter().all(|&ok| ok) {
-        return;
+}
+
+pub(crate) use verified::{sanitize_proof, VerifiedProof};
+
+/// Keeps [`VerifiedProof`]'s field out of the pipeline's reach: the two
+/// functions in here are the only ways to make one.
+mod verified {
+    use super::{CertPhase, CommitProof, KeyStore, ProofRules, VoteMemo};
+
+    /// A live certificate's proof each of whose `(signer, signature)`
+    /// pairs has verified at this replica over the statement the proof
+    /// itself claims ([`CommitProof::statement`]) — exactly what a third
+    /// party (or a catch-up peer) re-verifies later. Lists of unequal
+    /// length are the one exception: `sanitize_proof` passes them
+    /// through for the rules to reject.
+    pub(crate) struct VerifiedProof(CommitProof);
+
+    impl VerifiedProof {
+        /// Witnesses `proof` from the event loop's vote memo: `Some`
+        /// iff the memo still holds a passing verdict on every one of
+        /// its votes. A forged or never-seen vote, a verdict rotated
+        /// out, or a statement the votes were not cast over all come
+        /// back `None`, and the proof takes [`sanitize_proof`].
+        pub(crate) fn witnessed(proof: CommitProof, votes: &VoteMemo) -> Option<VerifiedProof> {
+            let statement = proof.statement();
+            let verified = proof.signers.len() == proof.sigs.len()
+                && proof
+                    .signers
+                    .iter()
+                    .zip(&proof.sigs)
+                    .all(|(&signer, &sig)| votes.get(&(signer, statement, sig)) == Some(true));
+            verified.then_some(VerifiedProof(proof))
+        }
+
+        pub(crate) fn into_proof(self) -> CommitProof {
+            self.0
+        }
     }
-    (proof.signers, proof.sigs) = votes
-        .into_iter()
-        .zip(mask)
-        .filter_map(|(vote, ok)| ok.then_some(vote))
-        .unzip();
-    if proof.signers.len() < rules.strong as usize {
-        proof.phase = CertPhase::Weak;
+
+    /// Drops the votes of a live certificate's proof whose signature
+    /// fails verification and downgrades the phase when the survivors
+    /// no longer meet the strong quorum — the signature pass of every
+    /// live certificate the vote memo could not witness. An unknown
+    /// signer never verifies. Weak certificates are never upgraded; the
+    /// final quorum check belongs to `verify_proof_rules`, which runs on
+    /// the result (so a certificate stripped below the weak quorum still
+    /// poisons the pipeline). Lists of unequal length are left untouched
+    /// and unverified — the rules reject those structurally with better
+    /// attribution.
+    pub(crate) fn sanitize_proof(
+        mut proof: CommitProof,
+        keys: &KeyStore,
+        rules: &ProofRules,
+    ) -> VerifiedProof {
+        if proof.signers.len() != proof.sigs.len() {
+            return VerifiedProof(proof);
+        }
+        let votes: Vec<_> = proof
+            .signers
+            .iter()
+            .copied()
+            .zip(proof.sigs.iter().copied())
+            .collect();
+        let mask = keys.filter_valid(&proof.statement().signing_bytes(), &votes);
+        if mask.iter().all(|&ok| ok) {
+            return VerifiedProof(proof);
+        }
+        (proof.signers, proof.sigs) = votes
+            .into_iter()
+            .zip(mask)
+            .filter_map(|(vote, ok)| ok.then_some(vote))
+            .unzip();
+        if proof.signers.len() < rules.strong as usize {
+            proof.phase = CertPhase::Weak;
+        }
+        VerifiedProof(proof)
     }
 }
 
@@ -1847,6 +1910,117 @@ mod tests {
         let block = p.store.ledger().block(0).expect("committed");
         assert_eq!(block.proof.phase, CertPhase::Weak);
         assert_eq!(block.proof.signers, vec![ReplicaId(0), ReplicaId(1)]);
+    }
+
+    /// The vote memo as the event loop of `synced_pipeline()`'s replica
+    /// would hold it after the protocol checked every vote of `info`'s
+    /// certificate on arrival — over the statement each was cast in.
+    fn memo_after_checking(info: &CommitInfo) -> VoteMemo {
+        let mut memo = VoteMemo::default();
+        let cast_over = spotless_types::VoteStatement {
+            instance: info.instance,
+            view: info.cert.view,
+            slot: info.cert.slot,
+            digest: info.cert.voted,
+        };
+        for (&signer, sig) in info.cert.signers.iter().zip(&info.cert.sigs) {
+            memo.verify(&test_stores()[0], signer, &cast_over, sig);
+        }
+        memo
+    }
+
+    /// What the event loop sends for `info` given its memo.
+    fn announced(info: CommitInfo, memo: &VoteMemo) -> (CommitInfo, Option<VerifiedProof>) {
+        let witness = VerifiedProof::witnessed(live_proof(&info), memo);
+        (info, witness)
+    }
+
+    #[test]
+    fn witnessed_and_sanitized_commits_persist_the_same_block() {
+        let info = signed_commit_info(1, Digest::from_u64(1), &[0, 1, 2, 3]);
+        let memo = memo_after_checking(&info);
+        let announced = announced(info.clone(), &memo);
+        assert!(announced.1.is_some(), "every vote is in the memo");
+        let mut witnessed = synced_pipeline();
+        witnessed.flush_group(vec![announced]);
+        let mut sanitized = synced_pipeline();
+        sanitized.flush(vec![info]);
+        assert!(!witnessed.poisoned && !sanitized.poisoned);
+        let (a, b) = (
+            witnessed.store.ledger().block(0).expect("committed"),
+            sanitized.store.ledger().block(0).expect("committed"),
+        );
+        assert_eq!(
+            spotless_storage::codec::encode_block(a),
+            spotless_storage::codec::encode_block(b),
+            "the log record is the same, byte for byte"
+        );
+        assert_eq!(a.proof.signers.len(), 4);
+    }
+
+    #[test]
+    fn a_forged_vote_is_never_witnessed_and_the_sanitizer_drops_it() {
+        let mut info = signed_commit_info(1, Digest::from_u64(1), &[0, 1, 2, 3]);
+        info.cert.sigs[3] = spotless_types::Signature([0x55; 64]);
+        // The memo knows the forgery for what it is…
+        let memo = memo_after_checking(&info);
+        let forged = (
+            ReplicaId(3),
+            live_proof(&info).statement(),
+            info.cert.sigs[3],
+        );
+        assert_eq!(memo.get(&forged), Some(false));
+        let announced = announced(info.clone(), &memo);
+        assert!(announced.1.is_none());
+        // …as little as a memo that never saw the certificate at all.
+        assert!(VerifiedProof::witnessed(live_proof(&info), &VoteMemo::default()).is_none());
+        let mut p = synced_pipeline();
+        p.flush_group(vec![announced]);
+        assert!(!p.poisoned);
+        let block = p.store.ledger().block(0).expect("committed");
+        assert_eq!(block.proof.phase, CertPhase::Strong);
+        assert_eq!(
+            block.proof.signers,
+            vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)]
+        );
+    }
+
+    #[test]
+    fn a_memo_rotated_before_the_commit_falls_back_and_still_commits() {
+        let info = commit_info(1);
+        let mut memo = memo_after_checking(&info);
+        assert!(VerifiedProof::witnessed(live_proof(&info), &memo).is_some());
+        // A cap's worth of other verdicts pushes the certificate's out
+        // of both generations.
+        let mut other = live_proof(&info).statement();
+        let mut rounds = 0u64;
+        while VerifiedProof::witnessed(live_proof(&info), &memo).is_some() {
+            rounds += 1;
+            other.view = View(1_000 + rounds);
+            memo.verify(
+                &test_stores()[0],
+                ReplicaId(1),
+                &other,
+                &spotless_types::Signature::ZERO,
+            );
+        }
+        let announced = announced(info, &memo);
+        assert!(announced.1.is_none());
+        let mut p = synced_pipeline();
+        p.flush_group(vec![announced]);
+        assert!(!p.poisoned);
+        assert_eq!(p.store.ledger().height(), 1, "committed by the sanitizer");
+    }
+
+    #[test]
+    fn a_certificate_from_another_view_is_never_witnessed() {
+        // The memo holds the votes under the view they were cast in;
+        // the proof claims the commit's view, so none is found and the
+        // commit takes the sanitizer to its poisoning end (next test).
+        let mut info = commit_info(1);
+        let memo = memo_after_checking(&info);
+        info.view = View(2);
+        assert!(VerifiedProof::witnessed(live_proof(&info), &memo).is_none());
     }
 
     #[test]

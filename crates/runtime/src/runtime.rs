@@ -36,7 +36,7 @@ use crate::envelope::{
 };
 use crate::fabric::{Fabric, MeteredFabric};
 use crate::observe::{CommitLog, Inform, NetStats, SnapshotStats};
-use crate::pipeline::{Pipeline, PipelineCmd};
+use crate::pipeline::{live_proof, Pipeline, PipelineCmd, VerifiedProof};
 use serde::{Deserialize, Serialize};
 use spotless_crypto::KeyStore;
 use spotless_storage::log::SyncPolicy;
@@ -50,7 +50,7 @@ use spotless_workload::KvStore;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use tokio::sync::mpsc;
 use tokio::time::{timeout_at, Instant};
@@ -198,6 +198,15 @@ pub struct ReplicaHandle {
     stopped: Arc<AtomicBool>,
     net: NetStats,
     snap: SnapshotStats,
+    witness: Arc<WitnessCounts>,
+}
+
+/// How many live non-no-op commits the event loop announced, and how
+/// many of them it could witness from the vote memo.
+#[derive(Default)]
+struct WitnessCounts {
+    commits: AtomicU64,
+    witnessed: AtomicU64,
 }
 
 impl ReplicaHandle {
@@ -247,6 +256,18 @@ impl ReplicaHandle {
     pub fn snapshots(&self) -> &SnapshotStats {
         &self.snap
     }
+
+    /// Debug counter, not a metric: `(witnessed, commits)` — of the
+    /// live non-no-op commits announced so far, how many reached the
+    /// pipeline with every vote already verified by the event loop and
+    /// so skipped the sanitizer's signature pass.
+    #[doc(hidden)]
+    pub fn witness_counts(&self) -> (u64, u64) {
+        (
+            self.witness.witnessed.load(Ordering::Relaxed),
+            self.witness.commits.load(Ordering::Relaxed),
+        )
+    }
 }
 
 /// One vote as the memo keys it: signer, statement and signature.
@@ -282,6 +303,32 @@ impl VoteMemo {
             .copied()
     }
 
+    /// `keys`' verdict on the vote, from memory when it is there.
+    pub(crate) fn verify(
+        &mut self,
+        keys: &KeyStore,
+        signer: ReplicaId,
+        statement: &VoteStatement,
+        sig: &Signature,
+    ) -> bool {
+        let key = (signer, *statement, *sig);
+        if let Some(ok) = self.get(&key) {
+            return ok;
+        }
+        let ok = keys.verify_vote(signer, statement, sig).is_ok();
+        self.insert(key, ok);
+        ok
+    }
+
+    /// Signs `statement` as `keys`' own replica. What this replica
+    /// signed verifies, and is remembered so: its own `Sync` coming
+    /// back through the loopback is a memo hit, not a signature check.
+    fn sign(&mut self, keys: &KeyStore, statement: &VoteStatement) -> Signature {
+        let sig = keys.sign_vote(statement);
+        self.insert((keys.me(), *statement, sig), true);
+        sig
+    }
+
     fn insert(&mut self, key: VoteKey, ok: bool) {
         if self.current.len() >= VOTE_MEMO_MAX / 2 {
             self.previous = std::mem::take(&mut self.current);
@@ -297,7 +344,7 @@ impl VoteMemo {
 /// simulation placeholders), plus the event loop's verified-vote memo.
 struct RuntimeCtx<'a, M> {
     start: Instant,
-    me: ReplicaId,
+    me: NodeId,
     keystore: &'a KeyStore,
     votes: &'a mut VoteMemo,
     sends: Vec<(NodeId, M)>,
@@ -313,7 +360,7 @@ impl<M> Context for RuntimeCtx<'_, M> {
         SimTime(self.start.elapsed().as_nanos() as u64)
     }
     fn id(&self) -> NodeId {
-        self.me.into()
+        self.me
     }
     fn send(&mut self, to: NodeId, msg: M) {
         self.sends.push((to, msg));
@@ -328,11 +375,7 @@ impl<M> Context for RuntimeCtx<'_, M> {
         self.commits.push(info);
     }
     fn sign_vote(&mut self, statement: &VoteStatement) -> Signature {
-        let sig = self.keystore.sign_vote(statement);
-        // What this replica signed verifies: its own `Sync` coming back
-        // through the loopback is a memo hit, not a signature check.
-        self.votes.insert((self.me, *statement, sig), true);
-        sig
+        self.votes.sign(self.keystore, statement)
     }
     fn verify_vote(
         &mut self,
@@ -340,13 +383,7 @@ impl<M> Context for RuntimeCtx<'_, M> {
         statement: &VoteStatement,
         sig: &Signature,
     ) -> bool {
-        let key = (signer, *statement, *sig);
-        if let Some(ok) = self.votes.get(&key) {
-            return ok;
-        }
-        let ok = self.keystore.verify_vote(signer, statement, sig).is_ok();
-        self.votes.insert(key, ok);
-        ok
+        self.votes.verify(self.keystore, signer, statement, sig)
     }
 }
 
@@ -572,6 +609,7 @@ impl ReplicaRuntime {
         });
 
         // 5. The event loop.
+        let witness = Arc::new(WitnessCounts::default());
         let event_loop = EventLoop {
             me: cfg.me,
             n: cfg.cluster.n,
@@ -590,6 +628,7 @@ impl ReplicaRuntime {
             verify_ingress: verify_pool == 0,
             net: net.clone(),
             votes: VoteMemo::default(),
+            witness: witness.clone(),
         };
         tokio::spawn(event_loop.run(events_rx));
 
@@ -601,6 +640,7 @@ impl ReplicaRuntime {
             stopped,
             net,
             snap: cfg.snap,
+            witness,
         })
     }
 }
@@ -633,6 +673,7 @@ struct EventLoop<N: Node, F: Fabric> {
     net: NetStats,
     /// Verdicts on votes, shared across steps.
     votes: VoteMemo,
+    witness: Arc<WitnessCounts>,
 }
 
 impl<N, F> EventLoop<N, F>
@@ -788,7 +829,7 @@ where
     async fn step(&mut self, input: Input<N::Message>) {
         let mut ctx = RuntimeCtx {
             start: self.start,
-            me: self.me,
+            me: self.me.into(),
             keystore: &self.keystore,
             votes: &mut self.votes,
             sends: Vec::new(),
@@ -807,9 +848,26 @@ where
             ..
         } = ctx;
         for info in commits {
+            // The memo is the record of which votes this replica's
+            // keystore has verified: a certificate made only of those
+            // goes to the pipeline witnessed and is not checked again
+            // at append. No-ops persist nothing and need no witness.
+            let witness = if info.batch.is_noop() {
+                None
+            } else {
+                let witness = VerifiedProof::witnessed(live_proof(&info), &self.votes);
+                self.witness.commits.fetch_add(1, Ordering::Relaxed);
+                self.witness
+                    .witnessed
+                    .fetch_add(u64::from(witness.is_some()), Ordering::Relaxed);
+                witness
+            };
             // Bounded: consensus blocks here iff the storage/execution
             // pipeline is `commit_queue` slots behind (the ack queue).
-            let _ = self.pipeline_tx.send(PipelineCmd::Commit(info)).await;
+            let _ = self
+                .pipeline_tx
+                .send(PipelineCmd::Commit(info, witness))
+                .await;
         }
         // One clock read per step: timers armed together with equal
         // durations share a deadline and fire in arming order.

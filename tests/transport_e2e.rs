@@ -62,6 +62,32 @@ async fn honest_cluster_serves_clients() {
 }
 
 #[tokio::test(flavor = "multi_thread")]
+async fn live_commits_reach_the_pipeline_witnessed() {
+    // The protocol verifies every foreign vote on arrival and signs its
+    // own, so by the time a batch commits the event loop's vote memo
+    // vouches for the whole certificate and the pipeline appends it
+    // without a second signature pass. `witness_counts` is the debug
+    // counter of exactly that; a fault-free cluster witnesses
+    // (nearly) everything.
+    let handle = InProcCluster::spawn(ClusterConfig::new(4), None);
+    for i in 0..60u64 {
+        handle
+            .client
+            .submit(real_batch(i, i), ReplicaId((i % 4) as u32))
+            .await;
+    }
+    for r in 0..4 {
+        let (witnessed, commits) = handle.handle(ReplicaId(r)).witness_counts();
+        assert!(commits >= 55, "replica {r} announced {commits} commits");
+        assert!(
+            witnessed * 100 >= commits * 95,
+            "replica {r} witnessed {witnessed} of {commits} commits"
+        );
+    }
+    handle.shutdown().await;
+}
+
+#[tokio::test(flavor = "multi_thread")]
 async fn cluster_survives_one_crashed_replica() {
     let cluster = ClusterConfig::new(4); // f = 1
     let behaviors = vec![
