@@ -668,7 +668,8 @@ struct EventLoop<N: Node, F: Fabric> {
     silent: bool,
     /// Whether this loop still verifies envelope signatures inline
     /// (`verify_pool == 0`); with the ingress pool active, envelopes
-    /// arrive pre-verified and the loop never touches a signature.
+    /// arrive pre-verified and the loop never touches an envelope
+    /// signature.
     verify_ingress: bool,
     net: NetStats,
     /// Verdicts on votes, shared across steps.
