@@ -74,21 +74,26 @@ thread_local! {
     static DEADLINE: Cell<Option<std::time::Instant>> = const { Cell::new(None) };
 }
 
-/// Restores the enclosing deadline when a [`Timeout`]'s poll ends,
-/// unwinding included.
-struct DeadlineScope(Option<std::time::Instant>);
+/// Publishes a [`Timeout`]'s deadline for the length of one poll and
+/// restores the enclosing one when it ends, unwinding included.
+struct DeadlineScope {
+    outer: Option<std::time::Instant>,
+    /// What is published: the earlier of this deadline and `outer`.
+    earliest: std::time::Instant,
+}
 
 impl DeadlineScope {
     fn enter(deadline: std::time::Instant) -> DeadlineScope {
         let outer = DEADLINE.get();
-        DEADLINE.set(Some(outer.map_or(deadline, |outer| outer.min(deadline))));
-        DeadlineScope(outer)
+        let earliest = outer.map_or(deadline, |outer| outer.min(deadline));
+        DEADLINE.set(Some(earliest));
+        DeadlineScope { outer, earliest }
     }
 }
 
 impl Drop for DeadlineScope {
     fn drop(&mut self) {
-        DEADLINE.set(self.0);
+        DEADLINE.set(self.outer);
     }
 }
 
@@ -133,16 +138,13 @@ impl<F: Future> Future for Timeout<F> {
             }
             // An enclosing timeout's deadline may be the earlier one;
             // once that has passed the verdict is the encloser's.
-            let earliest = scope
-                .0
-                .map_or(self.deadline, |outer| outer.min(self.deadline));
-            if now >= earliest {
+            if now >= scope.earliest {
                 return Poll::Pending;
             }
             // Pending for a reason of the future's own: wait — on this
             // task's own thread, like every other wait here — for its
             // waker or the deadline.
-            std::thread::park_timeout(earliest - now);
+            std::thread::park_timeout(scope.earliest - now);
         }
     }
 }

@@ -398,7 +398,9 @@ struct TimerHeap {
 }
 
 impl TimerHeap {
-    fn arm(&mut self, id: TimerId, deadline: Instant) {
+    /// Arms `id` to come due `after` from `now`.
+    fn arm(&mut self, id: TimerId, now: Instant, after: SimDuration) {
+        let deadline = now + std::time::Duration::from_nanos(after.as_nanos());
         self.heap.push(Reverse((deadline, self.armed, id)));
         self.armed += 1;
     }
@@ -874,8 +876,7 @@ where
         // durations share a deadline and fire in arming order.
         let now = Instant::now();
         for (id, after) in timers {
-            self.timers
-                .arm(id, now + std::time::Duration::from_nanos(after.as_nanos()));
+            self.timers.arm(id, now, after);
         }
         for (to, msg) in sends {
             let NodeId::Replica(to) = to else {
@@ -930,7 +931,8 @@ where
     fn arm_catchup_tick(&mut self) {
         self.timers.arm(
             TimerId::new(CATCHUP_TICK, InstanceId(0), View(0)),
-            Instant::now() + std::time::Duration::from_nanos(self.catchup_interval.as_nanos()),
+            Instant::now(),
+            self.catchup_interval,
         );
     }
 }
