@@ -63,7 +63,8 @@ impl ExtendedPoint {
         let a = (self.y - self.x) * (other.y - other.x);
         let b = (self.y + self.x) * (other.y + other.x);
         let c = self.t * EDWARDS_2D * other.t;
-        let d = (self.z * other.z) + (self.z * other.z);
+        let zz = self.z * other.z;
+        let d = zz + zz;
         let e = b - a;
         let f = d - c;
         let g = d + c;

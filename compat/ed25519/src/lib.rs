@@ -157,13 +157,16 @@ impl SigningKey {
     }
 
     /// Deterministic RFC 8032 signature: `R = [r]B` with
-    /// r = SHA-512(prefix ‖ M), S = r + SHA-512(R ‖ A ‖ M)·a.
+    /// r = SHA-512(prefix ‖ M), S = r + SHA-512(R ‖ A ‖ M)·a. The nonce
+    /// commitment walks the shared fixed-base table
+    /// ([`edwards::basepoint_table`]) — at most 64 additions and no
+    /// doubling chain.
     pub fn sign(&self, message: &[u8]) -> [u8; 64] {
         let mut h = Sha512::new();
         h.update(&self.prefix);
         h.update(message);
         let r = Scalar::from_wide_bytes(&h.finalize());
-        let r_bytes = BASEPOINT.mul(&r).compress();
+        let r_bytes = edwards::basepoint_table().mul(&r).compress();
         let k = challenge_scalar(&r_bytes, &self.verifying.compressed, message);
         let s = r + k * self.a;
         let mut sig = [0u8; 64];
@@ -172,31 +175,9 @@ impl SigningKey {
         sig
     }
 
-    /// Signs a batch of messages, byte-identical to calling
-    /// [`sign`](SigningKey::sign) on each. The amortization is the
-    /// shared fixed-base table ([`edwards::basepoint_table`]): each
-    /// nonce commitment `R = [r]B` costs at most 64 precomputed-table
-    /// additions instead of a full 256-step doubling chain, so a
-    /// sealing lane draining a queue of outbound envelopes pays a
-    /// fraction of the per-call cost.
+    /// [`sign`](SigningKey::sign) over each message in turn.
     pub fn sign_batch(&self, messages: &[&[u8]]) -> Vec<[u8; 64]> {
-        let table = edwards::basepoint_table();
-        messages
-            .iter()
-            .map(|message| {
-                let mut h = Sha512::new();
-                h.update(&self.prefix);
-                h.update(message);
-                let r = Scalar::from_wide_bytes(&h.finalize());
-                let r_bytes = table.mul(&r).compress();
-                let k = challenge_scalar(&r_bytes, &self.verifying.compressed, message);
-                let s = r + k * self.a;
-                let mut sig = [0u8; 64];
-                sig[..32].copy_from_slice(&r_bytes);
-                sig[32..].copy_from_slice(&s.to_bytes());
-                sig
-            })
-            .collect()
+        messages.iter().map(|message| self.sign(message)).collect()
     }
 }
 

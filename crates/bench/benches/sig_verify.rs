@@ -18,8 +18,11 @@
 //! Quick scale finishes in a couple of seconds (CI runs it in the
 //! bench-smoke job); `SPOTLESS_FULL=1` multiplies the iteration count.
 
+use ed25519::edwards::BASEPOINT;
+use ed25519::scalar::Scalar;
+use ed25519::{sha512, Sha512};
 use spotless_bench::FigureTable;
-use spotless_crypto::KeyStore;
+use spotless_crypto::{KeyStore, Keypair};
 use spotless_types::{Digest, InstanceId, ReplicaId, Signature, View, VoteStatement};
 use std::hint::black_box;
 use std::time::Instant;
@@ -35,14 +38,13 @@ fn iters() -> u32 {
 /// The floor the redesign is held to at quorum-scale batches.
 const BATCH_SPEEDUP_FLOOR: f64 = 2.0;
 
-/// The signing-amortization floor at the sealer's full drain size: the
-/// fixed-base table walk must deliver at least this multiple of the
-/// generic double-and-add chain's per-signature throughput. The
-/// theoretical edge is larger (≈4× fewer point operations on the nonce
-/// commitment), but SHA-512 and compression are shared costs, so the
-/// floor is set below the ~3× measured where honest noise cannot flip
-/// it.
-const SIGN_AMORTIZATION_FLOOR: f64 = 2.0;
+/// The signing floor: the fixed-base table walk must deliver at least
+/// this multiple of the generic double-and-add chain's per-signature
+/// throughput. The theoretical edge is larger (≈ 4× fewer point
+/// operations on the nonce commitment), but SHA-512 and compression
+/// are shared costs, so the floor is set below the ~3× measured where
+/// honest noise cannot flip it.
+const SIGN_FLOOR: f64 = 2.0;
 
 fn main() {
     let n: u32 = 64;
@@ -124,23 +126,29 @@ fn main() {
          throughput at batch 64 (got {headline_speedup:.2}×)"
     );
 
-    // ── Signing throughput: single vs batched sealing ──────────────
+    // ── Signing: table-based `sign` against a generic reference ─────
     //
-    // The egress sealer lanes drain their queues through
-    // `KeyStore::sign_batch`, whose nonce commitments walk the shared
-    // precomputed fixed-base table (≤ 64 table additions) instead of
-    // the generic 256-step double-and-add chain per-call `sign` pays.
-    // Signatures are byte-identical; the bench measures and asserts
-    // the amortization at the sealer's drain sizes.
+    // `KeyStore::sign` computes its nonce commitment `[r]B` from the
+    // fixed-base table (≤ 64 additions, no doublings). The reference
+    // is RFC 8032 signing written out here from `ed25519`'s public
+    // pieces with a generic double-and-add `[r]B` — what `sign` did
+    // before the table. Signatures must be byte-identical; the floor
+    // is on per-signature time at the sealer's drain sizes.
+    // `sign_batch` is a loop over `sign`, so its row is printed to
+    // show the two are level, not gated.
     let mut sign_table = FigureTable::new(
         "sig_sign",
         &[
             "batch",
-            "single_ns_per_sig",
-            "batched_ns_per_sig",
-            "amortization",
+            "generic_ns_per_sig",
+            "sign_ns_per_sig",
+            "sign_batch_ns_per_sig",
+            "speedup",
         ],
     );
+    let seed = [0x5eu8; 32];
+    let keypair = Keypair::from_seed(seed);
+    let reference = ReferenceSigner::from_seed(&seed);
     let mut sign_headline = 0.0;
     for &k in &[4u32, 32] {
         // Distinct messages, like distinct outbound envelopes.
@@ -152,35 +160,87 @@ fn main() {
         let start = Instant::now();
         for _ in 0..reps {
             for m in &refs {
-                black_box(stores[0].sign(black_box(m)));
+                black_box(reference.sign(black_box(m)));
             }
         }
-        let single_ns = start.elapsed().as_nanos() as f64 / f64::from(reps * k);
+        let generic_ns = start.elapsed().as_nanos() as f64 / f64::from(reps * k);
 
         let start = Instant::now();
         for _ in 0..reps {
-            black_box(stores[0].sign_batch(black_box(&refs)));
+            for m in &refs {
+                black_box(keypair.sign(black_box(m)));
+            }
+        }
+        let sign_ns = start.elapsed().as_nanos() as f64 / f64::from(reps * k);
+
+        let start = Instant::now();
+        for _ in 0..reps {
+            black_box(keypair.sign_batch(black_box(&refs)));
         }
         let batched_ns = start.elapsed().as_nanos() as f64 / f64::from(reps * k);
 
         // Byte-identical signatures — peers cannot tell the paths apart.
-        let batched = stores[0].sign_batch(&refs);
+        let batched = keypair.sign_batch(&refs);
         for (m, sig) in refs.iter().zip(&batched) {
-            assert_eq!(stores[0].sign(m), *sig, "sign_batch must match sign");
+            assert_eq!(keypair.sign(m), *sig, "sign_batch must match sign");
+            assert_eq!(reference.sign(m), sig.0, "sign must match the reference");
         }
 
-        let amortization = single_ns / batched_ns;
-        sign_headline = amortization;
+        let speedup = generic_ns / sign_ns;
+        sign_headline = speedup;
         sign_table.row(&[
             format!("{k}"),
-            format!("{single_ns:10.0}"),
+            format!("{generic_ns:10.0}"),
+            format!("{sign_ns:10.0}"),
             format!("{batched_ns:10.0}"),
-            format!("{amortization:5.2} x"),
+            format!("{speedup:5.2} x"),
         ]);
     }
     assert!(
-        sign_headline >= SIGN_AMORTIZATION_FLOOR,
-        "batched sealing must deliver ≥ {SIGN_AMORTIZATION_FLOOR}× single-call signing \
-         throughput at batch 32 (got {sign_headline:.2}×)"
+        sign_headline >= SIGN_FLOOR,
+        "table-based signing must deliver ≥ {SIGN_FLOOR}× the generic reference's \
+         per-signature throughput (got {sign_headline:.2}×)"
     );
+}
+
+/// RFC 8032 §5.1.6 signing from `ed25519`'s public pieces, with the
+/// nonce commitment computed by the generic wNAF `mul`: the oracle the
+/// table-based `sign` is timed and byte-compared against.
+struct ReferenceSigner {
+    a: Scalar,
+    prefix: [u8; 32],
+    public: [u8; 32],
+}
+
+impl ReferenceSigner {
+    fn from_seed(seed: &[u8; 32]) -> ReferenceSigner {
+        let h = sha512(seed);
+        let mut a_bytes: [u8; 32] = h[..32].try_into().unwrap();
+        a_bytes[0] &= 248;
+        a_bytes[31] &= 127;
+        a_bytes[31] |= 64;
+        let a = Scalar::from_bytes_mod_order(&a_bytes);
+        ReferenceSigner {
+            a,
+            prefix: h[32..].try_into().unwrap(),
+            public: BASEPOINT.mul(&a).compress(),
+        }
+    }
+
+    fn sign(&self, message: &[u8]) -> [u8; 64] {
+        let mut h = Sha512::new();
+        h.update(&self.prefix);
+        h.update(message);
+        let r = Scalar::from_wide_bytes(&h.finalize());
+        let r_bytes = BASEPOINT.mul(&r).compress();
+        let mut h = Sha512::new();
+        h.update(&r_bytes);
+        h.update(&self.public);
+        h.update(message);
+        let k = Scalar::from_wide_bytes(&h.finalize());
+        let mut sig = [0u8; 64];
+        sig[..32].copy_from_slice(&r_bytes);
+        sig[32..].copy_from_slice(&(r + k * self.a).to_bytes());
+        sig
+    }
 }

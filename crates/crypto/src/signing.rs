@@ -165,10 +165,9 @@ impl Keypair {
         Signature(self.signing.sign(message))
     }
 
-    /// Signs a batch of messages, byte-identical to per-message
-    /// [`sign`](Keypair::sign) but amortized through the shared
-    /// fixed-base basepoint table — the sealer lanes drain their
-    /// queues through this.
+    /// [`sign`](Keypair::sign) over each message in turn — the sealer
+    /// lanes drain their queues through this. Every signature walks the
+    /// fixed-base table, so a batch buys nothing a single call lacks.
     pub fn sign_batch(&self, messages: &[&[u8]]) -> Vec<Signature> {
         self.signing
             .sign_batch(messages)

@@ -12,12 +12,12 @@
 //!   (into a recycled [`BufferPool`] buffer, wrapped once as a
 //!   refcounted [`Payload`]), submits a seal job, and returns to the
 //!   next event without touching the signature;
-//! * **batched** — a lane drains its queue opportunistically and signs
-//!   up to [`MAX_SEAL_BATCH`] payloads in one
-//!   [`KeyStore::sign_batch`] call, which amortizes the fixed-base
-//!   scalar multiplication across the batch (see
-//!   `spotless-crypto::signing`). Signatures are byte-identical to
-//!   per-call [`KeyStore::sign`] — peers cannot tell the difference.
+//! * **drained in runs** — a lane drains its queue opportunistically
+//!   and signs up to [`MAX_SEAL_BATCH`] payloads in one
+//!   [`KeyStore::sign_batch`] call. Every signature, alone or in a run,
+//!   computes its nonce commitment from the fixed-base table (≈ 20 µs,
+//!   see `spotless-crypto::signing`), so a lone job takes the same path
+//!   as a full run and a run saves wake-ups, not arithmetic.
 //!
 //! **Ordering contract:** sends leave the replica in submission order
 //! — globally, hence per destination. Seal jobs fan out round-robin
@@ -47,8 +47,8 @@ use spotless_crypto::KeyStore;
 use spotless_types::ReplicaId;
 use tokio::sync::{mpsc, oneshot};
 
-/// Most payloads folded into one batched signing call. Bounds the
-/// latency the head job of a lane's queue can accrue behind its batch.
+/// Most payloads signed in one drain of a lane's queue. Bounds the
+/// latency the head job can accrue behind the jobs drained with it.
 pub(crate) const MAX_SEAL_BATCH: usize = 32;
 
 /// Where a sealed envelope goes.
@@ -125,7 +125,7 @@ impl EgressPool {
     }
 }
 
-/// One sealer lane: drain, batch-sign, reply per job.
+/// One sealer lane: drain, sign, reply per job.
 async fn seal_lane(keystore: KeyStore, mut rx: mpsc::UnboundedReceiver<SealJob>) {
     let mut jobs: Vec<SealJob> = Vec::with_capacity(MAX_SEAL_BATCH);
     while let Some(job) = rx.recv().await {
@@ -136,26 +136,17 @@ async fn seal_lane(keystore: KeyStore, mut rx: mpsc::UnboundedReceiver<SealJob>)
                 None => break,
             }
         }
-        if jobs.len() == 1 {
-            let job = jobs.pop().expect("one job");
-            let env = Envelope::seal_payload(&keystore, job.payload);
-            let _ = job.reply.send(env);
-        } else {
-            // One fixed-base table walk per signature, shared SHA-512
-            // state: byte-identical signatures at a fraction of the
-            // per-call cost.
-            let sigs = {
-                let msgs: Vec<&[u8]> = jobs.iter().map(|j| j.payload.as_slice()).collect();
-                keystore.sign_batch(&msgs)
+        let sigs = {
+            let msgs: Vec<&[u8]> = jobs.iter().map(|j| j.payload.as_slice()).collect();
+            keystore.sign_batch(&msgs)
+        };
+        for (job, sig) in jobs.drain(..).zip(sigs) {
+            let env = Envelope {
+                from: keystore.me(),
+                payload: job.payload,
+                sig,
             };
-            for (job, sig) in jobs.drain(..).zip(sigs) {
-                let env = Envelope {
-                    from: keystore.me(),
-                    payload: job.payload,
-                    sig,
-                };
-                let _ = job.reply.send(env);
-            }
+            let _ = job.reply.send(env);
         }
     }
 }
