@@ -6,10 +6,14 @@
 //! a = −1 curve with non-square d, so no doubling special case is
 //! needed for correctness), plus a dedicated 4M+4S doubling for speed.
 //!
-//! Scalar multiplication is variable-time width-5 wNAF; the multiscalar
-//! form shares one doubling chain across all terms, which is what makes
-//! batch signature verification amortize (252 doublings total instead
-//! of per-signature).
+//! Scalar multiplication comes in two variable-time forms. For an
+//! arbitrary point it is width-5 wNAF; the multiscalar form shares one
+//! doubling chain across all terms. For a point that is fixed and used
+//! often — the basepoint, a replica's public key — a [`PointTable`]
+//! (30 KiB, built once) replaces the doubling chain with table
+//! look-ups: at most 64 mixed additions and 4 doublings per
+//! multiplication. The wNAF form stays as the reference the table is
+//! tested against.
 
 use crate::field::{FieldElement, EDWARDS_2D, EDWARDS_D};
 use crate::scalar::Scalar;
@@ -203,54 +207,152 @@ impl NafTable {
     }
 }
 
-/// Precomputed radix-16 multiples of the basepoint for fixed-base
-/// scalar multiplication: entry `[i][d - 1]` holds `d·16^i·B` for
-/// `i ∈ 0..64` and `d ∈ 1..=15`.
-///
-/// With the table in hand, `s·B` is a sum of at most 64 additions (one
-/// per non-zero nibble of `s`) and **zero doublings** — the doubling
-/// chain a generic `mul` spends 256 doublings on is baked into the
-/// table once. That is what makes batched signing amortize: the table
-/// is built on first use and every subsequent signature pays only the
-/// nibble additions.
-pub struct BasepointTable(Box<[[ExtendedPoint; 15]; 64]>);
+/// A point in affine Niels form `(y + x, y − x, 2d·x·y)`: the three
+/// products of the mixed addition formula that depend only on the
+/// table entry, computed once. Affine (Z = 1) saves the fourth field
+/// element and one multiplication per addition.
+#[derive(Clone, Copy)]
+struct AffineNiels {
+    y_plus_x: FieldElement,
+    y_minus_x: FieldElement,
+    xy2d: FieldElement,
+}
 
-impl BasepointTable {
-    fn build() -> BasepointTable {
-        let mut table = Box::new([[ExtendedPoint::IDENTITY; 15]; 64]);
-        let mut base = BASEPOINT; // 16^i · B
-        for row in table.iter_mut() {
-            row[0] = base;
-            for d in 1..15 {
-                row[d] = row[d - 1].add(&base);
-            }
-            base = row[14].add(&base); // 15·base + base = 16·base
-        }
-        BasepointTable(table)
-    }
+impl AffineNiels {
+    const IDENTITY: AffineNiels = AffineNiels {
+        y_plus_x: FieldElement::ONE,
+        y_minus_x: FieldElement::ONE,
+        xy2d: FieldElement::ZERO,
+    };
+}
 
-    /// Variable-time `scalar · B` via the table. Scalars are canonical
-    /// (< L < 2^253), so their 64 little-endian nibbles index the table
-    /// exactly; results match [`ExtendedPoint::mul`] bit-for-bit.
-    pub fn mul(&self, scalar: &Scalar) -> ExtendedPoint {
-        let bytes = scalar.to_bytes();
-        let mut acc = ExtendedPoint::IDENTITY;
-        for (i, row) in self.0.iter().enumerate() {
-            let byte = bytes[i / 2];
-            let d = if i % 2 == 0 { byte & 0xf } else { byte >> 4 };
-            if d != 0 {
-                acc = acc.add(&row[usize::from(d) - 1]);
-            }
+impl ExtendedPoint {
+    /// Mixed addition `self ± entry` (madd-2008-hwcd-3, 7M): complete
+    /// like [`add`](ExtendedPoint::add). Subtracting negates the
+    /// entry's x, which swaps its first two coordinates and negates the
+    /// third.
+    fn add_niels(&self, entry: &AffineNiels, subtract: bool) -> ExtendedPoint {
+        let (plus, minus) = if subtract {
+            (entry.y_minus_x, entry.y_plus_x)
+        } else {
+            (entry.y_plus_x, entry.y_minus_x)
+        };
+        let a = (self.y - self.x) * minus;
+        let b = (self.y + self.x) * plus;
+        let c = self.t * entry.xy2d;
+        let d = self.z + self.z;
+        let e = b - a;
+        let (f, g) = if subtract {
+            (d + c, d - c)
+        } else {
+            (d - c, d + c)
+        };
+        let h = b + a;
+        ExtendedPoint {
+            x: e * f,
+            y: g * h,
+            z: f * g,
+            t: e * h,
         }
-        acc
     }
 }
 
-/// The process-wide [`BasepointTable`], built on first use (about a
-/// thousand additions, ~150 KiB) and shared by every thread after.
-pub fn basepoint_table() -> &'static BasepointTable {
-    static TABLE: std::sync::OnceLock<BasepointTable> = std::sync::OnceLock::new();
-    TABLE.get_or_init(BasepointTable::build)
+/// Precomputed multiples of one fixed point P for doubling-free scalar
+/// multiplication, in ref10's compact layout: entry `[j][k − 1]` holds
+/// `k·256^j·P` for `j ∈ 0..32`, `k ∈ 1..=8`, in affine Niels form.
+///
+/// A scalar is split into 64 signed radix-16 digits `eᵢ ∈ [−8, 8)`
+/// ([`Scalar::signed_radix_16`]). Row `j` serves both digit `2j` (as
+/// is) and digit `2j + 1` (after the partial sum is multiplied by 16),
+/// so `s·P` = the odd digits' sum, **four doublings**, the even
+/// digits' sum: at most 64 mixed additions of 7M each where a generic
+/// `mul` walks a 253-step doubling chain.
+///
+/// **Memory per point:** 32 × 8 × 3 field elements × 40 B = 30 720 B
+/// (30 KiB). Compact is a requirement, not taste: the table is only
+/// faster than the doubling chain while it stays in cache. A 64 × 15
+/// extended-coordinate layout (150 KiB per point, no doublings at all)
+/// measured faster at 4 signers and *no better than the generic path*
+/// once verification rotated through 64 signers' tables (9.6 MiB);
+/// this layout holds its speed to 128.
+///
+/// **Building** costs 224 additions and 160 doublings plus one shared
+/// field inversion (Montgomery's trick) to normalise all 256 entries
+/// to Z = 1 — a few hundred µs, paid once per point.
+pub struct PointTable(Box<[[AffineNiels; 8]; 32]>);
+
+impl PointTable {
+    /// Builds the table for `point`.
+    pub fn new(point: &ExtendedPoint) -> PointTable {
+        let mut multiples = Vec::with_capacity(256);
+        let mut base = *point; // 256^j · P
+        for _ in 0..32 {
+            let mut multiple = base;
+            multiples.push(multiple);
+            for _ in 1..8 {
+                multiple = multiple.add(&base);
+                multiples.push(multiple);
+            }
+            // 8·base → 256·base.
+            base = multiple;
+            for _ in 0..5 {
+                base = base.double();
+            }
+        }
+        // One inversion for all 256 Z's: prefix[i] = Z₀·…·Zᵢ₋₁, then
+        // peel the inverse of the full product back to front.
+        let mut prefix = Vec::with_capacity(256);
+        let mut product = FieldElement::ONE;
+        for p in &multiples {
+            prefix.push(product);
+            product = product * p.z;
+        }
+        let mut inverse = product.invert();
+        let mut table = Box::new([[AffineNiels::IDENTITY; 8]; 32]);
+        for (i, p) in multiples.iter().enumerate().rev() {
+            let zinv = inverse * prefix[i];
+            inverse = inverse * p.z;
+            let x = p.x * zinv;
+            let y = p.y * zinv;
+            table[i / 8][i % 8] = AffineNiels {
+                y_plus_x: y + x,
+                y_minus_x: y - x,
+                xy2d: x * y * EDWARDS_2D,
+            };
+        }
+        PointTable(table)
+    }
+
+    /// Variable-time `scalar · P` via the table; equal to
+    /// [`ExtendedPoint::mul`] on the table's point.
+    pub fn mul(&self, scalar: &Scalar) -> ExtendedPoint {
+        let digits = scalar.signed_radix_16();
+        let mut acc = ExtendedPoint::IDENTITY;
+        for i in (1..64).step_by(2) {
+            acc = self.add_digit(&acc, i / 2, digits[i]);
+        }
+        acc = acc.double().double().double().double();
+        for i in (0..64).step_by(2) {
+            acc = self.add_digit(&acc, i / 2, digits[i]);
+        }
+        acc
+    }
+
+    /// `acc + digit·256^row·P` for `digit ∈ [−8, 8]`.
+    fn add_digit(&self, acc: &ExtendedPoint, row: usize, digit: i8) -> ExtendedPoint {
+        if digit == 0 {
+            return *acc;
+        }
+        let entry = &self.0[row][usize::from(digit.unsigned_abs()) - 1];
+        acc.add_niels(entry, digit < 0)
+    }
+}
+
+/// The process-wide [`PointTable`] of the basepoint, built on first
+/// use and shared by every thread after.
+pub fn basepoint_table() -> &'static PointTable {
+    static TABLE: std::sync::OnceLock<PointTable> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| PointTable::new(&BASEPOINT))
 }
 
 /// Variable-time Σ scalarᵢ·pointᵢ with one shared doubling chain
@@ -406,6 +508,51 @@ mod tests {
         // Wide-reduction scalars exercise every nibble position.
         let s = Scalar::from_wide_bytes(&[0xA7u8; 64]);
         assert_eq!(table.mul(&s), BASEPOINT.mul(&s));
+    }
+
+    /// The scalars that stress the signed-digit recoding: 0, 1, L − 1,
+    /// every nibble below the top = 8 (each digit carries into the
+    /// next), every such nibble = 15, and two wide-reduced patterns.
+    fn edge_scalars() -> Vec<Scalar> {
+        let mut eights = [0x88u8; 32];
+        eights[31] = 0x08;
+        let mut fifteens = [0xffu8; 32];
+        fifteens[31] = 0x0f;
+        vec![
+            Scalar::ZERO,
+            Scalar::ONE,
+            Scalar::ZERO - Scalar::ONE,
+            Scalar::from_canonical_bytes(&eights).unwrap(),
+            Scalar::from_canonical_bytes(&fifteens).unwrap(),
+            Scalar::from_wide_bytes(&[0xA7u8; 64]),
+            Scalar::from_wide_bytes(&[0x3Cu8; 64]),
+        ]
+    }
+
+    #[test]
+    fn point_table_matches_generic_mul_for_any_point() {
+        // The basepoint, three "public keys", the order-2 point and a
+        // key with a torsion component (the addition law is complete,
+        // so the table must be right off the prime-order subgroup too).
+        let mut order2 = [0xffu8; 32];
+        order2[0] = 0xec;
+        order2[31] = 0x7f;
+        let order2 = ExtendedPoint::decompress(&order2).unwrap();
+        let key = |fill: u8| BASEPOINT.mul(&Scalar::from_wide_bytes(&[fill; 64]));
+        let points = [
+            BASEPOINT,
+            key(1),
+            key(2),
+            key(3),
+            order2,
+            key(4).add(&order2),
+        ];
+        for (i, point) in points.iter().enumerate() {
+            let table = PointTable::new(point);
+            for (j, s) in edge_scalars().iter().enumerate() {
+                assert_eq!(table.mul(s), point.mul(s), "point {i}, scalar {j}");
+            }
+        }
     }
 
     #[test]

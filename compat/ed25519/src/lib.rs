@@ -9,6 +9,15 @@
 //! * strict encoding validation — non-canonical field elements and
 //!   scalars are rejected, and [`VerifyingKey::from_bytes`] also
 //!   rejects small-order (torsion) points,
+//! * [`PrecomputedKey`]: a verifying key plus a 30 KiB table of its
+//!   point's multiples ([`edwards::PointTable`]). A deployment verifies
+//!   against a fixed, small key set, so `[S]B + [−k]A` becomes two
+//!   table walks (≈ 120 mixed additions, 8 doublings) instead of a
+//!   253-step doubling chain with two throw-away wNAF tables — about
+//!   2.6× faster, same checks, same accept set. Signing takes `[r]B`
+//!   from the basepoint's table the same way.
+//!   [`VerifyingKey::verify`] keeps the generic computation as the
+//!   reference the tables are tested and benchmarked against,
 //! * [`verify_batch`]: a random-linear-combination batch verifier whose
 //!   accept set is *identical* to serial verification (both sides are
 //!   cofactored, so a batch never accepts or rejects differently than
@@ -17,7 +26,8 @@
 //! * SHA-512 (the workspace's `compat/sha2` only has SHA-256).
 //!
 //! What this deliberately is **not**: constant-time. Scalar
-//! multiplication is variable-time wNAF, fine for verification (public
+//! multiplication is variable-time (wNAF, and table walks that skip
+//! zero digits), fine for verification (public
 //! inputs) and for this workspace's reproducible test clusters, but a
 //! production signer handling secret keys near an adversary's
 //! stopwatch needs a hardened implementation.
@@ -27,7 +37,7 @@ pub mod field;
 pub mod scalar;
 pub mod sha512;
 
-use edwards::{multiscalar_mul, ExtendedPoint, BASEPOINT};
+use edwards::{basepoint_table, multiscalar_mul, ExtendedPoint, PointTable, BASEPOINT};
 use scalar::Scalar;
 pub use sha512::{sha512, Sha512};
 
@@ -104,17 +114,56 @@ impl VerifyingKey {
     }
 
     /// Cofactored RFC 8032 verification: `[8]([S]B − [k]A − R) = O` with
-    /// k = SHA-512(R ‖ A ‖ M) mod L.
+    /// k = SHA-512(R ‖ A ‖ M) mod L, computed the generic way: one
+    /// double-scalar multiplication over a fresh doubling chain. This is
+    /// the reference [`PrecomputedKey::verify`] is tested and timed
+    /// against; a caller that verifies under the same key more than a
+    /// handful of times wants the precomputed form.
     pub fn verify(&self, message: &[u8], signature: &[u8; 64]) -> Result<(), Error> {
         let parsed = ParsedSignature::parse(signature)?;
         let k = challenge_scalar(&parsed.r_bytes, &self.compressed, message);
-        // [S]B + [−k]A, sharing the doubling chain, then − R and ×8.
         let sb_ka = multiscalar_mul(&[(parsed.s, BASEPOINT), (k.neg(), self.point)]);
-        if sb_ka.add(&parsed.r.neg()).mul_by_cofactor().is_identity() {
-            Ok(())
-        } else {
-            Err(Error::BadSignature)
+        parsed.check(&sb_ka)
+    }
+}
+
+/// A [`VerifyingKey`] together with the [`PointTable`] of its point, so
+/// verification under it walks two tables — `[S]B` from the shared
+/// basepoint table, `[−k]A` from this one — instead of a doubling
+/// chain. Costs 30 KiB and a few hundred µs to build, repaid within a
+/// dozen verifications.
+///
+/// The only constructor takes the key, so a table can never be paired
+/// with a key it was not built from.
+pub struct PrecomputedKey {
+    key: VerifyingKey,
+    table: PointTable,
+}
+
+impl PrecomputedKey {
+    /// Builds the table for `key`.
+    pub fn new(key: &VerifyingKey) -> PrecomputedKey {
+        PrecomputedKey {
+            key: *key,
+            table: PointTable::new(&key.point),
         }
+    }
+
+    /// The key this table was built from.
+    pub fn verifying_key(&self) -> &VerifyingKey {
+        &self.key
+    }
+
+    /// Cofactored RFC 8032 verification, the same checks and the same
+    /// accept set as [`VerifyingKey::verify`]: canonical R and S,
+    /// `[8]([S]B + [−k]A − R) = O`.
+    pub fn verify(&self, message: &[u8], signature: &[u8; 64]) -> Result<(), Error> {
+        let parsed = ParsedSignature::parse(signature)?;
+        let k = challenge_scalar(&parsed.r_bytes, &self.key.compressed, message);
+        let sb_ka = basepoint_table()
+            .mul(&parsed.s)
+            .add(&self.table.mul(&k.neg()));
+        parsed.check(&sb_ka)
     }
 }
 
@@ -139,7 +188,7 @@ impl SigningKey {
         // B has order L, so reducing the clamped integer mod L changes
         // neither A = [a]B nor S = r + k·a (mod L).
         let a = Scalar::from_bytes_mod_order(&a_bytes);
-        let point = BASEPOINT.mul(&a);
+        let point = basepoint_table().mul(&a);
         let verifying = VerifyingKey {
             compressed: point.compress(),
             point,
@@ -166,7 +215,7 @@ impl SigningKey {
         h.update(&self.prefix);
         h.update(message);
         let r = Scalar::from_wide_bytes(&h.finalize());
-        let r_bytes = edwards::basepoint_table().mul(&r).compress();
+        let r_bytes = basepoint_table().mul(&r).compress();
         let k = challenge_scalar(&r_bytes, &self.verifying.compressed, message);
         let s = r + k * self.a;
         let mut sig = [0u8; 64];
@@ -207,6 +256,16 @@ impl ParsedSignature {
         let r = ExtendedPoint::decompress(&r_bytes).ok_or(Error::MalformedPoint)?;
         let s = Scalar::from_canonical_bytes(&s_bytes).ok_or(Error::NonCanonicalScalar)?;
         Ok(ParsedSignature { r, r_bytes, s })
+    }
+
+    /// The verification equation given `[S]B − [k]A`: subtract R,
+    /// clear the cofactor, test for the identity.
+    fn check(&self, sb_ka: &ExtendedPoint) -> Result<(), Error> {
+        if sb_ka.add(&self.r.neg()).mul_by_cofactor().is_identity() {
+            Ok(())
+        } else {
+            Err(Error::BadSignature)
+        }
     }
 }
 
@@ -411,6 +470,15 @@ mod tests {
         // S' = S + L verifies under a sloppy verifier; RFC 8032 says no.
         let sk = SigningKey::from_seed(&[3u8; 32]);
         let mut sig = sk.sign(b"msg");
+        add_group_order(&mut sig);
+        assert_eq!(
+            sk.verifying_key().verify(b"msg", &sig),
+            Err(Error::NonCanonicalScalar)
+        );
+    }
+
+    /// S + L: the same residue, a non-canonical encoding.
+    fn add_group_order(sig: &mut [u8; 64]) {
         let l = [
             0x5812631a5cf5d3edu64,
             0x14def9dea2f79cd6,
@@ -426,10 +494,99 @@ mod tests {
         }
         // S + L < 2^256 for any canonical S, so no final carry.
         assert_eq!(carry, 0);
-        assert_eq!(
-            sk.verifying_key().verify(b"msg", &sig),
-            Err(Error::NonCanonicalScalar)
-        );
+    }
+
+    /// Runs the generic and the precomputed verifier on one input and
+    /// insists on the same `Result`, error kind included.
+    fn verify_both(key: &PrecomputedKey, message: &[u8], sig: &[u8; 64]) -> Result<(), Error> {
+        let generic = key.verifying_key().verify(message, sig);
+        assert_eq!(key.verify(message, sig), generic, "paths disagree");
+        generic
+    }
+
+    #[test]
+    fn precomputed_verify_matches_generic_under_every_mutation() {
+        // A point of order exactly 8.
+        let torsion = ExtendedPoint::decompress(&unhex32(
+            "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+        ))
+        .unwrap();
+        assert!(torsion.is_small_order());
+        assert!(!torsion.double().double().is_identity());
+
+        for i in 0..12u8 {
+            let sk = SigningKey::from_seed(sha512(&[i])[..32].try_into().unwrap());
+            let other = SigningKey::from_seed(sha512(&[i, i])[..32].try_into().unwrap());
+            let key = PrecomputedKey::new(sk.verifying_key());
+            let message = sha512(&[i, 0xfe])[..5 + 4 * usize::from(i)].to_vec();
+            let sig = sk.sign(&message);
+            let bit = 1u8 << (i % 8);
+            let at = usize::from(i) * 5 % 32;
+
+            assert_eq!(verify_both(&key, &message, &sig), Ok(()));
+
+            // A bit flipped in R: off the curve or the wrong point.
+            let mut bad = sig;
+            bad[at] ^= bit;
+            assert!(verify_both(&key, &message, &bad).is_err());
+
+            // A bit flipped in S: out of range or the wrong scalar.
+            let mut bad = sig;
+            bad[32 + at] ^= bit;
+            assert!(verify_both(&key, &message, &bad).is_err());
+
+            // A bit flipped in the message.
+            let mut tampered = message.clone();
+            tampered[at % message.len()] ^= bit;
+            assert_eq!(verify_both(&key, &tampered, &sig), Err(Error::BadSignature));
+
+            // The wrong signer.
+            let wrong = PrecomputedKey::new(other.verifying_key());
+            assert_eq!(
+                verify_both(&wrong, &message, &sig),
+                Err(Error::BadSignature)
+            );
+
+            // S + L.
+            let mut bad = sig;
+            add_group_order(&mut bad);
+            assert_eq!(
+                verify_both(&key, &message, &bad),
+                Err(Error::NonCanonicalScalar)
+            );
+
+            // R encoded with y = p + 1 (≡ 1, non-canonical).
+            let mut bad = sig;
+            bad[..32].copy_from_slice(&[0xff; 32]);
+            bad[0] = 0xee;
+            bad[31] = 0x7f;
+            assert_eq!(
+                verify_both(&key, &message, &bad),
+                Err(Error::MalformedPoint)
+            );
+
+            // A small-order R parses (RFC 8032 permits it) and fails
+            // the equation.
+            let mut bad = sig;
+            bad[..32].copy_from_slice(&torsion.compress());
+            assert_eq!(verify_both(&key, &message, &bad), Err(Error::BadSignature));
+
+            // A signature whose R carries a torsion component: built
+            // like `sign` but with R' = [r]B + T. The cofactored
+            // equation accepts it on both paths — if either stopped
+            // clearing the cofactor, the accept set would have drifted.
+            let mut h = Sha512::new();
+            h.update(&sk.prefix);
+            h.update(&message);
+            let r = Scalar::from_wide_bytes(&h.finalize());
+            let r_bytes = BASEPOINT.mul(&r).add(&torsion).compress();
+            let k = challenge_scalar(&r_bytes, &sk.verifying.compressed, &message);
+            let mut twisted = [0u8; 64];
+            twisted[..32].copy_from_slice(&r_bytes);
+            twisted[32..].copy_from_slice(&(r + k * sk.a).to_bytes());
+            assert_ne!(twisted, sig);
+            assert_eq!(verify_both(&key, &message, &twisted), Ok(()));
+        }
     }
 
     #[test]

@@ -166,6 +166,30 @@ impl Scalar {
         }
     }
 
+    /// Signed radix-16 digits, little-endian: `self = Σ eᵢ·16^i` with
+    /// every `eᵢ ∈ [−8, 8)` except the last, which absorbs the final
+    /// carry (≤ 2, since canonical scalars are < 2^253). Halving the
+    /// digit range is what lets a [`PointTable`] row hold 8 multiples
+    /// instead of 15.
+    ///
+    /// [`PointTable`]: crate::edwards::PointTable
+    pub fn signed_radix_16(&self) -> [i8; 64] {
+        let bytes = self.to_bytes();
+        let mut e = [0i8; 64];
+        for (i, byte) in bytes.iter().enumerate() {
+            e[2 * i] = (byte & 15) as i8;
+            e[2 * i + 1] = (byte >> 4) as i8;
+        }
+        let mut carry = 0i8;
+        for digit in &mut e[..63] {
+            *digit += carry;
+            carry = (*digit + 8) >> 4;
+            *digit -= carry << 4;
+        }
+        e[63] += carry;
+        e
+    }
+
     /// Width-5 non-adjacent form: at most one of any five consecutive
     /// digits is non-zero, and non-zero digits are odd in [−15, 15].
     /// Drives the shared-doubling multiscalar multiplication.
@@ -366,6 +390,47 @@ mod tests {
                     assert_eq!(d, 0, "digits {i} and {j} both set");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn signed_radix_16_reconstructs_scalar() {
+        // 0, 1, L − 1, every nibble below the top = 8 (a carry out of
+        // every digit), every such nibble = 15, and a mixed pattern.
+        let mut eights = [0x88u8; 32];
+        eights[31] = 0x08;
+        let mut fifteens = [0xffu8; 32];
+        fifteens[31] = 0x0f;
+        let mut mixed = [0u8; 32];
+        for (i, v) in mixed.iter_mut().enumerate() {
+            *v = (i as u8).wrapping_mul(101).wrapping_add(3);
+        }
+        let cases = [
+            Scalar::ZERO,
+            Scalar::ONE,
+            Scalar::ZERO - Scalar::ONE,
+            Scalar::from_canonical_bytes(&eights).unwrap(),
+            Scalar::from_canonical_bytes(&fifteens).unwrap(),
+            Scalar::from_bytes_mod_order(&mixed),
+        ];
+        for x in cases {
+            let e = x.signed_radix_16();
+            let mut acc = Scalar::ZERO;
+            let mut pow = Scalar::ONE;
+            for (i, d) in e.into_iter().enumerate() {
+                if i < 63 {
+                    assert!((-8..8).contains(&d), "digit {i} = {d}");
+                } else {
+                    assert!((0..=2).contains(&d), "top digit = {d}");
+                }
+                if d >= 0 {
+                    acc = acc + s(d as u64) * pow;
+                } else {
+                    acc = acc - s(d.unsigned_abs() as u64) * pow;
+                }
+                pow = pow * s(16);
+            }
+            assert_eq!(acc, x);
         }
     }
 }

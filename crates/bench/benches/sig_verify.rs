@@ -35,8 +35,33 @@ fn iters() -> u32 {
     }
 }
 
-/// The floor the redesign is held to at quorum-scale batches.
-const BATCH_SPEEDUP_FLOOR: f64 = 2.0;
+/// The floor per-signer tables are held to against the generic
+/// double-scalar reference, at 4 signers and at 64 rotating ones
+/// (measured 2.2–2.7×).
+const VERIFY_FLOOR: f64 = 1.6;
+
+/// Per-signature nanoseconds of `serial` and of `batch` over the same
+/// `items`, `rounds` times each.
+fn time_pair<'a>(
+    rounds: u32,
+    k: usize,
+    items: &[(ReplicaId, &'a [u8], &'a Signature)],
+    serial: impl Fn(&[(ReplicaId, &'a [u8], &'a Signature)]),
+    batch: impl Fn(&[(ReplicaId, &'a [u8], &'a Signature)]),
+) -> (f64, f64) {
+    let per_sig =
+        |elapsed: std::time::Duration| elapsed.as_nanos() as f64 / (f64::from(rounds) * k as f64);
+    let start = Instant::now();
+    for _ in 0..rounds {
+        serial(black_box(items));
+    }
+    let serial_ns = per_sig(start.elapsed());
+    let start = Instant::now();
+    for _ in 0..rounds {
+        batch(black_box(items));
+    }
+    (serial_ns, per_sig(start.elapsed()))
+}
 
 /// The signing floor: the fixed-base table walk must deliver at least
 /// this multiple of the generic double-and-add chain's per-signature
@@ -51,80 +76,149 @@ fn main() {
     let stores = KeyStore::cluster(b"sig-verify-bench", n);
     let reps = iters();
 
+    // One vote statement signed by all 64 replicas — the shape a
+    // certificate carries across a trust boundary.
+    let statement = VoteStatement {
+        instance: InstanceId(0),
+        view: View(64),
+        slot: 0,
+        digest: Digest::from_u64(64 * 31),
+    };
+    let message = statement.signing_bytes();
+    let votes: Vec<(ReplicaId, Signature)> = stores
+        .iter()
+        .map(|s| (s.me(), s.sign_vote(&statement)))
+        .collect();
+    // Build every signer's table before any clock starts: 20 reps over
+    // 64 signers would otherwise time 64 table builds.
+    for (r, sig) in &votes {
+        stores[0]
+            .verify(*r, &message, sig)
+            .expect("genuine signature");
+    }
+
+    // ── Single verification: per-signer tables against the generic
+    //    double-scalar reference ────────────────────────────────────
+    //
+    // 64 verifications per rep, rotating through `signers` keys: 4 is
+    // the deployed cluster (tables stay in L1/L2), 64 is 1.9 MiB of
+    // tables fighting for cache — the case a roomier table layout lost.
     let mut table = FigureTable::new(
         "sig_verify",
-        &[
-            "batch",
-            "sign_ns",
-            "serial_ns_per_sig",
-            "batch_ns_per_sig",
-            "speedup",
-        ],
+        &["signers", "generic_ns", "table_ns", "speedup"],
     );
-
-    let mut headline_speedup = 0.0;
-    for &k in &[4u32, 16, 64] {
-        // One distinct vote statement per batch size, signed by the
-        // first k replicas — the exact shape `verify_quorum` sees when
-        // a certificate crosses a trust boundary.
-        let statement = VoteStatement {
-            instance: InstanceId(0),
-            view: View(u64::from(k)),
-            slot: 0,
-            digest: Digest::from_u64(u64::from(k) * 31),
-        };
-        let message = statement.signing_bytes();
+    for &signers in &[4usize, 64] {
+        let rotation: Vec<&(ReplicaId, Signature)> = (0..64).map(|i| &votes[i % signers]).collect();
 
         let start = Instant::now();
         for _ in 0..reps {
-            for store in stores.iter().take(k as usize) {
-                black_box(store.sign_vote(black_box(&statement)));
+            for (r, sig) in &rotation {
+                stores[0]
+                    .public_of(*r)
+                    .expect("known signer")
+                    .verify(black_box(&message), sig)
+                    .expect("genuine signature");
             }
         }
-        let sign_ns = start.elapsed().as_nanos() as f64 / f64::from(reps * k);
-
-        let votes: Vec<(ReplicaId, Signature)> = stores
-            .iter()
-            .take(k as usize)
-            .map(|s| (s.me(), s.sign_vote(&statement)))
-            .collect();
+        let generic_ns = start.elapsed().as_nanos() as f64 / f64::from(reps * 64);
 
         let start = Instant::now();
         for _ in 0..reps {
-            for (r, sig) in &votes {
+            for (r, sig) in &rotation {
                 stores[0]
                     .verify(*r, black_box(&message), sig)
                     .expect("genuine signature");
             }
         }
-        let serial_ns = start.elapsed().as_nanos() as f64 / f64::from(reps * k);
+        let table_ns = start.elapsed().as_nanos() as f64 / f64::from(reps * 64);
 
-        let start = Instant::now();
-        for _ in 0..reps {
-            stores[0]
-                .verify_quorum(black_box(&message), &votes)
-                .expect("genuine quorum");
-        }
-        let batch_ns = start.elapsed().as_nanos() as f64 / f64::from(reps * k);
-
-        let speedup = serial_ns / batch_ns;
-        headline_speedup = speedup;
+        let speedup = generic_ns / table_ns;
         table.row(&[
-            format!("{k}"),
-            format!("{sign_ns:10.0}"),
-            format!("{serial_ns:10.0}"),
-            format!("{batch_ns:10.0}"),
+            format!("{signers}"),
+            format!("{generic_ns:10.0}"),
+            format!("{table_ns:10.0}"),
             format!("{speedup:5.2} x"),
         ]);
+        assert!(
+            speedup >= VERIFY_FLOOR,
+            "table-based verification must deliver ≥ {VERIFY_FLOOR}× the generic \
+             reference at {signers} rotating signers (got {speedup:.2}×)"
+        );
     }
+    drop(table);
 
-    // The floor is asserted at the largest batch, where the shared
-    // doubling chain amortizes best; small batches are informational.
-    assert!(
-        headline_speedup >= BATCH_SPEEDUP_FLOOR,
-        "batch verification must deliver ≥ {BATCH_SPEEDUP_FLOOR}× serial per-signature \
-         throughput at batch 64 (got {headline_speedup:.2}×)"
+    // ── Batch verification against serial, both on tables ──────────
+    //
+    // Two shapes: `one` is an ingress lane's batch (every envelope from
+    // one sender, distinct payloads), `distinct` is a certificate (one
+    // statement, every vote from a different signer).
+    let mut batch_table = FigureTable::new(
+        "sig_verify_batch",
+        &[
+            "batch",
+            "signers",
+            "serial_ns_per_sig",
+            "batch_ns_per_sig",
+            "speedup",
+        ],
     );
+    let payloads: Vec<Vec<u8>> = (0..32u32)
+        .map(|i| format!("ingress-lane-envelope-{i:04}-{}", "x".repeat(24)).into_bytes())
+        .collect();
+    let sender_sigs: Vec<Signature> = payloads.iter().map(|p| stores[1].sign(p)).collect();
+    for &k in &[2usize, 4, 8, 16, 32] {
+        let items: Vec<(ReplicaId, &[u8], &Signature)> = payloads
+            .iter()
+            .zip(&sender_sigs)
+            .take(k)
+            .map(|(p, sig)| (ReplicaId(1), p.as_slice(), sig))
+            .collect();
+        let serial = |items: &[(ReplicaId, &[u8], &Signature)]| {
+            for (r, m, sig) in items {
+                stores[0].verify(*r, m, sig).expect("genuine signature");
+            }
+        };
+        let batch = |items: &[(ReplicaId, &[u8], &Signature)]| {
+            stores[0].verify_batch_refs(items).expect("genuine batch");
+        };
+        // Same number of signatures per row whatever the batch size.
+        let rounds = reps * (64 / k as u32);
+        let (serial_ns, batch_ns) = time_pair(rounds, k, &items, serial, batch);
+        batch_table.row(&[
+            format!("{k}"),
+            "one".into(),
+            format!("{serial_ns:10.0}"),
+            format!("{batch_ns:10.0}"),
+            format!("{:5.2} x", serial_ns / batch_ns),
+        ]);
+    }
+    for &k in &[4usize, 16, 64] {
+        let items: Vec<(ReplicaId, &[u8], &Signature)> = votes
+            .iter()
+            .take(k)
+            .map(|(r, sig)| (*r, message.as_slice(), sig))
+            .collect();
+        let serial = |items: &[(ReplicaId, &[u8], &Signature)]| {
+            for (r, m, sig) in items {
+                stores[0].verify(*r, m, sig).expect("genuine signature");
+            }
+        };
+        let quorum = |_: &[(ReplicaId, &[u8], &Signature)]| {
+            stores[0]
+                .verify_quorum(black_box(&message), &votes[..k])
+                .expect("genuine quorum");
+        };
+        let rounds = reps * (64 / k as u32);
+        let (serial_ns, batch_ns) = time_pair(rounds, k, &items, serial, quorum);
+        batch_table.row(&[
+            format!("{k}"),
+            "distinct".into(),
+            format!("{serial_ns:10.0}"),
+            format!("{batch_ns:10.0}"),
+            format!("{:5.2} x", serial_ns / batch_ns),
+        ]);
+    }
+    drop(batch_table);
 
     // ── Signing: table-based `sign` against a generic reference ─────
     //

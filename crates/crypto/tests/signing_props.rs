@@ -1,5 +1,9 @@
 //! Property tests for the Ed25519 stack: field and scalar byte
-//! round-trips plus algebraic identities at the bottom, and at the top
+//! round-trips plus algebraic identities at the bottom; in the middle
+//! the equivalence of the precomputed-table paths with the generic
+//! ones (table `mul` = wNAF `mul`, `KeyStore::verify` =
+//! `PublicKey::verify` down to the error kind, whatever is done to the
+//! signature); and at the top
 //! the equivalence the verification API leans on — a batch accepts iff
 //! serial verification of every member accepts, and with exactly one
 //! bad signature the serial pass blames exactly that index. The
@@ -7,9 +11,11 @@
 //! both built on that equivalence, so it is load-bearing, not
 //! decorative.
 
+use ed25519::edwards::{basepoint_table, PointTable, BASEPOINT};
 use ed25519::field::FieldElement;
 use ed25519::scalar::Scalar;
 use proptest::prelude::*;
+use spotless_crypto::VerifyError;
 use spotless_crypto::{BatchVerifier, KeyStore, Keypair};
 use spotless_types::{ReplicaId, Signature};
 
@@ -22,6 +28,24 @@ fn bytes32(limbs: (u64, u64, u64, u64)) -> [u8; 32] {
     out[16..24].copy_from_slice(&limbs.2.to_le_bytes());
     out[24..].copy_from_slice(&limbs.3.to_le_bytes());
     out
+}
+
+/// The group order L, little-endian.
+const L_BYTES: [u8; 32] = [
+    0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x10,
+];
+
+/// Replaces the signature's S by S + L: the same residue, encoded out
+/// of range (no overflow: S < L < 2^253).
+fn add_group_order(sig: &mut Signature) {
+    let mut carry = 0u16;
+    for (s, l) in sig.0[32..].iter_mut().zip(L_BYTES) {
+        let t = u16::from(*s) + u16::from(l) + carry;
+        *s = t as u8;
+        carry = t >> 8;
+    }
+    assert_eq!(carry, 0);
 }
 
 proptest! {
@@ -102,6 +126,71 @@ proptest! {
         let mut bad = sig;
         bad.0[flip / 8] ^= 1 << (flip % 8);
         prop_assert!(kp.public().verify(&message, &bad).is_err());
+    }
+
+    /// A precomputed table multiplies like the generic wNAF ladder:
+    /// the shared basepoint table and a table built for a random
+    /// point, on random scalars.
+    #[test]
+    fn table_mul_matches_generic_mul(
+        point in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        scalar in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+    ) {
+        let s = Scalar::from_bytes_mod_order(&bytes32(scalar));
+        prop_assert_eq!(basepoint_table().mul(&s), BASEPOINT.mul(&s));
+        let p = BASEPOINT.mul(&Scalar::from_bytes_mod_order(&bytes32(point)));
+        prop_assert_eq!(PointTable::new(&p).mul(&s), p.mul(&s));
+    }
+
+    /// `KeyStore::verify` (two table walks) returns the same `Result`
+    /// as `PublicKey::verify` (the generic double-scalar reference),
+    /// error kind included, over random keys and messages and every
+    /// way of spoiling the signature that needs no secret key. (A
+    /// torsion component added to R needs the nonce; `compat/ed25519`'s
+    /// unit tests cover it.)
+    #[test]
+    fn precomputed_verify_matches_generic_under_mutation(
+        master in any::<u64>(),
+        message in prop::collection::vec(any::<u8>(), 1..64),
+        mutation in 0u32..8,
+        flip in 0usize..256,
+    ) {
+        let stores = KeyStore::cluster(&master.to_le_bytes(), 2);
+        let mut signer = ReplicaId(1);
+        let mut message = message;
+        let mut sig = stores[1].sign(&message);
+        let expected = match mutation {
+            0 => Some(Ok(())),
+            // A bit flipped in R, then in S: malformed or merely wrong.
+            1 => { sig.0[flip / 8] ^= 1 << (flip % 8); None }
+            2 => { sig.0[32 + flip / 8] ^= 1 << (flip % 8); None }
+            3 => {
+                let at = flip % (message.len() * 8);
+                message[at / 8] ^= 1 << (at % 8);
+                Some(Err(VerifyError::BadSignature))
+            }
+            4 => { signer = ReplicaId(0); Some(Err(VerifyError::BadSignature)) }
+            5 => { add_group_order(&mut sig); Some(Err(VerifyError::NonCanonicalScalar)) }
+            // R = y-coordinate p + 1, a non-canonical encoding of 1.
+            6 => {
+                sig.0[..32].copy_from_slice(&[0xff; 32]);
+                sig.0[0] = 0xee;
+                sig.0[31] = 0x7f;
+                Some(Err(VerifyError::MalformedSignature))
+            }
+            // R = the identity: small order, canonically encoded.
+            _ => {
+                sig.0[..32].copy_from_slice(&[0; 32]);
+                sig.0[0] = 1;
+                Some(Err(VerifyError::BadSignature))
+            }
+        };
+        let generic = stores[0].public_of(signer).unwrap().verify(&message, &sig);
+        prop_assert_eq!(stores[0].verify(signer, &message, &sig), generic);
+        match expected {
+            Some(result) => prop_assert_eq!(generic, result),
+            None => prop_assert!(generic.is_err()),
+        }
     }
 
     /// Batch acceptance ⇔ serial acceptance. All-valid batches verify;
