@@ -9,8 +9,9 @@
 //!   claims inside certificates, client requests) — real RFC 8032
 //!   Ed25519 in [`signing`], built on the workspace's from-scratch
 //!   `compat/ed25519` crate (the offline build environment rules out
-//!   `ed25519-dalek`), with typed verification errors and batch
-//!   verification for quorum re-checking.
+//!   `ed25519-dalek`), with typed verification errors, per-signer
+//!   precomputed tables in the [`KeyStore`], and batch verification
+//!   folded by signer.
 //!
 //! Under the discrete-event simulator, cryptography is *charged* rather
 //! than computed: message types report their verification/signing costs
@@ -35,5 +36,5 @@ pub use merkle::{
     ProofStep, MAX_PROOF_DEPTH,
 };
 pub use sha256::Sha256;
-pub use signing::{BatchVerifier, KeyStore, Keypair, PublicKey, VerifyError, SIGNATURE_LEN};
+pub use signing::{KeyStore, Keypair, PublicKey, VerifyError, SIGNATURE_LEN};
 pub use spotless_types::Signature;

@@ -30,10 +30,18 @@
 //!   signed;
 //! * [`Keypair`] holds an actual secret scalar — only the seed holder
 //!   can sign;
-//! * [`BatchVerifier`] and [`KeyStore::verify_quorum`] expose Ed25519
-//!   batch verification (one shared doubling chain across the whole
-//!   batch), which is what keeps quorum re-checking off the consensus
-//!   hot path's critical per-signature cost.
+//! * [`KeyStore`] verifies from precomputed tables: every signature a
+//!   replica checks is by one of the `n` cluster keys, so each key gets
+//!   a 30 KiB table of its multiples (built on first use, shared by
+//!   every store and clone of the cluster) and a verification is two
+//!   table walks instead of a 253-step doubling chain — ≈ 25–30 µs
+//!   where the generic computation ([`PublicKey::verify`], kept as the
+//!   test and bench reference) takes ≈ 65 µs;
+//! * [`KeyStore::verify_batch_refs`] and [`KeyStore::verify_quorum`]
+//!   (one surface: the second is the first over a shared message) fold
+//!   a batch by signer, so an ingress lane's run of envelopes from one
+//!   sender costs two table walks in total plus a short shared chain
+//!   for the nonce points.
 //!
 //! One caveat survives from the stand-in era: the underlying arithmetic
 //! is variable-time. Verification only ever touches public data, but a
@@ -182,54 +190,6 @@ impl Keypair {
     }
 }
 
-/// Accumulates `(key, message, signature)` triples and verifies them all
-/// at once by random linear combination: one shared doubling chain
-/// across the batch instead of one per signature, which is what makes
-/// quorum re-checking cheap.
-///
-/// The accept set is identical to verifying each triple serially (both
-/// paths use cofactored verification), so batching is purely a
-/// performance choice. On failure the batch cannot attribute blame —
-/// callers that need to know *which* signature was bad re-verify
-/// serially (see [`KeyStore::filter_valid`]).
-#[derive(Default)]
-pub struct BatchVerifier {
-    items: Vec<(PublicKey, Vec<u8>, Signature)>,
-}
-
-impl BatchVerifier {
-    /// An empty batch.
-    pub fn new() -> BatchVerifier {
-        BatchVerifier::default()
-    }
-
-    /// Adds one triple to the batch.
-    pub fn push(&mut self, key: &PublicKey, message: &[u8], sig: &Signature) {
-        self.items.push((*key, message.to_vec(), *sig));
-    }
-
-    /// Number of queued triples.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True iff nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Verifies the whole batch. `Ok` iff every triple verifies; an
-    /// empty batch is `Ok`.
-    pub fn verify(self) -> Result<(), VerifyError> {
-        let items: Vec<(&ed25519::VerifyingKey, &[u8], &[u8; 64])> = self
-            .items
-            .iter()
-            .map(|(key, message, sig)| (&key.0, message.as_slice(), &sig.0))
-            .collect();
-        ed25519::verify_batch(&items).map_err(sig_error)
-    }
-}
-
 /// One replica's public key and, once anything has been verified under
 /// it, the key's precomputed table.
 struct Signer {
@@ -351,14 +311,11 @@ impl KeyStore {
         message: &[u8],
         votes: &[(ReplicaId, Signature)],
     ) -> Result<(), VerifyError> {
-        let mut batch = BatchVerifier::new();
-        for (signer, sig) in votes {
-            let key = self
-                .public_of(*signer)
-                .ok_or(VerifyError::UnknownSigner(*signer))?;
-            batch.push(key, message, sig);
-        }
-        batch.verify()
+        let items: Vec<(ReplicaId, &[u8], &Signature)> = votes
+            .iter()
+            .map(|(signer, sig)| (*signer, message, sig))
+            .collect();
+        self.verify_batch_refs(&items)
     }
 
     /// Which of `votes` verify over `message`: the sanitizing
@@ -384,27 +341,29 @@ impl KeyStore {
         self.signers.get(replica.as_usize()).map(|s| &s.key)
     }
 
-    /// Batch-verifies independent `(signer, message, sig)` triples
-    /// without copying any message bytes — the borrowing counterpart to
-    /// [`BatchVerifier`], for ingress paths where the messages already
-    /// live in received buffers and a per-triple copy would defeat the
-    /// point of batching. `Ok` iff every triple verifies (empty is
-    /// `Ok`); an unknown signer fails the whole batch with
-    /// [`VerifyError::UnknownSigner`]. Like [`BatchVerifier::verify`],
-    /// failure does not attribute blame — re-verify serially via
-    /// [`KeyStore::verify`] to find the culprits.
+    /// Batch-verifies independent `(signer, message, sig)` triples,
+    /// borrowing the messages where they lie (an ingress lane's received
+    /// buffers, a certificate's one statement). `Ok` iff every triple
+    /// verifies (empty is `Ok`); an unknown signer fails the whole batch
+    /// with [`VerifyError::UnknownSigner`].
+    ///
+    /// What a batch buys over calling [`verify`](KeyStore::verify) on
+    /// each: all signatures by one signer share a single walk of that
+    /// signer's table, and all of them share one walk of the
+    /// basepoint's; only the nonce points `R` ride a common doubling
+    /// chain. Short batches, where that chain costs more than it
+    /// saves, are verified serially inside `ed25519::verify_batch` —
+    /// callers need no size check of their own. Failure does not
+    /// attribute blame — re-verify serially to find the culprits (see
+    /// [`filter_valid`](KeyStore::filter_valid)).
     pub fn verify_batch_refs(
         &self,
         items: &[(ReplicaId, &[u8], &Signature)],
     ) -> Result<(), VerifyError> {
-        let mut refs: Vec<(&ed25519::VerifyingKey, &[u8], &[u8; 64])> =
-            Vec::with_capacity(items.len());
-        for (signer, message, sig) in items {
-            let key = self
-                .public_of(*signer)
-                .ok_or(VerifyError::UnknownSigner(*signer))?;
-            refs.push((&key.0, message, &sig.0));
-        }
+        let refs = items
+            .iter()
+            .map(|(signer, message, sig)| Ok((self.signer(*signer)?, *message, &sig.0)))
+            .collect::<Result<Vec<_>, VerifyError>>()?;
         ed25519::verify_batch(&refs).map_err(sig_error)
     }
 }
@@ -529,28 +488,63 @@ mod tests {
         assert!(kp.public().verify(b"msg", &sig).is_err());
     }
 
-    #[test]
-    fn batch_verifier_accepts_valid_and_rejects_one_bad() {
-        let stores = KeyStore::cluster(b"batch", 7);
-        let mut batch = BatchVerifier::new();
-        for (i, store) in stores.iter().enumerate() {
-            let msg = format!("vote {i}");
-            let sig = store.sign(msg.as_bytes());
-            batch.push(store.public_of(store.me()).unwrap(), msg.as_bytes(), &sig);
-        }
-        assert_eq!(batch.len(), 7);
-        batch.verify().unwrap();
+    /// `(signers[i], msgs[i], sigs[i])` triples borrowing all three.
+    fn triples<'a>(
+        signers: &[ReplicaId],
+        msgs: &'a [Vec<u8>],
+        sigs: &'a [Signature],
+    ) -> Vec<(ReplicaId, &'a [u8], &'a Signature)> {
+        signers
+            .iter()
+            .zip(msgs)
+            .zip(sigs)
+            .map(|((signer, msg), sig)| (*signer, msg.as_slice(), sig))
+            .collect()
+    }
 
-        let mut batch = BatchVerifier::new();
-        for (i, store) in stores.iter().enumerate() {
-            let msg = format!("vote {i}");
-            let mut sig = store.sign(msg.as_bytes());
-            if i == 3 {
-                sig.0[40] ^= 1;
-            }
-            batch.push(store.public_of(store.me()).unwrap(), msg.as_bytes(), &sig);
-        }
-        assert_eq!(batch.verify(), Err(VerifyError::BadSignature));
+    #[test]
+    fn verify_batch_refs_accepts_valid_and_rejects_one_bad() {
+        let stores = KeyStore::cluster(b"batch", 7);
+        let signers: Vec<ReplicaId> = stores.iter().map(KeyStore::me).collect();
+        let msgs: Vec<Vec<u8>> = (0..7).map(|i| format!("vote {i}").into_bytes()).collect();
+        let mut sigs: Vec<Signature> = stores
+            .iter()
+            .zip(&msgs)
+            .map(|(store, msg)| store.sign(msg))
+            .collect();
+        stores[0]
+            .verify_batch_refs(&triples(&signers, &msgs, &sigs))
+            .unwrap();
+
+        sigs[3].0[40] ^= 1;
+        assert_eq!(
+            stores[0].verify_batch_refs(&triples(&signers, &msgs, &sigs)),
+            Err(VerifyError::BadSignature)
+        );
+    }
+
+    #[test]
+    fn verify_batch_refs_folds_a_single_sender_run_and_names_unknown_signers() {
+        // The ingress lanes' shape: 32 distinct payloads, one sender.
+        let stores = KeyStore::cluster(b"lane", 4);
+        let payloads: Vec<Vec<u8>> = (0..32u8).map(|i| vec![i; 40]).collect();
+        let mut sigs: Vec<Signature> = payloads.iter().map(|p| stores[2].sign(p)).collect();
+        let from = |r: u32| vec![ReplicaId(r); 32];
+        stores[0]
+            .verify_batch_refs(&triples(&from(2), &payloads, &sigs))
+            .unwrap();
+        assert_eq!(
+            stores[0].verify_batch_refs(&triples(&from(1), &payloads, &sigs)),
+            Err(VerifyError::BadSignature)
+        );
+        assert_eq!(
+            stores[0].verify_batch_refs(&triples(&from(4), &payloads, &sigs)),
+            Err(VerifyError::UnknownSigner(ReplicaId(4)))
+        );
+        sigs[31].0[2] ^= 0x10;
+        assert!(stores[0]
+            .verify_batch_refs(&triples(&from(2), &payloads, &sigs))
+            .is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use ed25519::field::FieldElement;
 use ed25519::scalar::Scalar;
 use proptest::prelude::*;
 use spotless_crypto::VerifyError;
-use spotless_crypto::{BatchVerifier, KeyStore, Keypair};
+use spotless_crypto::{KeyStore, Keypair};
 use spotless_types::{ReplicaId, Signature};
 
 /// 32 bytes assembled from four u64 limbs (the stand-in proptest has
@@ -207,12 +207,15 @@ proptest! {
             .map(|r| (ReplicaId(r), stores[r as usize].sign(&message)))
             .collect();
 
-        // All valid: batch and serial agree on acceptance.
-        let mut batch = BatchVerifier::new();
-        for (r, sig) in &votes {
-            batch.push(stores[0].public_of(*r).unwrap(), &message, sig);
-        }
-        prop_assert!(batch.verify().is_ok());
+        // All valid: batch and serial agree on acceptance. Every vote
+        // appears twice, so the batch has repeated signers and takes
+        // the folded path; `verify_quorum` below sees each once.
+        let items: Vec<(ReplicaId, &[u8], &Signature)> = votes
+            .iter()
+            .chain(&votes)
+            .map(|(r, sig)| (*r, message.as_slice(), sig))
+            .collect();
+        prop_assert!(stores[0].verify_batch_refs(&items).is_ok());
         prop_assert!(stores[0].verify_quorum(&message, &votes).is_ok());
         prop_assert_eq!(stores[0].filter_valid(&message, &votes), vec![true; n as usize]);
 
@@ -221,11 +224,12 @@ proptest! {
         let bad_index = (bad_index % n) as usize;
         let mut forged = votes.clone();
         forged[bad_index].1 .0[0] ^= 0x01;
-        let mut batch = BatchVerifier::new();
-        for (r, sig) in &forged {
-            batch.push(stores[0].public_of(*r).unwrap(), &message, sig);
-        }
-        prop_assert!(batch.verify().is_err());
+        let items: Vec<(ReplicaId, &[u8], &Signature)> = forged
+            .iter()
+            .chain(&forged)
+            .map(|(r, sig)| (*r, message.as_slice(), sig))
+            .collect();
+        prop_assert!(stores[0].verify_batch_refs(&items).is_err());
         prop_assert!(stores[0].verify_quorum(&message, &forged).is_err());
         let mask = stores[0].filter_valid(&message, &forged);
         for (i, ok) in mask.iter().enumerate() {

@@ -1,21 +1,25 @@
 //! Off-thread ingress verification: a small worker pool that checks
 //! inbound [`Envelope`] signatures *before* they reach the event loop.
 //!
-//! PR 6 made every envelope carry a real Ed25519 signature, which put a
-//! ~50 µs-class verification on the event-loop thread per inbound
-//! message — serial with ordering, execution handoff, and outbound
-//! sealing. This stage moves that cost onto `verify_pool` dedicated
-//! worker tasks (thread-backed, see `compat/tokio`) and claws most of
-//! it back twice over:
+//! Every envelope carries a real Ed25519 signature; checking it on the
+//! event-loop thread would put a ≈ 30 µs verification (two walks of
+//! the keystore's per-signer tables) in series with ordering,
+//! execution handoff, and outbound sealing for every inbound message.
+//! This stage moves that cost onto `verify_pool` dedicated worker
+//! tasks (thread-backed, see `compat/tokio`) and claws most of it back
+//! twice over:
 //!
 //! * **off the critical path** — the event loop receives only
 //!   pre-verified envelopes and never touches a signature again;
 //! * **batched** — each worker drains a claimed sender queue
 //!   opportunistically and verifies up to [`MAX_VERIFY_BATCH`]
-//!   envelopes in one random-linear-combination pass
-//!   ([`KeyStore::verify_batch_refs`], ~2.3× serial throughput),
-//!   falling back to per-envelope checks only when a batch fails, to
-//!   attribute blame (mirroring `KeyStore::filter_valid`).
+//!   envelopes in one [`KeyStore::verify_batch_refs`] call. A claimed
+//!   queue holds one sender's envelopes, which is the batch verifier's
+//!   best case: the whole run shares one walk of that sender's table
+//!   and one of the basepoint's. A lone envelope takes the same call —
+//!   `verify_batch` itself verifies short batches serially — and the
+//!   worker falls back to per-envelope checks only when a batch fails,
+//!   to attribute blame (mirroring `KeyStore::filter_valid`).
 //!
 //! ## Work stealing
 //!
@@ -163,23 +167,21 @@ fn verify_worker<M: Send + 'static>(
     }
 }
 
-/// Verifies one claimed batch (shared-doubling pass over the whole
-/// batch, borrowing payload bytes in place; a single bad signature
-/// fails the batch, and only then does the worker pay serial
-/// verification to attribute blame) and forwards the survivors in
-/// arrival order. The random-linear-combination pass has per-item
-/// setup that only amortizes across several signatures, so a lone
-/// envelope (idle cluster, trickling arrivals) verifies serially
-/// instead. Returns false once the event queue is gone.
+/// Verifies one claimed batch in a single [`KeyStore::verify_batch_refs`]
+/// call, borrowing payload bytes in place, and forwards the survivors
+/// in arrival order. A claim holds one sender's envelopes, so the call
+/// folds them into one walk of that sender's table; how few envelopes
+/// make that worth a shared chain is `verify_batch`'s decision, not
+/// this function's. A single bad signature fails the batch, and only
+/// then does the worker pay serial verification to attribute blame.
+/// Returns false once the event queue is gone.
 fn verify_and_forward<M: Send + 'static>(
     keystore: &KeyStore,
     events: &mpsc::UnboundedSender<Event<M>>,
     net: &NetStats,
     mut batch: Vec<Envelope>,
 ) -> bool {
-    let all_ok = if batch.len() == 1 {
-        batch[0].verify(keystore).is_ok()
-    } else {
+    let all_ok = {
         let refs: Vec<(ReplicaId, &[u8], &Signature)> = batch
             .iter()
             .map(|e| (e.from, e.payload.as_slice(), &e.sig))
