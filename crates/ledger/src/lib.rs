@@ -362,8 +362,13 @@ pub struct RecentBatches {
 
 /// How many recent batch ids a [`RecentBatches`] window retains: must
 /// exceed the deepest tail any protocol can re-announce after a rejoin
-/// (SpotLess: at most `m` instances × its 64-view GC window).
-pub const RECENT_BATCHES_CAP: usize = 8192;
+/// (SpotLess: at most `m` instances × its 64-view GC window), and
+/// should span well over a client's retry horizon at the rate the
+/// runtime commits — at ≈ 800 batches/s, 8 192 ids was ten seconds.
+/// Costs 8 B per id in every snapshot and ≤ 9 B per id in a
+/// state-transfer manifest (256 KiB and 288 KiB at this cap); half of
+/// the snapshot decoder's sanity bound.
+pub const RECENT_BATCHES_CAP: usize = 32_768;
 
 impl RecentBatches {
     /// An empty window.
