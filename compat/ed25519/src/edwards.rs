@@ -510,25 +510,6 @@ mod tests {
         assert_eq!(table.mul(&s), BASEPOINT.mul(&s));
     }
 
-    /// The scalars that stress the signed-digit recoding: 0, 1, L − 1,
-    /// every nibble below the top = 8 (each digit carries into the
-    /// next), every such nibble = 15, and two wide-reduced patterns.
-    fn edge_scalars() -> Vec<Scalar> {
-        let mut eights = [0x88u8; 32];
-        eights[31] = 0x08;
-        let mut fifteens = [0xffu8; 32];
-        fifteens[31] = 0x0f;
-        vec![
-            Scalar::ZERO,
-            Scalar::ONE,
-            Scalar::ZERO - Scalar::ONE,
-            Scalar::from_canonical_bytes(&eights).unwrap(),
-            Scalar::from_canonical_bytes(&fifteens).unwrap(),
-            Scalar::from_wide_bytes(&[0xA7u8; 64]),
-            Scalar::from_wide_bytes(&[0x3Cu8; 64]),
-        ]
-    }
-
     #[test]
     fn point_table_matches_generic_mul_for_any_point() {
         // The basepoint, three "public keys", the order-2 point and a
@@ -549,7 +530,7 @@ mod tests {
         ];
         for (i, point) in points.iter().enumerate() {
             let table = PointTable::new(point);
-            for (j, s) in edge_scalars().iter().enumerate() {
+            for (j, s) in crate::scalar::edge_scalars().iter().enumerate() {
                 assert_eq!(table.mul(s), point.mul(s), "point {i}, scalar {j}");
             }
         }

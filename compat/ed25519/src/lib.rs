@@ -22,15 +22,22 @@
 //!   accept set is *identical* to serial verification (both sides are
 //!   cofactored, so a batch never accepts or rejects differently than
 //!   checking each signature alone — modulo the 2⁻¹²⁸ coefficient
-//!   collision bound),
+//!   collision bound). It folds the combination by signer — one table
+//!   walk per distinct key, one for the basepoint, a short shared chain
+//!   for the nonce points only — and verifies serially when too few
+//!   signers repeat for that to pay,
 //! * SHA-512 (the workspace's `compat/sha2` only has SHA-256).
 //!
 //! What this deliberately is **not**: constant-time. Scalar
 //! multiplication is variable-time (wNAF, and table walks that skip
-//! zero digits), fine for verification (public
-//! inputs) and for this workspace's reproducible test clusters, but a
-//! production signer handling secret keys near an adversary's
-//! stopwatch needs a hardened implementation.
+//! zero digits), fine for verification (public inputs) and for this
+//! workspace's reproducible test clusters, but a production signer
+//! handling secret keys near an adversary's stopwatch needs a hardened
+//! implementation.
+//!
+//! **Memory.** One [`edwards::PointTable`] is 30 720 B. The basepoint's
+//! is process-wide (built on first use); each [`PrecomputedKey`] owns
+//! one more, so a verifier of `n` signers holds `(n + 1) × 30 KiB`.
 
 pub mod edwards;
 pub mod field;
@@ -304,7 +311,7 @@ const FOLD_MIN_REPEATS: usize = 3;
 /// the `[zᵢ]Rᵢ` terms — fresh points, 128-bit coefficients — share a
 /// doubling chain. A batch from a single signer therefore costs two
 /// table walks in total where serial verification costs two per
-/// signature. A batch with fewer than [`FOLD_MIN_REPEATS`] repeated
+/// signature. A batch with fewer than three (`FOLD_MIN_REPEATS`) repeated
 /// signers, where the chain costs more than the walks it replaces,
 /// verifies serially.
 ///

@@ -297,6 +297,26 @@ impl std::ops::Mul for Scalar {
     }
 }
 
+/// The scalars that stress the signed-digit recoding: 0, 1, L − 1,
+/// every nibble below the top = 8 (each digit carries into the next),
+/// every such nibble = 15, and two wide-reduced patterns.
+#[cfg(test)]
+pub(crate) fn edge_scalars() -> Vec<Scalar> {
+    let mut eights = [0x88u8; 32];
+    eights[31] = 0x08;
+    let mut fifteens = [0xffu8; 32];
+    fifteens[31] = 0x0f;
+    vec![
+        Scalar::ZERO,
+        Scalar::ONE,
+        Scalar::ZERO - Scalar::ONE,
+        Scalar::from_canonical_bytes(&eights).unwrap(),
+        Scalar::from_canonical_bytes(&fifteens).unwrap(),
+        Scalar::from_wide_bytes(&[0xA7u8; 64]),
+        Scalar::from_wide_bytes(&[0x3Cu8; 64]),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,25 +415,7 @@ mod tests {
 
     #[test]
     fn signed_radix_16_reconstructs_scalar() {
-        // 0, 1, L − 1, every nibble below the top = 8 (a carry out of
-        // every digit), every such nibble = 15, and a mixed pattern.
-        let mut eights = [0x88u8; 32];
-        eights[31] = 0x08;
-        let mut fifteens = [0xffu8; 32];
-        fifteens[31] = 0x0f;
-        let mut mixed = [0u8; 32];
-        for (i, v) in mixed.iter_mut().enumerate() {
-            *v = (i as u8).wrapping_mul(101).wrapping_add(3);
-        }
-        let cases = [
-            Scalar::ZERO,
-            Scalar::ONE,
-            Scalar::ZERO - Scalar::ONE,
-            Scalar::from_canonical_bytes(&eights).unwrap(),
-            Scalar::from_canonical_bytes(&fifteens).unwrap(),
-            Scalar::from_bytes_mod_order(&mixed),
-        ];
-        for x in cases {
+        for x in edge_scalars() {
             let e = x.signed_radix_16();
             let mut acc = Scalar::ZERO;
             let mut pow = Scalar::ONE;

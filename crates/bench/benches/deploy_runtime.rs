@@ -208,11 +208,9 @@ async fn main() {
     );
     let count = batches();
     let total_txns = (count * u64::from(TXNS_PER_BATCH)) as f64;
-    // Detected once, up front: every pool-vs-inline floor below is
-    // gated on whether a second core actually exists — on a single-core
-    // host an off-thread stage cannot win by construction (same total
-    // work plus hop overhead), so the floors degrade to bounded
-    // overhead there.
+    // Reported with every pool-vs-inline floor below: each is a
+    // bounded-overhead check, and how close pooled runs to inline
+    // depends on whether a second core exists.
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
 
     // SpotLess, in-memory chain: the pure pipeline hot path, with the
@@ -260,28 +258,20 @@ async fn main() {
         total_txns / secs
     };
 
-    // CI floor: off-thread batch verification must beat in-loop
-    // verification on end-to-end committed-ops/s at n = 4. The win is
-    // parallelism — the event loop sheds ~50 µs-class Ed25519 checks
-    // onto worker threads — so it only exists where a second core
-    // exists.
-    if cores >= 2 {
-        assert!(
-            pooled_tps > inline_tps,
-            "ingress verification pool must beat inline verification on \
-             {cores} cores: pooled {pooled_tps:.0} tx/s vs inline {inline_tps:.0} tx/s"
-        );
-    } else {
-        println!(
-            "single-core host: skipping the pool-beats-inline floor \
-             (pooled {pooled_tps:.0} tx/s vs inline {inline_tps:.0} tx/s)"
-        );
-        assert!(
-            pooled_tps > inline_tps * 0.80,
-            "even single-core, the ingress pool must stay within 20 % of \
-             inline verification: pooled {pooled_tps:.0} tx/s vs inline {inline_tps:.0} tx/s"
-        );
-    }
+    // CI floor: bounded overhead at every core count — the ingress
+    // pool's queueing, claiming and hand-off must cost less than 20 %
+    // against verifying on the event loop. The floor used to demand a
+    // strict win on ≥ 2 cores; since verification runs from per-signer
+    // tables (≈ 30 µs where it was ≈ 65) the pool sheds half as much
+    // work, and on 2 saturated cores pooled and inline land within a
+    // few percent of each other in either order. Both rows stay in the
+    // table; whether the pool keeps its place is a paired-run decision
+    // (ROADMAP item 6), not this floor's.
+    assert!(
+        pooled_tps > inline_tps * 0.80,
+        "on {cores} cores the ingress pool must stay within 20 % of inline \
+         verification: pooled {pooled_tps:.0} tx/s vs inline {inline_tps:.0} tx/s"
+    );
 
     // Executor sweep: the conflict-aware parallel executor against the
     // inline serial baseline, at both ends of the YCSB contention dial.
@@ -327,9 +317,9 @@ async fn main() {
          serial {ser_hot:.0} tx/s"
     );
 
-    // Sealer sweep: egress signing on dedicated lanes (batched
-    // fixed-base Ed25519, ordered emitter) against inline sealing on
-    // the event-loop thread.
+    // Sealer sweep: egress signing on dedicated lanes (fixed-base
+    // table Ed25519, ordered emitter) against inline sealing on the
+    // event-loop thread.
     let (sealed_tps, w) = seal_run(count, 2).await;
     table.row(&[
         "SpotLess seal=2".into(),
@@ -344,24 +334,14 @@ async fn main() {
         format!("{:8.1} ktxn/s", seal_inline_tps / 1_000.0),
         w,
     ]);
-    // CI floor: where a second core exists, the sealer pool must not
-    // lose committed-ops/s to inline sealing — the event loop sheds a
-    // per-envelope Ed25519 signing onto worker lanes, and batching
-    // amortizes what it costs. Single-core keeps the bounded-overhead
-    // check.
-    if cores >= 2 {
-        assert!(
-            sealed_tps >= seal_inline_tps,
-            "egress sealer pool must not lose to inline sealing on {cores} \
-             cores: pool {sealed_tps:.0} tx/s vs inline {seal_inline_tps:.0} tx/s"
-        );
-    } else {
-        assert!(
-            sealed_tps > seal_inline_tps * 0.80,
-            "single-core, the sealer pool must stay within 20 % of inline: \
-             pool {sealed_tps:.0} tx/s vs inline {seal_inline_tps:.0} tx/s"
-        );
-    }
+    // CI floor: bounded overhead, for the ingress floor's reason — a
+    // table-based signature is ≈ 20 µs where it was ≈ 50, so what the
+    // lanes take off the event loop is small against the hop they add.
+    assert!(
+        sealed_tps > seal_inline_tps * 0.80,
+        "on {cores} cores the sealer pool must stay within 20 % of inline sealing: \
+         pool {sealed_tps:.0} tx/s vs inline {seal_inline_tps:.0} tx/s"
+    );
 
     // SpotLess, durable: group commit + certificate-verified appends.
     {

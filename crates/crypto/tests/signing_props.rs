@@ -1,15 +1,13 @@
-//! Property tests for the Ed25519 stack: field and scalar byte
-//! round-trips plus algebraic identities at the bottom; in the middle
-//! the equivalence of the precomputed-table paths with the generic
-//! ones (table `mul` = wNAF `mul`, `KeyStore::verify` =
-//! `PublicKey::verify` down to the error kind, whatever is done to the
-//! signature); and at the top
-//! the equivalence the verification API leans on — a batch accepts iff
-//! serial verification of every member accepts, and with exactly one
-//! bad signature the serial pass blames exactly that index. The
-//! pipeline's certificate sanitizer and `KeyStore::verify_quorum` are
-//! both built on that equivalence, so it is load-bearing, not
-//! decorative.
+//! Property tests for the Ed25519 stack, bottom to top: field and
+//! scalar byte round-trips plus algebraic identities; the equivalence
+//! of the precomputed-table paths with the generic ones (table `mul` =
+//! wNAF `mul`; `KeyStore::verify` = `PublicKey::verify` down to the
+//! error kind, whatever is done to the signature); and the equivalence
+//! the verification API leans on — a batch accepts iff serial
+//! verification of every member accepts, and with exactly one bad
+//! signature the serial pass blames exactly that index. The pipeline's
+//! certificate sanitizer and `KeyStore::verify_quorum` are both built
+//! on that last equivalence, so it is load-bearing, not decorative.
 
 use ed25519::edwards::{basepoint_table, PointTable, BASEPOINT};
 use ed25519::field::FieldElement;

@@ -12,12 +12,13 @@
 //!   (into a recycled [`BufferPool`] buffer, wrapped once as a
 //!   refcounted [`Payload`]), submits a seal job, and returns to the
 //!   next event without touching the signature;
-//! * **drained in runs** — a lane drains its queue opportunistically
-//!   and signs up to [`MAX_SEAL_BATCH`] payloads in one
-//!   [`KeyStore::sign_batch`] call. Every signature, alone or in a run,
-//!   computes its nonce commitment from the fixed-base table (≈ 20 µs,
-//!   see `spotless-crypto::signing`), so a lone job takes the same path
-//!   as a full run and a run saves wake-ups, not arithmetic.
+//! * **one job at a time** — a lane signs each payload as it arrives
+//!   and replies at once. A signature computes its nonce commitment
+//!   from the fixed-base table (≈ 20 µs, see
+//!   `spotless-crypto::signing`) whether it is alone or one of many,
+//!   so the lanes no longer drain their queues into batches: a batch
+//!   would buy no arithmetic and would hold the head job's envelope
+//!   back behind the jobs drained with it.
 //!
 //! **Ordering contract:** sends leave the replica in submission order
 //! — globally, hence per destination. Seal jobs fan out round-robin
@@ -46,10 +47,6 @@ use crate::fabric::Fabric;
 use spotless_crypto::KeyStore;
 use spotless_types::ReplicaId;
 use tokio::sync::{mpsc, oneshot};
-
-/// Most payloads signed in one drain of a lane's queue. Bounds the
-/// latency the head job can accrue behind the jobs drained with it.
-pub(crate) const MAX_SEAL_BATCH: usize = 32;
 
 /// Where a sealed envelope goes.
 pub(crate) enum Fanout {
@@ -125,29 +122,11 @@ impl EgressPool {
     }
 }
 
-/// One sealer lane: drain, sign, reply per job.
+/// One sealer lane: sign each job as it arrives, reply per job.
 async fn seal_lane(keystore: KeyStore, mut rx: mpsc::UnboundedReceiver<SealJob>) {
-    let mut jobs: Vec<SealJob> = Vec::with_capacity(MAX_SEAL_BATCH);
     while let Some(job) = rx.recv().await {
-        jobs.push(job);
-        while jobs.len() < MAX_SEAL_BATCH {
-            match rx.try_recv() {
-                Some(job) => jobs.push(job),
-                None => break,
-            }
-        }
-        let sigs = {
-            let msgs: Vec<&[u8]> = jobs.iter().map(|j| j.payload.as_slice()).collect();
-            keystore.sign_batch(&msgs)
-        };
-        for (job, sig) in jobs.drain(..).zip(sigs) {
-            let env = Envelope {
-                from: keystore.me(),
-                payload: job.payload,
-                sig,
-            };
-            let _ = job.reply.send(env);
-        }
+        let env = Envelope::seal_payload(&keystore, job.payload);
+        let _ = job.reply.send(env);
     }
 }
 
