@@ -5,8 +5,7 @@
 //! stage that signing ran inline on the event-loop thread — serial
 //! with ordering steps and inbound deliveries, exactly the cost the
 //! ingress pool removed from the receive side. The sealer pool moves
-//! it onto `seal_pool` dedicated worker lanes and claws it back the
-//! same two ways:
+//! it onto `seal_pool` dedicated worker lanes:
 //!
 //! * **off the critical path** — the event loop encodes the payload
 //!   (into a recycled [`BufferPool`] buffer, wrapped once as a
@@ -16,9 +15,9 @@
 //!   and replies at once. A signature computes its nonce commitment
 //!   from the fixed-base table (≈ 20 µs, see
 //!   `spotless-crypto::signing`) whether it is alone or one of many,
-//!   so the lanes no longer drain their queues into batches: a batch
-//!   would buy no arithmetic and would hold the head job's envelope
-//!   back behind the jobs drained with it.
+//!   so draining the queue into a batch would buy no arithmetic and
+//!   only hold the head job's envelope back behind the jobs drained
+//!   with it.
 //!
 //! **Ordering contract:** sends leave the replica in submission order
 //! — globally, hence per destination. Seal jobs fan out round-robin
