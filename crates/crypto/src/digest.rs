@@ -1,7 +1,7 @@
 //! Digest helpers bridging the from-scratch SHA-256 to the workspace-wide
 //! [`Digest`] carrier type.
 
-use crate::sha256::Sha256;
+use crate::sha256::{digest_assembled, digest_parts, Sha256, TWO_BLOCK_MAX};
 use spotless_types::Digest;
 
 /// Hashes arbitrary bytes into a [`Digest`].
@@ -13,7 +13,27 @@ pub fn digest_bytes(data: &[u8]) -> Digest {
 /// length-prefixed so `("ab", "c")` and `("a", "bc")` cannot collide —
 /// the usual domain-separation requirement for signing structured
 /// messages (§2's `digest(v)` is over the canonical encoding of `v`).
+#[inline(always)]
 pub fn digest_fields(fields: &[&[u8]]) -> Digest {
+    let encoded: usize = fields.iter().map(|field| 8 + field.len()).sum();
+    if encoded > TWO_BLOCK_MAX {
+        return digest_fields_streamed(fields);
+    }
+    // Small enough for the one-shot path (a KV record over a short
+    // value, a vote statement): serialize on the stack. Inlined, so
+    // the copies of a caller's fixed-size fields are fixed-size.
+    Digest(digest_assembled(|message| {
+        let mut at = 0;
+        for field in fields {
+            message[at..at + 8].copy_from_slice(&(field.len() as u64).to_be_bytes());
+            message[at + 8..at + 8 + field.len()].copy_from_slice(field);
+            at += 8 + field.len();
+        }
+        at
+    }))
+}
+
+fn digest_fields_streamed(fields: &[&[u8]]) -> Digest {
     let mut h = Sha256::new();
     for field in fields {
         h.update(&(field.len() as u64).to_be_bytes());
@@ -25,10 +45,7 @@ pub fn digest_fields(fields: &[&[u8]]) -> Digest {
 /// A chained digest: `H(parent ‖ item)`, used by the ledger to maintain
 /// the hash chain over committed blocks.
 pub fn digest_chained(parent: &Digest, item: &Digest) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&parent.0);
-    h.update(&item.0);
-    Digest(h.finalize())
+    Digest(digest_parts(&[&parent.0, &item.0]))
 }
 
 #[cfg(test)]

@@ -6,22 +6,19 @@
 //! digests with domain-separated leaf/node hashing (guarding against the
 //! classic leaf/interior second-preimage confusion).
 
-use crate::sha256::Sha256;
+use crate::sha256::digest_parts;
 use spotless_types::Digest;
 
+// Both shapes are one-shot: a node is always 65 bytes and a leaf over a
+// digest 33, so each is assembled in its padded blocks on the stack and
+// compressed in one call (see `sha256::digest_parts`).
+
 fn leaf_hash(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&[0x00]); // leaf domain
-    h.update(data);
-    Digest(h.finalize())
+    Digest(digest_parts(&[&[0x00], data])) // leaf domain
 }
 
 fn node_hash(left: &Digest, right: &Digest) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&[0x01]); // interior domain
-    h.update(&left.0);
-    h.update(&right.0);
-    Digest(h.finalize())
+    Digest(digest_parts(&[&[0x01], &left.0, &right.0])) // interior domain
 }
 
 /// Node `p` of the level above `level`: the hash of its two children,
@@ -230,6 +227,7 @@ pub fn verify_inclusion(item: &[u8], proof: &[ProofStep], root: &Digest) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn items(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("txn-{i}").into_bytes()).collect()
@@ -391,6 +389,38 @@ mod tests {
                 root_of_leaf_digests(&mut level),
                 MerkleTree::build(&data).root(),
                 "n={n}"
+            );
+        }
+    }
+
+    proptest! {
+        /// Each fixed-shape hasher — interior node, leaf (over a
+        /// digest, and over anything up to and past two blocks), chain
+        /// link, and a keyed record through `digest_fields` — equals
+        /// the portable kernel over the bytes it is defined to hash.
+        #[test]
+        fn fixed_shape_hashers_hash_their_concatenated_bytes(
+            digests in prop::collection::vec(any::<u8>(), 64..65),
+            key in any::<u64>(),
+            value in prop::collection::vec(any::<u8>(), 0..300),
+        ) {
+            let oracle = |parts: &[&[u8]]| Digest(crate::sha256::portable_digest(&parts.concat()));
+            let (left, right) = digests.split_at(32);
+            let l = Digest(left.try_into().expect("32 bytes"));
+            let r = Digest(right.try_into().expect("32 bytes"));
+            prop_assert_eq!(node_hash(&l, &r), oracle(&[&[0x01], left, right]));
+            prop_assert_eq!(leaf_digest(left), oracle(&[&[0x00], left]));
+            prop_assert_eq!(leaf_digest(&value), oracle(&[&[0x00], &value]));
+            prop_assert_eq!(crate::digest_chained(&l, &r), oracle(&[left, right]));
+            let key = key.to_be_bytes();
+            prop_assert_eq!(
+                crate::digest_fields(&[&key, &value]),
+                oracle(&[
+                    &8u64.to_be_bytes(),
+                    &key,
+                    &(value.len() as u64).to_be_bytes(),
+                    &value,
+                ])
             );
         }
     }

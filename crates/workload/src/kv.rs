@@ -328,7 +328,9 @@ pub const MAX_BUCKET_FRAGMENTS: u32 = 1 << 16;
 
 /// Digest of one record — what a write contributes to its batch's
 /// write chain ([`BatchEffect::write_chain`]) and to its bucket's leaf.
-/// **Consensus-critical.**
+/// For a value of up to 95 bytes the length-prefixed message fits two
+/// SHA-256 blocks and `digest_fields` hashes it in one call from the
+/// stack. **Consensus-critical.**
 pub fn record_digest(key: u64, value: &[u8]) -> Digest {
     spotless_crypto::digest_fields(&[&key.to_be_bytes(), value])
 }
@@ -340,15 +342,43 @@ pub fn record_digest(key: u64, value: &[u8]) -> Digest {
 /// **Consensus-critical** — the one definition every path (dirty-bucket
 /// refresh, slice snapshots, the audit rebuild, chunk verification)
 /// goes through.
-pub fn bucket_leaf_digest(record_digests: impl IntoIterator<Item = Digest>) -> Digest {
+pub fn bucket_leaf_digest<I>(record_digests: I) -> Digest
+where
+    I: IntoIterator<Item = Digest>,
+    I::IntoIter: ExactSizeIterator,
+{
     let record_digests = record_digests.into_iter();
-    let mut joined = Vec::with_capacity(32 * record_digests.size_hint().0);
-    let mut count = 0u32;
-    for d in record_digests {
-        joined.extend_from_slice(&d.0);
-        count += 1;
+    let count = record_digests.len();
+    // `digest_fields`' encoding — each field behind its u64 big-endian
+    // length — streamed, so the digest list is never materialised on
+    // the heap; staged through a stack buffer so the hasher is handed
+    // runs of whole blocks rather than 32-byte halves.
+    let mut h = spotless_crypto::Sha256::new();
+    let mut stage = [0u8; 512];
+    let mut staged = 0;
+    for part in [
+        &(BUCKET_DOMAIN.len() as u64).to_be_bytes()[..],
+        BUCKET_DOMAIN,
+        &4u64.to_be_bytes(),
+        &(count as u32).to_le_bytes(),
+        &(32 * count as u64).to_be_bytes(),
+    ] {
+        stage[staged..staged + part.len()].copy_from_slice(part);
+        staged += part.len();
     }
-    spotless_crypto::digest_fields(&[BUCKET_DOMAIN, &count.to_le_bytes(), &joined])
+    let mut streamed = 0;
+    for d in record_digests {
+        if staged + d.0.len() > stage.len() {
+            h.update(&stage[..staged]);
+            staged = 0;
+        }
+        stage[staged..staged + d.0.len()].copy_from_slice(&d.0);
+        staged += d.0.len();
+        streamed += 1;
+    }
+    assert_eq!(streamed, count, "the iterator misreported its length");
+    h.update(&stage[..staged]);
+    Digest(h.finalize())
 }
 
 /// Parses one canonically encoded bucket without copying values,
@@ -1970,6 +2000,36 @@ mod tests {
         );
         assert_ne!(record_digest(1, b"v"), record_digest(1, b"w"));
         assert_ne!(record_digest(1, b"v"), record_digest(2, b"v"));
+        // A record digest is SHA-256 over the length-prefixed key and
+        // value, whichever side of the two-block bound (95 B of value)
+        // the message falls on.
+        for len in [0usize, 1, 48, 95, 96, 256] {
+            let value = vec![0xC3u8; len];
+            let mut bytes = 8u64.to_be_bytes().to_vec();
+            bytes.extend_from_slice(&7u64.to_be_bytes());
+            bytes.extend_from_slice(&(len as u64).to_be_bytes());
+            bytes.extend_from_slice(&value);
+            assert_eq!(
+                record_digest(7, &value),
+                spotless_crypto::digest_bytes(&bytes),
+                "{len}-byte value"
+            );
+        }
+        // The streamed leaf is `digest_fields` over the joined list, at
+        // zero, one and many records.
+        for n in [0u64, 1, 2, 40] {
+            let digests: Vec<Digest> = (0..n).map(d).collect();
+            let joined: Vec<u8> = digests.iter().flat_map(|d| d.0).collect();
+            assert_eq!(
+                bucket_leaf_digest(digests),
+                spotless_crypto::digest_fields(&[
+                    BUCKET_DOMAIN,
+                    &(n as u32).to_le_bytes(),
+                    &joined
+                ]),
+                "{n} records"
+            );
+        }
     }
 
     #[test]
