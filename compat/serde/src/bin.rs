@@ -1,13 +1,11 @@
-//! The streaming binary backend of the `serde` stand-in.
+//! The streaming binary codec — the only thing the `serde` stand-in's
+//! `Serialize`/`Deserialize` traits mean.
 //!
-//! Where the [`Value`](crate::Value) model + `serde_json` renders a
-//! tree of allocations into JSON text, this module is a direct
-//! byte-stream codec: [`to_vec`] walks the value exactly once, appending
-//! little-endian bytes to one output buffer, and [`from_slice`] rebuilds
-//! it with a borrowing cursor ([`Reader`]) — no intermediate tree, no
-//! text, no hex expansion of byte payloads. It is the wire format of the
-//! runtime's hot path; JSON remains for debug output and human-readable
-//! dumps (see the workspace README's "wire format" section).
+//! A direct byte-stream codec: [`to_vec`] walks the value exactly once,
+//! appending little-endian bytes to one output buffer, and
+//! [`from_slice`] rebuilds it with a borrowing cursor ([`Reader`]) — no
+//! intermediate tree, no text. It is the wire format of the runtime
+//! (see the workspace README's "wire format" section).
 //!
 //! ## Encoding rules
 //!
@@ -298,49 +296,5 @@ mod tests {
             v.ser_bin(&mut dup);
         }
         assert!(from_slice::<BTreeMap<u32, u32>>(&dup).is_err());
-    }
-
-    #[test]
-    fn hostile_value_nesting_errors_instead_of_overflowing() {
-        // `6` = Array tag, `1` = length: two bytes per nesting level.
-        // Without the depth cap this input would recurse the decoder
-        // into a stack overflow (a panic the module promises never to
-        // produce); with it, a clean error.
-        let mut bytes = Vec::new();
-        for _ in 0..10_000 {
-            bytes.push(6);
-            bytes.push(1);
-        }
-        bytes.push(0); // innermost Null
-        assert!(from_slice::<crate::Value>(&bytes).is_err());
-        // Sane nesting still decodes.
-        let nested = crate::Value::Array(vec![crate::Value::Array(vec![crate::Value::U64(7)])]);
-        assert_eq!(
-            from_slice::<crate::Value>(&to_vec(&nested)).unwrap(),
-            nested
-        );
-    }
-
-    #[test]
-    fn duplicate_object_keys_are_rejected() {
-        // The encoder cannot produce duplicate keys, so the decoder
-        // must not accept them (injectivity). Hand-build: tag 7,
-        // 2 entries, ("a", 1), ("a", 2).
-        let mut bytes = vec![7u8, 2];
-        for v in [1u64, 2] {
-            "a".ser_bin(&mut bytes);
-            crate::Value::U64(v).ser_bin(&mut bytes);
-        }
-        assert!(from_slice::<crate::Value>(&bytes).is_err());
-        // A legitimate object round-trips, entry order preserved.
-        let obj = crate::Value::Object(
-            [
-                ("b".to_string(), crate::Value::U64(1)),
-                ("a".to_string(), crate::Value::U64(2)),
-            ]
-            .into_iter()
-            .collect(),
-        );
-        assert_eq!(from_slice::<crate::Value>(&to_vec(&obj)).unwrap(), obj);
     }
 }

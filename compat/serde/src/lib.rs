@@ -4,21 +4,18 @@
 //! so the workspace ships minimal, API-compatible stand-ins for the
 //! external crates the tree was written against. This one provides the
 //! `Serialize`/`Deserialize` traits (and re-exports their derives from
-//! `serde_derive`) with **two backends** instead of serde's generic
-//! visitor architecture:
+//! `serde_derive`) with **one backend** instead of serde's generic
+//! visitor architecture: a streaming binary codec (`ser_bin`/`de_bin`,
+//! see [`bin`]) that writes compact little-endian bytes directly to one
+//! buffer with no intermediate tree — the wire format of the runtime.
 //!
-//! * a JSON-shaped [`Value`] tree (`ser`/`de`), which `serde_json`
-//!   renders and parses as real JSON text — kept for debug output,
-//!   observability dumps, and anything a human reads; and
-//! * a streaming **binary** codec (`ser_bin`/`de_bin`, see [`bin`]),
-//!   which writes compact little-endian bytes directly to one buffer
-//!   with no intermediate tree and no hex expansion of byte payloads —
-//!   the wire format of the runtime's hot path.
+//! The JSON-shaped [`Value`] tree lives here too, but only as a plain
+//! data model: it implements neither trait, and no derived type has a
+//! JSON form. `serde_json` renders and parses it as JSON text for the
+//! bench tables and the deployment benchmark's tests.
 //!
-//! Both backends are emitted by the same derive, so every
-//! `#[derive(Serialize, Deserialize)]` type round-trips through either.
 //! Swapping the real crates back in is a one-line `Cargo.toml` change
-//! per crate (the binary backend then maps onto a real serde binary
+//! per crate (the binary codec then maps onto a real serde binary
 //! format such as bincode).
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -47,26 +44,8 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// A type that can be turned into a [`Value`] tree (JSON backend) or
-/// streamed to binary bytes ([`bin`] backend).
+/// A type that can be streamed to binary bytes (see [`bin`]).
 pub trait Serialize {
-    /// Serializes `self` into the value model.
-    fn ser(&self) -> Value;
-
-    /// Serializes a homogeneous slice of `Self`. The default renders a
-    /// JSON array of element values; `u8` overrides it with a compact
-    /// hex string so byte payloads (batch contents, signatures, state
-    /// chunks) cost two characters per byte instead of a `Value`
-    /// allocation plus up to four characters each. This is the
-    /// pre-specialization slice-dispatch idiom: `Vec<T>`/`[T]` defer to
-    /// the element type.
-    fn ser_slice(items: &[Self]) -> Value
-    where
-        Self: Sized,
-    {
-        Value::Array(items.iter().map(Serialize::ser).collect())
-    }
-
     /// Appends the binary encoding of `self` to `out` (see the format
     /// table in [`bin`]). Streaming by construction: no intermediate
     /// value is ever built.
@@ -85,7 +64,7 @@ pub trait Serialize {
     /// Binary-encodes the raw elements of a slice with **no** length
     /// prefix (fixed-size arrays carry their length in the type). The
     /// `u8` override is a single `extend_from_slice` — the memcpy that
-    /// makes byte payloads free on this backend.
+    /// makes byte payloads free.
     fn ser_bin_elems(items: &[Self], out: &mut Vec<u8>)
     where
         Self: Sized,
@@ -96,23 +75,8 @@ pub trait Serialize {
     }
 }
 
-/// A type that can be rebuilt from a [`Value`] tree (JSON backend) or
-/// from a binary [`bin::Reader`] cursor.
+/// A type that can be rebuilt from a binary [`bin::Reader`] cursor.
 pub trait Deserialize: Sized {
-    /// Deserializes from the value model.
-    fn de(v: &Value) -> Result<Self, Error>;
-
-    /// Deserializes a `Vec<Self>`; the `u8` override accepts the hex
-    /// string form [`Serialize::ser_slice`] produces (and, leniently,
-    /// the array form for hand-written fixtures).
-    fn de_slice(v: &Value) -> Result<Vec<Self>, Error> {
-        v.as_array()
-            .ok_or_else(|| Error::custom("expected array"))?
-            .iter()
-            .map(Deserialize::de)
-            .collect()
-    }
-
     /// Deserializes from the binary cursor, consuming exactly this
     /// value's bytes.
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error>;
@@ -140,55 +104,14 @@ pub trait Deserialize: Sized {
     }
 }
 
-fn hex_encode(bytes: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(HEX[(b >> 4) as usize] as char);
-        out.push(HEX[(b & 0x0f) as usize] as char);
-    }
-    out
-}
-
-fn hex_decode(s: &str) -> Result<Vec<u8>, Error> {
-    let digits = s.as_bytes();
-    if !digits.len().is_multiple_of(2) {
-        return Err(Error::custom("odd-length hex string"));
-    }
-    fn nibble(d: u8) -> Result<u8, Error> {
-        match d {
-            b'0'..=b'9' => Ok(d - b'0'),
-            b'a'..=b'f' => Ok(d - b'a' + 10),
-            b'A'..=b'F' => Ok(d - b'A' + 10),
-            _ => Err(Error::custom("invalid hex digit")),
-        }
-    }
-    let mut out = Vec::with_capacity(digits.len() / 2);
-    for pair in digits.chunks_exact(2) {
-        out.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
-    }
-    Ok(out)
-}
-
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn ser(&self) -> Value {
-                Value::U64(u64::from(*self))
-            }
-
             fn ser_bin(&self, out: &mut Vec<u8>) {
                 bin::write_varint(u64::from(*self), out);
             }
         }
         impl Deserialize for $t {
-            fn de(v: &Value) -> Result<Self, Error> {
-                let n = v
-                    .as_u64()
-                    .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))?;
-                <$t>::try_from(n).map_err(|_| Error::custom("integer out of range"))
-            }
-
             fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
                 <$t>::try_from(r.varint()?).map_err(|_| Error::custom("integer out of range"))
             }
@@ -199,17 +122,8 @@ macro_rules! impl_unsigned {
 impl_unsigned!(u16, u32, u64);
 
 // `u8` gets the integer impls by hand so its *slice* forms can override
-// the defaults: compact hex strings on the JSON backend, raw memcpy on
-// the binary one.
+// the defaults with a raw memcpy.
 impl Serialize for u8 {
-    fn ser(&self) -> Value {
-        Value::U64(u64::from(*self))
-    }
-
-    fn ser_slice(items: &[u8]) -> Value {
-        Value::String(hex_encode(items))
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         out.push(*self);
     }
@@ -220,20 +134,6 @@ impl Serialize for u8 {
 }
 
 impl Deserialize for u8 {
-    fn de(v: &Value) -> Result<Self, Error> {
-        let n = v.as_u64().ok_or_else(|| Error::custom("expected u8"))?;
-        u8::try_from(n).map_err(|_| Error::custom("integer out of range"))
-    }
-
-    fn de_slice(v: &Value) -> Result<Vec<Self>, Error> {
-        match v {
-            Value::String(s) => hex_decode(s),
-            // Lenient: hand-written fixtures may still use arrays.
-            Value::Array(items) => items.iter().map(Deserialize::de).collect(),
-            _ => Err(Error::custom("expected hex string or byte array")),
-        }
-    }
-
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
         r.byte()
     }
@@ -246,22 +146,11 @@ impl Deserialize for u8 {
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn ser(&self) -> Value {
-                Value::I64(i64::from(*self))
-            }
-
             fn ser_bin(&self, out: &mut Vec<u8>) {
                 bin::write_varint_signed(i64::from(*self), out);
             }
         }
         impl Deserialize for $t {
-            fn de(v: &Value) -> Result<Self, Error> {
-                let n = v
-                    .as_i64()
-                    .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))?;
-                <$t>::try_from(n).map_err(|_| Error::custom("integer out of range"))
-            }
-
             fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
                 <$t>::try_from(r.varint_signed()?)
                     .map_err(|_| Error::custom("integer out of range"))
@@ -273,41 +162,24 @@ macro_rules! impl_signed {
 impl_signed!(i8, i16, i32, i64);
 
 impl Serialize for usize {
-    fn ser(&self) -> Value {
-        Value::U64(*self as u64)
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         bin::write_varint(*self as u64, out);
     }
 }
 
 impl Deserialize for usize {
-    fn de(v: &Value) -> Result<Self, Error> {
-        let n = v.as_u64().ok_or_else(|| Error::custom("expected usize"))?;
-        usize::try_from(n).map_err(|_| Error::custom("integer out of range"))
-    }
-
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
         usize::try_from(r.varint()?).map_err(|_| Error::custom("integer out of range"))
     }
 }
 
 impl Serialize for bool {
-    fn ser(&self) -> Value {
-        Value::Bool(*self)
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
     }
 }
 
 impl Deserialize for bool {
-    fn de(v: &Value) -> Result<Self, Error> {
-        v.as_bool().ok_or_else(|| Error::custom("expected bool"))
-    }
-
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
         match r.byte()? {
             0 => Ok(false),
@@ -318,62 +190,36 @@ impl Deserialize for bool {
 }
 
 impl Serialize for f64 {
-    fn ser(&self) -> Value {
-        Value::F64(*self)
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
 }
 
 impl Deserialize for f64 {
-    fn de(v: &Value) -> Result<Self, Error> {
-        v.as_f64().ok_or_else(|| Error::custom("expected f64"))
-    }
-
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
         Ok(f64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes")))
     }
 }
 
 impl Serialize for f32 {
-    fn ser(&self) -> Value {
-        Value::F64(f64::from(*self))
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
 }
 
 impl Deserialize for f32 {
-    fn de(v: &Value) -> Result<Self, Error> {
-        Ok(v.as_f64().ok_or_else(|| Error::custom("expected f32"))? as f32)
-    }
-
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
         Ok(f32::from_le_bytes(r.take(4)?.try_into().expect("4 bytes")))
     }
 }
 
 impl Serialize for String {
-    fn ser(&self) -> Value {
-        Value::String(self.clone())
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         self.as_str().ser_bin(out);
     }
 }
 
 impl Deserialize for String {
-    fn de(v: &Value) -> Result<Self, Error> {
-        v.as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| Error::custom("expected string"))
-    }
-
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
         let n = r.len()?;
         std::str::from_utf8(r.take(n)?)
@@ -383,10 +229,6 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn ser(&self) -> Value {
-        Value::String(self.to_owned())
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         bin::write_len(self.len(), out);
         out.extend_from_slice(self.as_bytes());
@@ -394,25 +236,12 @@ impl Serialize for str {
 }
 
 impl Serialize for char {
-    fn ser(&self) -> Value {
-        Value::String(self.to_string())
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         bin::write_varint(u64::from(u32::from(*self)), out);
     }
 }
 
 impl Deserialize for char {
-    fn de(v: &Value) -> Result<Self, Error> {
-        let s = v.as_str().ok_or_else(|| Error::custom("expected char"))?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::custom("expected single-char string")),
-        }
-    }
-
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
         let scalar = u32::try_from(r.varint()?).map_err(|_| Error::custom("char out of range"))?;
         char::from_u32(scalar).ok_or_else(|| Error::custom("invalid char scalar"))
@@ -420,40 +249,24 @@ impl Deserialize for char {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn ser(&self) -> Value {
-        T::ser_slice(self)
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         T::ser_bin_slice(self, out);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn de(v: &Value) -> Result<Self, Error> {
-        T::de_slice(v)
-    }
-
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
         T::de_bin_slice(r)
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn ser(&self) -> Value {
-        T::ser_slice(self)
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         T::ser_bin_slice(self, out);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn ser(&self) -> Value {
-        T::ser_slice(self)
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         // Fixed arity: the length lives in the type, not the stream.
         T::ser_bin_elems(self, out);
@@ -461,13 +274,6 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn de(v: &Value) -> Result<Self, Error> {
-        let items: Vec<T> = T::de_slice(v)?;
-        items
-            .try_into()
-            .map_err(|_| Error::custom("array length mismatch"))
-    }
-
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
         T::de_bin_elems(r, N)?
             .try_into()
@@ -476,13 +282,6 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn ser(&self) -> Value {
-        match self {
-            Some(inner) => inner.ser(),
-            None => Value::Null,
-        }
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         match self {
             Some(inner) => {
@@ -495,13 +294,6 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn de(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::de(other)?)),
-        }
-    }
-
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
         match r.byte()? {
             0 => Ok(None),
@@ -512,70 +304,42 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn ser(&self) -> Value {
-        (**self).ser()
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         (**self).ser_bin(out);
     }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn ser(&self) -> Value {
-        (**self).ser()
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         (**self).ser_bin(out);
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn de(v: &Value) -> Result<Self, Error> {
-        Ok(Box::new(T::de(v)?))
-    }
-
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
         Ok(Box::new(T::de_bin(r)?))
     }
 }
 
 impl<T: Serialize> Serialize for std::sync::Arc<T> {
-    fn ser(&self) -> Value {
-        (**self).ser()
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         (**self).ser_bin(out);
     }
 }
 
 impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
-    fn de(v: &Value) -> Result<Self, Error> {
-        Ok(std::sync::Arc::new(T::de(v)?))
-    }
-
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
         Ok(std::sync::Arc::new(T::de_bin(r)?))
     }
 }
 
 impl<T: Serialize> Serialize for std::rc::Rc<T> {
-    fn ser(&self) -> Value {
-        (**self).ser()
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         (**self).ser_bin(out);
     }
 }
 
 impl<T: Deserialize> Deserialize for std::rc::Rc<T> {
-    fn de(v: &Value) -> Result<Self, Error> {
-        Ok(std::rc::Rc::new(T::de(v)?))
-    }
-
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
         Ok(std::rc::Rc::new(T::de_bin(r)?))
     }
@@ -584,30 +348,11 @@ impl<T: Deserialize> Deserialize for std::rc::Rc<T> {
 macro_rules! impl_tuple {
     ($(($($name:ident . $idx:tt),+)),*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn ser(&self) -> Value {
-                Value::Array(vec![$(self.$idx.ser()),+])
-            }
-
             fn ser_bin(&self, out: &mut Vec<u8>) {
                 $(self.$idx.ser_bin(out);)+
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn de(v: &Value) -> Result<Self, Error> {
-                let items = v.as_array().ok_or_else(|| Error::custom("expected tuple array"))?;
-                let mut it = items.iter();
-                let out = ($(
-                    {
-                        let _ = $idx; // positional marker
-                        $name::de(it.next().ok_or_else(|| Error::custom("tuple too short"))?)?
-                    },
-                )+);
-                if it.next().is_some() {
-                    return Err(Error::custom("tuple too long"));
-                }
-                Ok(out)
-            }
-
             fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
                 Ok(($(
                     {
@@ -623,14 +368,6 @@ macro_rules! impl_tuple {
 impl_tuple!((A.0), (A.0, B.1), (A.0, B.1, C.2), (A.0, B.1, C.2, D.3));
 
 impl<K: Serialize + Ord, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn ser(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.ser(), v.ser()]))
-                .collect(),
-        )
-    }
-
     fn ser_bin(&self, out: &mut Vec<u8>) {
         bin::write_len(self.len(), out);
         for (k, v) in self {
@@ -641,11 +378,6 @@ impl<K: Serialize + Ord, V: Serialize> Serialize for std::collections::BTreeMap<
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for std::collections::BTreeMap<K, V> {
-    fn de(v: &Value) -> Result<Self, Error> {
-        let pairs: Vec<(K, V)> = Deserialize::de(v)?;
-        Ok(pairs.into_iter().collect())
-    }
-
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
         let n = r.len()?;
         let mut map = std::collections::BTreeMap::new();
@@ -666,108 +398,5 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for std::collections::BTr
             map.insert(k, v);
         }
         Ok(map)
-    }
-}
-
-impl Serialize for Value {
-    fn ser(&self) -> Value {
-        self.clone()
-    }
-
-    fn ser_bin(&self, out: &mut Vec<u8>) {
-        // Self-describing tag per variant; only backend that needs one.
-        match self {
-            Value::Null => out.push(0),
-            Value::Bool(b) => {
-                out.push(1);
-                b.ser_bin(out);
-            }
-            Value::U64(n) => {
-                out.push(2);
-                n.ser_bin(out);
-            }
-            Value::I64(n) => {
-                out.push(3);
-                n.ser_bin(out);
-            }
-            Value::F64(x) => {
-                out.push(4);
-                x.ser_bin(out);
-            }
-            Value::String(s) => {
-                out.push(5);
-                s.ser_bin(out);
-            }
-            Value::Array(items) => {
-                out.push(6);
-                bin::write_len(items.len(), out);
-                for item in items {
-                    item.ser_bin(out);
-                }
-            }
-            // One definition of the Object wire layout: the Map impl.
-            Value::Object(map) => map.ser_bin(out),
-        }
-    }
-}
-
-/// Nesting bound for self-describing [`Value`] decoding: hostile input
-/// of repeated array/object tags costs two bytes per level, so without
-/// a cap a few megabytes of input could recurse the decoder into a
-/// stack overflow — a panic, which the `bin` module promises never to
-/// produce. No legitimate value in this workspace nests remotely this
-/// deep.
-const MAX_VALUE_DEPTH: u32 = 128;
-
-fn de_bin_value(r: &mut bin::Reader<'_>, depth: u32) -> Result<Value, Error> {
-    if depth > MAX_VALUE_DEPTH {
-        return Err(Error::custom("value nested too deeply"));
-    }
-    Ok(match r.byte()? {
-        0 => Value::Null,
-        1 => Value::Bool(bool::de_bin(r)?),
-        2 => Value::U64(u64::de_bin(r)?),
-        3 => Value::I64(i64::de_bin(r)?),
-        4 => Value::F64(f64::de_bin(r)?),
-        5 => Value::String(String::de_bin(r)?),
-        6 => {
-            let n = r.len()?;
-            let mut items = Vec::with_capacity(n.min(r.remaining()));
-            for _ in 0..n {
-                items.push(de_bin_value(r, depth + 1)?);
-            }
-            Value::Array(items)
-        }
-        7 => {
-            let n = r.len()?;
-            let mut map = Map::new();
-            let mut seen = std::collections::HashSet::with_capacity(n.min(r.remaining()));
-            for _ in 0..n {
-                let k = String::de_bin(r)?;
-                // The encoder can never emit a duplicate key (`Map`
-                // replaces on insert), so accepting one would decode a
-                // byte string the encoder cannot produce — breaking
-                // injectivity. The seen-set also keeps a hostile
-                // many-entry object linear instead of the quadratic
-                // scan `Map::insert` would cost.
-                if !seen.insert(k.clone()) {
-                    return Err(Error::custom("duplicate object key"));
-                }
-                let v = de_bin_value(r, depth + 1)?;
-                map.push_new(k, v);
-            }
-            Value::Object(map)
-        }
-        _ => return Err(Error::custom("invalid Value tag")),
-    })
-}
-
-impl Deserialize for Value {
-    fn de(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
-    }
-
-    fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
-        de_bin_value(r, 0)
     }
 }

@@ -1,7 +1,8 @@
-//! The JSON-shaped value model shared by the `serde` and `serde_json`
-//! stand-ins. `serde_json` re-exports [`Value`] and [`Map`], so code
-//! written against the real crates ([`Value::String`], `Map<String,
-//! Value>`, …) compiles unchanged.
+//! The JSON-shaped value model that `serde_json` renders and parses.
+//! It is plain data — neither `Serialize` nor `Deserialize` — and
+//! `serde_json` re-exports [`Value`] and [`Map`], so code written
+//! against the real crates ([`Value::String`], `Map<String, Value>`, …)
+//! compiles unchanged.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,14 +122,6 @@ impl<K, V> Map<K, V> {
     pub fn iter(&self) -> std::slice::Iter<'_, (K, V)> {
         self.entries.iter()
     }
-
-    /// Appends an entry the caller has already proven absent — the
-    /// binary decoder's path (it tracks seen keys in a set, so the
-    /// linear duplicate scan of [`Map::insert`] would make a hostile
-    /// many-entry object quadratic).
-    pub(crate) fn push_new(&mut self, key: K, value: V) {
-        self.entries.push((key, value));
-    }
 }
 
 impl<K: AsRef<str>, V> Map<K, V> {
@@ -168,36 +161,5 @@ impl<K, V> IntoIterator for Map<K, V> {
 
     fn into_iter(self) -> Self::IntoIter {
         self.entries.into_iter()
-    }
-}
-
-impl crate::Serialize for Map {
-    fn ser(&self) -> Value {
-        Value::Object(self.clone())
-    }
-
-    fn ser_bin(&self, out: &mut Vec<u8>) {
-        // The Object form, streamed in place (no clone into a Value).
-        out.push(7);
-        crate::bin::write_len(self.len(), out);
-        for (k, v) in self.iter() {
-            crate::Serialize::ser_bin(k, out);
-            crate::Serialize::ser_bin(v, out);
-        }
-    }
-}
-
-impl crate::Deserialize for Map {
-    fn de(v: &Value) -> Result<Self, crate::Error> {
-        v.as_object()
-            .cloned()
-            .ok_or_else(|| crate::Error::custom("expected object"))
-    }
-
-    fn de_bin(r: &mut crate::bin::Reader<'_>) -> Result<Self, crate::Error> {
-        match crate::Deserialize::de_bin(r)? {
-            Value::Object(map) => Ok(map),
-            _ => Err(crate::Error::custom("expected object")),
-        }
     }
 }

@@ -1,49 +1,25 @@
 //! Offline stand-in for `serde_derive`.
 //!
 //! Implements `#[derive(Serialize)]` / `#[derive(Deserialize)]` against
-//! the stand-in `serde` crate's traits — emitting **both** backends:
-//! the JSON value model (`ser`/`de`) and the streaming binary codec
-//! (`ser_bin`/`de_bin`, see `serde::bin`). With no access to
-//! `syn`/`quote`, the item is parsed directly from the raw
-//! `proc_macro::TokenStream` and the impl is emitted as formatted source
-//! text. Supported shapes are exactly what this workspace uses: unit /
-//! tuple / named structs and enums whose variants are unit, tuple, or
-//! struct-like — all without generics. Recognized field attributes:
-//! `#[serde(default)]` and `#[serde(skip_serializing_if = "path")]`.
+//! the stand-in `serde` crate's traits, emitting exactly one method per
+//! trait: the streaming binary codec's `ser_bin`/`de_bin` (see
+//! `serde::bin`). With no access to `syn`/`quote`, the item is parsed
+//! directly from the raw `proc_macro::TokenStream` and the impl is
+//! emitted as formatted source text. Supported shapes are exactly what
+//! this workspace uses: unit / tuple / named structs and enums whose
+//! variants are unit, tuple, or struct-like — all without generics. No
+//! `#[serde(...)]` attributes are recognized: the format is positional,
+//! so every field is always written.
 //!
-//! JSON wire shape (shared contract with the `serde` stand-in):
-//! - named struct      → object of fields
-//! - tuple struct      → array of fields (single-field: the field itself)
-//! - unit enum variant → the variant name as a string
-//! - tuple variant     → `{ "Variant": payload }` (array if arity > 1)
-//! - struct variant    → `{ "Variant": { fields } }`
-//!
-//! Binary wire shape (schema-driven, no names — see `serde::bin`):
+//! Wire shape (schema-driven, no names — see `serde::bin`):
 //! - unit struct       → one `0x00` byte (never zero bytes: sequence
 //!   decoding bounds element counts by the remaining input, which
 //!   requires every element to cost at least one byte)
 //! - struct (other)    → fields streamed in declaration order
 //! - enum variant      → varint of the variant's declaration index,
 //!   then its fields in order
-//!
-//! The field attributes apply to the JSON backend only: binary structs
-//! are positional, so every field is always written (a skipped field
-//! would shift every later one) and `default` never triggers (every
-//! field is always present).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-/// Per-field `#[serde(...)]` attributes this stand-in understands.
-#[derive(Default, Clone)]
-struct FieldAttrs {
-    default: bool,
-    skip_serializing_if: Option<String>,
-}
-
-struct Field {
-    name: String,
-    attrs: FieldAttrs,
-}
 
 enum VariantData {
     Unit,
@@ -59,7 +35,7 @@ struct Variant {
 enum Kind {
     UnitStruct,
     TupleStruct(usize),
-    NamedStruct(Vec<Field>),
+    NamedStruct(Vec<String>),
     Enum(Vec<Variant>),
 }
 
@@ -69,13 +45,13 @@ struct Input {
 }
 
 /// Derives `serde::Serialize` for the annotated item.
-#[proc_macro_derive(Serialize, attributes(serde))]
+#[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, gen_serialize)
 }
 
 /// Derives `serde::Deserialize` for the annotated item.
-#[proc_macro_derive(Deserialize, attributes(serde))]
+#[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, gen_deserialize)
 }
@@ -182,58 +158,15 @@ fn parse_tuple_arity(body: TokenStream) -> usize {
     arity + usize::from(saw_any)
 }
 
-/// Parses `#[serde(...)]` argument tokens into [`FieldAttrs`].
-fn parse_serde_args(args: TokenStream, attrs: &mut FieldAttrs) -> Result<(), String> {
-    let tokens: Vec<TokenTree> = args.into_iter().collect();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        match &tokens[i] {
-            TokenTree::Ident(id) => match id.to_string().as_str() {
-                "default" => {
-                    attrs.default = true;
-                    i += 1;
-                }
-                "skip_serializing_if" => {
-                    let lit = match (tokens.get(i + 1), tokens.get(i + 2)) {
-                        (Some(TokenTree::Punct(eq)), Some(TokenTree::Literal(lit)))
-                            if eq.as_char() == '=' =>
-                        {
-                            lit.to_string()
-                        }
-                        _ => return Err("malformed skip_serializing_if".into()),
-                    };
-                    attrs.skip_serializing_if = Some(lit.trim_matches('"').to_string());
-                    i += 3;
-                }
-                other => return Err(format!("unsupported serde attribute `{other}`")),
-            },
-            TokenTree::Punct(p) if p.as_char() == ',' => i += 1,
-            other => return Err(format!("unexpected serde attribute token {other:?}")),
-        }
-    }
-    Ok(())
-}
-
-fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
+fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
     let tokens: Vec<TokenTree> = body.into_iter().collect();
     let mut fields = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
-        let mut attrs = FieldAttrs::default();
-        // Field attributes (capture serde ones, skip the rest).
+        // Field attributes (doc comments etc.) — skipped.
         while let Some(TokenTree::Punct(p)) = tokens.get(i) {
             if p.as_char() != '#' {
                 break;
-            }
-            if let Some(TokenTree::Group(g)) = tokens.get(i + 1) {
-                let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                if let (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args))) =
-                    (inner.first(), inner.get(1))
-                {
-                    if id.to_string() == "serde" {
-                        parse_serde_args(args.stream(), &mut attrs)?;
-                    }
-                }
             }
             i += 2;
         }
@@ -272,7 +205,7 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
             }
             i += 1;
         }
-        fields.push(Field { name, attrs });
+        fields.push(name);
     }
     Ok(fields)
 }
@@ -302,12 +235,7 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 i += 1;
-                VariantData::Named(
-                    parse_named_fields(g.stream())?
-                        .into_iter()
-                        .map(|f| f.name)
-                        .collect(),
-                )
+                VariantData::Named(parse_named_fields(g.stream())?)
             }
             _ => VariantData::Unit,
         };
@@ -331,94 +259,18 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
 
 fn gen_serialize(input: &Input) -> String {
     let name = &input.name;
-    let body = match &input.kind {
-        Kind::UnitStruct => "::serde::Value::Null".to_string(),
-        Kind::TupleStruct(1) => "::serde::Serialize::ser(&self.0)".to_string(),
-        Kind::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::ser(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", items.join(", "))
-        }
-        Kind::NamedStruct(fields) => {
-            let mut code =
-                String::from("let mut pairs: Vec<(String, ::serde::Value)> = Vec::new();\n");
-            for f in fields {
-                let push = format!(
-                    "pairs.push((\"{n}\".to_string(), ::serde::Serialize::ser(&self.{n})));",
-                    n = f.name
-                );
-                match &f.attrs.skip_serializing_if {
-                    Some(pred) => {
-                        code.push_str(&format!("if !{pred}(&self.{n}) {{ {push} }}\n", n = f.name))
-                    }
-                    None => {
-                        code.push_str(&push);
-                        code.push('\n');
-                    }
-                }
-            }
-            code.push_str("::serde::Value::Object(pairs.into_iter().collect())");
-            code
-        }
-        Kind::Enum(variants) => {
-            let mut arms = String::new();
-            for v in variants {
-                let vn = &v.name;
-                match &v.data {
-                    VariantData::Unit => arms.push_str(&format!(
-                        "{name}::{vn} => ::serde::Value::String(\"{vn}\".to_string()),\n"
-                    )),
-                    VariantData::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-                        let payload = if *n == 1 {
-                            "::serde::Serialize::ser(f0)".to_string()
-                        } else {
-                            let items: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::ser({b})"))
-                                .collect();
-                            format!("::serde::Value::Array(vec![{}])", items.join(", "))
-                        };
-                        arms.push_str(&format!(
-                            "{name}::{vn}({binds}) => ::serde::Value::Object(\
-                             vec![(\"{vn}\".to_string(), {payload})].into_iter().collect()),\n",
-                            binds = binds.join(", ")
-                        ));
-                    }
-                    VariantData::Named(fields) => {
-                        let items: Vec<String> = fields
-                            .iter()
-                            .map(|f| format!("(\"{f}\".to_string(), ::serde::Serialize::ser({f}))"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {binds} }} => ::serde::Value::Object(\
-                             vec![(\"{vn}\".to_string(), ::serde::Value::Object(\
-                             vec![{items}].into_iter().collect()))].into_iter().collect()),\n",
-                            binds = fields.join(", "),
-                            items = items.join(", ")
-                        ));
-                    }
-                }
-            }
-            format!("match self {{\n{arms}}}")
-        }
-    };
-    let bin_body = gen_serialize_bin(input);
+    let body = ser_bin_body(input);
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
-             fn ser(&self) -> ::serde::Value {{\n{body}\n}}\n\
-             fn ser_bin(&self, out: &mut ::std::vec::Vec<u8>) {{\n{bin_body}\n}}\n\
+             fn ser_bin(&self, out: &mut ::std::vec::Vec<u8>) {{\n{body}\n}}\n\
          }}"
     )
 }
 
 /// Body of the derived `ser_bin`: fields streamed in declaration order;
 /// enums prefixed with their variant's declaration index as a varint.
-/// `skip_serializing_if` is deliberately ignored here — the binary
-/// format is positional, so every field is always written.
-fn gen_serialize_bin(input: &Input) -> String {
+fn ser_bin_body(input: &Input) -> String {
     let name = &input.name;
     match &input.kind {
         // One marker byte, never zero bytes: `Vec<UnitLike>` must keep
@@ -430,7 +282,7 @@ fn gen_serialize_bin(input: &Input) -> String {
             .collect(),
         Kind::NamedStruct(fields) => fields
             .iter()
-            .map(|f| format!("::serde::Serialize::ser_bin(&self.{}, out);\n", f.name))
+            .map(|f| format!("::serde::Serialize::ser_bin(&self.{f}, out);\n"))
             .collect(),
         Kind::Enum(variants) => {
             let mut arms = String::new();
@@ -472,128 +324,21 @@ fn gen_serialize_bin(input: &Input) -> String {
 
 fn gen_deserialize(input: &Input) -> String {
     let name = &input.name;
-    let body = match &input.kind {
-        Kind::UnitStruct => format!("let _ = v; Ok({name})"),
-        Kind::TupleStruct(1) => {
-            format!("Ok({name}(::serde::Deserialize::de(v)?))")
-        }
-        Kind::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::de(&items[{i}])?"))
-                .collect();
-            format!(
-                "let items = v.as_array().ok_or_else(|| \
-                 ::serde::Error::custom(\"expected array for {name}\"))?;\n\
-                 if items.len() != {n} {{ return Err(::serde::Error::custom(\
-                 \"wrong arity for {name}\")); }}\n\
-                 Ok({name}({items}))",
-                items = items.join(", ")
-            )
-        }
-        Kind::NamedStruct(fields) => {
-            let mut inits = String::new();
-            for f in fields {
-                let n = &f.name;
-                let missing = if f.attrs.default {
-                    "::core::default::Default::default()".to_string()
-                } else {
-                    format!("return Err(::serde::Error::custom(\"missing field `{n}` in {name}\"))")
-                };
-                inits.push_str(&format!(
-                    "{n}: match v.get(\"{n}\") {{ \
-                     Some(x) => ::serde::Deserialize::de(x)?, \
-                     None => {missing} }},\n"
-                ));
-            }
-            format!(
-                "if v.as_object().is_none() {{ return Err(::serde::Error::custom(\
-                 \"expected object for {name}\")); }}\n\
-                 Ok({name} {{\n{inits}}})"
-            )
-        }
-        Kind::Enum(variants) => {
-            let mut unit_arms = String::new();
-            let mut keyed_arms = String::new();
-            for v in variants {
-                let vn = &v.name;
-                match &v.data {
-                    VariantData::Unit => {
-                        unit_arms.push_str(&format!("\"{vn}\" => Ok({name}::{vn}),\n"));
-                    }
-                    VariantData::Tuple(1) => keyed_arms.push_str(&format!(
-                        "\"{vn}\" => Ok({name}::{vn}(::serde::Deserialize::de(payload)?)),\n"
-                    )),
-                    VariantData::Tuple(n) => {
-                        let items: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Deserialize::de(&items[{i}])?"))
-                            .collect();
-                        keyed_arms.push_str(&format!(
-                            "\"{vn}\" => {{\n\
-                             let items = payload.as_array().ok_or_else(|| \
-                             ::serde::Error::custom(\"expected array payload\"))?;\n\
-                             if items.len() != {n} {{ return Err(::serde::Error::custom(\
-                             \"wrong arity for {name}::{vn}\")); }}\n\
-                             Ok({name}::{vn}({items}))\n}}\n",
-                            items = items.join(", ")
-                        ));
-                    }
-                    VariantData::Named(fields) => {
-                        let mut inits = String::new();
-                        for f in fields {
-                            inits.push_str(&format!(
-                                "{f}: match payload.get(\"{f}\") {{ \
-                                 Some(x) => ::serde::Deserialize::de(x)?, \
-                                 None => return Err(::serde::Error::custom(\
-                                 \"missing field `{f}` in {name}::{vn}\")) }},\n"
-                            ));
-                        }
-                        keyed_arms
-                            .push_str(&format!("\"{vn}\" => Ok({name}::{vn} {{\n{inits}}}),\n"));
-                    }
-                }
-            }
-            format!(
-                "match v {{\n\
-                 ::serde::Value::String(s) => match s.as_str() {{\n\
-                 {unit_arms}\
-                 other => Err(::serde::Error::custom(format!(\
-                 \"unknown {name} variant `{{other}}`\"))),\n\
-                 }},\n\
-                 ::serde::Value::Object(m) => {{\n\
-                 let mut it = m.iter();\n\
-                 let (key, payload) = match (it.next(), it.next()) {{\n\
-                 (Some((k, p)), None) => (k.as_str(), p),\n\
-                 _ => return Err(::serde::Error::custom(\
-                 \"expected single-key object for {name}\")),\n\
-                 }};\n\
-                 match key {{\n\
-                 {keyed_arms}\
-                 other => Err(::serde::Error::custom(format!(\
-                 \"unknown {name} variant `{{other}}`\"))),\n\
-                 }}\n\
-                 }},\n\
-                 _ => Err(::serde::Error::custom(\"expected string or object for {name}\")),\n\
-                 }}"
-            )
-        }
-    };
-    let bin_body = gen_deserialize_bin(input);
+    let body = de_bin_body(input);
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
-             fn de(v: &::serde::Value) -> ::core::result::Result<Self, ::serde::Error> {{\n\
-             {body}\n}}\n\
              fn de_bin(r: &mut ::serde::bin::Reader<'_>) \
              -> ::core::result::Result<Self, ::serde::Error> {{\n\
-             {bin_body}\n}}\n\
+             {body}\n}}\n\
          }}"
     )
 }
 
 /// Body of the derived `de_bin`: the exact inverse of
-/// [`gen_serialize_bin`] — fields in declaration order, enums selected
+/// [`ser_bin_body`] — fields in declaration order, enums selected
 /// by varint declaration index (unknown indexes fail closed).
-fn gen_deserialize_bin(input: &Input) -> String {
+fn de_bin_body(input: &Input) -> String {
     let name = &input.name;
     match &input.kind {
         Kind::UnitStruct => format!(
@@ -611,7 +356,7 @@ fn gen_deserialize_bin(input: &Input) -> String {
         Kind::NamedStruct(fields) => {
             let inits: String = fields
                 .iter()
-                .map(|f| format!("{}: ::serde::Deserialize::de_bin(r)?,\n", f.name))
+                .map(|f| format!("{f}: ::serde::Deserialize::de_bin(r)?,\n"))
                 .collect();
             format!("Ok({name} {{\n{inits}}})")
         }

@@ -1,13 +1,14 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Renders and parses genuine JSON text over the stand-in `serde`
-//! crate's [`Value`] model. The subset of the real API surface this
-//! workspace uses is provided: [`to_vec`], [`to_string`],
-//! [`from_slice`], [`from_str`], plus [`Value`] and [`Map`].
+//! The JSON text form of the stand-in `serde` crate's [`Value`] model —
+//! and nothing more: no derived type has a JSON form, so [`to_string`]
+//! and [`to_vec`] render a `&Value` and [`from_str`] / [`from_slice`]
+//! parse back to one. Its users are `crates/bench`'s figure tables and
+//! the deployment benchmark's tests.
 
 pub use serde::{Map, Value};
 
-/// Error raised by serialization or parsing.
+/// Error raised by parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error(String);
 
@@ -19,26 +20,21 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::Error> for Error {
-    fn from(e: serde::Error) -> Error {
-        Error(e.to_string())
-    }
-}
-
-/// Serializes `value` to a JSON string.
-pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+/// Renders `value` as a JSON string. Infallible in practice; the
+/// `Result` keeps the real crate's signature.
+pub fn to_string(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    render(&value.ser(), &mut out);
+    render(value, &mut out);
     Ok(out)
 }
 
-/// Serializes `value` to JSON bytes.
-pub fn to_vec<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
+/// Renders `value` as JSON bytes.
+pub fn to_vec(value: &Value) -> Result<Vec<u8>, Error> {
     to_string(value).map(String::into_bytes)
 }
 
-/// Parses a value from a JSON string.
-pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
+/// Parses a JSON string.
+pub fn from_str(s: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: s.as_bytes(),
         pos: 0,
@@ -49,11 +45,11 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
     if parser.pos != parser.bytes.len() {
         return Err(Error("trailing characters".into()));
     }
-    Ok(T::de(&value)?)
+    Ok(value)
 }
 
-/// Parses a value from JSON bytes.
-pub fn from_slice<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, Error> {
+/// Parses JSON bytes.
+pub fn from_slice(bytes: &[u8]) -> Result<Value, Error> {
     let s = std::str::from_utf8(bytes).map_err(|_| Error("invalid utf-8".into()))?;
     from_str(s)
 }
@@ -333,51 +329,96 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn roundtrip_scalars() {
-        assert_eq!(to_string(&true).unwrap(), "true");
-        assert_eq!(to_string(&42u64).unwrap(), "42");
-        assert_eq!(from_str::<u64>("42").unwrap(), 42);
-        assert!(!from_str::<bool>(" false ").unwrap());
-        assert_eq!(from_str::<Option<u32>>("null").unwrap(), None);
+    /// Every escape the renderer emits, `\u0001` included.
+    const ESCAPES: &str = "q\" b\\ n\n r\r t\t ctl\u{1}";
+
+    fn string(s: &str) -> Value {
+        Value::String(s.to_string())
+    }
+
+    /// A value holding every variant, the integer extremes, floats that
+    /// need the shortest-round-trip form, every escape the renderer
+    /// emits, and nesting whose object key order must survive.
+    fn every_variant() -> Value {
+        let inner: Map = [("z", Value::Null), ("a", Value::Bool(false))]
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        let top: Map = [
+            ("null", Value::Null),
+            ("true", Value::Bool(true)),
+            ("u64_max", Value::U64(u64::MAX)),
+            ("i64_min", Value::I64(i64::MIN)),
+            (
+                "floats",
+                Value::Array(vec![Value::F64(0.1), Value::F64(-3.25), Value::F64(1e300)]),
+            ),
+            ("escapes", string(ESCAPES)),
+            ("unicode", string("√ ü 日本 🦀")),
+            (
+                "nested",
+                Value::Array(vec![
+                    Value::Array(vec![Value::U64(1), Value::Array(vec![])]),
+                    Value::Object(inner),
+                    Value::Object(Map::new()),
+                ]),
+            ),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+        Value::Object(top)
     }
 
     #[test]
-    fn roundtrip_structures() {
-        // Byte vectors render as compact hex strings (see the serde
-        // stand-in's `ser_slice` override); other element types keep
-        // the plain array form.
-        let v: Vec<Vec<u8>> = vec![vec![1, 2], vec![], vec![255]];
+    fn every_variant_roundtrips_and_rerenders_identically() {
+        let v = every_variant();
         let text = to_string(&v).unwrap();
-        assert_eq!(text, "[\"0102\",\"\",\"ff\"]");
-        assert_eq!(from_str::<Vec<Vec<u8>>>(&text).unwrap(), v);
-        let w: Vec<Vec<u16>> = vec![vec![1, 2], vec![65535]];
-        let text = to_string(&w).unwrap();
-        assert_eq!(text, "[[1,2],[65535]]");
-        assert_eq!(from_str::<Vec<Vec<u16>>>(&text).unwrap(), w);
-        // Legacy array form still decodes for byte vectors.
-        assert_eq!(from_str::<Vec<u8>>("[1,2,255]").unwrap(), vec![1, 2, 255]);
+        let back = from_str(&text).unwrap();
+        assert_eq!(back, v);
+        assert_eq!(to_string(&back).unwrap(), text);
+        assert_eq!(from_slice(&to_vec(&v).unwrap()).unwrap(), v);
+        // Object key order is insertion order, not sorted.
+        let keys: Vec<&str> = back
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            ["null", "true", "u64_max", "i64_min", "floats", "escapes", "unicode", "nested"]
+        );
     }
 
     #[test]
-    fn roundtrip_strings_with_escapes() {
-        let s = "line\n\"quoted\" \\ tab\t√unicode".to_string();
-        let text = to_string(&s).unwrap();
-        assert_eq!(from_str::<String>(&text).unwrap(), s);
+    fn escapes_render_as_json_escapes() {
+        let text = to_string(&string(ESCAPES)).unwrap();
+        assert_eq!(text, r#""q\" b\\ n\n r\r t\t ctl\u0001""#);
+        assert_eq!(from_str(r#""\u0001\u00e9\/""#).unwrap(), string("\u{1}é/"));
     }
 
     #[test]
-    fn roundtrip_floats() {
-        for x in [0.5f64, -3.25, 1e300, 0.1] {
-            let text = to_string(&x).unwrap();
-            assert_eq!(from_str::<f64>(&text).unwrap(), x);
+    fn non_finite_floats_render_as_null() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(to_string(&Value::F64(x)).unwrap(), "null");
         }
     }
 
     #[test]
     fn garbage_is_rejected_not_panicked() {
-        for bad in ["", "{", "[1,", "\"", "nul", "{\"a\"1}", "[}"] {
-            assert!(from_str::<Value>(bad).is_err(), "{bad}");
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "\"",
+            "nul",
+            "{\"a\"1}",
+            "[}",
+            "\"\\u12\"",
+            "1 2",
+        ] {
+            assert!(from_str(bad).is_err(), "{bad}");
         }
     }
 }

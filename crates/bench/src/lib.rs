@@ -374,7 +374,8 @@ impl FigureTable {
                 .zip(cells)
                 .map(|(c, v)| (c.clone(), serde_json::Value::String(v.clone())))
                 .collect();
-            let mut line = serde_json::to_string(&obj).unwrap_or_default();
+            let mut line =
+                serde_json::to_string(&serde_json::Value::Object(obj)).unwrap_or_default();
             line.push('\n');
             let _ = f.write_all(line.as_bytes());
         }

@@ -14,19 +14,18 @@
 //!
 //! Bodies are encoded with the streaming binary codec (`serde::bin`):
 //! varint integers, raw byte slices, structs streamed field-by-field —
-//! no intermediate value tree, no text, no hex expansion. The sealed
-//! payload **is** the canonical signed-bytes form: the codec's
-//! canonical varints make the encoding of a message injective, so two
-//! replicas serializing the same message sign the same bytes.
+//! no intermediate value tree, no text. The sealed payload **is** the
+//! canonical signed-bytes form: the codec's canonical varints make the
+//! encoding of a message injective, so two replicas serializing the
+//! same message sign the same bytes.
 //!
 //! The leading [`WIRE_VERSION`] byte is the fail-closed switch for
 //! mixed-format clusters: a v1 (JSON-era) replica reads it as an
 //! unknown tag and drops the frame; a v2 replica requires its own
-//! revision's byte first and drops anything else — deliberately outside the tag range, so no
-//! payload of either generation can be misparsed as the other. Bump it
-//! on any layout change. JSON remains in the tree where a human reads
-//! the output — `serde_json` debug dumps, bench observability tables —
-//! never on this path.
+//! revision's byte first and drops anything else — deliberately outside
+//! the tag range, so no payload of either generation can be misparsed
+//! as the other. Bump it on any layout change. The binary codec is the
+//! only one the derives emit: no message has a JSON form.
 //!
 //! The tag selects the body type:
 //!

@@ -121,8 +121,8 @@ pub struct RuntimeConfig {
     /// executes every group inline on the pipeline thread (the serial
     /// baseline — also what benchmarks compare against).
     pub exec_pool: usize,
-    /// Egress sealing workers: outbound envelope signatures are
-    /// batch-signed off the event-loop thread by this many dedicated
+    /// Egress sealing workers: outbound envelopes are signed one job
+    /// at a time off the event-loop thread by this many dedicated
     /// lanes (the `egress` module), with a single ordered emitter
     /// preserving per-destination send order. `0` seals inline on the
     /// event loop (the pre-pool behaviour — the benchmark baseline).
@@ -277,10 +277,11 @@ type VoteKey = (ReplicaId, VoteStatement, Signature);
 const VOTE_MEMO_MAX: usize = 8192;
 
 /// The event loop's record of which votes this replica's keystore has
-/// checked, and with what verdict. Ed25519 verification is ~80 µs;
-/// protocols legitimately re-see the same vote (retransmission, Sync
-/// summaries that re-carry certificates), and the memo turns every
-/// re-check into a hash lookup.
+/// checked, and with what verdict. Serial Ed25519 verification from
+/// per-signer tables is ≈ 24 µs; protocols legitimately re-see the
+/// same vote (retransmission, Sync summaries that re-carry
+/// certificates), and the memo turns every re-check into a hash
+/// lookup.
 ///
 /// Bounded by two generations rather than an LRU: verdicts enter
 /// `current`; when that holds half the cap it becomes `previous`,
@@ -596,7 +597,7 @@ impl ReplicaRuntime {
         });
 
         // 4. Egress: with a sealer pool, outbound envelopes are
-        //    batch-signed off-thread and a single ordered emitter
+        //    signed one at a time off-thread and a single ordered emitter
         //    preserves send order; with `seal_pool == 0` (or a silent
         //    replica, which emits nothing) the loop seals inline.
         let seal_pool = if cfg.silent { 0 } else { cfg.seal_pool };

@@ -6,10 +6,9 @@
 
 use crate::ids::{InstanceId, ReplicaId, View};
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of one consensus cluster.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Number of replicas, `n`.
     pub n: u32,

@@ -23,10 +23,8 @@
 //! [`CryptoCosts::batch_verify_k`] models), so simulated and deployed
 //! cost ratios agree.
 
-use serde::{Deserialize, Serialize};
-
 /// Single-core CPU costs of cryptographic operations, in nanoseconds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CryptoCosts {
     /// Producing one digital signature (Ed25519-class).
     pub sign_ns: u64,
@@ -76,7 +74,7 @@ impl CryptoCosts {
 }
 
 /// Wire-size model for protocol messages, calibrated to §6.1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SizeModel {
     /// Fixed size of a replication message that carries no batch and no
     /// certificate (PBFT prepare/commit, SpotLess `Sync`, HotStuff vote).
@@ -130,7 +128,7 @@ impl SizeModel {
 }
 
 /// Per-replica hardware model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResourceModel {
     /// Number of CPU cores available to consensus (Figure 14(a) varies
     /// this between 4 and 32; machines default to 16).

@@ -6,10 +6,8 @@
 //! deviates in exactly the attack's way) rather than in the transport, so
 //! the attacks exercise the real acceptance and recovery code paths.
 
-use serde::{Deserialize, Serialize};
-
 /// How a replica behaves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ByzantineBehavior {
     /// Follows the protocol.
     #[default]

@@ -155,7 +155,7 @@ impl fmt::Debug for Digest {
 }
 
 /// Any addressable participant: a replica or a client.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeId {
     /// A consensus replica.
     Replica(ReplicaId),

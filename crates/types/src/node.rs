@@ -47,7 +47,6 @@ pub struct ClientBatch {
     /// When the client created the batch; latency is measured from here.
     pub created_at: SimTime,
     /// Serialized transactions (empty under simulation).
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub payload: Vec<u8>,
 }
 
@@ -81,7 +80,7 @@ impl ClientBatch {
 
 /// What a protocol timer was armed for. Kinds are shared across protocols;
 /// each protocol interprets only the kinds it arms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TimerKind {
     /// SpotLess ST1: waiting for an acceptable proposal (`t_R`).
     Recording,
@@ -99,7 +98,7 @@ pub enum TimerKind {
 
 /// Identifies one armed timer. Carries enough context (instance + view)
 /// for the protocol to recognise stale fires without a cancel facility.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId {
     /// What the timer is for.
     pub kind: TimerKind,
@@ -142,7 +141,7 @@ pub enum CertPhase {
 /// the ledger refuses to append a block whose certificate does not
 /// satisfy the quorum rules **or whose signatures do not check out**,
 /// and state transfer re-verifies it on every received block.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CommitCertificate {
     /// The view the certifying votes were cast in. Usually the
     /// committed proposal's own view; a straggler that commits an
@@ -217,7 +216,7 @@ impl CommitCertificate {
 }
 
 /// A consensus decision announced by a replica.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CommitInfo {
     /// The instance whose chain the decision extends.
     pub instance: InstanceId,

@@ -8,10 +8,9 @@
 
 use rand::Rng as _;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 /// YCSB workload parameters.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct YcsbConfig {
     /// Active records in the table (paper: 500 000).
     pub records: u64,
@@ -46,7 +45,7 @@ impl Default for YcsbConfig {
 }
 
 /// One YCSB operation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Operation {
     /// Read the record at `key`.
     Read {
@@ -77,7 +76,7 @@ impl Operation {
 }
 
 /// One client transaction: a single YCSB operation with an id.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Transaction {
     /// Unique transaction id within a run.
     pub id: u64,
