@@ -1,20 +1,54 @@
 //! `mpsc` (bounded + unbounded) and `oneshot` channels whose send and
 //! receive futures block inside `poll` — each task owns a thread, so
 //! blocking is harmless. The two `mpsc` receives bound their wait by
-//! the deadline of an enclosing [`crate::time::timeout`].
+//! the deadline of an enclosing [`crate::time::timeout`], and an `mpsc`
+//! send wakes the receiver only when it is parked.
 
 /// Multi-producer single-consumer channels.
 pub mod mpsc {
     use crate::time::wait_in_deadline;
     use std::collections::VecDeque;
     use std::future::poll_fn;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::task::Poll;
 
     struct State<T> {
         queue: VecDeque<T>,
         senders: usize,
         receiver_alive: bool,
+        /// The receiver is waiting on `ready` (see [`park`]). A send
+        /// notifies only then: every notify is a futex syscall.
+        parked: bool,
+    }
+
+    impl<T> State<T> {
+        fn new() -> State<T> {
+            State {
+                queue: VecDeque::new(),
+                senders: 1,
+                receiver_alive: true,
+                parked: false,
+            }
+        }
+    }
+
+    /// One bounded wait of a receive (see [`wait_in_deadline`]), with
+    /// `parked` raised for exactly its length. The flag is read and
+    /// written under the lock, and the wait releases the lock
+    /// atomically, so a sender that sees it clear knows the receiver
+    /// will re-check the queue before it next waits. `None` once the
+    /// deadline has passed.
+    fn park<'a, T>(
+        ready: &Condvar,
+        mut state: MutexGuard<'a, State<T>>,
+    ) -> Option<MutexGuard<'a, State<T>>> {
+        state.parked = true;
+        let (mut state, waited) = match wait_in_deadline(ready, state) {
+            Ok(state) => (state, true),
+            Err(state) => (state, false),
+        };
+        state.parked = false;
+        waited.then_some(state)
     }
 
     struct Chan<T> {
@@ -45,11 +79,7 @@ pub mod mpsc {
     /// Creates an unbounded channel.
     pub fn unbounded_channel<T>() -> (UnboundedSender<T>, UnboundedReceiver<T>) {
         let chan = Arc::new(Chan {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                senders: 1,
-                receiver_alive: true,
-            }),
+            state: Mutex::new(State::new()),
             ready: Condvar::new(),
         });
         (
@@ -66,7 +96,9 @@ pub mod mpsc {
                 return Err(SendError(value));
             }
             state.queue.push_back(value);
-            self.chan.ready.notify_one();
+            if state.parked {
+                self.chan.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -104,7 +136,7 @@ pub mod mpsc {
                     if state.senders == 0 {
                         return Poll::Ready(None);
                     }
-                    match wait_in_deadline(&self.chan.ready, state) {
+                    match park(&self.chan.ready, state) {
                         Some(woken) => state = woken,
                         None => return Poll::Pending,
                     }
@@ -165,11 +197,7 @@ pub mod mpsc {
     pub fn channel<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
         assert!(capacity > 0, "bounded channel needs capacity >= 1");
         let chan = Arc::new(BoundedChan {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                senders: 1,
-                receiver_alive: true,
-            }),
+            state: Mutex::new(State::new()),
             capacity,
             ready: Condvar::new(),
             space: Condvar::new(),
@@ -188,7 +216,9 @@ pub mod mpsc {
                 }
                 if state.queue.len() < self.chan.capacity {
                     state.queue.push_back(value);
-                    self.chan.ready.notify_one();
+                    if state.parked {
+                        self.chan.ready.notify_one();
+                    }
                     return Ok(());
                 }
                 state = self.chan.space.wait(state).unwrap();
@@ -206,7 +236,9 @@ pub mod mpsc {
                 return Err(TrySendError::Full(value));
             }
             state.queue.push_back(value);
-            self.chan.ready.notify_one();
+            if state.parked {
+                self.chan.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -245,7 +277,7 @@ pub mod mpsc {
                     if state.senders == 0 {
                         return Poll::Ready(None);
                     }
-                    match wait_in_deadline(&self.chan.ready, state) {
+                    match park(&self.chan.ready, state) {
                         Some(woken) => state = woken,
                         None => return Poll::Pending,
                     }
@@ -298,6 +330,107 @@ pub mod mpsc {
             assert_eq!(crate::block_on(rx.recv()), Some(1));
             t.join().unwrap().unwrap();
             assert_eq!(crate::block_on(rx.recv()), Some(2));
+        }
+
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        const SENDERS: usize = 3;
+        const PER_SENDER: u64 = 2_000;
+
+        /// Per sender, how many of its values the receiver has taken.
+        type Acks = Arc<[AtomicU64; SENDERS]>;
+
+        /// Starts `SENDERS` threads that each push `PER_SENDER` values
+        /// through `send`. After every other value a sender waits until
+        /// the receiver has taken it, so the receiver keeps running dry
+        /// and parking — and a wake-up it misses leaves every thread
+        /// waiting.
+        fn spawn_senders<S: Clone + Send + 'static>(
+            tx: S,
+            send: fn(&S, u64),
+            acks: &Acks,
+        ) -> Vec<std::thread::JoinHandle<()>> {
+            (0..SENDERS)
+                .map(|s| {
+                    let (tx, acks) = (tx.clone(), acks.clone());
+                    std::thread::spawn(move || {
+                        for i in 0..PER_SENDER {
+                            send(&tx, s as u64 * PER_SENDER + i);
+                            if i % 2 == 0 {
+                                while acks[s].load(Ordering::Acquire) <= i {
+                                    std::thread::yield_now();
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect()
+        }
+
+        /// Receives every value, cycling `take` through its modes by
+        /// round, on a thread given a minute: a lost wake-up leaves a
+        /// bare receive blocked for good, which fails the test instead
+        /// of hanging it. Checks each sender's values arrive complete
+        /// and in order, acknowledging each.
+        fn receive_all(acks: Acks, mut take: impl FnMut(u64) -> Option<u64> + Send + 'static) {
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut left = SENDERS as u64 * PER_SENDER;
+                let mut round = 0;
+                while left > 0 {
+                    round += 1;
+                    let Some(v) = take(round) else { continue };
+                    let (s, i) = ((v / PER_SENDER) as usize, v % PER_SENDER);
+                    assert_eq!(
+                        i,
+                        acks[s].load(Ordering::Relaxed),
+                        "sender {s} out of order"
+                    );
+                    acks[s].store(i + 1, Ordering::Release);
+                    left -= 1;
+                }
+                done_tx.send(()).unwrap();
+            });
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("the receiver failed, or a lost wake-up left it blocked");
+        }
+
+        /// A deadline short enough that many receives time out while
+        /// parked.
+        fn soon() -> crate::time::Instant {
+            crate::time::Instant::now() + std::time::Duration::from_micros(30)
+        }
+
+        /// Sends notify only a parked receiver. Against a receiver that
+        /// by turns polls busily (never parked), parks in a bare
+        /// receive, and parks under a deadline that often passes first,
+        /// every value must still arrive.
+        #[test]
+        fn no_wake_up_is_lost_to_a_receiver_that_parks_and_unparks() {
+            use crate::block_on;
+            use crate::time::timeout_at;
+
+            let acks = Acks::default();
+            let (tx, mut rx) = super::unbounded_channel::<u64>();
+            let senders = spawn_senders(tx, |tx, v| tx.send(v).unwrap(), &acks);
+            receive_all(acks, move |round| match round % 3 {
+                0 => rx.try_recv(),
+                1 => block_on(rx.recv()),
+                _ => block_on(timeout_at(soon(), rx.recv())).ok().flatten(),
+            });
+            senders.into_iter().for_each(|t| t.join().unwrap());
+
+            let acks = Acks::default();
+            let (tx, mut rx) = super::channel::<u64>(8);
+            let senders = spawn_senders(tx, |tx, v| block_on(tx.send(v)).unwrap(), &acks);
+            receive_all(acks, move |round| match round % 3 {
+                0 => rx.try_recv(),
+                1 => block_on(rx.recv()),
+                _ => block_on(timeout_at(soon(), rx.recv())).ok().flatten(),
+            });
+            senders.into_iter().for_each(|t| t.join().unwrap());
         }
 
         #[test]

@@ -97,24 +97,24 @@ impl Drop for DeadlineScope {
     }
 }
 
-/// One bounded wait of a blocking receive: `None` — without waiting —
-/// once the deadline of the [`Timeout`] being polled on this thread has
-/// passed, otherwise the guard back after a notification, a spurious
-/// wake-up or that deadline. The caller re-checks its queue either way,
-/// so a value that arrives at the deadline is taken or left queued,
-/// never lost.
+/// One bounded wait of a blocking receive: `Err` with the guard —
+/// without waiting — once the deadline of the [`Timeout`] being polled
+/// on this thread has passed, otherwise `Ok` with the guard back after
+/// a notification, a spurious wake-up or that deadline. The caller
+/// re-checks its queue either way, so a value that arrives at the
+/// deadline is taken or left queued, never lost.
 pub(crate) fn wait_in_deadline<'a, T>(
     ready: &Condvar,
     guard: MutexGuard<'a, T>,
-) -> Option<MutexGuard<'a, T>> {
+) -> Result<MutexGuard<'a, T>, MutexGuard<'a, T>> {
     let Some(deadline) = DEADLINE.get() else {
-        return Some(ready.wait(guard).unwrap());
+        return Ok(ready.wait(guard).unwrap());
     };
     let left = deadline.saturating_duration_since(std::time::Instant::now());
     if left.is_zero() {
-        return None;
+        return Err(guard);
     }
-    Some(ready.wait_timeout(guard, left).unwrap().0)
+    Ok(ready.wait_timeout(guard, left).unwrap().0)
 }
 
 /// Future returned by [`timeout`] and [`timeout_at`].

@@ -172,34 +172,6 @@ fn wire_sent(handle: &InProcCluster) -> String {
     format!("{:7.2} MiB", bytes as f64 / (1024.0 * 1024.0))
 }
 
-/// One sealer-sweep configuration: committed-txn/s with the given
-/// egress sealing pool size (0 = inline signing on the event-loop
-/// thread, the pre-pool baseline). Best of two trials, same rationale
-/// as [`exec_run`].
-async fn seal_run(count: u64, seal_pool: usize) -> (f64, String) {
-    let mut best = (0.0f64, String::new());
-    for _ in 0..2 {
-        let cluster = ClusterConfig::new(4);
-        let c = cluster.clone();
-        let handle = InProcCluster::spawn_tuned(
-            cluster,
-            vec![None; 4],
-            vec![false; 4],
-            |cfg| cfg.seal_pool = seal_pool,
-            move |r| SpotLessReplica::new(ReplicaConfig::honest(c.clone(), r)),
-        )
-        .expect("in-memory cluster (sealer sweep)");
-        let secs = drive(&handle, (0..count).map(real_batch).collect()).await;
-        let wire = wire_sent(&handle);
-        handle.shutdown().await;
-        let tps = (count * u64::from(TXNS_PER_BATCH)) as f64 / secs;
-        if tps > best.0 {
-            best = (tps, wire);
-        }
-    }
-    best
-}
-
 #[tokio::main]
 async fn main() {
     let mut table = FigureTable::new(
@@ -208,14 +180,13 @@ async fn main() {
     );
     let count = batches();
     let total_txns = (count * u64::from(TXNS_PER_BATCH)) as f64;
-    // Reported with every pool-vs-inline floor below: each is a
-    // bounded-overhead check, and how close pooled runs to inline
+    // Reported with the executor floors below: each is a
+    // bounded-overhead check, and how close pooled runs to serial
     // depends on whether a second core exists.
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
 
-    // SpotLess, in-memory chain: the pure pipeline hot path, with the
-    // default off-thread ingress verification pool.
-    let pooled_tps = {
+    // SpotLess, in-memory chain: the pure pipeline hot path.
+    {
         let cluster = ClusterConfig::new(4);
         let c = cluster.clone();
         let handle = InProcCluster::spawn_with(cluster, vec![None; 4], vec![false; 4], move |r| {
@@ -230,48 +201,7 @@ async fn main() {
             wire_sent(&handle),
         ]);
         handle.shutdown().await;
-        total_txns / secs
-    };
-
-    // Same cluster and load with the verification pool disabled: every
-    // inbound Ed25519 check runs serially on the event-loop thread,
-    // which is exactly the bottleneck the ingress stage removes.
-    let inline_tps = {
-        let cluster = ClusterConfig::new(4);
-        let c = cluster.clone();
-        let handle = InProcCluster::spawn_tuned(
-            cluster,
-            vec![None; 4],
-            vec![false; 4],
-            |cfg| cfg.verify_pool = 0,
-            move |r| SpotLessReplica::new(ReplicaConfig::honest(c.clone(), r)),
-        )
-        .expect("in-memory cluster (inline verify)");
-        let secs = drive(&handle, (0..count).map(real_batch).collect()).await;
-        table.row(&[
-            "SpotLess inproc (mem, inline verify)".into(),
-            format!("{count}"),
-            format!("{:8.1} ktxn/s", total_txns / secs / 1_000.0),
-            wire_sent(&handle),
-        ]);
-        handle.shutdown().await;
-        total_txns / secs
-    };
-
-    // CI floor: bounded overhead at every core count — the ingress
-    // pool's queueing, claiming and hand-off must cost less than 20 %
-    // against verifying on the event loop. The floor used to demand a
-    // strict win on ≥ 2 cores; since verification runs from per-signer
-    // tables (≈ 30 µs where it was ≈ 65) the pool sheds half as much
-    // work, and on 2 saturated cores pooled and inline land within a
-    // few percent of each other in either order. Both rows stay in the
-    // table; whether the pool keeps its place is a paired-run decision
-    // (ROADMAP item 6), not this floor's.
-    assert!(
-        pooled_tps > inline_tps * 0.80,
-        "on {cores} cores the ingress pool must stay within 20 % of inline \
-         verification: pooled {pooled_tps:.0} tx/s vs inline {inline_tps:.0} tx/s"
-    );
+    }
 
     // Executor sweep: the conflict-aware parallel executor against the
     // inline serial baseline, at both ends of the YCSB contention dial.
@@ -315,32 +245,6 @@ async fn main() {
         "under full contention the executor degenerates to commit order and \
          must stay within 20 % of serial: parallel {par_hot:.0} tx/s vs \
          serial {ser_hot:.0} tx/s"
-    );
-
-    // Sealer sweep: egress signing on dedicated lanes (fixed-base
-    // table Ed25519, ordered emitter) against inline sealing on the
-    // event-loop thread.
-    let (sealed_tps, w) = seal_run(count, 2).await;
-    table.row(&[
-        "SpotLess seal=2".into(),
-        format!("{count}"),
-        format!("{:8.1} ktxn/s", sealed_tps / 1_000.0),
-        w,
-    ]);
-    let (seal_inline_tps, w) = seal_run(count, 0).await;
-    table.row(&[
-        "SpotLess seal=inline".into(),
-        format!("{count}"),
-        format!("{:8.1} ktxn/s", seal_inline_tps / 1_000.0),
-        w,
-    ]);
-    // CI floor: bounded overhead, for the ingress floor's reason — a
-    // table-based signature is ≈ 20 µs where it was ≈ 50, so what the
-    // lanes take off the event loop is small against the hop they add.
-    assert!(
-        sealed_tps > seal_inline_tps * 0.80,
-        "on {cores} cores the sealer pool must stay within 20 % of inline sealing: \
-         pool {sealed_tps:.0} tx/s vs inline {seal_inline_tps:.0} tx/s"
     );
 
     // SpotLess, durable: group commit + certificate-verified appends.

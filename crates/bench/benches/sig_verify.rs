@@ -14,7 +14,7 @@
 //!   any clock starts.
 //! * `sig_verify_batch` — `verify_batch_refs` / `verify_quorum` against
 //!   serial table verification, in the two shapes the runtime produces:
-//!   an ingress lane's batch (one sender, 2–32 envelopes; folds into
+//!   a one-sender ingress run (2–32 envelopes; folds into
 //!   two table walks, ≥ 1.25× at 32) and a certificate (distinct
 //!   signers; `verify_batch` keeps it serial, floor "not slower"). The
 //!   rows at 2 / 4 / 8 / 16 / 32 are what `FOLD_MIN_REPEATS` in
@@ -174,8 +174,8 @@ fn main() {
 
     // ── Batch verification against serial, both on tables ──────────
     //
-    // Two shapes: `one` is an ingress lane's batch (every envelope from
-    // one sender, distinct payloads), `distinct` is a certificate (one
+    // Two shapes: `one` is a one-sender ingress run (distinct
+    // payloads), `distinct` is a certificate (one
     // statement, every vote from a different signer).
     let mut batch_table = FigureTable::new(
         "sig_verify_batch",
@@ -265,7 +265,7 @@ fn main() {
     // is RFC 8032 signing written out here from `ed25519`'s public
     // pieces with a generic double-and-add `[r]B` — what `sign` did
     // before the table. Signatures must be byte-identical; the floor
-    // is on per-signature time at the sealer's drain sizes.
+    // is on per-signature time at batch sizes 4 and 32.
     // `sign_batch` is a loop over `sign`, so its row is printed to
     // show the two are level, not gated.
     let mut sign_table = FigureTable::new(

@@ -39,9 +39,9 @@
 //!   test and bench reference) takes ≈ 65 µs;
 //! * [`KeyStore::verify_batch_refs`] and [`KeyStore::verify_quorum`]
 //!   (one surface: the second is the first over a shared message) fold
-//!   a batch by signer, so an ingress lane's run of envelopes from one
-//!   sender costs two table walks in total plus a short shared chain
-//!   for the nonce points.
+//!   a batch by signer, so an ingress run of envelopes costs two table
+//!   walks per sender in it plus a short shared chain for the nonce
+//!   points.
 //!
 //! One caveat survives from the stand-in era: the underlying arithmetic
 //! is variable-time. Verification only ever touches public data, but a
@@ -178,9 +178,9 @@ impl Keypair {
         Signature(self.signing.sign(message))
     }
 
-    /// [`sign`](Keypair::sign) over each message in turn — the sealer
-    /// lanes drain their queues through this. Every signature walks the
-    /// fixed-base table, so a batch buys nothing a single call lacks.
+    /// [`sign`](Keypair::sign) over each message in turn. Every
+    /// signature walks the fixed-base table, so a batch buys nothing a
+    /// single call lacks.
     pub fn sign_batch(&self, messages: &[&[u8]]) -> Vec<Signature> {
         self.signing
             .sign_batch(messages)
@@ -342,8 +342,8 @@ impl KeyStore {
     }
 
     /// Batch-verifies independent `(signer, message, sig)` triples,
-    /// borrowing the messages where they lie (an ingress lane's received
-    /// buffers, a certificate's one statement). `Ok` iff every triple
+    /// borrowing the messages where they lie (the ingress task's
+    /// received buffers, a certificate's one statement). `Ok` iff every triple
     /// verifies (empty is `Ok`); an unknown signer fails the whole batch
     /// with [`VerifyError::UnknownSigner`].
     ///
@@ -525,7 +525,7 @@ mod tests {
 
     #[test]
     fn verify_batch_refs_folds_a_single_sender_run_and_names_unknown_signers() {
-        // The ingress lanes' shape: 32 distinct payloads, one sender.
+        // A one-sender ingress run: 32 distinct payloads.
         let stores = KeyStore::cluster(b"lane", 4);
         let payloads: Vec<Vec<u8>> = (0..32u8).map(|i| vec![i; 40]).collect();
         let mut sigs: Vec<Signature> = payloads.iter().map(|p| stores[2].sign(p)).collect();

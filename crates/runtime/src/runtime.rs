@@ -9,7 +9,10 @@
 //!   (`crate::pipeline`), fed through a bounded queue — consensus
 //!   never waits for an fsync, and execution of slot `k` overlaps with
 //!   ordering of slot `k + j`;
-//! * **outbound traffic** is serialized and signed once per message;
+//! * **inbound signatures** are batch-verified by the ingress task
+//!   before an envelope reaches the loop (`crate::ingress`);
+//! * **outbound traffic** is serialized once per message on the loop,
+//!   then signed and fanned out by the egress lane (`crate::egress`);
 //!   broadcast fan-out shares the bytes via `Arc` (see
 //!   [`crate::envelope`]).
 //!
@@ -30,7 +33,7 @@
 //! `tests/transport_e2e.rs` (facade crate) for the end-to-end
 //! crash–restart and pruned-history recovery proofs.
 
-use crate::egress::Fanout;
+use crate::egress::{Egress, Fanout};
 use crate::envelope::{
     decode_protocol_body, encode_protocol_into, payload_tag, Envelope, Payload, TAG_PROTOCOL,
 };
@@ -107,26 +110,16 @@ pub struct RuntimeConfig {
     /// Crash-faulty deployment: consume inputs, emit nothing (the A1
     /// behaviour at transport level).
     pub silent: bool,
-    /// Ingress verification workers: inbound envelope signatures are
-    /// batch-verified off the event-loop thread by this many dedicated
-    /// tasks (the `ingress` module), preserving per-sender FIFO
-    /// order. `0` verifies inline on the event loop (the pre-pool
-    /// behaviour — useful as a benchmark baseline and for
-    /// single-threaded debugging).
-    pub verify_pool: usize,
     /// Committed-batch execution workers: the pipeline schedules each
     /// commit group over the KV store's shard footprints and runs
     /// non-conflicting batches on this many dedicated tasks (the
     /// `executor` module), sealing state roots in commit order. `0`
     /// executes every group inline on the pipeline thread (the serial
-    /// baseline — also what benchmarks compare against).
+    /// baseline — also what benchmarks compare against). Envelope
+    /// signatures have no such knob: one ingress task verifies inbound
+    /// envelopes and one egress lane signs outbound ones, each off the
+    /// event-loop thread (the `ingress` and `egress` modules).
     pub exec_pool: usize,
-    /// Egress sealing workers: outbound envelopes are signed one job
-    /// at a time off the event-loop thread by this many dedicated
-    /// lanes (the `egress` module), with a single ordered emitter
-    /// preserving per-destination send order. `0` seals inline on the
-    /// event loop (the pre-pool behaviour — the benchmark baseline).
-    pub seal_pool: usize,
     /// Wire-traffic counters for this replica (payload bytes/messages
     /// by direction). A fresh set by default; share one across replicas
     /// to aggregate. Also readable later via [`ReplicaHandle::net`].
@@ -149,9 +142,7 @@ impl RuntimeConfig {
             catchup_interval: SimDuration::from_millis(150),
             chunk_budget: spotless_types::SNAPSHOT_CHUNK_BYTES,
             silent: false,
-            verify_pool: 2,
             exec_pool: 2,
-            seal_pool: 2,
             net: NetStats::default(),
             snap: SnapshotStats::default(),
         }
@@ -451,14 +442,12 @@ impl ReplicaRuntime {
     /// and a replica's count is fixed at spawn — timers live on the
     /// event loop's deadline heap and the handle writes to the event
     /// queue directly, so nothing is spawned afterwards. Per replica:
-    /// the event loop (1), the commit pipeline (1), the ingress
-    /// dispatcher plus `verify_pool` lanes (1 + 2), the `seal_pool`
-    /// lanes plus the ordered emitter (2 + 1) and the `exec_pool`
-    /// workers (2) — **10** at the default pool sizes. A pool sized 0
-    /// drops its threads (`verify_pool == 0`, and any silent replica,
-    /// keeps one plain envelope forwarder in their place). The TCP
-    /// fabric adds its own per replica: one acceptor and, per peer, one
-    /// reader and one sender task.
+    /// the event loop, the commit pipeline, the ingress task, the
+    /// egress lane and the `exec_pool` workers (2) — **6** at the
+    /// default pool size; `exec_pool == 0` drops the workers. A silent
+    /// replica's ingress task drains and drops envelopes without
+    /// verifying them. The TCP fabric adds its own per replica: one
+    /// acceptor and, per peer, one reader and one sender task.
     pub fn spawn<N, F>(
         node: N,
         cfg: RuntimeConfig,
@@ -560,32 +549,25 @@ impl ReplicaRuntime {
 
         // 3. Ingress: fabric envelopes and the control plane both feed
         //    the single typed event queue — the handle writes to it
-        //    directly. With a verify pool, inbound signatures are
-        //    batch-checked off-thread and only verified envelopes reach
-        //    the queue; with `verify_pool == 0` (or a silent replica,
-        //    which drops everything anyway) a plain forwarder keeps the
-        //    pre-pool inline-verify path.
-        let verify_pool = if cfg.silent { 0 } else { cfg.verify_pool };
-        if verify_pool > 0 {
-            crate::ingress::spawn_verify_pool(
-                verify_pool,
-                cfg.keystore.clone(),
-                envelopes,
-                events_tx.clone(),
-                net.clone(),
-            );
-        } else {
-            let env_events = events_tx.clone();
+        //    directly. The ingress task batch-verifies inbound
+        //    signatures, so only verified envelopes reach the queue. A
+        //    silent replica, which would drop them anyway, drains its
+        //    fabric channel without verifying.
+        if cfg.silent {
             let mut envelopes = envelopes;
             let recv_net = net.clone();
             tokio::spawn(async move {
                 while let Some(env) = envelopes.recv().await {
                     recv_net.record_recv(env.payload.len());
-                    if env_events.send(Event::Envelope(env)).is_err() {
-                        break;
-                    }
                 }
             });
+        } else {
+            crate::ingress::spawn_ingress(
+                cfg.keystore.clone(),
+                envelopes,
+                events_tx.clone(),
+                net.clone(),
+            );
         }
         let ctl_events = events_tx.clone();
         let control = Arc::new(move |msg| {
@@ -596,31 +578,17 @@ impl ReplicaRuntime {
             });
         });
 
-        // 4. Egress: with a sealer pool, outbound envelopes are
-        //    signed one at a time off-thread and a single ordered emitter
-        //    preserves send order; with `seal_pool == 0` (or a silent
-        //    replica, which emits nothing) the loop seals inline.
-        let seal_pool = if cfg.silent { 0 } else { cfg.seal_pool };
-        let egress = (seal_pool > 0).then(|| {
-            crate::egress::EgressPool::spawn(
-                seal_pool,
-                cfg.keystore.clone(),
-                fabric.clone(),
-                cfg.me,
-                cfg.cluster.n,
-            )
-        });
+        // 4. Egress: outbound envelopes are signed and fanned out in
+        //    submission order by one lane off the loop.
+        let egress = Egress::spawn(cfg.keystore.clone(), fabric, cfg.me, cfg.cluster.n);
 
         // 5. The event loop.
         let witness = Arc::new(WitnessCounts::default());
         let event_loop = EventLoop {
             me: cfg.me,
-            n: cfg.cluster.n,
             node,
             keystore: cfg.keystore,
-            fabric,
             egress,
-            seal_buffers: crate::envelope::BufferPool::default(),
             events_tx,
             pipeline_tx,
             synced: synced.clone(),
@@ -628,8 +596,6 @@ impl ReplicaRuntime {
             timers: TimerHeap::default(),
             start: Instant::now(),
             silent: cfg.silent,
-            verify_ingress: verify_pool == 0,
-            net: net.clone(),
             votes: VoteMemo::default(),
             witness: witness.clone(),
         };
@@ -648,18 +614,12 @@ impl ReplicaRuntime {
     }
 }
 
-struct EventLoop<N: Node, F: Fabric> {
+struct EventLoop<N: Node> {
     me: ReplicaId,
-    n: u32,
     node: N,
     keystore: KeyStore,
-    fabric: F,
-    /// The off-thread sealing stage (`seal_pool > 0`), or `None` for
-    /// the inline baseline.
-    egress: Option<crate::egress::EgressPool>,
-    /// Recycled outbound payload buffers for the inline path (the
-    /// egress pool carries its own).
-    seal_buffers: crate::envelope::BufferPool,
+    /// Signs and sends outbound envelopes, in submission order.
+    egress: Egress,
     events_tx: mpsc::UnboundedSender<Event<N::Message>>,
     pipeline_tx: mpsc::Sender<PipelineCmd>,
     synced: Arc<AtomicBool>,
@@ -669,22 +629,15 @@ struct EventLoop<N: Node, F: Fabric> {
     timers: TimerHeap,
     start: Instant,
     silent: bool,
-    /// Whether this loop still verifies envelope signatures inline
-    /// (`verify_pool == 0`); with the ingress pool active, envelopes
-    /// arrive pre-verified and the loop never touches an envelope
-    /// signature.
-    verify_ingress: bool,
-    net: NetStats,
     /// Verdicts on votes, shared across steps.
     votes: VoteMemo,
     witness: Arc<WitnessCounts>,
 }
 
-impl<N, F> EventLoop<N, F>
+impl<N> EventLoop<N>
 where
     N: Node + Send + 'static,
     N::Message: Serialize + Deserialize + Send + 'static,
-    F: Fabric,
 {
     async fn run(mut self, mut events: mpsc::UnboundedReceiver<Event<N::Message>>) {
         if self.silent {
@@ -766,13 +719,7 @@ where
             };
             match ev {
                 Event::Envelope(env) => {
-                    // With the ingress pool active the signature was
-                    // already batch-verified off-thread; only the
-                    // `verify_pool == 0` baseline pays it here.
-                    if self.verify_ingress && env.verify(&self.keystore).is_err() {
-                        self.net.record_rejected(env.payload.len());
-                        continue;
-                    }
+                    // The ingress task has verified the signature.
                     // Route by the two-byte header alone — the loop
                     // never parses a transfer body. Protocol messages
                     // (the hot path) decode borrowed off the shared
@@ -899,34 +846,14 @@ where
     }
 
     /// Encodes one outbound protocol message into a pooled buffer and
-    /// either hands it to the egress stage (sealed off-thread, fanned
-    /// out in submission order by the ordered emitter) or seals and
-    /// sends inline (`seal_pool == 0`).
-    fn emit(&mut self, msg: &N::Message, fanout: Fanout) {
-        match &mut self.egress {
-            Some(egress) => {
-                let enc = encode_protocol_into(msg, egress.buffers.take());
-                let len = enc.len();
-                let payload = Payload::pooled(enc, &egress.buffers, 0, len);
-                egress.submit(payload, fanout);
-            }
-            None => {
-                let enc = encode_protocol_into(msg, self.seal_buffers.take());
-                let len = enc.len();
-                let payload = Payload::pooled(enc, &self.seal_buffers, 0, len);
-                let env = Envelope::seal_payload(&self.keystore, payload);
-                match fanout {
-                    Fanout::To(to) => self.fabric.send(to, env),
-                    Fanout::Broadcast => {
-                        for r in 0..self.n {
-                            if r != self.me.0 {
-                                self.fabric.send(ReplicaId(r), env.clone());
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    /// hands it to the egress lane, which seals it and fans it out in
+    /// submission order.
+    fn emit(&self, msg: &N::Message, fanout: Fanout) {
+        let buffers = &self.egress.buffers;
+        let enc = encode_protocol_into(msg, buffers.take());
+        let len = enc.len();
+        self.egress
+            .submit(Payload::pooled(enc, buffers, 0, len), fanout);
     }
 
     fn arm_catchup_tick(&mut self) {
