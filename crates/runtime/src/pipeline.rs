@@ -18,6 +18,13 @@
 //! is a function of the exact chain prefix below it); the pipeline
 //! asserts the KV state and chain height stay aligned at every seal.
 //!
+//! The chain store is one [`DurableLedger`] for every deployment: the
+//! runtime opens it on the replica's storage directory, or builds
+//! [`DurableLedger::in_memory`] when there is none. The difference stays
+//! inside the store — a memory-only one writes nothing, is never due for
+//! a snapshot, and syncs at once — and the pipeline asks about it only
+//! at construction: a store with a directory boots in catch-up.
+//!
 //! Every block that reaches storage carries a **verified commit
 //! certificate**: the protocol layer surfaces the certifying votes
 //! (signer set plus one Ed25519 signature per signer over the vote
@@ -79,9 +86,7 @@ use crate::fabric::Fabric;
 use crate::observe::{CommitLog, CommittedEntry, Inform, SnapshotStats};
 use crate::runtime::VoteMemo;
 use spotless_crypto::{proof_index, verify_inclusion, KeyStore, ProofStep};
-use spotless_ledger::{
-    verify_proof, verify_proof_rules, Block, CommitProof, Ledger, ProofRules, RecentBatches,
-};
+use spotless_ledger::{verify_proof, verify_proof_rules, Block, CommitProof, ProofRules};
 use spotless_storage::snapshot::Snapshot;
 use spotless_storage::transfer::{InstallJournal, InstallManifest};
 use spotless_storage::DurableLedger;
@@ -174,160 +179,6 @@ pub(crate) enum PipelineCmd {
     Tick,
 }
 
-/// The in-memory chain store's state (see [`Store::Mem`]).
-struct MemStore {
-    ledger: Ledger,
-    /// The head block of an installed snapshot (serves catch-up
-    /// requests that need the base's certificate).
-    base_block: Option<Block>,
-    /// Recently committed batch ids (the durable store tracks its own;
-    /// the mem store needs one for the same re-commit dedup after a
-    /// snapshot install).
-    recent: RecentBatches,
-}
-
-/// The chain store: durable when the deployment has a storage dir,
-/// purely in-memory otherwise. Both paths share the ledger's hash-chain
-/// verification.
-enum Store {
-    Durable(Box<DurableLedger>),
-    Mem(Box<MemStore>),
-}
-
-impl Store {
-    fn ledger(&self) -> &Ledger {
-        match self {
-            Store::Durable(d) => d.ledger(),
-            Store::Mem(m) => &m.ledger,
-        }
-    }
-
-    /// True iff `id` is known committed: either a materialized block
-    /// holds it, or it sits inside the recent-id window a snapshot
-    /// (recovery or state transfer) carried over. The live commit path
-    /// consults this so a rejoining protocol instance that re-announces
-    /// recent history cannot re-execute it.
-    fn knows_batch(&self, id: BatchId) -> bool {
-        if self.ledger().find_batch(id).is_some() {
-            return true;
-        }
-        match self {
-            Store::Durable(d) => d.recent_batches().contains(id),
-            Store::Mem(m) => m.recent.contains(id),
-        }
-    }
-
-    /// The recent-id window to ship with an outgoing snapshot.
-    fn recent_ids(&self) -> Vec<BatchId> {
-        match self {
-            Store::Durable(d) => d.recent_batches().iter().collect(),
-            Store::Mem(m) => m.recent.iter().collect(),
-        }
-    }
-
-    /// The block at `height`, looking through the pruned base: the
-    /// block just below an installed/recovered snapshot is retained for
-    /// serving that snapshot's certificate.
-    fn block_at(&self, height: u64) -> Option<&Block> {
-        if let Some(b) = self.ledger().block(height) {
-            return Some(b);
-        }
-        let base = match self {
-            Store::Durable(d) => d.base_block(),
-            Store::Mem(m) => m.base_block.as_ref(),
-        };
-        base.filter(|b| b.height == height)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn append_batch(
-        &mut self,
-        id: BatchId,
-        digest: Digest,
-        txns: u32,
-        state_root: Digest,
-        proof: CommitProof,
-        payload: &[u8],
-    ) -> bool {
-        match self {
-            Store::Durable(d) => d
-                .append_batch(id, digest, txns, state_root, proof, payload)
-                .is_ok(),
-            Store::Mem(m) => {
-                m.ledger.append(id, digest, txns, state_root, proof);
-                m.recent.push(id);
-                true
-            }
-        }
-    }
-
-    fn append_foreign(&mut self, block: Block, payload: &[u8]) -> bool {
-        match self {
-            Store::Durable(d) => d.append_block(block, payload).is_ok(),
-            Store::Mem(m) => {
-                let id = block.batch_id;
-                let ok = m.ledger.append_existing(block).is_ok();
-                if ok {
-                    m.recent.push(id);
-                }
-                ok
-            }
-        }
-    }
-
-    /// Replaces the whole chain with a received snapshot's certified
-    /// head (the caller has already verified the assembled state
-    /// against the head's `state_root`). Durable stores make the
-    /// snapshot durable and reset their log; the in-memory store just
-    /// re-bases its ledger.
-    fn install_snapshot(
-        &mut self,
-        height: u64,
-        head: Block,
-        transferred_ids: &[BatchId],
-        app_meta: &[u8],
-        app_chunks: &[Vec<u8>],
-    ) -> bool {
-        match self {
-            Store::Durable(d) => d
-                .install_snapshot(&Snapshot {
-                    height,
-                    head_hash: head.hash,
-                    head_block: Some(head),
-                    recent_ids: transferred_ids.to_vec(),
-                    app_meta: app_meta.to_vec(),
-                    app_chunks: app_chunks.to_vec(),
-                })
-                .is_ok(),
-            Store::Mem(m) => {
-                m.ledger = Ledger::with_base(height, head.hash);
-                m.base_block = Some(head);
-                for &id in transferred_ids {
-                    m.recent.push(id);
-                }
-                true
-            }
-        }
-    }
-
-    /// Fsyncs the log; `false` means the group is NOT durable and the
-    /// caller must not acknowledge it. A failed fsync poisons the store
-    /// by contract — subsequent appends fail too, so the replica stops
-    /// acknowledging anything until restarted.
-    #[must_use]
-    fn sync(&mut self) -> bool {
-        match self {
-            Store::Durable(d) => d.sync().is_ok(),
-            Store::Mem(_) => true,
-        }
-    }
-
-    /// True iff this is a durable store with a snapshot due.
-    fn snapshot_due(&self) -> bool {
-        matches!(self, Store::Durable(d) if d.snapshot_due())
-    }
-}
-
 /// What the previous durable snapshot serialized, kept so the next one
 /// can skip shards whose state did not move. A shard's sub-root is a
 /// collision-resistant digest of its entire contents, so `sub_roots[s]`
@@ -406,7 +257,9 @@ pub(crate) struct Pipeline<F: Fabric> {
     rules: ProofRules,
     keystore: KeyStore,
     fabric: F,
-    store: Store,
+    /// The chain store: on the replica's storage directory, or
+    /// [`DurableLedger::in_memory`] without one.
+    store: DurableLedger,
     kv: KvStore,
     /// Height up to which `kv` reflects executed batches (≤ chain height
     /// right after a restart whose snapshot trails the log).
@@ -457,7 +310,7 @@ impl<F: Fabric> Pipeline<F> {
         cluster: ClusterConfig,
         keystore: KeyStore,
         fabric: F,
-        durable: Option<DurableLedger>,
+        store: DurableLedger,
         mut kv: KvStore,
         mut kv_height: u64,
         recovered_payloads: Vec<Vec<u8>>,
@@ -470,15 +323,6 @@ impl<F: Fabric> Pipeline<F> {
         allow_catchup: bool,
         snap_stats: SnapshotStats,
     ) -> Pipeline<F> {
-        let is_durable = durable.is_some();
-        let store = match durable {
-            Some(d) => Store::Durable(Box::new(d)),
-            None => Store::Mem(Box::new(MemStore {
-                ledger: Ledger::new(),
-                base_block: None,
-                recent: RecentBatches::new(),
-            })),
-        };
         let chain_height = store.ledger().height();
         // Self-contained tail replay: the log persists batch payloads,
         // so the blocks logged above the snapshot re-execute locally —
@@ -535,7 +379,7 @@ impl<F: Fabric> Pipeline<F> {
         // so "restart" is not a supported operation for them. A silent
         // (crash-faulty) deployment must emit nothing — not even
         // catch-up requests — so it never enters catch-up.
-        let behind = allow_catchup && (is_durable || chain_height > 0 || kv_height > 0);
+        let behind = allow_catchup && (store.dir().is_some() || chain_height > 0 || kv_height > 0);
         let mode = if behind {
             Mode::CatchingUp {
                 pending: Vec::new(),
@@ -726,14 +570,15 @@ impl<F: Fabric> Pipeline<F> {
         // group owns that).
         let mut executed: Vec<(CommitInfo, Digest)> = Vec::new();
         for ((info, _, proof), sealed) in prepared.into_iter().zip(sealed) {
-            if !self.store.append_batch(
+            let appended = self.store.append_batch(
                 info.batch.id,
                 info.batch.digest,
                 info.batch.txns,
                 sealed.state_root,
                 proof,
                 &info.batch.payload,
-            ) {
+            );
+            if appended.is_err() {
                 // The KV state advanced but the chain did not:
                 // continuing would fork this replica. Same loud-stall
                 // contract as an unverifiable certificate.
@@ -746,8 +591,10 @@ impl<F: Fabric> Pipeline<F> {
         }
         // Group commit: one fsync covers every append above. If it
         // fails, nothing in the group may be acknowledged — the client
-        // would count an ack for state a crash can still lose.
-        if !self.store.sync() {
+        // would count an ack for state a crash can still lose. A failed
+        // fsync poisons the store by contract: later appends fail too,
+        // so the replica acknowledges nothing until restarted.
+        if self.store.sync().is_err() {
             return;
         }
         self.snapshot_and_trim();
@@ -829,10 +676,10 @@ impl<F: Fabric> Pipeline<F> {
             }
         }
         let flat: Vec<Vec<u8>> = per_shard.iter().flatten().cloned().collect();
-        let Store::Durable(d) = &mut self.store else {
-            return None; // snapshot_due already said durable
-        };
-        let height = d.force_snapshot(&self.kv.transfer_meta(), &flat).ok()?;
+        let height = self
+            .store
+            .force_snapshot(&self.kv.transfer_meta(), &flat)
+            .ok()?;
         self.snap_stats
             .record_snapshot(encoded, EXEC_SHARDS as u64 - encoded);
         self.snap_cache = Some(SnapshotCache {
@@ -969,7 +816,7 @@ impl<F: Fabric> Pipeline<F> {
             self.outgoing.push(OutgoingSnapshot {
                 height,
                 head,
-                recent_ids: self.store.recent_ids(),
+                recent_ids: self.store.recent_batches().iter().collect(),
                 app_meta: self.kv.transfer_meta(),
                 meta_proof,
                 chunks,
@@ -1124,7 +971,11 @@ impl<F: Fabric> Pipeline<F> {
                 return; // acknowledge nothing
             }
             if is_new {
-                if !self.store.append_foreign(cb.block.clone(), cb.payload) {
+                if self
+                    .store
+                    .append_block(cb.block.clone(), cb.payload)
+                    .is_err()
+                {
                     self.poisoned = true;
                     return;
                 }
@@ -1140,7 +991,7 @@ impl<F: Fabric> Pipeline<F> {
         // failed fsync) must not lose blocks a client already counted
         // toward its quorum.
         if appended {
-            if !self.store.sync() {
+            if self.store.sync().is_err() {
                 return; // poisoned store: acknowledge nothing, stall
             }
             self.snapshot_and_trim();
@@ -1387,13 +1238,15 @@ impl<F: Fabric> Pipeline<F> {
         };
         kv.state_root(); // warm the incremental caches before going live
         let height = t.manifest.height;
-        if !self.store.install_snapshot(
+        let snapshot = Snapshot {
             height,
-            t.manifest.head.clone(),
-            &t.manifest.recent_ids,
-            &t.manifest.app_meta,
-            &encoded_chunks,
-        ) {
+            head_hash: t.manifest.head.hash,
+            head_block: Some(t.manifest.head),
+            recent_ids: t.manifest.recent_ids,
+            app_meta: t.manifest.app_meta,
+            app_chunks: encoded_chunks,
+        };
+        if self.store.install_snapshot(&snapshot).is_err() {
             return; // storage failure: stall (poisoned store contract)
         }
         self.kv = kv;
@@ -1756,7 +1609,7 @@ mod tests {
             cluster,
             keystore,
             NullFabric,
-            None,
+            DurableLedger::in_memory(),
             KvStore::new(),
             0,
             Vec::new(),
@@ -2084,5 +1937,37 @@ mod tests {
         victim.apply_catchup(ReplicaId(2), 2, &[cb(1)]);
         assert_eq!(victim.store.ledger().height(), 2);
         assert_eq!(victim.kv_height, 2);
+    }
+
+    #[test]
+    fn chunked_transfer_installs_into_the_in_memory_store() {
+        let mut peer = synced_pipeline();
+        peer.flush(vec![commit_info(1), commit_info(2), commit_info(3)]);
+        let manifest = peer.build_manifest().expect("peer serves a snapshot");
+        let mut victim = synced_pipeline();
+        victim.mode = Mode::CatchingUp {
+            pending: Vec::new(),
+            confirmed: Default::default(),
+        };
+        victim.on_transfer(ReplicaId(1), &encode_catchup_manifest(&manifest));
+        assert!(victim.incoming.is_some(), "the manifest verified");
+        let slot = &peer.outgoing[0];
+        for (index, (_, chunk, proofs, top_proof)) in slot.chunks.iter().enumerate() {
+            let transfer = ChunkTransfer {
+                height: slot.height,
+                index: index as u32,
+                chunk: chunk.clone(),
+                proofs: proofs.clone(),
+                top_proof: top_proof.clone(),
+            };
+            victim.on_transfer(ReplicaId(1), &encode_chunk(&transfer));
+        }
+        assert!(victim.incoming.is_none(), "the transfer completed");
+        assert!(!victim.poisoned);
+        assert_eq!(victim.kv_height, 3);
+        assert_eq!(victim.store.ledger().base_height(), 3);
+        assert_eq!(victim.store.block_at(2), Some(&manifest.head));
+        assert!(victim.store.knows_batch(BatchId(1)), "transferred id");
+        assert_eq!(victim.kv.state_root(), manifest.head.state_root);
     }
 }

@@ -44,7 +44,7 @@ use serde::{Deserialize, Serialize};
 use spotless_crypto::KeyStore;
 use spotless_storage::log::SyncPolicy;
 use spotless_storage::transfer::InstallJournal;
-use spotless_storage::{DurableLedger, DurableLedgerOptions, StorageError};
+use spotless_storage::{DurableLedger, DurableLedgerOptions, RecoveryReport, StorageError};
 use spotless_types::{
     ClientBatch, ClusterConfig, CommitInfo, Context, Input, InstanceId, Node, NodeId, ReplicaId,
     Signature, SimDuration, SimTime, TimerId, TimerKind, View, VoteStatement,
@@ -52,7 +52,7 @@ use spotless_types::{
 use spotless_workload::KvStore;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use tokio::sync::mpsc;
@@ -92,7 +92,9 @@ pub struct RuntimeConfig {
     pub me: ReplicaId,
     /// Key material for envelope signing/verification.
     pub keystore: KeyStore,
-    /// Durable storage; `None` runs the chain in memory only.
+    /// Durable storage; `None` runs the same chain store in memory
+    /// ([`DurableLedger::in_memory`]): no file, no snapshot, and the
+    /// replica starts synced.
     pub storage: Option<StorageConfig>,
     /// Depth of the bounded consensus → storage/execution queue (the
     /// "ack queue"). When the pipeline falls this far behind, consensus
@@ -461,49 +463,50 @@ impl ReplicaRuntime {
         N::Message: Serialize + Deserialize + Send + 'static,
         F: Fabric,
     {
-        // 1. Recover durable state (before any task runs).
-        let mut durable = None;
+        // 1. Open the chain store (before any task runs), recovering
+        //    whatever a previous process left in the storage directory.
+        //    An interrupted snapshot transfer resumes from its journal:
+        //    chunks verified before the crash are not re-fetched.
+        let (store, report, journal) = match &cfg.storage {
+            Some(storage) => {
+                let mut options = storage.options;
+                // Group commit owns fsync cadence; see StorageConfig docs.
+                options.log.sync = SyncPolicy::Manual;
+                let (store, report) = DurableLedger::open(&storage.dir, options)?;
+                (store, report, InstallJournal::open(&storage.dir))
+            }
+            None => (
+                DurableLedger::in_memory(),
+                RecoveryReport::default(),
+                InstallJournal::in_memory(),
+            ),
+        };
         let mut kv = KvStore::new();
         let mut kv_height = 0;
-        let mut replayed_payloads = Vec::new();
-        let mut recovery = None;
-        let mut journal = InstallJournal::in_memory();
-        if let Some(storage) = &cfg.storage {
-            let mut options = storage.options;
-            // Group commit owns fsync cadence; see StorageConfig docs.
-            options.log.sync = SyncPolicy::Manual;
-            let (store, report) = DurableLedger::open(&storage.dir, options)?;
-            if !report.app_meta.is_empty() {
-                let chunks: Option<Vec<spotless_workload::StateChunk>> = report
-                    .app_chunks
-                    .iter()
-                    .map(|c| spotless_workload::StateChunk::decode(c))
-                    .collect();
-                kv = chunks
-                    .and_then(|chunks| KvStore::from_transfer(&report.app_meta, &chunks))
-                    .ok_or_else(|| StorageError::Corrupt {
-                        path: storage.dir.clone(),
-                        offset: 0,
-                        detail: "snapshot app state is not a KV chunk set",
-                    })?;
-                kv_height = report.snapshot_height;
-            }
-            // The log persists batch payloads, so the chain tail above
-            // the snapshot re-executes locally in the pipeline (no peer
-            // required to reach our own head).
-            replayed_payloads = report.replayed_payloads;
-            // An interrupted snapshot transfer resumes from its journal:
-            // chunks verified before the crash are not re-fetched.
-            journal = InstallJournal::open(&storage.dir);
-            recovery = Some(Arc::new(RecoveryInfo {
+        if !report.app_meta.is_empty() {
+            let chunks: Option<Vec<spotless_workload::StateChunk>> = report
+                .app_chunks
+                .iter()
+                .map(|c| spotless_workload::StateChunk::decode(c))
+                .collect();
+            kv = chunks
+                .and_then(|chunks| KvStore::from_transfer(&report.app_meta, &chunks))
+                .ok_or_else(|| StorageError::Corrupt {
+                    path: store.dir().map(Path::to_path_buf).unwrap_or_default(),
+                    offset: 0,
+                    detail: "snapshot app state is not a KV chunk set",
+                })?;
+            kv_height = report.snapshot_height;
+        }
+        let recovery = cfg.storage.as_ref().map(|_| {
+            Arc::new(RecoveryInfo {
                 snapshot_height: report.snapshot_height,
                 chain_height: store.ledger().height(),
                 replayed_blocks: report.replayed_blocks,
                 truncated_tail: report.truncated_tail,
                 pending_install_chunks: journal.chunks_present(),
-            }));
-            durable = Some(store);
-        }
+            })
+        });
 
         let (events_tx, events_rx) = mpsc::unbounded_channel::<Event<N::Message>>();
         let (pipeline_tx, pipeline_rx) = mpsc::channel::<PipelineCmd>(cfg.commit_queue.max(1));
@@ -523,10 +526,13 @@ impl ReplicaRuntime {
             cfg.cluster.clone(),
             cfg.keystore.clone(),
             fabric.clone(),
-            durable,
+            store,
             kv,
             kv_height,
-            replayed_payloads,
+            // The log persists batch payloads, so the chain tail above
+            // the snapshot re-executes locally in the pipeline (no peer
+            // required to reach our own head).
+            report.replayed_payloads,
             journal,
             cfg.chunk_budget,
             cfg.exec_pool,

@@ -11,12 +11,18 @@
 //! * [`segment`] — append-only segment files with torn-tail detection;
 //! * [`log`] — the segmented block log with rotation and pruning;
 //! * [`snapshot`] — atomic state snapshots (manifest + content-addressed
-//!   chunks, format v3) bounding replay and enabling pruning;
+//!   chunks, format v6) bounding replay and enabling pruning;
 //! * [`transfer`] — the crash-safe partial-install journal a chunked
 //!   state transfer resumes from after an interruption;
 //! * [`DurableLedger`] — the assembled store: an in-memory
 //!   [`spotless_ledger::Ledger`] whose appends are persisted
 //!   before they are acknowledged, with crash recovery on open.
+//!
+//! The runtime keeps one chain store for every deployment. A replica
+//! without a storage directory runs [`DurableLedger::in_memory`]: the
+//! same ledger, base block, recent-batch window and snapshot install,
+//! with no directory behind them — no file is written, no snapshot is
+//! ever due, and `sync` has nothing to flush.
 //!
 //! The design follows the write-ahead-log discipline of LSM stores
 //! (LevelDB/RocksDB): framed records behind checksums, truncate-on-torn-
@@ -117,6 +123,12 @@ pub enum StorageError {
         /// The underlying chain error.
         source: LedgerError,
     },
+    /// A memory-only store was asked for something only a directory
+    /// can hold.
+    InMemory {
+        /// What was being attempted.
+        op: &'static str,
+    },
 }
 
 impl StorageError {
@@ -173,6 +185,12 @@ impl fmt::Display for StorageError {
             StorageError::Ledger { source } => {
                 write!(f, "replayed chain failed verification: {source}")
             }
+            StorageError::InMemory { op } => {
+                write!(
+                    f,
+                    "{op} needs a storage directory; this store is memory-only"
+                )
+            }
         }
     }
 }
@@ -213,8 +231,9 @@ impl Default for DurableLedgerOptions {
     }
 }
 
-/// What [`DurableLedger::open`] reconstructed.
-#[derive(Debug)]
+/// What [`DurableLedger::open`] reconstructed (nothing, by default —
+/// what a memory-only store starts from).
+#[derive(Debug, Default)]
 pub struct RecoveryReport {
     /// Height covered by the snapshot recovery started from (0 = none).
     pub snapshot_height: u64,
@@ -236,13 +255,14 @@ pub struct RecoveryReport {
 
 /// A crash-safe ledger: every append is persisted to the segmented log
 /// before it is visible, and periodic snapshots bound both recovery
-/// time and disk usage.
+/// time and disk usage. [`DurableLedger::in_memory`] is the same chain
+/// store without a directory: nothing is written, nothing is
+/// snapshotted, and [`sync`](DurableLedger::sync) has nothing to do.
 pub struct DurableLedger {
-    dir: PathBuf,
-    log: BlockLog,
+    /// The directory, block log and snapshot cadence; `None` for a
+    /// memory-only store.
+    disk: Option<Disk>,
     ledger: Ledger,
-    opts: DurableLedgerOptions,
-    last_snapshot: u64,
     /// The block just below the ledger's base (the newest snapshot's
     /// head block). Retained so the snapshot — head certificate
     /// included — can be served to a recovering peer even after the log
@@ -255,7 +275,33 @@ pub struct DurableLedger {
     recent: RecentBatches,
 }
 
+/// The on-disk half of a [`DurableLedger`].
+struct Disk {
+    dir: PathBuf,
+    log: BlockLog,
+    /// Write a snapshot every this many blocks (`0` = never).
+    snapshot_every: u64,
+    /// Height of the newest snapshot.
+    last_snapshot: u64,
+}
+
+/// What a memory-only store names as the offending "file" in errors.
+const IN_MEMORY: &str = "(in-memory store)";
+
 impl DurableLedger {
+    /// A memory-only store starting at genesis: no file is ever
+    /// written, [`snapshot_due`](DurableLedger::snapshot_due) is always
+    /// false, and [`sync`](DurableLedger::sync) succeeds at once.
+    /// Nothing survives the process.
+    pub fn in_memory() -> DurableLedger {
+        DurableLedger {
+            disk: None,
+            ledger: Ledger::new(),
+            base_block: None,
+            recent: RecentBatches::new(),
+        }
+    }
+
     /// Opens the store in `dir`, recovering from whatever a previous
     /// process (or crash) left behind.
     pub fn open(
@@ -309,11 +355,13 @@ impl DurableLedger {
         };
         Ok((
             DurableLedger {
-                dir: dir.to_path_buf(),
-                log,
+                disk: Some(Disk {
+                    dir: dir.to_path_buf(),
+                    log,
+                    snapshot_every: opts.snapshot_every,
+                    last_snapshot: resume_height,
+                }),
                 ledger,
-                opts,
-                last_snapshot: resume_height,
                 base_block,
                 recent,
             },
@@ -338,6 +386,24 @@ impl DurableLedger {
         &self.recent
     }
 
+    /// True iff `id` is known committed: a materialized block holds it,
+    /// or it sits in the recent-id window, which also remembers what a
+    /// snapshot (recovered or transferred) carried over. A rejoining
+    /// protocol instance that re-announces recent history is checked
+    /// against this before anything re-executes.
+    pub fn knows_batch(&self, id: BatchId) -> bool {
+        self.ledger.find_batch(id).is_some() || self.recent.contains(id)
+    }
+
+    /// The block at `height`, looking through the pruned base: the
+    /// block just below the ledger's base is retained for serving the
+    /// newest snapshot's certificate.
+    pub fn block_at(&self, height: u64) -> Option<&Block> {
+        self.ledger
+            .block(height)
+            .or_else(|| self.base_block.as_ref().filter(|b| b.height == height))
+    }
+
     /// Appends an executed batch: the block — and the batch payload it
     /// commits, which the log persists for self-contained recovery — is
     /// written to the log (honouring the sync policy) before it becomes
@@ -353,21 +419,18 @@ impl DurableLedger {
         state_root: Digest,
         proof: CommitProof,
         payload: &[u8],
-    ) -> Result<Block, StorageError> {
+    ) -> Result<(), StorageError> {
         let block = self
             .ledger
-            .append(batch_id, batch_digest, txns, state_root, proof)
-            .clone();
+            .append(batch_id, batch_digest, txns, state_root, proof);
         self.recent.push(batch_id);
-        match self.log.append(&block, payload) {
-            Ok(()) => Ok(block),
-            Err(e) => {
-                // The write failed: the in-memory chain must not expose
-                // a block that is not durable. There is no pop API on
-                // Ledger by design (it is append-only), so fail closed:
-                // the caller must drop this DurableLedger and re-open.
-                Err(e)
-            }
+        match &mut self.disk {
+            // A failed write leaves the block in the in-memory chain.
+            // There is no pop API on Ledger by design (it is
+            // append-only), so fail closed: the caller must drop this
+            // DurableLedger and re-open.
+            Some(disk) => disk.log.append(block, payload),
+            None => Ok(()),
         }
     }
 
@@ -377,20 +440,29 @@ impl DurableLedger {
     /// before it is persisted. The write honours the sync policy exactly
     /// like [`append_batch`](DurableLedger::append_batch).
     pub fn append_block(&mut self, block: Block, payload: &[u8]) -> Result<(), StorageError> {
-        self.ledger.append_existing(block.clone())?;
-        self.recent.push(block.batch_id);
-        // Same fail-closed contract as append_batch: a failed write
-        // poisons this handle (drop and re-open).
-        self.log.append(&block, payload)
+        let (height, batch_id) = (block.height, block.batch_id);
+        self.ledger.append_existing(block)?;
+        self.recent.push(batch_id);
+        match &mut self.disk {
+            // Same fail-closed contract as append_batch: a failed write
+            // poisons this handle (drop and re-open).
+            Some(disk) => {
+                let block = self.ledger.block(height).expect("just appended");
+                disk.log.append(block, payload)
+            }
+            None => Ok(()),
+        }
     }
 
     /// True iff enough blocks have accumulated since the last snapshot
     /// that [`maybe_snapshot`](DurableLedger::maybe_snapshot) would write
     /// one. Callers with an expensive-to-serialize application state can
-    /// check this before materializing the state bytes.
+    /// check this before materializing the state bytes. Never true for
+    /// a memory-only store.
     pub fn snapshot_due(&self) -> bool {
-        self.opts.snapshot_every != 0
-            && self.ledger.height() >= self.last_snapshot + self.opts.snapshot_every
+        self.disk.as_ref().is_some_and(|d| {
+            d.snapshot_every != 0 && self.ledger.height() >= d.last_snapshot + d.snapshot_every
+        })
     }
 
     /// Writes a snapshot of the application state (meta bytes + state
@@ -415,27 +487,30 @@ impl DurableLedger {
 
     /// Unconditionally snapshots the application state at the current
     /// height and prunes. See
-    /// [`maybe_snapshot`](DurableLedger::maybe_snapshot).
+    /// [`maybe_snapshot`](DurableLedger::maybe_snapshot). A memory-only
+    /// store has nowhere to write one and returns
+    /// [`StorageError::InMemory`].
     pub fn force_snapshot(
         &mut self,
         app_meta: &[u8],
         app_chunks: &[Vec<u8>],
     ) -> Result<u64, StorageError> {
         let height = self.ledger.height();
-        let head_block = match height.checked_sub(1) {
-            Some(h) => self.ledger.block(h).cloned().or_else(|| {
-                // No block above the base since the last snapshot: the
-                // previous snapshot's head block is still the head.
-                self.base_block.clone()
-            }),
-            None => None,
+        // With no block above the base since the last snapshot, the
+        // previous snapshot's head block is still the head.
+        let head_block = height
+            .checked_sub(1)
+            .and_then(|h| self.block_at(h))
+            .cloned();
+        let Some(disk) = &mut self.disk else {
+            return Err(StorageError::InMemory { op: "snapshot" });
         };
         // Order matters for crash safety: (1) the log must be durable up
         // to `height`, (2) the snapshot must be durable, (3) only then
         // may pruning delete the data the snapshot replaces.
-        self.log.sync()?;
+        disk.log.sync()?;
         write_snapshot(
-            &self.dir,
+            &disk.dir,
             &Snapshot {
                 height,
                 head_hash: self.ledger.head_hash(),
@@ -445,9 +520,9 @@ impl DurableLedger {
                 app_chunks: app_chunks.to_vec(),
             },
         )?;
-        self.log.prune_below(height)?;
-        prune_snapshots(&self.dir, height)?;
-        self.last_snapshot = height;
+        disk.log.prune_below(height)?;
+        prune_snapshots(&disk.dir, height)?;
+        disk.last_snapshot = height;
         self.base_block = head_block;
         Ok(height)
     }
@@ -456,45 +531,50 @@ impl DurableLedger {
     /// replacing this store's chain and state wholesale: the snapshot
     /// is made durable, the block log is reset to resume at
     /// `snap.height`, and the in-memory ledger restarts from the
-    /// snapshot's head. The caller is responsible for having verified
-    /// the snapshot (head-block hash + commit certificate) — the store
-    /// only enforces structural consistency between the fields.
+    /// snapshot's head. A memory-only store only rebases its ledger.
+    /// The caller is responsible for having verified the snapshot
+    /// (head-block hash + commit certificate) — the store only enforces
+    /// structural consistency between the fields.
     ///
     /// Used by the runtime's snapshot state transfer when every peer
     /// has pruned the history this replica is missing; the local blocks
     /// (a verified prefix of what the snapshot covers) are discarded in
     /// favour of the certified snapshot head.
     pub fn install_snapshot(&mut self, snap: &Snapshot) -> Result<(), StorageError> {
+        let path = self.dir().unwrap_or(Path::new(IN_MEMORY));
         let Some(head) = &snap.head_block else {
             return Err(StorageError::corrupt(
-                &self.dir,
+                path,
                 0,
                 "state-transfer snapshot carries no head block",
             ));
         };
         if head.height + 1 != snap.height || head.hash != snap.head_hash {
             return Err(StorageError::corrupt(
-                &self.dir,
+                path,
                 0,
                 "state-transfer snapshot head block disagrees with its height/hash",
             ));
         }
         if snap.height < self.ledger.height() {
             return Err(StorageError::corrupt(
-                &self.dir,
+                path,
                 0,
                 "state-transfer snapshot is older than the local chain",
             ));
         }
-        // Durability order: snapshot first, then the log reset — a crash
-        // in between recovers from the new snapshot and ignores the
-        // stale log tail below it (blocks under the snapshot height are
-        // skipped on replay exactly like pruned history).
-        write_snapshot(&self.dir, snap)?;
-        self.log.reset(snap.height)?;
-        prune_snapshots(&self.dir, snap.height)?;
+        if let Some(disk) = &mut self.disk {
+            // Durability order: snapshot first, then the log reset — a
+            // crash in between recovers from the new snapshot and
+            // ignores the stale log tail below it (blocks under the
+            // snapshot height are skipped on replay exactly like pruned
+            // history).
+            write_snapshot(&disk.dir, snap)?;
+            disk.log.reset(snap.height)?;
+            prune_snapshots(&disk.dir, snap.height)?;
+            disk.last_snapshot = snap.height;
+        }
         self.ledger = Ledger::with_base(snap.height, snap.head_hash);
-        self.last_snapshot = snap.height;
         self.base_block = snap.head_block.clone();
         for id in &snap.recent_ids {
             self.recent.push(*id);
@@ -502,19 +582,25 @@ impl DurableLedger {
         Ok(())
     }
 
-    /// Flushes and fsyncs the log (for [`log::SyncPolicy::Manual`]).
+    /// Flushes and fsyncs the log (for [`log::SyncPolicy::Manual`]);
+    /// `Ok` at once for a memory-only store.
     pub fn sync(&mut self) -> Result<(), StorageError> {
-        self.log.sync()
+        match &mut self.disk {
+            Some(disk) => disk.log.sync(),
+            None => Ok(()),
+        }
     }
 
-    /// Diagnostic: number of segment files currently on disk.
+    /// Diagnostic: number of segment files currently on disk (0 for a
+    /// memory-only store).
     pub fn segment_count(&self) -> usize {
-        self.log.segment_count()
+        self.disk.as_ref().map_or(0, |d| d.log.segment_count())
     }
 
-    /// The directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// The directory this store lives in; `None` for a memory-only
+    /// store.
+    pub fn dir(&self) -> Option<&Path> {
+        self.disk.as_ref().map(|d| d.dir.as_path())
     }
 }
 
@@ -564,27 +650,114 @@ mod tests {
         assert_eq!(dst.ledger().head_hash(), src.ledger().head_hash());
     }
 
-    #[test]
-    fn append_block_rejects_blocks_that_do_not_extend_the_head() {
-        let dir = tempfile::tempdir().unwrap();
-        let (mut led, _) =
-            DurableLedger::open(dir.path(), DurableLedgerOptions::default()).unwrap();
-        let good = led
-            .append_batch(
-                BatchId(0),
-                Digest::from_u64(0),
+    /// Appends `n` blocks (batch ids and views `0..n`) to `led`.
+    fn append_n(led: &mut DurableLedger, n: u64) {
+        for i in 0..n {
+            led.append_batch(
+                BatchId(i),
+                Digest::from_u64(i),
                 10,
-                Digest::from_u64(500),
-                proof(0),
+                Digest::from_u64(i + 500),
+                proof(i),
                 b"payload",
             )
             .unwrap();
-        // Height 0 again: wrong height for the current head.
+        }
+    }
+
+    #[test]
+    fn append_block_rejects_blocks_that_do_not_extend_the_head() {
+        let dir = tempfile::tempdir().unwrap();
+        let (durable, _) =
+            DurableLedger::open(dir.path(), DurableLedgerOptions::default()).unwrap();
+        for mut led in [durable, DurableLedger::in_memory()] {
+            append_n(&mut led, 1);
+            // Height 0 again: wrong height for the current head.
+            let stale = led.ledger().block(0).unwrap().clone();
+            assert!(matches!(
+                led.append_block(stale, b"payload"),
+                Err(StorageError::Ledger { .. })
+            ));
+            assert_eq!(led.ledger().height(), 1);
+        }
+    }
+
+    #[test]
+    fn in_memory_store_appends_and_takes_foreign_blocks() {
+        let mut src = DurableLedger::in_memory();
+        append_n(&mut src, 5);
+        let mut dst = DurableLedger::in_memory();
+        for b in src.ledger().iter() {
+            dst.append_block(b.clone(), b"payload").unwrap();
+        }
+        assert_eq!(dst.ledger().height(), 5);
+        assert_eq!(dst.ledger().head_hash(), src.ledger().head_hash());
+        assert!(dst.knows_batch(BatchId(4)));
+        assert!(!dst.knows_batch(BatchId(5)));
+        assert_eq!(dst.block_at(2).map(|b| b.height), Some(2));
+        dst.ledger().verify().unwrap();
+    }
+
+    #[test]
+    fn in_memory_store_writes_nothing_and_never_snapshots() {
+        let mut led = DurableLedger::in_memory();
+        assert_eq!(led.dir(), None);
+        append_n(&mut led, 2048);
+        assert!(!led.snapshot_due(), "no disk, no snapshot cadence");
+        assert_eq!(led.maybe_snapshot(b"meta", &[]).unwrap(), None);
         assert!(matches!(
-            led.append_block(good, b"payload"),
-            Err(StorageError::Ledger { .. })
+            led.force_snapshot(b"meta", &[]),
+            Err(StorageError::InMemory { .. })
         ));
-        assert_eq!(led.ledger().height(), 1);
+        led.sync().unwrap();
+        assert_eq!(led.segment_count(), 0);
+        assert_eq!(led.base_block(), None);
+    }
+
+    #[test]
+    fn in_memory_store_installs_a_snapshot() {
+        let mut peer = DurableLedger::in_memory();
+        append_n(&mut peer, 8);
+        let head = peer.ledger().block(7).unwrap().clone();
+        let transferred = Snapshot {
+            height: 8,
+            head_hash: head.hash,
+            head_block: Some(head.clone()),
+            recent_ids: (0..8).map(BatchId).collect(),
+            app_meta: b"kv-meta".to_vec(),
+            app_chunks: vec![b"kv-bytes".to_vec()],
+        };
+        let mut led = DurableLedger::in_memory();
+        append_n(&mut led, 3);
+        led.install_snapshot(&transferred).unwrap();
+        // The ledger rebases onto the certified head…
+        assert_eq!(led.ledger().base_height(), 8);
+        assert_eq!(led.ledger().height(), 8);
+        assert_eq!(led.ledger().head_hash(), head.hash);
+        // …the head block is served from below the base…
+        assert!(led.ledger().block(7).is_none());
+        assert_eq!(led.block_at(7), Some(&head));
+        assert_eq!(led.block_at(6), None);
+        // …and a transferred id below the base is still known.
+        assert!(led.ledger().find_batch(BatchId(5)).is_none());
+        assert!(led.knows_batch(BatchId(5)));
+        // New appends chain over the installed head.
+        led.append_batch(
+            BatchId(100),
+            Digest::from_u64(100),
+            10,
+            Digest::from_u64(600),
+            proof(100),
+            b"payload",
+        )
+        .unwrap();
+        assert_eq!(led.ledger().height(), 9);
+        led.ledger().verify().unwrap();
+        // An older snapshot no longer installs.
+        assert!(matches!(
+            led.install_snapshot(&transferred),
+            Err(StorageError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -190,17 +190,27 @@ const MAX_RECENT_IDS: u32 = 1 << 16;
 /// absurdly large to exceed it; a larger prefix is corruption).
 const MAX_CHUNKS: u32 = 1 << 20;
 
-fn encode_manifest(snap: &Snapshot, chunk_digests: &[Digest]) -> Vec<u8> {
-    let block_bytes = snap.head_block.as_ref().map(encode_block);
-    let mut w = Writer::with_capacity(128 + snap.app_meta.len() + chunk_digests.len() * 32);
-    w.u64(snap.height);
-    w.digest(&snap.head_hash);
+/// Encodes a snapshot manifest. Shared with the install journal
+/// ([`crate::transfer`]), whose `manifest.inst` is a manifest of the
+/// snapshot being transferred.
+pub(crate) fn encode_manifest(
+    height: u64,
+    head_hash: &Digest,
+    head_block: Option<&Block>,
+    recent_ids: &[BatchId],
+    app_meta: &[u8],
+    chunk_digests: &[Digest],
+) -> Vec<u8> {
+    let block_bytes = head_block.map(encode_block);
+    let mut w = Writer::with_capacity(128 + app_meta.len() + chunk_digests.len() * 32);
+    w.u64(height);
+    w.digest(head_hash);
     w.bytes(block_bytes.as_deref().unwrap_or(&[]));
-    w.u32(snap.recent_ids.len() as u32);
-    for id in &snap.recent_ids {
+    w.u32(recent_ids.len() as u32);
+    for id in recent_ids {
         w.u64(id.0);
     }
-    w.bytes(&snap.app_meta);
+    w.bytes(app_meta);
     w.u32(chunk_digests.len() as u32);
     for d in chunk_digests {
         w.digest(d);
@@ -216,16 +226,16 @@ fn encode_manifest(snap: &Snapshot, chunk_digests: &[Digest]) -> Vec<u8> {
 }
 
 /// The manifest half of a snapshot: everything except the chunk bytes.
-struct Manifest {
-    height: u64,
-    head_hash: Digest,
-    head_block: Option<Block>,
-    recent_ids: Vec<BatchId>,
-    app_meta: Vec<u8>,
-    chunk_digests: Vec<Digest>,
+pub(crate) struct Manifest {
+    pub(crate) height: u64,
+    pub(crate) head_hash: Digest,
+    pub(crate) head_block: Option<Block>,
+    pub(crate) recent_ids: Vec<BatchId>,
+    pub(crate) app_meta: Vec<u8>,
+    pub(crate) chunk_digests: Vec<Digest>,
 }
 
-fn decode_manifest(data: &[u8], path: &Path) -> Result<Manifest, StorageError> {
+pub(crate) fn decode_manifest(data: &[u8], path: &Path) -> Result<Manifest, StorageError> {
     // magic(8) version(4) [codec-framed body] crc(4); the body reuses
     // the length-checked `codec::Reader` helpers so every field failure
     // names the field instead of re-deriving offset arithmetic here.
@@ -331,7 +341,14 @@ pub fn write_snapshot(dir: &Path, snap: &Snapshot) -> Result<PathBuf, StorageErr
         write_chunk_blob(dir, digest, bytes)?;
     }
     let name = snapshot_file_name(snap.height);
-    let bytes = encode_manifest(snap, &chunk_digests);
+    let bytes = encode_manifest(
+        snap.height,
+        &snap.head_hash,
+        snap.head_block.as_ref(),
+        &snap.recent_ids,
+        &snap.app_meta,
+        &chunk_digests,
+    );
     write_atomic(dir, &name, &bytes, true)?;
     Ok(dir.join(name))
 }

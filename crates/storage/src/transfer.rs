@@ -7,32 +7,33 @@
 //! journal reports which chunks are already present and verified, and
 //! the runtime fetches only the rest.
 //!
-//! Layout: a `manifest.inst` file (CRC-framed, like every other durable
-//! artifact in this crate) naming the target height, the certified head
-//! block, the recent-id window, the application meta bytes, and the
-//! expected chunk digest list; plus one content-addressed blob per
-//! received chunk (shared helpers with [`crate::snapshot`]). Chunk
-//! blobs are written atomically (tmp + rename, fsynced), so a torn
-//! write never masquerades as a verified chunk; on load every blob is
-//! re-verified against its content address and silently dropped if it
-//! does not match. The journal is only a *progress cache*: the final
-//! install re-verifies the assembled state against the chain's
-//! committed root, so even a corrupted journal cannot poison the store
-//! — it can only cost a re-fetch.
+//! Layout: a `manifest.inst` file holding the **snapshot manifest** of
+//! the transfer's target, in [`crate::snapshot`]'s codec (magic,
+//! version, CRC framing and all): the target height, the certified head
+//! block (whose hash is the manifest's head hash), the recent-id
+//! window, the application meta bytes, and the expected chunk digest
+//! list; plus one content-addressed blob per received chunk (the same
+//! blob helpers as snapshots). Chunk blobs are written atomically (tmp
+//! file, rename, fsync), so a torn write never masquerades as a
+//! verified chunk; on load every blob is re-verified against its
+//! content address and silently dropped if it does not match. The
+//! journal is only a *progress cache*: the final install re-verifies the
+//! assembled state against the chain's committed root, so even a
+//! corrupted journal cannot poison the store — it can only cost a
+//! re-fetch. A manifest that does not decode (corrupt, or written in
+//! another format) opens as "no transfer", and the next
+//! [`InstallJournal::begin`] wipes `incoming/`.
 
-use crate::codec::{decode_block, encode_block, Reader, Writer};
-use crate::crc32::crc32c;
-use crate::snapshot::{chunk_file_name, read_chunk_blob, write_atomic, write_chunk_blob};
+use crate::snapshot::{
+    chunk_file_name, decode_manifest, encode_manifest, read_chunk_blob, write_atomic,
+    write_chunk_blob,
+};
 use crate::StorageError;
 use spotless_ledger::Block;
 use spotless_types::{BatchId, Digest};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening the journal manifest.
-pub const MAGIC: [u8; 8] = *b"SPLSINC1";
-/// Journal manifest format version.
-pub const VERSION: u32 = 1;
 /// Name of the journal manifest inside the journal directory.
 const MANIFEST_FILE: &str = "manifest.inst";
 /// Name of the journal directory inside a replica's storage directory.
@@ -67,88 +68,37 @@ impl InstallManifest {
             && self.app_meta == other.app_meta
     }
 
+    /// The snapshot manifest of the transfer's target; the head hash is
+    /// the head block's.
     fn encode(&self) -> Vec<u8> {
-        let block_bytes = encode_block(&self.head_block);
-        let mut w = Writer::with_capacity(64 + block_bytes.len() + self.chunk_digests.len() * 32);
-        w.u64(self.height);
-        w.bytes(&block_bytes);
-        w.u32(self.recent_ids.len() as u32);
-        for id in &self.recent_ids {
-            w.u64(id.0);
-        }
-        w.bytes(&self.app_meta);
-        w.u32(self.chunk_digests.len() as u32);
-        for d in &self.chunk_digests {
-            w.digest(d);
-        }
-        let body = w.into_bytes();
-        let mut buf = Vec::with_capacity(16 + body.len());
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&body);
-        let crc = crc32c(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf
+        encode_manifest(
+            self.height,
+            &self.head_block.hash,
+            Some(&self.head_block),
+            &self.recent_ids,
+            &self.app_meta,
+            &self.chunk_digests,
+        )
     }
 
+    /// Reads back [`encode`](InstallManifest::encode)'s bytes: a
+    /// snapshot manifest that carries a head block whose hash is its
+    /// head hash.
     fn decode(data: &[u8], path: &Path) -> Result<InstallManifest, StorageError> {
-        const FRAMING: usize = 8 + 4 + 4;
-        if data.len() < FRAMING || data[..8] != MAGIC {
-            return Err(StorageError::corrupt(path, 0, "bad journal manifest"));
-        }
-        let version = u32::from_le_bytes([data[8], data[9], data[10], data[11]]);
-        if version != VERSION {
-            return Err(StorageError::UnsupportedVersion {
-                path: path.to_path_buf(),
-                version,
-            });
-        }
-        let body_len = data.len() - 4;
-        let stored_crc = u32::from_le_bytes([
-            data[body_len],
-            data[body_len + 1],
-            data[body_len + 2],
-            data[body_len + 3],
-        ]);
-        if crc32c(&data[..body_len]) != stored_crc {
+        let m = decode_manifest(data, path)?;
+        let Some(head_block) = m.head_block.filter(|b| b.hash == m.head_hash) else {
             return Err(StorageError::corrupt(
                 path,
-                body_len as u64,
-                "journal manifest CRC mismatch",
+                0,
+                "journal manifest head block is missing or not its head hash",
             ));
-        }
-        let codec_err = |source| StorageError::Codec {
-            path: path.to_path_buf(),
-            source,
         };
-        let mut r = Reader::new(&data[12..body_len]);
-        let height = r.u64("journal.height").map_err(codec_err)?;
-        let head_block =
-            decode_block(r.bytes("journal.head_block").map_err(codec_err)?).map_err(codec_err)?;
-        let ids_len = r.u32("journal.recent_ids.len").map_err(codec_err)?;
-        if ids_len > 1 << 16 {
-            return Err(StorageError::corrupt(path, 12, "journal recent-id bound"));
-        }
-        let mut recent_ids = Vec::with_capacity(ids_len as usize);
-        for _ in 0..ids_len {
-            recent_ids.push(BatchId(r.u64("journal.recent_ids[]").map_err(codec_err)?));
-        }
-        let app_meta = r.bytes("journal.app_meta").map_err(codec_err)?.to_vec();
-        let chunks_len = r.u32("journal.chunks.len").map_err(codec_err)?;
-        if chunks_len > 1 << 20 {
-            return Err(StorageError::corrupt(path, 12, "journal chunk bound"));
-        }
-        let mut chunk_digests = Vec::with_capacity(chunks_len as usize);
-        for _ in 0..chunks_len {
-            chunk_digests.push(r.digest("journal.chunks[]").map_err(codec_err)?);
-        }
-        r.finish("journal").map_err(codec_err)?;
         Ok(InstallManifest {
-            height,
+            height: m.height,
             head_block,
-            recent_ids,
-            app_meta,
-            chunk_digests,
+            recent_ids: m.recent_ids,
+            app_meta: m.app_meta,
+            chunk_digests: m.chunk_digests,
         })
     }
 }
@@ -444,6 +394,62 @@ mod tests {
         assert!(!dir.path().join(JOURNAL_DIR).exists());
         let j = InstallJournal::open(dir.path());
         assert!(j.manifest().is_none());
+    }
+
+    #[test]
+    fn journal_manifest_is_a_snapshot_manifest() {
+        let dir = tempdir().unwrap();
+        let m = manifest_for(&[b"c0"]);
+        InstallJournal::open(dir.path()).begin(m.clone()).unwrap();
+        let bytes = fs::read(dir.path().join(JOURNAL_DIR).join(MANIFEST_FILE)).unwrap();
+        assert_eq!(bytes[..8], crate::snapshot::MAGIC);
+        // A snapshot manifest without a head block, or whose head hash
+        // is not its head block's, is no journal manifest.
+        let path = dir.path().join("other.inst");
+        for (head_hash, head_block) in [
+            (m.head_block.hash, None),
+            (Digest::from_u64(1), Some(&m.head_block)),
+        ] {
+            let bytes = encode_manifest(
+                m.height,
+                &head_hash,
+                head_block,
+                &m.recent_ids,
+                &m.app_meta,
+                &m.chunk_digests,
+            );
+            assert!(matches!(
+                InstallManifest::decode(&bytes, &path),
+                Err(StorageError::Corrupt { .. })
+            ));
+        }
+        assert_eq!(InstallManifest::decode(&m.encode(), &path).unwrap(), m);
+    }
+
+    #[test]
+    fn old_format_journal_opens_empty_and_begin_wipes_it() {
+        let dir = tempdir().unwrap();
+        let journal_dir = dir.path().join(JOURNAL_DIR);
+        fs::create_dir_all(&journal_dir).unwrap();
+        // A journal left by the retired format: its own magic and
+        // version, CRC-framed, with one verified chunk blob beside it.
+        let mut old = b"SPLSINC1".to_vec();
+        old.extend_from_slice(&1u32.to_le_bytes());
+        old.extend_from_slice(&[0; 24]);
+        let crc = crate::crc32::crc32c(&old);
+        old.extend_from_slice(&crc.to_le_bytes());
+        fs::write(journal_dir.join(MANIFEST_FILE), &old).unwrap();
+        let stale = spotless_crypto::digest_bytes(b"stale");
+        write_chunk_blob(&journal_dir, &stale, b"stale").unwrap();
+        let mut j = InstallJournal::open(dir.path());
+        assert!(j.manifest().is_none(), "an old journal is no transfer");
+        assert_eq!(j.chunks_present(), 0);
+        j.begin(manifest_for(&[b"c0"])).unwrap();
+        assert!(
+            !journal_chunk_path(dir.path(), &stale).exists(),
+            "begin must not leave the old journal's blobs behind"
+        );
+        assert_eq!(j.missing(), vec![0]);
     }
 
     #[test]

@@ -230,16 +230,15 @@ fn repeated_crashes_and_reopens_accumulate_correctly() {
         assert_eq!(led.ledger().head_hash(), reference.head_hash());
         let _ = report;
         for _ in 0..3 {
-            let b = led
-                .append_batch(
-                    BatchId(next),
-                    Digest::from_u64(next),
-                    10,
-                    Digest::from_u64(next + 700),
-                    proof(next),
-                    b"payload",
-                )
-                .unwrap();
+            led.append_batch(
+                BatchId(next),
+                Digest::from_u64(next),
+                10,
+                Digest::from_u64(next + 700),
+                proof(next),
+                b"payload",
+            )
+            .unwrap();
             let r = reference.append(
                 BatchId(next),
                 Digest::from_u64(next),
@@ -247,7 +246,11 @@ fn repeated_crashes_and_reopens_accumulate_correctly() {
                 Digest::from_u64(next + 700),
                 proof(next),
             );
-            assert_eq!(&b, r, "durable and reference chains diverged");
+            assert_eq!(
+                led.ledger().block(next),
+                Some(r),
+                "durable and reference chains diverged"
+            );
             next += 1;
             led.maybe_snapshot(format!("s{next}").as_bytes(), &[])
                 .unwrap();
