@@ -18,9 +18,6 @@ pub trait AsyncReadExt {
 pub trait AsyncWriteExt {
     /// Writes all of `buf`.
     fn write_all<'a>(&'a mut self, buf: &'a [u8]) -> impl Future<Output = io::Result<()>> + 'a;
-
-    /// Flushes buffered output.
-    fn flush(&mut self) -> impl Future<Output = io::Result<()>> + '_;
 }
 
 impl AsyncReadExt for TcpStream {
@@ -33,9 +30,5 @@ impl AsyncReadExt for TcpStream {
 impl AsyncWriteExt for TcpStream {
     async fn write_all<'a>(&'a mut self, buf: &'a [u8]) -> io::Result<()> {
         self.inner.write_all(buf)
-    }
-
-    async fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
     }
 }

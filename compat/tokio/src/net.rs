@@ -43,13 +43,9 @@ impl TcpStream {
         })
     }
 
-    /// The peer's address.
-    pub fn peer_addr(&self) -> io::Result<SocketAddr> {
-        self.inner.peer_addr()
-    }
-
-    /// The local address.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.inner.local_addr()
+    /// Sets `TCP_NODELAY`: with it on, a write is sent at once instead
+    /// of waiting (Nagle) for the previous segment's acknowledgement.
+    pub fn set_nodelay(&self, nodelay: bool) -> io::Result<()> {
+        self.inner.set_nodelay(nodelay)
     }
 }

@@ -37,11 +37,11 @@
 //!   table walks instead of a 253-step doubling chain — ≈ 25–30 µs
 //!   where the generic computation ([`PublicKey::verify`], kept as the
 //!   test and bench reference) takes ≈ 65 µs;
-//! * [`KeyStore::verify_batch_refs`] and [`KeyStore::verify_quorum`]
-//!   (one surface: the second is the first over a shared message) fold
-//!   a batch by signer, so an ingress run of envelopes costs two table
-//!   walks per sender in it plus a short shared chain for the nonce
-//!   points.
+//! * [`KeyStore::verify_batch_refs`] folds a batch by signer, so an
+//!   ingress run of envelopes costs two table walks per sender in it
+//!   plus a short shared chain for the nonce points. A certificate's
+//!   signers are distinct, so [`KeyStore::verify_quorum`] is a loop
+//!   over [`KeyStore::verify`].
 //!
 //! One caveat survives from the stand-in era: the underlying arithmetic
 //! is variable-time. Verification only ever touches public data, but a
@@ -302,34 +302,30 @@ impl KeyStore {
         self.verify(signer, &statement.signing_bytes(), sig)
     }
 
-    /// Batch-verifies a quorum's signatures over one shared `message`
-    /// (the vote statement everyone signed). `Ok` iff *every* vote
-    /// checks out — this is the entry point `ledger::verify_proof` uses
-    /// to re-verify `CommitProof` signatures at append time.
+    /// Verifies a quorum's signatures over one shared `message` (the
+    /// vote statement everyone signed), one [`verify`](KeyStore::verify)
+    /// each: a certificate's signers are distinct, so a batch would have
+    /// nothing to fold. `Ok` iff *every* vote checks out, else the first
+    /// failure's error — this is the entry point `ledger::verify_proof`
+    /// uses to re-verify `CommitProof` signatures at append time.
     pub fn verify_quorum(
         &self,
         message: &[u8],
         votes: &[(ReplicaId, Signature)],
     ) -> Result<(), VerifyError> {
-        let items: Vec<(ReplicaId, &[u8], &Signature)> = votes
+        votes
             .iter()
-            .map(|(signer, sig)| (*signer, message, sig))
-            .collect();
-        self.verify_batch_refs(&items)
+            .try_for_each(|(signer, sig)| self.verify(*signer, message, sig))
     }
 
-    /// Which of `votes` verify over `message`: the sanitizing
-    /// counterpart to [`verify_quorum`] for live certificates, where a
-    /// Byzantine replica may have attached garbage alongside honest
-    /// votes and all-or-nothing rejection would poison honest commits.
-    /// Batches first (one pass when everything is honest — the common
-    /// case) and only attributes blame serially on failure.
+    /// Which of `votes` verify over `message`, in one serial pass: the
+    /// sanitizing counterpart to [`verify_quorum`] for live
+    /// certificates, where a Byzantine replica may have attached garbage
+    /// alongside honest votes and all-or-nothing rejection would poison
+    /// honest commits.
     ///
     /// [`verify_quorum`]: KeyStore::verify_quorum
     pub fn filter_valid(&self, message: &[u8], votes: &[(ReplicaId, Signature)]) -> Vec<bool> {
-        if self.verify_quorum(message, votes).is_ok() {
-            return vec![true; votes.len()];
-        }
         votes
             .iter()
             .map(|(signer, sig)| self.verify(*signer, message, sig).is_ok())
@@ -343,7 +339,7 @@ impl KeyStore {
 
     /// Batch-verifies independent `(signer, message, sig)` triples,
     /// borrowing the messages where they lie (the ingress task's
-    /// received buffers, a certificate's one statement). `Ok` iff every triple
+    /// received buffers). `Ok` iff every triple
     /// verifies (empty is `Ok`); an unknown signer fails the whole batch
     /// with [`VerifyError::UnknownSigner`].
     ///
@@ -354,8 +350,7 @@ impl KeyStore {
     /// chain. Short batches, where that chain costs more than it
     /// saves, are verified serially inside `ed25519::verify_batch` —
     /// callers need no size check of their own. Failure does not
-    /// attribute blame — re-verify serially to find the culprits (see
-    /// [`filter_valid`](KeyStore::filter_valid)).
+    /// attribute blame — re-verify serially to find the culprits.
     pub fn verify_batch_refs(
         &self,
         items: &[(ReplicaId, &[u8], &Signature)],

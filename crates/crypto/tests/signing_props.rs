@@ -5,9 +5,11 @@
 //! error kind, whatever is done to the signature); and the equivalence
 //! the verification API leans on — a batch accepts iff serial
 //! verification of every member accepts, and with exactly one bad
-//! signature the serial pass blames exactly that index. The pipeline's
-//! certificate sanitizer and `KeyStore::verify_quorum` are both built
-//! on that last equivalence, so it is load-bearing, not decorative.
+//! signature the serial pass blames exactly that index. The ingress
+//! task's batch pass is built on that last equivalence, so it is
+//! load-bearing, not decorative; the pipeline's certificate sanitizer
+//! and `KeyStore::verify_quorum` are serial loops over
+//! `KeyStore::verify`.
 
 use ed25519::edwards::{basepoint_table, PointTable, BASEPOINT};
 use ed25519::field::FieldElement;

@@ -190,7 +190,7 @@ pub fn verify_proof_rules(proof: &CommitProof, rules: &ProofRules) -> Result<(),
 /// Verifies a commit proof against the cluster's quorum rules **and**
 /// key material: [`verify_proof_rules`] first — cheap, and a proof that
 /// fails them should be reported as malformed rather than as a
-/// signature failure — then every signature batch-verifies (via
+/// signature failure — then every signature verifies (via
 /// [`KeyStore::verify_quorum`]) over the proof's vote statement. The
 /// runtime calls this on every block received via state transfer
 /// before it reaches durable storage, so a forged quorum is rejected

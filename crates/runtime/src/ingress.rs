@@ -12,7 +12,7 @@
 //! into one walk of each signer's table. A lone envelope takes the same
 //! call — `verify_batch` itself verifies short batches serially — and
 //! the task falls back to per-envelope checks only when a batch fails,
-//! to attribute blame (mirroring `KeyStore::filter_valid`).
+//! to attribute blame.
 //!
 //! **Ordering contract:** arrival order is preserved globally, not just
 //! per sender. One task reads, verifies and forwards, so the event loop
