@@ -95,6 +95,26 @@ impl QcRef {
             .zip(&self.sigs)
             .all(|(&r, sig)| ctx.verify_vote(r, &stmt, sig))
     }
+
+    /// The votes [`valid`](QcRef::valid) may check: none if the signer
+    /// and signature lists differ in length or a signer repeats, as
+    /// [`well_formed`](QcRef::well_formed) discards such a QC before
+    /// any vote is checked.
+    fn carried_votes(&self, out: &mut Vec<(ReplicaId, VoteStatement, Signature)>) {
+        let mut distinct = self.signers.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        if self.sigs.len() != self.signers.len() || distinct.len() != self.signers.len() {
+            return;
+        }
+        let stmt = self.statement();
+        out.extend(
+            self.signers
+                .iter()
+                .zip(&self.sigs)
+                .map(|(&r, &sig)| (r, stmt, sig)),
+        );
+    }
 }
 
 /// A HotStuff block (one per view; chained).
@@ -249,6 +269,29 @@ impl ProtocolMessage for HsMessage {
             HsMessage::WorkerBatch(_) => 0,
             HsMessage::BatchAck { .. } => costs.sign_ns,
             HsMessage::BatchCert(_) => 0, // signatures collected, not made
+        }
+    }
+
+    /// A vote carries its sender's signature; a proposal and a
+    /// `NewView` carry the QC they embed.
+    fn carried_votes(&self, from: ReplicaId, out: &mut Vec<(ReplicaId, VoteStatement, Signature)>) {
+        match self {
+            HsMessage::Vote { view, digest, sig } => {
+                out.push((
+                    from,
+                    VoteStatement::new(InstanceId(0), *view, *digest),
+                    *sig,
+                ));
+            }
+            HsMessage::Proposal(b) => {
+                if let Some(qc) = &b.parent {
+                    qc.carried_votes(out);
+                }
+            }
+            HsMessage::NewView {
+                high_qc: Some(qc), ..
+            } => qc.carried_votes(out),
+            _ => {}
         }
     }
 }
@@ -985,6 +1028,52 @@ mod tests {
         // commits.
         assert_eq!(ctx.commits.len(), 1);
         assert_eq!(ctx.commits[0].batch.id, BatchId(1));
+    }
+
+    #[test]
+    fn votes_and_embedded_qcs_are_carried() {
+        let listed = |msg: &HsMessage| {
+            let mut out = Vec::new();
+            msg.carried_votes(ReplicaId(2), &mut out);
+            out
+        };
+        let stmt = VoteStatement::new(InstanceId(0), View(4), Digest::from_u64(4));
+        let vote = HsMessage::Vote {
+            view: View(4),
+            digest: Digest::from_u64(4),
+            sig: Signature([4; 64]),
+        };
+        assert_eq!(
+            listed(&vote),
+            vec![(ReplicaId(2), stmt, Signature([4; 64]))]
+        );
+        let mut qc = QcRef {
+            view: View(4),
+            digest: Digest::from_u64(4),
+            signers: vec![ReplicaId(0), ReplicaId(1), ReplicaId(3)],
+            sigs: vec![Signature([7; 64]); 3],
+        };
+        let proposal = HsMessage::Proposal(Arc::new(HsBlock::new(
+            View(5),
+            batch(1),
+            vec![],
+            Some(qc.clone()),
+        )));
+        let signers: Vec<ReplicaId> = listed(&proposal).iter().map(|v| v.0).collect();
+        assert_eq!(signers, qc.signers);
+        assert!(listed(&proposal).iter().all(|v| v.1 == stmt));
+        // A QC whose lists do not line up, or whose signers repeat, is
+        // discarded unchecked.
+        let new_view = |qc: &QcRef| HsMessage::NewView {
+            view: View(6),
+            high_qc: Some(qc.clone()),
+        };
+        assert_eq!(listed(&new_view(&qc)).len(), 3);
+        qc.signers[2] = ReplicaId(0);
+        assert!(listed(&new_view(&qc)).is_empty(), "repeated signer");
+        qc.signers[2] = ReplicaId(3);
+        qc.sigs.pop();
+        assert!(listed(&new_view(&qc)).is_empty(), "lists differ");
     }
 
     #[test]

@@ -112,6 +112,39 @@ impl ProtocolMessage for PbftMessage {
     fn sign_cost(&self, _costs: &CryptoCosts) -> u64 {
         0 // MAC-only; per-destination MACs are charged by the runtime.
     }
+
+    /// Plain PBFT runs instance 0.
+    fn carried_votes(&self, from: ReplicaId, out: &mut Vec<(ReplicaId, VoteStatement, Signature)>) {
+        self.commit_vote(InstanceId(0), from, out);
+    }
+}
+
+impl PbftMessage {
+    /// The vote a `Commit` from `from` carries, over its statement in
+    /// `instance` (the message does not name its instance; RCC's
+    /// envelope does).
+    pub(crate) fn commit_vote(
+        &self,
+        instance: InstanceId,
+        from: ReplicaId,
+        out: &mut Vec<(ReplicaId, VoteStatement, Signature)>,
+    ) {
+        if let PbftMessage::Commit {
+            view,
+            seq,
+            digest,
+            sig,
+        } = self
+        {
+            let statement = VoteStatement {
+                instance,
+                view: *view,
+                slot: *seq,
+                digest: *digest,
+            };
+            out.push((from, statement, *sig));
+        }
+    }
 }
 
 #[derive(Default)]

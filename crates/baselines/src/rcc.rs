@@ -75,6 +75,12 @@ impl ProtocolMessage for RccMessage {
             RccMessage::Complaint { .. } => 0,
         }
     }
+
+    fn carried_votes(&self, from: ReplicaId, out: &mut Vec<(ReplicaId, VoteStatement, Signature)>) {
+        if let RccMessage::Inner { instance, inner } = self {
+            inner.commit_vote(*instance, from, out);
+        }
+    }
 }
 
 /// Context adapter: routes an instance's PBFT effects through the outer
@@ -457,6 +463,49 @@ mod tests {
             created_at: SimTime::ZERO,
             payload: Vec::new(),
         }
+    }
+
+    #[test]
+    fn a_commit_vote_is_stated_in_its_instance() {
+        let commit = PbftMessage::Commit {
+            view: View(2),
+            seq: 9,
+            digest: Digest::from_u64(9),
+            sig: Signature([9; 64]),
+        };
+        let statement = |instance| VoteStatement {
+            instance,
+            view: View(2),
+            slot: 9,
+            digest: Digest::from_u64(9),
+        };
+        let mut plain = Vec::new();
+        commit.carried_votes(ReplicaId(1), &mut plain);
+        assert_eq!(
+            plain,
+            vec![(ReplicaId(1), statement(InstanceId(0)), Signature([9; 64]))]
+        );
+        let mut wrapped = Vec::new();
+        RccMessage::Inner {
+            instance: InstanceId(3),
+            inner: commit,
+        }
+        .carried_votes(ReplicaId(1), &mut wrapped);
+        assert_eq!(
+            wrapped,
+            vec![(ReplicaId(1), statement(InstanceId(3)), Signature([9; 64]))]
+        );
+        let mut none = Vec::new();
+        RccMessage::Inner {
+            instance: InstanceId(3),
+            inner: PbftMessage::Prepare {
+                view: View(2),
+                seq: 9,
+                digest: Digest::from_u64(9),
+            },
+        }
+        .carried_votes(ReplicaId(1), &mut none);
+        assert!(none.is_empty());
     }
 
     struct Ctx {

@@ -25,7 +25,9 @@
 //! Υ flag, the `f+1`-matching-claims echo, and `Ask`/`Forward` body
 //! recovery, plus §3.5's adaptive (±ε / halving) timeout management.
 
-use crate::messages::{Justification, JustificationKind, Message, Proposal, ProposalRef, SyncMsg};
+use crate::messages::{
+    Justification, JustificationKind, Message, Proposal, ProposalRef, SyncMsg, CP_CAP,
+};
 use crate::util::ReplicaSet;
 use spotless_types::{
     ByzantineBehavior, CertPhase, ClientBatch, ClusterConfig, CommitCertificate, Context,
@@ -48,10 +50,6 @@ const GC_WINDOW: u64 = 64;
 
 /// Lower bound for the adaptive timers (halving never goes below this).
 const TIMER_FLOOR: SimDuration = SimDuration::from_millis(1);
-
-/// Maximum `CP` entries advertised per `Sync` (newest first). The set is
-/// `{lock} ∪ {prepared ≥ lock}`, which is 2–3 entries in steady state.
-const CP_CAP: usize = 8;
 
 /// How many replicas an `Ask` is sent to per attempt.
 const ASK_FANOUT: usize = 2;
@@ -845,8 +843,9 @@ impl InstanceState {
         if s.instance != self.id || s.view < self.gc_floor {
             return;
         }
-        // Malformed: the per-entry signature vector must parallel CP.
-        if s.cp_sigs.len() != s.cp.len() {
+        // Malformed: the per-entry signature vector must parallel CP,
+        // and no correct replica advertises more than CP_CAP entries.
+        if s.cp_sigs.len() != s.cp.len() || s.cp.len() > CP_CAP {
             return;
         }
         if let Some(hv) = self.highest_view_of.get_mut(from.as_usize()) {
@@ -866,12 +865,14 @@ impl InstanceState {
         // and its signature retained for later certificates — only if the
         // signature over its statement verifies for the sender. §3.1's
         // "signatures are only verified where recovery is necessary"
-        // survives as a *scheduling* statement: the runtime context
-        // caches per-statement verdicts and batches quorum checks, so
-        // the hot path here sees one lookup, not one scalar mul. A
-        // garbage-signed claim still counts the sender toward ST2's
-        // n − f rule (sender authenticity comes from the envelope MAC)
-        // but never toward a claim quorum or certificate.
+        // survives as a *scheduling* statement: the runtime verifies
+        // every vote a `Sync` lists (`ProtocolMessage::carried_votes`)
+        // in one batch with the envelope signatures before the message
+        // reaches the loop, so the hot path here sees one lookup, not
+        // one scalar mul. A garbage-signed claim still counts the
+        // sender toward ST2's n − f rule (sender authenticity comes
+        // from the envelope signature) but never toward a claim quorum
+        // or certificate.
         let claim_ok = match s.claim {
             Some(c) => {
                 let ok = out

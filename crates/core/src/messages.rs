@@ -12,7 +12,8 @@
 use serde::{Deserialize, Serialize};
 use spotless_types::node::ProtocolMessage;
 use spotless_types::{
-    ClientBatch, CryptoCosts, Digest, InstanceId, Signature, SizeModel, View, SIGNATURE_LEN,
+    ClientBatch, CryptoCosts, Digest, InstanceId, ReplicaId, Signature, SizeModel, View,
+    VoteStatement, SIGNATURE_LEN,
 };
 use std::sync::Arc;
 
@@ -150,7 +151,8 @@ pub struct SyncMsg {
     /// accepted in `view` — or `None` for `claim(∅)` (§3.1).
     pub claim: Option<ProposalRef>,
     /// The sender's `CP` set: its lock plus every conditionally prepared
-    /// proposal with a view ≥ the lock's view (§3.3).
+    /// proposal with a view ≥ the lock's view (§3.3), newest
+    /// [`CP_CAP`] at most.
     pub cp: Vec<ProposalRef>,
     /// The Υ flag: asks receivers to retransmit their own view-`view`
     /// `Sync` to the sender (§3.4's catch-up rule).
@@ -163,10 +165,14 @@ pub struct SyncMsg {
     /// [`VoteStatement`]: spotless_types::VoteStatement
     pub claim_sig: Signature,
     /// Per-entry signatures over each `cp[i]`'s vote statement, parallel
-    /// to `cp`. A `Sync` whose `cp_sigs` length disagrees with `cp` is
-    /// malformed and dropped whole.
+    /// to `cp`. A `Sync` whose `cp_sigs` length disagrees with `cp`, or
+    /// whose `cp` exceeds [`CP_CAP`], is malformed and dropped whole.
     pub cp_sigs: Vec<Signature>,
 }
+
+/// Maximum `CP` entries advertised per `Sync` (newest first). The set is
+/// `{lock} ∪ {prepared ≥ lock}`, which is 2–3 entries in steady state.
+pub(crate) const CP_CAP: usize = 8;
 
 /// The full SpotLess message alphabet.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -249,6 +255,24 @@ impl ProtocolMessage for Message {
             // Asks are MAC-only; forwards reuse the primary's signature.
             Message::Ask { .. } | Message::Forward(_) => 0,
         }
+    }
+
+    /// A `Sync` carries its sender's claim and one endorsement per `CP`
+    /// entry; a malformed one (`cp_sigs` not parallel to `cp`, or more
+    /// than [`CP_CAP`] entries) carries nothing, as `on_sync` drops it
+    /// whole.
+    fn carried_votes(&self, from: ReplicaId, out: &mut Vec<(ReplicaId, VoteStatement, Signature)>) {
+        let Message::Sync(s) = self else {
+            return;
+        };
+        if s.cp_sigs.len() != s.cp.len() || s.cp.len() > CP_CAP {
+            return;
+        }
+        let vote = |r: &ProposalRef, sig: Signature| {
+            (from, VoteStatement::new(s.instance, r.view, r.digest), sig)
+        };
+        out.extend(s.claim.iter().map(|c| vote(c, s.claim_sig)));
+        out.extend(s.cp.iter().zip(&s.cp_sigs).map(|(e, &sig)| vote(e, sig)));
     }
 }
 
@@ -360,6 +384,47 @@ mod tests {
             Justification::genesis(),
         )));
         assert!(p.verify_cost(&costs) >= costs.verify_ns);
+    }
+
+    #[test]
+    fn a_sync_carries_its_claim_and_every_cp_endorsement() {
+        let entry = |v: u64| ProposalRef {
+            view: View(v),
+            digest: Digest::from_u64(v),
+        };
+        let mut s = SyncMsg {
+            instance: InstanceId(2),
+            view: View(9),
+            claim: Some(entry(9)),
+            cp: vec![entry(7), entry(8)],
+            upsilon: false,
+            claim_sig: Signature([9; 64]),
+            cp_sigs: vec![Signature([7; 64]), Signature([8; 64])],
+        };
+        let votes = |s: &SyncMsg| {
+            let mut out = Vec::new();
+            Message::Sync(s.clone()).carried_votes(ReplicaId(3), &mut out);
+            out
+        };
+        let listed = votes(&s);
+        let expected: Vec<_> = [9, 7, 8]
+            .map(|v| {
+                let statement = VoteStatement::new(InstanceId(2), View(v), Digest::from_u64(v));
+                (ReplicaId(3), statement, Signature([v as u8; 64]))
+            })
+            .into();
+        assert_eq!(listed, expected);
+        // claim(∅) carries no vote; a malformed Sync carries none at all.
+        s.claim = None;
+        assert_eq!(votes(&s).len(), 2);
+        s.cp_sigs.pop();
+        assert!(votes(&s).is_empty());
+        s.cp = (0..=CP_CAP as u64).map(entry).collect();
+        s.cp_sigs = vec![Signature([1; 64]); s.cp.len()];
+        assert!(votes(&s).is_empty(), "more than CP_CAP entries");
+        s.cp.pop();
+        s.cp_sigs.pop();
+        assert_eq!(votes(&s).len(), CP_CAP);
     }
 
     #[test]

@@ -38,8 +38,9 @@
 //!   where the generic computation ([`PublicKey::verify`], kept as the
 //!   test and bench reference) takes ≈ 65 µs;
 //! * [`KeyStore::verify_batch_refs`] folds a batch by signer, so an
-//!   ingress run of envelopes costs two table walks per sender in it
-//!   plus a short shared chain for the nonce points. A certificate's
+//!   ingress run of envelopes, with the votes their messages carry,
+//!   costs two table walks per signer in it plus a short shared chain
+//!   for the nonce points. A certificate's
 //!   signers are distinct, so [`KeyStore::verify_quorum`] is a loop
 //!   over [`KeyStore::verify`].
 //!

@@ -788,11 +788,11 @@ pub fn decode<M: Deserialize>(payload: &[u8]) -> Option<WireMsg<M>> {
 }
 
 /// Cheapest possible classification of a sealed payload: its tag byte,
-/// iff the version byte matches and the tag is known. The event loop
-/// routes on this without parsing a body — protocol bodies parse on
-/// the event loop thread (they feed the state machine right there),
-/// transfer bodies ship to the pipeline still encoded and parse off
-/// the loop via [`decode_ref`].
+/// iff the version byte matches and the tag is known. The ingress task
+/// routes on this — protocol bodies parse there (their votes are
+/// verified in the same batch as the envelope), transfer bodies ship
+/// through the event loop to the pipeline still encoded and parse there
+/// via [`decode_ref`].
 pub fn payload_tag(payload: &[u8]) -> Option<u8> {
     match payload {
         [WIRE_VERSION, tag, ..] if *tag <= TAG_CATCHUP_CHUNK => Some(*tag),
@@ -810,8 +810,8 @@ pub fn decode_protocol_body<M: Deserialize>(body: &[u8]) -> Option<M> {
 /// checks, same accepted byte strings (pinned by proptest equivalence
 /// in `tests/wire_format.rs`), but bulk byte fields come back as
 /// slices of `payload` instead of fresh vectors, and a protocol body
-/// comes back undecoded. This is the hot-path entry point: the event
-/// loop classifies a frame without copying it, and the pipeline copies
+/// comes back undecoded. This is the transfer path's entry point: the
+/// pipeline classifies a frame without copying it, and copies
 /// only the pieces that must outlive the envelope (its storage
 /// boundary).
 ///

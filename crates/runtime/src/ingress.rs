@@ -1,22 +1,40 @@
 //! Ingress verification: the one task that reads a replica's inbound
-//! fabric channel checks every [`Envelope`] signature *before* the
-//! envelope reaches the event loop.
+//! fabric channel decodes each message and checks every signature it
+//! carries — its [`Envelope`]'s and that of each vote the message lists
+//! ([`ProtocolMessage::carried_votes`]) — *before* the message reaches
+//! the event loop.
 //!
-//! Every envelope carries a real Ed25519 signature; checking it on the
-//! event-loop thread would put a ≈ 30 µs verification in series with
-//! ordering, execution handoff and outbound sealing for every inbound
-//! message. The ingress task takes that cost off the loop and batches
-//! it: it awaits one envelope, takes whatever else is already queued up
-//! to [`MAX_VERIFY_BATCH`], and checks the run in one
-//! [`KeyStore::verify_batch_refs`] call, which folds repeated signers
-//! into one walk of each signer's table. A lone envelope takes the same
-//! call — `verify_batch` itself verifies short batches serially — and
-//! the task falls back to per-envelope checks only when a batch fails,
-//! to attribute blame.
+//! Every envelope carries a real Ed25519 signature, and a SpotLess
+//! `Sync` carries one more per vote (its claim and each `CP`
+//! endorsement); checking them on the event-loop thread would put
+//! ≈ 30 µs per signature in series with ordering, execution handoff and
+//! outbound sealing. The ingress task takes that cost off the loop and
+//! batches it: it awaits one envelope, takes whatever else is already
+//! queued up to [`MAX_VERIFY_BATCH`], decodes the protocol messages
+//! among them, and checks the envelopes together with every vote they
+//! carry that it holds no verdict for in **one**
+//! [`KeyStore::verify_batch_refs`] call. That call folds repeated
+//! signers into one walk of each signer's table, and a message's votes
+//! are mostly signed by its own sender, so the votes make almost every
+//! run fold. Verdicts stay in a two-generation cache ([`VoteMemo`]), so
+//! a `CP` endorsement re-carried view after view is verified once, and
+//! travel with the message ([`Event::Deliver`]) into the event loop's
+//! memo, where the protocol's `verify_vote` finds them.
+//!
+//! A failed batch is re-verified in two steps: the envelopes, then the
+//! votes carried by those that passed. Each step makes one call per
+//! envelope sender, and checks serially only the signatures of a sender
+//! whose own call fails. A replica that seals genuine envelopes around
+//! garbage votes therefore cannot push its peers' traffic onto serial
+//! checks. A forged envelope's votes are never checked or cached beyond
+//! the failed batch. They cannot be many: a message lists only what its
+//! handler may count (a `Sync` at most its claim and `CP_CAP`
+//! endorsements, a QC distinct signers), and a list naming a signer
+//! this replica does not know is ignored whole.
 //!
 //! **Ordering contract:** arrival order is preserved globally, not just
 //! per sender. One task reads, verifies and forwards, so the event loop
-//! sees the surviving envelopes in exactly the order the fabric
+//! sees the surviving messages in exactly the order the fabric
 //! delivered them.
 //!
 //! **Failure contract:** a forged, corrupted, or unknown-signer
@@ -24,31 +42,47 @@
 //! before anything that arrived after it is forwarded, and nothing
 //! downstream ever sees it — a flood of garbage costs ingress time,
 //! never event-loop time, and cannot reorder the valid traffic around
+//! it. A genuine envelope whose message carries a bad vote is forwarded
+//! with a `false` verdict on that vote, so the protocol never counts
 //! it.
 
-use crate::envelope::Envelope;
+use crate::envelope::{decode_protocol_body, payload_tag, Envelope, TAG_PROTOCOL};
 use crate::observe::NetStats;
-use crate::runtime::Event;
+use crate::runtime::{Event, VoteKey, VoteMemo};
+use serde::Deserialize;
 use spotless_crypto::{KeyStore, Signature};
+use spotless_types::node::ProtocolMessage;
 use spotless_types::ReplicaId;
+use std::collections::HashSet;
 use tokio::sync::mpsc;
 
-/// Most envelopes folded into one batch verification. Bounds both the
-/// latency the first envelope of a run accrues behind the rest and the
-/// work thrown away when a batch contains one bad signature.
+/// Most envelopes taken into one run. Bounds both the latency the
+/// first envelope of a run accrues behind the rest and the work thrown
+/// away when a batch contains one bad signature. It counts envelopes,
+/// not signatures: with the votes its messages carry, a run verifies
+/// up to about three times as many.
 pub(crate) const MAX_VERIFY_BATCH: usize = 32;
 
 /// Spawns the ingress task: drains the fabric's inbound channel in runs
-/// of at most [`MAX_VERIFY_BATCH`], verifies each run, and feeds the
-/// survivors into `events` in arrival order. Counts every arrival into
-/// `net` (received) and every drop (rejected).
-pub(crate) fn spawn_ingress<M: Send + 'static>(
+/// of at most [`MAX_VERIFY_BATCH`], decodes and verifies each run, and
+/// feeds the survivors into `events` in arrival order. Counts every
+/// arrival into `net` (received), every drop (rejected) and every
+/// fresh vote verification.
+pub(crate) fn spawn_ingress<M>(
     keystore: KeyStore,
     mut envelopes: mpsc::UnboundedReceiver<Envelope>,
     events: mpsc::UnboundedSender<Event<M>>,
     net: NetStats,
-) {
+) where
+    M: ProtocolMessage + Deserialize + Send + 'static,
+{
     tokio::spawn(async move {
+        let mut ingress = Ingress {
+            keystore,
+            events,
+            net,
+            verdicts: VoteMemo::default(),
+        };
         let mut batch = Vec::with_capacity(MAX_VERIFY_BATCH);
         while let Some(env) = envelopes.recv().await {
             batch.push(env);
@@ -59,57 +93,240 @@ pub(crate) fn spawn_ingress<M: Send + 'static>(
                 batch.push(env);
             }
             for env in &batch {
-                net.record_recv(env.payload.len());
+                ingress.net.record_recv(env.payload.len());
             }
-            if !verify_and_forward(&keystore, &events, &net, &mut batch) {
+            if !ingress.verify_and_forward(&mut batch) {
                 return;
             }
         }
     });
 }
 
-/// Verifies one run in a single [`KeyStore::verify_batch_refs`] call,
-/// borrowing payload bytes in place, and forwards the survivors in
-/// arrival order, leaving `batch` empty. A single bad signature fails
-/// the call, and only then does the task pay serial verification to
-/// attribute blame. Returns false once the event queue is gone.
-fn verify_and_forward<M: Send + 'static>(
-    keystore: &KeyStore,
-    events: &mpsc::UnboundedSender<Event<M>>,
-    net: &NetStats,
-    batch: &mut Vec<Envelope>,
-) -> bool {
-    let all_ok = {
-        let refs: Vec<(ReplicaId, &[u8], &Signature)> = batch
-            .iter()
-            .map(|e| (e.from, e.payload.as_slice(), &e.sig))
-            .collect();
-        keystore.verify_batch_refs(&refs).is_ok()
-    };
-    for env in batch.drain(..) {
-        if all_ok || env.verify(keystore).is_ok() {
-            if events.send(Event::Envelope(env)).is_err() {
+/// The ingress task's state.
+struct Ingress<M> {
+    keystore: KeyStore,
+    events: mpsc::UnboundedSender<Event<M>>,
+    net: NetStats,
+    /// Verdicts on the votes this task has verified.
+    verdicts: VoteMemo,
+}
+
+/// What one envelope of a run holds, read before anything is verified.
+enum Body<M> {
+    /// A protocol message and the votes it lists.
+    Protocol(M, Vec<VoteKey>),
+    /// The state-transfer family, forwarded undecoded.
+    Transfer,
+    /// Neither: dropped once its envelope is checked.
+    Malformed,
+}
+
+/// One signature to check: signer, signed bytes, signature.
+type SigRef<'a> = (ReplicaId, &'a [u8], &'a Signature);
+
+/// A signature to check, with the envelope sender who answers for it
+/// if its batch fails.
+type Check<'a> = (ReplicaId, SigRef<'a>);
+
+impl<M: ProtocolMessage + Deserialize> Ingress<M> {
+    /// Decodes one run, verifies its envelopes and the votes their
+    /// messages carry, and forwards the survivors in arrival order,
+    /// leaving `batch` empty. Returns false once the event queue is
+    /// gone.
+    fn verify_and_forward(&mut self, batch: &mut Vec<Envelope>) -> bool {
+        let bodies: Vec<Body<M>> = batch.iter().map(|env| self.read(env)).collect();
+        let envelope_ok = self.verify_run(batch, &bodies);
+        for ((env, body), ok) in batch.drain(..).zip(bodies).zip(envelope_ok) {
+            if !ok {
+                self.net.record_rejected(env.payload.len());
+                continue;
+            }
+            let event = match body {
+                // Every listed vote of a genuine envelope now has a
+                // cached verdict. One the run itself rotated out (only
+                // a run of more than `VOTE_MEMO_MAX / 2` fresh votes
+                // can) is left for the loop to check.
+                Body::Protocol(msg, carried) => Event::Deliver {
+                    from: env.from,
+                    msg,
+                    votes: carried
+                        .into_iter()
+                        .filter_map(|key| Some((key, self.verdicts.recall(&key)?)))
+                        .collect(),
+                },
+                Body::Transfer => Event::Envelope(env),
+                Body::Malformed => continue,
+            };
+            if self.events.send(event).is_err() {
                 return false;
             }
-        } else {
-            net.record_rejected(env.payload.len());
+        }
+        true
+    }
+
+    /// Decodes `env`'s body and lists the votes its message carries.
+    fn read(&self, env: &Envelope) -> Body<M> {
+        match payload_tag(&env.payload) {
+            Some(TAG_PROTOCOL) => {}
+            Some(_) => return Body::Transfer,
+            None => return Body::Malformed,
+        }
+        let Some(msg) = decode_protocol_body::<M>(&env.payload[2..]) else {
+            return Body::Malformed;
+        };
+        let mut carried = Vec::new();
+        msg.carried_votes(env.from, &mut carried);
+        // A vote by a replica this keystore does not know cannot
+        // verify, and would fail every batch it joined; a message naming
+        // one is malformed, so none of its votes is checked.
+        if carried
+            .iter()
+            .any(|&(signer, ..)| self.keystore.public_of(signer).is_none())
+        {
+            carried.clear();
+        }
+        Body::Protocol(msg, carried)
+    }
+
+    /// Verifies a run's envelopes, and the fresh votes carried by those
+    /// that pass, caching each vote's verdict; returns each envelope's
+    /// verdict. One [`KeyStore::verify_batch_refs`] call covers the
+    /// whole run. Only if it fails are the envelopes re-verified alone,
+    /// and then the votes of the genuine ones, each step by sender
+    /// ([`verify_by_sender`]).
+    fn verify_run(&mut self, batch: &[Envelope], bodies: &[Body<M>]) -> Vec<bool> {
+        let envelopes: Vec<Check> = batch
+            .iter()
+            .map(|env| (env.from, (env.from, env.payload.as_slice(), &env.sig)))
+            .collect();
+        let fresh = self.fresh_votes(batch, bodies, |_| true);
+        let statements = signing_bytes(&fresh);
+        let run: Vec<SigRef> = envelopes
+            .iter()
+            .chain(&vote_checks(&fresh, &statements))
+            .map(|&(_, sig)| sig)
+            .collect();
+        if self.keystore.verify_batch_refs(&run).is_ok() {
+            self.remember(&fresh, &vec![true; fresh.len()]);
+            return vec![true; batch.len()];
+        }
+        let envelope_ok = verify_by_sender(&self.keystore, &envelopes);
+        let fresh = self.fresh_votes(batch, bodies, |i| envelope_ok[i]);
+        let statements = signing_bytes(&fresh);
+        let vote_ok = verify_by_sender(&self.keystore, &vote_checks(&fresh, &statements));
+        self.remember(&fresh, &vote_ok);
+        envelope_ok
+    }
+
+    /// The votes the messages of the run's `passing` envelopes list that
+    /// no verdict is cached for, each once, with the sender of the first
+    /// envelope that carried it.
+    fn fresh_votes(
+        &mut self,
+        batch: &[Envelope],
+        bodies: &[Body<M>],
+        passing: impl Fn(usize) -> bool,
+    ) -> Vec<(ReplicaId, VoteKey)> {
+        let mut seen = HashSet::new();
+        let mut fresh = Vec::new();
+        for (i, (env, body)) in batch.iter().zip(bodies).enumerate() {
+            let Body::Protocol(_, carried) = body else {
+                continue;
+            };
+            if !passing(i) {
+                continue;
+            }
+            for key in carried {
+                if self.verdicts.recall(key).is_none() && seen.insert(*key) {
+                    fresh.push((env.from, *key));
+                }
+            }
+        }
+        fresh
+    }
+
+    /// Caches the verdicts `ok` on `fresh`'s votes and counts them.
+    fn remember(&mut self, fresh: &[(ReplicaId, VoteKey)], ok: &[bool]) {
+        for (&(_, key), &ok) in fresh.iter().zip(ok) {
+            self.verdicts.insert(key, ok);
+        }
+        self.net.record_votes_verified(fresh.len());
+    }
+}
+
+/// The statement bytes each of `fresh`'s votes signs.
+fn signing_bytes(fresh: &[(ReplicaId, VoteKey)]) -> Vec<[u8; 68]> {
+    fresh
+        .iter()
+        .map(|(_, (_, statement, _))| statement.signing_bytes())
+        .collect()
+}
+
+/// `fresh`'s votes as checks over their `statements`.
+fn vote_checks<'a>(
+    fresh: &'a [(ReplicaId, VoteKey)],
+    statements: &'a [[u8; 68]],
+) -> Vec<Check<'a>> {
+    fresh
+        .iter()
+        .zip(statements)
+        .map(|((sender, (signer, _, sig)), bytes)| (*sender, (*signer, bytes.as_slice(), sig)))
+        .collect()
+}
+
+/// Verdicts on `checks`, in order: one [`KeyStore::verify_batch_refs`]
+/// call per answering sender, and one-by-one checks only of the
+/// signatures of a sender whose call fails.
+fn verify_by_sender(keystore: &KeyStore, checks: &[Check]) -> Vec<bool> {
+    let mut senders: Vec<ReplicaId> = checks.iter().map(|&(sender, _)| sender).collect();
+    senders.sort_unstable();
+    senders.dedup();
+    let mut ok = vec![true; checks.len()];
+    for sender in senders {
+        let mine: Vec<usize> = (0..checks.len())
+            .filter(|&k| checks[k].0 == sender)
+            .collect();
+        let run: Vec<SigRef> = mine.iter().map(|&k| checks[k].1).collect();
+        if keystore.verify_batch_refs(&run).is_err() {
+            for k in mine {
+                let (signer, message, sig) = checks[k].1;
+                ok[k] = keystore.verify(signer, message, sig).is_ok();
+            }
         }
     }
-    true
+    ok
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envelope::{decode, encode_catchup_req, WireMsg};
+    use crate::envelope::{decode, encode_catchup_req, encode_protocol, WireMsg};
+    use spotless_core::{Message, ProposalRef, SyncMsg};
+    use spotless_types::{Digest, InstanceId, View, VoteStatement};
 
     /// A running ingress task over a fresh channel pair, verifying as
     /// replica 0 of a 4-replica cluster.
     struct Harness {
         stores: Vec<KeyStore>,
         input: mpsc::UnboundedSender<Envelope>,
-        output: mpsc::UnboundedReceiver<Event<u64>>,
+        output: mpsc::UnboundedReceiver<Event<Message>>,
         net: NetStats,
+    }
+
+    /// A forwarded `Sync`: its sender and view, and the verdicts it
+    /// came with.
+    type Delivered = (ReplicaId, View, Vec<(VoteKey, bool)>);
+
+    /// The proposal of view `v` (its digest is a function of `v`).
+    fn proposal(v: u64) -> ProposalRef {
+        ProposalRef {
+            view: View(v),
+            digest: Digest::from_u64(v),
+        }
+    }
+
+    fn statement(v: u64) -> VoteStatement {
+        VoteStatement::new(InstanceId(0), View(v), Digest::from_u64(v))
     }
 
     impl Harness {
@@ -137,11 +354,48 @@ mod tests {
             self.input.send(env).unwrap();
         }
 
+        /// `from`'s view-`view` `Sync`: a claim for that view's
+        /// proposal — under a garbage signature if `forge_claim` — and
+        /// a `CP` endorsing the proposals of `cp`'s views.
+        fn sync(&self, from: usize, view: u64, cp: &[u64], forge_claim: bool) -> SyncMsg {
+            let keys = &self.stores[from];
+            let claim_sig = if forge_claim {
+                Signature([0xCD; 64])
+            } else {
+                keys.sign_vote(&statement(view))
+            };
+            SyncMsg {
+                instance: InstanceId(0),
+                view: View(view),
+                claim: Some(proposal(view)),
+                cp: cp.iter().map(|&v| proposal(v)).collect(),
+                upsilon: false,
+                claim_sig,
+                cp_sigs: cp.iter().map(|&v| keys.sign_vote(&statement(v))).collect(),
+            }
+        }
+
+        /// Sends `sync` in an envelope sealed by `from`, forged (a
+        /// garbage envelope signature) if asked.
+        fn send_sealed(&self, from: usize, sync: SyncMsg, forged: bool) {
+            let mut env = Envelope::seal(&self.stores[from], encode_protocol(&Message::Sync(sync)));
+            if forged {
+                env.sig = Signature([0xAB; 64]);
+            }
+            self.input.send(env).unwrap();
+        }
+
+        /// Sends a genuine envelope from `from` holding its
+        /// [`sync`](Harness::sync).
+        fn send_sync(&self, from: usize, view: u64, cp: &[u64], forge_claim: bool) {
+            self.send_sealed(from, self.sync(from, view, cp, forge_claim), false);
+        }
+
         /// The next forwarded envelope's sender and height, checked to
         /// carry a signature replica 0 accepts.
         async fn next(&mut self) -> (ReplicaId, u64) {
             let Some(Event::Envelope(env)) = self.output.recv().await else {
-                panic!("ingress closed early");
+                panic!("ingress closed early or forwarded a protocol message");
             };
             assert!(
                 env.verify(&self.stores[0]).is_ok(),
@@ -150,6 +404,18 @@ mod tests {
             match decode::<u64>(&env.payload) {
                 Some(WireMsg::CatchUpReq { from_height }) => (env.from, from_height),
                 _ => panic!("unexpected payload"),
+            }
+        }
+
+        /// The next forwarded `Sync`.
+        async fn next_sync(&mut self) -> Delivered {
+            match self.output.recv().await {
+                Some(Event::Deliver {
+                    from,
+                    msg: Message::Sync(s),
+                    votes,
+                }) => (from, s.view, votes),
+                _ => panic!("expected a delivered Sync"),
             }
         }
     }
@@ -219,5 +485,143 @@ mod tests {
         assert_eq!(h.next().await, (ReplicaId(1), SENTINEL));
         assert_eq!(h.net.msgs_rejected(), 1);
         assert_eq!(h.net.msgs_recv(), 2);
+    }
+
+    /// A `CP` endorsement re-carried by later `Sync`s is verified the
+    /// first time only, and every delivery still comes with its
+    /// verdict.
+    #[tokio::test(flavor = "multi_thread")]
+    async fn a_re_carried_cp_signature_is_not_verified_again() {
+        let mut h = Harness::spawn(b"ingress-recarry-test");
+        h.send_sync(1, 5, &[4], false);
+        let (_, _, first) = h.next_sync().await;
+        assert_eq!(first.len(), 2);
+        assert!(first.iter().all(|&(_, ok)| ok));
+        assert_eq!(h.net.votes_verified(), 2, "claim 5 and CP entry 4");
+
+        for view in 6..9 {
+            h.send_sync(1, view, &[4], false);
+            let (from, got_view, votes) = h.next_sync().await;
+            assert_eq!((from, got_view), (ReplicaId(1), View(view)));
+            let cp = (
+                ReplicaId(1),
+                statement(4),
+                h.stores[1].sign_vote(&statement(4)),
+            );
+            assert!(votes.contains(&(cp, true)), "view {view}: {votes:?}");
+            assert!(votes.iter().all(|&(_, ok)| ok));
+        }
+        assert_eq!(
+            h.net.votes_verified(),
+            2 + 3,
+            "each later Sync verifies its new claim only"
+        );
+    }
+
+    /// A sender that seals genuine envelopes around garbage claim
+    /// signatures, interleaved with two honest senders: its forged
+    /// votes come out `false`, every honest vote `true`, no envelope is
+    /// rejected (they are all genuine), and arrival order holds.
+    #[tokio::test(flavor = "multi_thread")]
+    async fn forged_votes_are_blamed_on_their_sender_alone() {
+        let mut h = Harness::spawn(b"ingress-blame-test");
+        let mut expected = Vec::new();
+        for view in 10..(10 + 3 * MAX_VERIFY_BATCH as u64) {
+            let from = [1, 2, 3, 2, 1, 3, 3][view as usize % 7];
+            h.send_sync(from, view, &[view - 2, view - 1], from == 1);
+            expected.push((ReplicaId(from as u32), View(view)));
+        }
+        let mut got = Vec::new();
+        for _ in 0..expected.len() {
+            let (from, view, votes) = h.next_sync().await;
+            assert_eq!(votes.len(), 3);
+            for ((signer, statement, _), ok) in votes {
+                assert_eq!(signer, from);
+                let is_claim = statement.view == view;
+                let forged = from == ReplicaId(1) && is_claim;
+                assert_eq!(ok, !forged, "{from:?} view {view:?}: {statement:?}");
+            }
+            got.push((from, view));
+        }
+        assert_eq!(got, expected, "arrival order");
+        assert_eq!(h.net.msgs_rejected(), 0, "every envelope is genuine");
+    }
+
+    /// A forged envelope's votes are neither verdicted nor cached, even
+    /// when a genuine envelope re-carries one of them; only the genuine
+    /// envelope's two votes are verified.
+    #[tokio::test(flavor = "multi_thread")]
+    async fn a_forged_envelopes_votes_are_not_verified() {
+        let mut h = Harness::spawn(b"ingress-forged-votes-test");
+        h.send_sealed(1, h.sync(1, 5, &[4], false), true);
+        h.send_sync(1, 6, &[4], false);
+        let (from, view, votes) = h.next_sync().await;
+        assert_eq!((from, view), (ReplicaId(1), View(6)));
+        assert_eq!(votes.len(), 2);
+        assert!(votes.iter().all(|&(_, ok)| ok));
+        assert_eq!(h.net.msgs_rejected(), 1);
+        assert_eq!(h.net.votes_verified(), 2, "claim 6 and CP entry 4");
+    }
+
+    /// A `Sync` advertising more than `CP_CAP` endorsements lists no
+    /// votes, so neither a forged nor a genuine one costs a vote
+    /// verification however long its `CP`.
+    #[tokio::test(flavor = "multi_thread")]
+    async fn an_oversized_cp_is_never_verified() {
+        let mut h = Harness::spawn(b"ingress-oversized-cp-test");
+        let mut big = h.sync(1, 5, &[], false);
+        big.cp = (0..10_000).map(proposal).collect();
+        big.cp_sigs = vec![Signature([0xEE; 64]); big.cp.len()];
+        h.send_sealed(1, big.clone(), true);
+        h.send_sealed(1, big, false);
+        h.send_sync(1, 6, &[4], false);
+        let (_, view, votes) = h.next_sync().await;
+        assert_eq!((view, votes.len()), (View(5), 0));
+        let (_, view, votes) = h.next_sync().await;
+        assert_eq!((view, votes.len()), (View(6), 2));
+        assert_eq!(h.net.msgs_rejected(), 1);
+        assert_eq!(h.net.votes_verified(), 2, "the last Sync's only");
+    }
+
+    /// A HotStuff QC naming a replica the keystore does not know is one
+    /// its handler discards unchecked: ingress lists none of its votes,
+    /// not even the genuine ones, and the envelope still passes.
+    #[tokio::test(flavor = "multi_thread")]
+    async fn a_qc_naming_an_unknown_signer_lists_no_votes() {
+        use spotless_baselines::{HsMessage, QcRef};
+        let stores = KeyStore::cluster(b"ingress-unknown-qc-signer-test", 4);
+        let (input, envelopes) = mpsc::unbounded_channel();
+        let (events, mut output) = mpsc::unbounded_channel::<Event<HsMessage>>();
+        let net = NetStats::default();
+        spawn_ingress(stores[0].clone(), envelopes, events, net.clone());
+        let qc = |signers: &[u32]| QcRef {
+            view: View(4),
+            digest: Digest::from_u64(4),
+            signers: signers.iter().map(|&r| ReplicaId(r)).collect(),
+            sigs: signers
+                .iter()
+                .map(|&r| match stores.get(r as usize) {
+                    Some(keys) => keys.sign_vote(&statement(4)),
+                    None => Signature([0x99; 64]),
+                })
+                .collect(),
+        };
+        for signers in [&[1, 2, 99][..], &[1, 2, 3]] {
+            let msg = HsMessage::NewView {
+                view: View(5),
+                high_qc: Some(qc(signers)),
+            };
+            let env = Envelope::seal(&stores[1], encode_protocol(&msg));
+            input.send(env).unwrap();
+        }
+        for listed in [0, 3] {
+            let Some(Event::Deliver { votes, .. }) = output.recv().await else {
+                panic!("expected a delivered NewView");
+            };
+            assert_eq!(votes.len(), listed);
+            assert!(votes.iter().all(|&(_, ok)| ok));
+        }
+        assert_eq!(net.msgs_rejected(), 0);
+        assert_eq!(net.votes_verified(), 3);
     }
 }

@@ -68,6 +68,7 @@ struct NetCounters {
     bytes_recv: AtomicU64,
     msgs_rejected: AtomicU64,
     bytes_rejected: AtomicU64,
+    votes_verified: AtomicU64,
 }
 
 impl NetStats {
@@ -90,6 +91,12 @@ impl NetStats {
         self.inner
             .bytes_rejected
             .fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    pub(crate) fn record_votes_verified(&self, votes: usize) {
+        self.inner
+            .votes_verified
+            .fetch_add(votes as u64, Ordering::Relaxed);
     }
 
     /// Envelopes handed to the fabric.
@@ -126,6 +133,14 @@ impl NetStats {
     /// Encoded payload bytes of rejected envelopes.
     pub fn bytes_rejected(&self) -> u64 {
         self.inner.bytes_rejected.load(Ordering::Relaxed)
+    }
+
+    /// Vote signatures the ingress task verified: the votes inbound
+    /// messages carry, each counted the first time its
+    /// `(signer, statement, signature)` arrives — a vote re-carried
+    /// while its verdict is still cached is not verified again.
+    pub fn votes_verified(&self) -> u64 {
+        self.inner.votes_verified.load(Ordering::Relaxed)
     }
 }
 

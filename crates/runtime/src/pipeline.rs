@@ -1776,8 +1776,11 @@ mod tests {
             slot: info.cert.slot,
             digest: info.cert.voted,
         };
-        for (&signer, sig) in info.cert.signers.iter().zip(&info.cert.sigs) {
-            memo.verify(&test_stores()[0], signer, &cast_over, sig);
+        for (&signer, &sig) in info.cert.signers.iter().zip(&info.cert.sigs) {
+            let ok = test_stores()[0]
+                .verify_vote(signer, &cast_over, &sig)
+                .is_ok();
+            memo.insert((signer, cast_over, sig), ok);
         }
         memo
     }
@@ -1850,11 +1853,9 @@ mod tests {
         while VerifiedProof::witnessed(live_proof(&info), &memo).is_some() {
             rounds += 1;
             other.view = View(1_000 + rounds);
-            memo.verify(
-                &test_stores()[0],
-                ReplicaId(1),
-                &other,
-                &spotless_types::Signature::ZERO,
+            memo.insert(
+                (ReplicaId(1), other, spotless_types::Signature::ZERO),
+                false,
             );
         }
         let announced = announced(info, &memo);

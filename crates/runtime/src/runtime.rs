@@ -9,8 +9,10 @@
 //!   (`crate::pipeline`), fed through a bounded queue — consensus
 //!   never waits for an fsync, and execution of slot `k` overlaps with
 //!   ordering of slot `k + j`;
-//! * **inbound signatures** are batch-verified by the ingress task
-//!   before an envelope reaches the loop (`crate::ingress`);
+//! * **inbound signatures** — each envelope's and each vote its message
+//!   carries — are verified in one batch by the ingress task, which
+//!   also decodes the message, before it reaches the loop
+//!   (`crate::ingress`);
 //! * **outbound traffic** is serialized once per message on the loop,
 //!   then signed and fanned out by the egress lane (`crate::egress`);
 //!   broadcast fan-out shares the bytes via `Arc` (see
@@ -34,9 +36,7 @@
 //! crash–restart and pruned-history recovery proofs.
 
 use crate::egress::{Egress, Fanout};
-use crate::envelope::{
-    decode_protocol_body, encode_protocol_into, payload_tag, Envelope, Payload, TAG_PROTOCOL,
-};
+use crate::envelope::{encode_protocol_into, Envelope, Payload};
 use crate::fabric::{Fabric, MeteredFabric};
 use crate::observe::{CommitLog, Inform, NetStats, SnapshotStats};
 use crate::pipeline::{live_proof, Pipeline, PipelineCmd, VerifiedProof};
@@ -117,10 +117,11 @@ pub struct RuntimeConfig {
     /// non-conflicting batches on this many dedicated tasks (the
     /// `executor` module), sealing state roots in commit order. `0`
     /// executes every group inline on the pipeline thread (the serial
-    /// baseline — also what benchmarks compare against). Envelope
-    /// signatures have no such knob: one ingress task verifies inbound
-    /// envelopes and one egress lane signs outbound ones, each off the
-    /// event-loop thread (the `ingress` and `egress` modules).
+    /// baseline — also what benchmarks compare against). Signatures
+    /// have no such knob: one ingress task verifies inbound envelopes
+    /// and the votes they carry, and one egress lane signs outbound
+    /// envelopes, each off the event-loop thread (the `ingress` and
+    /// `egress` modules).
     pub exec_pool: usize,
     /// Wire-traffic counters for this replica (payload bytes/messages
     /// by direction). A fresh set by default; share one across replicas
@@ -191,15 +192,17 @@ pub struct ReplicaHandle {
     stopped: Arc<AtomicBool>,
     net: NetStats,
     snap: SnapshotStats,
-    witness: Arc<WitnessCounts>,
+    debug: Arc<DebugCounts>,
 }
 
-/// How many live non-no-op commits the event loop announced, and how
-/// many of them it could witness from the vote memo.
+/// The event loop's debug counters: how many live non-no-op commits it
+/// announced, how many of them it could witness from the vote memo,
+/// and how many votes it had to verify itself.
 #[derive(Default)]
-struct WitnessCounts {
+struct DebugCounts {
     commits: AtomicU64,
     witnessed: AtomicU64,
+    vote_misses: AtomicU64,
 }
 
 impl ReplicaHandle {
@@ -252,36 +255,49 @@ impl ReplicaHandle {
 
     /// Debug counter, not a metric: `(witnessed, commits)` — of the
     /// live non-no-op commits announced so far, how many reached the
-    /// pipeline with every vote already verified by the event loop and
-    /// so skipped the sanitizer's signature pass.
+    /// pipeline with a passing verdict on every vote already in the
+    /// event loop's memo and so skipped the sanitizer's signature pass.
     #[doc(hidden)]
     pub fn witness_counts(&self) -> (u64, u64) {
         (
-            self.witness.witnessed.load(Ordering::Relaxed),
-            self.witness.commits.load(Ordering::Relaxed),
+            self.debug.witnessed.load(Ordering::Relaxed),
+            self.debug.commits.load(Ordering::Relaxed),
         )
+    }
+
+    /// Debug counter, not a metric: the vote signatures the event loop
+    /// verified itself because its memo held no verdict — a vote the
+    /// message did not list in `carried_votes`, or one rotated out.
+    /// Ingress verifies every listed vote, so a fault-free cluster
+    /// keeps this at 0.
+    #[doc(hidden)]
+    pub fn loop_vote_misses(&self) -> u64 {
+        self.debug.vote_misses.load(Ordering::Relaxed)
     }
 }
 
 /// One vote as the memo keys it: signer, statement and signature.
-type VoteKey = (ReplicaId, VoteStatement, Signature);
+pub(crate) type VoteKey = (ReplicaId, VoteStatement, Signature);
 
 /// Verdicts the vote memo holds at most.
 const VOTE_MEMO_MAX: usize = 8192;
 
-/// The event loop's record of which votes this replica's keystore has
-/// checked, and with what verdict. Serial Ed25519 verification from
-/// per-signer tables is ≈ 24 µs; protocols legitimately re-see the
-/// same vote (retransmission, Sync summaries that re-carry
-/// certificates), and the memo turns every re-check into a hash
-/// lookup.
+/// A record of which votes this replica's keystore has checked, and
+/// with what verdict. Serial Ed25519 verification from per-signer
+/// tables is ≈ 24 µs; protocols legitimately re-see the same vote
+/// (retransmission, Sync summaries that re-carry `CP` endorsements
+/// view after view), and the memo turns every re-check into a hash
+/// lookup. The ingress task keeps one as its verdict cache; the event
+/// loop keeps another, filled from the verdicts ingress forwards with
+/// each message and from the votes the replica signs itself.
 ///
 /// Bounded by two generations rather than an LRU: verdicts enter
 /// `current`; when that holds half the cap it becomes `previous`,
-/// whose old content is dropped; lookups consult both. The newest
-/// `VOTE_MEMO_MAX / 2` verdicts therefore survive every rotation —
-/// the live `CP` entries and the certificates of commits in flight
-/// among them.
+/// whose old content is dropped; lookups consult both, and a
+/// [`recall`](VoteMemo::recall) found only in `previous` moves back
+/// into `current`. The newest `VOTE_MEMO_MAX / 2` verdicts therefore
+/// survive every rotation, and so does any vote still being re-seen —
+/// the live `CP` entries and the certificates of commits in flight.
 #[derive(Default)]
 pub(crate) struct VoteMemo {
     current: HashMap<VoteKey, bool>,
@@ -297,21 +313,15 @@ impl VoteMemo {
             .copied()
     }
 
-    /// `keys`' verdict on the vote, from memory when it is there.
-    pub(crate) fn verify(
-        &mut self,
-        keys: &KeyStore,
-        signer: ReplicaId,
-        statement: &VoteStatement,
-        sig: &Signature,
-    ) -> bool {
-        let key = (signer, *statement, *sig);
-        if let Some(ok) = self.get(&key) {
-            return ok;
+    /// [`get`](VoteMemo::get) for a vote being seen again: a verdict
+    /// about to rotate out is renewed.
+    pub(crate) fn recall(&mut self, key: &VoteKey) -> Option<bool> {
+        if let Some(&ok) = self.current.get(key) {
+            return Some(ok);
         }
-        let ok = keys.verify_vote(signer, statement, sig).is_ok();
-        self.insert(key, ok);
-        ok
+        let ok = *self.previous.get(key)?;
+        self.insert(*key, ok);
+        Some(ok)
     }
 
     /// Signs `statement` as `keys`' own replica. What this replica
@@ -323,7 +333,7 @@ impl VoteMemo {
         sig
     }
 
-    fn insert(&mut self, key: VoteKey, ok: bool) {
+    pub(crate) fn insert(&mut self, key: VoteKey, ok: bool) {
         if self.current.len() >= VOTE_MEMO_MAX / 2 {
             self.previous = std::mem::take(&mut self.current);
         }
@@ -335,12 +345,15 @@ impl VoteMemo {
 /// Carries the replica's [`KeyStore`] so the protocol's
 /// [`Context::sign_vote`] / [`Context::verify_vote`] hooks produce and
 /// check **real Ed25519** signatures (the trait's defaults are
-/// simulation placeholders), plus the event loop's verified-vote memo.
+/// simulation placeholders), plus the event loop's vote memo, which
+/// already holds a verdict on every vote a delivered message listed.
 struct RuntimeCtx<'a, M> {
     start: Instant,
     me: NodeId,
     keystore: &'a KeyStore,
     votes: &'a mut VoteMemo,
+    /// Counts the verifications a memo miss costs the loop.
+    debug: &'a DebugCounts,
     sends: Vec<(NodeId, M)>,
     broadcasts: Vec<M>,
     timers: Vec<(TimerId, SimDuration)>,
@@ -377,7 +390,16 @@ impl<M> Context for RuntimeCtx<'_, M> {
         statement: &VoteStatement,
         sig: &Signature,
     ) -> bool {
-        self.votes.verify(self.keystore, signer, statement, sig)
+        let key = (signer, *statement, *sig);
+        if let Some(ok) = self.votes.recall(&key) {
+            return ok;
+        }
+        // A vote the message did not list (`carried_votes`), or one no
+        // longer remembered: the one Ed25519 check the loop still does.
+        self.debug.vote_misses.fetch_add(1, Ordering::Relaxed);
+        let ok = self.keystore.verify_vote(signer, statement, sig).is_ok();
+        self.votes.insert(key, ok);
+        ok
     }
 }
 
@@ -414,7 +436,18 @@ impl TimerHeap {
 
 /// Internal event-loop alphabet.
 pub(crate) enum Event<M> {
-    /// A signed envelope arrived from the fabric.
+    /// A protocol message arrived from the fabric, decoded by the
+    /// ingress task after its envelope verified, with a verdict on
+    /// every vote it lists ([`ProtocolMessage::carried_votes`]).
+    ///
+    /// [`ProtocolMessage::carried_votes`]: spotless_types::node::ProtocolMessage::carried_votes
+    Deliver {
+        from: ReplicaId,
+        msg: M,
+        votes: Vec<(VoteKey, bool)>,
+    },
+    /// A verified envelope of the state-transfer family, for the
+    /// pipeline to decode.
     Envelope(Envelope),
     /// Local self-delivery (broadcast includes the sender, Remark 3.1) —
     /// skips serialization and signature verification entirely.
@@ -555,8 +588,9 @@ impl ReplicaRuntime {
 
         // 3. Ingress: fabric envelopes and the control plane both feed
         //    the single typed event queue — the handle writes to it
-        //    directly. The ingress task batch-verifies inbound
-        //    signatures, so only verified envelopes reach the queue. A
+        //    directly. The ingress task decodes protocol messages and
+        //    batch-verifies envelope and vote signatures, so only
+        //    verified envelopes and vote verdicts reach the queue. A
         //    silent replica, which would drop them anyway, drains its
         //    fabric channel without verifying.
         if cfg.silent {
@@ -589,7 +623,7 @@ impl ReplicaRuntime {
         let egress = Egress::spawn(cfg.keystore.clone(), fabric, cfg.me, cfg.cluster.n);
 
         // 5. The event loop.
-        let witness = Arc::new(WitnessCounts::default());
+        let debug = Arc::new(DebugCounts::default());
         let event_loop = EventLoop {
             me: cfg.me,
             node,
@@ -603,7 +637,7 @@ impl ReplicaRuntime {
             start: Instant::now(),
             silent: cfg.silent,
             votes: VoteMemo::default(),
-            witness: witness.clone(),
+            debug: debug.clone(),
         };
         tokio::spawn(event_loop.run(events_rx));
 
@@ -615,7 +649,7 @@ impl ReplicaRuntime {
             stopped,
             net,
             snap: cfg.snap,
-            witness,
+            debug,
         })
     }
 }
@@ -637,7 +671,7 @@ struct EventLoop<N: Node> {
     silent: bool,
     /// Verdicts on votes, shared across steps.
     votes: VoteMemo,
-    witness: Arc<WitnessCounts>,
+    debug: Arc<DebugCounts>,
 }
 
 impl<N> EventLoop<N>
@@ -724,40 +758,34 @@ where
                 None => continue,     // woken by a deadline
             };
             match ev {
-                Event::Envelope(env) => {
-                    // The ingress task has verified the signature.
-                    // Route by the two-byte header alone — the loop
-                    // never parses a transfer body. Protocol messages
-                    // (the hot path) decode borrowed off the shared
-                    // payload buffer; the whole transfer family ships
-                    // to the pipeline as raw verified bytes and is
-                    // decoded borrowed *there*, off this thread.
-                    match payload_tag(&env.payload) {
-                        Some(TAG_PROTOCOL) if started => {
-                            let Some(msg) = decode_protocol_body::<N::Message>(&env.payload[2..])
-                            else {
-                                continue; // malformed body: drop
-                            };
-                            self.step(Input::Deliver {
-                                from: env.from.into(),
-                                msg,
-                            })
-                            .await;
+                // Protocol traffic before the node starts is dropped
+                // (retransmission recovers it).
+                Event::Deliver { from, msg, votes } => {
+                    if started {
+                        // Ingress has verified every vote the message
+                        // lists; recording the verdicts makes each of
+                        // the protocol's checks a lookup.
+                        for (key, ok) in votes {
+                            self.votes.insert(key, ok);
                         }
-                        // Protocol traffic before the node starts is
-                        // dropped (retransmission recovers it); anything
-                        // malformed likewise.
-                        Some(TAG_PROTOCOL) | None => {}
-                        Some(_) => {
-                            let _ = self
-                                .pipeline_tx
-                                .send(PipelineCmd::Transfer {
-                                    from: env.from,
-                                    payload: env.payload,
-                                })
-                                .await;
-                        }
+                        self.step(Input::Deliver {
+                            from: from.into(),
+                            msg,
+                        })
+                        .await;
                     }
+                }
+                // The transfer family ships to the pipeline as raw
+                // verified bytes and is decoded borrowed there, off
+                // this thread.
+                Event::Envelope(env) => {
+                    let _ = self
+                        .pipeline_tx
+                        .send(PipelineCmd::Transfer {
+                            from: env.from,
+                            payload: env.payload,
+                        })
+                        .await;
                 }
                 Event::Loopback(msg) => {
                     if started {
@@ -789,6 +817,7 @@ where
             me: self.me.into(),
             keystore: &self.keystore,
             votes: &mut self.votes,
+            debug: &self.debug,
             sends: Vec::new(),
             broadcasts: Vec::new(),
             timers: Vec::new(),
@@ -813,8 +842,8 @@ where
                 None
             } else {
                 let witness = VerifiedProof::witnessed(live_proof(&info), &self.votes);
-                self.witness.commits.fetch_add(1, Ordering::Relaxed);
-                self.witness
+                self.debug.commits.fetch_add(1, Ordering::Relaxed);
+                self.debug
                     .witnessed
                     .fetch_add(u64::from(witness.is_some()), Ordering::Relaxed);
                 witness
@@ -983,6 +1012,27 @@ mod tests {
             assert!(memo.current.len() + memo.previous.len() <= VOTE_MEMO_MAX);
         }
         assert_eq!(memo.get(&key(0)), None, "old verdicts are forgotten");
+    }
+
+    #[test]
+    fn a_vote_recalled_every_generation_is_never_forgotten() {
+        let key = |i: u64| {
+            let statement =
+                VoteStatement::new(InstanceId(0), View(i), spotless_types::Digest::from_u64(i));
+            (ReplicaId(1), statement, Signature::ZERO)
+        };
+        let lock = key(u64::MAX);
+        let mut memo = VoteMemo::default();
+        memo.insert(lock, true);
+        // A CP endorsement re-carried view after view, while a stream
+        // of fresh votes rotates the memo many times over.
+        for i in 0..(3 * VOTE_MEMO_MAX as u64) {
+            memo.insert(key(i), true);
+            if i % 1000 == 0 {
+                assert_eq!(memo.recall(&lock), Some(true), "at {i}");
+            }
+        }
+        assert_eq!(memo.recall(&key(0)), None);
     }
 
     #[tokio::test]

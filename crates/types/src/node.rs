@@ -337,6 +337,21 @@ pub trait ProtocolMessage: Clone {
     /// this message (signing happens once per message; per-destination MAC
     /// generation is charged by the runtime).
     fn sign_cost(&self, costs: &CryptoCosts) -> u64;
+
+    /// Appends to `out` the votes this message, received from `from`,
+    /// asks its receiver to count: `(signer, statement, signature)`,
+    /// as the handler would pass them to [`Context::verify_vote`].
+    /// List at most the votes the handler may check — nothing for a
+    /// message it discards before checking any, so the list stays
+    /// bounded by what an honest message carries. The runtime verifies
+    /// the listed votes together with the envelope signatures, off the
+    /// event loop, so a vote a handler checks but its message does not
+    /// list costs a serial verification on the loop; a list naming a
+    /// signer the receiver does not know is ignored whole. The default
+    /// lists none.
+    fn carried_votes(&self, from: ReplicaId, out: &mut Vec<(ReplicaId, VoteStatement, Signature)>) {
+        let _ = (from, out);
+    }
 }
 
 #[cfg(test)]

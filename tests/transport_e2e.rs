@@ -63,12 +63,15 @@ async fn honest_cluster_serves_clients() {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn live_commits_reach_the_pipeline_witnessed() {
-    // The protocol verifies every foreign vote on arrival and signs its
-    // own, so by the time a batch commits the event loop's vote memo
-    // vouches for the whole certificate and the pipeline appends it
-    // without a second signature pass. `witness_counts` is the debug
-    // counter of exactly that; a fault-free cluster witnesses
-    // (nearly) everything.
+    // Ingress verifies every foreign vote a message lists and the
+    // protocol signs its own, so by the time a batch commits the event
+    // loop's vote memo vouches for the whole certificate and the
+    // pipeline appends it without a second signature pass.
+    // `witness_counts` is the debug counter of exactly that; a
+    // fault-free cluster witnesses (nearly) everything. The loop
+    // itself verifies nothing: a vote the protocol checks but its
+    // message does not list (`carried_votes`) would show up in
+    // `loop_vote_misses`.
     let handle = InProcCluster::spawn(ClusterConfig::new(4), None);
     for i in 0..60u64 {
         handle
@@ -77,12 +80,19 @@ async fn live_commits_reach_the_pipeline_witnessed() {
             .await;
     }
     for r in 0..4 {
-        let (witnessed, commits) = handle.handle(ReplicaId(r)).witness_counts();
+        let replica = handle.handle(ReplicaId(r));
+        let (witnessed, commits) = replica.witness_counts();
         assert!(commits >= 55, "replica {r} announced {commits} commits");
         assert!(
             witnessed * 100 >= commits * 95,
             "replica {r} witnessed {witnessed} of {commits} commits"
         );
+        assert_eq!(
+            replica.loop_vote_misses(),
+            0,
+            "replica {r}'s event loop verified votes itself"
+        );
+        assert!(replica.net().votes_verified() > 0);
     }
     handle.shutdown().await;
 }
@@ -885,6 +895,11 @@ async fn all_five_protocols_persist_verified_certificates() {
             }),
             "{name}: batches did not all commit at replica 0"
         );
+        // Every vote each protocol checks is one its message lists, so
+        // ingress verified them all and no event loop did.
+        for (r, h) in handles.iter().enumerate() {
+            assert_eq!(h.loop_vote_misses(), 0, "{name}: replica {r}");
+        }
         handle.shutdown().await;
 
         // Reopen replica 0's store and audit every persisted block.
