@@ -152,7 +152,7 @@ pub struct SyncMsg {
     pub claim: Option<ProposalRef>,
     /// The sender's `CP` set: its lock plus every conditionally prepared
     /// proposal with a view ≥ the lock's view (§3.3), newest
-    /// [`CP_CAP`] at most.
+    /// `CP_CAP` (8) at most.
     pub cp: Vec<ProposalRef>,
     /// The Υ flag: asks receivers to retransmit their own view-`view`
     /// `Sync` to the sender (§3.4's catch-up rule).
@@ -166,7 +166,7 @@ pub struct SyncMsg {
     pub claim_sig: Signature,
     /// Per-entry signatures over each `cp[i]`'s vote statement, parallel
     /// to `cp`. A `Sync` whose `cp_sigs` length disagrees with `cp`, or
-    /// whose `cp` exceeds [`CP_CAP`], is malformed and dropped whole.
+    /// whose `cp` exceeds `CP_CAP` (8), is malformed and dropped whole.
     pub cp_sigs: Vec<Signature>,
 }
 
@@ -259,7 +259,7 @@ impl ProtocolMessage for Message {
 
     /// A `Sync` carries its sender's claim and one endorsement per `CP`
     /// entry; a malformed one (`cp_sigs` not parallel to `cp`, or more
-    /// than [`CP_CAP`] entries) carries nothing, as `on_sync` drops it
+    /// than `CP_CAP` (8) entries) carries nothing, as `on_sync` drops it
     /// whole.
     fn carried_votes(&self, from: ReplicaId, out: &mut Vec<(ReplicaId, VoteStatement, Signature)>) {
         let Message::Sync(s) = self else {

@@ -4,19 +4,21 @@
 //! Consensus (the protocol state machine in [`crate::ReplicaRuntime`]'s
 //! event loop) never touches a file descriptor. Every [`CommitInfo`] it
 //! announces is pushed into a **bounded** queue feeding this worker;
-//! the bound is the ack-queue depth — if storage or execution fall more
-//! than `commit_queue` slots behind, consensus feels backpressure
-//! instead of growing an unbounded buffer. The worker drains the queue
-//! in groups: each commit is **executed first** against the KV store —
-//! the resulting Merkle `state_root` is sealed into the block (header
-//! v3, execute-then-seal) — then all appends of a group hit the
-//! segmented log with the sync policy forced to manual, **one** fsync
-//! covers the whole group (group commit), and only then are results
-//! acknowledged upward as client informs — nothing is acknowledged
-//! before it is durable. Deterministic execution order is
-//! consensus-critical under execute-then-seal (the root a block seals
-//! is a function of the exact chain prefix below it); the pipeline
-//! asserts the KV state and chain height stay aligned at every seal.
+//! the bound is the ack-queue depth — if storage or execution fall that
+//! far behind, consensus feels backpressure instead of growing an
+//! unbounded buffer. The worker drains the queue in groups: each commit
+//! is **executed first** against the KV store — the resulting Merkle
+//! `state_root` is sealed into the block (header v3, execute-then-seal)
+//! — then all appends of a group hit the segmented log with the sync
+//! policy forced to manual, **one** fsync covers the whole group (group
+//! commit), and only then are results acknowledged upward as client
+//! informs — nothing is acknowledged before it is durable.
+//!
+//! Every block joins the chain through one routine, `Pipeline::extend`,
+//! whether it is a live commit, a catch-up block or the recovered log
+//! tail: deterministic execution order is consensus-critical under
+//! execute-then-seal, and that routine holds "sealed root == re-executed
+//! root" on every path, in every build profile.
 //!
 //! The chain store is one [`DurableLedger`] for every deployment: the
 //! runtime opens it on the replica's storage directory, or builds
@@ -55,8 +57,9 @@
 //! blocks already on the local chain must agree hash-for-hash, new
 //! blocks must extend the local head through the hash-chain check, and
 //! re-executing each payload must reproduce the block's sealed
-//! `state_root` — then applied. If the peer has pruned past the
-//! requested height (or restarted with a fresh payload cache), it
+//! `state_root` — then applied. Serving replays from the store's
+//! payload window ([`DurableLedger::payload`]). If the peer has pruned
+//! past the requested height (its window starts above it), it
 //! opens a **chunked snapshot transfer** instead: a manifest first
 //! (certified head block + application meta verified against the
 //! head's `state_root` by Merkle inclusion proof + the chunk plan),
@@ -115,12 +118,6 @@ const CATCHUP_MAX_BLOCKS: usize = 256;
 /// headroom for block metadata.
 const CATCHUP_MAX_BYTES: usize = spotless_types::SNAPSHOT_CHUNK_BYTES;
 
-/// Upper bound on payloads retained in memory for serving catch-up.
-/// Durable replicas trim the cache on every snapshot; this cap covers
-/// memory-only deployments (and `snapshot_every = 0`), whose cache
-/// would otherwise grow with every batch ever committed.
-const PAYLOAD_CACHE_MAX: usize = 4096;
-
 /// Chunk fetches kept in flight at once during a snapshot transfer
 /// (bounds the memory a slow receiver commits to unprocessed frames).
 const MAX_INFLIGHT_CHUNKS: usize = 4;
@@ -164,8 +161,8 @@ pub(crate) enum PipelineCmd {
     /// A signature-verified transfer-family envelope (any tag except
     /// `TAG_PROTOCOL`), still encoded. The pipeline decodes it with the
     /// borrowing reader off the event-loop thread and copies bytes only
-    /// at its storage boundaries (payload cache, install journal,
-    /// accepted manifest) — the event loop ships the refcounted
+    /// at its storage boundaries (the store's payload window, install
+    /// journal, accepted manifest) — the event loop ships the refcounted
     /// [`Payload`](crate::envelope::Payload) view it already holds, so
     /// routing a multi-megabyte chunk costs a pointer.
     Transfer {
@@ -207,6 +204,24 @@ enum Mode {
         /// current peer among them.
         confirmed: std::collections::HashSet<ReplicaId>,
     },
+}
+
+/// How one batch of a run joins the chain in `Pipeline::extend`.
+// `Seal` dwarfs the others, but it is the hot variant — boxing it would
+// buy a smaller run with an allocation per commit (as for `PipelineCmd`).
+#[allow(clippy::large_enum_variant)]
+enum Join<'a> {
+    /// A live commit under its checked proof: the block seals the root
+    /// the batch executes to and is appended with `append_batch`.
+    Seal(CommitInfo, CommitProof),
+    /// A peer's block the store lacks: its sealed root must match, then
+    /// it is appended with `append_block`.
+    Append(&'a CatchUpBlockRef<'a>),
+    /// A block the store already holds at this height, from its own log
+    /// or resupplied in catch-up: its sealed root must match. Its commit
+    /// was acknowledged (if at all) before the restart that left it
+    /// unexecuted, so it is not acknowledged again.
+    Held,
 }
 
 /// Receiving-side state of a chunked snapshot transfer in progress.
@@ -262,11 +277,8 @@ pub(crate) struct Pipeline<F: Fabric> {
     store: DurableLedger,
     kv: KvStore,
     /// Height up to which `kv` reflects executed batches (≤ chain height
-    /// right after a restart whose snapshot trails the log).
+    /// when a recovered log tail could not be re-executed in full).
     kv_height: u64,
-    /// Batch payloads for heights `payload_base..` (serves catch-up).
-    payloads: Vec<Vec<u8>>,
-    payload_base: u64,
     commits: CommitLog,
     informs: mpsc::UnboundedSender<Inform>,
     mode: Mode,
@@ -295,7 +307,8 @@ pub(crate) struct Pipeline<F: Fabric> {
     outgoing: Vec<OutgoingSnapshot>,
     /// Raised when a consensus-decided commit could not be persisted
     /// verifiably (an unverifiable certificate, a root-divergent
-    /// re-execution, or a storage append that failed after execution).
+    /// re-execution, or a storage append or fsync that failed after
+    /// execution).
     /// Dropping such a block while continuing would silently fork this
     /// replica's chain, so instead the pipeline stops acknowledging
     /// anything, turning the fault into a loud crash-style stall the
@@ -311,9 +324,8 @@ impl<F: Fabric> Pipeline<F> {
         keystore: KeyStore,
         fabric: F,
         store: DurableLedger,
-        mut kv: KvStore,
-        mut kv_height: u64,
-        recovered_payloads: Vec<Vec<u8>>,
+        kv: KvStore,
+        kv_height: u64,
         journal: InstallJournal,
         chunk_budget: usize,
         exec_pool: usize,
@@ -327,49 +339,13 @@ impl<F: Fabric> Pipeline<F> {
         // Self-contained tail replay: the log persists batch payloads,
         // so the blocks logged above the snapshot re-execute locally —
         // a restarted replica reaches its own chain head without asking
-        // anyone (peers are only needed for what it *missed*), and its
-        // payload cache is re-seeded so it can serve that tail too.
-        // These blocks were acknowledged before the crash, so no new
-        // commit entries or informs are emitted for them.
-        let mut replay_base = chain_height - recovered_payloads.len() as u64;
-        let mut payloads = Vec::with_capacity(recovered_payloads.len());
-        for (i, payload) in recovered_payloads.into_iter().enumerate() {
-            let h = replay_base + i as u64;
-            if h >= kv_height {
-                match decode_payload(&payload) {
-                    Ok(Some(txns)) => {
-                        kv.execute_batch(&txns);
-                    }
-                    Ok(None) => {}
-                    // Only executable payloads are ever appended, so a
-                    // malformed one cannot occur on an intact log; fail
-                    // soft (peer catch-up re-fills the rest) over
-                    // panicking the pipeline.
-                    Err(()) => break,
-                }
-                // Replaying our own CRC-protected log must reproduce
-                // the root each block sealed — this is the recovery-
-                // path form of the deterministic-execution assertion.
-                debug_assert_eq!(
-                    store.ledger().block(h).map(|b| b.state_root),
-                    Some(kv.state_root()),
-                    "log replay diverged from the sealed state root at height {h}"
-                );
-                kv_height = h + 1;
-            }
-            payloads.push(payload);
-        }
-        if replay_base + payloads.len() as u64 != chain_height {
-            // The replay broke mid-tail: a cache that stops short of
-            // the chain head would drift out of alignment the moment a
-            // live or caught-up commit pushes at its end (`payloads[i]`
-            // must always map to height `payload_base + i`). Drop the
-            // cache instead — this replica serves nothing until its
-            // next snapshot, and peer catch-up refills the
-            // un-re-executed suffix.
-            payloads.clear();
-            replay_base = chain_height;
-        }
+        // anyone (peers are only needed for what it *missed*). Only
+        // executable payloads are ever appended, so one that does not
+        // decode cannot occur on an intact log; the replay stops short
+        // of it and peer catch-up re-fills the rest.
+        let tail: Vec<_> = (kv_height..chain_height)
+            .map_while(|h| Some((decode_payload(store.payload(h)?).ok()?, Join::Held)))
+            .collect();
         // Every durable replica boots in catch-up: a height-0 store
         // cannot prove freshness — the process may have crashed before
         // its first group fsync while the cluster moved on. At a
@@ -389,17 +365,15 @@ impl<F: Fabric> Pipeline<F> {
             Mode::Synced
         };
         synced.store(!behind, Ordering::Relaxed);
-        Pipeline {
+        let mut pipeline = Pipeline {
             me,
             rules: ProofRules::for_cluster(&cluster),
             cluster,
             keystore,
             fabric,
-            payload_base: replay_base,
             store,
             kv,
             kv_height,
-            payloads,
             commits,
             informs,
             mode,
@@ -413,7 +387,9 @@ impl<F: Fabric> Pipeline<F> {
             incoming: None,
             outgoing: Vec::new(),
             poisoned: false,
-        }
+        };
+        pipeline.extend(tail); // `Held` blocks: nothing to acknowledge
+        pipeline
     }
 
     pub(crate) async fn run(mut self, mut rx: mpsc::Receiver<PipelineCmd>, group_max: usize) {
@@ -455,8 +431,8 @@ impl<F: Fabric> Pipeline<F> {
     /// Decodes a transfer-family envelope payload *borrowed* — block
     /// payloads, chunk bytes, and app metadata stay views into the
     /// received buffer — and dispatches it. Owning copies happen only
-    /// where bytes cross a storage boundary (payload cache, chunk
-    /// journal, accepted manifest). The event loop already routed by
+    /// where bytes cross a storage boundary (the store's payload window,
+    /// chunk journal, accepted manifest). The event loop already routed by
     /// tag and verified the signature; a payload that fails the full
     /// borrowed decode here is simply dropped.
     fn on_transfer(&mut self, from: ReplicaId, payload: &[u8]) {
@@ -473,13 +449,11 @@ impl<F: Fabric> Pipeline<F> {
         }
     }
 
-    /// Applies a group of live commits in three phases — validate all
-    /// in commit order, execute the group (in parallel across disjoint
-    /// shard footprints when a worker pool is attached), then seal and
-    /// append in commit order — followed by one fsync and the
-    /// acknowledgements. While catching up, commits are buffered
-    /// instead — they sit after the gap in the execution order — and
-    /// their witnesses dropped: whatever waited is re-verified.
+    /// Applies a group of live commits: validates all in commit order,
+    /// hands the valid ones to [`Self::extend`] to execute, seal, append
+    /// and fsync, and acknowledges them. While catching up, commits are
+    /// buffered instead — they sit after the gap in the execution order
+    /// — and their witnesses dropped: whatever waited is re-verified.
     fn flush_group(&mut self, group: Vec<(CommitInfo, Option<VerifiedProof>)>) {
         if group.is_empty() || self.poisoned {
             return;
@@ -497,18 +471,17 @@ impl<F: Fabric> Pipeline<F> {
             self.store.ledger().height(),
             "execute-then-seal requires the KV state to track the chain head exactly"
         );
-        // Phase 1 — validate in commit order. Skips no-ops, batches the
-        // store already holds (via catch-up, or covered by a snapshot
-        // whose recent-id window remembers it — a rejoining protocol
-        // instance re-announces the chain tail it just learned, and
-        // re-executing any of it would fork this replica's state), and
-        // duplicates *within* this group (appends now happen after the
-        // whole group executes, so `knows_batch` alone cannot see
-        // them). Payloads are decoded before anything executes: the
-        // ledger and the payload cache must only ever hold executable
-        // blocks, or the cache's height-indexing drifts and catch-up
-        // serves wrong payloads.
-        let mut prepared: Vec<(CommitInfo, Option<Vec<Transaction>>, CommitProof)> = Vec::new();
+        // Validate in commit order. Skips no-ops, batches the store
+        // already holds (via catch-up, or covered by a snapshot whose
+        // recent-id window remembers it — a rejoining protocol instance
+        // re-announces the chain tail it just learned, and re-executing
+        // any of it would fork this replica's state), and duplicates
+        // *within* this group (appends happen after the whole group
+        // executes, so `knows_batch` alone cannot see them). Payloads
+        // are decoded before anything executes: the chain only ever
+        // holds executable blocks, so a restarted replica can always
+        // re-execute its log tail.
+        let mut run = Vec::new();
         let mut seen = std::collections::HashSet::new();
         for (info, witness) in group {
             if info.batch.is_noop()
@@ -552,54 +525,98 @@ impl<F: Fabric> Pipeline<F> {
                 self.poisoned = true;
                 break;
             }
-            prepared.push((info, txns, proof));
+            run.push((txns, Join::Seal(info, proof)));
         }
-        // Phase 2 — execute. The scheduler in [`crate::executor`]
-        // partitions the group into shard-footprint conflict
-        // components; components run concurrently on the pool while the
-        // per-batch seals are folded back in commit order, so the
-        // sequence of sealed roots is byte-identical to serial
-        // execution. `None` entries (empty simulation-style payloads)
-        // seal the untouched state.
-        let txn_groups: Vec<Option<Vec<Transaction>>> = prepared
-            .iter_mut()
-            .map(|(_, txns, _)| txns.take())
-            .collect();
-        let sealed = execute_group(self.exec.as_mut(), &mut self.kv, txn_groups);
-        // Phase 3 — seal + append in commit order (no fsync yet — the
-        // group owns that).
-        let mut executed: Vec<(CommitInfo, Digest)> = Vec::new();
-        for ((info, _, proof), sealed) in prepared.into_iter().zip(sealed) {
-            let appended = self.store.append_batch(
-                info.batch.id,
-                info.batch.digest,
-                info.batch.txns,
-                sealed.state_root,
-                proof,
-                &info.batch.payload,
-            );
-            if appended.is_err() {
-                // The KV state advanced but the chain did not:
-                // continuing would fork this replica. Same loud-stall
-                // contract as an unverifiable certificate.
+        let acked = self.extend(run);
+        self.acknowledge(acked);
+    }
+
+    /// [`Self::flush_group`] for commits that carry no witness.
+    fn flush(&mut self, group: Vec<CommitInfo>) {
+        self.flush_group(group.into_iter().map(|info| (info, None)).collect());
+    }
+
+    /// The one way onto the chain: puts a commit-ordered run of decoded
+    /// batches at heights `kv_height..` and returns the commits to
+    /// acknowledge, each with its post-batch state digest.
+    ///
+    /// 1. The whole run executes through [`execute_group`] (roots
+    ///    byte-identical to serial execution; `None` batches seal the
+    ///    untouched state).
+    /// 2. In commit order, a live commit seals the root it executed to;
+    ///    any other block must have sealed exactly that root. The first
+    ///    that did not — or a failed append — poisons the pipeline (the
+    ///    KV state has left the chain; a restart rebuilds it) and
+    ///    nothing of the run is acknowledged. A root can come from a
+    ///    peer, so this is a stall, never an assertion.
+    /// 3. Blocks the store lacks are appended as they pass: live commits
+    ///    with `append_batch`, peer blocks with `append_block`.
+    /// 4. One fsync covers the appends (group commit). If it fails,
+    ///    nothing may be acknowledged — the client would count an ack
+    ///    for state a crash can still lose — and the pipeline poisons.
+    fn extend(
+        &mut self,
+        run: Vec<(Option<Vec<Transaction>>, Join<'_>)>,
+    ) -> Vec<(CommitInfo, Digest)> {
+        if run.is_empty() {
+            return Vec::new();
+        }
+        let (txns, joins): (Vec<_>, Vec<_>) = run.into_iter().unzip();
+        let sealed = execute_group(self.exec.as_mut(), &mut self.kv, txns);
+        let mut acked = Vec::new();
+        for (join, sealed) in joins.into_iter().zip(sealed) {
+            let joined = match join {
+                Join::Seal(info, proof) => {
+                    let ok = self
+                        .store
+                        .append_batch(
+                            info.batch.id,
+                            info.batch.digest,
+                            info.batch.txns,
+                            sealed.state_root,
+                            proof,
+                            &info.batch.payload,
+                        )
+                        .is_ok();
+                    acked.push((info, sealed.state_digest));
+                    ok
+                }
+                Join::Append(cb) => {
+                    let ok = cb.block.state_root == sealed.state_root
+                        && self
+                            .store
+                            .append_block(cb.block.clone(), cb.payload)
+                            .is_ok();
+                    acked.push((commit_info_of(cb), sealed.state_digest));
+                    ok
+                }
+                Join::Held => self
+                    .store
+                    .ledger()
+                    .block(self.kv_height)
+                    .is_some_and(|held| held.state_root == sealed.state_root),
+            };
+            if !joined {
                 self.poisoned = true;
-                break;
+                return Vec::new();
             }
-            self.kv_height = self.store.ledger().height();
-            self.payloads.push(info.batch.payload.clone());
-            executed.push((info, sealed.state_digest));
+            self.kv_height += 1;
         }
-        // Group commit: one fsync covers every append above. If it
-        // fails, nothing in the group may be acknowledged — the client
-        // would count an ack for state a crash can still lose. A failed
-        // fsync poisons the store by contract: later appends fail too,
-        // so the replica acknowledges nothing until restarted.
-        if self.store.sync().is_err() {
-            return;
+        // Exactly the blocks appended are acknowledged.
+        if !acked.is_empty() {
+            if self.store.sync().is_err() {
+                self.poisoned = true;
+                return Vec::new();
+            }
+            self.maybe_snapshot();
         }
-        self.snapshot_and_trim();
-        // Acknowledge only after durability.
-        for (info, result) in executed {
+        acked
+    }
+
+    /// Reports executed, durable commits to the commit log and, as
+    /// informs, to the clients.
+    fn acknowledge(&self, acked: Vec<(CommitInfo, Digest)>) {
+        for (info, result) in acked {
             let batch = info.batch.id;
             self.commits.push(CommittedEntry {
                 replica: self.me,
@@ -614,39 +631,18 @@ impl<F: Fabric> Pipeline<F> {
         }
     }
 
-    /// [`Self::flush_group`] for commits that carry no witness.
-    fn flush(&mut self, group: Vec<CommitInfo>) {
-        self.flush_group(group.into_iter().map(|info| (info, None)).collect());
-    }
-
-    /// Snapshots if due and trims the in-memory payload cache: to the
-    /// snapshot height (matching the pruning the snapshot performed on
-    /// disk), and in any case to [`PAYLOAD_CACHE_MAX`] entries so
-    /// memory-only deployments do not retain every payload ever
-    /// committed. Serving catch-up starts at the trimmed base; older
-    /// history is served via the chunked snapshot transfer.
-    fn snapshot_and_trim(&mut self) {
-        let mut trim_to = self.maybe_snapshot().unwrap_or(0);
-        let height = self.payload_base + self.payloads.len() as u64;
-        trim_to = trim_to.max(height.saturating_sub(PAYLOAD_CACHE_MAX as u64));
-        if trim_to > self.payload_base {
-            let n = (trim_to - self.payload_base) as usize;
-            self.payloads.drain(..n.min(self.payloads.len()));
-            self.payload_base = trim_to;
-        }
-    }
-
     /// Writes a durable snapshot if one is due, serializing **only the
     /// shards whose sub-root moved** since the previous snapshot; clean
     /// shards reuse their cached encodings byte-for-byte (the sub-root
     /// pins the shard's entire contents, so equal root ⇒ equal
-    /// encoding). Returns the snapshot height when one was written.
-    /// Chunks are additionally content-addressed on disk, so even a
-    /// re-encoded-but-identical chunk is not rewritten — the delta here
-    /// removes the CPU cost of producing the bytes at all.
-    fn maybe_snapshot(&mut self) -> Option<u64> {
+    /// encoding). Chunks are additionally content-addressed on disk, so
+    /// even a re-encoded-but-identical chunk is not rewritten — the
+    /// delta here removes the CPU cost of producing the bytes at all.
+    /// The store empties its payload window at the snapshot: peers that
+    /// need history below it get the chunked transfer.
+    fn maybe_snapshot(&mut self) {
         if !self.store.snapshot_due() {
-            return None;
+            return;
         }
         let roots = self.kv.shard_sub_roots();
         let mut per_shard: Vec<Vec<Vec<u8>>> = Vec::with_capacity(EXEC_SHARDS);
@@ -676,28 +672,30 @@ impl<F: Fabric> Pipeline<F> {
             }
         }
         let flat: Vec<Vec<u8>> = per_shard.iter().flatten().cloned().collect();
-        let height = self
+        if self
             .store
             .force_snapshot(&self.kv.transfer_meta(), &flat)
-            .ok()?;
+            .is_err()
+        {
+            return;
+        }
         self.snap_stats
             .record_snapshot(encoded, EXEC_SHARDS as u64 - encoded);
         self.snap_cache = Some(SnapshotCache {
             sub_roots: roots,
             chunks: per_shard,
         });
-        Some(height)
     }
 
     // ── state transfer: serving side ────────────────────────────────
 
     /// Answers a catch-up request in one of two modes: **block replay**
-    /// when the requested range is still in the payload cache, or the
-    /// **manifest of a chunked snapshot transfer** when the requester
-    /// wants history we pruned (or never cached — e.g. we restarted).
+    /// when the store's payload window still holds the requested
+    /// height, or the **manifest of a chunked snapshot transfer** when
+    /// the requester wants history below the window.
     fn serve_catchup(&mut self, to: ReplicaId, from_height: u64) {
         let height = self.store.ledger().height();
-        if from_height < self.payload_base {
+        if from_height < height && self.store.payload(from_height).is_none() {
             if let Some(manifest) = self.build_manifest() {
                 let env = Envelope::seal(&self.keystore, encode_catchup_manifest(&manifest));
                 self.fabric.send(to, env);
@@ -716,26 +714,21 @@ impl<F: Fabric> Pipeline<F> {
         // per-slot idle age-out (`on_tick`) bounds how long a slot can
         // pin its full state copy once nobody fetches from it.
         let mut blocks = Vec::new();
-        if from_height >= self.payload_base {
-            let mut h = from_height;
-            let mut bytes = 0usize;
-            while h < height && blocks.len() < CATCHUP_MAX_BLOCKS && bytes < CATCHUP_MAX_BYTES {
-                let Some(block) = self.store.ledger().block(h) else {
-                    break;
-                };
-                // The cache is index-aligned with the chain by
-                // construction; fail soft (shorter response) over
-                // panicking the pipeline if that ever regresses.
-                let Some(payload) = self.payloads.get((h - self.payload_base) as usize) else {
-                    break;
-                };
-                bytes += payload.len() + 160; // block overhead estimate
-                blocks.push(CatchUpBlock {
-                    block: block.clone(),
-                    payload: payload.clone(),
-                });
-                h += 1;
+        let mut bytes = 0usize;
+        for h in from_height..height {
+            if blocks.len() >= CATCHUP_MAX_BLOCKS || bytes >= CATCHUP_MAX_BYTES {
+                break;
             }
+            let (Some(block), Some(payload)) =
+                (self.store.ledger().block(h), self.store.payload(h))
+            else {
+                break;
+            };
+            bytes += payload.len() + 160; // block overhead estimate
+            blocks.push(CatchUpBlock {
+                block: block.clone(),
+                payload: payload.to_vec(),
+            });
         }
         let env = Envelope::seal(&self.keystore, encode_catchup_resp(height, &blocks));
         self.fabric.send(to, env);
@@ -882,20 +875,35 @@ impl<F: Fabric> Pipeline<F> {
         self.fabric.send(peer, env);
     }
 
-    /// Applies a block-replay response. Block payloads arrive as
-    /// borrowed views into the received frame; the only copies made per
-    /// block are the payload-cache entry and the `CommitInfo` the
-    /// commit log records — both storage boundaries.
+    /// Applies a block-replay response: checks each block in order,
+    /// keeps the prefix that passes, and hands it to [`Self::extend`],
+    /// which re-executes it and holds every block to the root it sealed.
+    /// Block payloads arrive as borrowed views into the received frame;
+    /// the only copies made per block are the store's payload-window
+    /// entry and the `CommitInfo` the commit log records — both storage
+    /// boundaries.
     fn apply_catchup(&mut self, from: ReplicaId, peer_height: u64, blocks: &[CatchUpBlockRef<'_>]) {
         if !matches!(self.mode, Mode::CatchingUp { .. }) || self.poisoned {
             return; // stale response
         }
-        let mut appended = false;
-        let mut applied: Vec<(CommitInfo, Digest)> = Vec::new();
+        let chain_height = self.store.ledger().height();
+        // The height and parent the next block must have: the prefix is
+        // appended only after it is checked, so a later block links to
+        // the previous block in the response, not to the store's head.
+        let mut next = self.kv_height;
+        let mut parent = self.store.ledger().head_hash();
+        let mut run = Vec::new();
         for cb in blocks {
             let h = cb.block.height;
-            if h < self.kv_height {
+            if h < next {
                 continue; // already executed
+            }
+            if h != next {
+                // The response skips ahead of our execution height
+                // (genuine blocks we hold but have not re-executed yet,
+                // or a gapped reply): executing out of order would seal
+                // the wrong state under later roots.
+                break;
             }
             // Payload bytes must hash to the batch digest the block
             // commits to — unconditionally, or a Byzantine peer could
@@ -914,8 +922,7 @@ impl<F: Fabric> Pipeline<F> {
             if verify_proof(&cb.block.proof, &self.rules, &self.keystore).is_err() {
                 break;
             }
-            let chain_height = self.store.ledger().height();
-            let is_new = if h < chain_height {
+            let join = if h < chain_height {
                 // We hold this block already (logged before the crash);
                 // the peer is only supplying the payload to re-execute.
                 // Hashes bind the canonical content — state root
@@ -923,94 +930,31 @@ impl<F: Fabric> Pipeline<F> {
                 // certificates may legitimately differ (each replica
                 // persists the quorum evidence *it* collected).
                 match self.store.ledger().block(h) {
-                    Some(mine) if mine.hash == cb.block.hash => false,
+                    Some(mine) if mine.hash == cb.block.hash => Join::Held,
                     _ => break, // divergent peer: drop the rest
                 }
-            } else if h == chain_height {
+            } else {
                 // New to us: all structural checks BEFORE any state
                 // mutation — once we execute, a reject can no longer be
-                // clean.
-                if cb.block.parent != self.store.ledger().head_hash() || !cb.block.verify_hash() {
+                // clean. The re-executed root is `extend`'s to check:
+                // a mismatch means nondeterministic local execution,
+                // since forging a chain extension requires forging the
+                // certificate `verify_proof` rejected above.
+                if cb.block.parent != parent || !cb.block.verify_hash() {
                     break;
                 }
-                true
-            } else {
-                break; // gap: the response is not contiguous with us
+                parent = cb.block.hash;
+                Join::Append(cb)
             };
-            if h != self.kv_height {
-                // The response skips ahead of our execution height
-                // (genuine blocks we hold but have not re-executed yet,
-                // or a gapped reply): executing out of order would seal
-                // the wrong state under later roots. Hard check, not an
-                // assertion — this is remote input.
-                break;
-            }
-            let result = match txns {
-                Some(txns) => self.kv.execute_batch(&txns),
-                None => self.kv.state_digest(),
-            };
-            // The chain anchors execution state: re-executing the
-            // committed payload must reproduce the root the block
-            // sealed. A mismatch means nondeterministic local execution
-            // — forging a chain extension now requires forging Ed25519
-            // signatures over the vote statement, which the
-            // `verify_proof` gate above rejects — so this is a
-            // last-line consistency check, not the primary defense.
-            // Either way the KV state is now off
-            // the chain and nothing further may be executed or
-            // acknowledged on top of it: poison (the loud crash-style
-            // stall the cluster already tolerates). A restart heals the
-            // pollution — recovery rebuilds the KV state from the
-            // snapshot and log, and the catch-up peer rotation means
-            // the same peer is not necessarily consulted again. No
-            // debug assertion here: this path is reachable from remote
-            // input, and aborting a test process is not an acceptable
-            // failure mode for a byzantine frame.
-            if self.kv.state_root() != cb.block.state_root {
-                self.poisoned = true;
-                return; // acknowledge nothing
-            }
-            if is_new {
-                if self
-                    .store
-                    .append_block(cb.block.clone(), cb.payload)
-                    .is_err()
-                {
-                    self.poisoned = true;
-                    return;
-                }
-                // Storage boundary: the payload cache outlives the
-                // received frame, so this is where the bytes are owned.
-                self.payloads.push(cb.payload.to_vec());
-                appended = true;
-            }
-            self.kv_height = h + 1;
-            applied.push((commit_info_of(cb), result));
+            run.push((txns, join));
+            next += 1;
         }
-        // Durability before any acknowledgement — a torn response (or a
-        // failed fsync) must not lose blocks a client already counted
-        // toward its quorum.
-        if appended {
-            if self.store.sync().is_err() {
-                return; // poisoned store: acknowledge nothing, stall
-            }
-            self.snapshot_and_trim();
+        let progressed = !run.is_empty();
+        let acked = self.extend(run);
+        if self.poisoned {
+            return;
         }
-        let progressed = !applied.is_empty();
-        for (info, result) in applied {
-            let batch = info.batch.id;
-            self.commits.push(CommittedEntry {
-                replica: self.me,
-                info,
-                state_digest: result,
-            });
-            let _ = self.informs.send(Inform {
-                from: self.me,
-                batch,
-                result,
-            });
-        }
-
+        self.acknowledge(acked);
         self.note_peer_head(from, peer_height, progressed);
     }
 
@@ -1251,8 +1195,6 @@ impl<F: Fabric> Pipeline<F> {
         }
         self.kv = kv;
         self.kv_height = height;
-        self.payloads.clear();
-        self.payload_base = height;
         let _ = self.journal.wipe();
         self.note_peer_head(t.peer, t.manifest.peer_height, true);
     }
@@ -1503,9 +1445,8 @@ mod verified {
     }
 }
 
-/// Reconstructs commit metadata for a block applied via catch-up,
-/// consuming it (the payload is moved, not copied). The original client
-/// batch envelope is gone; what matters downstream is the batch
+/// Reconstructs commit metadata for a block appended via catch-up. The
+/// original client batch envelope is gone; what matters downstream is the batch
 /// identity, digest, payload, and the (re-verified) commit certificate
 /// the block carried.
 fn commit_info_of(cb: &CatchUpBlockRef<'_>) -> CommitInfo {
@@ -1599,29 +1540,37 @@ mod tests {
         signed_commit_info(id, Digest::from_u64(id), &[0, 1, 2])
     }
 
-    /// A synced, in-memory pipeline for replica 0 of a 4-cluster.
-    fn synced_pipeline() -> Pipeline<NullFabric> {
-        let cluster = ClusterConfig::new(4);
-        let keystore = test_stores()[0].clone();
-        let (informs, _inform_rx) = mpsc::unbounded_channel();
-        Pipeline::new(
+    /// A synced pipeline for replica 0 of a 4-cluster over `store`, from
+    /// an empty KV state, reporting to `commits` and to the returned
+    /// inform receiver.
+    fn pipeline_over(
+        store: DurableLedger,
+        commits: CommitLog,
+    ) -> (Pipeline<NullFabric>, mpsc::UnboundedReceiver<Inform>) {
+        let (informs, inform_rx) = mpsc::unbounded_channel();
+        let pipeline = Pipeline::new(
             ReplicaId(0),
-            cluster,
-            keystore,
+            ClusterConfig::new(4),
+            test_stores()[0].clone(),
             NullFabric,
-            DurableLedger::in_memory(),
+            store,
             KvStore::new(),
             0,
-            Vec::new(),
             InstallJournal::in_memory(),
             1 << 16,
             0,
-            CommitLog::default(),
+            commits,
             informs,
             Arc::new(AtomicBool::new(true)),
             false,
             SnapshotStats::default(),
-        )
+        );
+        (pipeline, inform_rx)
+    }
+
+    /// A synced, in-memory pipeline for replica 0 of a 4-cluster.
+    fn synced_pipeline() -> Pipeline<NullFabric> {
+        pipeline_over(DurableLedger::in_memory(), CommitLog::default()).0
     }
 
     #[test]
@@ -1970,5 +1919,50 @@ mod tests {
         assert_eq!(victim.store.block_at(2), Some(&manifest.head));
         assert!(victim.store.knows_batch(BatchId(1)), "transferred id");
         assert_eq!(victim.kv.state_root(), manifest.head.state_root);
+    }
+
+    #[test]
+    fn a_divergent_log_tail_boots_poisoned_and_acknowledges_nothing() {
+        let dir = tempfile::tempdir().unwrap();
+        let opts = spotless_storage::DurableLedgerOptions::default();
+        {
+            // Four logged blocks, each one update; the block at height 2
+            // seals a root its payload does not execute to.
+            let (mut store, _) = DurableLedger::open(dir.path(), opts).unwrap();
+            let mut kv = KvStore::new();
+            for h in 0..4u64 {
+                let txns = vec![Transaction {
+                    id: h,
+                    op: spotless_workload::Operation::Update {
+                        key: h,
+                        value: vec![h as u8; 8],
+                    },
+                }];
+                let payload = spotless_workload::encode_txns(&txns);
+                kv.execute_batch(&txns);
+                let root = if h == 2 {
+                    Digest::from_u64(0xBAD)
+                } else {
+                    kv.state_root()
+                };
+                let info = commit_info(h + 1);
+                let digest = spotless_crypto::digest_bytes(&payload);
+                store
+                    .append_batch(info.batch.id, digest, 1, root, live_proof(&info), &payload)
+                    .unwrap();
+            }
+            store.sync().unwrap();
+        }
+        let (store, report) = DurableLedger::open(dir.path(), opts).unwrap();
+        assert_eq!(report.replayed_blocks, 4);
+        let commits = CommitLog::default();
+        let (p, mut informs) = pipeline_over(store, commits.clone());
+        assert!(
+            p.poisoned,
+            "a log tail off its sealed roots must loud-stall"
+        );
+        assert_eq!(p.kv_height, 2, "executed up to the divergent height");
+        assert!(commits.is_empty(), "nothing acknowledged");
+        assert!(informs.try_recv().is_none(), "no inform sent");
     }
 }

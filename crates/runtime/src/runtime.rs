@@ -96,12 +96,6 @@ pub struct RuntimeConfig {
     /// ([`DurableLedger::in_memory`]): no file, no snapshot, and the
     /// replica starts synced.
     pub storage: Option<StorageConfig>,
-    /// Depth of the bounded consensus → storage/execution queue (the
-    /// "ack queue"). When the pipeline falls this far behind, consensus
-    /// blocks — bounded lag by construction.
-    pub commit_queue: usize,
-    /// Maximum commits folded into one fsync group.
-    pub group_commit: usize,
     /// Retry period for the catch-up exchange while behind.
     pub catchup_interval: SimDuration,
     /// Raw-byte budget per snapshot-transfer chunk. Defaults to
@@ -123,34 +117,34 @@ pub struct RuntimeConfig {
     /// envelopes, each off the event-loop thread (the `ingress` and
     /// `egress` modules).
     pub exec_pool: usize,
-    /// Wire-traffic counters for this replica (payload bytes/messages
-    /// by direction). A fresh set by default; share one across replicas
-    /// to aggregate. Also readable later via [`ReplicaHandle::net`].
-    pub net: NetStats,
-    /// Snapshot-delta counters (shards serialized vs reused per durable
-    /// snapshot). Readable later via [`ReplicaHandle::snapshots`].
-    pub snap: SnapshotStats,
 }
 
 impl RuntimeConfig {
-    /// Defaults: in-memory chain, 256-deep ack queue, 64-commit groups.
+    /// Defaults: in-memory chain, a 150 ms catch-up tick, frame-sized
+    /// transfer chunks, two executor workers. The commit queue (256
+    /// deep) and the fsync group (64 commits) are fixed; the replica's
+    /// counters are read from its [`ReplicaHandle`].
     pub fn new(cluster: ClusterConfig, me: ReplicaId, keystore: KeyStore) -> RuntimeConfig {
         RuntimeConfig {
             cluster,
             me,
             keystore,
             storage: None,
-            commit_queue: 256,
-            group_commit: 64,
             catchup_interval: SimDuration::from_millis(150),
             chunk_budget: spotless_types::SNAPSHOT_CHUNK_BYTES,
             silent: false,
             exec_pool: 2,
-            net: NetStats::default(),
-            snap: SnapshotStats::default(),
         }
     }
 }
+
+/// Depth of the bounded consensus → storage/execution queue (the "ack
+/// queue"). When the pipeline falls this far behind, consensus blocks —
+/// bounded lag by construction.
+const COMMIT_QUEUE: usize = 256;
+
+/// Most commits folded into one fsync group.
+const GROUP_COMMIT: usize = 64;
 
 /// What recovery found on disk when the runtime started.
 #[derive(Clone, Debug)]
@@ -436,9 +430,12 @@ impl TimerHeap {
 
 /// Internal event-loop alphabet.
 pub(crate) enum Event<M> {
-    /// A protocol message arrived from the fabric, decoded by the
-    /// ingress task after its envelope verified, with a verdict on
-    /// every vote it lists ([`ProtocolMessage::carried_votes`]).
+    /// A protocol message: from the fabric, decoded by the ingress task
+    /// after its envelope verified, with a verdict on every vote it
+    /// lists ([`ProtocolMessage::carried_votes`]); or this replica's own
+    /// (broadcast includes the sender, Remark 3.1), delivered locally
+    /// without serialization or verification — its votes are the
+    /// replica's own, already in the memo, so it carries no verdicts.
     ///
     /// [`ProtocolMessage::carried_votes`]: spotless_types::node::ProtocolMessage::carried_votes
     Deliver {
@@ -449,9 +446,6 @@ pub(crate) enum Event<M> {
     /// A verified envelope of the state-transfer family, for the
     /// pipeline to decode.
     Envelope(Envelope),
-    /// Local self-delivery (broadcast includes the sender, Remark 3.1) —
-    /// skips serialization and signature verification entirely.
-    Loopback(M),
     /// A client batch arrived.
     Request(ClientBatch),
     /// Stop.
@@ -542,12 +536,13 @@ impl ReplicaRuntime {
         });
 
         let (events_tx, events_rx) = mpsc::unbounded_channel::<Event<N::Message>>();
-        let (pipeline_tx, pipeline_rx) = mpsc::channel::<PipelineCmd>(cfg.commit_queue.max(1));
+        let (pipeline_tx, pipeline_rx) = mpsc::channel::<PipelineCmd>(COMMIT_QUEUE);
         let synced = Arc::new(AtomicBool::new(true));
         // Every outbound envelope — consensus, catch-up, state transfer
         // — leaves through Fabric::send; metering the fabric once here
         // covers the event loop and the pipeline alike.
-        let net = cfg.net.clone();
+        let net = NetStats::default();
+        let snap = SnapshotStats::default();
         let fabric = MeteredFabric {
             inner: fabric,
             stats: net.clone(),
@@ -562,10 +557,6 @@ impl ReplicaRuntime {
             store,
             kv,
             kv_height,
-            // The log persists batch payloads, so the chain tail above
-            // the snapshot re-executes locally in the pipeline (no peer
-            // required to reach our own head).
-            report.replayed_payloads,
             journal,
             cfg.chunk_budget,
             cfg.exec_pool,
@@ -573,16 +564,15 @@ impl ReplicaRuntime {
             informs,
             synced.clone(),
             !cfg.silent,
-            cfg.snap.clone(),
+            snap.clone(),
         );
-        let group_max = cfg.group_commit.max(1);
         let stopped = Arc::new(AtomicBool::new(false));
         let stopped_signal = stopped.clone();
         tokio::spawn(async move {
             // `run` owns the durable store; it is dropped (closed) when
             // the future completes, and only then is `stopped` raised —
             // the restart path relies on that ordering.
-            pipeline.run(pipeline_rx, group_max).await;
+            pipeline.run(pipeline_rx, GROUP_COMMIT).await;
             stopped_signal.store(true, Ordering::Relaxed);
         });
 
@@ -648,7 +638,7 @@ impl ReplicaRuntime {
             synced,
             stopped,
             net,
-            snap: cfg.snap,
+            snap,
             debug,
         })
     }
@@ -787,15 +777,6 @@ where
                         })
                         .await;
                 }
-                Event::Loopback(msg) => {
-                    if started {
-                        self.step(Input::Deliver {
-                            from: self.me.into(),
-                            msg,
-                        })
-                        .await;
-                    }
-                }
                 Event::Request(batch) => {
                     if started {
                         self.step(Input::Request(batch)).await;
@@ -849,7 +830,7 @@ where
                 witness
             };
             // Bounded: consensus blocks here iff the storage/execution
-            // pipeline is `commit_queue` slots behind (the ack queue).
+            // pipeline is `COMMIT_QUEUE` slots behind (the ack queue).
             let _ = self
                 .pipeline_tx
                 .send(PipelineCmd::Commit(info, witness))
@@ -866,7 +847,7 @@ where
                 continue; // client replies travel the inform path
             };
             if to == self.me {
-                let _ = self.events_tx.send(Event::Loopback(msg));
+                self.loopback(msg);
             } else {
                 self.emit(&msg, Fanout::To(to));
             }
@@ -876,8 +857,17 @@ where
             // bytes. Self-delivery is a local loopback (Remark 3.1) —
             // it never enters the egress stage.
             self.emit(&msg, Fanout::Broadcast);
-            let _ = self.events_tx.send(Event::Loopback(msg));
+            self.loopback(msg);
         }
+    }
+
+    /// Queues `msg` for delivery to this replica itself.
+    fn loopback(&self, msg: N::Message) {
+        let _ = self.events_tx.send(Event::Deliver {
+            from: self.me,
+            msg,
+            votes: Vec::new(),
+        });
     }
 
     /// Encodes one outbound protocol message into a pooled buffer and

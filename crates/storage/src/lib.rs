@@ -18,11 +18,16 @@
 //!   [`spotless_ledger::Ledger`] whose appends are persisted
 //!   before they are acknowledged, with crash recovery on open.
 //!
+//! The store also decides which batch payload belongs to which height:
+//! it keeps the payloads it logs in a window up to the chain head
+//! ([`DurableLedger::payload`]), which the runtime re-executes its
+//! recovered tail from and serves block-replay catch-up from.
+//!
 //! The runtime keeps one chain store for every deployment. A replica
 //! without a storage directory runs [`DurableLedger::in_memory`]: the
-//! same ledger, base block, recent-batch window and snapshot install,
-//! with no directory behind them — no file is written, no snapshot is
-//! ever due, and `sync` has nothing to flush.
+//! same ledger, base block, recent-batch and payload windows and
+//! snapshot install, with no directory behind them — no file is
+//! written, no snapshot is ever due, and `sync` has nothing to flush.
 //!
 //! The design follows the write-ahead-log discipline of LSM stores
 //! (LevelDB/RocksDB): framed records behind checksums, truncate-on-torn-
@@ -57,6 +62,7 @@
 //!     DurableLedger::open(dir.path(), DurableLedgerOptions::default()).unwrap();
 //! assert_eq!(led.ledger().height(), 1);
 //! assert_eq!(report.replayed_blocks, 1);
+//! assert_eq!(led.payload(0), Some(&b"txns"[..]));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -73,6 +79,7 @@ use crate::log::{BlockLog, LogOptions};
 use crate::snapshot::{latest_snapshot, prune_snapshots, write_snapshot, Snapshot};
 use spotless_ledger::{Block, CommitProof, Ledger, LedgerError, RecentBatches};
 use spotless_types::{BatchId, Digest};
+use std::collections::VecDeque;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -231,8 +238,9 @@ impl Default for DurableLedgerOptions {
     }
 }
 
-/// What [`DurableLedger::open`] reconstructed (nothing, by default —
-/// what a memory-only store starts from).
+/// What [`DurableLedger::open`] reconstructed besides the chain and its
+/// payloads, which the store holds (nothing, by default — what a
+/// memory-only store starts from).
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
     /// Height covered by the snapshot recovery started from (0 = none).
@@ -242,13 +250,9 @@ pub struct RecoveryReport {
     /// Application state chunks carried by that snapshot, in order
     /// (empty when none).
     pub app_chunks: Vec<Vec<u8>>,
-    /// Blocks replayed from the log above the snapshot.
+    /// Blocks replayed from the log above the snapshot; their payloads
+    /// are all in [`DurableLedger::payload`]'s window.
     pub replayed_blocks: u64,
-    /// Batch payloads of the replayed blocks, in height order starting
-    /// at `snapshot_height` — the log persists them precisely so the
-    /// runtime can re-execute the tail above the snapshot (and serve it
-    /// to peers) without asking anyone.
-    pub replayed_payloads: Vec<Vec<u8>>,
     /// Whether a torn tail was truncated from the newest segment.
     pub truncated_tail: bool,
 }
@@ -273,7 +277,15 @@ pub struct DurableLedger {
     /// instance from re-executing batches a snapshot already covers
     /// (the ledger's own index forgets everything below its base).
     recent: RecentBatches,
+    /// Batch payloads of the newest blocks, oldest first; the last one
+    /// is the chain head's (see [`DurableLedger::payload`]).
+    payloads: VecDeque<Vec<u8>>,
 }
+
+/// Payloads the window keeps after an append; this bounds stores that
+/// never snapshot (memory-only ones, `snapshot_every = 0`). Opening a
+/// store keeps the whole log tail, however long, until the next append.
+pub const PAYLOAD_WINDOW_MAX: usize = 4096;
 
 /// The on-disk half of a [`DurableLedger`].
 struct Disk {
@@ -299,6 +311,7 @@ impl DurableLedger {
             ledger: Ledger::new(),
             base_block: None,
             recent: RecentBatches::new(),
+            payloads: VecDeque::new(),
         }
     }
 
@@ -334,23 +347,20 @@ impl DurableLedger {
         for id in &recent_ids {
             recent.push(*id);
         }
-        let mut replayed = 0u64;
-        let mut replayed_payloads = Vec::new();
+        let mut payloads = VecDeque::new();
         for (block, payload) in recovery.blocks {
             if block.height < resume_height {
                 continue; // older than the snapshot: not yet pruned, skip
             }
             recent.push(block.batch_id);
             ledger.append_existing(block)?;
-            replayed_payloads.push(payload);
-            replayed += 1;
+            payloads.push_back(payload);
         }
         let report = RecoveryReport {
             snapshot_height: resume_height,
             app_meta,
             app_chunks,
-            replayed_blocks: replayed,
-            replayed_payloads,
+            replayed_blocks: payloads.len() as u64,
             truncated_tail: recovery.truncated_tail,
         };
         Ok((
@@ -364,6 +374,7 @@ impl DurableLedger {
                 ledger,
                 base_block,
                 recent,
+                payloads,
             },
             report,
         ))
@@ -404,12 +415,21 @@ impl DurableLedger {
             .or_else(|| self.base_block.as_ref().filter(|b| b.height == height))
     }
 
+    /// The batch payload of the block at `height`, while it is in the
+    /// payload window: from the chain head back to the newest snapshot,
+    /// or [`PAYLOAD_WINDOW_MAX`] blocks once an append has capped it.
+    pub fn payload(&self, height: u64) -> Option<&[u8]> {
+        let base = self.ledger.height() - self.payloads.len() as u64;
+        let index = height.checked_sub(base)?;
+        self.payloads.get(index as usize).map(Vec::as_slice)
+    }
+
     /// Appends an executed batch: the block — and the batch payload it
-    /// commits, which the log persists for self-contained recovery — is
-    /// written to the log (honouring the sync policy) before it becomes
-    /// visible in [`ledger`](DurableLedger::ledger). `state_root` is the
-    /// application state's Merkle commitment *after* executing the
-    /// batch (execute-then-seal — header v3).
+    /// commits, which the log persists for self-contained recovery and
+    /// the payload window keeps — is written to the log (honouring the
+    /// sync policy). `state_root` is the application state's Merkle
+    /// commitment *after* executing the batch (execute-then-seal —
+    /// header v3).
     #[allow(clippy::too_many_arguments)]
     pub fn append_batch(
         &mut self,
@@ -424,6 +444,7 @@ impl DurableLedger {
             .ledger
             .append(batch_id, batch_digest, txns, state_root, proof);
         self.recent.push(batch_id);
+        keep_payload(&mut self.payloads, payload);
         match &mut self.disk {
             // A failed write leaves the block in the in-memory chain.
             // There is no pop API on Ledger by design (it is
@@ -443,6 +464,7 @@ impl DurableLedger {
         let (height, batch_id) = (block.height, block.batch_id);
         self.ledger.append_existing(block)?;
         self.recent.push(batch_id);
+        keep_payload(&mut self.payloads, payload);
         match &mut self.disk {
             // Same fail-closed contract as append_batch: a failed write
             // poisons this handle (drop and re-open).
@@ -524,6 +546,9 @@ impl DurableLedger {
         prune_snapshots(&disk.dir, height)?;
         disk.last_snapshot = height;
         self.base_block = head_block;
+        // The snapshot is at the head, so it covers every height the
+        // payload window held; peers below it get the snapshot instead.
+        self.payloads.clear();
         Ok(height)
     }
 
@@ -579,6 +604,7 @@ impl DurableLedger {
         for id in &snap.recent_ids {
             self.recent.push(*id);
         }
+        self.payloads.clear();
         Ok(())
     }
 
@@ -602,6 +628,14 @@ impl DurableLedger {
     pub fn dir(&self) -> Option<&Path> {
         self.disk.as_ref().map(|d| d.dir.as_path())
     }
+}
+
+/// Records the payload of the block just appended, dropping the oldest
+/// past [`PAYLOAD_WINDOW_MAX`].
+fn keep_payload(window: &mut VecDeque<Vec<u8>>, payload: &[u8]) {
+    window.push_back(payload.to_vec());
+    let excess = window.len().saturating_sub(PAYLOAD_WINDOW_MAX);
+    window.drain(..excess);
 }
 
 #[cfg(test)]
@@ -950,5 +984,124 @@ mod tests {
         )
         .unwrap();
         assert!(!led2.snapshot_due());
+    }
+
+    /// Appends batches `ids`, each with its id's bytes as payload.
+    fn append_ids(led: &mut DurableLedger, ids: std::ops::Range<u64>) {
+        for i in ids {
+            led.append_batch(
+                BatchId(i),
+                Digest::from_u64(i),
+                10,
+                Digest::from_u64(i + 500),
+                proof(i),
+                &i.to_be_bytes(),
+            )
+            .unwrap();
+        }
+    }
+
+    /// Log options that never fsync on their own and never snapshot.
+    fn unsynced() -> DurableLedgerOptions {
+        DurableLedgerOptions {
+            log: LogOptions {
+                sync: crate::log::SyncPolicy::Manual,
+                ..LogOptions::default()
+            },
+            snapshot_every: 0,
+        }
+    }
+
+    #[test]
+    fn payloads_survive_reopen_including_a_tail_longer_than_the_window() {
+        let dir = tempfile::tempdir().unwrap();
+        let n = PAYLOAD_WINDOW_MAX as u64 + 3;
+        let (mut led, _) = DurableLedger::open(dir.path(), unsynced()).unwrap();
+        append_ids(&mut led, 0..n);
+        // Appends cap the window at the newest PAYLOAD_WINDOW_MAX.
+        assert_eq!(led.payload(2), None);
+        assert_eq!(led.payload(3), Some(&3u64.to_be_bytes()[..]));
+        assert_eq!(led.payload(n - 1), Some(&(n - 1).to_be_bytes()[..]));
+        assert_eq!(led.payload(n), None, "nothing above the head");
+        led.sync().unwrap();
+        drop(led);
+        // Reopening keeps the whole log tail, however long…
+        let (mut led, report) = DurableLedger::open(dir.path(), unsynced()).unwrap();
+        assert_eq!(report.replayed_blocks, n);
+        for h in 0..n {
+            assert_eq!(led.payload(h), Some(&h.to_be_bytes()[..]), "height {h}");
+        }
+        assert_eq!(led.payload(n), None);
+        // …until the next append caps it again.
+        append_ids(&mut led, n..n + 1);
+        assert_eq!(led.payload(3), None);
+        assert_eq!(led.payload(4), Some(&4u64.to_be_bytes()[..]));
+        assert_eq!(led.payload(n), Some(&n.to_be_bytes()[..]));
+    }
+
+    #[test]
+    fn a_snapshot_empties_the_payload_window() {
+        let dir = tempfile::tempdir().unwrap();
+        let (mut led, _) = DurableLedger::open(dir.path(), unsynced()).unwrap();
+        append_ids(&mut led, 0..3);
+        assert_eq!(led.payload(0), Some(&0u64.to_be_bytes()[..]));
+        led.force_snapshot(b"meta", &[b"state".to_vec()]).unwrap();
+        for h in 0..4 {
+            assert_eq!(led.payload(h), None, "the snapshot covers height {h}");
+        }
+        append_ids(&mut led, 3..4);
+        assert_eq!(led.payload(2), None);
+        assert_eq!(led.payload(3), Some(&3u64.to_be_bytes()[..]));
+        // Reopening replays only the tail above the snapshot.
+        led.sync().unwrap();
+        drop(led);
+        let (led, _) = DurableLedger::open(dir.path(), unsynced()).unwrap();
+        assert_eq!(led.payload(2), None);
+        assert_eq!(led.payload(3), Some(&3u64.to_be_bytes()[..]));
+    }
+
+    #[test]
+    fn installing_a_snapshot_clears_the_payload_window() {
+        let mut peer = DurableLedger::in_memory();
+        append_ids(&mut peer, 0..8);
+        let head = peer.ledger().block(7).unwrap().clone();
+        let transferred = Snapshot {
+            height: 8,
+            head_hash: head.hash,
+            head_block: Some(head),
+            recent_ids: (0..8).map(BatchId).collect(),
+            app_meta: b"kv-meta".to_vec(),
+            app_chunks: vec![b"kv-bytes".to_vec()],
+        };
+        let dir = tempfile::tempdir().unwrap();
+        let (durable, _) = DurableLedger::open(dir.path(), unsynced()).unwrap();
+        for mut led in [durable, DurableLedger::in_memory()] {
+            append_ids(&mut led, 0..3);
+            led.install_snapshot(&transferred).unwrap();
+            for h in 0..9 {
+                assert_eq!(led.payload(h), None, "height {h}");
+            }
+            append_ids(&mut led, 8..9);
+            assert_eq!(led.payload(8), Some(&8u64.to_be_bytes()[..]));
+        }
+    }
+
+    #[test]
+    fn the_in_memory_store_keeps_a_capped_payload_window() {
+        let n = PAYLOAD_WINDOW_MAX as u64 + 2;
+        let mut led = DurableLedger::in_memory();
+        append_ids(&mut led, 0..n);
+        assert_eq!(led.payload(1), None, "below the window");
+        assert_eq!(led.payload(2), Some(&2u64.to_be_bytes()[..]));
+        assert_eq!(led.payload(n - 1), Some(&(n - 1).to_be_bytes()[..]));
+        assert_eq!(led.payload(n), None, "above the head");
+        // A foreign block's payload joins the window too; a rejected
+        // block's does not.
+        let foreign = led.ledger().block(0).unwrap().clone();
+        let mut dst = DurableLedger::in_memory();
+        dst.append_block(foreign.clone(), b"foreign").unwrap();
+        assert!(dst.append_block(foreign, b"again").is_err());
+        assert_eq!(dst.payload(0), Some(&b"foreign"[..]));
+        assert_eq!(dst.payload(1), None);
     }
 }
