@@ -233,11 +233,6 @@ impl SigningKey {
         sig[32..].copy_from_slice(&s.to_bytes());
         sig
     }
-
-    /// [`sign`](SigningKey::sign) over each message in turn.
-    pub fn sign_batch(&self, messages: &[&[u8]]) -> Vec<[u8; 64]> {
-        messages.iter().map(|message| self.sign(message)).collect()
-    }
 }
 
 /// k = SHA-512(R ‖ A ‖ M) mod L.
@@ -473,19 +468,6 @@ mod tests {
             vk.verify(&msg, &sig)
                 .unwrap_or_else(|e| panic!("vector {i}: verify: {e}"));
         }
-    }
-
-    #[test]
-    fn batch_signing_matches_per_call_signing() {
-        let sk = SigningKey::from_seed(&[11u8; 32]);
-        let msgs: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 3 + 17 * i as usize]).collect();
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        let batched = sk.sign_batch(&refs);
-        for (m, sig) in msgs.iter().zip(&batched) {
-            assert_eq!(*sig, sk.sign(m), "batched signature must be byte-identical");
-            sk.verifying_key().verify(m, sig).unwrap();
-        }
-        assert!(sk.sign_batch(&[]).is_empty());
     }
 
     #[test]

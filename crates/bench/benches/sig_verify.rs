@@ -21,12 +21,11 @@
 //!   row of its own.
 //! * `sig_sign` — `sign` (fixed-base table) against an RFC 8032
 //!   reference signer written out below with the generic `[r]B`: ≥ 2×,
-//!   byte-identical signatures. `sign_batch` is a loop over `sign`; its
-//!   column shows the two level.
+//!   byte-identical signatures.
 //!
 //! The simnet cost model's `CryptoCosts` (sign 35 µs, verify 80 µs)
 //! describes the same operations and is now ≈ 2.5× above the measured
-//! `sign_ns_per_sig` / `table_ns` columns (ROADMAP item 5(f)).
+//! `sign_ns_per_sig` / `table_ns` columns (ROADMAP item 8).
 //!
 //! Quick scale finishes in a couple of seconds (CI runs it in the
 //! bench-smoke job); `SPOTLESS_FULL=1` multiplies the iteration count.
@@ -227,17 +226,9 @@ fn main() {
     // pieces with a generic double-and-add `[r]B` — what `sign` did
     // before the table. Signatures must be byte-identical; the floor
     // is on per-signature time at batch sizes 4 and 32.
-    // `sign_batch` is a loop over `sign`, so its row is printed to
-    // show the two are level, not gated.
     let mut sign_table = FigureTable::new(
         "sig_sign",
-        &[
-            "batch",
-            "generic_ns_per_sig",
-            "sign_ns_per_sig",
-            "sign_batch_ns_per_sig",
-            "speedup",
-        ],
+        &["batch", "generic_ns_per_sig", "sign_ns_per_sig", "speedup"],
     );
     let seed = [0x5eu8; 32];
     let keypair = Keypair::from_seed(seed);
@@ -266,17 +257,13 @@ fn main() {
         }
         let sign_ns = start.elapsed().as_nanos() as f64 / f64::from(reps * k);
 
-        let start = Instant::now();
-        for _ in 0..reps {
-            black_box(keypair.sign_batch(black_box(&refs)));
-        }
-        let batched_ns = start.elapsed().as_nanos() as f64 / f64::from(reps * k);
-
         // Byte-identical signatures — peers cannot tell the paths apart.
-        let batched = keypair.sign_batch(&refs);
-        for (m, sig) in refs.iter().zip(&batched) {
-            assert_eq!(keypair.sign(m), *sig, "sign_batch must match sign");
-            assert_eq!(reference.sign(m), sig.0, "sign must match the reference");
+        for m in &refs {
+            assert_eq!(
+                reference.sign(m),
+                keypair.sign(m).0,
+                "sign must match the reference"
+            );
         }
 
         let speedup = generic_ns / sign_ns;
@@ -285,7 +272,6 @@ fn main() {
             format!("{k}"),
             format!("{generic_ns:10.0}"),
             format!("{sign_ns:10.0}"),
-            format!("{batched_ns:10.0}"),
             format!("{speedup:5.2} x"),
         ]);
     }

@@ -178,17 +178,6 @@ impl Keypair {
     pub fn sign(&self, message: &[u8]) -> Signature {
         Signature(self.signing.sign(message))
     }
-
-    /// [`sign`](Keypair::sign) over each message in turn. Every
-    /// signature walks the fixed-base table, so a batch buys nothing a
-    /// single call lacks.
-    pub fn sign_batch(&self, messages: &[&[u8]]) -> Vec<Signature> {
-        self.signing
-            .sign_batch(messages)
-            .into_iter()
-            .map(Signature)
-            .collect()
-    }
 }
 
 /// One replica's public key and, once anything has been verified under
@@ -275,10 +264,12 @@ impl KeyStore {
         self.sign(&statement.signing_bytes())
     }
 
-    /// Signs a batch of messages with this replica's key (see
-    /// [`Keypair::sign_batch`]).
+    /// [`sign`](KeyStore::sign) over each message in turn: every
+    /// signature walks the fixed-base table, so a batch buys nothing a
+    /// single call lacks. Kept only because the deployment benchmark
+    /// (`benchmark/src/replay.rs`) times it.
     pub fn sign_batch(&self, messages: &[&[u8]]) -> Vec<Signature> {
-        self.keypair.sign_batch(messages)
+        messages.iter().map(|message| self.sign(message)).collect()
     }
 
     /// Verifies a signature attributed to `signer`.

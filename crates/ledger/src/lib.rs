@@ -6,9 +6,9 @@
 //! Blocks are appended in the total execution order SpotLess produces
 //! (`(view, instance)` across instances); each block chains over its
 //! predecessor's hash and carries a commit-certificate summary. The
-//! ledger supports full-chain integrity verification and provenance
-//! queries (which block holds a given batch; the proof path for an
-//! auditor).
+//! ledger supports integrity verification of the tail above its base
+//! and provenance queries over it (which block holds a given batch; the
+//! proof path for an auditor).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +23,7 @@ use spotless_types::{
     BatchId, CertPhase, ClusterConfig, Digest, InstanceId, ReplicaId, Signature, View,
     VoteStatement,
 };
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// The consensus proof behind a block: which replicas certified it, and
 /// their signatures over the vote statement, so any third party holding
@@ -343,89 +343,24 @@ impl std::fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
-/// A bounded, ordered window of the most recently committed batch ids.
-///
-/// Why it exists: the ledger's `by_batch` index only covers
-/// *materialized* blocks, and a snapshot (recovery or state transfer)
-/// re-bases the chain with everything below the base pruned. A replica
-/// whose fresh protocol instance re-announces a recently committed
-/// batch (SpotLess re-commits the chain tail inside its GC window when
-/// a node rejoins) would re-execute it — silently forking its KV state
-/// — unless something remembers the ids the snapshot already covers.
-/// This window travels with every snapshot, bounded because protocols
-/// only ever re-announce a bounded tail of history.
-#[derive(Clone, Debug, Default)]
-pub struct RecentBatches {
-    order: std::collections::VecDeque<BatchId>,
-    set: std::collections::HashSet<BatchId>,
-}
-
-/// How many recent batch ids a [`RecentBatches`] window retains: must
-/// exceed the deepest tail any protocol can re-announce after a rejoin
-/// (SpotLess: at most `m` instances × its 64-view GC window), and
-/// should span well over a client's retry horizon at the rate the
-/// runtime commits — at ≈ 800 batches/s, 8 192 ids was ten seconds.
-/// Costs 8 B per id in every snapshot and ≤ 9 B per id in a
-/// state-transfer manifest (256 KiB and 288 KiB at this cap); half of
-/// the snapshot decoder's sanity bound.
-pub const RECENT_BATCHES_CAP: usize = 32_768;
-
-impl RecentBatches {
-    /// An empty window.
-    pub fn new() -> RecentBatches {
-        RecentBatches::default()
-    }
-
-    /// Records `id` as committed (oldest ids fall out past the cap).
-    pub fn push(&mut self, id: BatchId) {
-        if !self.set.insert(id) {
-            return;
-        }
-        self.order.push_back(id);
-        while self.order.len() > RECENT_BATCHES_CAP {
-            if let Some(old) = self.order.pop_front() {
-                self.set.remove(&old);
-            }
-        }
-    }
-
-    /// True iff `id` is within the window.
-    pub fn contains(&self, id: BatchId) -> bool {
-        self.set.contains(&id)
-    }
-
-    /// The ids in commit order (oldest first).
-    pub fn iter(&self) -> impl Iterator<Item = BatchId> + '_ {
-        self.order.iter().copied()
-    }
-
-    /// Number of ids retained.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// True iff the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-}
-
-/// An append-only, hash-chained ledger.
+/// An append-only, hash-chained ledger: the tail of the chain above
+/// its base.
 ///
 /// A ledger normally starts at genesis ([`Ledger::new`]); a replica that
 /// recovers from a snapshot instead starts at the snapshot's base
-/// ([`Ledger::with_base`]) and holds only the chain tail above it — the
-/// blocks below the base were pruned along with the snapshot's log
-/// segments (DESIGN.md §7.5 deviation 5).
+/// ([`Ledger::with_base`]). Either way it holds only the tail above its
+/// base, and [`Ledger::truncate_below`] moves the base up — the blocks
+/// below it are summarized by the base hash, the way a snapshot
+/// summarizes the log segments it lets the store prune (DESIGN.md §7.5
+/// deviation 5).
 #[derive(Default)]
 pub struct Ledger {
     /// Height of the first block this ledger holds (0 at genesis).
     base_height: u64,
-    /// Head hash at the base (zero at genesis, the snapshot head after
-    /// snapshot recovery).
+    /// Hash of the block just below the base (zero at genesis).
     base_hash: Digest,
-    blocks: Vec<Block>,
-    by_batch: HashMap<BatchId, u64>,
+    /// The tail, oldest first: `blocks[i]` sits at `base_height + i`.
+    blocks: VecDeque<Block>,
 }
 
 impl Ledger {
@@ -441,8 +376,7 @@ impl Ledger {
         Ledger {
             base_height,
             base_hash,
-            blocks: Vec::new(),
-            by_batch: HashMap::new(),
+            blocks: VecDeque::new(),
         }
     }
 
@@ -460,7 +394,7 @@ impl Ledger {
     /// Hash of the newest block (the base hash when no block has been
     /// appended above the base).
     pub fn head_hash(&self) -> Digest {
-        self.blocks.last().map(|b| b.hash).unwrap_or(self.base_hash)
+        self.blocks.back().map_or(self.base_hash, |b| b.hash)
     }
 
     /// Appends an executed batch, sealing `state_root` — the store's
@@ -486,8 +420,7 @@ impl Ledger {
             &state_root,
             &proof,
         );
-        self.by_batch.insert(batch_id, height);
-        self.blocks.push(Block {
+        self.blocks.push_back(Block {
             height,
             parent,
             batch_digest,
@@ -497,7 +430,7 @@ impl Ledger {
             proof,
             hash,
         });
-        self.blocks.last().expect("just pushed")
+        self.blocks.back().expect("just pushed")
     }
 
     /// Appends a block that was built elsewhere (decoded from the
@@ -517,35 +450,37 @@ impl Ledger {
                 height: block.height,
             });
         }
-        let recomputed = Block::compute_hash(
-            block.height,
-            &block.parent,
-            &block.batch_digest,
-            block.batch_id,
-            block.txns,
-            &block.state_root,
-            &block.proof,
-        );
-        if recomputed != block.hash {
+        if !block.verify_hash() {
             return Err(LedgerError::HashMismatch {
                 height: block.height,
             });
         }
-        self.by_batch.insert(block.batch_id, block.height);
-        self.blocks.push(block);
+        self.blocks.push_back(block);
         Ok(())
     }
 
-    /// The block at `height` (`None` for heights below the base — those
-    /// blocks were pruned).
+    /// Moves the base up to `height` (at most the head), dropping the
+    /// blocks below it, and returns the block just below the new base —
+    /// `None` when the base does not move.
+    pub fn truncate_below(&mut self, height: u64) -> Option<Block> {
+        let drop = height.min(self.height()).saturating_sub(self.base_height);
+        let below = self.blocks.drain(..drop as usize).next_back()?;
+        self.base_height = below.height + 1;
+        self.base_hash = below.hash;
+        Some(below)
+    }
+
+    /// The block at `height` (`None` outside the tail: below the base,
+    /// or above the head).
     pub fn block(&self, height: u64) -> Option<&Block> {
         let idx = height.checked_sub(self.base_height)?;
         self.blocks.get(idx as usize)
     }
 
-    /// Provenance: the block holding `batch` (ledger-indexed lookup).
+    /// Provenance: the block in the tail that holds `batch`, searched
+    /// newest first.
     pub fn find_batch(&self, batch: BatchId) -> Option<&Block> {
-        self.by_batch.get(&batch).and_then(|&h| self.block(h))
+        self.blocks.iter().rev().find(|b| b.batch_id == batch)
     }
 
     /// Provenance proof: the hash path from `height` to the head. An
@@ -556,34 +491,24 @@ impl Ledger {
             return None;
         }
         let idx = height.checked_sub(self.base_height)?;
-        Some(self.blocks[idx as usize..].iter().map(|b| b.hash).collect())
+        Some(self.blocks.range(idx as usize..).map(|b| b.hash).collect())
     }
 
     /// Verifies the materialized chain: every hash recomputes and every
     /// parent pointer links, starting from the base hash.
     pub fn verify(&self) -> Result<(), LedgerError> {
         let mut parent = self.base_hash;
-        for (i, b) in self.blocks.iter().enumerate() {
-            let expected_height = self.base_height + i as u64;
-            if b.height != expected_height {
+        for (b, expected) in self.blocks.iter().zip(self.base_height..) {
+            if b.height != expected {
                 return Err(LedgerError::HeightMismatch {
                     got: b.height,
-                    expected: expected_height,
+                    expected,
                 });
             }
             if b.parent != parent {
                 return Err(LedgerError::BrokenChain { height: b.height });
             }
-            let expect = Block::compute_hash(
-                b.height,
-                &b.parent,
-                &b.batch_digest,
-                b.batch_id,
-                b.txns,
-                &b.state_root,
-                &b.proof,
-            );
-            if expect != b.hash {
+            if !b.verify_hash() {
                 return Err(LedgerError::HashMismatch { height: b.height });
             }
             parent = b.hash;
@@ -816,6 +741,31 @@ mod tests {
         assert_eq!(block.parent, full.head_hash());
         tail.verify().expect("chains over the base");
         assert_eq!(tail.find_batch(BatchId(77)).unwrap().height, 3);
+    }
+
+    #[test]
+    fn truncating_moves_the_base_up_and_the_tail_still_verifies() {
+        let full = sample_ledger(6);
+        let mut tail = sample_ledger(6);
+        assert_eq!(tail.truncate_below(0), None, "the base is already 0");
+        assert_eq!(tail.truncate_below(4).as_ref(), full.block(3));
+        assert_eq!((tail.base_height(), tail.height()), (4, 6));
+        assert_eq!(tail.head_hash(), full.head_hash());
+        assert!(tail.block(3).is_none());
+        assert!(tail.find_batch(BatchId(3)).is_none(), "only the tail");
+        assert_eq!(tail.find_batch(BatchId(4)).unwrap().height, 4);
+        tail.verify().expect("verifies from the new base");
+        assert_eq!(tail.truncate_below(2), None, "the base never moves down");
+        // Past the head the base stops at the head, and the next block
+        // chains over the one just dropped.
+        assert_eq!(tail.truncate_below(99).as_ref(), full.block(5));
+        assert_eq!(
+            (tail.base_height(), tail.head_hash()),
+            (6, full.head_hash())
+        );
+        let next = tail.append(BatchId(6), Digest::from_u64(6), 1, Digest::ZERO, proof(6));
+        assert_eq!(next.parent, full.head_hash());
+        tail.verify().expect("chains over the moved base");
     }
 
     fn rules_n4() -> ProofRules {

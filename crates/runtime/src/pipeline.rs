@@ -58,8 +58,8 @@
 //! blocks must extend the local head through the hash-chain check, and
 //! re-executing each payload must reproduce the block's sealed
 //! `state_root` — then applied. Serving replays from the store's
-//! payload window ([`DurableLedger::payload`]). If the peer has pruned
-//! past the requested height (its window starts above it), it
+//! chain tail ([`DurableLedger::payload`]). If the peer has pruned
+//! past the requested height (its tail starts above it), it
 //! opens a **chunked snapshot transfer** instead: a manifest first
 //! (certified head block + application meta verified against the
 //! head's `state_root` by Merkle inclusion proof + the chunk plan),
@@ -161,7 +161,7 @@ pub(crate) enum PipelineCmd {
     /// A signature-verified transfer-family envelope (any tag except
     /// `TAG_PROTOCOL`), still encoded. The pipeline decodes it with the
     /// borrowing reader off the event-loop thread and copies bytes only
-    /// at its storage boundaries (the store's payload window, install
+    /// at its storage boundaries (the store's chain tail, install
     /// journal, accepted manifest) — the event loop ships the refcounted
     /// [`Payload`](crate::envelope::Payload) view it already holds, so
     /// routing a multi-megabyte chunk costs a pointer.
@@ -431,7 +431,7 @@ impl<F: Fabric> Pipeline<F> {
     /// Decodes a transfer-family envelope payload *borrowed* — block
     /// payloads, chunk bytes, and app metadata stay views into the
     /// received buffer — and dispatches it. Owning copies happen only
-    /// where bytes cross a storage boundary (the store's payload window,
+    /// where bytes cross a storage boundary (the store's chain tail,
     /// chunk journal, accepted manifest). The event loop already routed by
     /// tag and verified the signature; a payload that fails the full
     /// borrowed decode here is simply dropped.
@@ -473,7 +473,7 @@ impl<F: Fabric> Pipeline<F> {
         );
         // Validate in commit order. Skips no-ops, batches the store
         // already holds (via catch-up, or covered by a snapshot whose
-        // recent-id window remembers it — a rejoining protocol instance
+        // batch-id dedup set remembers it — a rejoining protocol instance
         // re-announces the chain tail it just learned, and re-executing
         // any of it would fork this replica's state), and duplicates
         // *within* this group (appends happen after the whole group
@@ -638,8 +638,8 @@ impl<F: Fabric> Pipeline<F> {
     /// encoding). Chunks are additionally content-addressed on disk, so
     /// even a re-encoded-but-identical chunk is not rewritten — the
     /// delta here removes the CPU cost of producing the bytes at all.
-    /// The store empties its payload window at the snapshot: peers that
-    /// need history below it get the chunked transfer.
+    /// The snapshot empties the store's chain tail: peers that need
+    /// history below it get the chunked transfer.
     fn maybe_snapshot(&mut self) {
         if !self.store.snapshot_due() {
             return;
@@ -690,9 +690,9 @@ impl<F: Fabric> Pipeline<F> {
     // ── state transfer: serving side ────────────────────────────────
 
     /// Answers a catch-up request in one of two modes: **block replay**
-    /// when the store's payload window still holds the requested
-    /// height, or the **manifest of a chunked snapshot transfer** when
-    /// the requester wants history below the window.
+    /// when the store's chain tail still holds the requested height, or
+    /// the **manifest of a chunked snapshot transfer** when the
+    /// requester wants history below the tail.
     fn serve_catchup(&mut self, to: ReplicaId, from_height: u64) {
         let height = self.store.ledger().height();
         if from_height < height && self.store.payload(from_height).is_none() {
@@ -879,8 +879,8 @@ impl<F: Fabric> Pipeline<F> {
     /// keeps the prefix that passes, and hands it to [`Self::extend`],
     /// which re-executes it and holds every block to the root it sealed.
     /// Block payloads arrive as borrowed views into the received frame;
-    /// the only copies made per block are the store's payload-window
-    /// entry and the `CommitInfo` the commit log records — both storage
+    /// the only copies made per block are the store's chain-tail entry
+    /// and the `CommitInfo` the commit log records — both storage
     /// boundaries.
     fn apply_catchup(&mut self, from: ReplicaId, peer_height: u64, blocks: &[CatchUpBlockRef<'_>]) {
         if !matches!(self.mode, Mode::CatchingUp { .. }) || self.poisoned {

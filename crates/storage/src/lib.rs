@@ -14,20 +14,23 @@
 //!   chunks, format v6) bounding replay and enabling pruning;
 //! * [`transfer`] — the crash-safe partial-install journal a chunked
 //!   state transfer resumes from after an interruption;
-//! * [`DurableLedger`] — the assembled store: an in-memory
-//!   [`spotless_ledger::Ledger`] whose appends are persisted
-//!   before they are acknowledged, with crash recovery on open.
+//! * [`DurableLedger`] — the assembled store: the chain's tail in
+//!   memory, whose appends are persisted before they are acknowledged,
+//!   with crash recovery on open.
 //!
-//! The store also decides which batch payload belongs to which height:
-//! it keeps the payloads it logs in a window up to the chain head
-//! ([`DurableLedger::payload`]), which the runtime re-executes its
-//! recovered tail from and serves block-replay catch-up from.
+//! The store keeps one tail of the chain: the blocks above a base and,
+//! height for height, the batch payloads they commit
+//! ([`DurableLedger::payload`]), which the runtime re-executes and
+//! serves catch-up from. One rule bounds it — from the newest snapshot,
+//! or [`TAIL_MAX`] blocks below the head, whichever is higher — so a
+//! running store holds what it would reopen as. A [`RecentBatches`]
+//! dedup set of committed batch ids rides along in every snapshot.
 //!
 //! The runtime keeps one chain store for every deployment. A replica
 //! without a storage directory runs [`DurableLedger::in_memory`]: the
-//! same ledger, base block, recent-batch and payload windows and
-//! snapshot install, with no directory behind them — no file is
-//! written, no snapshot is ever due, and `sync` has nothing to flush.
+//! same tail, base block, dedup set and snapshot install, with no
+//! directory behind them — no file is written, no snapshot is ever
+//! due, and `sync` has nothing to flush.
 //!
 //! The design follows the write-ahead-log discipline of LSM stores
 //! (LevelDB/RocksDB): framed records behind checksums, truncate-on-torn-
@@ -77,9 +80,9 @@ pub mod transfer;
 
 use crate::log::{BlockLog, LogOptions};
 use crate::snapshot::{latest_snapshot, prune_snapshots, write_snapshot, Snapshot};
-use spotless_ledger::{Block, CommitProof, Ledger, LedgerError, RecentBatches};
+use spotless_ledger::{Block, CommitProof, Ledger, LedgerError};
 use spotless_types::{BatchId, Digest};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -250,8 +253,8 @@ pub struct RecoveryReport {
     /// Application state chunks carried by that snapshot, in order
     /// (empty when none).
     pub app_chunks: Vec<Vec<u8>>,
-    /// Blocks replayed from the log above the snapshot; their payloads
-    /// are all in [`DurableLedger::payload`]'s window.
+    /// Blocks replayed from the log above the snapshot; the store holds
+    /// every one of them, payload included, until its next append.
     pub replayed_blocks: u64,
     /// Whether a torn tail was truncated from the newest segment.
     pub truncated_tail: bool,
@@ -266,26 +269,88 @@ pub struct DurableLedger {
     /// The directory, block log and snapshot cadence; `None` for a
     /// memory-only store.
     disk: Option<Disk>,
+    /// The tail's blocks, above their base.
     ledger: Ledger,
-    /// The block just below the ledger's base (the newest snapshot's
-    /// head block). Retained so the snapshot — head certificate
-    /// included — can be served to a recovering peer even after the log
-    /// pruned everything the snapshot covers.
-    base_block: Option<Block>,
-    /// Bounded window of recently committed batch ids, persisted with
-    /// every snapshot: the dedup filter that stops a rejoining protocol
-    /// instance from re-executing batches a snapshot already covers
-    /// (the ledger's own index forgets everything below its base).
-    recent: RecentBatches,
-    /// Batch payloads of the newest blocks, oldest first; the last one
-    /// is the chain head's (see [`DurableLedger::payload`]).
+    /// The tail's batch payloads: `payloads[i]` is committed by the
+    /// ledger's block at `base_height + i`, so the two hold the same
+    /// heights.
     payloads: VecDeque<Vec<u8>>,
+    /// The block just below the tail's base (after a snapshot, its head
+    /// block). Retained so the snapshot — head certificate included —
+    /// can be served to a recovering peer, and so the newest block a cap
+    /// dropped can still be named.
+    base_block: Option<Block>,
+    /// Committed batch ids, persisted with every snapshot: the one
+    /// batch-id index, and the dedup filter that stops a rejoining
+    /// protocol instance from re-executing a batch the tail or a
+    /// snapshot already covers.
+    recent: RecentBatches,
 }
 
-/// Payloads the window keeps after an append; this bounds stores that
-/// never snapshot (memory-only ones, `snapshot_every = 0`). Opening a
-/// store keeps the whole log tail, however long, until the next append.
-pub const PAYLOAD_WINDOW_MAX: usize = 4096;
+/// The most blocks the tail keeps after an append; this bounds stores
+/// that never snapshot (memory-only ones, `snapshot_every = 0`).
+/// Opening a store keeps the whole log tail, however long, until the
+/// next append.
+pub const TAIL_MAX: usize = 4096;
+
+/// How many recent batch ids a [`RecentBatches`] set retains: must
+/// exceed the deepest tail any protocol can re-announce after a rejoin
+/// (SpotLess: at most `m` instances × its 64-view GC window), and
+/// should span well over a client's retry horizon at the rate the
+/// runtime commits — at ≈ 800 batches/s, 8 192 ids was ten seconds.
+/// Costs 8 B per id in every snapshot and ≤ 9 B per id in a
+/// state-transfer manifest (256 KiB and 288 KiB at this cap); half of
+/// the snapshot decoder's sanity bound.
+pub const RECENT_BATCHES_CAP: usize = 32_768;
+
+// Every batch id in a capped tail is in the dedup set.
+const _: () = assert!(TAIL_MAX <= RECENT_BATCHES_CAP);
+
+/// A bounded, ordered set of the most recently committed batch ids.
+///
+/// Why it exists: a snapshot (recovery or state transfer) re-bases the
+/// chain with everything below the base pruned. A replica whose fresh
+/// protocol instance re-announces a recently committed batch (SpotLess
+/// re-commits the chain tail inside its GC window when a node rejoins)
+/// would re-execute it — silently forking its KV state — unless
+/// something remembers the ids the snapshot already covers. This set
+/// travels with every snapshot, bounded because protocols only ever
+/// re-announce a bounded tail of history.
+#[derive(Clone, Debug, Default)]
+pub struct RecentBatches {
+    order: VecDeque<BatchId>,
+    set: HashSet<BatchId>,
+}
+
+impl RecentBatches {
+    /// An empty set.
+    pub fn new() -> RecentBatches {
+        RecentBatches::default()
+    }
+
+    /// Records `id` as committed (oldest ids fall out past the cap).
+    pub fn push(&mut self, id: BatchId) {
+        if !self.set.insert(id) {
+            return;
+        }
+        self.order.push_back(id);
+        if self.order.len() > RECENT_BATCHES_CAP {
+            if let Some(old) = self.order.pop_front() {
+                self.set.remove(&old);
+            }
+        }
+    }
+
+    /// True iff `id` is in the set.
+    pub fn contains(&self, id: BatchId) -> bool {
+        self.set.contains(&id)
+    }
+
+    /// The ids in commit order (oldest first).
+    pub fn iter(&self) -> impl Iterator<Item = BatchId> + '_ {
+        self.order.iter().copied()
+    }
+}
 
 /// The on-disk half of a [`DurableLedger`].
 struct Disk {
@@ -309,9 +374,9 @@ impl DurableLedger {
         DurableLedger {
             disk: None,
             ledger: Ledger::new(),
+            payloads: VecDeque::new(),
             base_block: None,
             recent: RecentBatches::new(),
-            payloads: VecDeque::new(),
         }
     }
 
@@ -322,18 +387,8 @@ impl DurableLedger {
         opts: DurableLedgerOptions,
     ) -> Result<(DurableLedger, RecoveryReport), StorageError> {
         std::fs::create_dir_all(dir).map_err(|e| StorageError::io(dir, "create dir", e))?;
-        let snap = latest_snapshot(dir)?;
-        let (resume_height, base_hash, app_meta, app_chunks, base_block, recent_ids) = match snap {
-            Some((_, s)) => (
-                s.height,
-                s.head_hash,
-                s.app_meta,
-                s.app_chunks,
-                s.head_block,
-                s.recent_ids,
-            ),
-            None => (0, Digest::ZERO, Vec::new(), Vec::new(), None, Vec::new()),
-        };
+        let snap = latest_snapshot(dir)?.map_or_else(Snapshot::default, |(_, s)| s);
+        let resume_height = snap.height;
         let (mut log, recovery) = BlockLog::open(dir, opts.log, resume_height)?;
         if log.next_height() < resume_height {
             // The whole log predates the snapshot: a crash interrupted a
@@ -342,10 +397,10 @@ impl DurableLedger {
             // the reset now.
             log.reset(resume_height)?;
         }
-        let mut ledger = Ledger::with_base(resume_height, base_hash);
+        let mut ledger = Ledger::with_base(resume_height, snap.head_hash);
         let mut recent = RecentBatches::new();
-        for id in &recent_ids {
-            recent.push(*id);
+        for id in snap.recent_ids {
+            recent.push(id);
         }
         let mut payloads = VecDeque::new();
         for (block, payload) in recovery.blocks {
@@ -358,8 +413,8 @@ impl DurableLedger {
         }
         let report = RecoveryReport {
             snapshot_height: resume_height,
-            app_meta,
-            app_chunks,
+            app_meta: snap.app_meta,
+            app_chunks: snap.app_chunks,
             replayed_blocks: payloads.len() as u64,
             truncated_tail: recovery.truncated_tail,
         };
@@ -372,62 +427,60 @@ impl DurableLedger {
                     last_snapshot: resume_height,
                 }),
                 ledger,
-                base_block,
-                recent,
                 payloads,
+                base_block: snap.head_block,
+                recent,
             },
             report,
         ))
     }
 
-    /// The in-memory chain view.
+    /// The tail's blocks.
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
     }
 
-    /// The block just below the ledger's base (the newest snapshot's
-    /// head block), if the store has ever snapshotted past genesis.
+    /// The block just below the tail's base — the newest snapshot's head
+    /// block, or the newest block a cap dropped — if the base has moved.
     pub fn base_block(&self) -> Option<&Block> {
         self.base_block.as_ref()
     }
 
-    /// The bounded window of recently committed batch ids (everything
+    /// The bounded set of recently committed batch ids (everything
     /// appended plus whatever the newest snapshot carried).
     pub fn recent_batches(&self) -> &RecentBatches {
         &self.recent
     }
 
-    /// True iff `id` is known committed: a materialized block holds it,
-    /// or it sits in the recent-id window, which also remembers what a
-    /// snapshot (recovered or transferred) carried over. A rejoining
-    /// protocol instance that re-announces recent history is checked
-    /// against this before anything re-executes.
+    /// True iff `id` is known committed: it sits in the dedup set, which
+    /// holds every id in the tail and remembers what a snapshot
+    /// (recovered or transferred) carried over. A rejoining protocol
+    /// instance that re-announces recent history is checked against
+    /// this before anything re-executes.
     pub fn knows_batch(&self, id: BatchId) -> bool {
-        self.ledger.find_batch(id).is_some() || self.recent.contains(id)
+        self.recent.contains(id)
     }
 
-    /// The block at `height`, looking through the pruned base: the
-    /// block just below the ledger's base is retained for serving the
-    /// newest snapshot's certificate.
+    /// The block at `height`, looking through the tail's base: the
+    /// block just below it is retained for serving the newest
+    /// snapshot's certificate.
     pub fn block_at(&self, height: u64) -> Option<&Block> {
         self.ledger
             .block(height)
             .or_else(|| self.base_block.as_ref().filter(|b| b.height == height))
     }
 
-    /// The batch payload of the block at `height`, while it is in the
-    /// payload window: from the chain head back to the newest snapshot,
-    /// or [`PAYLOAD_WINDOW_MAX`] blocks once an append has capped it.
+    /// The batch payload of the block at `height`: `Some` exactly where
+    /// [`ledger`](DurableLedger::ledger)`().block(height)` is.
     pub fn payload(&self, height: u64) -> Option<&[u8]> {
-        let base = self.ledger.height() - self.payloads.len() as u64;
-        let index = height.checked_sub(base)?;
+        let index = height.checked_sub(self.ledger.base_height())?;
         self.payloads.get(index as usize).map(Vec::as_slice)
     }
 
     /// Appends an executed batch: the block — and the batch payload it
     /// commits, which the log persists for self-contained recovery and
-    /// the payload window keeps — is written to the log (honouring the
-    /// sync policy). `state_root` is the application state's Merkle
+    /// the tail keeps — is written to the log (honouring the sync
+    /// policy). `state_root` is the application state's Merkle
     /// commitment *after* executing the batch (execute-then-seal —
     /// header v3).
     #[allow(clippy::too_many_arguments)]
@@ -440,19 +493,9 @@ impl DurableLedger {
         proof: CommitProof,
         payload: &[u8],
     ) -> Result<(), StorageError> {
-        let block = self
-            .ledger
+        self.ledger
             .append(batch_id, batch_digest, txns, state_root, proof);
-        self.recent.push(batch_id);
-        keep_payload(&mut self.payloads, payload);
-        match &mut self.disk {
-            // A failed write leaves the block in the in-memory chain.
-            // There is no pop API on Ledger by design (it is
-            // append-only), so fail closed: the caller must drop this
-            // DurableLedger and re-open.
-            Some(disk) => disk.log.append(block, payload),
-            None => Ok(()),
-        }
+        self.log_head(payload)
     }
 
     /// Appends a block that was built elsewhere — decoded from a peer's
@@ -461,18 +504,42 @@ impl DurableLedger {
     /// before it is persisted. The write honours the sync policy exactly
     /// like [`append_batch`](DurableLedger::append_batch).
     pub fn append_block(&mut self, block: Block, payload: &[u8]) -> Result<(), StorageError> {
-        let (height, batch_id) = (block.height, block.batch_id);
         self.ledger.append_existing(block)?;
-        self.recent.push(batch_id);
-        keep_payload(&mut self.payloads, payload);
-        match &mut self.disk {
-            // Same fail-closed contract as append_batch: a failed write
-            // poisons this handle (drop and re-open).
-            Some(disk) => {
-                let block = self.ledger.block(height).expect("just appended");
-                disk.log.append(block, payload)
-            }
-            None => Ok(()),
+        self.log_head(payload)
+    }
+
+    /// Records the block just appended to the ledger — its batch id,
+    /// its `payload` and its log record — then applies the tail's
+    /// retention rule.
+    fn log_head(&mut self, payload: &[u8]) -> Result<(), StorageError> {
+        let head = self.ledger.height() - 1;
+        let block = self.ledger.block(head).expect("just appended");
+        self.recent.push(block.batch_id);
+        self.payloads.push_back(payload.to_vec());
+        if let Some(disk) = &mut self.disk {
+            // A failed write leaves the block in the tail. There is no
+            // pop API on Ledger by design (it is append-only), so fail
+            // closed: the caller must drop this DurableLedger and
+            // re-open.
+            disk.log.append(block, payload)?;
+        }
+        self.retain_tail();
+        Ok(())
+    }
+
+    /// The tail's one retention rule: the tail starts at the newest
+    /// snapshot, or [`TAIL_MAX`] blocks below the head, whichever is
+    /// higher. Blocks leave with their payloads, and the newest block to
+    /// leave becomes the base block. Appends and snapshots apply it;
+    /// [`open`](DurableLedger::open) does not, so the boot replay sees
+    /// the whole logged tail until the next append.
+    fn retain_tail(&mut self) {
+        let snapshot = self.disk.as_ref().map_or(0, |d| d.last_snapshot);
+        let base = snapshot.max(self.ledger.height().saturating_sub(TAIL_MAX as u64));
+        let dropped = base.saturating_sub(self.ledger.base_height()) as usize;
+        if let Some(below) = self.ledger.truncate_below(base) {
+            self.payloads.drain(..dropped);
+            self.base_block = Some(below);
         }
     }
 
@@ -536,7 +603,7 @@ impl DurableLedger {
             &Snapshot {
                 height,
                 head_hash: self.ledger.head_hash(),
-                head_block: head_block.clone(),
+                head_block,
                 recent_ids: self.recent.iter().collect(),
                 app_meta: app_meta.to_vec(),
                 app_chunks: app_chunks.to_vec(),
@@ -545,10 +612,10 @@ impl DurableLedger {
         disk.log.prune_below(height)?;
         prune_snapshots(&disk.dir, height)?;
         disk.last_snapshot = height;
-        self.base_block = head_block;
-        // The snapshot is at the head, so it covers every height the
-        // payload window held; peers below it get the snapshot instead.
-        self.payloads.clear();
+        // The snapshot is at the head, so the tail it starts is empty:
+        // the store now holds what it would reopen as, and peers below
+        // it get the snapshot instead of blocks.
+        self.retain_tail();
         Ok(height)
     }
 
@@ -628,14 +695,6 @@ impl DurableLedger {
     pub fn dir(&self) -> Option<&Path> {
         self.disk.as_ref().map(|d| d.dir.as_path())
     }
-}
-
-/// Records the payload of the block just appended, dropping the oldest
-/// past [`PAYLOAD_WINDOW_MAX`].
-fn keep_payload(window: &mut VecDeque<Vec<u8>>, payload: &[u8]) {
-    window.push_back(payload.to_vec());
-    let excess = window.len().saturating_sub(PAYLOAD_WINDOW_MAX);
-    window.drain(..excess);
 }
 
 #[cfg(test)]
@@ -1012,17 +1071,30 @@ mod tests {
         }
     }
 
+    /// Asserts that `led` holds a block exactly where it holds a payload,
+    /// over every height up to one past the head.
+    fn assert_blocks_match_payloads(led: &DurableLedger) {
+        for h in 0..=led.ledger().height() {
+            assert_eq!(
+                led.ledger().block(h).is_some(),
+                led.payload(h).is_some(),
+                "height {h}"
+            );
+        }
+    }
+
     #[test]
-    fn payloads_survive_reopen_including_a_tail_longer_than_the_window() {
+    fn payloads_survive_reopen_including_a_tail_longer_than_the_cap() {
         let dir = tempfile::tempdir().unwrap();
-        let n = PAYLOAD_WINDOW_MAX as u64 + 3;
+        let n = TAIL_MAX as u64 + 3;
         let (mut led, _) = DurableLedger::open(dir.path(), unsynced()).unwrap();
         append_ids(&mut led, 0..n);
-        // Appends cap the window at the newest PAYLOAD_WINDOW_MAX.
+        // Appends cap the tail at the newest TAIL_MAX.
         assert_eq!(led.payload(2), None);
         assert_eq!(led.payload(3), Some(&3u64.to_be_bytes()[..]));
         assert_eq!(led.payload(n - 1), Some(&(n - 1).to_be_bytes()[..]));
         assert_eq!(led.payload(n), None, "nothing above the head");
+        assert_blocks_match_payloads(&led);
         led.sync().unwrap();
         drop(led);
         // Reopening keeps the whole log tail, however long…
@@ -1032,15 +1104,19 @@ mod tests {
             assert_eq!(led.payload(h), Some(&h.to_be_bytes()[..]), "height {h}");
         }
         assert_eq!(led.payload(n), None);
+        assert_blocks_match_payloads(&led);
         // …until the next append caps it again.
         append_ids(&mut led, n..n + 1);
         assert_eq!(led.payload(3), None);
         assert_eq!(led.payload(4), Some(&4u64.to_be_bytes()[..]));
         assert_eq!(led.payload(n), Some(&n.to_be_bytes()[..]));
+        assert_eq!(led.ledger().base_height(), 4);
+        assert_eq!(led.block_at(3).map(|b| b.height), Some(3));
+        assert_blocks_match_payloads(&led);
     }
 
     #[test]
-    fn a_snapshot_empties_the_payload_window() {
+    fn a_snapshot_empties_the_tail() {
         let dir = tempfile::tempdir().unwrap();
         let (mut led, _) = DurableLedger::open(dir.path(), unsynced()).unwrap();
         append_ids(&mut led, 0..3);
@@ -1048,7 +1124,14 @@ mod tests {
         led.force_snapshot(b"meta", &[b"state".to_vec()]).unwrap();
         for h in 0..4 {
             assert_eq!(led.payload(h), None, "the snapshot covers height {h}");
+            assert_eq!(
+                led.ledger().block(h),
+                None,
+                "the snapshot covers height {h}"
+            );
         }
+        assert_eq!(led.ledger().base_height(), 3);
+        assert_eq!(led.base_block().map(|b| b.height), Some(2));
         append_ids(&mut led, 3..4);
         assert_eq!(led.payload(2), None);
         assert_eq!(led.payload(3), Some(&3u64.to_be_bytes()[..]));
@@ -1060,8 +1143,45 @@ mod tests {
         assert_eq!(led.payload(3), Some(&3u64.to_be_bytes()[..]));
     }
 
+    /// A fresh directory holding a copy of every file in `from`.
+    fn copy_dir(from: &Path) -> tempfile::TempDir {
+        let to = tempfile::tempdir().unwrap();
+        for entry in std::fs::read_dir(from).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, to.path().join(path.file_name().unwrap())).unwrap();
+        }
+        to
+    }
+
     #[test]
-    fn installing_a_snapshot_clears_the_payload_window() {
+    fn a_running_store_holds_what_it_reopens_as() {
+        let dir = tempfile::tempdir().unwrap();
+        let (mut running, _) = DurableLedger::open(dir.path(), unsynced()).unwrap();
+        append_ids(&mut running, 0..6);
+        running
+            .force_snapshot(b"meta", &[b"state".to_vec()])
+            .unwrap();
+        append_ids(&mut running, 6..8);
+        running.sync().unwrap();
+        let copy = copy_dir(dir.path());
+        let (reopened, report) = DurableLedger::open(copy.path(), unsynced()).unwrap();
+        assert_eq!((report.snapshot_height, report.replayed_blocks), (6, 2));
+        let (a, b) = (&running, &reopened);
+        assert_eq!(a.ledger().base_height(), b.ledger().base_height());
+        assert_eq!(a.ledger().head_hash(), b.ledger().head_hash());
+        assert_eq!(a.base_block(), b.base_block());
+        for h in 0..=8 {
+            assert_eq!(a.ledger().block(h), b.ledger().block(h), "block {h}");
+            assert_eq!(a.payload(h), b.payload(h), "payload {h}");
+        }
+        for id in (0..9).map(BatchId) {
+            assert_eq!(a.knows_batch(id), b.knows_batch(id), "{id:?}");
+        }
+        assert!(a.knows_batch(BatchId(0)) && !a.knows_batch(BatchId(8)));
+    }
+
+    #[test]
+    fn installing_a_snapshot_clears_the_tail() {
         let mut peer = DurableLedger::in_memory();
         append_ids(&mut peer, 0..8);
         let head = peer.ledger().block(7).unwrap().clone();
@@ -1083,25 +1203,41 @@ mod tests {
             }
             append_ids(&mut led, 8..9);
             assert_eq!(led.payload(8), Some(&8u64.to_be_bytes()[..]));
+            assert_blocks_match_payloads(&led);
         }
     }
 
     #[test]
-    fn the_in_memory_store_keeps_a_capped_payload_window() {
-        let n = PAYLOAD_WINDOW_MAX as u64 + 2;
+    fn a_memory_only_store_caps_blocks_and_payloads_together() {
+        let n = TAIL_MAX as u64 + 5;
         let mut led = DurableLedger::in_memory();
         append_ids(&mut led, 0..n);
-        assert_eq!(led.payload(1), None, "below the window");
-        assert_eq!(led.payload(2), Some(&2u64.to_be_bytes()[..]));
+        assert_blocks_match_payloads(&led);
+        assert_eq!(led.ledger().base_height(), 5);
+        assert_eq!(led.payload(4), None, "below the tail");
+        assert_eq!(led.payload(5), Some(&5u64.to_be_bytes()[..]));
         assert_eq!(led.payload(n - 1), Some(&(n - 1).to_be_bytes()[..]));
         assert_eq!(led.payload(n), None, "above the head");
-        // A foreign block's payload joins the window too; a rejected
+        led.ledger().verify().expect("verifies from the moved base");
+        // The last block dropped is the base block…
+        let below = led.block_at(4).expect("the base block");
+        assert_eq!(below.batch_id, BatchId(4));
+        assert_eq!(led.ledger().block(5).unwrap().parent, below.hash);
+        assert_eq!(led.block_at(3), None);
+        // …and a dropped batch is still known committed, through the
+        // dedup set alone.
+        assert!(led.knows_batch(BatchId(0)));
+        assert!(led.ledger().find_batch(BatchId(0)).is_none());
+        // A foreign block's payload joins the tail too; a rejected
         // block's does not.
-        let foreign = led.ledger().block(0).unwrap().clone();
+        let mut src = DurableLedger::in_memory();
+        append_ids(&mut src, 0..1);
+        let foreign = src.ledger().block(0).unwrap().clone();
         let mut dst = DurableLedger::in_memory();
         dst.append_block(foreign.clone(), b"foreign").unwrap();
         assert!(dst.append_block(foreign, b"again").is_err());
         assert_eq!(dst.payload(0), Some(&b"foreign"[..]));
         assert_eq!(dst.payload(1), None);
+        assert_blocks_match_payloads(&dst);
     }
 }

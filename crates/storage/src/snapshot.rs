@@ -56,8 +56,9 @@ pub const MAGIC: [u8; 8] = *b"SPLSSNP1";
 /// state transfer from peers, not in-place upgrade.
 pub const VERSION: u32 = 6;
 
-/// A decoded snapshot.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A decoded snapshot (by default the empty one at height 0, which a
+/// store without a snapshot starts from).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Number of ledger blocks the snapshot covers (the height at which
     /// log replay resumes).
@@ -71,9 +72,9 @@ pub struct Snapshot {
     /// `height == 0`.
     pub head_block: Option<Block>,
     /// Ids of the most recently committed batches the snapshot covers
-    /// (oldest first, bounded by `spotless_ledger::RECENT_BATCHES_CAP`).
-    /// Seeds the re-commit dedup filter after recovery or state
-    /// transfer — see `spotless_ledger::RecentBatches`.
+    /// (oldest first, bounded by [`crate::RECENT_BATCHES_CAP`]). Seeds
+    /// the re-commit dedup filter after recovery or state transfer — see
+    /// [`crate::RecentBatches`].
     pub recent_ids: Vec<BatchId>,
     /// Opaque application metadata (the KV store's meta-leaf encoding in
     /// the runtime; the storage layer neither parses nor validates it
@@ -183,9 +184,10 @@ pub fn read_chunk_blob(dir: &Path, digest: &Digest) -> Result<Vec<u8>, StorageEr
 }
 
 /// Sanity bound on a snapshot's recent-id list (see
-/// `spotless_ledger::RECENT_BATCHES_CAP`; a larger prefix is
-/// corruption, not data).
+/// [`crate::RECENT_BATCHES_CAP`]; a larger prefix is corruption, not
+/// data).
 const MAX_RECENT_IDS: u32 = 1 << 16;
+const _: () = assert!(crate::RECENT_BATCHES_CAP <= MAX_RECENT_IDS as usize);
 /// Sanity bound on a manifest's chunk count (a state would need to be
 /// absurdly large to exceed it; a larger prefix is corruption).
 const MAX_CHUNKS: u32 = 1 << 20;

@@ -128,7 +128,7 @@ async fn multi_chunk_snapshot_recovers_state_larger_than_a_frame() {
 
     let cluster = ClusterConfig::new(4);
     let dirs: Vec<tempfile::TempDir> = (0..4).map(|_| tempfile::tempdir().unwrap()).collect();
-    // Aggressive snapshot cadence: every peer empties its payload window
+    // Aggressive snapshot cadence: every peer empties its chain tail
     // and log segments every 2 blocks, so the victim's range is gone by
     // the time it returns.
     let storage = storage_configs(&dirs, 2);

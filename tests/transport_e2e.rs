@@ -607,7 +607,7 @@ async fn snapshot_state_transfer_recovers_from_pruned_peers() {
     let cluster = ClusterConfig::new(4);
     let dirs: Vec<tempfile::TempDir> = (0..4).map(|_| tempfile::tempdir().unwrap()).collect();
     // Aggressive snapshot cadence: every peer snapshots (and prunes its
-    // payload window + log segments) every 2 blocks, so by the time the
+    // chain tail + log segments) every 2 blocks, so by the time the
     // victim returns nobody retains the block range it is missing.
     let storage = storage_configs(&dirs, 2);
     let c = cluster.clone();
