@@ -120,8 +120,8 @@ fn ycsb_batch(generator: &mut WorkloadGen, id: u64) -> ClientBatch {
 /// serial execution on the pipeline thread). Best of two trials —
 /// single runs on a loaded CI host are noisy enough to flip the
 /// floors below, and the floors compare capability, not variance.
-async fn exec_run(count: u64, shard_affinity: f64, exec_pool: usize) -> (f64, String) {
-    let mut best = (0.0f64, String::new());
+async fn exec_run(count: u64, shard_affinity: f64, exec_pool: usize) -> (f64, [String; 2]) {
+    let mut best = (0.0f64, Default::default());
     for trial in 0..2 {
         let cluster = ClusterConfig::new(4);
         let c = cluster.clone();
@@ -145,7 +145,7 @@ async fn exec_run(count: u64, shard_affinity: f64, exec_pool: usize) -> (f64, St
             .map(|id| ycsb_batch(&mut generator, id))
             .collect();
         let secs = drive(&handle, batches).await;
-        let wire = wire_sent(&handle);
+        let wire = wire(&handle, count);
         handle.shutdown().await;
         let tps = (count * u64::from(EXEC_TXNS_PER_BATCH)) as f64 / secs;
         if tps > best.0 {
@@ -161,22 +161,35 @@ fn storage_for(dirs: &[tempfile::TempDir]) -> Vec<Option<StorageConfig>> {
         .collect()
 }
 
-/// Cluster-wide wire traffic (encoded envelope payload bytes sent, per
-/// the runtime's `NetStats` counters) — this is the column that shows
-/// the binary codec's ~2× shrink against the JSON-era numbers instead
-/// of asserting it.
-fn wire_sent(handle: &InProcCluster) -> String {
-    let bytes: u64 = (0..4)
-        .map(|r| handle.handle(ReplicaId(r)).net().bytes_sent())
-        .sum();
-    format!("{:7.2} MiB", bytes as f64 / (1024.0 * 1024.0))
+/// Cluster-wide wire traffic, per the runtime's `NetStats` counters:
+/// encoded envelope payload bytes sent — the column that shows the
+/// binary codec's ~2× shrink against the JSON-era numbers instead of
+/// asserting it — and envelopes sent per committed batch, which shows
+/// how many protocol messages the egress lanes bundle under one
+/// signature.
+fn wire(handle: &InProcCluster, batches: u64) -> [String; 2] {
+    let nets: Vec<_> = (0..4)
+        .map(|r| handle.handle(ReplicaId(r)).net().clone())
+        .collect();
+    let bytes: u64 = nets.iter().map(|net| net.bytes_sent()).sum();
+    let envelopes: u64 = nets.iter().map(|net| net.msgs_sent()).sum();
+    [
+        format!("{:7.2} MiB", bytes as f64 / (1024.0 * 1024.0)),
+        format!("{:6.1}", envelopes as f64 / batches.max(1) as f64),
+    ]
 }
 
 #[tokio::main]
 async fn main() {
     let mut table = FigureTable::new(
         "deploy_runtime",
-        &["configuration", "batches", "throughput", "wire_sent"],
+        &[
+            "configuration",
+            "batches",
+            "throughput",
+            "wire_sent",
+            "envelopes_per_batch",
+        ],
     );
     let count = batches();
     let total_txns = (count * u64::from(TXNS_PER_BATCH)) as f64;
@@ -194,11 +207,13 @@ async fn main() {
         })
         .expect("in-memory cluster");
         let secs = drive(&handle, (0..count).map(real_batch).collect()).await;
+        let [sent, per_batch] = wire(&handle, count);
         table.row(&[
             "SpotLess inproc (mem)".into(),
             format!("{count}"),
             format!("{:8.1} ktxn/s", total_txns / secs / 1_000.0),
-            wire_sent(&handle),
+            sent,
+            per_batch,
         ]);
         handle.shutdown().await;
     }
@@ -210,12 +225,14 @@ async fn main() {
     // makes every batch pair conflict, so the scheduler serializes and
     // the comparison measures pure scheduling overhead.
     let exec_count = count / 2;
-    let mut exec_row = |table: &mut FigureTable, label: &str, tps: f64, wire: String| {
+    let mut exec_row = |table: &mut FigureTable, label: &str, tps: f64, wire: [String; 2]| {
+        let [sent, per_batch] = wire;
         table.row(&[
             label.into(),
             format!("{exec_count}"),
             format!("{:8.1} ktxn/s", tps / 1_000.0),
-            wire,
+            sent,
+            per_batch,
         ]);
     };
     let (par_low, w) = exec_run(exec_count, 0.0, 2).await;
@@ -258,11 +275,13 @@ async fn main() {
             })
             .expect("durable cluster");
         let secs = drive(&handle, (0..count).map(real_batch).collect()).await;
+        let [sent, per_batch] = wire(&handle, count);
         table.row(&[
             "SpotLess inproc (durable)".into(),
             format!("{count}"),
             format!("{:8.1} ktxn/s", total_txns / secs / 1_000.0),
-            wire_sent(&handle),
+            sent,
+            per_batch,
         ]);
         handle.shutdown().await;
     }
@@ -277,11 +296,13 @@ async fn main() {
         })
         .expect("pbft cluster");
         let secs = drive(&handle, (0..count).map(real_batch).collect()).await;
+        let [sent, per_batch] = wire(&handle, count);
         table.row(&[
             "PBFT inproc (mem)".into(),
             format!("{count}"),
             format!("{:8.1} ktxn/s", total_txns / secs / 1_000.0),
-            wire_sent(&handle),
+            sent,
+            per_batch,
         ]);
         handle.shutdown().await;
     }

@@ -184,10 +184,12 @@ fn main() {
     // else; prove it stays decodable end-to-end.
     let env_payload = spotless_runtime::envelope::encode_protocol(&propose());
     assert_eq!(env_payload.len(), serde::bin::to_vec(&propose()).len() + 2);
-    assert!(matches!(
-        spotless_runtime::envelope::decode::<Message>(&env_payload),
-        Some(spotless_runtime::WireMsg::Protocol(Message::Propose(_)))
-    ));
+    match spotless_runtime::envelope::decode::<Message>(&env_payload) {
+        Some(spotless_runtime::WireMsg::Protocol(msgs)) => {
+            assert!(matches!(msgs[..], [Message::Propose(_)]));
+        }
+        _ => panic!("an encoded proposal must decode"),
+    }
 
     zero_copy_decode();
 }

@@ -9,7 +9,8 @@
 //! ## Payload layout (wire format v2, binary)
 //!
 //! ```text
-//! payload := WIRE_VERSION (1 byte, 0xB5) ‖ tag (1 byte) ‖ body
+//! payload := WIRE_VERSION (1 byte, 0xB6) ‖ tag (1 byte) ‖ body
+//! protocol body := msg₁ ‖ … ‖ msg_k        (1 ≤ k ≤ MAX_BUNDLE)
 //! ```
 //!
 //! Bodies are encoded with the streaming binary codec (`serde::bin`):
@@ -29,8 +30,13 @@
 //!
 //! The tag selects the body type:
 //!
-//! * [`TAG_PROTOCOL`] — a protocol message (derived binary encoding).
-//!   This is the only tag consensus traffic uses.
+//! * [`TAG_PROTOCOL`] — one to [`MAX_BUNDLE`] protocol messages
+//!   (derived binary encoding), concatenated: the codec is
+//!   self-delimiting, so a bundle needs no count or lengths. This is the
+//!   only tag consensus traffic uses. The egress lane bundles the
+//!   messages queued for one fan-out under one signature (see
+//!   `crate::egress`); a one-message payload is what
+//!   [`encode_protocol`] makes.
 //! * [`TAG_CATCHUP_REQ`] / [`TAG_CATCHUP_RESP`] — the runtime-level
 //!   catch-up exchange a restarted replica uses to close the gap between
 //!   its durable log and the cluster's head (see `crate::pipeline`).
@@ -47,7 +53,8 @@
 //!   frame ceiling by three orders of magnitude.
 //!
 //! Decoding is fail-closed throughout: wrong version, unknown tag,
-//! truncation, trailing bytes, non-canonical varints, proof chains
+//! truncation, trailing bytes, non-canonical varints, a protocol body
+//! holding no message or more than [`MAX_BUNDLE`], proof chains
 //! longer than [`spotless_crypto::MAX_PROOF_DEPTH`], and list lengths
 //! no legal frame could hold are all `None` — the caller drops the
 //! frame. The exact byte layout is pinned by golden-vector tests below
@@ -68,20 +75,28 @@ use spotless_ledger::Block;
 use spotless_types::{BatchId, Digest, ReplicaId};
 use std::sync::Arc;
 
-/// Leading byte of every payload: binary codec, wire revision 5.
-/// Revision 4 made the state tree two-level — sharded sub-roots under a
-/// top tree — so chunk transfers carry a shard-level proof per bucket
-/// plus one shared top proof, and chunk descriptors gained fragment
-/// fields for splitting oversized buckets across frames. Revision 5
-/// changes no layout: the bucket leaf those proofs start from became
-/// the digest of the bucket's per-record digests (state-root definition
-/// v2), so a revision-4 peer's chunks and sealed roots would all fail
-/// verification — better to drop its frames unread. Chosen outside the tag
+/// Leading byte of every payload: binary codec, wire revision 6.
+/// Revision 6 lets a protocol payload carry up to [`MAX_BUNDLE`]
+/// messages back to back under one signature. A one-message payload is
+/// byte-identical to revision 5's apart from this byte, but a revision-5
+/// peer would drop every longer one as trailing bytes, so the two must
+/// not share a cluster. Revision 5 changed no layout: the bucket leaf
+/// chunk proofs start from became the digest of the bucket's per-record
+/// digests (state-root definition v2), so a revision-4 peer's chunks
+/// and sealed roots would all fail verification. Chosen outside the tag
 /// range so v1 payloads (which started with their tag byte) and later
 /// payloads can never be confused — either side drops the other's
 /// frames unread. Bump on any layout change; mixed-version clusters
 /// then fail closed instead of misinterpreting each other.
-pub const WIRE_VERSION: u8 = 0xB5;
+pub const WIRE_VERSION: u8 = 0xB6;
+
+/// Most protocol messages one payload carries. Bounds the delivery
+/// burst a single envelope can cause and the work one bad message
+/// throws away (a payload with one undecodable message is dropped
+/// whole). Sixteen leaves ample headroom over the runs the egress lane
+/// finds queued on a loaded replica: about two messages an envelope on
+/// the `ordering-small` benchmark workload (2 vCPUs).
+pub const MAX_BUNDLE: usize = 16;
 
 // The fail-closed argument above requires the version byte to be
 // unmistakable for any tag of the previous (tag-first) generation.
@@ -227,7 +242,7 @@ impl Eq for Payload {}
 pub struct Envelope {
     /// The sending replica.
     pub from: ReplicaId,
-    /// Tagged payload bytes, serialized exactly once per message.
+    /// Tagged payload bytes, serialized exactly once.
     pub payload: Payload,
     /// Signature over `payload` by `from`.
     pub sig: Signature,
@@ -356,8 +371,9 @@ pub struct ChunkTransfer {
 
 /// Everything a replica can receive inside an [`Envelope`].
 pub enum WireMsg<M> {
-    /// A consensus protocol message.
-    Protocol(M),
+    /// One to [`MAX_BUNDLE`] consensus protocol messages, in the order
+    /// the sender emitted them.
+    Protocol(Vec<M>),
     /// "Send me your executed blocks from `from_height` up."
     CatchUpReq {
         /// First height the requester is missing (execution-wise).
@@ -484,8 +500,9 @@ impl ChunkTransferRef<'_> {
 /// without knowing it.
 #[derive(Debug, PartialEq, Eq)]
 pub enum WireMsgRef<'a> {
-    /// A consensus protocol message, still encoded: the body bytes to
-    /// hand to [`decode_protocol_body`].
+    /// Consensus protocol messages, still encoded: the body bytes to
+    /// hand to [`decode_protocol_bundle`] (or, for a payload known to
+    /// hold one message, [`decode_protocol_body`]).
     Protocol(&'a [u8]),
     /// "Send me your executed blocks from `from_height` up."
     CatchUpReq {
@@ -520,7 +537,7 @@ impl WireMsgRef<'_> {
     /// their storage boundaries instead.
     pub fn to_owned_msg<M: Deserialize>(&self) -> Option<WireMsg<M>> {
         Some(match self {
-            WireMsgRef::Protocol(body) => WireMsg::Protocol(decode_protocol_body(body)?),
+            WireMsgRef::Protocol(body) => WireMsg::Protocol(decode_protocol_bundle(body)?),
             WireMsgRef::CatchUpReq { from_height } => WireMsg::CatchUpReq {
                 from_height: *from_height,
             },
@@ -550,7 +567,7 @@ fn payload_buf(tag: u8, cap: usize) -> Vec<u8> {
     out
 }
 
-/// Encodes a protocol message payload.
+/// Encodes a one-message protocol payload.
 pub fn encode_protocol<M: Serialize>(msg: &M) -> Vec<u8> {
     let mut out = payload_buf(TAG_PROTOCOL, 254);
     msg.ser_bin(&mut out);
@@ -566,6 +583,16 @@ pub fn encode_protocol_into<M: Serialize>(msg: &M, mut buf: Vec<u8>) -> Vec<u8> 
     buf.push(TAG_PROTOCOL);
     msg.ser_bin(&mut buf);
     buf
+}
+
+/// Appends the messages of protocol payload `next` to protocol payload
+/// `bundle`, which then carries both runs in order: a bundle is its
+/// messages' encodings back to back behind one header. The caller keeps
+/// the count within [`MAX_BUNDLE`]; the egress lane builds its bundles
+/// this way.
+pub(crate) fn append_protocol(bundle: &mut Vec<u8>, next: &[u8]) {
+    debug_assert_eq!(payload_tag(next), Some(TAG_PROTOCOL));
+    bundle.extend_from_slice(&next[2..]);
 }
 
 /// Encodes a catch-up request payload.
@@ -689,7 +716,16 @@ pub fn decode<M: Deserialize>(payload: &[u8]) -> Option<WireMsg<M>> {
     let (&tag, body) = rest.split_first()?;
     let mut r = Reader::new(body);
     let msg = match tag {
-        TAG_PROTOCOL => WireMsg::Protocol(M::de_bin(&mut r).ok()?),
+        TAG_PROTOCOL => {
+            let mut msgs = Vec::new();
+            while !r.is_empty() && msgs.len() < MAX_BUNDLE {
+                msgs.push(M::de_bin(&mut r).ok()?);
+            }
+            if msgs.is_empty() {
+                return None; // an empty bundle is no message at all
+            }
+            WireMsg::Protocol(msgs)
+        }
         TAG_CATCHUP_REQ => WireMsg::CatchUpReq {
             from_height: r.varint().ok()?,
         },
@@ -800,10 +836,30 @@ pub fn payload_tag(payload: &[u8]) -> Option<u8> {
     }
 }
 
-/// Parses a protocol body returned by [`WireMsgRef::Protocol`]
-/// (requires full consumption, like [`decode`]).
+/// Parses a protocol body returned by [`WireMsgRef::Protocol`] that
+/// holds exactly one message (requires full consumption, like
+/// [`decode`]).
 pub fn decode_protocol_body<M: Deserialize>(body: &[u8]) -> Option<M> {
     bin::from_slice(body).ok()
+}
+
+/// Parses a protocol body returned by [`WireMsgRef::Protocol`] into its
+/// messages, in payload order. Accepts exactly the bodies [`decode`]
+/// accepts: one to [`MAX_BUNDLE`] messages that consume the body
+/// completely. Anything else is `None` — a payload is taken or dropped
+/// whole. The ingress task reads every protocol payload through this.
+pub fn decode_protocol_bundle<M: Deserialize>(body: &[u8]) -> Option<Vec<M>> {
+    let mut r = Reader::new(body);
+    let mut msgs = Vec::with_capacity(4);
+    loop {
+        msgs.push(M::de_bin(&mut r).ok()?);
+        if r.is_empty() {
+            return Some(msgs);
+        }
+        if msgs.len() == MAX_BUNDLE {
+            return None;
+        }
+    }
 }
 
 /// Borrowing counterpart of [`decode`]: same fail-closed structural
@@ -1129,17 +1185,55 @@ mod tests {
         };
         assert_eq!(decode_protocol_body::<u64>(body), Some(42));
         match decode::<u64>(&enc) {
-            Some(WireMsg::Protocol(42)) => {}
+            Some(WireMsg::Protocol(msgs)) => assert_eq!(msgs, [42]),
             _ => panic!("owning decode disagrees"),
         }
-        // A trailing byte after the protocol body fails both readers.
+        // A trailing byte that starts no message fails both readers.
         let mut trailing = enc.clone();
-        trailing.push(0);
+        trailing.push(0x80);
         assert!(decode::<u64>(&trailing).is_none());
         let Some(WireMsgRef::Protocol(body)) = decode_ref(&trailing) else {
             panic!("wrong decode_ref variant");
         };
         assert!(decode_protocol_body::<u64>(body).is_none());
+        assert!(decode_protocol_bundle::<u64>(body).is_none());
+    }
+
+    /// `k` one-byte `u64` messages `0..k` as one protocol payload.
+    fn bundle(k: u64) -> Vec<u8> {
+        let mut enc = encode_protocol(&0u64);
+        for m in 1..k {
+            enc.extend_from_slice(&encode_protocol(&m)[2..]);
+        }
+        enc
+    }
+
+    #[test]
+    fn bundles_decode_in_order_up_to_max_bundle() {
+        for k in 1..=MAX_BUNDLE as u64 {
+            let enc = bundle(k);
+            let want: Vec<u64> = (0..k).collect();
+            match decode::<u64>(&enc) {
+                Some(WireMsg::Protocol(msgs)) => assert_eq!(msgs, want),
+                _ => panic!("a {k}-message bundle must decode"),
+            }
+            let Some(WireMsgRef::Protocol(body)) = decode_ref(&enc) else {
+                panic!("wrong decode_ref variant");
+            };
+            assert_eq!(decode_protocol_bundle::<u64>(body), Some(want));
+            assert_eq!(decode_protocol_body::<u64>(body).is_some(), k == 1);
+        }
+        // One message too many, or none at all: dropped whole.
+        let over = bundle(MAX_BUNDLE as u64 + 1);
+        assert!(decode::<u64>(&over).is_none());
+        assert!(decode_protocol_bundle::<u64>(&over[2..]).is_none());
+        assert!(decode::<u64>(&[WIRE_VERSION, TAG_PROTOCOL]).is_none());
+        assert!(decode_protocol_bundle::<u64>(&[]).is_none());
+        // A bad message anywhere spoils the bundle.
+        let mut bad = bundle(3);
+        bad.push(0x80); // an unterminated varint
+        assert!(decode::<u64>(&bad).is_none());
+        assert!(decode_protocol_bundle::<u64>(&bad[2..]).is_none());
     }
 
     #[test]
@@ -1181,15 +1275,17 @@ mod tests {
     #[test]
     fn wrong_wire_version_fails_closed() {
         // A valid payload re-badged with any other version byte must
-        // be dropped unread — this is the mixed-cluster guard. 0xB3 is
-        // the previous revision (single-level state tree, no fragment
-        // fields): a cluster mixing the two drops each other's frames
-        // instead of misreading the proof layout.
-        let enc = encode_catchup_req(42);
-        for bad_version in [0u8, 1, TAG_CATCHUP_RESP, 0xB1, 0xB2, 0xB3, 0xFF] {
-            let mut reframed = enc.clone();
-            reframed[0] = bad_version;
-            assert!(decode::<u64>(&reframed).is_none(), "{bad_version:#x}");
+        // be dropped unread — this is the mixed-cluster guard. 0xB5 is
+        // the previous revision (one message per protocol payload): a
+        // cluster mixing the two drops each other's frames instead of
+        // reading a bundle as trailing bytes.
+        for enc in [encode_catchup_req(42), bundle(2)] {
+            for bad_version in [0u8, 1, TAG_CATCHUP_RESP, 0xB1, 0xB3, 0xB5, 0xFF] {
+                let mut reframed = enc.clone();
+                reframed[0] = bad_version;
+                assert!(decode::<u64>(&reframed).is_none(), "{bad_version:#x}");
+                assert!(decode_ref(&reframed).is_none(), "{bad_version:#x}");
+            }
         }
         // (That the version byte sits outside the tag range — so a v1
         // tag-first decoder never matches it either — is a compile-time

@@ -1,8 +1,8 @@
 //! Ingress verification: the one task that reads a replica's inbound
-//! fabric channel decodes each message and checks every signature it
-//! carries — its [`Envelope`]'s and that of each vote the message lists
-//! ([`ProtocolMessage::carried_votes`]) — *before* the message reaches
-//! the event loop.
+//! fabric channel decodes the messages of each envelope and checks every
+//! signature they carry — the [`Envelope`]'s and that of each vote a
+//! message lists ([`ProtocolMessage::carried_votes`]) — *before* any of
+//! them reaches the event loop.
 //!
 //! Every envelope carries a real Ed25519 signature, and a SpotLess
 //! `Sync` carries one more per vote (its claim and each `CP`
@@ -11,8 +11,10 @@
 //! outbound sealing. The ingress task takes that cost off the loop and
 //! batches it: it awaits one envelope, takes whatever else is already
 //! queued up to [`MAX_VERIFY_BATCH`], decodes the protocol messages
-//! among them, and checks the envelopes together with every vote they
-//! carry that it holds no verdict for in **one**
+//! among them — a protocol envelope bundles one to [`MAX_BUNDLE`] of
+//! them under its one signature — and checks the envelopes together
+//! with every vote their messages carry that it holds no verdict for in
+//! **one**
 //! [`KeyStore::verify_batch_refs`] call. That call folds repeated
 //! signers into one walk of each signer's table, and a message's votes
 //! are mostly signed by its own sender, so the votes make almost every
@@ -33,20 +35,27 @@
 //! this replica does not know is ignored whole.
 //!
 //! **Ordering contract:** arrival order is preserved globally, not just
-//! per sender. One task reads, verifies and forwards, so the event loop
-//! sees the surviving messages in exactly the order the fabric
-//! delivered them.
+//! per sender. One task reads, verifies and forwards — a bundle's
+//! messages one [`Event::Deliver`] each, in payload order — so the
+//! event loop sees the surviving messages in exactly the order the
+//! fabric delivered them and their senders emitted them.
 //!
 //! **Failure contract:** a forged, corrupted, or unknown-signer
 //! envelope is dropped here, counted in [`NetStats::msgs_rejected`]
 //! before anything that arrived after it is forwarded, and nothing
 //! downstream ever sees it — a flood of garbage costs ingress time,
 //! never event-loop time, and cannot reorder the valid traffic around
-//! it. A genuine envelope whose message carries a bad vote is forwarded
-//! with a `false` verdict on that vote, so the protocol never counts
-//! it.
+//! it. A genuine envelope that is malformed — a protocol body that is
+//! empty, longer than [`MAX_BUNDLE`], or holds one message that does not
+//! decode — is dropped whole and counted in [`NetStats::msgs_malformed`]:
+//! none of its messages is delivered and none of their votes is
+//! checked. A genuine envelope whose message carries a bad vote is
+//! forwarded with a `false` verdict on that vote, so the protocol never
+//! counts it.
+//!
+//! [`MAX_BUNDLE`]: crate::envelope::MAX_BUNDLE
 
-use crate::envelope::{decode_protocol_body, payload_tag, Envelope, TAG_PROTOCOL};
+use crate::envelope::{decode_protocol_bundle, payload_tag, Envelope, TAG_PROTOCOL};
 use crate::observe::NetStats;
 use crate::runtime::{Event, VoteKey, VoteMemo};
 use serde::Deserialize;
@@ -59,8 +68,13 @@ use tokio::sync::mpsc;
 /// Most envelopes taken into one run. Bounds both the latency the
 /// first envelope of a run accrues behind the rest and the work thrown
 /// away when a batch contains one bad signature. It counts envelopes,
-/// not signatures: with the votes its messages carry, a run verifies
-/// up to about three times as many.
+/// not messages or signatures: a run holds at most
+/// `MAX_VERIFY_BATCH × MAX_BUNDLE` (512) messages, and verifies one
+/// signature per envelope plus every fresh vote those messages carry.
+/// Should a run's fresh votes exceed `VOTE_MEMO_MAX / 2`, the verdict
+/// cache rotates within the run and the oldest verdicts fall out before
+/// they are forwarded; those votes reach the event loop without one and
+/// the loop checks them itself.
 pub(crate) const MAX_VERIFY_BATCH: usize = 32;
 
 /// Spawns the ingress task: drains the fabric's inbound channel in runs
@@ -113,11 +127,11 @@ struct Ingress<M> {
 
 /// What one envelope of a run holds, read before anything is verified.
 enum Body<M> {
-    /// A protocol message and the votes it lists.
-    Protocol(M, Vec<VoteKey>),
+    /// Protocol messages in payload order, each with the votes it lists.
+    Protocol(Vec<(M, Vec<VoteKey>)>),
     /// The state-transfer family, forwarded undecoded.
     Transfer,
-    /// Neither: dropped once its envelope is checked.
+    /// Neither: dropped whole once its envelope is checked.
     Malformed,
 }
 
@@ -141,51 +155,68 @@ impl<M: ProtocolMessage + Deserialize> Ingress<M> {
                 self.net.record_rejected(env.payload.len());
                 continue;
             }
-            let event = match body {
-                // Every listed vote of a genuine envelope now has a
-                // cached verdict. One the run itself rotated out (only
-                // a run of more than `VOTE_MEMO_MAX / 2` fresh votes
-                // can) is left for the loop to check.
-                Body::Protocol(msg, carried) => Event::Deliver {
-                    from: env.from,
-                    msg,
-                    votes: carried
-                        .into_iter()
-                        .filter_map(|key| Some((key, self.verdicts.recall(&key)?)))
-                        .collect(),
-                },
-                Body::Transfer => Event::Envelope(env),
-                Body::Malformed => continue,
-            };
-            if self.events.send(event).is_err() {
-                return false;
+            match body {
+                Body::Protocol(msgs) => {
+                    for (msg, carried) in msgs {
+                        // Every listed vote of a genuine envelope now has
+                        // a cached verdict. One the run itself rotated out
+                        // (only a run of more than `VOTE_MEMO_MAX / 2`
+                        // fresh votes can) is left for the loop to check.
+                        let votes = carried
+                            .into_iter()
+                            .filter_map(|key| Some((key, self.verdicts.recall(&key)?)))
+                            .collect();
+                        let event = Event::Deliver {
+                            from: env.from,
+                            msg,
+                            votes,
+                        };
+                        if self.events.send(event).is_err() {
+                            return false;
+                        }
+                    }
+                }
+                Body::Transfer => {
+                    if self.events.send(Event::Envelope(env)).is_err() {
+                        return false;
+                    }
+                }
+                Body::Malformed => self.net.record_malformed(),
             }
         }
         true
     }
 
-    /// Decodes `env`'s body and lists the votes its message carries.
+    /// Decodes `env`'s body and lists the votes each of its messages
+    /// carries.
     fn read(&self, env: &Envelope) -> Body<M> {
         match payload_tag(&env.payload) {
             Some(TAG_PROTOCOL) => {}
             Some(_) => return Body::Transfer,
             None => return Body::Malformed,
         }
-        let Some(msg) = decode_protocol_body::<M>(&env.payload[2..]) else {
+        let Some(msgs) = decode_protocol_bundle::<M>(&env.payload[2..]) else {
             return Body::Malformed;
         };
-        let mut carried = Vec::new();
-        msg.carried_votes(env.from, &mut carried);
-        // A vote by a replica this keystore does not know cannot
-        // verify, and would fail every batch it joined; a message naming
-        // one is malformed, so none of its votes is checked.
-        if carried
-            .iter()
-            .any(|&(signer, ..)| self.keystore.public_of(signer).is_none())
-        {
-            carried.clear();
-        }
-        Body::Protocol(msg, carried)
+        let msgs = msgs
+            .into_iter()
+            .map(|msg| {
+                let mut carried = Vec::new();
+                msg.carried_votes(env.from, &mut carried);
+                // A vote by a replica this keystore does not know cannot
+                // verify, and would fail every batch it joined; a message
+                // naming one is malformed, so none of its votes is
+                // checked.
+                if carried
+                    .iter()
+                    .any(|&(signer, ..)| self.keystore.public_of(signer).is_none())
+                {
+                    carried.clear();
+                }
+                (msg, carried)
+            })
+            .collect();
+        Body::Protocol(msgs)
     }
 
     /// Verifies a run's envelopes, and the fresh votes carried by those
@@ -230,13 +261,13 @@ impl<M: ProtocolMessage + Deserialize> Ingress<M> {
         let mut seen = HashSet::new();
         let mut fresh = Vec::new();
         for (i, (env, body)) in batch.iter().zip(bodies).enumerate() {
-            let Body::Protocol(_, carried) = body else {
+            let Body::Protocol(msgs) = body else {
                 continue;
             };
             if !passing(i) {
                 continue;
             }
-            for key in carried {
+            for key in msgs.iter().flat_map(|(_, carried)| carried) {
                 if self.verdicts.recall(key).is_none() && seen.insert(*key) {
                     fresh.push((env.from, *key));
                 }
@@ -300,7 +331,9 @@ fn verify_by_sender(keystore: &KeyStore, checks: &[Check]) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envelope::{decode, encode_catchup_req, encode_protocol, WireMsg};
+    use crate::envelope::{
+        decode, encode_catchup_req, encode_protocol, WireMsg, MAX_BUNDLE, WIRE_VERSION,
+    };
     use spotless_core::{Message, ProposalRef, SyncMsg};
     use spotless_types::{Digest, InstanceId, View, VoteStatement};
 
@@ -385,6 +418,13 @@ mod tests {
             self.input.send(env).unwrap();
         }
 
+        /// Sends `payload` in a genuine envelope sealed by `from`.
+        fn send_payload(&self, from: usize, payload: Vec<u8>) {
+            self.input
+                .send(Envelope::seal(&self.stores[from], payload))
+                .unwrap();
+        }
+
         /// Sends a genuine envelope from `from` holding its
         /// [`sync`](Harness::sync).
         fn send_sync(&self, from: usize, view: u64, cp: &[u64], forge_claim: bool) {
@@ -418,6 +458,16 @@ mod tests {
                 _ => panic!("expected a delivered Sync"),
             }
         }
+    }
+
+    /// `msgs` as one protocol payload, each message's encoding after
+    /// the header in turn.
+    fn bundle(msgs: &[Message]) -> Vec<u8> {
+        let mut payload = vec![WIRE_VERSION, TAG_PROTOCOL];
+        for msg in msgs {
+            payload.extend_from_slice(&encode_protocol(msg)[2..]);
+        }
+        payload
     }
 
     /// The height every test sends last. The ingress task counts each
@@ -623,5 +673,81 @@ mod tests {
         }
         assert_eq!(net.msgs_rejected(), 0);
         assert_eq!(net.votes_verified(), 3);
+    }
+
+    /// A bundle's messages come out one delivery each, in payload
+    /// order, each with the verdicts on its own votes; the envelope
+    /// counts once.
+    #[tokio::test(flavor = "multi_thread")]
+    async fn a_bundle_is_delivered_message_by_message() {
+        let mut h = Harness::spawn(b"ingress-bundle-test");
+        let syncs: Vec<Message> = (5..8)
+            .map(|v| Message::Sync(h.sync(2, v, &[v - 1], false)))
+            .collect();
+        h.send_payload(2, bundle(&syncs));
+        for view in 5..8 {
+            let (from, got, votes) = h.next_sync().await;
+            assert_eq!((from, got), (ReplicaId(2), View(view)));
+            assert_eq!(votes.len(), 2);
+            assert!(votes.iter().all(|&(_, ok)| ok));
+        }
+        assert_eq!(h.net.msgs_recv(), 1);
+        assert_eq!(h.net.votes_verified(), 4, "claims 5, 6, 7 and CP entry 4");
+    }
+
+    /// A genuine bundle whose second message is garbage is dropped
+    /// whole and counted: nothing is delivered, and the first message's
+    /// votes are neither verified nor cached — the same message sent
+    /// alone afterwards is verified afresh.
+    #[tokio::test(flavor = "multi_thread")]
+    async fn a_bundle_with_a_bad_message_is_dropped_whole() {
+        let mut h = Harness::spawn(b"ingress-bad-bundle-test");
+        let sync = Message::Sync(h.sync(1, 5, &[4], false));
+        let mut payload = bundle(std::slice::from_ref(&sync));
+        payload.push(0x7F); // no message has variant 127
+        h.send_payload(1, payload);
+        h.send(1, SENTINEL, false);
+        assert_eq!(h.next().await, (ReplicaId(1), SENTINEL));
+        assert_eq!(h.net.msgs_malformed(), 1);
+        assert_eq!(h.net.msgs_rejected(), 0, "the envelope is genuine");
+        assert_eq!(h.net.votes_verified(), 0);
+
+        h.send_payload(1, bundle(&[sync]));
+        let (_, view, votes) = h.next_sync().await;
+        assert_eq!((view, votes.len()), (View(5), 2));
+        assert_eq!(h.net.votes_verified(), 2, "nothing was cached before");
+    }
+
+    /// A protocol payload with no message at all is malformed.
+    #[tokio::test(flavor = "multi_thread")]
+    async fn an_empty_protocol_body_is_malformed() {
+        let mut h = Harness::spawn(b"ingress-empty-bundle-test");
+        h.send_payload(1, bundle(&[]));
+        h.send(1, SENTINEL, false);
+        assert_eq!(h.next().await, (ReplicaId(1), SENTINEL));
+        assert_eq!(h.net.msgs_malformed(), 1);
+        assert_eq!(h.net.msgs_recv(), 2);
+    }
+
+    /// One message more than `MAX_BUNDLE` makes the whole envelope
+    /// malformed before any of its votes is verified.
+    #[tokio::test(flavor = "multi_thread")]
+    async fn an_oversized_bundle_is_never_verified() {
+        let mut h = Harness::spawn(b"ingress-oversized-bundle-test");
+        let syncs: Vec<Message> = (0..=MAX_BUNDLE as u64)
+            .map(|i| Message::Sync(h.sync(3, 10 + i, &[9 + i], false)))
+            .collect();
+        h.send_payload(3, bundle(&syncs));
+        h.send(3, SENTINEL, false);
+        assert_eq!(h.next().await, (ReplicaId(3), SENTINEL));
+        assert_eq!(h.net.msgs_malformed(), 1);
+        assert_eq!(h.net.votes_verified(), 0);
+
+        // The same messages less the last are a legal bundle.
+        h.send_payload(3, bundle(&syncs[..MAX_BUNDLE]));
+        for i in 0..MAX_BUNDLE as u64 {
+            assert_eq!(h.next_sync().await.1, View(10 + i));
+        }
+        assert_eq!(h.net.msgs_malformed(), 1);
     }
 }

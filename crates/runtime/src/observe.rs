@@ -68,6 +68,7 @@ struct NetCounters {
     bytes_recv: AtomicU64,
     msgs_rejected: AtomicU64,
     bytes_rejected: AtomicU64,
+    msgs_malformed: AtomicU64,
     votes_verified: AtomicU64,
 }
 
@@ -91,6 +92,10 @@ impl NetStats {
         self.inner
             .bytes_rejected
             .fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    pub(crate) fn record_malformed(&self) {
+        self.inner.msgs_malformed.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_votes_verified(&self, votes: usize) {
@@ -133,6 +138,16 @@ impl NetStats {
     /// Encoded payload bytes of rejected envelopes.
     pub fn bytes_rejected(&self) -> u64 {
         self.inner.bytes_rejected.load(Ordering::Relaxed)
+    }
+
+    /// Genuinely signed envelopes dropped at ingress as malformed: an
+    /// unknown version or tag, or a protocol body that is empty, holds
+    /// more than [`MAX_BUNDLE`](crate::envelope::MAX_BUNDLE) messages,
+    /// or has one that fails to decode. The whole envelope goes; none
+    /// of its messages is delivered. Counted in `msgs_recv` too, not in
+    /// `msgs_rejected`.
+    pub fn msgs_malformed(&self) -> u64 {
+        self.inner.msgs_malformed.load(Ordering::Relaxed)
     }
 
     /// Vote signatures the ingress task verified: the votes inbound

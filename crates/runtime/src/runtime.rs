@@ -9,14 +9,15 @@
 //!   (`crate::pipeline`), fed through a bounded queue — consensus
 //!   never waits for an fsync, and execution of slot `k` overlaps with
 //!   ordering of slot `k + j`;
-//! * **inbound signatures** — each envelope's and each vote its message
-//!   carries — are verified in one batch by the ingress task, which
-//!   also decodes the message, before it reaches the loop
+//! * **inbound signatures** — each envelope's and each vote its messages
+//!   carry — are verified in one batch by the ingress task, which also
+//!   decodes the messages, before they reach the loop
 //!   (`crate::ingress`);
 //! * **outbound traffic** is serialized once per message on the loop,
-//!   then signed and fanned out by the egress lane (`crate::egress`);
-//!   broadcast fan-out shares the bytes via `Arc` (see
-//!   [`crate::envelope`]).
+//!   then bundled with whatever is queued for the same destinations,
+//!   signed once per bundle and fanned out by the egress lane
+//!   (`crate::egress`); broadcast fan-out shares the bytes via `Arc`
+//!   (see [`crate::envelope`]).
 //!
 //! Restart story: give the runtime the same storage directory it had
 //! before the crash and it recovers the hash-chained ledger from the
@@ -871,8 +872,9 @@ where
     }
 
     /// Encodes one outbound protocol message into a pooled buffer and
-    /// hands it to the egress lane, which seals it and fans it out in
-    /// submission order.
+    /// hands it to the egress lane, which seals it — bundled with the
+    /// messages queued next to it for the same fan-out — and fans it out
+    /// in submission order.
     fn emit(&self, msg: &N::Message, fanout: Fanout) {
         let buffers = &self.egress.buffers;
         let enc = encode_protocol_into(msg, buffers.take());

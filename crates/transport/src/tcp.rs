@@ -670,7 +670,9 @@ mod tests {
         // The receiving runtime would verify exactly like this:
         assert!(env.verify(&keystores[1]).is_ok());
         match spotless_runtime::envelope::decode::<Message>(&env.payload) {
-            Some(spotless_runtime::WireMsg::Protocol(Message::Sync(_))) => {}
+            Some(spotless_runtime::WireMsg::Protocol(msgs)) => {
+                assert!(matches!(msgs[..], [Message::Sync(_)]));
+            }
             _ => panic!("payload did not decode to the sent message"),
         }
     }

@@ -12,18 +12,23 @@
 
 use proptest::prelude::*;
 use spotless::core::messages::{Justification, Message, Proposal, ProposalRef, SyncMsg};
+use spotless::crypto::KeyStore;
 use spotless::crypto::ProofStep;
 use spotless::ledger::{Block, CommitProof, Ledger};
 use spotless::runtime::envelope::{
-    decode, decode_ref, encode_catchup_manifest, encode_catchup_req, encode_catchup_resp,
-    encode_chunk, encode_chunk_req, encode_protocol, TAG_CATCHUP_CHUNK, TAG_CATCHUP_CHUNK_REQ,
-    TAG_CATCHUP_MANIFEST, TAG_CATCHUP_REQ, TAG_CATCHUP_RESP, TAG_PROTOCOL,
+    decode, decode_protocol_bundle, decode_ref, encode_catchup_manifest, encode_catchup_req,
+    encode_catchup_resp, encode_chunk, encode_chunk_req, encode_protocol, MAX_BUNDLE,
+    TAG_CATCHUP_CHUNK, TAG_CATCHUP_CHUNK_REQ, TAG_CATCHUP_MANIFEST, TAG_CATCHUP_REQ,
+    TAG_CATCHUP_RESP, TAG_PROTOCOL, WIRE_VERSION,
 };
-use spotless::runtime::{CatchUpBlock, ChunkInfo, ChunkTransfer, TransferManifest, WireMsg};
+use spotless::runtime::{
+    CatchUpBlock, ChunkInfo, ChunkTransfer, Envelope, TransferManifest, WireMsg, WireMsgRef,
+};
 use spotless::types::{
     BatchId, CertPhase, ClientBatch, ClientId, Digest, InstanceId, ReplicaId, Signature, SimTime,
     View,
 };
+use std::sync::OnceLock;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -73,6 +78,35 @@ fn sample_sync() -> Message {
     })
 }
 
+fn sample_ask() -> Message {
+    Message::Ask {
+        instance: InstanceId(1),
+        target: ProposalRef {
+            view: View(299),
+            digest: Digest::from_u64(9),
+        },
+    }
+}
+
+/// `msgs` as one protocol payload: the header, then each message's
+/// encoding in turn.
+fn bundle(msgs: &[Message]) -> Vec<u8> {
+    let mut payload = vec![WIRE_VERSION, TAG_PROTOCOL];
+    for msg in msgs {
+        payload.extend_from_slice(&encode_protocol(msg)[2..]);
+    }
+    payload
+}
+
+/// The messages of a decoded protocol payload (none for any other
+/// shape).
+fn protocol(msg: &WireMsg<Message>) -> &[Message] {
+    match msg {
+        WireMsg::Protocol(msgs) => msgs,
+        _ => &[],
+    }
+}
+
 fn sample_manifest() -> TransferManifest {
     TransferManifest {
         height: 1,
@@ -112,19 +146,20 @@ fn sample_chunk() -> ChunkTransfer {
 
 // ── golden vectors: the pinned binary layout ────────────────────────
 //
-// Layout recap (README §"Wire format"): `0xB5` version byte, tag byte,
+// Layout recap (README §"Wire format"): `0xB6` version byte, tag byte,
 // then the body in the streaming binary codec — canonical LEB128
 // varints, raw byte slices, structs field-by-field in declaration
-// order, enum variants by declaration index.
+// order, enum variants by declaration index. A protocol body is one to
+// `MAX_BUNDLE` messages back to back.
 
 #[test]
 fn golden_protocol_sync() {
     let enc = encode_protocol(&sample_sync());
-    assert_eq!(enc[0], 0xB5, "wire version");
+    assert_eq!(enc[0], 0xB6, "wire version");
     assert_eq!(enc[1], TAG_PROTOCOL);
     assert_eq!(
         hex(&enc),
-        "b5000101ac0201ab0200000000000000090000000000000000000000\
+        "b6000101ac0201ab0200000000000000090000000000000000000000\
          0000000000000000000000000001ac02000000000000000a00000000\
          000000000000000000000000000000000000000001dddddddddddddd\
          dddddddddddddddddddddddddddddddddddddddddddddddddddddddd\
@@ -137,8 +172,8 @@ fn golden_protocol_sync() {
     // (0xac02) ‖ Some(claim: view 299, digest tag 9) ‖ 1-entry CP
     // (view 300, digest tag 10) ‖ upsilon=true ‖ 64-byte claim
     // signature (0xDD…) ‖ 1-entry cp_sigs (0xEE…).
-    match decode::<Message>(&enc) {
-        Some(WireMsg::Protocol(Message::Sync(s))) => {
+    match decode::<Message>(&enc).as_ref().map(protocol) {
+        Some([Message::Sync(s)]) => {
             assert_eq!(s.view, View(300));
             assert_eq!(s.cp.len(), 1);
             assert!(s.upsilon);
@@ -148,10 +183,38 @@ fn golden_protocol_sync() {
 }
 
 #[test]
+fn golden_protocol_bundle() {
+    let enc = bundle(&[sample_sync(), sample_ask()]);
+    assert_eq!(enc[..2], [0xB6, TAG_PROTOCOL]);
+    assert_eq!(
+        hex(&enc),
+        "b6000101ac0201ab0200000000000000090000000000000000000000\
+         0000000000000000000000000001ac02000000000000000a00000000\
+         000000000000000000000000000000000000000001dddddddddddddd\
+         dddddddddddddddddddddddddddddddddddddddddddddddddddddddd\
+         dddddddddddddddddddddddddddddddddddddddddddddddddddddddd\
+         dd01eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee\
+         eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee\
+         eeeeeeeeeeeeeeeeeeee0201ab020000000000000009000000000000\
+         000000000000000000000000000000000000"
+    );
+    // Anatomy: the golden Sync payload above, unchanged ‖ variant 2
+    // (Ask) ‖ instance 1 ‖ target view 299 (0xab02), digest tag 9. No
+    // count and no lengths: the codec is self-delimiting.
+    match decode::<Message>(&enc).as_ref().map(protocol) {
+        Some([Message::Sync(s), Message::Ask { instance, target }]) => {
+            assert_eq!(s.view, View(300));
+            assert_eq!((*instance, target.view), (InstanceId(1), View(299)));
+        }
+        _ => panic!("golden protocol bundle failed to decode"),
+    }
+}
+
+#[test]
 fn golden_catchup_req() {
     let enc = encode_catchup_req(300);
     assert_eq!(enc[1], TAG_CATCHUP_REQ);
-    assert_eq!(hex(&enc), "b501ac02");
+    assert_eq!(hex(&enc), "b601ac02");
     assert!(matches!(
         decode::<u64>(&enc),
         Some(WireMsg::CatchUpReq { from_height: 300 })
@@ -168,7 +231,7 @@ fn golden_catchup_resp() {
     assert_eq!(enc[1], TAG_CATCHUP_RESP);
     assert_eq!(
         hex(&enc),
-        "b5020401000000000000000000000000000000000000000000000000\
+        "b6020401000000000000000000000000000000000000000000000000\
          000000000000000000000000000000004d0000000000000000000000\
          00000000000000000000000000070200000000000001f40000000000\
          00000000000000000000000000000000000000000300000000000000\
@@ -204,7 +267,7 @@ fn golden_manifest() {
     assert_eq!(enc[1], TAG_CATCHUP_MANIFEST);
     assert_eq!(
         hex(&enc),
-        "b5030104000000000000000000000000000000000000000000000000\
+        "b6030104000000000000000000000000000000000000000000000000\
          000000000000000000000000000000004d0000000000000000000000\
          00000000000000000000000000070200000000000001f40000000000\
          00000000000000000000000000000000000000000300000000000000\
@@ -235,7 +298,7 @@ fn golden_manifest() {
 fn golden_chunk_req() {
     let enc = encode_chunk_req(300, 3);
     assert_eq!(enc[1], TAG_CATCHUP_CHUNK_REQ);
-    assert_eq!(hex(&enc), "b504ac0203");
+    assert_eq!(hex(&enc), "b604ac0203");
     assert!(matches!(
         decode::<u64>(&enc),
         Some(WireMsg::ChunkReq {
@@ -252,7 +315,7 @@ fn golden_chunk() {
     assert_eq!(enc[1], TAG_CATCHUP_CHUNK);
     assert_eq!(
         hex(&enc),
-        "b50501000b6368756e6b2d62797465730101000000000000000d0000\
+        "b60501000b6368756e6b2d62797465730101000000000000000d0000\
          00000000000000000000000000000000000000000000000100000000\
          0000000e000000000000000000000000000000000000000000000000\
          01"
@@ -408,6 +471,10 @@ fn block_chains() -> impl Strategy<Value = Vec<(Block, Vec<u8>)>> {
 fn wire_payloads() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
         messages().prop_map(|m| encode_protocol(&m)),
+        prop::collection::vec(messages(), 0..MAX_BUNDLE + 2).prop_map(|msgs| bundle(&msgs)),
+        // The edge of the cap, so both readers meet it every run.
+        (messages(), any::<bool>())
+            .prop_map(|(m, over)| { bundle(&vec![m; MAX_BUNDLE + usize::from(over)]) }),
         any::<u64>().prop_map(encode_catchup_req),
         (any::<u64>(), block_chains()).prop_map(|(ph, chain)| {
             let blocks: Vec<CatchUpBlock> = chain
@@ -454,7 +521,10 @@ fn wire_payloads() -> impl Strategy<Value = Vec<u8>> {
 fn wire_eq(a: &WireMsg<Message>, b: &WireMsg<Message>) -> bool {
     match (a, b) {
         (WireMsg::Protocol(x), WireMsg::Protocol(y)) => {
-            serde::bin::to_vec(x) == serde::bin::to_vec(y)
+            x.len() == y.len()
+                && x.iter()
+                    .zip(y)
+                    .all(|(x, y)| serde::bin::to_vec(x) == serde::bin::to_vec(y))
         }
         (WireMsg::CatchUpReq { from_height: x }, WireMsg::CatchUpReq { from_height: y }) => x == y,
         (
@@ -521,19 +591,46 @@ proptest! {
         check(&mutated)?;
     }
 
-    /// The envelope codec round-trips protocol messages end to end.
+    /// Bundles of 1..=MAX_BUNDLE protocol messages round-trip end to
+    /// end — sealed and verified, then read by the owning decoder and
+    /// by the borrowing one plus the body decoder — in order.
     #[test]
-    fn envelope_protocol_roundtrip(msg in messages()) {
-        let payload = encode_protocol(&msg);
-        match decode::<Message>(&payload) {
-            Some(WireMsg::Protocol(back)) => {
-                prop_assert_eq!(serde::bin::to_vec(&back), serde::bin::to_vec(&msg));
-            }
+    fn envelope_protocol_roundtrip(
+        msgs in prop::collection::vec(messages(), 1..MAX_BUNDLE + 1),
+        cut_at in any::<usize>(),
+    ) {
+        static KEYS: OnceLock<Vec<KeyStore>> = OnceLock::new();
+        let keys = KEYS.get_or_init(|| KeyStore::cluster(b"wire-format-bundles", 2));
+        let env = Envelope::seal(&keys[1], bundle(&msgs));
+        prop_assert!(env.verify(&keys[0]).is_ok());
+        let payload = env.payload.as_slice();
+        let want: Vec<Vec<u8>> = msgs.iter().map(serde::bin::to_vec).collect();
+        let encoded = |got: &[Message]| got.iter().map(serde::bin::to_vec).collect::<Vec<_>>();
+        match decode::<Message>(payload) {
+            Some(WireMsg::Protocol(back)) => prop_assert_eq!(encoded(&back), want.clone()),
             _ => return Err(TestCaseError::fail("protocol payload did not decode")),
         }
-        // Truncations of a valid payload never decode (fail closed).
-        for cut in [payload.len() / 2, payload.len().saturating_sub(1)] {
-            prop_assert!(decode::<Message>(&payload[..cut]).is_none());
+        let Some(WireMsgRef::Protocol(body)) = decode_ref(payload) else {
+            return Err(TestCaseError::fail("decode_ref did not see a protocol body"));
+        };
+        let back = decode_protocol_bundle::<Message>(body);
+        prop_assert_eq!(back.as_deref().map(encoded), Some(want.clone()));
+        // A truncated payload decodes only if the cut falls between
+        // messages, and then to exactly the messages before it; the
+        // envelope signature is what rejects such a prefix on the wire.
+        let mut ends = vec![2];
+        for m in &want {
+            ends.push(ends.last().unwrap() + m.len());
+        }
+        for cut in [payload.len() / 2, payload.len() - 1, cut_at % payload.len()] {
+            let got = decode::<Message>(&payload[..cut]);
+            match ends[1..].iter().position(|&end| end == cut) {
+                Some(i) => prop_assert_eq!(
+                    got.as_ref().map(|m| encoded(protocol(m))),
+                    Some(want[..=i].to_vec())
+                ),
+                None => prop_assert!(got.is_none(), "cut at {} of {}", cut, payload.len()),
+            }
         }
     }
 
@@ -612,13 +709,22 @@ proptest! {
     }
 
     /// Any mutation of the leading version byte fails closed — no
-    /// payload from another wire generation can be misread.
+    /// payload from another wire generation can be misread, a
+    /// revision-5 (`0xB5`) reader facing a bundle included.
     #[test]
-    fn version_byte_mutations_fail_closed(height in any::<u64>(), bad in any::<u8>()) {
-        let mut enc = encode_catchup_req(height);
-        if bad != enc[0] {
-            enc[0] = bad;
-            prop_assert!(decode::<u64>(&enc).is_none());
+    fn version_byte_mutations_fail_closed(
+        height in any::<u64>(),
+        msgs in prop::collection::vec(messages(), 1..4),
+        bad in any::<u8>(),
+    ) {
+        for mut enc in [encode_catchup_req(height), bundle(&msgs)] {
+            for bad in [bad, 0xB5] {
+                if bad != enc[0] {
+                    enc[0] = bad;
+                    prop_assert!(decode::<Message>(&enc).is_none());
+                    prop_assert!(decode_ref(&enc).is_none());
+                }
+            }
         }
     }
 }
