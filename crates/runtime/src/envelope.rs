@@ -1203,7 +1203,7 @@ mod tests {
     fn bundle(k: u64) -> Vec<u8> {
         let mut enc = encode_protocol(&0u64);
         for m in 1..k {
-            enc.extend_from_slice(&encode_protocol(&m)[2..]);
+            append_protocol(&mut enc, &encode_protocol(&m));
         }
         enc
     }
@@ -1280,7 +1280,7 @@ mod tests {
         // cluster mixing the two drops each other's frames instead of
         // reading a bundle as trailing bytes.
         for enc in [encode_catchup_req(42), bundle(2)] {
-            for bad_version in [0u8, 1, TAG_CATCHUP_RESP, 0xB1, 0xB3, 0xB5, 0xFF] {
+            for bad_version in [0u8, 1, TAG_CATCHUP_RESP, 0xB1, 0xB2, 0xB3, 0xB5, 0xFF] {
                 let mut reframed = enc.clone();
                 reframed[0] = bad_version;
                 assert!(decode::<u64>(&reframed).is_none(), "{bad_version:#x}");

@@ -62,7 +62,7 @@ use serde::Deserialize;
 use spotless_crypto::{KeyStore, Signature};
 use spotless_types::node::ProtocolMessage;
 use spotless_types::ReplicaId;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use tokio::sync::mpsc;
 
 /// Most envelopes taken into one run. Bounds both the latency the
@@ -70,11 +70,12 @@ use tokio::sync::mpsc;
 /// away when a batch contains one bad signature. It counts envelopes,
 /// not messages or signatures: a run holds at most
 /// `MAX_VERIFY_BATCH × MAX_BUNDLE` (512) messages, and verifies one
-/// signature per envelope plus every fresh vote those messages carry.
-/// Should a run's fresh votes exceed `VOTE_MEMO_MAX / 2`, the verdict
-/// cache rotates within the run and the oldest verdicts fall out before
-/// they are forwarded; those votes reach the event loop without one and
-/// the loop checks them itself.
+/// signature per envelope plus every fresh vote those messages carry —
+/// up to 4 608 for SpotLess `Sync`s (a claim and `CP_CAP` endorsements
+/// each), more than the verdict cache keeps across a rotation. Every
+/// message is therefore forwarded with verdicts from the run's own
+/// table, never from the cache, so no run is large enough to push a
+/// listed vote's check onto the event loop.
 pub(crate) const MAX_VERIFY_BATCH: usize = 32;
 
 /// Spawns the ingress task: drains the fabric's inbound channel in runs
@@ -149,7 +150,7 @@ impl<M: ProtocolMessage + Deserialize> Ingress<M> {
     /// gone.
     fn verify_and_forward(&mut self, batch: &mut Vec<Envelope>) -> bool {
         let bodies: Vec<Body<M>> = batch.iter().map(|env| self.read(env)).collect();
-        let envelope_ok = self.verify_run(batch, &bodies);
+        let (envelope_ok, known) = self.verify_run(batch, &bodies);
         for ((env, body), ok) in batch.drain(..).zip(bodies).zip(envelope_ok) {
             if !ok {
                 self.net.record_rejected(env.payload.len());
@@ -159,12 +160,10 @@ impl<M: ProtocolMessage + Deserialize> Ingress<M> {
                 Body::Protocol(msgs) => {
                     for (msg, carried) in msgs {
                         // Every listed vote of a genuine envelope now has
-                        // a cached verdict. One the run itself rotated out
-                        // (only a run of more than `VOTE_MEMO_MAX / 2`
-                        // fresh votes can) is left for the loop to check.
+                        // a verdict in the run's table `known`.
                         let votes = carried
                             .into_iter()
-                            .filter_map(|key| Some((key, self.verdicts.recall(&key)?)))
+                            .filter_map(|key| Some((key, *known.get(&key)?)))
                             .collect();
                         let event = Event::Deliver {
                             from: env.from,
@@ -221,16 +220,19 @@ impl<M: ProtocolMessage + Deserialize> Ingress<M> {
 
     /// Verifies a run's envelopes, and the fresh votes carried by those
     /// that pass, caching each vote's verdict; returns each envelope's
-    /// verdict. One [`KeyStore::verify_batch_refs`] call covers the
-    /// whole run. Only if it fails are the envelopes re-verified alone,
-    /// and then the votes of the genuine ones, each step by sender
+    /// verdict and the run's table of verdicts on every vote the
+    /// passing envelopes' messages list. One
+    /// [`KeyStore::verify_batch_refs`] call covers the whole run. Only
+    /// if it fails are the envelopes re-verified alone, and then the
+    /// votes of the genuine ones, each step by sender
     /// ([`verify_by_sender`]).
-    fn verify_run(&mut self, batch: &[Envelope], bodies: &[Body<M>]) -> Vec<bool> {
+    fn verify_run(&mut self, batch: &[Envelope], bodies: &[Body<M>]) -> (Vec<bool>, Verdicts) {
         let envelopes: Vec<Check> = batch
             .iter()
             .map(|env| (env.from, (env.from, env.payload.as_slice(), &env.sig)))
             .collect();
-        let fresh = self.fresh_votes(batch, bodies, |_| true);
+        let mut known = Verdicts::new();
+        let fresh = self.fresh_votes(batch, bodies, |_| true, &mut known);
         let statements = signing_bytes(&fresh);
         let run: Vec<SigRef> = envelopes
             .iter()
@@ -238,25 +240,28 @@ impl<M: ProtocolMessage + Deserialize> Ingress<M> {
             .map(|&(_, sig)| sig)
             .collect();
         if self.keystore.verify_batch_refs(&run).is_ok() {
-            self.remember(&fresh, &vec![true; fresh.len()]);
-            return vec![true; batch.len()];
+            self.remember(&fresh, &vec![true; fresh.len()], &mut known);
+            return (vec![true; batch.len()], known);
         }
         let envelope_ok = verify_by_sender(&self.keystore, &envelopes);
-        let fresh = self.fresh_votes(batch, bodies, |i| envelope_ok[i]);
+        known.clear();
+        let fresh = self.fresh_votes(batch, bodies, |i| envelope_ok[i], &mut known);
         let statements = signing_bytes(&fresh);
         let vote_ok = verify_by_sender(&self.keystore, &vote_checks(&fresh, &statements));
-        self.remember(&fresh, &vote_ok);
-        envelope_ok
+        self.remember(&fresh, &vote_ok, &mut known);
+        (envelope_ok, known)
     }
 
     /// The votes the messages of the run's `passing` envelopes list that
     /// no verdict is cached for, each once, with the sender of the first
-    /// envelope that carried it.
+    /// envelope that carried it. The cached verdicts on the others go
+    /// into `known`.
     fn fresh_votes(
         &mut self,
         batch: &[Envelope],
         bodies: &[Body<M>],
         passing: impl Fn(usize) -> bool,
+        known: &mut Verdicts,
     ) -> Vec<(ReplicaId, VoteKey)> {
         let mut seen = HashSet::new();
         let mut fresh = Vec::new();
@@ -268,22 +273,31 @@ impl<M: ProtocolMessage + Deserialize> Ingress<M> {
                 continue;
             }
             for key in msgs.iter().flat_map(|(_, carried)| carried) {
-                if self.verdicts.recall(key).is_none() && seen.insert(*key) {
-                    fresh.push((env.from, *key));
+                match self.verdicts.recall(key) {
+                    Some(ok) => {
+                        known.insert(*key, ok);
+                    }
+                    None if seen.insert(*key) => fresh.push((env.from, *key)),
+                    None => {}
                 }
             }
         }
         fresh
     }
 
-    /// Caches the verdicts `ok` on `fresh`'s votes and counts them.
-    fn remember(&mut self, fresh: &[(ReplicaId, VoteKey)], ok: &[bool]) {
+    /// Caches the verdicts `ok` on `fresh`'s votes, adds them to the
+    /// run's table `known`, and counts them.
+    fn remember(&mut self, fresh: &[(ReplicaId, VoteKey)], ok: &[bool], known: &mut Verdicts) {
         for (&(_, key), &ok) in fresh.iter().zip(ok) {
             self.verdicts.insert(key, ok);
+            known.insert(key, ok);
         }
         self.net.record_votes_verified(fresh.len());
     }
 }
+
+/// One run's verdicts on the votes its genuine messages list.
+type Verdicts = HashMap<VoteKey, bool>;
 
 /// The statement bytes each of `fresh`'s votes signs.
 fn signing_bytes(fresh: &[(ReplicaId, VoteKey)]) -> Vec<[u8; 68]> {
@@ -332,18 +346,24 @@ fn verify_by_sender(keystore: &KeyStore, checks: &[Check]) -> Vec<bool> {
 mod tests {
     use super::*;
     use crate::envelope::{
-        decode, encode_catchup_req, encode_protocol, WireMsg, MAX_BUNDLE, WIRE_VERSION,
+        append_protocol, decode, encode_catchup_req, encode_protocol, WireMsg, MAX_BUNDLE,
+        WIRE_VERSION,
     };
     use spotless_core::{Message, ProposalRef, SyncMsg};
     use spotless_types::{Digest, InstanceId, View, VoteStatement};
 
-    /// A running ingress task over a fresh channel pair, verifying as
-    /// replica 0 of a 4-replica cluster.
+    /// An ingress task over a fresh channel pair, verifying as replica
+    /// 0 of a 4-replica cluster.
     struct Harness {
         stores: Vec<KeyStore>,
         input: mpsc::UnboundedSender<Envelope>,
         output: mpsc::UnboundedReceiver<Event<Message>>,
         net: NetStats,
+        /// The task's ends of the channels until it is started.
+        idle: Option<(
+            mpsc::UnboundedReceiver<Envelope>,
+            mpsc::UnboundedSender<Event<Message>>,
+        )>,
     }
 
     /// A forwarded `Sync`: its sender and view, and the verdicts it
@@ -364,17 +384,29 @@ mod tests {
 
     impl Harness {
         fn spawn(salt: &[u8]) -> Harness {
-            let stores = KeyStore::cluster(salt, 4);
+            let mut h = Harness::idle(salt);
+            h.start();
+            h
+        }
+
+        /// A harness whose task is not yet running, so what is sent
+        /// before [`start`](Harness::start) is already queued when it
+        /// takes its first run.
+        fn idle(salt: &[u8]) -> Harness {
             let (input, envelopes) = mpsc::unbounded_channel();
             let (events, output) = mpsc::unbounded_channel();
-            let net = NetStats::default();
-            spawn_ingress(stores[0].clone(), envelopes, events, net.clone());
             Harness {
-                stores,
+                stores: KeyStore::cluster(salt, 4),
                 input,
                 output,
-                net,
+                net: NetStats::default(),
+                idle: Some((envelopes, events)),
             }
+        }
+
+        fn start(&mut self) {
+            let (envelopes, events) = self.idle.take().expect("started twice");
+            spawn_ingress(self.stores[0].clone(), envelopes, events, self.net.clone());
         }
 
         /// Sends `height` as a catch-up request sealed by `from`,
@@ -460,12 +492,11 @@ mod tests {
         }
     }
 
-    /// `msgs` as one protocol payload, each message's encoding after
-    /// the header in turn.
+    /// `msgs` as one protocol payload.
     fn bundle(msgs: &[Message]) -> Vec<u8> {
         let mut payload = vec![WIRE_VERSION, TAG_PROTOCOL];
         for msg in msgs {
-            payload.extend_from_slice(&encode_protocol(msg)[2..]);
+            append_protocol(&mut payload, &encode_protocol(msg));
         }
         payload
     }
@@ -749,5 +780,45 @@ mod tests {
             assert_eq!(h.next_sync().await.1, View(10 + i));
         }
         assert_eq!(h.net.msgs_malformed(), 1);
+    }
+
+    /// Runs as large as the wire allows — `MAX_VERIFY_BATCH` bundles of
+    /// `MAX_BUNDLE` `Sync`s, each carrying a claim and a full `CP` of
+    /// eight endorsements — arriving when the verdict cache is close to
+    /// a rotation: the second run's fresh votes rotate it twice, yet
+    /// every message comes out with a verdict on each vote it lists, so
+    /// the event loop checks none of them itself.
+    #[tokio::test(flavor = "multi_thread")]
+    async fn a_full_run_of_maximal_bundles_forwards_every_verdict() {
+        const VOTES: usize = 9; // a claim and eight `CP` entries
+        let mut h = Harness::idle(b"ingress-full-run-test");
+        let mut view = 0;
+        let mut expected = Vec::new();
+        // Queued before the task starts, so each `MAX_VERIFY_BATCH`
+        // envelopes form one run: a first of 14-message bundles
+        // (4 032 fresh votes, just short of a rotation), then a full one.
+        for per_bundle in [14, MAX_BUNDLE] {
+            for e in 0..MAX_VERIFY_BATCH {
+                let from = 1 + e % 3;
+                let syncs: Vec<Message> = (0..per_bundle)
+                    .map(|_| {
+                        view += VOTES as u64;
+                        let cp: Vec<u64> = (view - 8..view).collect();
+                        expected.push((ReplicaId(from as u32), View(view)));
+                        Message::Sync(h.sync(from, view, &cp, false))
+                    })
+                    .collect();
+                h.send_payload(from, bundle(&syncs));
+            }
+        }
+        h.start();
+        for &(from, view) in &expected {
+            let (got_from, got_view, votes) = h.next_sync().await;
+            assert_eq!((got_from, got_view), (from, view));
+            assert_eq!(votes.len(), VOTES, "view {view:?} lost a verdict");
+            assert!(votes.iter().all(|&(_, ok)| ok));
+        }
+        assert_eq!(h.net.votes_verified(), (expected.len() * VOTES) as u64);
+        assert_eq!(h.net.msgs_malformed() + h.net.msgs_rejected(), 0);
     }
 }
