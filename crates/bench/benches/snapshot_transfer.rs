@@ -1,20 +1,14 @@
-//! **Snapshot transfer micro-bench** — chunked vs. monolithic, at quick
-//! scale: what does anchoring state in the chain cost, and what does
-//! chunking buy?
+//! **Snapshot transfer micro-bench**, at quick scale: what do both ends
+//! of a verified, chunked state transfer cost?
 //!
-//! Three measurements over a populated KV store:
+//! Two measurements over a populated KV store:
 //!
-//! * `monolithic_encode_decode` — the pre-v3 path: one opaque byte blob
-//!   (`to_snapshot_bytes`/`from_snapshot_bytes`), no verification. The
-//!   baseline chunking is compared against; also the path that simply
-//!   cannot ship states past the fabric's frame limit.
 //! * `chunked_encode` — the serving side of the v3 path: canonical
 //!   bucket chunks plus the Merkle state tree and per-bucket inclusion
 //!   proofs.
 //! * `chunked_verify_decode` — the receiving side: per-chunk proof
 //!   verification against the state root, decoding, reassembly, and the
-//!   final audit-root check — i.e. the *verified* install, priced
-//!   against the unverified monolithic decode above.
+//!   final audit-root check — i.e. the *verified* install.
 //!
 //! Quick scale finishes in seconds (CI runs it in the bench-smoke job);
 //! `SPOTLESS_FULL=1` scales the store up an order of magnitude.
@@ -54,14 +48,6 @@ fn bench_transfer(c: &mut Criterion) {
     } else {
         256 * 1024
     };
-
-    c.bench_function("snapshot_monolithic_encode_decode", |b| {
-        b.iter(|| {
-            let bytes = store.to_snapshot_bytes();
-            let back = KvStore::from_snapshot_bytes(black_box(&bytes)).expect("decodes");
-            black_box(back.len())
-        })
-    });
 
     c.bench_function("snapshot_chunked_encode", |b| {
         b.iter(|| {

@@ -56,7 +56,7 @@ pub use envelope::{
 };
 pub use executor::{execute_group, ExecutorPool, SealedBatch};
 pub use fabric::Fabric;
-pub use observe::{CommitLog, CommittedEntry, Inform, NetStats, SnapshotStats};
+pub use observe::{CommitLog, CommittedEntry, Inform, NetStats};
 pub use runtime::{
     ControlMsg, RecoveryInfo, ReplicaHandle, ReplicaRuntime, RuntimeConfig, StorageConfig,
     CATCHUP_TICK,

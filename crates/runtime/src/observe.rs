@@ -159,55 +159,6 @@ impl NetStats {
     }
 }
 
-/// Per-replica snapshot-delta counters: how many shard serializations
-/// each durable snapshot actually performed versus reused from the
-/// previous snapshot's cache. The pipeline tracks each shard's sub-root
-/// across snapshots and re-chunks only shards whose root moved — on a
-/// skewed workload most shards are clean most of the time, and these
-/// counters are how tests and benches prove the skip actually happens
-/// (`shards_reused > 0` on a skewed run; `encoded + reused` is always a
-/// multiple of the shard count).
-#[derive(Clone, Default)]
-pub struct SnapshotStats {
-    inner: Arc<SnapshotCounters>,
-}
-
-#[derive(Default)]
-struct SnapshotCounters {
-    snapshots: AtomicU64,
-    shards_encoded: AtomicU64,
-    shards_reused: AtomicU64,
-}
-
-impl SnapshotStats {
-    pub(crate) fn record_snapshot(&self, encoded: u64, reused: u64) {
-        self.inner.snapshots.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .shards_encoded
-            .fetch_add(encoded, Ordering::Relaxed);
-        self.inner
-            .shards_reused
-            .fetch_add(reused, Ordering::Relaxed);
-    }
-
-    /// Durable snapshots written.
-    pub fn snapshots(&self) -> u64 {
-        self.inner.snapshots.load(Ordering::Relaxed)
-    }
-
-    /// Shards serialized because their sub-root moved since the last
-    /// snapshot (or no previous snapshot existed).
-    pub fn shards_encoded(&self) -> u64 {
-        self.inner.shards_encoded.load(Ordering::Relaxed)
-    }
-
-    /// Shards whose encoded chunks were reused unchanged from the
-    /// previous snapshot (sub-root did not move).
-    pub fn shards_reused(&self) -> u64 {
-        self.inner.shards_reused.load(Ordering::Relaxed)
-    }
-}
-
 /// A replica's execution report for one batch, flowing back to the
 /// client collector ([`crate::ClusterClient`] resolves a submission
 /// once `f + 1` replicas report the same result).

@@ -12,7 +12,10 @@
 //! — then all appends of a group hit the segmented log with the sync
 //! policy forced to manual, **one** fsync covers the whole group (group
 //! commit), and only then are results acknowledged upward as client
-//! informs — nothing is acknowledged before it is durable.
+//! informs — nothing is acknowledged before it is durable. When the
+//! store's cadence says a snapshot is due, `maybe_snapshot` writes one
+//! of the whole state, chunked by `KvStore::to_chunks` exactly as a
+//! chunked transfer serves it.
 //!
 //! Every block joins the chain through one routine, `Pipeline::extend`,
 //! whether it is a live commit, a catch-up block or the recovered log
@@ -86,7 +89,7 @@ use crate::envelope::{
 };
 use crate::executor::{execute_group, ExecutorPool};
 use crate::fabric::Fabric;
-use crate::observe::{CommitLog, CommittedEntry, Inform, SnapshotStats};
+use crate::observe::{CommitLog, CommittedEntry, Inform};
 use crate::runtime::VoteMemo;
 use spotless_crypto::{proof_index, verify_inclusion, KeyStore, ProofStep};
 use spotless_ledger::{verify_proof, verify_proof_rules, Block, CommitProof, ProofRules};
@@ -98,8 +101,8 @@ use spotless_types::{
     SimTime,
 };
 use spotless_workload::{
-    decode_txns, shard_of_bucket, verify_bucket, KvStore, StateChunk, Transaction, EXEC_SHARDS,
-    META_LEAF, STATE_BUCKETS,
+    decode_txns, shard_of_bucket, verify_bucket, KvStore, StateChunk, Transaction, META_LEAF,
+    STATE_BUCKETS,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -174,21 +177,6 @@ pub(crate) enum PipelineCmd {
     /// stalls). While synced: serving-side maintenance — age out frozen
     /// outgoing snapshot slots whose requesters vanished.
     Tick,
-}
-
-/// What the previous durable snapshot serialized, kept so the next one
-/// can skip shards whose state did not move. A shard's sub-root is a
-/// collision-resistant digest of its entire contents, so `sub_roots[s]`
-/// unchanged ⇒ every chunk of shard `s` re-encodes to the same bytes —
-/// the cached encodings are reused verbatim and the per-key walk is
-/// skipped. Invalidated wholesale when the chunk budget could differ
-/// (it cannot today: the budget is fixed at construction).
-struct SnapshotCache {
-    /// Per-shard sub-root at the last snapshot.
-    sub_roots: Vec<Digest>,
-    /// Per-shard encoded chunk list at the last snapshot, in shard
-    /// order (their concatenation is exactly `KvStore::to_chunks`).
-    chunks: Vec<Vec<Vec<u8>>>,
 }
 
 enum Mode {
@@ -295,11 +283,6 @@ pub(crate) struct Pipeline<F: Fabric> {
     /// every group inline — the serial baseline). Scheduling and the
     /// determinism argument live in [`crate::executor`].
     exec: Option<ExecutorPool>,
-    /// Dirty-shard snapshot delta: what the previous snapshot encoded,
-    /// per shard, so clean shards skip re-serialization entirely.
-    snap_cache: Option<SnapshotCache>,
-    /// Counters proving the delta works (encoded vs reused shards).
-    snap_stats: SnapshotStats,
     /// Live bookkeeping of the transfer the journal describes.
     incoming: Option<IncomingTransfer>,
     /// Frozen outgoing snapshot slots served to recovering peers, at
@@ -333,7 +316,6 @@ impl<F: Fabric> Pipeline<F> {
         informs: mpsc::UnboundedSender<Inform>,
         synced: Arc<AtomicBool>,
         allow_catchup: bool,
-        snap_stats: SnapshotStats,
     ) -> Pipeline<F> {
         let chain_height = store.ledger().height();
         // Self-contained tail replay: the log persists batch payloads,
@@ -382,8 +364,6 @@ impl<F: Fabric> Pipeline<F> {
             chunk_budget: chunk_budget.max(1),
             journal,
             exec: (exec_pool > 0).then(|| ExecutorPool::spawn(exec_pool)),
-            snap_cache: None,
-            snap_stats,
             incoming: None,
             outgoing: Vec::new(),
             poisoned: false,
@@ -631,60 +611,25 @@ impl<F: Fabric> Pipeline<F> {
         }
     }
 
-    /// Writes a durable snapshot if one is due, serializing **only the
-    /// shards whose sub-root moved** since the previous snapshot; clean
-    /// shards reuse their cached encodings byte-for-byte (the sub-root
-    /// pins the shard's entire contents, so equal root ⇒ equal
-    /// encoding). Chunks are additionally content-addressed on disk, so
-    /// even a re-encoded-but-identical chunk is not rewritten — the
-    /// delta here removes the CPU cost of producing the bytes at all.
-    /// The snapshot empties the store's chain tail: peers that need
-    /// history below it get the chunked transfer.
+    /// Writes a durable snapshot of the whole state if one is due: the
+    /// chunks of `KvStore::to_chunks`, as `build_manifest` serves them.
+    /// Chunks are content-addressed on disk, so one that did not change
+    /// since the previous snapshot is not rewritten. The snapshot
+    /// empties the store's chain tail: peers that need history below it
+    /// get the chunked transfer.
     fn maybe_snapshot(&mut self) {
         if !self.store.snapshot_due() {
             return;
         }
-        let roots = self.kv.shard_sub_roots();
-        let mut per_shard: Vec<Vec<Vec<u8>>> = Vec::with_capacity(EXEC_SHARDS);
-        let mut encoded = 0u64;
-        for (s, root) in roots.iter().enumerate() {
-            let clean = self
-                .snap_cache
-                .as_ref()
-                .is_some_and(|c| c.sub_roots[s] == *root);
-            if clean {
-                per_shard.push(
-                    self.snap_cache
-                        .as_ref()
-                        .expect("clean implies cache")
-                        .chunks[s]
-                        .clone(),
-                );
-            } else {
-                encoded += 1;
-                per_shard.push(
-                    self.kv
-                        .shard_to_chunks(s, self.chunk_budget)
-                        .iter()
-                        .map(|c| c.encode())
-                        .collect(),
-                );
-            }
-        }
-        let flat: Vec<Vec<u8>> = per_shard.iter().flatten().cloned().collect();
-        if self
-            .store
-            .force_snapshot(&self.kv.transfer_meta(), &flat)
-            .is_err()
-        {
-            return;
-        }
-        self.snap_stats
-            .record_snapshot(encoded, EXEC_SHARDS as u64 - encoded);
-        self.snap_cache = Some(SnapshotCache {
-            sub_roots: roots,
-            chunks: per_shard,
-        });
+        let chunks: Vec<Vec<u8>> = self
+            .kv
+            .to_chunks(self.chunk_budget)
+            .iter()
+            .map(StateChunk::encode)
+            .collect();
+        // A failed snapshot stays due and is retried after the next
+        // group; the log still holds every block it would cover.
+        let _ = self.store.force_snapshot(&self.kv.transfer_meta(), &chunks);
     }
 
     // ── state transfer: serving side ────────────────────────────────
@@ -1563,7 +1508,6 @@ mod tests {
             informs,
             Arc::new(AtomicBool::new(true)),
             false,
-            SnapshotStats::default(),
         );
         (pipeline, inform_rx)
     }
@@ -1755,11 +1699,7 @@ mod tests {
             witnessed.store.ledger().block(0).expect("committed"),
             sanitized.store.ledger().block(0).expect("committed"),
         );
-        assert_eq!(
-            spotless_storage::codec::encode_block(a),
-            spotless_storage::codec::encode_block(b),
-            "the log record is the same, byte for byte"
-        );
+        assert_eq!(a, b, "the persisted block is the same");
         assert_eq!(a.proof.signers.len(), 4);
     }
 

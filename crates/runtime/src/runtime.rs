@@ -39,7 +39,7 @@
 use crate::egress::{Egress, Fanout};
 use crate::envelope::{encode_protocol_into, Envelope, Payload};
 use crate::fabric::{Fabric, MeteredFabric};
-use crate::observe::{CommitLog, Inform, NetStats, SnapshotStats};
+use crate::observe::{CommitLog, Inform, NetStats};
 use crate::pipeline::{live_proof, Pipeline, PipelineCmd, VerifiedProof};
 use serde::{Deserialize, Serialize};
 use spotless_crypto::KeyStore;
@@ -186,7 +186,6 @@ pub struct ReplicaHandle {
     synced: Arc<AtomicBool>,
     stopped: Arc<AtomicBool>,
     net: NetStats,
-    snap: SnapshotStats,
     debug: Arc<DebugCounts>,
 }
 
@@ -240,12 +239,6 @@ impl ReplicaHandle {
     /// message counts, by direction).
     pub fn net(&self) -> &NetStats {
         &self.net
-    }
-
-    /// This replica's snapshot-delta counters (durable snapshots
-    /// written; shards serialized vs reused per snapshot).
-    pub fn snapshots(&self) -> &SnapshotStats {
-        &self.snap
     }
 
     /// Debug counter, not a metric: `(witnessed, commits)` — of the
@@ -543,7 +536,6 @@ impl ReplicaRuntime {
         // — leaves through Fabric::send; metering the fabric once here
         // covers the event loop and the pipeline alike.
         let net = NetStats::default();
-        let snap = SnapshotStats::default();
         let fabric = MeteredFabric {
             inner: fabric,
             stats: net.clone(),
@@ -565,7 +557,6 @@ impl ReplicaRuntime {
             informs,
             synced.clone(),
             !cfg.silent,
-            snap.clone(),
         );
         let stopped = Arc::new(AtomicBool::new(false));
         let stopped_signal = stopped.clone();
@@ -639,7 +630,6 @@ impl ReplicaRuntime {
             synced,
             stopped,
             net,
-            snap,
             debug,
         })
     }

@@ -7,11 +7,10 @@
 //!
 //! * [`crc32`] — CRC-32C, implemented from scratch, framing every byte
 //!   written;
-//! * [`codec`] — a pinned, fail-closed binary format for block records;
 //! * [`segment`] — append-only segment files with torn-tail detection;
 //! * [`log`] — the segmented block log with rotation and pruning;
 //! * [`snapshot`] — atomic state snapshots (manifest + content-addressed
-//!   chunks, format v6) bounding replay and enabling pruning;
+//!   chunks, format v7) bounding replay and enabling pruning;
 //! * [`transfer`] — the crash-safe partial-install journal a chunked
 //!   state transfer resumes from after an interruption;
 //! * [`DurableLedger`] — the assembled store: the chain's tail in
@@ -34,8 +33,11 @@
 //!
 //! The design follows the write-ahead-log discipline of LSM stores
 //! (LevelDB/RocksDB): framed records behind checksums, truncate-on-torn-
-//! tail, snapshot-then-prune. Recovery is exercised heavily in tests,
-//! including randomized crash injection (see `tests/crash_recovery.rs`).
+//! tail, snapshot-then-prune. Inside the frames, log records and
+//! snapshot manifests are written in the wire codec (`serde::bin`), so
+//! a block has one byte form on disk and on the wire. Recovery is
+//! exercised heavily in tests, including randomized crash injection
+//! (see `tests/crash_recovery.rs`).
 //!
 //! ```
 //! use spotless_storage::{DurableLedger, DurableLedgerOptions};
@@ -71,7 +73,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod crc32;
 pub mod log;
 pub mod segment;
@@ -119,7 +120,7 @@ pub enum StorageError {
         /// The offending file.
         path: PathBuf,
         /// The decode failure.
-        source: codec::CodecError,
+        source: serde::Error,
     },
     /// A block was appended out of height order.
     HeightGap {
@@ -214,6 +215,20 @@ impl std::error::Error for StorageError {
             _ => None,
         }
     }
+}
+
+/// The one check a stored block needs beyond its derived decoder: a
+/// commit proof carries exactly one signature per signer. The decoder
+/// reads the two lists independently, so a damaged or forged file can
+/// hold an unparallel pair that no writer ever produces.
+pub(crate) fn check_parallel_proof(block: &Block) -> Result<(), serde::Error> {
+    let (signers, sigs) = (block.proof.signers.len(), block.proof.sigs.len());
+    if signers != sigs {
+        return Err(serde::Error::custom(format!(
+            "commit proof lists {signers} signers but {sigs} signatures"
+        )));
+    }
+    Ok(())
 }
 
 impl From<LedgerError> for StorageError {
@@ -1239,5 +1254,278 @@ mod tests {
         assert_eq!(dst.payload(0), Some(&b"foreign"[..]));
         assert_eq!(dst.payload(1), None);
         assert_blocks_match_payloads(&dst);
+    }
+
+    // ── durable formats ─────────────────────────────────────────────
+
+    use crate::log::{BlockLog, LogOptions};
+    use crate::segment::{scan_segment, segment_file_name, SegmentHeader, SegmentWriter};
+    use crate::snapshot::{decode_manifest, encode_manifest, Manifest, MAX_CHUNKS, MAX_RECENT_IDS};
+    use spotless_types::{CertPhase, Signature};
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The block `tests/wire_format.rs` pins on the wire: height 0,
+    /// batch 7 (digest tag 77, 2 txns), state root tag 500, a strong
+    /// proof in view 3 by replicas 0, 1, 2 with signatures 0xAA/0xBB/0xCC.
+    fn golden_block() -> Block {
+        let mut ledger = Ledger::new();
+        ledger.append(
+            BatchId(7),
+            Digest::from_u64(77),
+            2,
+            Digest::from_u64(500),
+            CommitProof {
+                instance: InstanceId(0),
+                view: View(3),
+                phase: CertPhase::Strong,
+                voted: Digest::from_u64(77),
+                slot: 0,
+                signers: vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)],
+                sigs: vec![
+                    Signature([0xAA; 64]),
+                    Signature([0xBB; 64]),
+                    Signature([0xCC; 64]),
+                ],
+            },
+        );
+        ledger.block(0).unwrap().clone()
+    }
+
+    fn golden_manifest() -> Manifest {
+        let block = golden_block();
+        Manifest {
+            height: 1,
+            head_hash: block.hash,
+            head_block: Some(block),
+            recent_ids: vec![BatchId(7)],
+            app_meta: b"meta".to_vec(),
+            chunk_digests: vec![Digest::from_u64(12)],
+        }
+    }
+
+    /// `serde::bin` bytes of `(block, payload)` — a log record's body.
+    fn record(block: &Block, payload: &[u8]) -> Vec<u8> {
+        serde::bin::to_vec(&(block, payload))
+    }
+
+    /// Writes `body` as the only record of a fresh log in `dir` (framed
+    /// and CRC'd, so only the record decoder can object) and opens it.
+    fn open_log_holding(dir: &Path, body: &[u8]) -> Result<Vec<(Block, Vec<u8>)>, StorageError> {
+        let seg = dir.join(segment_file_name(0));
+        let _ = std::fs::remove_file(&seg);
+        let header = SegmentHeader {
+            seq: 0,
+            base_height: 0,
+        };
+        let mut w = SegmentWriter::create(seg, header).unwrap();
+        w.append(body).unwrap();
+        drop(w); // flushes
+        BlockLog::open(dir, LogOptions::default(), 0).map(|(_, rec)| rec.blocks)
+    }
+
+    /// Frames a manifest body as a file the way `encode_manifest` does.
+    fn frame_manifest(body: &[u8]) -> Vec<u8> {
+        let mut out = snapshot::MAGIC.to_vec();
+        out.extend_from_slice(&snapshot::VERSION.to_le_bytes());
+        out.extend_from_slice(body);
+        let crc = crc32::crc32c(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    /// Index of the first byte where two encodings differ.
+    fn first_difference(a: &[u8], b: &[u8]) -> usize {
+        a.iter().zip(b).position(|(x, y)| x != y).unwrap()
+    }
+
+    #[test]
+    fn golden_log_record() {
+        let dir = tempfile::tempdir().unwrap();
+        let (mut log, _) = BlockLog::open(dir.path(), LogOptions::default(), 0).unwrap();
+        log.append(&golden_block(), b"txn-bytes").unwrap();
+        drop(log);
+        let scan = scan_segment(&dir.path().join(segment_file_name(0))).unwrap();
+        assert_eq!(scan.records.len(), 1);
+        // Anatomy: the block exactly as `golden_catchup_resp` carries it
+        // on the wire (height 0 ‖ zero parent ‖ batch digest tag 77 ‖
+        // batch id 7 ‖ 2 txns ‖ state root tag 500 ‖ proof {instance 0,
+        // view 3, Strong, voted tag 77, slot 0, signers 0,1,2, three
+        // signatures} ‖ block hash) ‖ 9-byte payload "txn-bytes".
+        assert_eq!(
+            hex(&scan.records[0]),
+            "00000000000000000000000000000000000000000000000000000000\
+             0000000000000000000000004d000000000000000000000000000000\
+             000000000000000000070200000000000001f4000000000000000000\
+             000000000000000000000000000000000300000000000000004d0000\
+             00000000000000000000000000000000000000000000000300010203\
+             aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\
+             aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\
+             aaaaaaaaaaaaaaaabbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb\
+             bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb\
+             bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbcccccccccccccccccccccccc\
+             cccccccccccccccccccccccccccccccccccccccccccccccccccccccc\
+             cccccccccccccccccccccccccccccccccccccccccccccccce816fdb9\
+             aded7d3c9886db890f7ce7ab1fb97d17d2c3fecaf41d4a5a9743a842\
+             0974786e2d6279746573"
+        );
+    }
+
+    #[test]
+    fn golden_snapshot_manifest() {
+        let bytes = encode_manifest(&golden_manifest());
+        // Anatomy: magic "SPLSSNP1" ‖ version 7 (u32 LE) ‖ height 1 ‖
+        // head hash ‖ Some(golden block, as in `golden_log_record`) ‖
+        // recent ids [7] ‖ meta "meta" ‖ chunk digests [tag 12] ‖
+        // CRC-32C (u32 LE) of everything before it.
+        assert_eq!(
+            hex(&bytes),
+            "53504c53534e50310700000001e816fdb9aded7d3c9886db890f7ce7\
+             ab1fb97d17d2c3fecaf41d4a5a9743a8420100000000000000000000\
+             00000000000000000000000000000000000000000000000000000000\
+             00004d00000000000000000000000000000000000000000000000007\
+             0200000000000001f400000000000000000000000000000000000000\
+             0000000000000300000000000000004d000000000000000000000000\
+             000000000000000000000000000300010203aaaaaaaaaaaaaaaaaaaa\
+             aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\
+             aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaabbbb\
+             bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb\
+             bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb\
+             bbbbbbbbbbbbcccccccccccccccccccccccccccccccccccccccccccc\
+             cccccccccccccccccccccccccccccccccccccccccccccccccccccccc\
+             cccccccccccccccccccccccccccce816fdb9aded7d3c9886db890f7c\
+             e7ab1fb97d17d2c3fecaf41d4a5a9743a8420107046d657461010000\
+             00000000000c00000000000000000000000000000000000000000000\
+             0000d52d93bb"
+        );
+        let back = decode_manifest(&bytes, Path::new("golden.snap")).unwrap();
+        assert_eq!(encode_manifest(&back), bytes);
+    }
+
+    /// Well-formed records round-trip, and every malformed record and
+    /// manifest body is a clean error, never a panic: records through
+    /// `BlockLog::open`, manifests through `decode_manifest`. Each row
+    /// frames (and checksums) its body correctly, so only the decoder
+    /// can object.
+    #[test]
+    fn malformed_records_and_manifests_fail_closed() {
+        let block = golden_block();
+        let payload = b"txn-bytes";
+        let good = record(&block, payload);
+        let mut weak = block.clone();
+        weak.proof.phase = CertPhase::Weak;
+        let phase_at = first_difference(&good, &record(&weak, payload));
+        assert_eq!(good[phase_at], 0, "locating the phase tag");
+        // The signer count follows phase ‖ voted digest ‖ slot 0.
+        let signers_at = phase_at + 1 + 32 + 1;
+        assert_eq!(good[signers_at], 3, "locating the signer count");
+        let payload_len_at = good.len() - payload.len() - 1;
+
+        let mut records: Vec<(String, Vec<u8>)> = (0..good.len())
+            .map(|len| (format!("record cut to {len} bytes"), good[..len].to_vec()))
+            .collect();
+        let mut trailing = good.clone();
+        trailing.push(0);
+        records.push(("record with a trailing byte".into(), trailing));
+        let mut unparallel = block.clone();
+        unparallel.proof.sigs.pop();
+        records.push((
+            "record with 3 signers and 2 signatures".into(),
+            record(&unparallel, payload),
+        ));
+        let mut bad_phase = good.clone();
+        bad_phase[phase_at] = 2;
+        records.push(("record with phase tag 2".into(), bad_phase));
+        let mut absurd_signers = good[..signers_at].to_vec();
+        serde::bin::write_varint(u64::from(u32::MAX), &mut absurd_signers);
+        absurd_signers.extend_from_slice(&good[signers_at + 1..]);
+        records.push(("record claiming 2^32 − 1 signers".into(), absurd_signers));
+        let mut long_payload = good.clone();
+        long_payload[payload_len_at] = 100;
+        records.push((
+            "record whose payload runs past its end".into(),
+            long_payload,
+        ));
+
+        let dir = tempfile::tempdir().unwrap();
+        // Well-formed records round-trip: any signer count, either
+        // phase, with or without a payload.
+        for signers in [0usize, 1, 3, 128] {
+            for phase in [CertPhase::Strong, CertPhase::Weak] {
+                for payload in [&b""[..], payload] {
+                    let mut b = block.clone();
+                    b.proof.phase = phase;
+                    b.proof.signers = (0..signers as u32).map(ReplicaId).collect();
+                    b.proof.sigs = (0..signers).map(|i| Signature([i as u8; 64])).collect();
+                    let got = open_log_holding(dir.path(), &record(&b, payload)).unwrap();
+                    assert_eq!(got, vec![(b, payload.to_vec())]);
+                }
+            }
+        }
+        for (what, body) in &records {
+            match open_log_holding(dir.path(), body) {
+                Err(StorageError::Codec { .. }) => {}
+                other => panic!("{what}: expected a codec error, got {other:?}"),
+            }
+        }
+        let err = open_log_holding(dir.path(), &records[good.len() + 1].1).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&segment_file_name(0)) && msg.contains("2 signatures"),
+            "the error names the file and the defect: {msg}"
+        );
+
+        let path = Path::new("table.snap");
+        let good = serde::bin::to_vec(&golden_manifest());
+        let mut headless = golden_manifest();
+        headless.head_block = None;
+        let option_at = first_difference(&good, &serde::bin::to_vec(&headless));
+        assert_eq!(good[option_at], 1, "locating the head block's option tag");
+        let block_at = option_at + 1;
+
+        let mut manifests: Vec<(String, Vec<u8>)> = (0..good.len())
+            .map(|len| (format!("manifest cut to {len} bytes"), good[..len].to_vec()))
+            .collect();
+        let mut trailing = good.clone();
+        trailing.push(0);
+        manifests.push(("manifest with a trailing byte".into(), trailing));
+        let mut unparallel_head = golden_manifest();
+        unparallel_head.head_block = Some(unparallel);
+        manifests.push((
+            "head block with 3 signers and 2 signatures".into(),
+            serde::bin::to_vec(&unparallel_head),
+        ));
+        let mut bad_phase = good.clone();
+        bad_phase[block_at + phase_at] = 2;
+        manifests.push(("head block with phase tag 2".into(), bad_phase));
+        let mut bad_option = good.clone();
+        bad_option[option_at] = 2;
+        manifests.push(("head block option tag 2".into(), bad_option));
+
+        let framed = frame_manifest(&good);
+        assert_eq!(framed, encode_manifest(&golden_manifest()));
+        assert!(decode_manifest(&framed, path).is_ok());
+        for (what, body) in &manifests {
+            match decode_manifest(&frame_manifest(body), path) {
+                Err(StorageError::Codec { .. }) => {}
+                Err(e) => panic!("{what}: expected a codec error, got {e}"),
+                Ok(_) => panic!("{what}: expected a codec error, got a manifest"),
+            }
+        }
+
+        // Lists longer than their sanity bounds decode, then are refused.
+        let mut many_ids = golden_manifest();
+        many_ids.recent_ids = vec![BatchId(1); MAX_RECENT_IDS + 1];
+        let mut many_chunks = golden_manifest();
+        many_chunks.chunk_digests = vec![Digest::ZERO; MAX_CHUNKS + 1];
+        for (what, m) in [("recent ids", many_ids), ("chunk digests", many_chunks)] {
+            match decode_manifest(&encode_manifest(&m), path) {
+                Err(StorageError::Corrupt { .. }) => {}
+                Err(e) => panic!("too many {what}: expected corruption, got {e}"),
+                Ok(_) => panic!("too many {what}: expected corruption, got a manifest"),
+            }
+        }
     }
 }

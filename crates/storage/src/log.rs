@@ -16,12 +16,16 @@
 //!   segments were complete before newer ones were created);
 //! * block heights decode contiguously; each segment's header
 //!   `base_height` must match the first block it holds.
+//!
+//! A record is `serde::bin` of `(block, payload)`: the block's bytes are
+//! exactly the ones it has in a catch-up response on the wire, and the
+//! batch payload follows as a length-prefixed byte string.
 
-use crate::codec::{decode_block_with_payload, encode_block_with_payload};
 use crate::segment::{
     parse_segment_file_name, scan_segment, segment_file_name, SegmentHeader, SegmentWriter,
 };
-use crate::StorageError;
+use crate::{check_parallel_proof, StorageError};
+use serde::Serialize;
 use spotless_ledger::Block;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -32,10 +36,6 @@ pub enum SyncPolicy {
     /// fsync after every append — maximum durability, the default.
     #[default]
     Always,
-    /// fsync once per `n` appends (and on rotation/close). A crash can
-    /// lose up to `n − 1` acknowledged blocks; appropriate when the
-    /// consensus layer can re-fetch them from peers.
-    EveryN(u32),
     /// Never fsync automatically; the caller invokes
     /// [`BlockLog::sync`] at its own checkpoints.
     Manual,
@@ -90,8 +90,23 @@ pub struct BlockLog {
     active: SegmentWriter,
     /// Height the next appended block must have.
     next_height: u64,
-    /// Appends since the last fsync (for [`SyncPolicy::EveryN`]).
-    unsynced: u32,
+}
+
+/// Encodes one log record: the block, then its batch payload. The
+/// payload is *not* part of the block's hash — the block already binds
+/// it through `batch_digest`.
+fn encode_record(block: &Block, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(256 + 68 * block.proof.signers.len() + payload.len());
+    (block, payload).ser_bin(&mut out);
+    out
+}
+
+/// Decodes one log record. Structure only: chain linkage and hashes are
+/// verified when recovery replays the blocks into a ledger.
+fn decode_record(data: &[u8]) -> Result<(Block, Vec<u8>), serde::Error> {
+    let (block, payload): (Block, Vec<u8>) = serde::bin::from_slice(data)?;
+    check_parallel_proof(&block)?;
+    Ok((block, payload))
 }
 
 impl BlockLog {
@@ -131,7 +146,6 @@ impl BlockLog {
                 closed: Vec::new(),
                 active,
                 next_height: resume_height,
-                unsynced: 0,
             };
             return Ok((
                 log,
@@ -199,11 +213,10 @@ impl BlockLog {
             let mut h = base;
             let record_count = scan.records.len() as u64;
             for record in &scan.records {
-                let (block, payload) =
-                    decode_block_with_payload(record).map_err(|e| StorageError::Codec {
-                        path: path.clone(),
-                        source: e,
-                    })?;
+                let (block, payload) = decode_record(record).map_err(|e| StorageError::Codec {
+                    path: path.clone(),
+                    source: e,
+                })?;
                 if block.height != h {
                     return Err(StorageError::corrupt(
                         path,
@@ -239,7 +252,6 @@ impl BlockLog {
             closed,
             active: active.expect("last segment reopened"),
             next_height,
-            unsynced: 0,
         };
         Ok((
             log,
@@ -276,26 +288,16 @@ impl BlockLog {
         if self.active.len() >= self.opts.max_segment_bytes && !self.active.is_empty() {
             self.rotate()?;
         }
-        self.active
-            .append(&encode_block_with_payload(block, payload))?;
+        self.active.append(&encode_record(block, payload))?;
         self.next_height += 1;
-        match self.opts.sync {
-            SyncPolicy::Always => self.active.sync()?,
-            SyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n {
-                    self.active.sync()?;
-                    self.unsynced = 0;
-                }
-            }
-            SyncPolicy::Manual => {}
+        if self.opts.sync == SyncPolicy::Always {
+            self.active.sync()?;
         }
         Ok(())
     }
 
     /// Flushes and fsyncs the active segment.
     pub fn sync(&mut self) -> Result<(), StorageError> {
-        self.unsynced = 0;
         self.active.sync()
     }
 
@@ -304,7 +306,6 @@ impl BlockLog {
         // exists, or recovery's "defects only in the newest segment"
         // invariant would not hold after a crash between the two steps.
         self.active.sync()?;
-        self.unsynced = 0;
         let old_header = self.active.header();
         let new_header = SegmentHeader {
             seq: old_header.seq + 1,
@@ -355,7 +356,6 @@ impl BlockLog {
         let new_writer = SegmentWriter::create(self.dir.join(segment_file_name(0)), header)?;
         self.active = new_writer;
         self.next_height = resume_height;
-        self.unsynced = 0;
         Ok(())
     }
 
@@ -606,23 +606,6 @@ mod tests {
             let err = BlockLog::open(dir.path(), tiny_opts(), oldest - 1).unwrap_err();
             assert!(err.to_string().contains("missing"), "{err}");
         }
-    }
-
-    #[test]
-    fn every_n_sync_policy_counts_appends() {
-        let dir = tempdir().unwrap();
-        let blocks = build_blocks(5);
-        let opts = LogOptions {
-            max_segment_bytes: 1 << 20,
-            sync: SyncPolicy::EveryN(2),
-        };
-        let (mut log, _) = BlockLog::open(dir.path(), opts, 0).unwrap();
-        for b in &blocks {
-            log.append(b, b"payload").unwrap();
-        }
-        log.sync().unwrap();
-        let (_, rec) = BlockLog::open(dir.path(), opts, 0).unwrap();
-        assert_eq!(rec.blocks.len(), 5);
     }
 
     #[test]

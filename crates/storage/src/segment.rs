@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: [u8; 8] = *b"SPLSSEG1";
 /// Current format version. Version 2 changed the record payload: block
 /// records gained the commit certificate's phase byte and the embedded
-/// batch payload (see `codec::encode_block_with_payload`). Version 3
+/// batch payload. Version 3
 /// added the block's `state_root` digest (ledger header v3 — execution
 /// state anchored in the chain). Version 4 extended the commit proof
 /// with its vote statement (voted digest + slot) and one Ed25519
@@ -38,12 +38,14 @@ pub const MAGIC: [u8; 8] = *b"SPLSSEG1";
 /// an old log would fail its seal checks. Version 6 did the same again
 /// one layer down: a bucket's leaf became the digest of its per-record
 /// digests (state-root definition v2) — same layout, different roots.
+/// Version 7 writes each record as `serde::bin` of `(block, payload)`,
+/// the block's wire encoding, instead of a storage-only codec.
 /// There is no in-place upgrade:
 /// a store written by an older version fails with a clean
 /// [`StorageError::UnsupportedVersion`](crate::StorageError) rather
 /// than a misleading corruption diagnosis, and the operator recovers
 /// the replica via state transfer from its peers.
-pub const VERSION: u32 = 6;
+pub const VERSION: u32 = 7;
 /// Size of the fixed segment header.
 pub const HEADER_LEN: u64 = 32;
 /// Per-record framing overhead (length + CRC).

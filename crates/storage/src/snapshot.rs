@@ -26,10 +26,15 @@
 //! snapshot degrades to a longer log replay instead of an outage.
 //! Pruning deletes old manifests and then garbage-collects chunk files
 //! no remaining manifest references.
+//!
+//! A manifest file is `magic ‖ version ‖ body ‖ CRC-32C`, where the body
+//! is `serde::bin` of one manifest struct (height, head hash, head
+//! block, recent ids, meta, chunk digests) — the head block in the same
+//! bytes it has on the wire.
 
-use crate::codec::{decode_block, encode_block, Reader, Writer};
 use crate::crc32::crc32c;
-use crate::StorageError;
+use crate::{check_parallel_proof, StorageError};
+use serde::{Deserialize, Serialize};
 use spotless_ledger::Block;
 use spotless_types::{BatchId, Digest};
 use std::collections::HashSet;
@@ -51,10 +56,11 @@ pub const MAGIC: [u8; 8] = *b"SPLSSNP1";
 /// two-level sharded state tree); version 6 keeps that layout under
 /// state-root definition v2 (bucket leaves over per-record digests), so
 /// a version-5 snapshot's state no longer re-seals to its head's
-/// `state_root`. Older stores are rejected with a
-/// clean [`StorageError::UnsupportedVersion`] — the migration story is
-/// state transfer from peers, not in-place upgrade.
-pub const VERSION: u32 = 6;
+/// `state_root`; version 7 writes the body in the wire codec
+/// (`serde::bin` of the manifest struct). Older stores are rejected
+/// with a clean [`StorageError::UnsupportedVersion`] — the migration
+/// story is state transfer from peers, not in-place upgrade.
+pub const VERSION: u32 = 7;
 
 /// A decoded snapshot (by default the empty one at height 0, which a
 /// store without a snapshot starts from).
@@ -184,50 +190,18 @@ pub fn read_chunk_blob(dir: &Path, digest: &Digest) -> Result<Vec<u8>, StorageEr
 }
 
 /// Sanity bound on a snapshot's recent-id list (see
-/// [`crate::RECENT_BATCHES_CAP`]; a larger prefix is corruption, not
+/// [`crate::RECENT_BATCHES_CAP`]; a longer list is corruption, not
 /// data).
-const MAX_RECENT_IDS: u32 = 1 << 16;
-const _: () = assert!(crate::RECENT_BATCHES_CAP <= MAX_RECENT_IDS as usize);
+pub(crate) const MAX_RECENT_IDS: usize = 1 << 16;
+const _: () = assert!(crate::RECENT_BATCHES_CAP <= MAX_RECENT_IDS);
 /// Sanity bound on a manifest's chunk count (a state would need to be
-/// absurdly large to exceed it; a larger prefix is corruption).
-const MAX_CHUNKS: u32 = 1 << 20;
-
-/// Encodes a snapshot manifest. Shared with the install journal
-/// ([`crate::transfer`]), whose `manifest.inst` is a manifest of the
-/// snapshot being transferred.
-pub(crate) fn encode_manifest(
-    height: u64,
-    head_hash: &Digest,
-    head_block: Option<&Block>,
-    recent_ids: &[BatchId],
-    app_meta: &[u8],
-    chunk_digests: &[Digest],
-) -> Vec<u8> {
-    let block_bytes = head_block.map(encode_block);
-    let mut w = Writer::with_capacity(128 + app_meta.len() + chunk_digests.len() * 32);
-    w.u64(height);
-    w.digest(head_hash);
-    w.bytes(block_bytes.as_deref().unwrap_or(&[]));
-    w.u32(recent_ids.len() as u32);
-    for id in recent_ids {
-        w.u64(id.0);
-    }
-    w.bytes(app_meta);
-    w.u32(chunk_digests.len() as u32);
-    for d in chunk_digests {
-        w.digest(d);
-    }
-    let body = w.into_bytes();
-    let mut buf = Vec::with_capacity(16 + body.len());
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&body);
-    let crc = crc32c(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf
-}
+/// absurdly large to exceed it; a longer list is corruption).
+pub(crate) const MAX_CHUNKS: usize = 1 << 20;
 
 /// The manifest half of a snapshot: everything except the chunk bytes.
+/// Its `serde::bin` encoding is the manifest file's body; the install
+/// journal ([`crate::transfer`]) writes its `manifest.inst` as one too.
+#[derive(Serialize, Deserialize)]
 pub(crate) struct Manifest {
     pub(crate) height: u64,
     pub(crate) head_hash: Digest,
@@ -237,10 +211,22 @@ pub(crate) struct Manifest {
     pub(crate) chunk_digests: Vec<Digest>,
 }
 
+/// Frames `m` as a manifest file: magic, version, body, CRC-32C over
+/// all three.
+pub(crate) fn encode_manifest(m: &Manifest) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(
+        512 + m.recent_ids.len() * 4 + m.app_meta.len() + m.chunk_digests.len() * 32,
+    );
+    buf.extend_from_slice(&MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    m.ser_bin(&mut buf);
+    let crc = crc32c(&buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    buf
+}
+
 pub(crate) fn decode_manifest(data: &[u8], path: &Path) -> Result<Manifest, StorageError> {
-    // magic(8) version(4) [codec-framed body] crc(4); the body reuses
-    // the length-checked `codec::Reader` helpers so every field failure
-    // names the field instead of re-deriving offset arithmetic here.
+    // magic(8) version(4) body crc(4)
     const FRAMING: usize = 8 + 4 + 4;
     if data.len() < FRAMING {
         return Err(StorageError::corrupt(
@@ -273,53 +259,32 @@ pub(crate) fn decode_manifest(data: &[u8], path: &Path) -> Result<Manifest, Stor
             "snapshot CRC mismatch",
         ));
     }
+    // The decoder bounds every length prefix by the bytes left, so what
+    // a list allocates is proportional to the file's size; the sanity
+    // bounds below then reject lists no writer produces.
     let codec_err = |source| StorageError::Codec {
         path: path.to_path_buf(),
         source,
     };
-    let mut r = Reader::new(&data[12..body_len]);
-    let height = r.u64("snapshot.height").map_err(codec_err)?;
-    let head_hash = r.digest("snapshot.head_hash").map_err(codec_err)?;
-    let block_bytes = r.bytes("snapshot.head_block").map_err(codec_err)?;
-    let head_block = if block_bytes.is_empty() {
-        None
-    } else {
-        Some(decode_block(block_bytes).map_err(codec_err)?)
-    };
-    let ids_len = r.u32("snapshot.recent_ids.len").map_err(codec_err)?;
-    if ids_len > MAX_RECENT_IDS {
+    let m: Manifest = serde::bin::from_slice(&data[12..body_len]).map_err(codec_err)?;
+    if let Some(block) = &m.head_block {
+        check_parallel_proof(block).map_err(codec_err)?;
+    }
+    if m.recent_ids.len() > MAX_RECENT_IDS {
         return Err(StorageError::corrupt(
             path,
             12,
             "snapshot recent-id list exceeds the sanity bound",
         ));
     }
-    let mut recent_ids = Vec::with_capacity(ids_len as usize);
-    for _ in 0..ids_len {
-        recent_ids.push(BatchId(r.u64("snapshot.recent_ids[]").map_err(codec_err)?));
-    }
-    let app_meta = r.bytes("snapshot.app_meta").map_err(codec_err)?.to_vec();
-    let chunks_len = r.u32("snapshot.chunks.len").map_err(codec_err)?;
-    if chunks_len > MAX_CHUNKS {
+    if m.chunk_digests.len() > MAX_CHUNKS {
         return Err(StorageError::corrupt(
             path,
             12,
             "snapshot chunk list exceeds the sanity bound",
         ));
     }
-    let mut chunk_digests = Vec::with_capacity(chunks_len as usize);
-    for _ in 0..chunks_len {
-        chunk_digests.push(r.digest("snapshot.chunks[]").map_err(codec_err)?);
-    }
-    r.finish("snapshot").map_err(codec_err)?;
-    Ok(Manifest {
-        height,
-        head_hash,
-        head_block,
-        recent_ids,
-        app_meta,
-        chunk_digests,
-    })
+    Ok(m)
 }
 
 pub(crate) fn sync_dir(dir: &Path) -> Result<(), StorageError> {
@@ -343,14 +308,14 @@ pub fn write_snapshot(dir: &Path, snap: &Snapshot) -> Result<PathBuf, StorageErr
         write_chunk_blob(dir, digest, bytes)?;
     }
     let name = snapshot_file_name(snap.height);
-    let bytes = encode_manifest(
-        snap.height,
-        &snap.head_hash,
-        snap.head_block.as_ref(),
-        &snap.recent_ids,
-        &snap.app_meta,
-        &chunk_digests,
-    );
+    let bytes = encode_manifest(&Manifest {
+        height: snap.height,
+        head_hash: snap.head_hash,
+        head_block: snap.head_block.clone(),
+        recent_ids: snap.recent_ids.clone(),
+        app_meta: snap.app_meta.clone(),
+        chunk_digests,
+    });
     write_atomic(dir, &name, &bytes, true)?;
     Ok(dir.join(name))
 }

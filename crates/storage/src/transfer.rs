@@ -8,7 +8,7 @@
 //! the runtime fetches only the rest.
 //!
 //! Layout: a `manifest.inst` file holding the **snapshot manifest** of
-//! the transfer's target, in [`crate::snapshot`]'s codec (magic,
+//! the transfer's target, in [`crate::snapshot`]'s format (magic,
 //! version, CRC framing and all): the target height, the certified head
 //! block (whose hash is the manifest's head hash), the recent-id
 //! window, the application meta bytes, and the expected chunk digest
@@ -26,7 +26,7 @@
 
 use crate::snapshot::{
     chunk_file_name, decode_manifest, encode_manifest, read_chunk_blob, write_atomic,
-    write_chunk_blob,
+    write_chunk_blob, Manifest,
 };
 use crate::StorageError;
 use spotless_ledger::Block;
@@ -71,14 +71,14 @@ impl InstallManifest {
     /// The snapshot manifest of the transfer's target; the head hash is
     /// the head block's.
     fn encode(&self) -> Vec<u8> {
-        encode_manifest(
-            self.height,
-            &self.head_block.hash,
-            Some(&self.head_block),
-            &self.recent_ids,
-            &self.app_meta,
-            &self.chunk_digests,
-        )
+        encode_manifest(&Manifest {
+            height: self.height,
+            head_hash: self.head_block.hash,
+            head_block: Some(self.head_block.clone()),
+            recent_ids: self.recent_ids.clone(),
+            app_meta: self.app_meta.clone(),
+            chunk_digests: self.chunk_digests.clone(),
+        })
     }
 
     /// Reads back [`encode`](InstallManifest::encode)'s bytes: a
@@ -408,16 +408,16 @@ mod tests {
         let path = dir.path().join("other.inst");
         for (head_hash, head_block) in [
             (m.head_block.hash, None),
-            (Digest::from_u64(1), Some(&m.head_block)),
+            (Digest::from_u64(1), Some(m.head_block.clone())),
         ] {
-            let bytes = encode_manifest(
-                m.height,
-                &head_hash,
+            let bytes = encode_manifest(&Manifest {
+                height: m.height,
+                head_hash,
                 head_block,
-                &m.recent_ids,
-                &m.app_meta,
-                &m.chunk_digests,
-            );
+                recent_ids: m.recent_ids.clone(),
+                app_meta: m.app_meta.clone(),
+                chunk_digests: m.chunk_digests.clone(),
+            });
             assert!(matches!(
                 InstallManifest::decode(&bytes, &path),
                 Err(StorageError::Corrupt { .. })

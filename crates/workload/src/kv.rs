@@ -1131,12 +1131,8 @@ impl KvStore {
     }
 
     /// The chunks of [`to_chunks`](KvStore::to_chunks) covering exactly
-    /// one execution shard's buckets. Because chunks never cross a
-    /// shard boundary, concatenating the per-shard chunk lists in shard
-    /// order is byte-identical to a whole-store `to_chunks` call — which
-    /// is what lets a snapshot writer reuse the cached chunks of shards
-    /// whose sub-root has not moved.
-    pub fn shard_to_chunks(&self, shard: usize, budget: usize) -> Vec<StateChunk> {
+    /// one execution shard's buckets.
+    fn shard_to_chunks(&self, shard: usize, budget: usize) -> Vec<StateChunk> {
         let budget = budget.max(1);
         let mut chunks = Vec::new();
         let first = shard * SHARD_BUCKETS;
@@ -1245,72 +1241,7 @@ impl KvStore {
         store.reads_served = reads_served;
         Some(store)
     }
-
-    /// Serializes the full store (table, rolling digest, counters) into
-    /// a deterministic, monolithic byte snapshot: two stores with equal
-    /// contents always produce equal bytes (keys are emitted in sorted
-    /// order). Retained as the pre-chunking comparator (see the
-    /// `snapshot_transfer` bench) and for small-state tooling; the
-    /// durable and transfer paths use [`to_chunks`](KvStore::to_chunks).
-    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let count: usize = self.len();
-        let mut out = Vec::with_capacity(64 + count * 16);
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        out.extend_from_slice(&self.state.0);
-        out.extend_from_slice(&self.writes_applied.to_le_bytes());
-        out.extend_from_slice(&self.reads_served.to_le_bytes());
-        out.extend_from_slice(&(count as u64).to_le_bytes());
-        let mut keys: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.table.keys().copied())
-            .collect();
-        keys.sort_unstable();
-        for key in keys {
-            let value = &self.shards[shard_of_key(key)].table[&key].value;
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            out.extend_from_slice(value);
-        }
-        out
-    }
-
-    /// Restores a store from [`to_snapshot_bytes`](KvStore::to_snapshot_bytes)
-    /// output. Fail-closed: any structural defect yields `None` rather
-    /// than a partially restored store.
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Option<KvStore> {
-        use spotless_types::bytes::take;
-        fn take_u64(bytes: &mut &[u8]) -> Option<u64> {
-            take(bytes, 8).map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
-        }
-        let mut rest = bytes;
-        if take(&mut rest, SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC {
-            return None;
-        }
-        let mut state = Digest::ZERO;
-        state.0.copy_from_slice(take(&mut rest, 32)?);
-        let writes_applied = take_u64(&mut rest)?;
-        let reads_served = take_u64(&mut rest)?;
-        let count = take_u64(&mut rest)?;
-        let mut store = KvStore::new();
-        for _ in 0..count {
-            let key = take_u64(&mut rest)?;
-            let len = u32::from_le_bytes(take(&mut rest, 4)?.try_into().expect("4 bytes")) as usize;
-            store.raw_insert(key, take(&mut rest, len)?.to_vec());
-        }
-        if !rest.is_empty() {
-            return None;
-        }
-        store.state = state;
-        store.writes_applied = writes_applied;
-        store.reads_served = reads_served;
-        Some(store)
-    }
 }
-
-/// Version-bearing magic prefix of a monolithic KV snapshot. v2: the
-/// stored rolling digest uses per-batch chaining semantics.
-const SNAPSHOT_MAGIC: &[u8] = b"spotless-kv-snapshot-v2";
 
 impl Default for KvStore {
     fn default() -> Self {
@@ -2030,37 +1961,6 @@ mod tests {
                 "{n} records"
             );
         }
-    }
-
-    #[test]
-    fn snapshot_bytes_roundtrip_exactly() {
-        let mut generator = WorkloadGen::new(YcsbConfig::default(), 7);
-        let mut store = KvStore::initialized(200, 16);
-        store.execute_batch(&generator.next_batch(300));
-        let bytes = store.to_snapshot_bytes();
-        let mut back = KvStore::from_snapshot_bytes(&bytes).expect("valid snapshot");
-        assert_eq!(back.state_digest(), store.state_digest());
-        assert_eq!(back.writes_applied(), store.writes_applied());
-        assert_eq!(back.reads_served(), store.reads_served());
-        assert_eq!(back.len(), store.len());
-        assert_eq!(back.state_root(), store.state_root());
-        // Determinism: re-serializing the restored store is byte-identical.
-        assert_eq!(back.to_snapshot_bytes(), bytes);
-    }
-
-    #[test]
-    fn snapshot_decoding_is_fail_closed() {
-        let mut store = KvStore::new();
-        store.execute(&write(0, 3, b"abc"));
-        let bytes = store.to_snapshot_bytes();
-        assert!(KvStore::from_snapshot_bytes(&bytes[..bytes.len() - 1]).is_none());
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(KvStore::from_snapshot_bytes(&trailing).is_none());
-        let mut bad_magic = bytes;
-        bad_magic[0] ^= 0xff;
-        assert!(KvStore::from_snapshot_bytes(&bad_magic).is_none());
-        assert!(KvStore::from_snapshot_bytes(b"").is_none());
     }
 
     #[test]

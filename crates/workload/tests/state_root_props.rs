@@ -17,7 +17,7 @@ type Step = (u8, Vec<(bool, u64, u8)>);
 
 fn steps() -> impl Strategy<Value = Vec<Step>> {
     let ops = prop::collection::vec((any::<bool>(), 0u64..3_000, any::<u8>()), 0..16);
-    prop::collection::vec((0u8..5, ops), 1..12)
+    prop::collection::vec((0u8..4, ops), 1..12)
 }
 
 fn to_txns(ops: &[(bool, u64, u8)], step: usize) -> Vec<Transaction> {
@@ -88,14 +88,10 @@ proptest! {
                     kv.restore_shards(shards);
                     kv.execute_batch(&txns);
                 }
-                3 => {
+                _ => {
                     kv.execute_batch(&txns);
                     let chunks = kv.to_chunks(256);
                     kv = KvStore::from_transfer(&kv.transfer_meta(), &chunks).expect("assembles");
-                }
-                _ => {
-                    kv.execute_batch(&txns);
-                    kv = KvStore::from_snapshot_bytes(&kv.to_snapshot_bytes()).expect("restores");
                 }
             }
             prop_assert_eq!(kv.state_root(), kv.rebuild_state_root(), "step {} kind {}", i, kind);

@@ -12,19 +12,11 @@
 
 use spotless::core::{ReplicaConfig, SpotLessReplica};
 use spotless::ledger::CommitProof;
-use spotless::runtime::StorageConfig;
 use spotless::simnet::{ClosedLoopDriver, SimConfig, Simulation};
 use spotless::storage::log::{LogOptions, SyncPolicy};
 use spotless::storage::{DurableLedger, DurableLedgerOptions};
-use spotless::transport::InProcCluster;
-use spotless::types::{
-    BatchId, ClientBatch, ClientId, ClusterConfig, CommitInfo, InstanceId, ReplicaId, SimDuration,
-    SimTime, View,
-};
-use spotless::workload::{
-    encode_txns, shard_of_key, KvStore, Operation, Transaction, WorkloadGen, YcsbConfig,
-    EXEC_SHARDS,
-};
+use spotless::types::{BatchId, ClusterConfig, CommitInfo, InstanceId, SimDuration, View};
+use spotless::workload::{encode_txns, KvStore, WorkloadGen, YcsbConfig};
 
 /// Runs a 4-replica, 4-instance cluster and returns the per-replica
 /// commit logs (execution order, no-ops included).
@@ -282,114 +274,4 @@ fn kv_state_recovers_from_snapshot_plus_payload_replay() {
     let (led, _) = DurableLedger::open(dir.path(), opts).unwrap();
     led.ledger().verify().unwrap();
     assert_eq!(led.ledger().height(), payloads.len() as u64);
-}
-
-/// A batch updating `keys` with batch-id-derived values (every commit
-/// genuinely moves the touched shard's contents).
-fn shard_batch(id: u64, keys: &[u64]) -> ClientBatch {
-    let txns: Vec<Transaction> = keys
-        .iter()
-        .enumerate()
-        .map(|(k, &key)| Transaction {
-            id: id * 1000 + k as u64,
-            op: Operation::Update {
-                key,
-                value: format!("batch-{id}-key-{key}").into_bytes(),
-            },
-        })
-        .collect();
-    let payload = encode_txns(&txns);
-    let digest = spotless::crypto::digest_bytes(&payload);
-    ClientBatch {
-        id: BatchId(id),
-        origin: ClientId(7),
-        digest,
-        txns: txns.len() as u32,
-        txn_size: 32,
-        created_at: SimTime::ZERO,
-        payload,
-    }
-}
-
-/// Dirty-shard snapshot delta, end to end through the replica runtime:
-/// a skewed workload whose every write lands in one execution shard
-/// must leave the other shards' serializations **reused** across
-/// durable snapshots — after the first full snapshot, only the hot
-/// shard is re-encoded. [`spotless::runtime::SnapshotStats`] on the
-/// replica handle is the proof: `encoded + reused` accounts for every
-/// shard of every snapshot, and `encoded` is bounded by one full
-/// snapshot plus one hot shard per subsequent snapshot.
-#[tokio::test(flavor = "multi_thread")]
-async fn skewed_snapshots_reuse_clean_shard_serializations() {
-    // Keys pinned to execution shard 0: the other seven shards never
-    // see a write in this test.
-    let hot_keys: Vec<u64> = (0..100_000u64)
-        .filter(|&k| shard_of_key(k) == 0)
-        .take(8)
-        .collect();
-    assert_eq!(hot_keys.len(), 8, "enough shard-0 keys in range");
-
-    let cluster = ClusterConfig::new(4);
-    let dirs: Vec<tempfile::TempDir> = (0..4).map(|_| tempfile::tempdir().unwrap()).collect();
-    let storage: Vec<Option<StorageConfig>> = dirs
-        .iter()
-        .map(|d| {
-            let mut cfg = StorageConfig::new(d.path());
-            cfg.options.snapshot_every = 4;
-            Some(cfg)
-        })
-        .collect();
-    let c = cluster.clone();
-    let handle = InProcCluster::spawn_with(cluster, storage, vec![false; 4], move |r| {
-        SpotLessReplica::new(ReplicaConfig::honest(c.clone(), r))
-    })
-    .expect("durable inproc cluster");
-    let h0 = handle.handle(ReplicaId(0));
-    for _ in 0..1200 {
-        if h0.is_synced() {
-            break;
-        }
-        tokio::time::sleep(std::time::Duration::from_millis(25)).await;
-    }
-    assert!(h0.is_synced(), "replica 0 must sync at fresh boot");
-
-    for i in 0..24u64 {
-        let keys = [hot_keys[(i % 8) as usize], hot_keys[((i + 3) % 8) as usize]];
-        let result = handle
-            .client
-            .submit(shard_batch(i, &keys), ReplicaId((i % 4) as u32))
-            .await;
-        assert_ne!(result, spotless::types::Digest::ZERO, "batch {i} commits");
-    }
-    // At cadence 4, twenty-four committed batches give several durable
-    // snapshots; wait for at least two so the delta has a baseline.
-    for _ in 0..1200 {
-        if h0.snapshots().snapshots() >= 2 {
-            break;
-        }
-        tokio::time::sleep(std::time::Duration::from_millis(25)).await;
-    }
-    let stats = h0.snapshots().clone();
-    handle.shutdown().await;
-
-    let snaps = stats.snapshots();
-    assert!(snaps >= 2, "expected at least two snapshots, got {snaps}");
-    assert_eq!(
-        stats.shards_encoded() + stats.shards_reused(),
-        snaps * EXEC_SHARDS as u64,
-        "every snapshot must account for every shard"
-    );
-    // After the first (cache-less, all-encoded) snapshot, the seven
-    // cold shards are reused every time; at most the hot shard
-    // re-encodes.
-    assert!(
-        stats.shards_reused() >= (snaps - 1) * (EXEC_SHARDS as u64 - 1),
-        "clean shards must be reused: {} reused over {snaps} snapshots",
-        stats.shards_reused()
-    );
-    assert!(
-        stats.shards_encoded() <= EXEC_SHARDS as u64 + (snaps - 1),
-        "only the hot shard may re-encode after the first snapshot: {} encoded",
-        stats.shards_encoded()
-    );
 }

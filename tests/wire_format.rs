@@ -24,6 +24,8 @@ use spotless::runtime::envelope::{
 use spotless::runtime::{
     CatchUpBlock, ChunkInfo, ChunkTransfer, Envelope, TransferManifest, WireMsg, WireMsgRef,
 };
+use spotless::storage::log::{BlockLog, LogOptions};
+use spotless::storage::segment::{scan_segment, segment_file_name};
 use spotless::types::{
     BatchId, CertPhase, ClientBatch, ClientId, Digest, InstanceId, ReplicaId, Signature, SimTime,
     View,
@@ -258,6 +260,33 @@ fn golden_catchup_resp() {
         }) => assert_eq!(got, blocks),
         _ => panic!("golden catch-up response failed to decode"),
     }
+}
+
+/// A block has one byte form: the durable log writes the record a
+/// catch-up response carries on the wire.
+#[test]
+fn durable_log_record_is_the_catchup_block_encoding() {
+    let block = sample_block();
+    let payload = b"txn-bytes";
+    let dir = tempfile::tempdir().unwrap();
+    let (mut log, _) = BlockLog::open(dir.path(), LogOptions::default(), 0).unwrap();
+    log.append(&block, payload).unwrap();
+    drop(log);
+    let scan = scan_segment(&dir.path().join(segment_file_name(0))).unwrap();
+    let record = &scan.records[0];
+    let block_bytes = serde::bin::to_vec(&block);
+    assert_eq!(record[..block_bytes.len()], block_bytes[..]);
+    // The response is version ‖ tag ‖ peer height ‖ block count, then
+    // each block with its payload — byte for byte the log record.
+    let resp = encode_catchup_resp(
+        4,
+        &[CatchUpBlock {
+            block,
+            payload: payload.to_vec(),
+        }],
+    );
+    assert_eq!(resp[..4], [WIRE_VERSION, TAG_CATCHUP_RESP, 4, 1]);
+    assert_eq!(resp[4..], record[..]);
 }
 
 #[test]
