@@ -1,6 +1,5 @@
 //! **Wire-codec micro-bench** — the binary codec's encoded size and
-//! encode+decode time across representative `WireMsg` shapes, plus the
-//! borrowing decoder against the owning one.
+//! encode+decode time across representative `WireMsg` shapes.
 //!
 //! Shapes measured:
 //!
@@ -13,9 +12,8 @@
 //!   replays them.
 //!
 //! The run **asserts** that every shape round-trips through the binary
-//! codec and that zero-copy decoding is ≥ 1.3× the owning decoder on
-//! the catch-up shapes. The exact byte layout itself is pinned
-//! separately by the golden-vector tests (`tests/wire_format.rs`).
+//! codec. The exact byte layout itself is pinned separately by the
+//! golden-vector tests (`tests/wire_format.rs`).
 //!
 //! Quick scale finishes in a couple of seconds (CI runs it in the
 //! bench-smoke job); `SPOTLESS_FULL=1` multiplies the iteration count.
@@ -190,80 +188,4 @@ fn main() {
         }
         _ => panic!("an encoded proposal must decode"),
     }
-
-    zero_copy_decode();
-}
-
-/// **Zero-copy decode** — the borrowing wire decoder (`decode_ref`,
-/// `&[u8]` payloads straight out of the receive buffer) vs. the owning
-/// decoder (`decode`, which copies every payload into fresh `Vec`s) on
-/// the catch-up shapes state transfer rides on. The run asserts the
-/// ISSUE's floor: borrowing ≥ 1.3× owning on the payload-carrying
-/// catch-up shapes.
-fn zero_copy_decode() {
-    use spotless_runtime::envelope::{
-        decode, decode_ref, encode_catchup_resp, encode_chunk, CatchUpBlock, ChunkTransfer,
-    };
-
-    let mut table = FigureTable::new(
-        "wire_codec_zero_copy",
-        &["shape", "bytes", "owning_ns", "borrowed_ns", "speedup"],
-    );
-    let n = iters();
-    let mut bench = |name: &str, encoded: Vec<u8>| {
-        // Sanity: both decoders accept the shape before timing it.
-        assert!(decode::<Message>(&encoded).is_some(), "{name}: owning");
-        assert!(decode_ref(&encoded).is_some(), "{name}: borrowing");
-
-        let start = Instant::now();
-        for _ in 0..n {
-            let msg = decode::<Message>(black_box(&encoded)).expect("decodes");
-            black_box(&msg);
-        }
-        let own_ns = start.elapsed().as_nanos() as f64 / f64::from(n);
-
-        let start = Instant::now();
-        for _ in 0..n {
-            let msg = decode_ref(black_box(&encoded)).expect("decodes");
-            black_box(&msg);
-        }
-        let ref_ns = start.elapsed().as_nanos() as f64 / f64::from(n);
-
-        let speedup = own_ns / ref_ns;
-        table.row(&[
-            name.into(),
-            format!("{}", encoded.len()),
-            format!("{own_ns:10.0}"),
-            format!("{ref_ns:10.0}"),
-            format!("{speedup:5.1} x"),
-        ]);
-        assert!(
-            speedup >= 1.3,
-            "{name}: zero-copy decode must be ≥ 1.3× owning decode (got {speedup:.2}×)"
-        );
-    };
-
-    // A catch-up response carrying four real blocks + payloads — the
-    // message block replay streams during recovery.
-    let (block, payload) = catchup_block();
-    let blocks: Vec<CatchUpBlock> = (0..4)
-        .map(|_| CatchUpBlock {
-            block: block.clone(),
-            payload: payload.clone(),
-        })
-        .collect();
-    bench("catchup_resp_4blocks", encode_catchup_resp(4, &blocks));
-
-    // A 16 KiB state chunk — the message chunked snapshot transfer
-    // rides on; the owning decoder copies the whole chunk per message.
-    bench(
-        "chunk_16k",
-        encode_chunk(&ChunkTransfer {
-            height: 7,
-            index: 3,
-            chunk: vec![0xA5; 16 * 1024],
-            proofs: vec![],
-            top_proof: vec![],
-        }),
-    );
 }

@@ -52,6 +52,12 @@
 //!   on `KvStore::to_chunks`), lifting the previous whole-state-per-
 //!   frame ceiling by three orders of magnitude.
 //!
+//! Each body has one reader. [`decode_ref`] reads the header and every
+//! transfer body, into the same owned types the encoders take, and
+//! hands a protocol body back undecoded; [`decode_protocol_bundle`]
+//! reads that. [`decode`] is [`decode_ref`] plus its own protocol-body
+//! loop, kept as the oracle the bundle reader is tested against.
+//!
 //! Decoding is fail-closed throughout: wrong version, unknown tag,
 //! truncation, trailing bytes, non-canonical varints, a protocol body
 //! holding no message or more than [`MAX_BUNDLE`], proof chains
@@ -369,11 +375,16 @@ pub struct ChunkTransfer {
     pub top_proof: Vec<ProofStep>,
 }
 
-/// Everything a replica can receive inside an [`Envelope`].
-pub enum WireMsg<M> {
+/// Everything a replica can receive inside an [`Envelope`]. `P` is the
+/// form of the protocol body: [`decode`] parses it into its messages
+/// (`Vec<M>`), [`decode_ref`] hands it back still encoded
+/// ([`WireMsgRef`]). The transfer variants are the same owned values
+/// either way, built by the one reader both decoders share.
+#[derive(Debug, PartialEq, Eq)]
+pub enum WireMsg<P> {
     /// One to [`MAX_BUNDLE`] consensus protocol messages, in the order
     /// the sender emitted them.
-    Protocol(Vec<M>),
+    Protocol(P),
     /// "Send me your executed blocks from `from_height` up."
     CatchUpReq {
         /// First height the requester is missing (execution-wise).
@@ -402,158 +413,31 @@ pub enum WireMsg<M> {
     Chunk(Box<ChunkTransfer>),
 }
 
-/// Borrowed view of a [`CatchUpBlock`]: the block header decodes owned
-/// (small, structural), the batch payload stays a slice of the receive
-/// buffer.
-#[derive(Debug, PartialEq, Eq)]
-pub struct CatchUpBlockRef<'a> {
-    /// The hash-chained ledger block.
-    pub block: Block,
-    /// Serialized transactions, borrowed from the payload buffer.
-    pub payload: &'a [u8],
-}
+/// A [`WireMsg`] whose protocol body is the raw bytes after the tag, so
+/// the caller chooses when, and with which message type, to parse it
+/// ([`decode_protocol_bundle`], or [`decode_protocol_body`] for a
+/// payload known to hold one message). The transfer variants never
+/// mention the protocol type, so the pipeline decodes them without
+/// knowing it.
+pub type WireMsgRef<'a> = WireMsg<&'a [u8]>;
 
-impl CatchUpBlockRef<'_> {
-    /// Copies the borrowed payload into an owned [`CatchUpBlock`] —
-    /// the storage boundary.
-    pub fn to_owned(&self) -> CatchUpBlock {
-        CatchUpBlock {
-            block: self.block.clone(),
-            payload: self.payload.to_vec(),
-        }
-    }
-}
-
-/// Borrowed view of a [`TransferManifest`]: `app_meta` stays a slice of
-/// the receive buffer.
-#[derive(Debug, PartialEq, Eq)]
-pub struct TransferManifestRef<'a> {
-    /// Ledger height the snapshot covers.
-    pub height: u64,
-    /// The responder's ledger height when it served the request.
-    pub peer_height: u64,
-    /// The certified head block (see [`TransferManifest::head`]).
-    pub head: Block,
-    /// Recently committed batch ids covered by the snapshot.
-    pub recent_ids: Vec<BatchId>,
-    /// Application meta bytes, borrowed from the payload buffer.
-    pub app_meta: &'a [u8],
-    /// Inclusion proof of `app_meta` at the state tree's meta leaf.
-    pub meta_proof: Vec<ProofStep>,
-    /// The chunk plan, in order.
-    pub chunks: Vec<ChunkInfo>,
-}
-
-impl TransferManifestRef<'_> {
-    /// Copies the borrowed meta bytes into an owned
-    /// [`TransferManifest`] — done once, when a transfer is accepted
-    /// and the manifest must outlive the envelope that carried it.
-    pub fn to_owned(&self) -> TransferManifest {
-        TransferManifest {
-            height: self.height,
-            peer_height: self.peer_height,
-            head: self.head.clone(),
-            recent_ids: self.recent_ids.clone(),
-            app_meta: self.app_meta.to_vec(),
-            meta_proof: self.meta_proof.clone(),
-            chunks: self.chunks.clone(),
-        }
-    }
-}
-
-/// Borrowed view of a [`ChunkTransfer`]: the chunk bytes — the bulk of
-/// the frame — stay a slice of the receive buffer.
-#[derive(Debug, PartialEq, Eq)]
-pub struct ChunkTransferRef<'a> {
-    /// The transfer's target height.
-    pub height: u64,
-    /// Index into the manifest's chunk list.
-    pub index: u32,
-    /// The chunk's canonical encoding, borrowed from the payload buffer.
-    pub chunk: &'a [u8],
-    /// Per-bucket shard-level inclusion proofs, in bucket order within
-    /// the chunk (empty for fragments).
-    pub proofs: Vec<Vec<ProofStep>>,
-    /// Top-tree inclusion proof of the owning shard's sub-root.
-    pub top_proof: Vec<ProofStep>,
-}
-
-impl ChunkTransferRef<'_> {
-    /// Copies the borrowed chunk bytes into an owned [`ChunkTransfer`].
-    pub fn to_owned(&self) -> ChunkTransfer {
-        ChunkTransfer {
-            height: self.height,
-            index: self.index,
-            chunk: self.chunk.to_vec(),
-            proofs: self.proofs.clone(),
-            top_proof: self.top_proof.clone(),
-        }
-    }
-}
-
-/// Borrowed counterpart of [`WireMsg`], produced by [`decode_ref`]:
-/// bulk byte fields are slices of the payload buffer, and a protocol
-/// body is returned **undecoded** (the raw bytes after the tag) so the
-/// caller chooses when — and with which message type — to parse it.
-/// Not generic over `M` for exactly that reason: the transfer variants
-/// never mention the protocol type, so the pipeline can decode them
-/// without knowing it.
-#[derive(Debug, PartialEq, Eq)]
-pub enum WireMsgRef<'a> {
-    /// Consensus protocol messages, still encoded: the body bytes to
-    /// hand to [`decode_protocol_bundle`] (or, for a payload known to
-    /// hold one message, [`decode_protocol_body`]).
-    Protocol(&'a [u8]),
-    /// "Send me your executed blocks from `from_height` up."
-    CatchUpReq {
-        /// First height the requester is missing.
-        from_height: u64,
-    },
-    /// A slice of the responder's executed chain.
-    CatchUpResp {
-        /// The responder's ledger height when it served the request.
-        peer_height: u64,
-        /// Contiguous blocks, payloads borrowed.
-        blocks: Vec<CatchUpBlockRef<'a>>,
-    },
-    /// A chunked state transfer's manifest, meta bytes borrowed.
-    Manifest(Box<TransferManifestRef<'a>>),
-    /// "Send me chunk `index` of the transfer at `height`."
-    ChunkReq {
-        /// The transfer's target height.
-        height: u64,
-        /// Index into the manifest's chunk list.
-        index: u32,
-    },
-    /// One state chunk, chunk bytes borrowed.
-    Chunk(Box<ChunkTransferRef<'a>>),
-}
-
-impl WireMsgRef<'_> {
-    /// Converts to the owning [`WireMsg`], decoding a protocol body
-    /// with `M`. `None` only if a `Protocol` body fails to parse —
-    /// every other variant converts infallibly. Exists for equivalence
-    /// testing against [`decode`]; hot paths convert piecewise at
-    /// their storage boundaries instead.
-    pub fn to_owned_msg<M: Deserialize>(&self) -> Option<WireMsg<M>> {
+impl<P> WireMsg<P> {
+    /// Parses the protocol body with `parse`; every other variant moves
+    /// across unchanged. `None` iff `parse` returns `None`.
+    pub fn try_map_protocol<Q>(self, parse: impl FnOnce(P) -> Option<Q>) -> Option<WireMsg<Q>> {
         Some(match self {
-            WireMsgRef::Protocol(body) => WireMsg::Protocol(decode_protocol_bundle(body)?),
-            WireMsgRef::CatchUpReq { from_height } => WireMsg::CatchUpReq {
-                from_height: *from_height,
-            },
-            WireMsgRef::CatchUpResp {
+            WireMsg::Protocol(body) => WireMsg::Protocol(parse(body)?),
+            WireMsg::CatchUpReq { from_height } => WireMsg::CatchUpReq { from_height },
+            WireMsg::CatchUpResp {
                 peer_height,
                 blocks,
             } => WireMsg::CatchUpResp {
-                peer_height: *peer_height,
-                blocks: blocks.iter().map(CatchUpBlockRef::to_owned).collect(),
+                peer_height,
+                blocks,
             },
-            WireMsgRef::Manifest(m) => WireMsg::Manifest(Box::new((**m).to_owned())),
-            WireMsgRef::ChunkReq { height, index } => WireMsg::ChunkReq {
-                height: *height,
-                index: *index,
-            },
-            WireMsgRef::Chunk(c) => WireMsg::Chunk(Box::new((**c).to_owned())),
+            WireMsg::Manifest(m) => WireMsg::Manifest(m),
+            WireMsg::ChunkReq { height, index } => WireMsg::ChunkReq { height, index },
+            WireMsg::Chunk(c) => WireMsg::Chunk(c),
         })
     }
 }
@@ -697,44 +581,96 @@ pub fn encode_chunk(c: &ChunkTransfer) -> Vec<u8> {
     out
 }
 
-/// Sanity bound on list lengths in transfer payloads (a larger prefix
-/// is a malformed frame, not data). `Reader::len` already bounds every
-/// count against the remaining input; this is the belt to that
-/// suspenders for lists of multi-byte records.
+/// Bound on every list length in a transfer payload, checked before
+/// the list is allocated: a larger prefix is a malformed frame, not
+/// data. [`Reader::len`] bounds a count only by the input left (one
+/// byte per element), which an 8 MiB frame meets with eight million
+/// entries, each a multi-byte record once decoded: preallocating for
+/// that would reserve many times the frame.
 const MAX_TRANSFER_ITEMS: usize = 1 << 20;
 
-/// Decodes a tagged payload. `None` on any structural defect — wrong
-/// [`WIRE_VERSION`], unknown tag, truncation, trailing bytes — the
-/// caller drops malformed traffic (the sender is faulty, on an
-/// incompatible wire format, or the bytes are corrupt; either way
-/// there is nothing to do with them).
-pub fn decode<M: Deserialize>(payload: &[u8]) -> Option<WireMsg<M>> {
-    let (&version, rest) = payload.split_first()?;
-    if version != WIRE_VERSION {
-        return None; // other format generation: fail closed
-    }
-    let (&tag, body) = rest.split_first()?;
-    let mut r = Reader::new(body);
-    let msg = match tag {
-        TAG_PROTOCOL => {
-            let mut msgs = Vec::new();
-            while !r.is_empty() && msgs.len() < MAX_BUNDLE {
-                msgs.push(M::de_bin(&mut r).ok()?);
-            }
-            if msgs.is_empty() {
-                return None; // an empty bundle is no message at all
-            }
-            WireMsg::Protocol(msgs)
+/// Decodes a tagged payload, parsing a protocol body into `M`s: the
+/// header and transfer bodies are [`decode_ref`]'s, and the protocol
+/// body is read here, message by message, by a loop of its own — the
+/// oracle the equivalence tests hold [`decode_protocol_bundle`] to.
+/// `None` on any structural defect — wrong [`WIRE_VERSION`], unknown
+/// tag, truncation, trailing bytes, a bundle of no message or more
+/// than [`MAX_BUNDLE`] — the caller drops malformed traffic (the
+/// sender is faulty, on an incompatible wire format, or the bytes are
+/// corrupt; either way there is nothing to do with them).
+pub fn decode<M: Deserialize>(payload: &[u8]) -> Option<WireMsg<Vec<M>>> {
+    decode_ref(payload)?.try_map_protocol(|body| {
+        let mut r = Reader::new(body);
+        let mut msgs = Vec::new();
+        while !r.is_empty() && msgs.len() < MAX_BUNDLE {
+            msgs.push(M::de_bin(&mut r).ok()?);
         }
+        // No message at all, or bytes past the last one: malformed.
+        (!msgs.is_empty() && r.is_empty()).then_some(msgs)
+    })
+}
+
+/// Cheapest possible classification of a sealed payload: its tag byte,
+/// iff the version byte matches and the tag is known. The ingress task
+/// routes on this — protocol bodies parse there (their votes are
+/// verified in the same batch as the envelope), transfer bodies ship
+/// through the event loop to the pipeline still encoded and parse there
+/// via [`decode_ref`].
+pub fn payload_tag(payload: &[u8]) -> Option<u8> {
+    match payload {
+        [WIRE_VERSION, tag, ..] if *tag <= TAG_CATCHUP_CHUNK => Some(*tag),
+        _ => None,
+    }
+}
+
+/// Parses a protocol body returned by [`WireMsg::Protocol`] that
+/// holds exactly one message (requires full consumption, like
+/// [`decode`]).
+pub fn decode_protocol_body<M: Deserialize>(body: &[u8]) -> Option<M> {
+    bin::from_slice(body).ok()
+}
+
+/// Parses a protocol body returned by [`WireMsg::Protocol`] into its
+/// messages, in payload order. Accepts exactly the bodies [`decode`]
+/// accepts: one to [`MAX_BUNDLE`] messages that consume the body
+/// completely. Anything else is `None` — a payload is taken or dropped
+/// whole. The ingress task reads every protocol payload through this.
+pub fn decode_protocol_bundle<M: Deserialize>(body: &[u8]) -> Option<Vec<M>> {
+    let mut r = Reader::new(body);
+    let mut msgs = Vec::with_capacity(4);
+    loop {
+        msgs.push(M::de_bin(&mut r).ok()?);
+        if r.is_empty() {
+            return Some(msgs);
+        }
+        if msgs.len() == MAX_BUNDLE {
+            return None;
+        }
+    }
+}
+
+/// The one reader of payload headers and transfer bodies. Checks the
+/// version byte and the tag; hands a protocol body back undecoded (its
+/// caller's parse enforces full consumption); parses a transfer body
+/// into the owned types its encoder takes, bounding every list at 2²⁰
+/// items and every proof at [`spotless_crypto::MAX_PROOF_DEPTH`] steps
+/// before allocating, and
+/// rejecting u32 fields out of range, proof direction bytes other than
+/// 0 and 1, and trailing bytes. The pipeline reads every transfer
+/// message through this, and moves the decoded bytes into storage.
+pub fn decode_ref(payload: &[u8]) -> Option<WireMsgRef<'_>> {
+    let [WIRE_VERSION, tag, body @ ..] = payload else {
+        return None; // truncated, or another format generation: fail closed
+    };
+    let mut r = Reader::new(body);
+    let msg = match *tag {
+        TAG_PROTOCOL => return Some(WireMsg::Protocol(body)),
         TAG_CATCHUP_REQ => WireMsg::CatchUpReq {
             from_height: r.varint().ok()?,
         },
         TAG_CATCHUP_RESP => {
             let peer_height = r.varint().ok()?;
-            let count = r.len().ok()?;
-            if count > MAX_TRANSFER_ITEMS {
-                return None;
-            }
+            let count = transfer_len(&mut r)?;
             let mut blocks = Vec::with_capacity(count.min(4096));
             for _ in 0..count {
                 let block = Block::de_bin(&mut r).ok()?;
@@ -750,26 +686,20 @@ pub fn decode<M: Deserialize>(payload: &[u8]) -> Option<WireMsg<M>> {
             let height = r.varint().ok()?;
             let peer_height = r.varint().ok()?;
             let head = Block::de_bin(&mut r).ok()?;
-            let ids_len = r.len().ok()?;
-            if ids_len > MAX_TRANSFER_ITEMS {
-                return None;
-            }
+            let ids_len = transfer_len(&mut r)?;
             let mut recent_ids = Vec::with_capacity(ids_len);
             for _ in 0..ids_len {
                 recent_ids.push(BatchId(r.varint().ok()?));
             }
             let app_meta = Vec::<u8>::de_bin(&mut r).ok()?;
             let meta_proof = decode_proof(&mut r)?;
-            let chunks_len = r.len().ok()?;
-            if chunks_len > MAX_TRANSFER_ITEMS {
-                return None;
-            }
+            let chunks_len = transfer_len(&mut r)?;
             let mut chunks = Vec::with_capacity(chunks_len);
             for _ in 0..chunks_len {
-                let first_bucket = u32::try_from(r.varint().ok()?).ok()?;
-                let buckets = u32::try_from(r.varint().ok()?).ok()?;
-                let part = u32::try_from(r.varint().ok()?).ok()?;
-                let parts = u32::try_from(r.varint().ok()?).ok()?;
+                let first_bucket = read_u32(&mut r)?;
+                let buckets = read_u32(&mut r)?;
+                let part = read_u32(&mut r)?;
+                let parts = read_u32(&mut r)?;
                 let mut digest = Digest::ZERO;
                 digest.0.copy_from_slice(r.take(32).ok()?);
                 chunks.push(ChunkInfo {
@@ -792,16 +722,13 @@ pub fn decode<M: Deserialize>(payload: &[u8]) -> Option<WireMsg<M>> {
         }
         TAG_CATCHUP_CHUNK_REQ => WireMsg::ChunkReq {
             height: r.varint().ok()?,
-            index: u32::try_from(r.varint().ok()?).ok()?,
+            index: read_u32(&mut r)?,
         },
         TAG_CATCHUP_CHUNK => {
             let height = r.varint().ok()?;
-            let index = u32::try_from(r.varint().ok()?).ok()?;
+            let index = read_u32(&mut r)?;
             let chunk = Vec::<u8>::de_bin(&mut r).ok()?;
-            let proofs_len = r.len().ok()?;
-            if proofs_len > MAX_TRANSFER_ITEMS {
-                return None;
-            }
+            let proofs_len = transfer_len(&mut r)?;
             let mut proofs = Vec::with_capacity(proofs_len);
             for _ in 0..proofs_len {
                 proofs.push(decode_proof(&mut r)?);
@@ -817,171 +744,17 @@ pub fn decode<M: Deserialize>(payload: &[u8]) -> Option<WireMsg<M>> {
         }
         _ => return None,
     };
-    if !r.is_empty() {
-        return None; // trailing bytes: malformed
-    }
-    Some(msg)
+    r.is_empty().then_some(msg) // trailing bytes: malformed
 }
 
-/// Cheapest possible classification of a sealed payload: its tag byte,
-/// iff the version byte matches and the tag is known. The ingress task
-/// routes on this — protocol bodies parse there (their votes are
-/// verified in the same batch as the envelope), transfer bodies ship
-/// through the event loop to the pipeline still encoded and parse there
-/// via [`decode_ref`].
-pub fn payload_tag(payload: &[u8]) -> Option<u8> {
-    match payload {
-        [WIRE_VERSION, tag, ..] if *tag <= TAG_CATCHUP_CHUNK => Some(*tag),
-        _ => None,
-    }
+/// A transfer list's length prefix, `None` above [`MAX_TRANSFER_ITEMS`].
+fn transfer_len(r: &mut Reader<'_>) -> Option<usize> {
+    r.len().ok().filter(|&n| n <= MAX_TRANSFER_ITEMS)
 }
 
-/// Parses a protocol body returned by [`WireMsgRef::Protocol`] that
-/// holds exactly one message (requires full consumption, like
-/// [`decode`]).
-pub fn decode_protocol_body<M: Deserialize>(body: &[u8]) -> Option<M> {
-    bin::from_slice(body).ok()
-}
-
-/// Parses a protocol body returned by [`WireMsgRef::Protocol`] into its
-/// messages, in payload order. Accepts exactly the bodies [`decode`]
-/// accepts: one to [`MAX_BUNDLE`] messages that consume the body
-/// completely. Anything else is `None` — a payload is taken or dropped
-/// whole. The ingress task reads every protocol payload through this.
-pub fn decode_protocol_bundle<M: Deserialize>(body: &[u8]) -> Option<Vec<M>> {
-    let mut r = Reader::new(body);
-    let mut msgs = Vec::with_capacity(4);
-    loop {
-        msgs.push(M::de_bin(&mut r).ok()?);
-        if r.is_empty() {
-            return Some(msgs);
-        }
-        if msgs.len() == MAX_BUNDLE {
-            return None;
-        }
-    }
-}
-
-/// Borrowing counterpart of [`decode`]: same fail-closed structural
-/// checks, same accepted byte strings (pinned by proptest equivalence
-/// in `tests/wire_format.rs`), but bulk byte fields come back as
-/// slices of `payload` instead of fresh vectors, and a protocol body
-/// comes back undecoded. This is the transfer path's entry point: the
-/// pipeline classifies a frame without copying it, and copies
-/// only the pieces that must outlive the envelope (its storage
-/// boundary).
-///
-/// Implemented independently of [`decode`] rather than by delegation,
-/// so the equivalence tests between the two readers are a real check
-/// on both, not a tautology.
-pub fn decode_ref(payload: &[u8]) -> Option<WireMsgRef<'_>> {
-    let (&version, rest) = payload.split_first()?;
-    if version != WIRE_VERSION {
-        return None; // other format generation: fail closed
-    }
-    let (&tag, body) = rest.split_first()?;
-    let mut r = Reader::new(body);
-    let msg = match tag {
-        TAG_PROTOCOL => {
-            // The body is handed back whole; the caller's parse
-            // enforces full consumption.
-            return Some(WireMsgRef::Protocol(body));
-        }
-        TAG_CATCHUP_REQ => WireMsgRef::CatchUpReq {
-            from_height: r.varint().ok()?,
-        },
-        TAG_CATCHUP_RESP => {
-            let peer_height = r.varint().ok()?;
-            let count = r.len().ok()?;
-            if count > MAX_TRANSFER_ITEMS {
-                return None;
-            }
-            let mut blocks = Vec::with_capacity(count.min(4096));
-            for _ in 0..count {
-                let block = Block::de_bin(&mut r).ok()?;
-                let payload = r.bytes().ok()?;
-                blocks.push(CatchUpBlockRef { block, payload });
-            }
-            WireMsgRef::CatchUpResp {
-                peer_height,
-                blocks,
-            }
-        }
-        TAG_CATCHUP_MANIFEST => {
-            let height = r.varint().ok()?;
-            let peer_height = r.varint().ok()?;
-            let head = Block::de_bin(&mut r).ok()?;
-            let ids_len = r.len().ok()?;
-            if ids_len > MAX_TRANSFER_ITEMS {
-                return None;
-            }
-            let mut recent_ids = Vec::with_capacity(ids_len);
-            for _ in 0..ids_len {
-                recent_ids.push(BatchId(r.varint().ok()?));
-            }
-            let app_meta = r.bytes().ok()?;
-            let meta_proof = decode_proof(&mut r)?;
-            let chunks_len = r.len().ok()?;
-            if chunks_len > MAX_TRANSFER_ITEMS {
-                return None;
-            }
-            let mut chunks = Vec::with_capacity(chunks_len);
-            for _ in 0..chunks_len {
-                let first_bucket = u32::try_from(r.varint().ok()?).ok()?;
-                let buckets = u32::try_from(r.varint().ok()?).ok()?;
-                let part = u32::try_from(r.varint().ok()?).ok()?;
-                let parts = u32::try_from(r.varint().ok()?).ok()?;
-                let mut digest = Digest::ZERO;
-                digest.0.copy_from_slice(r.take(32).ok()?);
-                chunks.push(ChunkInfo {
-                    first_bucket,
-                    buckets,
-                    part,
-                    parts,
-                    digest,
-                });
-            }
-            WireMsgRef::Manifest(Box::new(TransferManifestRef {
-                height,
-                peer_height,
-                head,
-                recent_ids,
-                app_meta,
-                meta_proof,
-                chunks,
-            }))
-        }
-        TAG_CATCHUP_CHUNK_REQ => WireMsgRef::ChunkReq {
-            height: r.varint().ok()?,
-            index: u32::try_from(r.varint().ok()?).ok()?,
-        },
-        TAG_CATCHUP_CHUNK => {
-            let height = r.varint().ok()?;
-            let index = u32::try_from(r.varint().ok()?).ok()?;
-            let chunk = r.bytes().ok()?;
-            let proofs_len = r.len().ok()?;
-            if proofs_len > MAX_TRANSFER_ITEMS {
-                return None;
-            }
-            let mut proofs = Vec::with_capacity(proofs_len);
-            for _ in 0..proofs_len {
-                proofs.push(decode_proof(&mut r)?);
-            }
-            let top_proof = decode_proof(&mut r)?;
-            WireMsgRef::Chunk(Box::new(ChunkTransferRef {
-                height,
-                index,
-                chunk,
-                proofs,
-                top_proof,
-            }))
-        }
-        _ => return None,
-    };
-    if !r.is_empty() {
-        return None; // trailing bytes: malformed
-    }
-    Some(msg)
+/// A varint that must fit a `u32`.
+fn read_u32(r: &mut Reader<'_>) -> Option<u32> {
+    u32::try_from(r.varint().ok()?).ok()
 }
 
 #[cfg(test)]
@@ -1142,63 +915,6 @@ mod tests {
         assert!(decode::<u64>(&enc[..enc.len() - 1]).is_none());
     }
 
-    #[test]
-    fn borrowing_decode_is_zero_copy_and_matches_owning() {
-        // Manifest: meta bytes must be a slice *into* the encoded
-        // payload, and the owned conversion must equal the owning
-        // decoder's result.
-        let m = sample_manifest();
-        let enc = encode_catchup_manifest(&m);
-        let Some(WireMsgRef::Manifest(got)) = decode_ref(&enc) else {
-            panic!("wrong decode_ref variant");
-        };
-        assert_eq!(got.to_owned(), m);
-        let range = enc.as_ptr_range();
-        assert!(
-            range.contains(&got.app_meta.as_ptr()),
-            "app_meta must borrow from the payload buffer"
-        );
-
-        // Chunk: same for the chunk bytes (the bulk of the frame).
-        let c = ChunkTransfer {
-            height: 7,
-            index: 3,
-            chunk: b"canonical-chunk-bytes".to_vec(),
-            proofs: vec![vec![]],
-            top_proof: vec![ProofStep {
-                sibling: Digest::from_u64(4),
-                sibling_on_right: false,
-            }],
-        };
-        let enc = encode_chunk(&c);
-        let Some(WireMsgRef::Chunk(got)) = decode_ref(&enc) else {
-            panic!("wrong decode_ref variant");
-        };
-        assert_eq!(got.to_owned(), c);
-        assert!(enc.as_ptr_range().contains(&got.chunk.as_ptr()));
-
-        // Protocol: the body comes back undecoded and parses to the
-        // same message the owning decoder produces.
-        let enc = encode_protocol(&42u64);
-        let Some(WireMsgRef::Protocol(body)) = decode_ref(&enc) else {
-            panic!("wrong decode_ref variant");
-        };
-        assert_eq!(decode_protocol_body::<u64>(body), Some(42));
-        match decode::<u64>(&enc) {
-            Some(WireMsg::Protocol(msgs)) => assert_eq!(msgs, [42]),
-            _ => panic!("owning decode disagrees"),
-        }
-        // A trailing byte that starts no message fails both readers.
-        let mut trailing = enc.clone();
-        trailing.push(0x80);
-        assert!(decode::<u64>(&trailing).is_none());
-        let Some(WireMsgRef::Protocol(body)) = decode_ref(&trailing) else {
-            panic!("wrong decode_ref variant");
-        };
-        assert!(decode_protocol_body::<u64>(body).is_none());
-        assert!(decode_protocol_bundle::<u64>(body).is_none());
-    }
-
     /// `k` one-byte `u64` messages `0..k` as one protocol payload.
     fn bundle(k: u64) -> Vec<u8> {
         let mut enc = encode_protocol(&0u64);
@@ -1229,32 +945,60 @@ mod tests {
         assert!(decode_protocol_bundle::<u64>(&over[2..]).is_none());
         assert!(decode::<u64>(&[WIRE_VERSION, TAG_PROTOCOL]).is_none());
         assert!(decode_protocol_bundle::<u64>(&[]).is_none());
-        // A bad message anywhere spoils the bundle.
-        let mut bad = bundle(3);
-        bad.push(0x80); // an unterminated varint
-        assert!(decode::<u64>(&bad).is_none());
-        assert!(decode_protocol_bundle::<u64>(&bad[2..]).is_none());
+        // A bad message anywhere spoils the bundle, and a byte that
+        // starts no message spoils a one-message body too.
+        for k in [1, 3] {
+            let mut bad = bundle(k);
+            bad.push(0x80); // an unterminated varint
+            assert!(decode::<u64>(&bad).is_none());
+            let Some(WireMsgRef::Protocol(body)) = decode_ref(&bad) else {
+                panic!("wrong decode_ref variant");
+            };
+            assert!(decode_protocol_bundle::<u64>(body).is_none());
+            assert!(decode_protocol_body::<u64>(body).is_none());
+        }
+    }
+
+    /// A chunk with two bucket proofs and a top proof.
+    fn sample_chunk() -> ChunkTransfer {
+        let step = |n| ProofStep {
+            sibling: Digest::from_u64(n),
+            sibling_on_right: n % 2 == 0,
+        };
+        ChunkTransfer {
+            height: 1,
+            index: 0,
+            chunk: b"chunk".to_vec(),
+            proofs: vec![vec![step(1), step(2)], vec![step(3)]],
+            top_proof: vec![step(4)],
+        }
+    }
+
+    /// `enc` with its one-byte varint at `at` replaced by `value`'s.
+    fn with_varint(enc: &[u8], at: usize, value: u64) -> Vec<u8> {
+        assert!(enc[at] < 0x80, "a one-byte varint");
+        let mut out = enc[..at].to_vec();
+        bin::write_varint(value, &mut out);
+        out.extend_from_slice(&enc[at + 1..]);
+        out
     }
 
     #[test]
     fn malformed_payloads_decode_to_none() {
-        assert!(decode::<u64>(&[]).is_none());
-        assert!(decode::<u64>(&[WIRE_VERSION]).is_none(), "version only");
+        // Every row fails both decoders (`decode` reads through
+        // `decode_ref`, so this also pins that neither panics).
+        let rejected = |bytes: &[u8]| decode::<u64>(bytes).is_none() && decode_ref(bytes).is_none();
+        assert!(rejected(&[]));
+        assert!(rejected(&[WIRE_VERSION]), "version only");
+        assert!(rejected(&[WIRE_VERSION, 9, 1, 2]), "unknown tag");
+        assert!(rejected(&[WIRE_VERSION, TAG_CATCHUP_REQ]), "missing body");
         assert!(
-            decode::<u64>(&[WIRE_VERSION, 9, 1, 2]).is_none(),
-            "unknown tag"
-        );
-        assert!(
-            decode::<u64>(&[WIRE_VERSION, TAG_CATCHUP_REQ]).is_none(),
-            "missing body"
-        );
-        assert!(
-            decode::<u64>(&[WIRE_VERSION, TAG_CATCHUP_CHUNK_REQ, 1]).is_none(),
+            rejected(&[WIRE_VERSION, TAG_CATCHUP_CHUNK_REQ, 1]),
             "short chunk req"
         );
         let mut resp = encode_catchup_resp(3, &[]);
         resp.push(0);
-        assert!(decode::<u64>(&resp).is_none(), "trailing bytes");
+        assert!(rejected(&resp), "trailing bytes");
         // A proof step with an out-of-range direction byte is rejected.
         let c = ChunkTransfer {
             height: 1,
@@ -1269,7 +1013,60 @@ mod tests {
         let mut enc = encode_chunk(&c);
         let last = enc.len() - 1;
         enc[last] = 7; // the direction byte of the last step
-        assert!(decode::<u64>(&enc).is_none(), "bad direction byte");
+        assert!(rejected(&enc), "bad direction byte");
+
+        // Every strict prefix of every transfer shape.
+        let shapes = [
+            encode_catchup_req(300),
+            encode_catchup_resp(
+                9,
+                &[
+                    CatchUpBlock {
+                        block: sample_block(0),
+                        payload: b"txns-0".to_vec(),
+                    },
+                    CatchUpBlock {
+                        block: sample_block(1),
+                        payload: b"txns-1".to_vec(),
+                    },
+                ],
+            ),
+            encode_catchup_manifest(&sample_manifest()),
+            encode_chunk_req(7, 3),
+            encode_chunk(&sample_chunk()),
+        ];
+        for enc in &shapes {
+            assert!(decode_ref(enc).is_some());
+            for cut in 0..enc.len() {
+                assert!(rejected(&enc[..cut]), "tag {} cut at {cut}", enc[1]);
+            }
+        }
+
+        // A list one longer than MAX_TRANSFER_ITEMS, in an otherwise
+        // well-formed payload with a byte of input per element (all
+        // that `Reader::len` asks), next to the same list at the bound.
+        for (items, ok) in [(MAX_TRANSFER_ITEMS, true), (MAX_TRANSFER_ITEMS + 1, false)] {
+            let m = TransferManifest {
+                recent_ids: vec![BatchId(0); items],
+                ..sample_manifest()
+            };
+            let c = ChunkTransfer {
+                proofs: vec![Vec::new(); items],
+                ..sample_chunk()
+            };
+            for enc in [encode_catchup_manifest(&m), encode_chunk(&c)] {
+                assert_eq!(!rejected(&enc), ok, "tag {} with {items} items", enc[1]);
+            }
+        }
+
+        // A chunk index one past u32::MAX, in a request and in a chunk
+        // (the index is the varint after the tag and a one-byte height).
+        let req = encode_chunk_req(7, 0);
+        let chunk = encode_chunk(&sample_chunk());
+        for enc in [&req, &chunk] {
+            assert!(!rejected(&with_varint(enc, 3, u64::from(u32::MAX))));
+            assert!(rejected(&with_varint(enc, 3, u64::from(u32::MAX) + 1)));
+        }
     }
 
     #[test]

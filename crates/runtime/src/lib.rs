@@ -51,8 +51,8 @@ pub mod runtime;
 pub use client::ClusterClient;
 pub use cluster::{assemble, assemble_tuned, ClusterHandles};
 pub use envelope::{
-    BufferPool, CatchUpBlock, CatchUpBlockRef, ChunkInfo, ChunkTransfer, ChunkTransferRef,
-    Envelope, Payload, TransferManifest, TransferManifestRef, WireMsg, WireMsgRef, WIRE_VERSION,
+    BufferPool, CatchUpBlock, ChunkInfo, ChunkTransfer, Envelope, Payload, TransferManifest,
+    WireMsg, WireMsgRef, WIRE_VERSION,
 };
 pub use executor::{execute_group, ExecutorPool, SealedBatch};
 pub use fabric::Fabric;

@@ -84,8 +84,7 @@
 
 use crate::envelope::{
     decode_ref, encode_catchup_manifest, encode_catchup_req, encode_catchup_resp, encode_chunk,
-    encode_chunk_req, CatchUpBlock, CatchUpBlockRef, ChunkInfo, ChunkTransfer, ChunkTransferRef,
-    Envelope, TransferManifest, TransferManifestRef, WireMsgRef,
+    encode_chunk_req, CatchUpBlock, ChunkInfo, ChunkTransfer, Envelope, TransferManifest, WireMsg,
 };
 use crate::executor::{execute_group, ExecutorPool};
 use crate::fabric::Fabric;
@@ -162,10 +161,8 @@ pub(crate) enum PipelineCmd {
     /// has already verified, when the vote memo could give one.
     Commit(CommitInfo, Option<VerifiedProof>),
     /// A signature-verified transfer-family envelope (any tag except
-    /// `TAG_PROTOCOL`), still encoded. The pipeline decodes it with the
-    /// borrowing reader off the event-loop thread and copies bytes only
-    /// at its storage boundaries (the store's chain tail, install
-    /// journal, accepted manifest) — the event loop ships the refcounted
+    /// `TAG_PROTOCOL`), still encoded. The pipeline decodes it off the
+    /// event-loop thread — the event loop ships the refcounted
     /// [`Payload`](crate::envelope::Payload) view it already holds, so
     /// routing a multi-megabyte chunk costs a pointer.
     Transfer {
@@ -198,13 +195,13 @@ enum Mode {
 // `Seal` dwarfs the others, but it is the hot variant — boxing it would
 // buy a smaller run with an allocation per commit (as for `PipelineCmd`).
 #[allow(clippy::large_enum_variant)]
-enum Join<'a> {
+enum Join {
     /// A live commit under its checked proof: the block seals the root
     /// the batch executes to and is appended with `append_batch`.
     Seal(CommitInfo, CommitProof),
     /// A peer's block the store lacks: its sealed root must match, then
     /// it is appended with `append_block`.
-    Append(&'a CatchUpBlockRef<'a>),
+    Append(CatchUpBlock),
     /// A block the store already holds at this height, from its own log
     /// or resupplied in catch-up: its sealed root must match. Its commit
     /// was acknowledged (if at all) before the restart that left it
@@ -408,24 +405,23 @@ impl<F: Fabric> Pipeline<F> {
         }
     }
 
-    /// Decodes a transfer-family envelope payload *borrowed* — block
-    /// payloads, chunk bytes, and app metadata stay views into the
-    /// received buffer — and dispatches it. Owning copies happen only
-    /// where bytes cross a storage boundary (the store's chain tail,
-    /// chunk journal, accepted manifest). The event loop already routed by
-    /// tag and verified the signature; a payload that fails the full
-    /// borrowed decode here is simply dropped.
+    /// Decodes a transfer-family envelope payload and dispatches it.
+    /// Decoding copies block payloads, chunk bytes and app metadata out
+    /// of the received buffer once; the handlers move those copies into
+    /// the store, the install journal and the commit log. The event loop
+    /// already routed by tag and verified the signature; a payload that
+    /// fails to decode here is simply dropped.
     fn on_transfer(&mut self, from: ReplicaId, payload: &[u8]) {
         match decode_ref(payload) {
-            Some(WireMsgRef::CatchUpReq { from_height }) => self.serve_catchup(from, from_height),
-            Some(WireMsgRef::CatchUpResp {
+            Some(WireMsg::CatchUpReq { from_height }) => self.serve_catchup(from, from_height),
+            Some(WireMsg::CatchUpResp {
                 peer_height,
                 blocks,
-            }) => self.apply_catchup(from, peer_height, &blocks),
-            Some(WireMsgRef::Manifest(manifest)) => self.apply_manifest(from, &manifest),
-            Some(WireMsgRef::ChunkReq { height, index }) => self.serve_chunk(from, height, index),
-            Some(WireMsgRef::Chunk(chunk)) => self.apply_chunk(from, &chunk),
-            Some(WireMsgRef::Protocol(_)) | None => {}
+            }) => self.apply_catchup(from, peer_height, blocks),
+            Some(WireMsg::Manifest(manifest)) => self.apply_manifest(from, *manifest),
+            Some(WireMsg::ChunkReq { height, index }) => self.serve_chunk(from, height, index),
+            Some(WireMsg::Chunk(chunk)) => self.apply_chunk(from, *chunk),
+            Some(WireMsg::Protocol(_)) | None => {}
         }
     }
 
@@ -534,10 +530,7 @@ impl<F: Fabric> Pipeline<F> {
     /// 4. One fsync covers the appends (group commit). If it fails,
     ///    nothing may be acknowledged — the client would count an ack
     ///    for state a crash can still lose — and the pipeline poisons.
-    fn extend(
-        &mut self,
-        run: Vec<(Option<Vec<Transaction>>, Join<'_>)>,
-    ) -> Vec<(CommitInfo, Digest)> {
+    fn extend(&mut self, run: Vec<(Option<Vec<Transaction>>, Join)>) -> Vec<(CommitInfo, Digest)> {
         if run.is_empty() {
             return Vec::new();
         }
@@ -561,13 +554,11 @@ impl<F: Fabric> Pipeline<F> {
                     acked.push((info, sealed.state_digest));
                     ok
                 }
-                Join::Append(cb) => {
-                    let ok = cb.block.state_root == sealed.state_root
-                        && self
-                            .store
-                            .append_block(cb.block.clone(), cb.payload)
-                            .is_ok();
-                    acked.push((commit_info_of(cb), sealed.state_digest));
+                Join::Append(CatchUpBlock { block, payload }) => {
+                    let info = commit_info_of(&block, payload);
+                    let ok = block.state_root == sealed.state_root
+                        && self.store.append_block(block, &info.batch.payload).is_ok();
+                    acked.push((info, sealed.state_digest));
                     ok
                 }
                 Join::Held => self
@@ -823,11 +814,9 @@ impl<F: Fabric> Pipeline<F> {
     /// Applies a block-replay response: checks each block in order,
     /// keeps the prefix that passes, and hands it to [`Self::extend`],
     /// which re-executes it and holds every block to the root it sealed.
-    /// Block payloads arrive as borrowed views into the received frame;
-    /// the only copies made per block are the store's chain-tail entry
-    /// and the `CommitInfo` the commit log records — both storage
-    /// boundaries.
-    fn apply_catchup(&mut self, from: ReplicaId, peer_height: u64, blocks: &[CatchUpBlockRef<'_>]) {
+    /// A new block's payload moves into the `CommitInfo` the commit log
+    /// records; the store's chain tail keeps its own copy.
+    fn apply_catchup(&mut self, from: ReplicaId, peer_height: u64, blocks: Vec<CatchUpBlock>) {
         if !matches!(self.mode, Mode::CatchingUp { .. }) || self.poisoned {
             return; // stale response
         }
@@ -854,10 +843,10 @@ impl<F: Fabric> Pipeline<F> {
             // commits to — unconditionally, or a Byzantine peer could
             // strip payloads and silently diverge our execution state.
             // (Legitimately empty batches hash the empty byte string.)
-            if spotless_crypto::digest_bytes(cb.payload) != cb.block.batch_digest {
+            if spotless_crypto::digest_bytes(&cb.payload) != cb.block.batch_digest {
                 break; // forged or corrupt: keep what validated so far
             }
-            let Ok(txns) = decode_payload(cb.payload) else {
+            let Ok(txns) = decode_payload(&cb.payload) else {
                 break; // undecodable payload: same treatment
             };
             // The block's commit certificate must verify before it may
@@ -921,7 +910,7 @@ impl<F: Fabric> Pipeline<F> {
     /// nothing. (Consensus participation is held off until catch-up
     /// completes, so no live commit can be buffered below the installed
     /// height.)
-    fn apply_manifest(&mut self, from: ReplicaId, manifest: &TransferManifestRef<'_>) {
+    fn apply_manifest(&mut self, from: ReplicaId, manifest: TransferManifest) {
         if !matches!(self.mode, Mode::CatchingUp { .. }) || self.poisoned {
             return; // stale
         }
@@ -931,12 +920,12 @@ impl<F: Fabric> Pipeline<F> {
             self.note_peer_head(from, manifest.peer_height, false);
             return;
         }
-        let head_ok = manifest.head.height + 1 == manifest.height
+        let head_ok = manifest.head.height.checked_add(1) == Some(manifest.height)
             && manifest.head.verify_hash()
             && verify_proof(&manifest.head.proof, &self.rules, &self.keystore).is_ok();
         let meta_ok = proof_index(&manifest.meta_proof) == META_LEAF
             && verify_inclusion(
-                manifest.app_meta,
+                &manifest.app_meta,
                 &manifest.meta_proof,
                 &manifest.head.state_root,
             );
@@ -948,10 +937,9 @@ impl<F: Fabric> Pipeline<F> {
             height: manifest.height,
             head_block: manifest.head.clone(),
             recent_ids: manifest.recent_ids.clone(),
-            // Storage boundary: the install journal persists the app
-            // meta past the received frame, so it is owned here — and
-            // only after every check above passed.
-            app_meta: manifest.app_meta.to_vec(),
+            // The journal and the transfer's bookkeeping below each keep
+            // the app meta: one copy here, after every check passed.
+            app_meta: manifest.app_meta.clone(),
             chunk_digests: manifest.chunks.iter().map(|c| c.digest).collect(),
         };
         // While a transfer is live, a *different* manifest is ignored —
@@ -981,7 +969,7 @@ impl<F: Fabric> Pipeline<F> {
         }
         self.incoming = Some(IncomingTransfer {
             peer: from,
-            manifest: manifest.to_owned(),
+            manifest,
             inflight: std::collections::HashSet::new(),
             stalled_ticks: 0,
         });
@@ -993,10 +981,9 @@ impl<F: Fabric> Pipeline<F> {
     }
 
     /// Verifies one arriving chunk against the chain's state root and
-    /// journals it; installs when the set completes. The chunk bytes
-    /// stay borrowed through decode and every Merkle check — they are
-    /// copied exactly once, into the journal, and only after proving.
-    fn apply_chunk(&mut self, from: ReplicaId, chunk: &ChunkTransferRef<'_>) {
+    /// journals it; installs when the set completes. The decoded chunk
+    /// bytes move into the journal, and only after proving.
+    fn apply_chunk(&mut self, from: ReplicaId, chunk: ChunkTransfer) {
         if self.poisoned {
             return;
         }
@@ -1024,7 +1011,7 @@ impl<F: Fabric> Pipeline<F> {
         // manifest's content digest here and the assembled state is
         // audited against the certified root in `try_install`.
         let ok = (|| {
-            let sc = StateChunk::decode(chunk.chunk)?;
+            let sc = StateChunk::decode(&chunk.chunk)?;
             if sc.first_bucket != info.first_bucket
                 || sc.buckets.len() != info.buckets as usize
                 || sc.part != info.part
@@ -1034,7 +1021,7 @@ impl<F: Fabric> Pipeline<F> {
             }
             if sc.parts > 1 {
                 if !chunk.proofs.is_empty()
-                    || spotless_crypto::digest_bytes(chunk.chunk) != info.digest
+                    || spotless_crypto::digest_bytes(&chunk.chunk) != info.digest
                 {
                     return None;
                 }
@@ -1059,12 +1046,7 @@ impl<F: Fabric> Pipeline<F> {
             return;
         }
         t.stalled_ticks = 0;
-        // Storage boundary: the journal blob outlives the frame.
-        if self
-            .journal
-            .put_chunk(chunk.index, chunk.chunk.to_vec())
-            .is_err()
-        {
+        if self.journal.put_chunk(chunk.index, chunk.chunk).is_err() {
             return; // journal I/O failure: the tick will re-request
         }
         if self.journal.is_complete() {
@@ -1394,29 +1376,27 @@ mod verified {
 /// original client batch envelope is gone; what matters downstream is the batch
 /// identity, digest, payload, and the (re-verified) commit certificate
 /// the block carried.
-fn commit_info_of(cb: &CatchUpBlockRef<'_>) -> CommitInfo {
+fn commit_info_of(block: &Block, payload: Vec<u8>) -> CommitInfo {
     CommitInfo {
-        instance: cb.block.proof.instance,
-        view: cb.block.proof.view,
-        depth: cb.block.height,
+        instance: block.proof.instance,
+        view: block.proof.view,
+        depth: block.height,
         cert: spotless_types::CommitCertificate {
-            view: cb.block.proof.view,
-            phase: cb.block.proof.phase,
-            voted: cb.block.proof.voted,
-            slot: cb.block.proof.slot,
-            signers: cb.block.proof.signers.clone(),
-            sigs: cb.block.proof.sigs.clone(),
+            view: block.proof.view,
+            phase: block.proof.phase,
+            voted: block.proof.voted,
+            slot: block.proof.slot,
+            signers: block.proof.signers.clone(),
+            sigs: block.proof.sigs.clone(),
         },
         batch: ClientBatch {
-            id: cb.block.batch_id,
+            id: block.batch_id,
             origin: ClientId(u64::MAX),
-            digest: cb.block.batch_digest,
-            txns: cb.block.txns,
+            digest: block.batch_digest,
+            txns: block.txns,
             txn_size: 0,
             created_at: SimTime::ZERO,
-            // Storage boundary: the commit log's entry outlives the
-            // received frame.
-            payload: cb.payload.to_vec(),
+            payload,
         },
     }
 }
@@ -1797,9 +1777,9 @@ mod tests {
             signed_commit_info(2, empty_digest, &[0, 1, 2]),
         ]);
         assert_eq!(peer.store.ledger().height(), 2);
-        let cb = |h: u64| CatchUpBlockRef {
+        let cb = |h: u64| CatchUpBlock {
             block: peer.store.ledger().block(h).expect("peer holds it").clone(),
-            payload: b"",
+            payload: Vec::new(),
         };
         let mut victim = synced_pipeline();
         victim.mode = Mode::CatchingUp {
@@ -1815,7 +1795,7 @@ mod tests {
             forged.block.verify_hash(),
             "hash check alone cannot catch evidence tampering"
         );
-        victim.apply_catchup(ReplicaId(1), 2, &[cb(0), forged]);
+        victim.apply_catchup(ReplicaId(1), 2, vec![cb(0), forged]);
         assert_eq!(
             victim.store.ledger().height(),
             1,
@@ -1824,7 +1804,7 @@ mod tests {
         assert!(!victim.poisoned, "a bad peer frame is not a local fault");
         // An honest peer then serves the same block with its genuine
         // certificate, and replay completes.
-        victim.apply_catchup(ReplicaId(2), 2, &[cb(1)]);
+        victim.apply_catchup(ReplicaId(2), 2, vec![cb(1)]);
         assert_eq!(victim.store.ledger().height(), 2);
         assert_eq!(victim.kv_height, 2);
     }
@@ -1859,6 +1839,26 @@ mod tests {
         assert_eq!(victim.store.block_at(2), Some(&manifest.head));
         assert!(victim.store.knows_batch(BatchId(1)), "transferred id");
         assert_eq!(victim.kv.state_root(), manifest.head.state_root);
+    }
+
+    #[test]
+    fn a_manifest_head_at_the_top_height_is_ignored() {
+        // `head.height + 1` has no value here: the manifest must be
+        // dropped like any other whose head does not sit just below
+        // its height, not overflow.
+        let mut peer = synced_pipeline();
+        peer.flush(vec![commit_info(1)]);
+        let mut manifest = peer.build_manifest().expect("peer serves a snapshot");
+        manifest.head.height = u64::MAX;
+        let mut victim = synced_pipeline();
+        victim.mode = Mode::CatchingUp {
+            pending: Vec::new(),
+            confirmed: Default::default(),
+        };
+        victim.on_transfer(ReplicaId(1), &encode_catchup_manifest(&manifest));
+        assert!(victim.incoming.is_none(), "the manifest was ignored");
+        assert!(victim.journal.manifest().is_none(), "nothing journaled");
+        assert!(!victim.poisoned);
     }
 
     #[test]

@@ -757,8 +757,7 @@ where
                     }
                 }
                 // The transfer family ships to the pipeline as raw
-                // verified bytes and is decoded borrowed there, off
-                // this thread.
+                // verified bytes and is decoded there, off this thread.
                 Event::Envelope(env) => {
                     let _ = self
                         .pipeline_tx

@@ -1,6 +1,7 @@
 //! Wire-format pinning: golden byte vectors for every `WireMsg`
 //! variant, plus proptest round trips through the binary codec and
-//! equivalence of the borrowing and owning envelope decoders.
+//! equivalence of the owning envelope decoder's protocol-body loop with
+//! the bundle reader ingress uses.
 //!
 //! The golden vectors are the contract: the binary layout documented in
 //! README §"Wire format" cannot drift silently under a codec refactor —
@@ -102,7 +103,7 @@ fn bundle(msgs: &[Message]) -> Vec<u8> {
 
 /// The messages of a decoded protocol payload (none for any other
 /// shape).
-fn protocol(msg: &WireMsg<Message>) -> &[Message] {
+fn protocol(msg: &WireMsg<Vec<Message>>) -> &[Message] {
     match msg {
         WireMsg::Protocol(msgs) => msgs,
         _ => &[],
@@ -496,7 +497,7 @@ fn block_chains() -> impl Strategy<Value = Vec<(Block, Vec<u8>)>> {
 }
 
 /// Encoded payloads covering every `WireMsg` shape — the input space
-/// over which the borrowing and owning decoders must agree.
+/// over which the two decoders must agree.
 fn wire_payloads() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
         messages().prop_map(|m| encode_protocol(&m)),
@@ -547,7 +548,7 @@ fn wire_payloads() -> impl Strategy<Value = Vec<u8>> {
 /// Value equality for decoded wire messages. Transfer variants derive
 /// `PartialEq`; protocol messages don't, so byte-stable re-encoding is
 /// the equality proxy (the binary codec is injective by construction).
-fn wire_eq(a: &WireMsg<Message>, b: &WireMsg<Message>) -> bool {
+fn wire_eq(a: &WireMsg<Vec<Message>>, b: &WireMsg<Vec<Message>>) -> bool {
     match (a, b) {
         (WireMsg::Protocol(x), WireMsg::Protocol(y)) => {
             x.len() == y.len()
@@ -585,11 +586,13 @@ fn wire_eq(a: &WireMsg<Message>, b: &WireMsg<Message>) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The borrowing decoder (`decode_ref`, implemented independently
-    /// of `decode`) accepts exactly the same payloads as the owning
-    /// decoder and produces the same values — on every `WireMsg`
-    /// shape, and still under truncation and single-byte corruption
-    /// (where both must fail closed together).
+    /// The borrowing decoder (`decode_ref`, its protocol body read by
+    /// `decode_protocol_bundle`) accepts exactly the same payloads as
+    /// the owning decoder (`decode`, whose protocol-body loop is its
+    /// own) and produces the same values — on every `WireMsg` shape,
+    /// and still under truncation and single-byte corruption (where
+    /// both must fail closed together). Transfer bodies have one
+    /// reader, so what this checks there is that both decoders use it.
     #[test]
     fn borrowing_decoder_matches_owning_on_all_shapes(
         payload in wire_payloads(),
@@ -598,7 +601,8 @@ proptest! {
     ) {
         let check = |bytes: &[u8]| -> Result<(), TestCaseError> {
             let owned = decode::<Message>(bytes);
-            let borrowed = decode_ref(bytes).and_then(|r| r.to_owned_msg::<Message>());
+            let borrowed = decode_ref(bytes)
+                .and_then(|r| r.try_map_protocol(decode_protocol_bundle::<Message>));
             match (&owned, &borrowed) {
                 (Some(a), Some(b)) => prop_assert!(wire_eq(a, b), "decoders disagree on value"),
                 (None, None) => {}
