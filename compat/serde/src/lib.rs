@@ -93,10 +93,14 @@ pub trait Deserialize: Sized {
     /// Deserializes exactly `n` elements with no length prefix (the
     /// fixed-array form). The `u8` override is a bounds-checked memcpy.
     fn de_bin_elems(r: &mut bin::Reader<'_>, n: usize) -> Result<Vec<Self>, Error> {
-        // `Reader::len` has already bounded `n` for the slice path; cap
-        // the preallocation anyway so the fixed-array path cannot be
-        // talked into reserving more than the input could hold.
-        let mut out = Vec::with_capacity(n.min(r.remaining()));
+        // `Reader::len` bounds `n` by the bytes left, but an element in
+        // memory can be far larger than its smallest encoding (a
+        // 40-byte struct may encode in 33), so `n` elements of
+        // reservation could be tens of times the input: cap it at what
+        // the bytes left would fill at one byte per byte. A genuine
+        // list longer than that grows as it decodes.
+        let cap = r.remaining() / std::mem::size_of::<Self>().max(1);
+        let mut out = Vec::with_capacity(n.min(cap));
         for _ in 0..n {
             out.push(Self::de_bin(r)?);
         }

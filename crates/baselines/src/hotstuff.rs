@@ -294,6 +294,21 @@ impl ProtocolMessage for HsMessage {
             _ => {}
         }
     }
+
+    /// A proposal carries its batch and, under Narwhal-HS, every
+    /// certified batch it orders (they travel in full and are executed
+    /// from the block); a worker batch and an availability certificate
+    /// carry theirs. A `BatchAck` names its batch by digest only.
+    fn carried_batches<'a>(&'a self, out: &mut Vec<&'a ClientBatch>) {
+        match self {
+            HsMessage::Proposal(b) => {
+                out.push(&b.batch);
+                out.extend(&b.refs);
+            }
+            HsMessage::WorkerBatch(batch) | HsMessage::BatchCert(batch) => out.push(batch),
+            _ => {}
+        }
+    }
 }
 
 /// Helper: the `2f + 1` signer count of an availability certificate,

@@ -117,6 +117,21 @@ impl ProtocolMessage for PbftMessage {
     fn carried_votes(&self, from: ReplicaId, out: &mut Vec<(ReplicaId, VoteStatement, Signature)>) {
         self.commit_vote(InstanceId(0), from, out);
     }
+
+    /// A `PrePrepare` or `Forward` carries its batch, and a `NewView`
+    /// each batch it re-proposes (they go through `on_preprepare`).
+    /// `Prepare` and `Commit` name the batch by digest only.
+    fn carried_batches<'a>(&'a self, out: &mut Vec<&'a ClientBatch>) {
+        match self {
+            PbftMessage::PrePrepare { batch, .. } | PbftMessage::Forward { batch } => {
+                out.push(batch);
+            }
+            PbftMessage::NewView { reproposals, .. } => {
+                out.extend(reproposals.iter().map(|(_, batch)| batch));
+            }
+            _ => {}
+        }
+    }
 }
 
 impl PbftMessage {

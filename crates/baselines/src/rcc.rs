@@ -81,6 +81,13 @@ impl ProtocolMessage for RccMessage {
             inner.commit_vote(*instance, from, out);
         }
     }
+
+    /// The batches of the wrapped PBFT message; a complaint carries none.
+    fn carried_batches<'a>(&'a self, out: &mut Vec<&'a ClientBatch>) {
+        if let RccMessage::Inner { inner, .. } = self {
+            inner.carried_batches(out);
+        }
+    }
 }
 
 /// Context adapter: routes an instance's PBFT effects through the outer

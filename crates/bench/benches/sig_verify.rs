@@ -20,8 +20,17 @@
 //!   distinct, so `verify_quorum` is a loop over `verify` and has no
 //!   row of its own.
 //! * `sig_sign` — `sign` (fixed-base table) against an RFC 8032
-//!   reference signer written out below with the generic `[r]B`: ≥ 2×,
-//!   byte-identical signatures.
+//!   reference signer written out below with the generic `[r]B`, over
+//!   the same `signing_digest(m)`: ≥ 2×, byte-identical signatures.
+//! * `sig_size` — what signing the SHA-256 signing digest instead of
+//!   the message buys as messages grow: plain RFC 8032 over `m` (two
+//!   software SHA-512 passes over it to sign, one to verify; both on
+//!   tables) against `Keypair::sign` / `KeyStore::verify` (one SHA-256
+//!   pass, then Ed25519 over 32 bytes), at 64 B, a `Sync` (432 B), a
+//!   4 KiB message and a 34 000-byte proposal envelope. At 34 000 B:
+//!   sign ≥ 4×, verify ≥ 2× (measured 5.0–6.5× and 2.3–2.8× where
+//!   SHA-256 runs on the SHA extensions; the floors apply only with
+//!   that kernel).
 //!
 //! The simnet cost model's `CryptoCosts` (sign 35 µs, verify 80 µs)
 //! describes the same operations and is now ≈ 2.5× above the measured
@@ -34,7 +43,8 @@ use ed25519::edwards::BASEPOINT;
 use ed25519::scalar::Scalar;
 use ed25519::{sha512, Sha512};
 use spotless_bench::FigureTable;
-use spotless_crypto::{KeyStore, Keypair};
+use spotless_crypto::signing::signing_digest;
+use spotless_crypto::{sha256, KeyStore, Keypair};
 use spotless_types::{Digest, InstanceId, ReplicaId, Signature, View, VoteStatement};
 use std::hint::black_box;
 use std::time::Instant;
@@ -89,6 +99,17 @@ fn time_pair<'a>(
 /// are shared costs, so the floor is set below the ~3× measured where
 /// honest noise cannot flip it.
 const SIGN_FLOOR: f64 = 2.0;
+
+/// What signing a 34 000-byte message's digest must save over signing
+/// the message itself, under the hardware SHA-256 kernel (measured
+/// 5.0–6.5× sign, 2.3–2.8× verify).
+const DIGEST_SIGN_FLOOR: f64 = 4.0;
+const DIGEST_VERIFY_FLOOR: f64 = 2.0;
+
+/// Message sizes of the `sig_size` table: a short vote-sized message,
+/// a `Sync` envelope, 4 KiB, and a `tcp-durable-large` proposal
+/// envelope.
+const SIZES: [usize; 4] = [64, 432, 4096, 34_000];
 
 fn main() {
     let n: u32 = 64;
@@ -224,8 +245,9 @@ fn main() {
     // fixed-base table (≤ 64 additions, no doublings). The reference
     // is RFC 8032 signing written out here from `ed25519`'s public
     // pieces with a generic double-and-add `[r]B` — what `sign` did
-    // before the table. Signatures must be byte-identical; the floor
-    // is on per-signature time at batch sizes 4 and 32.
+    // before the table — over the same signing digest. Signatures must
+    // be byte-identical; the floor is on per-signature time at batch
+    // sizes 4 and 32.
     let mut sign_table = FigureTable::new(
         "sig_sign",
         &["batch", "generic_ns_per_sig", "sign_ns_per_sig", "speedup"],
@@ -244,7 +266,7 @@ fn main() {
         let start = Instant::now();
         for _ in 0..reps {
             for m in &refs {
-                black_box(reference.sign(black_box(m)));
+                black_box(reference.sign(&signing_digest(black_box(m))));
             }
         }
         let generic_ns = start.elapsed().as_nanos() as f64 / f64::from(reps * k);
@@ -260,9 +282,9 @@ fn main() {
         // Byte-identical signatures — peers cannot tell the paths apart.
         for m in &refs {
             assert_eq!(
-                reference.sign(m),
+                reference.sign(&signing_digest(m)),
                 keypair.sign(m).0,
-                "sign must match the reference"
+                "sign must match the reference over the signing digest"
             );
         }
 
@@ -280,6 +302,100 @@ fn main() {
         "table-based signing must deliver ≥ {SIGN_FLOOR}× the generic reference's \
          per-signature throughput (got {sign_headline:.2}×)"
     );
+
+    size_table(&stores, &seed, reps);
+}
+
+/// The `sig_size` table: per-message sign and verify time of RFC 8032
+/// over the message itself (`ed25519`'s table-based `sign` and
+/// `PrecomputedKey::verify`, what this crate did before it signed
+/// digests) against `Keypair::sign` and `KeyStore::verify` over the
+/// same message. Floors at the largest size under the hardware SHA-256
+/// kernel.
+fn size_table(stores: &[KeyStore], seed: &[u8; 32], reps: u32) {
+    let mut table = FigureTable::new(
+        "sig_size",
+        &[
+            "bytes",
+            "message_sign_ns",
+            "digest_sign_ns",
+            "sign_speedup",
+            "message_verify_ns",
+            "digest_verify_ns",
+            "verify_speedup",
+        ],
+    );
+    let raw = ed25519::SigningKey::from_seed(seed);
+    let raw_table = ed25519::PrecomputedKey::new(raw.verifying_key());
+    let keypair = Keypair::from_seed(*seed);
+    // `stores[1]`'s table is built (the first section verified under
+    // it), so `KeyStore::verify` below times no table build.
+    let signer = ReplicaId(1);
+    let (mut sign_speedup, mut verify_speedup) = (0.0, 0.0);
+    for bytes in SIZES {
+        // Four distinct messages per size; fewer rounds at the larger
+        // sizes keep the quick scale quick.
+        let messages: Vec<Vec<u8>> = (0..4u8)
+            .map(|i| (0..bytes).map(|j| (j as u8).wrapping_mul(31) ^ i).collect())
+            .collect();
+        let rounds = reps * (4096 / bytes.min(4096)) as u32;
+        let per_op = |elapsed: std::time::Duration| {
+            elapsed.as_nanos() as f64 / (f64::from(rounds) * messages.len() as f64)
+        };
+        // Per-operation nanoseconds of `op` over message `i`, every
+        // message `rounds` times.
+        let time = |op: &dyn Fn(usize)| {
+            let start = Instant::now();
+            for _ in 0..rounds {
+                for i in 0..messages.len() {
+                    op(black_box(i));
+                }
+            }
+            per_op(start.elapsed())
+        };
+        let message_sign_ns = time(&|i| {
+            black_box(raw.sign(&messages[i]));
+        });
+        let digest_sign_ns = time(&|i| {
+            black_box(keypair.sign(&messages[i]));
+        });
+        let raw_sigs: Vec<[u8; 64]> = messages.iter().map(|m| raw.sign(m)).collect();
+        let sigs: Vec<Signature> = messages.iter().map(|m| stores[1].sign(m)).collect();
+        let message_verify_ns = time(&|i| {
+            raw_table
+                .verify(&messages[i], &raw_sigs[i])
+                .expect("genuine signature");
+        });
+        let digest_verify_ns = time(&|i| {
+            stores[0]
+                .verify(signer, &messages[i], &sigs[i])
+                .expect("genuine signature");
+        });
+        sign_speedup = message_sign_ns / digest_sign_ns;
+        verify_speedup = message_verify_ns / digest_verify_ns;
+        table.row(&[
+            format!("{bytes}"),
+            format!("{message_sign_ns:10.0}"),
+            format!("{digest_sign_ns:10.0}"),
+            format!("{sign_speedup:5.2} x"),
+            format!("{message_verify_ns:10.0}"),
+            format!("{digest_verify_ns:10.0}"),
+            format!("{verify_speedup:5.2} x"),
+        ]);
+    }
+    println!("sha-256 kernel: {}", sha256::kernel());
+    if sha256::kernel() == "sha-ni" {
+        assert!(
+            sign_speedup >= DIGEST_SIGN_FLOOR,
+            "signing a 34 000-byte message's digest must be ≥ {DIGEST_SIGN_FLOOR}× faster \
+             than signing the message (got {sign_speedup:.2}×)"
+        );
+        assert!(
+            verify_speedup >= DIGEST_VERIFY_FLOOR,
+            "verifying over a 34 000-byte message's digest must be ≥ {DIGEST_VERIFY_FLOOR}× \
+             faster than over the message (got {verify_speedup:.2}×)"
+        );
+    }
 }
 
 /// RFC 8032 §5.1.6 signing from `ed25519`'s public pieces, with the

@@ -274,6 +274,14 @@ impl ProtocolMessage for Message {
         out.extend(s.claim.iter().map(|c| vote(c, s.claim_sig)));
         out.extend(s.cp.iter().zip(&s.cp_sigs).map(|(e, &sig)| vote(e, sig)));
     }
+
+    /// A proposal carries its batch, whether proposed or forwarded. A
+    /// `Sync` or an `Ask` names proposals by reference only.
+    fn carried_batches<'a>(&'a self, out: &mut Vec<&'a ClientBatch>) {
+        if let Message::Propose(p) | Message::Forward(p) = self {
+            out.push(&p.batch);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -10,11 +10,12 @@
 //!   transcription everywhere else (and in the tests, as the oracle);
 //! * **digital signatures** for forwardable messages (proposals, `Sync`
 //!   claims inside certificates, client requests) — real RFC 8032
-//!   Ed25519 in [`signing`], built on the workspace's from-scratch
-//!   `compat/ed25519` crate (the offline build environment rules out
-//!   `ed25519-dalek`), with typed verification errors, per-signer
-//!   precomputed tables in the [`KeyStore`], and batch verification
-//!   folded by signer.
+//!   Ed25519 over each message's SHA-256 signing digest
+//!   ([`signing::signing_digest`]) in [`signing`], built on the
+//!   workspace's from-scratch `compat/ed25519` crate (the offline build
+//!   environment rules out `ed25519-dalek`), with typed verification
+//!   errors, per-signer precomputed tables in the [`KeyStore`], and
+//!   batch verification folded by signer.
 //!
 //! Under the discrete-event simulator, cryptography is *charged* rather
 //! than computed: message types report their verification/signing costs

@@ -17,6 +17,30 @@
 //! `spotless-ledger` re-verify `CommitProof` signatures at append time
 //! and state transfer reject forged chain extensions.
 //!
+//! # What a signature covers
+//!
+//! Every signature this module makes or checks is RFC 8032 Ed25519 over
+//! one 32-byte digest, [`signing_digest`]`(m)` =
+//! SHA-256(`"spotless-ed25519-sha256-v1"` ‖ m), never over the message
+//! itself. RFC 8032
+//! hashes what it signs twice with SHA-512 (the nonce, then the
+//! challenge) and verification hashes it once more, in software: this
+//! class of CPU has no SHA-512 instructions, so a 34 000-byte proposal
+//! envelope cost ≈ 200 µs to sign and ≈ 120 µs to verify, most of it
+//! hashing. The digest is one pass on the SHA-256 kernel (the SHA
+//! extensions where the CPU has them, ≈ 6× faster than SHA-512 here),
+//! after which Ed25519's work is flat in the message length: ≈ 40 µs
+//! and ≈ 52 µs for the same envelope (the `sig_verify` bench's
+//! `sig_size` table). The entry points hash as little as they can:
+//! [`KeyStore::verify_quorum`] and [`KeyStore::filter_valid`] hash their
+//! shared statement once per call, [`KeyStore::verify_batch_refs`] once
+//! per item. Security rests on SHA-256's collision resistance on top of
+//! Ed25519's, the trade PBFT makes by signing digests (Castro & Liskov,
+//! TOCS 2002); the domain tag keeps these digests apart from every
+//! other SHA-256 the workspace computes. `compat/ed25519` itself stays
+//! plain RFC 8032 and keeps its known-answer vectors; a signature made
+//! here verifies under it over `signing_digest(m)`, and not over `m`.
+//!
 //! The API is shaped by what real signatures need and the stand-in
 //! couldn't express:
 //!
@@ -51,10 +75,23 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::sha256::Sha256;
+use crate::sha256::{self, Sha256, DIGEST_LEN};
 use spotless_types::{ReplicaId, Signature, VoteStatement};
 
 pub use spotless_types::SIGNATURE_LEN;
+
+/// Domain tag hashed ahead of every signed message, so a signing digest
+/// never equals a SHA-256 the workspace computes for another purpose.
+const SIGNING_DOMAIN: &[u8] = b"spotless-ed25519-sha256-v1";
+
+/// The 32 bytes a signature over `message` covers:
+/// SHA-256(`"spotless-ed25519-sha256-v1"` ‖ `message`). Every sign and
+/// verify entry point of this module hashes through here and hands the
+/// digest to RFC 8032 Ed25519, so `ed25519`'s own `sign`/`verify` over
+/// this digest are the reference for tests and benches.
+pub fn signing_digest(message: &[u8]) -> [u8; DIGEST_LEN] {
+    sha256::digest_parts(&[SIGNING_DOMAIN, message])
+}
 
 /// Why a key or signature was rejected. Ordered roughly by how early in
 /// the pipeline the rejection happens: key parsing, signature parsing,
@@ -113,11 +150,13 @@ pub struct PublicKey(ed25519::VerifyingKey);
 
 impl PublicKey {
     /// Verifies `sig` over `message` the generic way — one fresh
-    /// double-scalar multiplication, no table. This is the reference
-    /// [`KeyStore::verify`] is tested and benchmarked against; the
-    /// key store itself never calls it.
+    /// double-scalar multiplication over [`signing_digest`]`(message)`,
+    /// no table. This is the reference [`KeyStore::verify`] is tested
+    /// and benchmarked against; the key store itself never calls it.
     pub fn verify(&self, message: &[u8], sig: &Signature) -> Result<(), VerifyError> {
-        self.0.verify(message, &sig.0).map_err(sig_error)
+        self.0
+            .verify(&signing_digest(message), &sig.0)
+            .map_err(sig_error)
     }
 
     /// The compressed 32-byte key encoding.
@@ -174,9 +213,9 @@ impl Keypair {
         self.public
     }
 
-    /// Signs `message`.
+    /// Signs `message`: Ed25519 over [`signing_digest`]`(message)`.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        Signature(self.signing.sign(message))
+        Signature(self.signing.sign(&signing_digest(message)))
     }
 }
 
@@ -279,8 +318,19 @@ impl KeyStore {
         message: &[u8],
         sig: &Signature,
     ) -> Result<(), VerifyError> {
+        self.verify_digest(signer, &signing_digest(message), sig)
+    }
+
+    /// [`verify`](KeyStore::verify) given the message's
+    /// [`signing_digest`].
+    fn verify_digest(
+        &self,
+        signer: ReplicaId,
+        digest: &[u8; DIGEST_LEN],
+        sig: &Signature,
+    ) -> Result<(), VerifyError> {
         self.signer(signer)?
-            .verify(message, &sig.0)
+            .verify(digest, &sig.0)
             .map_err(sig_error)
     }
 
@@ -295,32 +345,35 @@ impl KeyStore {
     }
 
     /// Verifies a quorum's signatures over one shared `message` (the
-    /// vote statement everyone signed), one [`verify`](KeyStore::verify)
-    /// each: a certificate's signers are distinct, so a batch would have
-    /// nothing to fold. `Ok` iff *every* vote checks out, else the first
-    /// failure's error — this is the entry point `ledger::verify_proof`
-    /// uses to re-verify `CommitProof` signatures at append time.
+    /// vote statement everyone signed), hashed once, then one table
+    /// verification each: a certificate's signers are distinct, so a
+    /// batch would have nothing to fold. `Ok` iff *every* vote checks
+    /// out, else the first failure's error — this is the entry point
+    /// `ledger::verify_proof` uses to re-verify `CommitProof`
+    /// signatures at append time.
     pub fn verify_quorum(
         &self,
         message: &[u8],
         votes: &[(ReplicaId, Signature)],
     ) -> Result<(), VerifyError> {
+        let digest = signing_digest(message);
         votes
             .iter()
-            .try_for_each(|(signer, sig)| self.verify(*signer, message, sig))
+            .try_for_each(|(signer, sig)| self.verify_digest(*signer, &digest, sig))
     }
 
-    /// Which of `votes` verify over `message`, in one serial pass: the
-    /// sanitizing counterpart to [`verify_quorum`] for live
-    /// certificates, where a Byzantine replica may have attached garbage
-    /// alongside honest votes and all-or-nothing rejection would poison
-    /// honest commits.
+    /// Which of `votes` verify over `message` (hashed once), in one
+    /// serial pass: the sanitizing counterpart to [`verify_quorum`] for
+    /// live certificates, where a Byzantine replica may have attached
+    /// garbage alongside honest votes and all-or-nothing rejection would
+    /// poison honest commits.
     ///
     /// [`verify_quorum`]: KeyStore::verify_quorum
     pub fn filter_valid(&self, message: &[u8], votes: &[(ReplicaId, Signature)]) -> Vec<bool> {
+        let digest = signing_digest(message);
         votes
             .iter()
-            .map(|(signer, sig)| self.verify(*signer, message, sig).is_ok())
+            .map(|(signer, sig)| self.verify_digest(*signer, &digest, sig).is_ok())
             .collect()
     }
 
@@ -331,9 +384,10 @@ impl KeyStore {
 
     /// Batch-verifies independent `(signer, message, sig)` triples,
     /// borrowing the messages where they lie (the ingress task's
-    /// received buffers). `Ok` iff every triple
-    /// verifies (empty is `Ok`); an unknown signer fails the whole batch
-    /// with [`VerifyError::UnknownSigner`].
+    /// received buffers) and hashing each once into its
+    /// [`signing_digest`]. `Ok` iff every triple verifies (empty is
+    /// `Ok`); an unknown signer fails the whole batch with
+    /// [`VerifyError::UnknownSigner`].
     ///
     /// What a batch buys over calling [`verify`](KeyStore::verify) on
     /// each: all signatures by one signer share a single walk of that
@@ -347,9 +401,14 @@ impl KeyStore {
         &self,
         items: &[(ReplicaId, &[u8], &Signature)],
     ) -> Result<(), VerifyError> {
+        let digests: Vec<[u8; DIGEST_LEN]> = items
+            .iter()
+            .map(|(_, message, _)| signing_digest(message))
+            .collect();
         let refs = items
             .iter()
-            .map(|(signer, message, sig)| Ok((self.signer(*signer)?, *message, &sig.0)))
+            .zip(&digests)
+            .map(|((signer, _, sig), digest)| Ok((self.signer(*signer)?, &digest[..], &sig.0)))
             .collect::<Result<Vec<_>, VerifyError>>()?;
         ed25519::verify_batch(&refs).map_err(sig_error)
     }
@@ -367,6 +426,58 @@ mod tests {
         assert_eq!(
             kp.public().verify(b"propose v8", &sig),
             Err(VerifyError::BadSignature)
+        );
+    }
+
+    #[test]
+    fn signatures_cover_the_signing_digest_not_the_message() {
+        let stores = KeyStore::cluster(b"digest-scheme", 2);
+        let message = b"propose v9 under the digest scheme";
+        let sig = stores[1].sign(message);
+        let raw = stores[1].keypair.public().0;
+        // Plain RFC 8032 over the digest accepts it …
+        raw.verify(&signing_digest(message), &sig.0).unwrap();
+        // … over the message itself it does not,
+        assert_eq!(
+            raw.verify(message, &sig.0),
+            Err(ed25519::Error::BadSignature)
+        );
+        // and RFC 8032 signing of the digest is the same signature.
+        assert_eq!(
+            ed25519::SigningKey::from_seed(&[3; 32]).sign(&signing_digest(message)),
+            Keypair::from_seed([3; 32]).sign(message).0
+        );
+    }
+
+    #[test]
+    fn the_digest_covers_the_whole_message() {
+        // A proposal-envelope-sized message: flipping its last byte must
+        // break every entry point, so no digest stops at a prefix.
+        let stores = KeyStore::cluster(b"digest-tail", 2);
+        let mut message: Vec<u8> = (0..34_000u32).map(|i| (i % 251) as u8).collect();
+        let sig = stores[0].sign(&message);
+        stores[1].verify(ReplicaId(0), &message, &sig).unwrap();
+        *message.last_mut().unwrap() ^= 1;
+        let bad = Err(VerifyError::BadSignature);
+        assert_eq!(stores[1].verify(ReplicaId(0), &message, &sig), bad);
+        assert_eq!(
+            stores[1]
+                .public_of(ReplicaId(0))
+                .unwrap()
+                .verify(&message, &sig),
+            bad
+        );
+        assert_eq!(
+            stores[1].verify_batch_refs(&[(ReplicaId(0), &message, &sig)]),
+            bad
+        );
+        assert_eq!(
+            stores[1].verify_quorum(&message, &[(ReplicaId(0), sig)]),
+            bad
+        );
+        assert_eq!(
+            stores[1].filter_valid(&message, &[(ReplicaId(0), sig)]),
+            [false]
         );
     }
 

@@ -9,7 +9,7 @@
 //! ## Payload layout (wire format v2, binary)
 //!
 //! ```text
-//! payload := WIRE_VERSION (1 byte, 0xB6) ‖ tag (1 byte) ‖ body
+//! payload := WIRE_VERSION (1 byte, 0xB7) ‖ tag (1 byte) ‖ body
 //! protocol body := msg₁ ‖ … ‖ msg_k        (1 ≤ k ≤ MAX_BUNDLE)
 //! ```
 //!
@@ -81,8 +81,12 @@ use spotless_ledger::Block;
 use spotless_types::{BatchId, Digest, ReplicaId};
 use std::sync::Arc;
 
-/// Leading byte of every payload: binary codec, wire revision 6.
-/// Revision 6 lets a protocol payload carry up to [`MAX_BUNDLE`]
+/// Leading byte of every payload: binary codec, wire revision 7.
+/// Revision 7 changed no layout: every Ed25519 signature — the
+/// envelope's, each vote's, each certificate signer's — now covers the
+/// SHA-256 signing digest of its bytes, not the bytes themselves
+/// (`spotless_crypto::signing::signing_digest`), so a revision-6 peer's
+/// signatures would all fail to verify here and ours there. Revision 6 lets a protocol payload carry up to [`MAX_BUNDLE`]
 /// messages back to back under one signature. A one-message payload is
 /// byte-identical to revision 5's apart from this byte, but a revision-5
 /// peer would drop every longer one as trailing bytes, so the two must
@@ -94,7 +98,7 @@ use std::sync::Arc;
 /// payloads can never be confused — either side drops the other's
 /// frames unread. Bump on any layout change; mixed-version clusters
 /// then fail closed instead of misinterpreting each other.
-pub const WIRE_VERSION: u8 = 0xB6;
+pub const WIRE_VERSION: u8 = 0xB7;
 
 /// Most protocol messages one payload carries. Bounds the delivery
 /// burst a single envelope can cause and the work one bad message
@@ -1073,11 +1077,12 @@ mod tests {
     fn wrong_wire_version_fails_closed() {
         // A valid payload re-badged with any other version byte must
         // be dropped unread — this is the mixed-cluster guard. 0xB5 is
-        // the previous revision (one message per protocol payload): a
-        // cluster mixing the two drops each other's frames instead of
-        // reading a bundle as trailing bytes.
+        // revision 5 (one message per protocol payload): a cluster
+        // mixing it with ours drops each other's frames instead of
+        // reading a bundle as trailing bytes. 0xB6 is revision 6, whose
+        // signatures cover the raw bytes rather than their digest.
         for enc in [encode_catchup_req(42), bundle(2)] {
-            for bad_version in [0u8, 1, TAG_CATCHUP_RESP, 0xB1, 0xB2, 0xB3, 0xB5, 0xFF] {
+            for bad_version in [0u8, 1, TAG_CATCHUP_RESP, 0xB1, 0xB2, 0xB3, 0xB5, 0xB6, 0xFF] {
                 let mut reframed = enc.clone();
                 reframed[0] = bad_version;
                 assert!(decode::<u64>(&reframed).is_none(), "{bad_version:#x}");

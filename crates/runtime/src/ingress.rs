@@ -47,11 +47,17 @@
 //! never event-loop time, and cannot reorder the valid traffic around
 //! it. A genuine envelope that is malformed — a protocol body that is
 //! empty, longer than [`MAX_BUNDLE`], or holds one message that does not
-//! decode — is dropped whole and counted in [`NetStats::msgs_malformed`]:
-//! none of its messages is delivered and none of their votes is
-//! checked. A genuine envelope whose message carries a bad vote is
-//! forwarded with a `false` verdict on that vote, so the protocol never
-//! counts it.
+//! decode, or a message carrying a client batch whose payload does not
+//! hash to the batch's digest ([`ProtocolMessage::carried_batches`]) —
+//! is dropped whole and counted in [`NetStats::msgs_malformed`]: none of
+//! its messages is delivered and none of their votes is checked.
+//! Consensus votes on a batch's digest alone, and the simulator's
+//! batches carry no payload, so this check lives here and nowhere in
+//! the protocols: without it one primary could show two replicas two
+//! payloads under one digest, and both would commit and execute
+//! different transactions. A genuine envelope whose message carries a
+//! bad vote is forwarded with a `false` verdict on that vote, so the
+//! protocol never counts it.
 //!
 //! [`MAX_BUNDLE`]: crate::envelope::MAX_BUNDLE
 
@@ -59,7 +65,7 @@ use crate::envelope::{decode_protocol_bundle, payload_tag, Envelope, TAG_PROTOCO
 use crate::observe::NetStats;
 use crate::runtime::{Event, VoteKey, VoteMemo};
 use serde::Deserialize;
-use spotless_crypto::{KeyStore, Signature};
+use spotless_crypto::{digest_bytes, KeyStore, Signature};
 use spotless_types::node::ProtocolMessage;
 use spotless_types::ReplicaId;
 use std::collections::{HashMap, HashSet};
@@ -197,6 +203,9 @@ impl<M: ProtocolMessage + Deserialize> Ingress<M> {
         let Some(msgs) = decode_protocol_bundle::<M>(&env.payload[2..]) else {
             return Body::Malformed;
         };
+        if !payloads_match_digests(&msgs) {
+            return Body::Malformed;
+        }
         let msgs = msgs
             .into_iter()
             .map(|msg| {
@@ -298,6 +307,18 @@ impl<M: ProtocolMessage + Deserialize> Ingress<M> {
 
 /// One run's verdicts on the votes its genuine messages list.
 type Verdicts = HashMap<VoteKey, bool>;
+
+/// Whether every batch `msgs` carry in full, no-ops aside (they execute
+/// nothing), has a payload that hashes to its digest.
+fn payloads_match_digests<M: ProtocolMessage>(msgs: &[M]) -> bool {
+    let mut batches = Vec::new();
+    for msg in msgs {
+        msg.carried_batches(&mut batches);
+    }
+    batches
+        .iter()
+        .all(|batch| batch.is_noop() || digest_bytes(&batch.payload) == batch.digest)
+}
 
 /// The statement bytes each of `fresh`'s votes signs.
 fn signing_bytes(fresh: &[(ReplicaId, VoteKey)]) -> Vec<[u8; 68]> {
@@ -747,6 +768,64 @@ mod tests {
         let (_, view, votes) = h.next_sync().await;
         assert_eq!((view, votes.len()), (View(5), 2));
         assert_eq!(h.net.votes_verified(), 2, "nothing was cached before");
+    }
+
+    /// A proposal whose payload does not hash to its batch's digest is
+    /// dropped whole, however genuine its envelope and its digest: the
+    /// honest primary's proposal and a forged-payload copy carry the
+    /// same batch digest, and only the first is delivered. A no-op
+    /// batch (no payload, zero digest) is exempt.
+    #[tokio::test(flavor = "multi_thread")]
+    async fn a_payload_that_does_not_hash_to_its_digest_is_malformed() {
+        use spotless_core::{Justification, Proposal};
+        use spotless_types::{BatchId, ClientBatch, ClientId, SimTime};
+        use std::sync::Arc;
+        let mut h = Harness::spawn(b"ingress-forged-payload-test");
+        let payload = b"transfer 10 from alice to bob".to_vec();
+        let honest = ClientBatch {
+            id: BatchId(7),
+            origin: ClientId(1),
+            digest: digest_bytes(&payload),
+            txns: 1,
+            txn_size: payload.len() as u32,
+            created_at: SimTime::ZERO,
+            payload,
+        };
+        let mut forged = honest.clone();
+        forged.payload = b"transfer 10 from alice to eve".to_vec();
+        let propose = |view: u64, batch: ClientBatch| {
+            Message::Propose(Arc::new(Proposal::new(
+                InstanceId(0),
+                View(view),
+                batch,
+                Justification::genesis(),
+            )))
+        };
+        // The forged copy rides behind a good message in one bundle:
+        // the whole envelope goes.
+        let sync = Message::Sync(h.sync(1, 4, &[], false));
+        h.send_payload(1, bundle(&[sync, propose(5, forged)]));
+        h.send_payload(1, bundle(&[propose(5, honest)]));
+        h.send_payload(1, bundle(&[propose(6, ClientBatch::noop(SimTime::ZERO))]));
+        for view in [5, 6] {
+            match h.output.recv().await {
+                Some(Event::Deliver {
+                    msg: Message::Propose(p),
+                    ..
+                }) => {
+                    assert_eq!(p.view, View(view));
+                    assert_eq!(p.batch.is_noop(), view == 6);
+                }
+                _ => panic!("expected the view-{view} proposal"),
+            }
+        }
+        assert_eq!(h.net.msgs_malformed(), 1);
+        assert_eq!(h.net.msgs_rejected(), 0, "every envelope is genuine");
+        assert_eq!(
+            h.net.votes_verified(),
+            0,
+            "the dropped Sync's claim is not checked"
+        );
     }
 
     /// A protocol payload with no message at all is malformed.

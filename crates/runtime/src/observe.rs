@@ -143,9 +143,10 @@ impl NetStats {
     /// Genuinely signed envelopes dropped at ingress as malformed: an
     /// unknown version or tag, or a protocol body that is empty, holds
     /// more than [`MAX_BUNDLE`](crate::envelope::MAX_BUNDLE) messages,
-    /// or has one that fails to decode. The whole envelope goes; none
-    /// of its messages is delivered. Counted in `msgs_recv` too, not in
-    /// `msgs_rejected`.
+    /// has one that fails to decode, or has one carrying a client batch
+    /// whose payload does not hash to its digest. The whole envelope
+    /// goes; none of its messages is delivered. Counted in `msgs_recv`
+    /// too, not in `msgs_rejected`.
     pub fn msgs_malformed(&self) -> u64 {
         self.inner.msgs_malformed.load(Ordering::Relaxed)
     }

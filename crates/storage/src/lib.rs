@@ -1376,13 +1376,13 @@ mod tests {
     #[test]
     fn golden_snapshot_manifest() {
         let bytes = encode_manifest(&golden_manifest());
-        // Anatomy: magic "SPLSSNP1" ‖ version 7 (u32 LE) ‖ height 1 ‖
+        // Anatomy: magic "SPLSSNP1" ‖ version 8 (u32 LE) ‖ height 1 ‖
         // head hash ‖ Some(golden block, as in `golden_log_record`) ‖
         // recent ids [7] ‖ meta "meta" ‖ chunk digests [tag 12] ‖
         // CRC-32C (u32 LE) of everything before it.
         assert_eq!(
             hex(&bytes),
-            "53504c53534e50310700000001e816fdb9aded7d3c9886db890f7ce7\
+            "53504c53534e50310800000001e816fdb9aded7d3c9886db890f7ce7\
              ab1fb97d17d2c3fecaf41d4a5a9743a8420100000000000000000000\
              00000000000000000000000000000000000000000000000000000000\
              00004d00000000000000000000000000000000000000000000000007\
@@ -1398,7 +1398,7 @@ mod tests {
              cccccccccccccccccccccccccccce816fdb9aded7d3c9886db890f7c\
              e7ab1fb97d17d2c3fecaf41d4a5a9743a8420107046d657461010000\
              00000000000c00000000000000000000000000000000000000000000\
-             0000d52d93bb"
+             0000e9304f49"
         );
         let back = decode_manifest(&bytes, Path::new("golden.snap")).unwrap();
         assert_eq!(encode_manifest(&back), bytes);

@@ -40,12 +40,15 @@ pub const MAGIC: [u8; 8] = *b"SPLSSEG1";
 /// digests (state-root definition v2) — same layout, different roots.
 /// Version 7 writes each record as `serde::bin` of `(block, payload)`,
 /// the block's wire encoding, instead of a storage-only codec.
+/// Version 8 keeps that layout, but each certificate signature covers
+/// the SHA-256 signing digest of its vote statement rather than the
+/// statement itself, so no peer could verify a version-7 log's proofs.
 /// There is no in-place upgrade:
 /// a store written by an older version fails with a clean
 /// [`StorageError::UnsupportedVersion`](crate::StorageError) rather
 /// than a misleading corruption diagnosis, and the operator recovers
 /// the replica via state transfer from its peers.
-pub const VERSION: u32 = 7;
+pub const VERSION: u32 = 8;
 /// Size of the fixed segment header.
 pub const HEADER_LEN: u64 = 32;
 /// Per-record framing overhead (length + CRC).

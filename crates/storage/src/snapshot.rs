@@ -57,10 +57,13 @@ pub const MAGIC: [u8; 8] = *b"SPLSSNP1";
 /// state-root definition v2 (bucket leaves over per-record digests), so
 /// a version-5 snapshot's state no longer re-seals to its head's
 /// `state_root`; version 7 writes the body in the wire codec
-/// (`serde::bin` of the manifest struct). Older stores are rejected
+/// (`serde::bin` of the manifest struct); version 8 keeps that layout
+/// while the head's certificate signatures cover the SHA-256 signing
+/// digest of the vote statement, so a version-7 head no longer
+/// verifies. Older stores are rejected
 /// with a clean [`StorageError::UnsupportedVersion`] — the migration
 /// story is state transfer from peers, not in-place upgrade.
-pub const VERSION: u32 = 7;
+pub const VERSION: u32 = 8;
 
 /// A decoded snapshot (by default the empty one at height 0, which a
 /// store without a snapshot starts from).

@@ -352,6 +352,22 @@ fn a_version_5_store_is_refused_not_replayed() {
     // directory must therefore stop recovery with a clean
     // `UnsupportedVersion` — replaying it would "succeed" structurally
     // and then fail every seal check one layer up.
+    assert_old_store_refused(5);
+}
+
+#[test]
+fn a_version_7_store_is_refused_not_replayed() {
+    // Version 7 and 8 share every byte layout; what changed is what a
+    // certificate signature covers (the SHA-256 signing digest of the
+    // vote statement, not the statement). A v7 store's proofs verify
+    // nowhere, so it must not open either.
+    assert_old_store_refused(7);
+}
+
+/// A log, and a snapshot manifest beside a current log, stamped with
+/// an older format `version` both fail to open with
+/// `UnsupportedVersion { version }`.
+fn assert_old_store_refused(version: u32) {
     let opts = DurableLedgerOptions {
         snapshot_every: 0,
         ..DurableLedgerOptions::default()
@@ -377,11 +393,11 @@ fn a_version_5_store_is_refused_not_replayed() {
     // An old log.
     let dir = tempfile::tempdir().unwrap();
     fill(dir.path(), false);
-    stamp_version(&newest_segment(dir.path()), 5, |_| 28);
+    stamp_version(&newest_segment(dir.path()), version, |_| 28);
     match DurableLedger::open(dir.path(), opts) {
-        Err(StorageError::UnsupportedVersion { version: 5, .. }) => {}
+        Err(StorageError::UnsupportedVersion { version: v, .. }) if v == version => {}
         Err(e) => panic!("expected UnsupportedVersion, got {e}"),
-        Ok(_) => panic!("a v5 log must not open"),
+        Ok(_) => panic!("a v{version} log must not open"),
     }
 
     // An old snapshot manifest (beside a current log).
@@ -397,10 +413,10 @@ fn a_version_5_store_is_refused_not_replayed() {
                 .is_some()
         })
         .expect("a snapshot manifest exists");
-    stamp_version(&manifest, 5, |len| len - 4);
+    stamp_version(&manifest, version, |len| len - 4);
     match DurableLedger::open(dir.path(), opts) {
-        Err(StorageError::UnsupportedVersion { version: 5, .. }) => {}
+        Err(StorageError::UnsupportedVersion { version: v, .. }) if v == version => {}
         Err(e) => panic!("expected UnsupportedVersion, got {e}"),
-        Ok(_) => panic!("a v5 snapshot must not open"),
+        Ok(_) => panic!("a v{version} snapshot must not open"),
     }
 }

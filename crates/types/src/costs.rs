@@ -24,15 +24,26 @@
 //! cost ratios agree.
 
 /// Single-core CPU costs of cryptographic operations, in nanoseconds.
+///
+/// A signature's cost is flat plus hashing, which is how the message
+/// types charge it (`verify_cost` = `verify_ns` + `hash_ns_per_byte` ×
+/// body for a proposal): the deployment signs and verifies Ed25519 over
+/// the message's 32-byte SHA-256 signing digest
+/// (`spotless_crypto::signing::signing_digest`), so the curve work
+/// `sign_ns`/`verify_ns` stands for does not grow with the message, and
+/// the one pass over the message is SHA-256 at `hash_ns_per_byte`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CryptoCosts {
-    /// Producing one digital signature (Ed25519-class).
+    /// Producing one digital signature (Ed25519-class) over a digest:
+    /// the flat part, independent of the message's length.
     pub sign_ns: u64,
-    /// Verifying one digital signature serially.
+    /// Verifying one digital signature serially over a digest: the
+    /// flat part.
     pub verify_ns: u64,
     /// Generating or verifying one MAC (HMAC-SHA256-class).
     pub mac_ns: u64,
-    /// Hashing, per byte (batch digests, chain digests).
+    /// Hashing, per byte (batch digests, chain digests, and the signing
+    /// digest every signature covers).
     pub hash_ns_per_byte: u64,
 }
 

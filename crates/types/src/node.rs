@@ -352,6 +352,21 @@ pub trait ProtocolMessage: Clone {
     fn carried_votes(&self, from: ReplicaId, out: &mut Vec<(ReplicaId, VoteStatement, Signature)>) {
         let _ = (from, out);
     }
+
+    /// Appends to `out` every [`ClientBatch`] this message carries in
+    /// full, payload included: each batch a receiver may come to
+    /// execute from this message. Consensus votes on a batch's digest
+    /// alone, so the runtime's ingress drops a message whose listed
+    /// non-no-op batch has a payload that does not hash to its digest —
+    /// otherwise one primary could show two replicas two payloads under
+    /// one digest, and both would commit and execute different
+    /// transactions. A batch a message names only by digest or id (a
+    /// vote, a `Sync`'s references, an ack) is not listed: what it
+    /// refers to was checked when it arrived in full. The default lists
+    /// none.
+    fn carried_batches<'a>(&'a self, out: &mut Vec<&'a ClientBatch>) {
+        let _ = out;
+    }
 }
 
 #[cfg(test)]

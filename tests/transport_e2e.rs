@@ -93,6 +93,13 @@ async fn live_commits_reach_the_pipeline_witnessed() {
             "replica {r}'s event loop verified votes itself"
         );
         assert!(replica.net().votes_verified() > 0);
+        // Every honest proposal's payload hashes to its batch digest,
+        // so ingress's payload check drops nothing here.
+        assert_eq!(
+            replica.net().msgs_malformed(),
+            0,
+            "replica {r} dropped an honest envelope as malformed"
+        );
     }
     handle.shutdown().await;
 }

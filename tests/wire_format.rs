@@ -149,7 +149,7 @@ fn sample_chunk() -> ChunkTransfer {
 
 // ── golden vectors: the pinned binary layout ────────────────────────
 //
-// Layout recap (README §"Wire format"): `0xB6` version byte, tag byte,
+// Layout recap (README §"Wire format"): `0xB7` version byte, tag byte,
 // then the body in the streaming binary codec — canonical LEB128
 // varints, raw byte slices, structs field-by-field in declaration
 // order, enum variants by declaration index. A protocol body is one to
@@ -158,11 +158,11 @@ fn sample_chunk() -> ChunkTransfer {
 #[test]
 fn golden_protocol_sync() {
     let enc = encode_protocol(&sample_sync());
-    assert_eq!(enc[0], 0xB6, "wire version");
+    assert_eq!(enc[0], 0xB7, "wire version");
     assert_eq!(enc[1], TAG_PROTOCOL);
     assert_eq!(
         hex(&enc),
-        "b6000101ac0201ab0200000000000000090000000000000000000000\
+        "b7000101ac0201ab0200000000000000090000000000000000000000\
          0000000000000000000000000001ac02000000000000000a00000000\
          000000000000000000000000000000000000000001dddddddddddddd\
          dddddddddddddddddddddddddddddddddddddddddddddddddddddddd\
@@ -188,10 +188,10 @@ fn golden_protocol_sync() {
 #[test]
 fn golden_protocol_bundle() {
     let enc = bundle(&[sample_sync(), sample_ask()]);
-    assert_eq!(enc[..2], [0xB6, TAG_PROTOCOL]);
+    assert_eq!(enc[..2], [0xB7, TAG_PROTOCOL]);
     assert_eq!(
         hex(&enc),
-        "b6000101ac0201ab0200000000000000090000000000000000000000\
+        "b7000101ac0201ab0200000000000000090000000000000000000000\
          0000000000000000000000000001ac02000000000000000a00000000\
          000000000000000000000000000000000000000001dddddddddddddd\
          dddddddddddddddddddddddddddddddddddddddddddddddddddddddd\
@@ -217,7 +217,7 @@ fn golden_protocol_bundle() {
 fn golden_catchup_req() {
     let enc = encode_catchup_req(300);
     assert_eq!(enc[1], TAG_CATCHUP_REQ);
-    assert_eq!(hex(&enc), "b601ac02");
+    assert_eq!(hex(&enc), "b701ac02");
     assert!(matches!(
         decode::<u64>(&enc),
         Some(WireMsg::CatchUpReq { from_height: 300 })
@@ -234,7 +234,7 @@ fn golden_catchup_resp() {
     assert_eq!(enc[1], TAG_CATCHUP_RESP);
     assert_eq!(
         hex(&enc),
-        "b6020401000000000000000000000000000000000000000000000000\
+        "b7020401000000000000000000000000000000000000000000000000\
          000000000000000000000000000000004d0000000000000000000000\
          00000000000000000000000000070200000000000001f40000000000\
          00000000000000000000000000000000000000000300000000000000\
@@ -297,7 +297,7 @@ fn golden_manifest() {
     assert_eq!(enc[1], TAG_CATCHUP_MANIFEST);
     assert_eq!(
         hex(&enc),
-        "b6030104000000000000000000000000000000000000000000000000\
+        "b7030104000000000000000000000000000000000000000000000000\
          000000000000000000000000000000004d0000000000000000000000\
          00000000000000000000000000070200000000000001f40000000000\
          00000000000000000000000000000000000000000300000000000000\
@@ -328,7 +328,7 @@ fn golden_manifest() {
 fn golden_chunk_req() {
     let enc = encode_chunk_req(300, 3);
     assert_eq!(enc[1], TAG_CATCHUP_CHUNK_REQ);
-    assert_eq!(hex(&enc), "b604ac0203");
+    assert_eq!(hex(&enc), "b704ac0203");
     assert!(matches!(
         decode::<u64>(&enc),
         Some(WireMsg::ChunkReq {
@@ -345,7 +345,7 @@ fn golden_chunk() {
     assert_eq!(enc[1], TAG_CATCHUP_CHUNK);
     assert_eq!(
         hex(&enc),
-        "b60501000b6368756e6b2d62797465730101000000000000000d0000\
+        "b70501000b6368756e6b2d62797465730101000000000000000d0000\
          00000000000000000000000000000000000000000000000100000000\
          0000000e000000000000000000000000000000000000000000000000\
          01"
@@ -743,7 +743,8 @@ proptest! {
 
     /// Any mutation of the leading version byte fails closed — no
     /// payload from another wire generation can be misread, a
-    /// revision-5 (`0xB5`) reader facing a bundle included.
+    /// revision-5 (`0xB5`) reader facing a bundle and a revision-6
+    /// (`0xB6`) one facing digest-scheme signatures included.
     #[test]
     fn version_byte_mutations_fail_closed(
         height in any::<u64>(),
@@ -751,7 +752,7 @@ proptest! {
         bad in any::<u8>(),
     ) {
         for mut enc in [encode_catchup_req(height), bundle(&msgs)] {
-            for bad in [bad, 0xB5] {
+            for bad in [bad, 0xB5, 0xB6] {
                 if bad != enc[0] {
                     enc[0] = bad;
                     prop_assert!(decode::<Message>(&enc).is_none());
