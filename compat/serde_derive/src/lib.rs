@@ -7,9 +7,38 @@
 //! directly from the raw `proc_macro::TokenStream` and the impl is
 //! emitted as formatted source text. Supported shapes are exactly what
 //! this workspace uses: unit / tuple / named structs and enums whose
-//! variants are unit, tuple, or struct-like — all without generics. No
-//! `#[serde(...)]` attributes are recognized: the format is positional,
-//! so every field is always written.
+//! variants are unit, tuple, or struct-like — all without generics. The
+//! format is positional, so every field is always written.
+//!
+//! One attribute is recognized: `#[serde(max_len = EXPR)]` on a named
+//! `Vec<T>` field, `EXPR` a `usize`. The encoding is unchanged; the
+//! decoder rejects a length prefix above `EXPR` before reserving
+//! anything, then decodes through `T::de_bin_elems`, so the codec's
+//! reservation cap still applies below the bound:
+//!
+//! ```
+//! #[derive(serde::Serialize, serde::Deserialize)]
+//! struct Ids {
+//!     #[serde(max_len = 4)]
+//!     ids: Vec<u64>,
+//! }
+//! ```
+//!
+//! Any other `#[serde(...)]` — another key, or `max_len` anywhere but a
+//! named field — is a compile error, never silently ignored:
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! struct Ids {
+//!     #[serde(rename = "other")]
+//!     ids: Vec<u64>,
+//! }
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! struct Ids(#[serde(max_len = 4)] Vec<u64>);
+//! ```
 //!
 //! Wire shape (schema-driven, no names — see `serde::bin`):
 //! - unit struct       → one `0x00` byte (never zero bytes: sequence
@@ -21,21 +50,27 @@
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-enum VariantData {
+/// A named field, with the bound its `#[serde(max_len = EXPR)]`
+/// declares (the `EXPR` source text).
+struct Field {
+    name: String,
+    max_len: Option<String>,
+}
+
+/// The fields of a struct or an enum variant.
+enum Fields {
     Unit,
     Tuple(usize),
-    Named(Vec<String>),
+    Named(Vec<Field>),
 }
 
 struct Variant {
     name: String,
-    data: VariantData,
+    fields: Fields,
 }
 
 enum Kind {
-    UnitStruct,
-    TupleStruct(usize),
-    NamedStruct(Vec<String>),
+    Struct(Fields),
     Enum(Vec<Variant>),
 }
 
@@ -45,13 +80,13 @@ struct Input {
 }
 
 /// Derives `serde::Serialize` for the annotated item.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, gen_serialize)
 }
 
 /// Derives `serde::Deserialize` for the annotated item.
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, gen_deserialize)
 }
@@ -78,20 +113,8 @@ fn parse_input(input: TokenStream) -> Result<Input, String> {
     let mut i = 0usize;
 
     // Outer attributes and visibility before the item keyword.
-    loop {
-        match tokens.get(i) {
-            Some(TokenTree::Punct(p)) if p.as_char() == '#' => i += 2, // `#` + `[...]`
-            Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
-                i += 1;
-                if let Some(TokenTree::Group(g)) = tokens.get(i) {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        i += 1; // `pub(crate)` etc.
-                    }
-                }
-            }
-            _ => break,
-        }
-    }
+    attrs(&tokens, &mut i, false)?;
+    skip_vis(&tokens, &mut i);
 
     let item_kind = match tokens.get(i) {
         Some(TokenTree::Ident(id)) => id.to_string(),
@@ -112,102 +135,131 @@ fn parse_input(input: TokenStream) -> Result<Input, String> {
         }
     }
 
-    let kind = match item_kind.as_str() {
-        "struct" => match tokens.get(i) {
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Kind::UnitStruct,
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Kind::TupleStruct(parse_tuple_arity(g.stream()))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Kind::NamedStruct(parse_named_fields(g.stream())?)
-            }
-            other => return Err(format!("unsupported struct body: {other:?}")),
-        },
-        "enum" => match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Kind::Enum(parse_variants(g.stream())?)
-            }
-            other => return Err(format!("unsupported enum body: {other:?}")),
-        },
-        other => return Err(format!("cannot derive for `{other}` items")),
+    let kind = match (item_kind.as_str(), tokens.get(i)) {
+        ("struct", Some(TokenTree::Punct(p))) if p.as_char() == ';' => Kind::Struct(Fields::Unit),
+        ("struct", Some(TokenTree::Group(g))) if has_fields(g) => Kind::Struct(parse_fields(g)?),
+        ("enum", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
+            Kind::Enum(parse_variants(g.stream())?)
+        }
+        (other, body) => return Err(format!("cannot derive for `{other}` with body {body:?}")),
     };
 
     Ok(Input { name, kind })
 }
 
-/// Counts the top-level comma-separated fields of a tuple body,
-/// tracking `<`/`>` depth so generic arguments don't split fields.
-fn parse_tuple_arity(body: TokenStream) -> usize {
-    let mut arity = 0usize;
-    let mut saw_any = false;
-    let mut angle_depth = 0i32;
-    for tok in body {
-        match tok {
-            TokenTree::Punct(p) if p.as_char() == '<' => {
-                saw_any = true;
-                angle_depth += 1;
+/// Skips the attributes at `tokens[*i..]`, returning the bound of a
+/// `#[serde(max_len = EXPR)]` among them. Any other `serde` attribute
+/// is an error, and so is `max_len` twice or off a named field.
+fn attrs(tokens: &[TokenTree], i: &mut usize, named_field: bool) -> Result<Option<String>, String> {
+    let mut max_len = None;
+    while let (Some(TokenTree::Punct(p)), Some(TokenTree::Group(attr))) =
+        (tokens.get(*i), tokens.get(*i + 1))
+    {
+        if p.as_char() != '#' {
+            break;
+        }
+        *i += 2;
+        let attr: Vec<TokenTree> = attr.stream().into_iter().collect();
+        if !matches!(attr.first(), Some(TokenTree::Ident(id)) if id.to_string() == "serde") {
+            continue; // doc comments, lints, other derives' attributes
+        }
+        match max_len_expr(&attr) {
+            Some(expr) if named_field && max_len.is_none() => max_len = Some(expr),
+            _ => {
+                let attr: TokenStream = attr.into_iter().collect();
+                return Err(format!(
+                    "unsupported `#[{attr}]`: the one attribute is `#[serde(max_len = EXPR)]`, \
+                     once on a named field"
+                ));
             }
-            TokenTree::Punct(p) if p.as_char() == '>' => angle_depth -= 1,
-            TokenTree::Punct(p) if p.as_char() == ',' && angle_depth == 0 => {
-                arity += 1;
-                saw_any = false;
-            }
-            _ => saw_any = true,
         }
     }
-    arity + usize::from(saw_any)
+    Ok(max_len)
 }
 
-fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
-    let tokens: Vec<TokenTree> = body.into_iter().collect();
+/// The `EXPR` of a `serde(max_len = EXPR)` attribute body.
+fn max_len_expr(attr: &[TokenTree]) -> Option<String> {
+    let [_, TokenTree::Group(args)] = attr else {
+        return None;
+    };
+    let args: Vec<TokenTree> = args.stream().into_iter().collect();
+    match args.as_slice() {
+        [TokenTree::Ident(key), TokenTree::Punct(eq), expr @ ..]
+            if key.to_string() == "max_len"
+                && eq.as_char() == '='
+                && !expr.is_empty()
+                && !expr.iter().any(|t| is_punct(t, ',')) =>
+        {
+            Some(expr.iter().cloned().collect::<TokenStream>().to_string())
+        }
+        _ => None,
+    }
+}
+
+fn is_punct(tok: &TokenTree, c: char) -> bool {
+    matches!(tok, TokenTree::Punct(p) if p.as_char() == c)
+}
+
+/// Skips a visibility (`pub`, `pub(crate)`, …) at `tokens[*i]`.
+fn skip_vis(tokens: &[TokenTree], i: &mut usize) {
+    if matches!(tokens.get(*i), Some(TokenTree::Ident(id)) if id.to_string() == "pub") {
+        *i += 1;
+        if matches!(tokens.get(*i), Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis)
+        {
+            *i += 1;
+        }
+    }
+}
+
+/// Skips a field's type and the comma after it, tracking `<`/`>` depth
+/// so generic arguments don't end the field.
+fn skip_type(tokens: &[TokenTree], i: &mut usize) {
+    let mut angle_depth = 0i32;
+    while let Some(tok) = tokens.get(*i) {
+        *i += 1;
+        if is_punct(tok, '<') {
+            angle_depth += 1;
+        } else if is_punct(tok, '>') {
+            angle_depth -= 1;
+        } else if is_punct(tok, ',') && angle_depth == 0 {
+            break;
+        }
+    }
+}
+
+/// Whether `body` is a `(…)` or `{…}` field list.
+fn has_fields(body: &proc_macro::Group) -> bool {
+    matches!(body.delimiter(), Delimiter::Parenthesis | Delimiter::Brace)
+}
+
+/// The fields of a `(…)` or `{…}` body.
+fn parse_fields(body: &proc_macro::Group) -> Result<Fields, String> {
+    let tokens: Vec<TokenTree> = body.stream().into_iter().collect();
+    let named = body.delimiter() == Delimiter::Brace;
     let mut fields = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
-        // Field attributes (doc comments etc.) — skipped.
-        while let Some(TokenTree::Punct(p)) = tokens.get(i) {
-            if p.as_char() != '#' {
-                break;
+        let max_len = attrs(&tokens, &mut i, named)?;
+        skip_vis(&tokens, &mut i);
+        let mut name = String::new();
+        if named {
+            name = match tokens.get(i) {
+                Some(TokenTree::Ident(id)) => id.to_string(),
+                other => return Err(format!("expected field name, found {other:?}")),
+            };
+            if !tokens.get(i + 1).is_some_and(|t| is_punct(t, ':')) {
+                return Err(format!("expected `:` after `{name}`"));
             }
             i += 2;
         }
-        // Visibility.
-        if let Some(TokenTree::Ident(id)) = tokens.get(i) {
-            if id.to_string() == "pub" {
-                i += 1;
-                if let Some(TokenTree::Group(g)) = tokens.get(i) {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        i += 1;
-                    }
-                }
-            }
-        }
-        let name = match tokens.get(i) {
-            Some(TokenTree::Ident(id)) => id.to_string(),
-            None => break, // trailing comma
-            other => return Err(format!("expected field name, found {other:?}")),
-        };
-        i += 1;
-        match tokens.get(i) {
-            Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
-            other => return Err(format!("expected `:` after `{name}`, found {other:?}")),
-        }
-        // Skip the type up to the next top-level comma.
-        let mut angle_depth = 0i32;
-        while let Some(tok) = tokens.get(i) {
-            match tok {
-                TokenTree::Punct(p) if p.as_char() == '<' => angle_depth += 1,
-                TokenTree::Punct(p) if p.as_char() == '>' => angle_depth -= 1,
-                TokenTree::Punct(p) if p.as_char() == ',' && angle_depth == 0 => {
-                    i += 1;
-                    break;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        fields.push(name);
+        skip_type(&tokens, &mut i);
+        fields.push(Field { name, max_len });
     }
-    Ok(fields)
+    Ok(if named {
+        Fields::Named(fields)
+    } else {
+        Fields::Tuple(fields.len())
+    })
 }
 
 fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
@@ -215,40 +267,28 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
     let mut variants = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
-        // Variant attributes (doc comments etc.) — skipped.
-        while let Some(TokenTree::Punct(p)) = tokens.get(i) {
-            if p.as_char() != '#' {
-                break;
-            }
-            i += 2;
-        }
+        attrs(&tokens, &mut i, false)?;
         let name = match tokens.get(i) {
             Some(TokenTree::Ident(id)) => id.to_string(),
             None => break, // trailing comma
             other => return Err(format!("expected variant name, found {other:?}")),
         };
         i += 1;
-        let data = match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
+        let fields = match tokens.get(i) {
+            Some(TokenTree::Group(g)) if has_fields(g) => {
                 i += 1;
-                VariantData::Tuple(parse_tuple_arity(g.stream()))
+                parse_fields(g)?
             }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                i += 1;
-                VariantData::Named(parse_named_fields(g.stream())?)
-            }
-            _ => VariantData::Unit,
+            _ => Fields::Unit,
         };
         // Skip a possible discriminant, up to the separating comma.
         while let Some(tok) = tokens.get(i) {
             i += 1;
-            if let TokenTree::Punct(p) = tok {
-                if p.as_char() == ',' {
-                    break;
-                }
+            if is_punct(tok, ',') {
+                break;
             }
         }
-        variants.push(Variant { name, data });
+        variants.push(Variant { name, fields });
     }
     Ok(variants)
 }
@@ -257,9 +297,111 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
 // Code generation
 // ---------------------------------------------------------------------------
 
+impl Fields {
+    fn len(&self) -> usize {
+        match self {
+            Fields::Unit => 0,
+            Fields::Tuple(n) => *n,
+            Fields::Named(fields) => fields.len(),
+        }
+    }
+
+    /// Field `i`'s name, or its index in a tuple.
+    fn member(&self, i: usize) -> String {
+        match self {
+            Fields::Named(fields) => fields[i].name.clone(),
+            _ => i.to_string(),
+        }
+    }
+
+    /// The pattern binding the fields, in order, to `f0`, `f1`, ….
+    fn pattern(&self) -> String {
+        let binds: Vec<String> = (0..self.len())
+            .map(|i| match self {
+                Fields::Named(fields) => format!("{}: f{i}", fields[i].name),
+                _ => format!("f{i}"),
+            })
+            .collect();
+        let binds = binds.join(", ");
+        match self {
+            Fields::Unit => String::new(),
+            Fields::Tuple(_) => format!("({binds})"),
+            Fields::Named(_) => format!(" {{ {binds} }}"),
+        }
+    }
+
+    /// Streams the fields, in declaration order, each read from
+    /// `place(i)`: `&self.a` in a struct, the [`Fields::pattern`]
+    /// binding in an enum variant.
+    fn writes(&self, place: impl Fn(usize) -> String) -> String {
+        (0..self.len())
+            .map(|i| format!("::serde::Serialize::ser_bin({}, out);\n", place(i)))
+            .collect()
+    }
+
+    /// The constructor after the struct or variant path: the exact
+    /// inverse of [`Fields::writes`].
+    fn reads(&self) -> String {
+        match self {
+            Fields::Unit => String::new(),
+            Fields::Tuple(n) => {
+                let reads = vec!["::serde::Deserialize::de_bin(r)?"; *n];
+                format!("({})", reads.join(", "))
+            }
+            Fields::Named(fields) => {
+                format!(" {{\n{}}}", fields.iter().map(de_field).collect::<String>())
+            }
+        }
+    }
+}
+
+/// One field initializer of a derived `de_bin`. A `max_len` field reads
+/// its length prefix, fails above the bound before reserving anything,
+/// and decodes the elements through `de_bin_elems`.
+fn de_field(field: &Field) -> String {
+    let name = &field.name;
+    match &field.max_len {
+        None => format!("{name}: ::serde::Deserialize::de_bin(r)?,\n"),
+        Some(max_len) => format!(
+            "{name}: {{\n\
+             let len = ::serde::bin::Reader::len(r)?;\n\
+             let max_len: usize = {max_len};\n\
+             if len > max_len {{\n\
+             return Err(::serde::Error::custom(\"`{name}` is longer than its max_len\"));\n\
+             }}\n\
+             ::serde::Deserialize::de_bin_elems(r, len)?\n\
+             }},\n"
+        ),
+    }
+}
+
+/// The derived `ser_bin`: fields streamed in declaration order; enums
+/// prefixed with their variant's declaration index as a varint.
 fn gen_serialize(input: &Input) -> String {
     let name = &input.name;
-    let body = ser_bin_body(input);
+    let body = match &input.kind {
+        // One marker byte, never zero bytes: `Vec<UnitLike>` must keep
+        // the "each element costs ≥ 1 byte" invariant sequence
+        // decoding relies on.
+        Kind::Struct(Fields::Unit) => "out.push(0u8);".to_string(),
+        Kind::Struct(fields) => fields.writes(|i| format!("&self.{}", fields.member(i))),
+        Kind::Enum(variants) => {
+            let arms: String = variants
+                .iter()
+                .enumerate()
+                .map(|(idx, v)| {
+                    format!(
+                        "{name}::{}{} => {{\n\
+                         ::serde::bin::write_varint({idx}u64, out);\n{}}}\n",
+                        v.name,
+                        v.fields.pattern(),
+                        v.fields.writes(|i| format!("f{i}"))
+                    )
+                })
+                .collect();
+            format!("match self {{\n{arms}}}")
+        }
+    };
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
@@ -268,63 +410,35 @@ fn gen_serialize(input: &Input) -> String {
     )
 }
 
-/// Body of the derived `ser_bin`: fields streamed in declaration order;
-/// enums prefixed with their variant's declaration index as a varint.
-fn ser_bin_body(input: &Input) -> String {
-    let name = &input.name;
-    match &input.kind {
-        // One marker byte, never zero bytes: `Vec<UnitLike>` must keep
-        // the "each element costs ≥ 1 byte" invariant sequence
-        // decoding relies on.
-        Kind::UnitStruct => "out.push(0u8);".to_string(),
-        Kind::TupleStruct(n) => (0..*n)
-            .map(|i| format!("::serde::Serialize::ser_bin(&self.{i}, out);\n"))
-            .collect(),
-        Kind::NamedStruct(fields) => fields
-            .iter()
-            .map(|f| format!("::serde::Serialize::ser_bin(&self.{f}, out);\n"))
-            .collect(),
-        Kind::Enum(variants) => {
-            let mut arms = String::new();
-            for (idx, v) in variants.iter().enumerate() {
-                let vn = &v.name;
-                match &v.data {
-                    VariantData::Unit => arms.push_str(&format!(
-                        "{name}::{vn} => ::serde::bin::write_varint({idx}u64, out),\n"
-                    )),
-                    VariantData::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-                        let writes: String = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::ser_bin({b}, out);\n"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn}({binds}) => {{\n\
-                             ::serde::bin::write_varint({idx}u64, out);\n{writes}}}\n",
-                            binds = binds.join(", ")
-                        ));
-                    }
-                    VariantData::Named(fields) => {
-                        let writes: String = fields
-                            .iter()
-                            .map(|f| format!("::serde::Serialize::ser_bin({f}, out);\n"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {binds} }} => {{\n\
-                             ::serde::bin::write_varint({idx}u64, out);\n{writes}}}\n",
-                            binds = fields.join(", ")
-                        ));
-                    }
-                }
-            }
-            format!("match self {{\n{arms}}}")
-        }
-    }
-}
-
+/// The derived `de_bin`: the exact inverse of [`gen_serialize`] — fields
+/// in declaration order, enums selected by varint declaration index
+/// (unknown indexes fail closed).
 fn gen_deserialize(input: &Input) -> String {
     let name = &input.name;
-    let body = de_bin_body(input);
+    let body = match &input.kind {
+        Kind::Struct(Fields::Unit) => format!(
+            "match ::serde::bin::Reader::byte(r)? {{\n\
+             0u8 => Ok({name}),\n\
+             _ => Err(::serde::Error::custom(\"invalid unit-struct byte for {name}\")),\n\
+             }}"
+        ),
+        Kind::Struct(fields) => format!("Ok({name}{})", fields.reads()),
+        Kind::Enum(variants) => {
+            let arms: String = variants
+                .iter()
+                .enumerate()
+                .map(|(idx, v)| {
+                    format!("{idx}u64 => Ok({name}::{}{}),\n", v.name, v.fields.reads())
+                })
+                .collect();
+            format!(
+                "match ::serde::bin::Reader::varint(r)? {{\n\
+                 {arms}\
+                 _ => Err(::serde::Error::custom(\"unknown {name} variant index\")),\n\
+                 }}"
+            )
+        }
+    };
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
@@ -333,63 +447,4 @@ fn gen_deserialize(input: &Input) -> String {
              {body}\n}}\n\
          }}"
     )
-}
-
-/// Body of the derived `de_bin`: the exact inverse of
-/// [`ser_bin_body`] — fields in declaration order, enums selected
-/// by varint declaration index (unknown indexes fail closed).
-fn de_bin_body(input: &Input) -> String {
-    let name = &input.name;
-    match &input.kind {
-        Kind::UnitStruct => format!(
-            "match ::serde::bin::Reader::byte(r)? {{\n\
-             0u8 => Ok({name}),\n\
-             _ => Err(::serde::Error::custom(\"invalid unit-struct byte for {name}\")),\n\
-             }}"
-        ),
-        Kind::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|_| "::serde::Deserialize::de_bin(r)?".to_string())
-                .collect();
-            format!("Ok({name}({}))", items.join(", "))
-        }
-        Kind::NamedStruct(fields) => {
-            let inits: String = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::Deserialize::de_bin(r)?,\n"))
-                .collect();
-            format!("Ok({name} {{\n{inits}}})")
-        }
-        Kind::Enum(variants) => {
-            let mut arms = String::new();
-            for (idx, v) in variants.iter().enumerate() {
-                let vn = &v.name;
-                match &v.data {
-                    VariantData::Unit => arms.push_str(&format!("{idx}u64 => Ok({name}::{vn}),\n")),
-                    VariantData::Tuple(n) => {
-                        let items: Vec<String> = (0..*n)
-                            .map(|_| "::serde::Deserialize::de_bin(r)?".to_string())
-                            .collect();
-                        arms.push_str(&format!(
-                            "{idx}u64 => Ok({name}::{vn}({})),\n",
-                            items.join(", ")
-                        ));
-                    }
-                    VariantData::Named(fields) => {
-                        let inits: String = fields
-                            .iter()
-                            .map(|f| format!("{f}: ::serde::Deserialize::de_bin(r)?,\n"))
-                            .collect();
-                        arms.push_str(&format!("{idx}u64 => Ok({name}::{vn} {{\n{inits}}}),\n"));
-                    }
-                }
-            }
-            format!(
-                "match ::serde::bin::Reader::varint(r)? {{\n\
-                 {arms}\
-                 _ => Err(::serde::Error::custom(\"unknown {name} variant index\")),\n\
-                 }}"
-            )
-        }
-    }
 }

@@ -7,6 +7,8 @@
 //! classic leaf/interior second-preimage confusion).
 
 use crate::sha256::digest_parts;
+use serde::bin::Reader;
+use serde::{Deserialize, Error, Serialize};
 use spotless_types::Digest;
 
 // Both shapes are one-shot: a node is always 65 bytes and a leaf over a
@@ -29,21 +31,41 @@ fn parent_hash(level: &[Digest], p: usize) -> Digest {
 }
 
 /// Upper bound on inclusion-proof length, shared by the prover and
-/// every wire decoder that parses proofs (`spotless-runtime`'s
-/// envelope codec). A binary tree with more than `2^64` leaves cannot
-/// exist in this address space, so a longer proof is a malformed frame
-/// by definition — decoders reject it before allocating, and
+/// [`ProofStep`]'s decoder, which every list of steps on the wire goes
+/// through. A binary tree with more than `2^64` leaves cannot exist in
+/// this address space, so a longer proof is a malformed frame by
+/// definition — the decoder rejects it before allocating, and
 /// [`MerkleTree::prove`] never emits one. Keeping the two sides on one
 /// named constant is what stops the bound from silently drifting apart.
 pub const MAX_PROOF_DEPTH: usize = 64;
 
-/// One step of a Merkle inclusion proof.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One step of a Merkle inclusion proof. Encodes as the sibling's 32
+/// bytes, then the side as a `0`/`1` byte.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct ProofStep {
     /// The sibling hash at this level.
     pub sibling: Digest,
     /// True iff the sibling sits to the right of the running hash.
     pub sibling_on_right: bool,
+}
+
+/// The derived layout, plus the bound: a `Vec<ProofStep>` longer than
+/// [`MAX_PROOF_DEPTH`] fails at its length prefix, before it is reserved.
+impl Deserialize for ProofStep {
+    fn de_bin(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(ProofStep {
+            sibling: Digest::de_bin(r)?,
+            sibling_on_right: bool::de_bin(r)?,
+        })
+    }
+
+    fn de_bin_slice(r: &mut Reader<'_>) -> Result<Vec<Self>, Error> {
+        let len = r.len()?;
+        if len > MAX_PROOF_DEPTH {
+            return Err(Error::custom("proof deeper than MAX_PROOF_DEPTH"));
+        }
+        Self::de_bin_elems(r, len)
+    }
 }
 
 /// A Merkle tree over a batch's transactions.
@@ -228,9 +250,23 @@ pub fn verify_inclusion(item: &[u8], proof: &[ProofStep], root: &Digest) -> bool
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use serde::bin;
 
     fn items(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("txn-{i}").into_bytes()).collect()
+    }
+
+    #[test]
+    fn proof_lists_decode_up_to_max_proof_depth() {
+        let step = ProofStep {
+            sibling: Digest::from_u64(5),
+            sibling_on_right: true,
+        };
+        let at_bound = vec![step; MAX_PROOF_DEPTH];
+        let enc = bin::to_vec(&at_bound);
+        assert_eq!(bin::from_slice::<Vec<ProofStep>>(&enc), Ok(at_bound));
+        let too_deep = bin::to_vec(&vec![step; MAX_PROOF_DEPTH + 1]);
+        assert!(bin::from_slice::<Vec<ProofStep>>(&too_deep).is_err());
     }
 
     #[test]

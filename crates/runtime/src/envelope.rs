@@ -55,8 +55,12 @@
 //! Each body has one reader. [`decode_ref`] reads the header and every
 //! transfer body, into the same owned types the encoders take, and
 //! hands a protocol body back undecoded; [`decode_protocol_bundle`]
-//! reads that. [`decode`] is [`decode_ref`] plus its own protocol-body
-//! loop, kept as the oracle the bundle reader is tested against.
+//! reads that. Transfer bodies are derived `serde::bin` types like the
+//! protocol messages: their list bounds are declared on the fields
+//! (`#[serde(max_len = MAX_TRANSFER_ITEMS)]`), and every proof is
+//! bounded by [`ProofStep`]'s own decoder. [`decode`] is [`decode_ref`]
+//! plus its own protocol-body loop, kept as the oracle the bundle reader
+//! is tested against.
 //!
 //! Decoding is fail-closed throughout: wrong version, unknown tag,
 //! truncation, trailing bytes, non-canonical varints, a protocol body
@@ -67,37 +71,45 @@
 //! and in the facade suite (`tests/wire_format.rs`).
 //!
 //! Signatures come from the cluster [`KeyStore`] — real Ed25519 (RFC
-//! 8032) over the payload bytes, with typed rejection: [`verify`]
-//! returns the [`spotless_crypto::VerifyError`] naming *why* a frame
-//! failed (unknown signer, malformed point, bad signature, …) so
-//! transports can log attributable drops instead of a bare `false`.
+//! 8032) over the payload's SHA-256 signing digest
+//! (`spotless_crypto::signing::signing_digest`), not the payload bytes,
+//! since wire revision 7. Rejection is typed: [`verify`] returns the
+//! [`spotless_crypto::VerifyError`] naming *why* a frame failed (unknown
+//! signer, malformed point, bad signature, …) so transports can log
+//! attributable drops instead of a bare `false`.
 //!
 //! [`verify`]: Envelope::verify
 
 use serde::bin::{self, Reader};
 use serde::{Deserialize, Serialize};
-use spotless_crypto::{KeyStore, ProofStep, Signature, MAX_PROOF_DEPTH};
+use spotless_crypto::{KeyStore, ProofStep, Signature};
 use spotless_ledger::Block;
 use spotless_types::{BatchId, Digest, ReplicaId};
 use std::sync::Arc;
 
 /// Leading byte of every payload: binary codec, wire revision 7.
+/// Chosen outside the tag range so v1 payloads (which started with their
+/// tag byte) and later payloads can never be confused — either side
+/// drops the other's frames unread. Bump on any layout change;
+/// mixed-version clusters then fail closed instead of misinterpreting
+/// each other.
+///
 /// Revision 7 changed no layout: every Ed25519 signature — the
 /// envelope's, each vote's, each certificate signer's — now covers the
 /// SHA-256 signing digest of its bytes, not the bytes themselves
 /// (`spotless_crypto::signing::signing_digest`), so a revision-6 peer's
-/// signatures would all fail to verify here and ours there. Revision 6 lets a protocol payload carry up to [`MAX_BUNDLE`]
+/// signatures would all fail to verify here and ours there.
+///
+/// Revision 6 lets a protocol payload carry up to [`MAX_BUNDLE`]
 /// messages back to back under one signature. A one-message payload is
 /// byte-identical to revision 5's apart from this byte, but a revision-5
 /// peer would drop every longer one as trailing bytes, so the two must
-/// not share a cluster. Revision 5 changed no layout: the bucket leaf
-/// chunk proofs start from became the digest of the bucket's per-record
-/// digests (state-root definition v2), so a revision-4 peer's chunks
-/// and sealed roots would all fail verification. Chosen outside the tag
-/// range so v1 payloads (which started with their tag byte) and later
-/// payloads can never be confused — either side drops the other's
-/// frames unread. Bump on any layout change; mixed-version clusters
-/// then fail closed instead of misinterpreting each other.
+/// not share a cluster.
+///
+/// Revision 5 changed no layout: the bucket leaf chunk proofs start from
+/// became the digest of the bucket's per-record digests (state-root
+/// definition v2), so a revision-4 peer's chunks and sealed roots would
+/// all fail verification.
 pub const WIRE_VERSION: u8 = 0xB7;
 
 /// Most protocol messages one payload carries. Bounds the delivery
@@ -292,7 +304,7 @@ impl Envelope {
 
 /// One block of a catch-up response: the ledger block plus the batch
 /// payload needed to re-execute it.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CatchUpBlock {
     /// The hash-chained ledger block.
     pub block: Block,
@@ -302,7 +314,7 @@ pub struct CatchUpBlock {
 }
 
 /// Descriptor of one chunk in a [`TransferManifest`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChunkInfo {
     /// First bucket index the chunk covers.
     pub first_bucket: u32,
@@ -338,7 +350,7 @@ pub struct ChunkInfo {
 /// head. Fabricating a head-plus-state pair therefore requires forging
 /// a weak quorum of Ed25519 signatures: state roots bind *state to
 /// chain*, and the certificate's signatures bind *chain to cluster*.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransferManifest {
     /// Ledger height the snapshot covers (number of executed blocks).
     pub height: u64,
@@ -351,17 +363,19 @@ pub struct TransferManifest {
     /// Ids of the most recently committed batches the snapshot covers
     /// (bounded window; seeds the receiver's re-commit dedup filter so
     /// a rejoining protocol instance cannot re-execute them).
+    #[serde(max_len = MAX_TRANSFER_ITEMS)]
     pub recent_ids: Vec<BatchId>,
     /// The application meta bytes (KV meta-leaf encoding).
     pub app_meta: Vec<u8>,
     /// Inclusion proof of `app_meta` at the meta leaf of the state tree.
     pub meta_proof: Vec<ProofStep>,
     /// The chunk plan, in order. Ranges must partition the bucket space.
+    #[serde(max_len = MAX_TRANSFER_ITEMS)]
     pub chunks: Vec<ChunkInfo>,
 }
 
 /// One chunk answering a [`TAG_CATCHUP_CHUNK_REQ`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChunkTransfer {
     /// The transfer's target height (matches the manifest).
     pub height: u64,
@@ -373,6 +387,7 @@ pub struct ChunkTransfer {
     /// in bucket order within the chunk. Empty for fragment chunks
     /// (fragments are content-digest addressed; the assembled bucket is
     /// audited against the root at install).
+    #[serde(max_len = MAX_TRANSFER_ITEMS)]
     pub proofs: Vec<Vec<ProofStep>>,
     /// Inclusion proof of the owning shard's sub-root in the top tree
     /// (one per chunk — a chunk never crosses a shard boundary).
@@ -446,20 +461,19 @@ impl<P> WireMsg<P> {
     }
 }
 
-/// Starts a payload buffer: version byte, tag byte, `cap` bytes of
-/// headroom for the body.
-fn payload_buf(tag: u8, cap: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 + cap);
+/// A `tag` payload: the version byte, the tag byte, then `body`'s
+/// derived encoding.
+fn encode_body<B: Serialize + ?Sized>(tag: u8, body: &B) -> Vec<u8> {
+    let mut out = Vec::with_capacity(256);
     out.push(WIRE_VERSION);
     out.push(tag);
+    body.ser_bin(&mut out);
     out
 }
 
 /// Encodes a one-message protocol payload.
 pub fn encode_protocol<M: Serialize>(msg: &M) -> Vec<u8> {
-    let mut out = payload_buf(TAG_PROTOCOL, 254);
-    msg.ser_bin(&mut out);
-    out
+    encode_body(TAG_PROTOCOL, msg)
 }
 
 /// Like [`encode_protocol`], but reusing `buf`'s allocation (cleared
@@ -485,113 +499,47 @@ pub(crate) fn append_protocol(bundle: &mut Vec<u8>, next: &[u8]) {
 
 /// Encodes a catch-up request payload.
 pub fn encode_catchup_req(from_height: u64) -> Vec<u8> {
-    let mut out = payload_buf(TAG_CATCHUP_REQ, 10);
-    bin::write_varint(from_height, &mut out);
-    out
+    encode_body(TAG_CATCHUP_REQ, &from_height)
 }
 
-/// Encodes a catch-up response payload.
+/// Encodes a catch-up response payload: the `(peer_height, blocks)`
+/// pair, written straight from the slice.
 pub fn encode_catchup_resp(peer_height: u64, blocks: &[CatchUpBlock]) -> Vec<u8> {
-    let payload_bytes: usize = blocks.iter().map(|b| b.payload.len()).sum();
-    let mut out = payload_buf(TAG_CATCHUP_RESP, 16 + blocks.len() * 160 + payload_bytes);
-    bin::write_varint(peer_height, &mut out);
-    bin::write_len(blocks.len(), &mut out);
-    for cb in blocks {
-        cb.block.ser_bin(&mut out);
-        cb.payload.ser_bin(&mut out);
-    }
-    out
-}
-
-fn encode_proof(out: &mut Vec<u8>, proof: &[ProofStep]) {
-    bin::write_len(proof.len(), out);
-    for step in proof {
-        out.extend_from_slice(&step.sibling.0);
-        out.push(u8::from(step.sibling_on_right));
-    }
-}
-
-fn decode_proof(r: &mut Reader<'_>) -> Option<Vec<ProofStep>> {
-    let len = r.len().ok()?;
-    if len > MAX_PROOF_DEPTH {
-        return None; // no legal tree is that deep (shared bound with the prover)
-    }
-    let mut proof = Vec::with_capacity(len);
-    for _ in 0..len {
-        let mut sibling = Digest::ZERO;
-        sibling.0.copy_from_slice(r.take(32).ok()?);
-        let dir = match r.byte().ok()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        proof.push(ProofStep {
-            sibling,
-            sibling_on_right: dir,
-        });
-    }
-    Some(proof)
+    encode_body(TAG_CATCHUP_RESP, &(peer_height, blocks))
 }
 
 /// Encodes a state-transfer manifest payload.
 pub fn encode_catchup_manifest(m: &TransferManifest) -> Vec<u8> {
-    let mut out = payload_buf(
-        TAG_CATCHUP_MANIFEST,
-        256 + m.app_meta.len() + m.recent_ids.len() * 9 + m.chunks.len() * 40,
-    );
-    bin::write_varint(m.height, &mut out);
-    bin::write_varint(m.peer_height, &mut out);
-    m.head.ser_bin(&mut out);
-    bin::write_len(m.recent_ids.len(), &mut out);
-    for id in &m.recent_ids {
-        bin::write_varint(id.0, &mut out);
-    }
-    m.app_meta.ser_bin(&mut out);
-    encode_proof(&mut out, &m.meta_proof);
-    bin::write_len(m.chunks.len(), &mut out);
-    for c in &m.chunks {
-        bin::write_varint(u64::from(c.first_bucket), &mut out);
-        bin::write_varint(u64::from(c.buckets), &mut out);
-        bin::write_varint(u64::from(c.part), &mut out);
-        bin::write_varint(u64::from(c.parts), &mut out);
-        out.extend_from_slice(&c.digest.0);
-    }
-    out
+    encode_body(TAG_CATCHUP_MANIFEST, m)
 }
 
 /// Encodes a chunk fetch request payload.
 pub fn encode_chunk_req(height: u64, index: u32) -> Vec<u8> {
-    let mut out = payload_buf(TAG_CATCHUP_CHUNK_REQ, 15);
-    bin::write_varint(height, &mut out);
-    bin::write_varint(u64::from(index), &mut out);
-    out
+    encode_body(TAG_CATCHUP_CHUNK_REQ, &(height, index))
 }
 
 /// Encodes a chunk transfer payload.
 pub fn encode_chunk(c: &ChunkTransfer) -> Vec<u8> {
-    let proof_bytes: usize = c.proofs.iter().map(|p| 2 + p.len() * 33).sum();
-    let mut out = payload_buf(
-        TAG_CATCHUP_CHUNK,
-        24 + c.chunk.len() + proof_bytes + 2 + c.top_proof.len() * 33,
-    );
-    bin::write_varint(c.height, &mut out);
-    bin::write_varint(u64::from(c.index), &mut out);
-    c.chunk.ser_bin(&mut out);
-    bin::write_len(c.proofs.len(), &mut out);
-    for p in &c.proofs {
-        encode_proof(&mut out, p);
-    }
-    encode_proof(&mut out, &c.top_proof);
-    out
+    encode_body(TAG_CATCHUP_CHUNK, c)
 }
 
-/// Bound on every list length in a transfer payload, checked before
-/// the list is allocated: a larger prefix is a malformed frame, not
-/// data. [`Reader::len`] bounds a count only by the input left (one
-/// byte per element), which an 8 MiB frame meets with eight million
-/// entries, each a multi-byte record once decoded: preallocating for
-/// that would reserve many times the frame.
-const MAX_TRANSFER_ITEMS: usize = 1 << 20;
+/// Bound on every list in a transfer body — `recent_ids`, `chunks`,
+/// `proofs` and the catch-up `blocks` — checked at its length prefix,
+/// before the list is reserved: a larger count is a malformed frame, not
+/// data. The codec bounds a count only by the input left, at one byte an
+/// element, and some of these elements do encode in one byte yet take
+/// more in memory: an 8 MiB frame of eight million empty proofs (24
+/// bytes each as a `Vec`) would decode into a 192 MiB list.
+pub const MAX_TRANSFER_ITEMS: usize = 1 << 20;
+
+/// The catch-up response body: [`WireMsg::CatchUpResp`]'s fields as one
+/// derived type, which [`encode_catchup_resp`] writes from a slice.
+#[derive(Deserialize)]
+struct CatchUpResp {
+    peer_height: u64,
+    #[serde(max_len = MAX_TRANSFER_ITEMS)]
+    blocks: Vec<CatchUpBlock>,
+}
 
 /// Decodes a tagged payload, parsing a protocol body into `M`s: the
 /// header and transfer bodies are [`decode_ref`]'s, and the protocol
@@ -655,115 +603,47 @@ pub fn decode_protocol_bundle<M: Deserialize>(body: &[u8]) -> Option<Vec<M>> {
 
 /// The one reader of payload headers and transfer bodies. Checks the
 /// version byte and the tag; hands a protocol body back undecoded (its
-/// caller's parse enforces full consumption); parses a transfer body
-/// into the owned types its encoder takes, bounding every list at 2²⁰
-/// items and every proof at [`spotless_crypto::MAX_PROOF_DEPTH`] steps
-/// before allocating, and
-/// rejecting u32 fields out of range, proof direction bytes other than
-/// 0 and 1, and trailing bytes. The pipeline reads every transfer
-/// message through this, and moves the decoded bytes into storage.
+/// caller's parse enforces full consumption); decodes a transfer body
+/// into the owned types its encoder takes, with the types' derived
+/// decoders: every list bounded at [`MAX_TRANSFER_ITEMS`] and every
+/// proof at [`spotless_crypto::MAX_PROOF_DEPTH`] steps before it is
+/// reserved, and u32 fields out of range, proof direction bytes other
+/// than 0 and 1, and trailing bytes rejected. The pipeline reads every
+/// transfer message through this, and moves the decoded bytes into
+/// storage.
 pub fn decode_ref(payload: &[u8]) -> Option<WireMsgRef<'_>> {
     let [WIRE_VERSION, tag, body @ ..] = payload else {
         return None; // truncated, or another format generation: fail closed
     };
-    let mut r = Reader::new(body);
-    let msg = match *tag {
-        TAG_PROTOCOL => return Some(WireMsg::Protocol(body)),
+    Some(match *tag {
+        TAG_PROTOCOL => WireMsg::Protocol(body),
         TAG_CATCHUP_REQ => WireMsg::CatchUpReq {
-            from_height: r.varint().ok()?,
+            from_height: bin::from_slice(body).ok()?,
         },
         TAG_CATCHUP_RESP => {
-            let peer_height = r.varint().ok()?;
-            let count = transfer_len(&mut r)?;
-            let mut blocks = Vec::with_capacity(count.min(4096));
-            for _ in 0..count {
-                let block = Block::de_bin(&mut r).ok()?;
-                let payload = Vec::<u8>::de_bin(&mut r).ok()?;
-                blocks.push(CatchUpBlock { block, payload });
-            }
+            let CatchUpResp {
+                peer_height,
+                blocks,
+            } = bin::from_slice(body).ok()?;
             WireMsg::CatchUpResp {
                 peer_height,
                 blocks,
             }
         }
-        TAG_CATCHUP_MANIFEST => {
-            let height = r.varint().ok()?;
-            let peer_height = r.varint().ok()?;
-            let head = Block::de_bin(&mut r).ok()?;
-            let ids_len = transfer_len(&mut r)?;
-            let mut recent_ids = Vec::with_capacity(ids_len);
-            for _ in 0..ids_len {
-                recent_ids.push(BatchId(r.varint().ok()?));
-            }
-            let app_meta = Vec::<u8>::de_bin(&mut r).ok()?;
-            let meta_proof = decode_proof(&mut r)?;
-            let chunks_len = transfer_len(&mut r)?;
-            let mut chunks = Vec::with_capacity(chunks_len);
-            for _ in 0..chunks_len {
-                let first_bucket = read_u32(&mut r)?;
-                let buckets = read_u32(&mut r)?;
-                let part = read_u32(&mut r)?;
-                let parts = read_u32(&mut r)?;
-                let mut digest = Digest::ZERO;
-                digest.0.copy_from_slice(r.take(32).ok()?);
-                chunks.push(ChunkInfo {
-                    first_bucket,
-                    buckets,
-                    part,
-                    parts,
-                    digest,
-                });
-            }
-            WireMsg::Manifest(Box::new(TransferManifest {
-                height,
-                peer_height,
-                head,
-                recent_ids,
-                app_meta,
-                meta_proof,
-                chunks,
-            }))
+        TAG_CATCHUP_MANIFEST => WireMsg::Manifest(bin::from_slice(body).ok()?),
+        TAG_CATCHUP_CHUNK_REQ => {
+            let (height, index) = bin::from_slice(body).ok()?;
+            WireMsg::ChunkReq { height, index }
         }
-        TAG_CATCHUP_CHUNK_REQ => WireMsg::ChunkReq {
-            height: r.varint().ok()?,
-            index: read_u32(&mut r)?,
-        },
-        TAG_CATCHUP_CHUNK => {
-            let height = r.varint().ok()?;
-            let index = read_u32(&mut r)?;
-            let chunk = Vec::<u8>::de_bin(&mut r).ok()?;
-            let proofs_len = transfer_len(&mut r)?;
-            let mut proofs = Vec::with_capacity(proofs_len);
-            for _ in 0..proofs_len {
-                proofs.push(decode_proof(&mut r)?);
-            }
-            let top_proof = decode_proof(&mut r)?;
-            WireMsg::Chunk(Box::new(ChunkTransfer {
-                height,
-                index,
-                chunk,
-                proofs,
-                top_proof,
-            }))
-        }
+        TAG_CATCHUP_CHUNK => WireMsg::Chunk(bin::from_slice(body).ok()?),
         _ => return None,
-    };
-    r.is_empty().then_some(msg) // trailing bytes: malformed
-}
-
-/// A transfer list's length prefix, `None` above [`MAX_TRANSFER_ITEMS`].
-fn transfer_len(r: &mut Reader<'_>) -> Option<usize> {
-    r.len().ok().filter(|&n| n <= MAX_TRANSFER_ITEMS)
-}
-
-/// A varint that must fit a `u32`.
-fn read_u32(r: &mut Reader<'_>) -> Option<u32> {
-    u32::try_from(r.varint().ok()?).ok()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spotless_crypto::MAX_PROOF_DEPTH;
     use spotless_ledger::CommitProof;
     use spotless_types::{BatchId, Digest, InstanceId, View};
 
@@ -1111,8 +991,28 @@ mod tests {
         assert!(decode::<u64>(&encode_chunk(&ok)).is_some());
         let too_deep = ChunkTransfer {
             proofs: vec![vec![step; MAX_PROOF_DEPTH + 1]],
-            ..ok
+            ..ok.clone()
         };
         assert!(decode::<u64>(&encode_chunk(&too_deep)).is_none());
+        // The chunk's top proof and the manifest's meta proof, at the
+        // bound and one past it.
+        for (depth, accepted) in [(MAX_PROOF_DEPTH, true), (MAX_PROOF_DEPTH + 1, false)] {
+            let chunk = ChunkTransfer {
+                top_proof: vec![step; depth],
+                ..ok.clone()
+            };
+            let manifest = TransferManifest {
+                meta_proof: vec![step; depth],
+                ..sample_manifest()
+            };
+            for enc in [encode_chunk(&chunk), encode_catchup_manifest(&manifest)] {
+                assert_eq!(
+                    decode::<u64>(&enc).is_some(),
+                    accepted,
+                    "tag {} with a {depth}-step proof",
+                    enc[1]
+                );
+            }
+        }
     }
 }

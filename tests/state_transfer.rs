@@ -200,12 +200,16 @@ async fn multi_chunk_snapshot_recovers_state_larger_than_a_frame() {
             .await;
         assert_ne!(result, spotless::types::Digest::ZERO);
     }
-    wait_until("victim executes post-recovery batches", || {
+    // The survivor too: the post-mortem compares its chain, and a
+    // commit entry is pushed only once its block is durable.
+    wait_until("victim and survivor execute post-recovery batches", || {
         let entries = handle.commits.snapshot();
-        (500..503u64).all(|id| {
-            entries
-                .iter()
-                .any(|e| e.replica == victim && e.info.batch.id == BatchId(id))
+        [victim, ReplicaId(0)].iter().all(|r| {
+            (500..503u64).all(|id| {
+                entries
+                    .iter()
+                    .any(|e| e.replica == *r && e.info.batch.id == BatchId(id))
+            })
         })
     })
     .await;
@@ -389,12 +393,14 @@ async fn interrupted_chunked_transfer_resumes_from_journal() {
             .await;
         assert_ne!(result, spotless::types::Digest::ZERO);
     }
-    wait_until("victim executes post-resume batches", || {
+    wait_until("victim and survivor execute post-resume batches", || {
         let entries = handle.commits.snapshot();
-        (600..603u64).all(|id| {
-            entries
-                .iter()
-                .any(|e| e.replica == victim && e.info.batch.id == BatchId(id))
+        [victim, ReplicaId(0)].iter().all(|r| {
+            (600..603u64).all(|id| {
+                entries
+                    .iter()
+                    .any(|e| e.replica == *r && e.info.batch.id == BatchId(id))
+            })
         })
     })
     .await;
@@ -506,9 +512,9 @@ async fn two_replicas_catch_up_concurrently_from_cached_slots() {
             .await;
         assert_ne!(result, spotless::types::Digest::ZERO);
     }
-    wait_until("both victims execute post-recovery batches", || {
+    wait_until("victims and survivor execute post-recovery batches", || {
         let entries = handle.commits.snapshot();
-        victims.iter().all(|v| {
+        victims.iter().chain([&ReplicaId(0)]).all(|v| {
             (500..503u64).all(|id| {
                 entries
                     .iter()

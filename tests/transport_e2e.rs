@@ -683,12 +683,16 @@ async fn snapshot_state_transfer_recovers_from_pruned_peers() {
             .await;
         assert_ne!(result, spotless::types::Digest::ZERO);
     }
-    wait_until("victim executes post-recovery batches", || {
+    // The survivor too: the post-mortem below compares its chain, and
+    // a commit entry is pushed only once its block is durable.
+    wait_until("victim and survivor execute post-recovery batches", || {
         let entries = handle.commits.snapshot();
-        (200..203u64).all(|id| {
-            entries
-                .iter()
-                .any(|e| e.replica == victim && e.info.batch.id == BatchId(id))
+        [victim, ReplicaId(0)].iter().all(|r| {
+            (200..203u64).all(|id| {
+                entries
+                    .iter()
+                    .any(|e| e.replica == *r && e.info.batch.id == BatchId(id))
+            })
         })
     })
     .await;
