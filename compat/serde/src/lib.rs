@@ -106,6 +106,17 @@ pub trait Deserialize: Sized {
         }
         Ok(out)
     }
+
+    /// Deserializes a fixed-size array: [`de_bin_elems`] for `N`, then
+    /// into the array. The `u8` override copies the bytes straight into
+    /// the array, with no `Vec` in between.
+    ///
+    /// [`de_bin_elems`]: Deserialize::de_bin_elems
+    fn de_bin_array<const N: usize>(r: &mut bin::Reader<'_>) -> Result<[Self; N], Error> {
+        Self::de_bin_elems(r, N)?
+            .try_into()
+            .map_err(|_| Error::custom("array length mismatch"))
+    }
 }
 
 macro_rules! impl_unsigned {
@@ -144,6 +155,12 @@ impl Deserialize for u8 {
 
     fn de_bin_elems(r: &mut bin::Reader<'_>, n: usize) -> Result<Vec<Self>, Error> {
         Ok(r.take(n)?.to_vec())
+    }
+
+    fn de_bin_array<const N: usize>(r: &mut bin::Reader<'_>) -> Result<[u8; N], Error> {
+        let mut out = [0; N];
+        out.copy_from_slice(r.take(N)?);
+        Ok(out)
     }
 }
 
@@ -279,9 +296,7 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
     fn de_bin(r: &mut bin::Reader<'_>) -> Result<Self, Error> {
-        T::de_bin_elems(r, N)?
-            .try_into()
-            .map_err(|_| Error::custom("array length mismatch"))
+        T::de_bin_array(r)
     }
 }
 

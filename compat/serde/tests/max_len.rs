@@ -113,3 +113,15 @@ fn max_len_rejects_one_more_before_reserving() {
         "a rejected list made a {largest} B allocation"
     );
 }
+
+#[test]
+fn byte_arrays_decode_without_allocating() {
+    // Digests and signatures are `[u8; N]`: they copy straight from the
+    // input into the array.
+    let value: [u8; 64] = std::array::from_fn(|i| i as u8);
+    let enc = bin::to_vec(&value);
+    let largest = largest_allocation(|| {
+        assert_eq!(bin::from_slice::<[u8; 64]>(&enc), Ok(value));
+    });
+    assert_eq!(largest, 0, "decoding a [u8; 64] allocated {largest} B");
+}

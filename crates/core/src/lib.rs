@@ -37,5 +37,7 @@ pub mod util;
 pub use client::{Completion, SpotLessClient};
 pub use instance::{InstanceState, Phase};
 pub use mempool::{Admission, Mempool, MempoolStats};
-pub use messages::{Justification, JustificationKind, Message, Proposal, ProposalRef, SyncMsg};
+pub use messages::{
+    Justification, JustificationKind, Message, Proposal, ProposalRef, SyncMsg, CP_CAP,
+};
 pub use replica::{ReplicaConfig, SpotLessReplica};

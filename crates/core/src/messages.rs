@@ -152,7 +152,8 @@ pub struct SyncMsg {
     pub claim: Option<ProposalRef>,
     /// The sender's `CP` set: its lock plus every conditionally prepared
     /// proposal with a view ≥ the lock's view (§3.3), newest
-    /// `CP_CAP` (8) at most.
+    /// [`CP_CAP`] (8) at most. A longer list does not decode.
+    #[serde(max_len = CP_CAP)]
     pub cp: Vec<ProposalRef>,
     /// The Υ flag: asks receivers to retransmit their own view-`view`
     /// `Sync` to the sender (§3.4's catch-up rule).
@@ -166,13 +167,16 @@ pub struct SyncMsg {
     pub claim_sig: Signature,
     /// Per-entry signatures over each `cp[i]`'s vote statement, parallel
     /// to `cp`. A `Sync` whose `cp_sigs` length disagrees with `cp`, or
-    /// whose `cp` exceeds `CP_CAP` (8), is malformed and dropped whole.
+    /// whose `cp` exceeds [`CP_CAP`] (8), is malformed and dropped whole:
+    /// on the wire an over-long list fails to decode, and `on_sync`
+    /// drops one the simulator delivers undecoded.
+    #[serde(max_len = CP_CAP)]
     pub cp_sigs: Vec<Signature>,
 }
 
 /// Maximum `CP` entries advertised per `Sync` (newest first). The set is
 /// `{lock} ∪ {prepared ≥ lock}`, which is 2–3 entries in steady state.
-pub(crate) const CP_CAP: usize = 8;
+pub const CP_CAP: usize = 8;
 
 /// The full SpotLess message alphabet.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -643,6 +643,7 @@ pub fn decode_ref(payload: &[u8]) -> Option<WireMsgRef<'_>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spotless_core::{Message, ProposalRef, SyncMsg, CP_CAP};
     use spotless_crypto::MAX_PROOF_DEPTH;
     use spotless_ledger::CommitProof;
     use spotless_types::{BatchId, Digest, InstanceId, View};
@@ -941,6 +942,31 @@ mod tests {
             for enc in [encode_catchup_manifest(&m), encode_chunk(&c)] {
                 assert_eq!(!rejected(&enc), ok, "tag {} with {items} items", enc[1]);
             }
+        }
+
+        // A SpotLess `Sync` whose `cp` and `cp_sigs` hold CP_CAP
+        // entries, and one with one more each.
+        for (items, ok) in [(CP_CAP, true), (CP_CAP + 1, false)] {
+            let entry = ProposalRef {
+                view: View(3),
+                digest: Digest::from_u64(3),
+            };
+            let sync = Message::Sync(SyncMsg {
+                instance: InstanceId(0),
+                view: View(4),
+                claim: None,
+                cp: vec![entry; items],
+                upsilon: false,
+                claim_sig: Signature::ZERO,
+                cp_sigs: vec![Signature::ZERO; items],
+            });
+            let enc = encode_protocol(&sync);
+            assert_eq!(decode::<Message>(&enc).is_some(), ok, "{items} CP entries");
+            assert_eq!(
+                decode_protocol_bundle::<Message>(&enc[2..]).is_some(),
+                ok,
+                "{items} CP entries"
+            );
         }
 
         // A chunk index one past u32::MAX, in a request and in a chunk

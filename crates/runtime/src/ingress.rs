@@ -665,9 +665,10 @@ mod tests {
         assert_eq!(h.net.votes_verified(), 2, "claim 6 and CP entry 4");
     }
 
-    /// A `Sync` advertising more than `CP_CAP` endorsements lists no
-    /// votes, so neither a forged nor a genuine one costs a vote
-    /// verification however long its `CP`.
+    /// A `Sync` advertising more than `CP_CAP` endorsements does not
+    /// decode: a forged one is rejected, a genuine one is dropped whole
+    /// as malformed, and neither costs a vote verification however
+    /// long its `CP`.
     #[tokio::test(flavor = "multi_thread")]
     async fn an_oversized_cp_is_never_verified() {
         let mut h = Harness::spawn(b"ingress-oversized-cp-test");
@@ -678,10 +679,9 @@ mod tests {
         h.send_sealed(1, big, false);
         h.send_sync(1, 6, &[4], false);
         let (_, view, votes) = h.next_sync().await;
-        assert_eq!((view, votes.len()), (View(5), 0));
-        let (_, view, votes) = h.next_sync().await;
         assert_eq!((view, votes.len()), (View(6), 2));
         assert_eq!(h.net.msgs_rejected(), 1);
+        assert_eq!(h.net.msgs_malformed(), 1);
         assert_eq!(h.net.votes_verified(), 2, "the last Sync's only");
     }
 

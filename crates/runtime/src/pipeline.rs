@@ -86,7 +86,7 @@ use crate::envelope::{
     decode_ref, encode_catchup_manifest, encode_catchup_req, encode_catchup_resp, encode_chunk,
     encode_chunk_req, CatchUpBlock, ChunkInfo, ChunkTransfer, Envelope, TransferManifest, WireMsg,
 };
-use crate::executor::{execute_group, ExecutorPool};
+use crate::executor::execute_group;
 use crate::fabric::Fabric;
 use crate::observe::{CommitLog, CommittedEntry, Inform};
 use crate::runtime::VoteMemo;
@@ -276,10 +276,6 @@ pub(crate) struct Pipeline<F: Fabric> {
     /// Crash-safe record of a chunked install in progress (resumes
     /// after a restart).
     journal: InstallJournal,
-    /// Parallel execution workers for committed batches (`None` runs
-    /// every group inline — the serial baseline). Scheduling and the
-    /// determinism argument live in [`crate::executor`].
-    exec: Option<ExecutorPool>,
     /// Live bookkeeping of the transfer the journal describes.
     incoming: Option<IncomingTransfer>,
     /// Frozen outgoing snapshot slots served to recovering peers, at
@@ -308,7 +304,6 @@ impl<F: Fabric> Pipeline<F> {
         kv_height: u64,
         journal: InstallJournal,
         chunk_budget: usize,
-        exec_pool: usize,
         commits: CommitLog,
         informs: mpsc::UnboundedSender<Inform>,
         synced: Arc<AtomicBool>,
@@ -360,7 +355,6 @@ impl<F: Fabric> Pipeline<F> {
             catchup_cursor: 0,
             chunk_budget: chunk_budget.max(1),
             journal,
-            exec: (exec_pool > 0).then(|| ExecutorPool::spawn(exec_pool)),
             incoming: None,
             outgoing: Vec::new(),
             poisoned: false,
@@ -516,9 +510,8 @@ impl<F: Fabric> Pipeline<F> {
     /// batches at heights `kv_height..` and returns the commits to
     /// acknowledge, each with its post-batch state digest.
     ///
-    /// 1. The whole run executes through [`execute_group`] (roots
-    ///    byte-identical to serial execution; `None` batches seal the
-    ///    untouched state).
+    /// 1. The whole run executes through [`execute_group`], serially on
+    ///    this thread (`None` batches seal the untouched state).
     /// 2. In commit order, a live commit seals the root it executed to;
     ///    any other block must have sealed exactly that root. The first
     ///    that did not — or a failed append — poisons the pipeline (the
@@ -535,7 +528,7 @@ impl<F: Fabric> Pipeline<F> {
             return Vec::new();
         }
         let (txns, joins): (Vec<_>, Vec<_>) = run.into_iter().unzip();
-        let sealed = execute_group(self.exec.as_mut(), &mut self.kv, txns);
+        let sealed = execute_group(None, &mut self.kv, txns);
         let mut acked = Vec::new();
         for (join, sealed) in joins.into_iter().zip(sealed) {
             let joined = match join {
@@ -1483,7 +1476,6 @@ mod tests {
             0,
             InstallJournal::in_memory(),
             1 << 16,
-            0,
             commits,
             informs,
             Arc::new(AtomicBool::new(true)),

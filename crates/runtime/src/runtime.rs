@@ -107,24 +107,16 @@ pub struct RuntimeConfig {
     /// Crash-faulty deployment: consume inputs, emit nothing (the A1
     /// behaviour at transport level).
     pub silent: bool,
-    /// Committed-batch execution workers: the pipeline schedules each
-    /// commit group over the KV store's shard footprints and runs
-    /// non-conflicting batches on this many dedicated tasks (the
-    /// `executor` module), sealing state roots in commit order. `0`
-    /// executes every group inline on the pipeline thread (the serial
-    /// baseline — also what benchmarks compare against). Signatures
-    /// have no such knob: one ingress task verifies inbound envelopes
-    /// and the votes they carry, and one egress lane signs outbound
-    /// envelopes, each off the event-loop thread (the `ingress` and
-    /// `egress` modules).
-    pub exec_pool: usize,
 }
 
 impl RuntimeConfig {
     /// Defaults: in-memory chain, a 150 ms catch-up tick, frame-sized
-    /// transfer chunks, two executor workers. The commit queue (256
-    /// deep) and the fsync group (64 commits) are fixed; the replica's
-    /// counters are read from its [`ReplicaHandle`].
+    /// transfer chunks, a live (not silent) replica. The commit queue
+    /// (256 deep) and the fsync group (64 commits) are fixed, and there
+    /// are no pool sizes to pick: one ingress task verifies, one egress
+    /// lane signs, and the pipeline executes committed batches serially
+    /// on its own thread. The replica's counters are read from its
+    /// [`ReplicaHandle`].
     pub fn new(cluster: ClusterConfig, me: ReplicaId, keystore: KeyStore) -> RuntimeConfig {
         RuntimeConfig {
             cluster,
@@ -134,7 +126,6 @@ impl RuntimeConfig {
             catchup_interval: SimDuration::from_millis(150),
             chunk_budget: spotless_types::SNAPSHOT_CHUNK_BYTES,
             silent: false,
-            exec_pool: 2,
         }
     }
 }
@@ -465,11 +456,10 @@ impl ReplicaRuntime {
     /// and a replica's count is fixed at spawn — timers live on the
     /// event loop's deadline heap and the handle writes to the event
     /// queue directly, so nothing is spawned afterwards. Per replica:
-    /// the event loop, the commit pipeline, the ingress task, the
-    /// egress lane and the `exec_pool` workers (2) — **6** at the
-    /// default pool size; `exec_pool == 0` drops the workers. A silent
-    /// replica's ingress task drains and drops envelopes without
-    /// verifying them. The TCP fabric adds its own per replica: one
+    /// the event loop, the commit pipeline (which also executes every
+    /// committed batch), the ingress task and the egress lane —
+    /// **4**. A silent replica's ingress task drains and drops envelopes
+    /// without verifying them. The TCP fabric adds its own per replica: one
     /// acceptor and, per peer, one reader and one sender task.
     pub fn spawn<N, F>(
         node: N,
@@ -552,7 +542,6 @@ impl ReplicaRuntime {
             kv_height,
             journal,
             cfg.chunk_budget,
-            cfg.exec_pool,
             commits,
             informs,
             synced.clone(),

@@ -19,12 +19,10 @@
 //! Keys are partitioned into [`STATE_BUCKETS`] fixed buckets by a
 //! multiplicative hash ([`bucket_of`]); buckets are grouped into
 //! [`EXEC_SHARDS`] contiguous **execution shards** of [`SHARD_BUCKETS`]
-//! buckets each ([`shard_of_bucket`]). Each [`Shard`] owns its slice of
-//! the table outright — its keys, its bucket digests, its dirty flags —
-//! so non-conflicting committed batches can execute on different shards
-//! concurrently without sharing any mutable state
-//! ([`execute_on_shards`] is the single execution routine both the
-//! serial and the parallel path run).
+//! buckets each ([`shard_of_bucket`]). Each shard holds its part of the
+//! table — its keys, its bucket digests, its dirty flags — and the
+//! Merkle tree over its buckets. Committed batches execute one after
+//! another, in commit order, through [`KvStore::execute_batch`].
 //!
 //! The state root commits to the table in four layers (definition v2):
 //!
@@ -51,13 +49,10 @@
 //! beside it. [`KvStore::rebuild_state_root`] recomputes everything
 //! from the table contents alone as the audit path.
 //!
-//! The **rolling digest** chains one summary per committed batch: the
-//! fold of the batch's write entries in transaction order
-//! ([`BatchEffect::write_chain`]), chained into the store digest in
-//! commit order by [`KvStore::absorb_effect`]. Because the summary is
-//! computed inside the batch (not against global state), batches on
-//! disjoint shards can execute in parallel and still absorb in commit
-//! order to the exact digest serial execution produces.
+//! The **rolling digest** chains one summary per committed batch that
+//! wrote: the fold, from the zero digest, of the [`record_digest`] of
+//! each of the batch's writes in transaction order, chained into the
+//! store digest in commit order by [`KvStore::execute_batch`].
 //!
 //! The bucket partition is also the unit of **chunked state transfer**:
 //! a chunk is a bucket range in canonical encoding ([`StateChunk`]) that
@@ -79,7 +74,7 @@ use std::sync::OnceLock;
 pub const STATE_BUCKETS: usize = 1024;
 
 /// Number of execution shards the bucket space is divided into — the
-/// unit of parallel execution and the leaf count of the top state tree.
+/// leaf count of the top state tree (plus [`META_LEAF`]).
 /// **Consensus-critical**: shard boundaries decide sub-root layout.
 pub const EXEC_SHARDS: usize = 8;
 
@@ -108,48 +103,18 @@ pub fn shard_of_key(key: u64) -> usize {
     shard_of_bucket(bucket_of(key))
 }
 
-/// A batch's shard footprint: bit `s` set iff some transaction touches
-/// shard `s`. With [`EXEC_SHARDS`] = 8 a `u8` covers the space; two
-/// batches conflict exactly when their footprints intersect. This is
-/// the coarse projection of [`batch_bucket_footprint`] — kept for
-/// callers that only care about shard granularity.
-pub fn batch_footprint(txns: &[Transaction]) -> u8 {
-    batch_bucket_footprint(txns).shard_mask()
-}
-
 /// Bitmap words in a [`BucketFootprint`].
 const FOOTPRINT_WORDS: usize = STATE_BUCKETS / 64;
 
 /// A batch's **bucket-level** footprint: one bit per global state
-/// bucket. Two batches conflict exactly when their bucket footprints
-/// intersect — a much finer test than the 8-bit shard mask (up to
-/// [`SHARD_BUCKETS`]× fewer false conflicts for batches that share a
-/// shard but not a bucket), and the granularity the conflict-aware
-/// executor schedules at.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// bucket. Two batches conflict exactly when their footprints
+/// intersect. Nothing in execution reads it; the deployment benchmark
+/// counts conflict components with it, and ROADMAP item 1(a) deletes
+/// it with that metric.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BucketFootprint([u64; FOOTPRINT_WORDS]);
 
 impl BucketFootprint {
-    /// The footprint touching nothing.
-    pub const EMPTY: BucketFootprint = BucketFootprint([0; FOOTPRINT_WORDS]);
-
-    /// Marks global bucket `b` as touched.
-    pub fn insert(&mut self, b: usize) {
-        debug_assert!(b < STATE_BUCKETS);
-        self.0[b / 64] |= 1 << (b % 64);
-    }
-
-    /// True iff global bucket `b` is touched.
-    pub fn contains(&self, b: usize) -> bool {
-        debug_assert!(b < STATE_BUCKETS);
-        self.0[b / 64] & (1 << (b % 64)) != 0
-    }
-
-    /// True iff no bucket is touched.
-    pub fn is_empty(&self) -> bool {
-        self.0.iter().all(|&w| w == 0)
-    }
-
     /// True iff the two footprints share any bucket — the conflict test.
     pub fn intersects(&self, other: &BucketFootprint) -> bool {
         self.0.iter().zip(&other.0).any(|(a, b)| a & b != 0)
@@ -161,46 +126,15 @@ impl BucketFootprint {
             *a |= b;
         }
     }
-
-    /// Number of touched buckets.
-    pub fn count(&self) -> usize {
-        self.0.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Coarsens to the 8-bit shard mask ([`batch_footprint`] form): bit
-    /// `s` set iff any touched bucket lies in shard `s`.
-    pub fn shard_mask(&self) -> u8 {
-        const WORDS_PER_SHARD: usize = SHARD_BUCKETS / 64;
-        let mut mask = 0u8;
-        for s in 0..EXEC_SHARDS {
-            let words = &self.0[s * WORDS_PER_SHARD..(s + 1) * WORDS_PER_SHARD];
-            if words.iter().any(|&w| w != 0) {
-                mask |= 1 << s;
-            }
-        }
-        mask
-    }
-
-    /// The touched global bucket indices, ascending.
-    pub fn buckets(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64).filter_map(move |bit| (word & (1 << bit) != 0).then_some(w * 64 + bit))
-        })
-    }
-}
-
-impl Default for BucketFootprint {
-    fn default() -> Self {
-        BucketFootprint::EMPTY
-    }
 }
 
 /// The bucket-level footprint of a batch: bit `b` set iff some
 /// transaction reads or writes a key in global bucket `b`.
 pub fn batch_bucket_footprint(txns: &[Transaction]) -> BucketFootprint {
-    let mut fp = BucketFootprint::EMPTY;
+    let mut fp = BucketFootprint::default();
     for txn in txns {
-        fp.insert(bucket_of(txn.op.key()));
+        let b = bucket_of(txn.op.key());
+        fp.0[b / 64] |= 1 << (b % 64);
     }
     fp
 }
@@ -209,8 +143,8 @@ pub fn batch_bucket_footprint(txns: &[Transaction]) -> BucketFootprint {
 /// v2: the leaf covers the bucket's record digests, not its encoding.
 const BUCKET_DOMAIN: &[u8] = b"spotless-kv-bucket-v2";
 /// Magic prefix of the canonical metadata encoding (the meta leaf).
-/// v2: the rolling digest chains per-batch write summaries (parallel
-/// execution semantics) instead of per-write entries.
+/// v2: the rolling digest chains per-batch write summaries instead of
+/// per-write entries.
 const META_MAGIC: &[u8] = b"spotless-kv-meta-v2";
 
 /// Result of executing one transaction.
@@ -327,7 +261,8 @@ impl StateChunk {
 pub const MAX_BUCKET_FRAGMENTS: u32 = 1 << 16;
 
 /// Digest of one record — what a write contributes to its batch's
-/// write chain ([`BatchEffect::write_chain`]) and to its bucket's leaf.
+/// write chain (see [`KvStore::execute_batch`]) and to its bucket's
+/// leaf.
 /// For a value of up to 95 bytes the length-prefixed message fits two
 /// SHA-256 blocks and `digest_fields` hashes it in one call from the
 /// stack. **Consensus-critical.**
@@ -340,8 +275,7 @@ pub fn record_digest(key: u64, value: &[u8]) -> Digest {
 /// over the [`record_digest`]s of its records in ascending key order.
 /// A flat list, not a tree: buckets hold a few dozen records at most.
 /// **Consensus-critical** — the one definition every path (dirty-bucket
-/// refresh, slice snapshots, the audit rebuild, chunk verification)
-/// goes through.
+/// refresh, the audit rebuild, chunk verification) goes through.
 pub fn bucket_leaf_digest<I>(record_digests: I) -> Digest
 where
     I: IntoIterator<Item = Digest>,
@@ -404,11 +338,8 @@ fn parse_bucket(b: usize, bytes: &[u8]) -> Option<Vec<(u64, &[u8])>> {
 }
 
 /// The block-sealed state root implied by per-shard sub-roots plus the
-/// canonical meta encoding: the root of the 9-leaf top tree. This is
-/// the commit-order fold's sealing primitive — the parallel executor
-/// tracks sub-roots per shard and calls this per block, never touching
-/// the shard trees themselves.
-pub fn top_state_root(shard_roots: &[Digest], meta: &[u8]) -> Digest {
+/// canonical meta encoding: the root of the 9-leaf top tree.
+fn top_state_root(shard_roots: &[Digest], meta: &[u8]) -> Digest {
     use spotless_crypto::{leaf_digest, root_of_leaf_digests};
     assert_eq!(shard_roots.len(), EXEC_SHARDS);
     let mut level = [Digest::ZERO; EXEC_SHARDS + 1];
@@ -453,44 +384,9 @@ pub fn verify_bucket(
     verify_inclusion(&sub_root.0, top_proof, root)
 }
 
-/// The deterministic effect of executing one batch: counter deltas plus
-/// the fold of the batch's write entries in transaction order. Computed
-/// identically by serial and parallel execution ([`execute_on_shards`]),
-/// absorbed into the store in commit order
-/// ([`KvStore::absorb_effect`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchEffect {
-    /// Writes the batch applied.
-    pub writes: u64,
-    /// Reads the batch served.
-    pub reads: u64,
-    /// Fold (from the zero digest) of the [`record_digest`] of each
-    /// write, chained in transaction order.
-    pub write_chain: Digest,
-}
-
-impl BatchEffect {
-    /// The no-op effect (empty batch).
-    pub const EMPTY: BatchEffect = BatchEffect {
-        writes: 0,
-        reads: 0,
-        write_chain: Digest::ZERO,
-    };
-}
-
-impl Default for BatchEffect {
-    fn default() -> Self {
-        BatchEffect::EMPTY
-    }
-}
-
-/// One execution shard: exclusive owner of a contiguous
-/// [`SHARD_BUCKETS`]-bucket slice of the table and of the Merkle tree
-/// over its bucket leaf digests. Shards are `Send`, carry no shared
-/// state, and can be taken out of a [`KvStore`]
-/// ([`KvStore::take_shards`]) to execute batches on worker threads.
-pub struct Shard {
-    id: usize,
+/// One execution shard: a contiguous [`SHARD_BUCKETS`]-bucket part of
+/// the table and the Merkle tree over its bucket leaf digests.
+struct Shard {
     table: HashMap<u64, Record>,
     /// Sorted key membership per local bucket (canonical bucket order).
     bucket_keys: Vec<BTreeSet<u64>>,
@@ -543,10 +439,8 @@ fn empty_shard_tree() -> MerkleTree {
 }
 
 impl Shard {
-    fn new(id: usize) -> Shard {
-        debug_assert!(id < EXEC_SHARDS);
+    fn new() -> Shard {
         Shard {
-            id,
             table: HashMap::new(),
             bucket_keys: vec![BTreeSet::new(); SHARD_BUCKETS],
             tree: empty_shard_tree(),
@@ -555,23 +449,7 @@ impl Shard {
         }
     }
 
-    /// This shard's index in `0..EXEC_SHARDS`.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// Records currently stored in this shard.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// True iff the shard holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
     fn raw_insert(&mut self, key: u64, record: Record) {
-        debug_assert_eq!(shard_of_key(key), self.id, "key routed to wrong shard");
         let local = bucket_of(key) % SHARD_BUCKETS;
         self.bucket_keys[local].insert(key);
         self.table.insert(key, record);
@@ -606,208 +484,9 @@ impl Shard {
     }
 
     /// The shard's sub-root — one leaf of the top state tree.
-    pub fn sub_root(&mut self) -> Digest {
+    fn sub_root(&mut self) -> Digest {
         self.tree().root()
     }
-
-    /// Detaches the given global buckets (which must all belong to this
-    /// shard) into a [`ShardSlice`]: their keys, values, and membership
-    /// sets move out of the shard, leaving those buckets empty until
-    /// [`attach_slice`](Shard::attach_slice) brings the slice back.
-    /// This is how two conflict components sharing a shard — but not a
-    /// bucket — execute concurrently: each owns its own slice.
-    ///
-    /// The shard must not be read, executed on, or hashed while any of
-    /// its buckets are detached; the executor holds it aside for the
-    /// duration.
-    pub fn detach_slice(&mut self, globals: &[usize]) -> ShardSlice {
-        let mut sorted: Vec<usize> = globals.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut bucket_keys = Vec::with_capacity(sorted.len());
-        let mut table = HashMap::new();
-        for &g in &sorted {
-            debug_assert_eq!(shard_of_bucket(g), self.id, "bucket outside this shard");
-            let keys = std::mem::take(&mut self.bucket_keys[g % SHARD_BUCKETS]);
-            for &key in &keys {
-                if let Some(v) = self.table.remove(&key) {
-                    table.insert(key, v);
-                }
-            }
-            bucket_keys.push(keys);
-        }
-        ShardSlice {
-            shard: self.id,
-            written: vec![false; sorted.len()],
-            any_written: false,
-            globals: sorted,
-            bucket_keys,
-            table,
-        }
-    }
-
-    /// Re-attaches a slice detached from this shard. Buckets the slice
-    /// wrote are marked dirty (their tree leaves are stale); buckets it
-    /// only read come back with their leaves — and, when nothing was
-    /// written at all, the whole tree — still valid.
-    pub fn attach_slice(&mut self, slice: ShardSlice) {
-        let ShardSlice {
-            shard,
-            globals,
-            bucket_keys,
-            written,
-            any_written,
-            table,
-        } = slice;
-        assert_eq!(shard, self.id, "slice attached to wrong shard");
-        for ((g, keys), written) in globals.into_iter().zip(bucket_keys).zip(written) {
-            let local = g % SHARD_BUCKETS;
-            debug_assert!(
-                self.bucket_keys[local].is_empty(),
-                "bucket repopulated while detached"
-            );
-            self.bucket_keys[local] = keys;
-            if written {
-                self.dirty[local] = true;
-            }
-        }
-        self.table.extend(table);
-        self.any_dirty |= any_written;
-    }
-}
-
-/// A detached slice of one shard: exclusive owner of a subset of its
-/// buckets (keys, values, membership sets) for the duration of one
-/// conflict component's execution. Produced by
-/// [`Shard::detach_slice`], consumed by [`Shard::attach_slice`];
-/// `Send` like the shard itself, so slices ride to worker threads.
-pub struct ShardSlice {
-    shard: usize,
-    /// Global indices of the owned buckets, ascending.
-    globals: Vec<usize>,
-    /// Sorted key membership per owned bucket (parallel to `globals`).
-    bucket_keys: Vec<BTreeSet<u64>>,
-    /// Per-bucket written flag (parallel to `globals`).
-    written: Vec<bool>,
-    any_written: bool,
-    table: HashMap<u64, Record>,
-}
-
-impl ShardSlice {
-    /// The shard this slice was detached from.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// True iff the slice owns global bucket `g`.
-    pub fn owns_bucket(&self, g: usize) -> bool {
-        self.globals.binary_search(&g).is_ok()
-    }
-
-    fn raw_insert(&mut self, key: u64, record: Record) {
-        let slot = self
-            .globals
-            .binary_search(&bucket_of(key))
-            .expect("batch routed to unscheduled bucket");
-        self.bucket_keys[slot].insert(key);
-        self.table.insert(key, record);
-        self.written[slot] = true;
-        self.any_written = true;
-    }
-
-    /// Canonical encoding of owned bucket `g` — byte-identical to the
-    /// owning shard's [`encoding`](KvStore::encode_bucket) of the same
-    /// bucket contents.
-    pub fn encode_bucket(&self, g: usize) -> Vec<u8> {
-        let slot = self.globals.binary_search(&g).expect("bucket owned");
-        encode_records(&self.bucket_keys[slot], &self.table)
-    }
-
-    /// Current leaf digest of owned bucket `g` (recomputed on demand —
-    /// slices are short-lived and touch few buckets).
-    pub fn bucket_digest(&self, g: usize) -> Digest {
-        let slot = self.globals.binary_search(&g).expect("bucket owned");
-        leaf_of_records(&self.bucket_keys[slot], &self.table)
-    }
-}
-
-/// Executes a batch against the given shards — the **single execution
-/// routine** shared by serial and parallel paths, so their equivalence
-/// holds by construction. `shards` must contain every shard the batch
-/// touches (any subset of a store's shards, in any order); routing a
-/// transaction to a missing shard is a scheduler bug and panics loudly
-/// rather than diverging. Counters and the write chain fold in
-/// transaction order into the returned [`BatchEffect`]; the store's
-/// rolling digest is untouched until the effect is absorbed in commit
-/// order.
-pub fn execute_on_shards(shards: &mut [Shard], txns: &[Transaction]) -> BatchEffect {
-    execute_on_parts(shards, &mut [], txns)
-}
-
-/// The general form of [`execute_on_shards`]: a batch executes against
-/// a mix of **whole shards** and **shard slices** — the latter when
-/// another conflict component concurrently owns a different slice of
-/// the same shard. Keys route to the whole shard when present,
-/// otherwise to the slice owning their bucket; a key owned by neither
-/// is a scheduler bug and panics loudly rather than diverging. One
-/// routine serves the serial path (`slices` empty), the shard-level
-/// parallel path, and the bucket-level parallel path, so their
-/// equivalence holds by construction.
-pub fn execute_on_parts(
-    shards: &mut [Shard],
-    slices: &mut [ShardSlice],
-    txns: &[Transaction],
-) -> BatchEffect {
-    let mut pos = [usize::MAX; EXEC_SHARDS];
-    for (i, s) in shards.iter().enumerate() {
-        pos[s.id] = i;
-    }
-    let mut slice_pos = [usize::MAX; EXEC_SHARDS];
-    for (i, s) in slices.iter().enumerate() {
-        debug_assert!(
-            pos[s.shard] == usize::MAX,
-            "a job must not hold a shard and a slice of it at once"
-        );
-        slice_pos[s.shard] = i;
-    }
-    let mut effect = BatchEffect::EMPTY;
-    for txn in txns {
-        let home = shard_of_key(txn.op.key());
-        let slot = pos[home];
-        match &txn.op {
-            Operation::Read { key } => {
-                effect.reads += 1;
-                // The value digest is only surfaced by single-txn
-                // `execute`; batch execution needs just the counter.
-                if slot != usize::MAX {
-                    let _ = shards[slot].table.get(key);
-                } else {
-                    let sl = slice_pos[home];
-                    assert!(sl != usize::MAX, "batch routed to unscheduled shard");
-                    let _ = slices[sl].table.get(key);
-                }
-            }
-            Operation::Update { key, value } => {
-                effect.writes += 1;
-                // One hash of the value serves both commitments: the
-                // write chain now, the bucket leaf at the next seal.
-                let digest = record_digest(*key, value);
-                effect.write_chain = spotless_crypto::digest_chained(&effect.write_chain, &digest);
-                let record = Record {
-                    value: value.clone(),
-                    digest,
-                };
-                if slot != usize::MAX {
-                    shards[slot].raw_insert(*key, record);
-                } else {
-                    let sl = slice_pos[home];
-                    assert!(sl != usize::MAX, "batch routed to unscheduled shard");
-                    slices[sl].raw_insert(*key, record);
-                }
-            }
-        }
-    }
-    effect
 }
 
 /// Everything needed to prove buckets and meta into one frozen state
@@ -851,15 +530,15 @@ impl StateProver {
     }
 }
 
-/// An in-memory YCSB table, split into [`EXEC_SHARDS`] independently
-/// executable shards, with deterministic per-batch state digesting and
-/// an incrementally maintained two-level Merkle state root.
+/// An in-memory YCSB table, split into [`EXEC_SHARDS`] shards of
+/// [`SHARD_BUCKETS`] buckets, with deterministic per-batch state
+/// digesting and an incrementally maintained two-level Merkle state
+/// root.
 pub struct KvStore {
-    /// Shard `i` at index `i`. Empty while the shards are taken for
-    /// parallel execution ([`KvStore::take_shards`]); the pipeline
-    /// blocks on the join before touching the store again.
+    /// Shard `i` at index `i`, always all [`EXEC_SHARDS`] of them.
     shards: Vec<Shard>,
-    /// Rolling digest over the absorbed batch-effect sequence.
+    /// Rolling digest over the executed batch sequence (see
+    /// [`execute_batch`](KvStore::execute_batch)).
     state: Digest,
     writes_applied: u64,
     reads_served: u64,
@@ -872,7 +551,7 @@ impl KvStore {
     /// An empty store.
     pub fn new() -> KvStore {
         KvStore {
-            shards: (0..EXEC_SHARDS).map(Shard::new).collect(),
+            shards: (0..EXEC_SHARDS).map(|_| Shard::new()).collect(),
             state: Digest::ZERO,
             writes_applied: 0,
             reads_served: 0,
@@ -919,68 +598,11 @@ impl KvStore {
         self.reads_served
     }
 
-    /// The rolling digest over the absorbed batch sequence. Two replicas
+    /// The rolling digest over the executed batch sequence. Two replicas
     /// that executed the same committed batch sequence have equal state
     /// digests.
     pub fn state_digest(&self) -> Digest {
         self.state
-    }
-
-    /// Takes ownership of all shards for parallel execution, leaving
-    /// nothing behind. The caller must return the same shards via
-    /// [`restore_shards`](KvStore::restore_shards) before the store is
-    /// used again; in between it reads as empty and has no root.
-    pub fn take_shards(&mut self) -> Vec<Shard> {
-        self.cached_root = None;
-        std::mem::take(&mut self.shards)
-    }
-
-    /// Restores shards taken by [`take_shards`](KvStore::take_shards),
-    /// in any order; panics unless exactly shards `0..EXEC_SHARDS` come
-    /// back (losing a shard would silently truncate the table).
-    pub fn restore_shards(&mut self, mut shards: Vec<Shard>) {
-        shards.sort_by_key(|s| s.id);
-        assert_eq!(shards.len(), EXEC_SHARDS, "shard set must be complete");
-        for (i, s) in shards.iter().enumerate() {
-            assert_eq!(s.id, i, "shard set must be complete");
-        }
-        self.shards = shards;
-        self.cached_root = None;
-    }
-
-    /// Current sub-root per shard (refreshing dirty buckets) — the seed
-    /// the parallel executor's commit-order fold starts from.
-    pub fn shard_sub_roots(&mut self) -> Vec<Digest> {
-        self.shards.iter_mut().map(|s| s.sub_root()).collect()
-    }
-
-    /// A copy of one shard's up-to-date tree over its bucket leaf
-    /// digests (leaf `i` = local bucket `i`'s [`bucket_leaf_digest`])
-    /// — the seed the executor's commit-order fold starts from for a
-    /// contested shard: slice jobs report digests only for buckets they
-    /// own, and the fold writes those into its copy leaf by leaf.
-    pub fn shard_tree(&mut self, shard: usize) -> MerkleTree {
-        self.shards[shard].tree().clone()
-    }
-
-    /// Absorbs a batch effect in commit order: counter deltas, and —
-    /// iff the batch wrote — one chained step of the rolling digest.
-    /// Absorbing the effects of a group of batches in commit order
-    /// leaves the store byte-identical to serial execution of the same
-    /// sequence.
-    pub fn absorb_effect(&mut self, effect: &BatchEffect) {
-        if effect.writes == 0 && effect.reads == 0 {
-            return;
-        }
-        self.writes_applied += effect.writes;
-        self.reads_served += effect.reads;
-        if effect.writes > 0 {
-            self.state = spotless_crypto::digest_chained(&self.state, &effect.write_chain);
-        }
-        // Counters live in the meta leaf, so even a read-only batch
-        // moves the root (deterministically — counters are committed
-        // state).
-        self.cached_root = None;
     }
 
     /// Executes one transaction as a singleton batch.
@@ -996,18 +618,49 @@ impl KvStore {
             }
             Operation::Update { .. } => ExecResult::Written,
         };
-        let effect = execute_on_shards(&mut self.shards, std::slice::from_ref(txn));
-        self.absorb_effect(&effect);
+        self.execute_batch(std::slice::from_ref(txn));
         result
     }
 
-    /// Executes a whole batch serially, returning the post-batch state
-    /// digest. Exactly [`execute_on_shards`] over all shards followed by
-    /// [`absorb_effect`](KvStore::absorb_effect) — the reference the
-    /// parallel path is proven equivalent to.
+    /// Executes a whole batch in transaction order, returning the
+    /// post-batch state digest. A batch that wrote chains one step onto
+    /// the rolling digest: the fold, from the zero digest, of its
+    /// writes' [`record_digest`]s. The counters sit in the meta leaf, so
+    /// any non-empty batch — even a read-only one — moves the root.
     pub fn execute_batch(&mut self, txns: &[Transaction]) -> Digest {
-        let effect = execute_on_shards(&mut self.shards, txns);
-        self.absorb_effect(&effect);
+        if txns.is_empty() {
+            return self.state;
+        }
+        let mut write_chain = Digest::ZERO;
+        let mut writes = 0;
+        for txn in txns {
+            let shard = &mut self.shards[shard_of_key(txn.op.key())];
+            match &txn.op {
+                Operation::Read { key } => {
+                    // The value digest is only surfaced by single-txn
+                    // `execute`; batch execution needs just the counter.
+                    let _ = shard.table.get(key);
+                }
+                Operation::Update { key, value } => {
+                    writes += 1;
+                    // One hash of the value serves both commitments: the
+                    // write chain now, the bucket leaf at the next seal.
+                    let digest = record_digest(*key, value);
+                    write_chain = spotless_crypto::digest_chained(&write_chain, &digest);
+                    let record = Record {
+                        value: value.clone(),
+                        digest,
+                    };
+                    shard.raw_insert(*key, record);
+                }
+            }
+        }
+        self.writes_applied += writes;
+        self.reads_served += txns.len() as u64 - writes;
+        if writes > 0 {
+            self.state = spotless_crypto::digest_chained(&self.state, &write_chain);
+        }
+        self.cached_root = None;
         self.state
     }
 
@@ -1362,97 +1015,28 @@ mod tests {
     }
 
     #[test]
-    fn subset_shard_execution_matches_serial() {
-        // The parallel primitive: taking only the shards a batch
-        // touches, executing on them off-store, then restoring and
-        // absorbing the effect must be byte-identical to plain serial
-        // execution — digest, counters, and root.
-        let mut generator = WorkloadGen::new(YcsbConfig::default(), 42);
-        let txns = generator.next_batch(64);
-        let footprint = batch_footprint(&txns);
-
-        let mut serial = KvStore::initialized(500, 16);
-        serial.execute_batch(&txns);
-
-        let mut parallel = KvStore::initialized(500, 16);
-        let mut all = parallel.take_shards();
-        let mut touched: Vec<Shard> = Vec::new();
-        let mut rest: Vec<Shard> = Vec::new();
-        for s in all.drain(..) {
-            if footprint & (1 << s.id()) != 0 {
-                touched.push(s);
-            } else {
-                rest.push(s);
-            }
-        }
-        let effect = execute_on_shards(&mut touched, &txns);
-        touched.append(&mut rest);
-        parallel.restore_shards(touched);
-        parallel.absorb_effect(&effect);
-
-        assert_eq!(parallel.state_digest(), serial.state_digest());
-        assert_eq!(parallel.writes_applied(), serial.writes_applied());
-        assert_eq!(parallel.reads_served(), serial.reads_served());
-        assert_eq!(parallel.state_root(), serial.state_root());
-    }
-
-    #[test]
-    fn top_state_root_matches_store_root() {
-        let mut store = KvStore::initialized(300, 16);
-        let sub_roots = store.shard_sub_roots();
-        let meta = store.transfer_meta();
-        assert_eq!(top_state_root(&sub_roots, &meta), store.state_root());
-    }
-
-    #[test]
-    fn batch_footprint_tracks_touched_shards() {
-        assert_eq!(batch_footprint(&[]), 0);
-        let t = write(0, 17, b"v");
-        let mask = batch_footprint(std::slice::from_ref(&t));
-        assert_eq!(mask, 1 << shard_of_key(17));
-        // Reads count toward the footprint too: they read shard state.
-        let r = read(1, 99);
-        assert_eq!(
-            batch_footprint(&[t, r]),
-            (1 << shard_of_key(17)) | (1 << shard_of_key(99))
-        );
-    }
-
-    #[test]
-    fn bucket_footprint_refines_shard_footprint() {
-        assert!(batch_bucket_footprint(&[]).is_empty());
+    fn bucket_footprints_conflict_per_bucket() {
+        let empty = batch_bucket_footprint(&[]);
+        assert_eq!(empty, BucketFootprint::default());
         let mut generator = WorkloadGen::new(YcsbConfig::default(), 7);
         let txns = generator.next_batch(200);
         let fp = batch_bucket_footprint(&txns);
-        // The coarse mask is exactly the projection of the fine bitmap.
-        assert_eq!(fp.shard_mask(), batch_footprint(&txns));
-        // Every touched key's bucket is in the bitmap, and the iterator
-        // yields exactly the set bits, ascending.
+        assert!(!empty.intersects(&fp));
+        // Every transaction's own footprint lies inside its batch's.
         for t in &txns {
-            assert!(fp.contains(bucket_of(t.op.key())));
+            assert!(batch_bucket_footprint(std::slice::from_ref(t)).intersects(&fp));
         }
-        let listed: Vec<usize> = fp.buckets().collect();
-        assert_eq!(listed.len(), fp.count());
-        assert!(listed.windows(2).all(|w| w[0] < w[1]));
-        for &b in &listed {
-            assert!(fp.contains(b));
-        }
-        // Intersection is per-bucket, not per-shard: two different
-        // buckets of one shard do not intersect.
-        let (a, b) = two_buckets_same_shard();
-        let mut fa = BucketFootprint::EMPTY;
-        fa.insert(a);
-        let mut fb = BucketFootprint::EMPTY;
-        fb.insert(b);
-        assert_eq!(fa.shard_mask(), fb.shard_mask());
+        // Intersection is per bucket, not per shard: two keys in one
+        // shard but different buckets do not conflict.
+        let (ka, kb) = two_keys_same_shard_different_buckets();
+        let mut fa = batch_bucket_footprint(&[write(0, ka, b"a")]);
+        let fb = batch_bucket_footprint(&[read(1, kb)]);
         assert!(!fa.intersects(&fb));
         fa.union_with(&fb);
         assert!(fa.intersects(&fb));
-        assert_eq!(fa.count(), 2);
     }
 
-    /// Two keys in the same shard but different buckets (and the keys
-    /// themselves): the minimal bucket-level-parallelism scenario.
+    /// Two keys in the same shard but different buckets.
     fn two_keys_same_shard_different_buckets() -> (u64, u64) {
         let mut first = None;
         for key in 0..1_000_000u64 {
@@ -1466,78 +1050,6 @@ mod tests {
             }
         }
         unreachable!("shard 0 has more than one populated bucket");
-    }
-
-    fn two_buckets_same_shard() -> (usize, usize) {
-        let (a, b) = two_keys_same_shard_different_buckets();
-        (bucket_of(a), bucket_of(b))
-    }
-
-    #[test]
-    fn slice_execution_matches_serial() {
-        // Two batches contesting one shard but touching disjoint
-        // buckets: executed on separate detached slices (as the
-        // bucket-level executor schedules them), then folded in commit
-        // order, the store must be byte-identical to serial execution.
-        let (ka, kb) = two_keys_same_shard_different_buckets();
-        let batch_a = vec![write(0, ka, b"left"), read(1, ka)];
-        let batch_b = vec![write(2, kb, b"right"), write(3, kb, b"right2")];
-
-        let mut serial = KvStore::initialized(500, 16);
-        serial.execute_batch(&batch_a);
-        serial.execute_batch(&batch_b);
-
-        let mut par = KvStore::initialized(500, 16);
-        let mut folded = par.shard_tree(0);
-        let mut shards = par.take_shards();
-        let contested = &mut shards[0];
-        let fa = batch_bucket_footprint(&batch_a);
-        let fb = batch_bucket_footprint(&batch_b);
-        assert!(!fa.intersects(&fb));
-        let mut slice_a = contested.detach_slice(&fa.buckets().collect::<Vec<_>>());
-        let mut slice_b = contested.detach_slice(&fb.buckets().collect::<Vec<_>>());
-        let ea = execute_on_parts(&mut [], std::slice::from_mut(&mut slice_a), &batch_a);
-        let eb = execute_on_parts(&mut [], std::slice::from_mut(&mut slice_b), &batch_b);
-
-        // Overlay each slice's post-execution bucket digests onto the
-        // pre-execution tree — commit order, though disjoint buckets
-        // make it commutative here.
-        for (fp, slice) in [(&fa, &slice_a), (&fb, &slice_b)] {
-            let leaves: Vec<(usize, [u8; 32])> = fp
-                .buckets()
-                .map(|g| (g % SHARD_BUCKETS, slice.bucket_digest(g).0))
-                .collect();
-            folded.update(&leaves);
-        }
-        let rebuilt = folded.root();
-
-        contested.attach_slice(slice_a);
-        contested.attach_slice(slice_b);
-        par.restore_shards(shards);
-        par.absorb_effect(&ea);
-        par.absorb_effect(&eb);
-
-        assert_eq!(par.state_digest(), serial.state_digest());
-        assert_eq!(par.state_root(), serial.state_root());
-        assert_eq!(rebuilt, par.shard_sub_roots()[0]);
-        assert_eq!(rebuilt, serial.shard_sub_roots()[0]);
-    }
-
-    #[test]
-    fn read_only_slice_keeps_the_tree_clean() {
-        let (key, _) = two_keys_same_shard_different_buckets();
-        let mut store = KvStore::initialized(200, 8);
-        let root_before = store.state_root();
-        let mut shards = store.take_shards();
-        assert!(!shards[0].any_dirty);
-        let mut slice = shards[0].detach_slice(&[bucket_of(key)]);
-        let effect = execute_on_parts(&mut [], std::slice::from_mut(&mut slice), &[read(0, key)]);
-        assert_eq!(effect.reads, 1);
-        shards[0].attach_slice(slice);
-        // Nothing was written: every leaf and the sub-root stay valid.
-        assert!(!shards[0].any_dirty);
-        store.restore_shards(shards);
-        assert_eq!(store.state_root(), root_before);
     }
 
     #[test]

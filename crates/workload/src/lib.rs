@@ -14,9 +14,8 @@ pub mod ycsb;
 
 pub use batch::{decode_txns, encode_txns, Batcher};
 pub use kv::{
-    batch_bucket_footprint, batch_footprint, bucket_leaf_digest, bucket_of, execute_on_parts,
-    execute_on_shards, record_digest, shard_of_bucket, shard_of_key, top_state_root, verify_bucket,
-    BatchEffect, BucketFootprint, ExecResult, KvStore, Shard, ShardSlice, StateChunk, StateProver,
+    batch_bucket_footprint, bucket_leaf_digest, bucket_of, record_digest, shard_of_bucket,
+    shard_of_key, verify_bucket, BucketFootprint, ExecResult, KvStore, StateChunk, StateProver,
     EXEC_SHARDS, META_LEAF, SHARD_BUCKETS, STATE_BUCKETS,
 };
 pub use ycsb::{Operation, Transaction, WorkloadGen, YcsbConfig};

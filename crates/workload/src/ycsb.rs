@@ -21,15 +21,6 @@ pub struct YcsbConfig {
     /// Zipfian skew θ; 0 means uniform. YCSB's default is 0.99; the
     /// Blockbench driver uses a mild skew — we default to 0.9.
     pub zipf_theta: f64,
-    /// Fraction of operations steered into one hot execution shard
-    /// (shard 0 of [`EXEC_SHARDS`](crate::EXEC_SHARDS)). `0.0` (the
-    /// default) leaves keys where Zipf/uniform selection puts them —
-    /// batches then spread across shards and rarely conflict; `1.0`
-    /// pins every operation to the hot shard, making every batch pair
-    /// conflict. This is the contention dial the parallel-executor
-    /// benchmarks sweep: shard footprints, not key popularity, decide
-    /// whether batches can run concurrently.
-    pub shard_affinity: f64,
 }
 
 impl Default for YcsbConfig {
@@ -39,7 +30,6 @@ impl Default for YcsbConfig {
             write_ratio: 0.9,
             value_size: 48,
             zipf_theta: 0.9,
-            shard_affinity: 0.0,
         }
     }
 }
@@ -161,29 +151,10 @@ impl WorkloadGen {
     }
 
     fn next_key(&mut self) -> u64 {
-        let key = match &self.zipf {
+        match &self.zipf {
             Some(z) => z.next(&mut self.rng),
             None => self.rng.random_range(0..self.cfg.records),
-        };
-        if self.cfg.shard_affinity > 0.0
-            && crate::shard_of_key(key) != 0
-            && self.rng.random::<f64>() < self.cfg.shard_affinity
-        {
-            // Steer into the hot shard by rejection: redraw until the
-            // key lands in shard 0. Keys hash near-uniformly over
-            // EXEC_SHARDS shards, so this takes ~EXEC_SHARDS draws and
-            // preserves the (conditional) popularity distribution.
-            loop {
-                let key = match &self.zipf {
-                    Some(z) => z.next(&mut self.rng),
-                    None => self.rng.random_range(0..self.cfg.records),
-                };
-                if crate::shard_of_key(key) == 0 {
-                    return key;
-                }
-            }
         }
-        key
     }
 
     /// Generates the next transaction.
@@ -278,38 +249,6 @@ mod tests {
         match generator.next_txn().op {
             Operation::Update { value, .. } => assert_eq!(value.len(), 1600),
             op => panic!("expected update, got {op:?}"),
-        }
-    }
-
-    #[test]
-    fn shard_affinity_concentrates_execution_footprints() {
-        use crate::{batch_footprint, shard_of_key};
-        let hot_mass = |affinity: f64| -> f64 {
-            let cfg = YcsbConfig {
-                shard_affinity: affinity,
-                ..YcsbConfig::default()
-            };
-            let mut generator = WorkloadGen::new(cfg, 13);
-            let txns = generator.next_batch(10_000);
-            let hot = txns
-                .iter()
-                .filter(|t| shard_of_key(t.op.key()) == 0)
-                .count();
-            hot as f64 / txns.len() as f64
-        };
-        // Natural spread puts ~1/EXEC_SHARDS of keys in any one shard;
-        // affinity 0.9 concentrates ~1/8 + 7/8·0.9 ≈ 91 % there.
-        assert!(hot_mass(0.0) < 0.25, "{}", hot_mass(0.0));
-        assert!(hot_mass(0.9) > 0.85, "{}", hot_mass(0.9));
-        // Full affinity: every batch's footprint is exactly the hot
-        // shard, so all batches conflict pairwise.
-        let cfg = YcsbConfig {
-            shard_affinity: 1.0,
-            ..YcsbConfig::default()
-        };
-        let mut generator = WorkloadGen::new(cfg, 17);
-        for _ in 0..8 {
-            assert_eq!(batch_footprint(&generator.next_batch(100)), 0b1);
         }
     }
 

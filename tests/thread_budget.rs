@@ -11,9 +11,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Threads per replica at the default pool size (see the *Thread
-/// budget* section of `ReplicaRuntime::spawn`).
-const PER_REPLICA: usize = 6;
+/// Threads per replica (see the *Thread budget* section of
+/// `ReplicaRuntime::spawn`).
+const PER_REPLICA: usize = 4;
 /// The harness's own: its main thread, this test's, the cluster
 /// client's collector and the sampler — and room to spare.
 const HARNESS: usize = 8;

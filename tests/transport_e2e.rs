@@ -442,10 +442,9 @@ async fn replica_restarts_from_durable_log_and_catches_up() {
     }
 }
 
-/// Multi-shard batch for the parallel-execution tests: 16 writes whose
-/// keys spread over the execution shards, so commit groups genuinely
-/// fan out across the executor pool instead of collapsing into one
-/// conflict component.
+/// Multi-shard batch for the recovery test: 16 writes whose keys
+/// spread over the execution shards, so every block dirties several
+/// shard trees and its sealed root covers all of them.
 fn wide_batch(id: u64) -> ClientBatch {
     let txns: Vec<Transaction> = (0..16u64)
         .map(|i| Transaction {
@@ -469,33 +468,28 @@ fn wide_batch(id: u64) -> ClientBatch {
     }
 }
 
-/// Acceptance (parallel execution + crash recovery): a durable cluster
-/// executing committed batches through the conflict-aware parallel
-/// executor commits multi-shard batches, loses a replica mid-run, and
-/// the restarted replica — re-executing its log and the catch-up gap,
-/// also in parallel — ends block-for-block and KV-equal with the
-/// survivors. Execute-then-seal makes this sharp: had parallel
-/// scheduling reordered anything observable, the recovered replica's
-/// re-executed two-level state roots would mismatch the sealed chain
-/// and it could never rejoin.
+/// Acceptance (multi-shard execution + crash recovery): a durable
+/// cluster commits batches that touch every execution shard, loses a
+/// replica mid-run, and the restarted replica — re-executing its log
+/// tail above a snapshot and then the catch-up gap — ends
+/// block-for-block and KV-equal with the survivors. Execute-then-seal
+/// makes this sharp: had re-execution reordered anything observable,
+/// the recovered replica's two-level state roots would mismatch the
+/// sealed chain and it could never rejoin.
 #[tokio::test(flavor = "multi_thread")]
-async fn parallel_execution_cluster_recovers_block_for_block() {
+async fn multi_shard_cluster_recovers_block_for_block() {
     let cluster = ClusterConfig::new(4);
     let dirs: Vec<tempfile::TempDir> = (0..4).map(|_| tempfile::tempdir().unwrap()).collect();
     // The victim snapshots aggressively so the crash lands above a real
-    // v5 snapshot and recovery exercises snapshot restore + log replay
-    // + catch-up, all through the parallel executor.
+    // snapshot and recovery exercises snapshot restore + log replay +
+    // catch-up.
     let mut storage = storage_configs(&dirs, 1000);
     storage[3].as_mut().unwrap().options.snapshot_every = 4;
     let c = cluster.clone();
-    let handle = InProcCluster::spawn_tuned(
-        cluster.clone(),
-        storage,
-        vec![false; 4],
-        |cfg| cfg.exec_pool = 3,
-        move |r| SpotLessReplica::new(ReplicaConfig::honest(c.clone(), r)),
-    )
-    .expect("durable parallel cluster");
+    let handle = InProcCluster::spawn_with(cluster.clone(), storage, vec![false; 4], move |r| {
+        SpotLessReplica::new(ReplicaConfig::honest(c.clone(), r))
+    })
+    .expect("durable multi-shard cluster");
     let handles: Vec<_> = (0..4).map(|r| handle.handle(ReplicaId(r))).collect();
     wait_all_synced(&handles).await;
 
@@ -530,9 +524,8 @@ async fn parallel_execution_cluster_recovers_block_for_block() {
         assert_ne!(result, spotless::types::Digest::ZERO);
     }
 
-    // Phase 3: restart from the same directory (the default runtime
-    // config also executes in parallel; coarse snapshot cadence keeps
-    // the tail materialized for the post-mortem).
+    // Phase 3: restart from the same directory (coarse snapshot
+    // cadence keeps the tail materialized for the post-mortem).
     let mut storage = StorageConfig::new(dirs[3].path());
     storage.options.snapshot_every = 1000;
     let c = cluster.clone();
@@ -577,8 +570,8 @@ async fn parallel_execution_cluster_recovers_block_for_block() {
 
     // Post-mortem on disk: block-for-block agreement on the common
     // materialized prefix. Block hashes bind the sealed two-level state
-    // roots, so this also pins serial-free execution to the exact
-    // state every survivor sealed.
+    // roots, so this also pins the recovered replica's re-execution to
+    // the exact state every survivor sealed.
     let opts = DurableLedgerOptions::default();
     let (survivor, _) = DurableLedger::open(dirs[0].path(), opts).unwrap();
     let (recovered, _) = DurableLedger::open(dirs[3].path(), opts).unwrap();
