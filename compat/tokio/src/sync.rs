@@ -1,8 +1,9 @@
 //! `mpsc` (bounded + unbounded) and `oneshot` channels whose send and
 //! receive futures block inside `poll` — each task owns a thread, so
 //! blocking is harmless. The two `mpsc` receives bound their wait by
-//! the deadline of an enclosing [`crate::time::timeout`], and an `mpsc`
-//! send wakes the receiver only when it is parked.
+//! the deadline of an enclosing [`crate::time::timeout`]. An `mpsc`
+//! send wakes the receiver only when it is parked, and a bounded
+//! receive wakes a sender only when one is blocked on a full queue.
 
 /// Multi-producer single-consumer channels.
 pub mod mpsc {
@@ -19,6 +20,9 @@ pub mod mpsc {
         /// The receiver is waiting on `ready` (see [`park`]). A send
         /// notifies only then: every notify is a futex syscall.
         parked: bool,
+        /// Bounded senders waiting on `space` for room in a full queue.
+        /// A receive notifies only while one is, for the same reason.
+        blocked: usize,
     }
 
     impl<T> State<T> {
@@ -28,6 +32,7 @@ pub mod mpsc {
                 senders: 1,
                 receiver_alive: true,
                 parked: false,
+                blocked: 0,
             }
         }
     }
@@ -168,8 +173,18 @@ pub mod mpsc {
         capacity: usize,
         /// Signalled when the queue gains an item (wakes the receiver).
         ready: Condvar,
-        /// Signalled when the queue loses an item (wakes blocked senders).
+        /// Signalled when the queue loses an item while a sender is
+        /// blocked on it.
         space: Condvar,
+    }
+
+    impl<T> BoundedChan<T> {
+        /// Wakes a blocked sender, if any, after an item left `state`.
+        fn freed(&self, state: &State<T>) {
+            if state.blocked > 0 {
+                self.space.notify_one();
+            }
+        }
     }
 
     /// Sending half of a bounded channel.
@@ -221,7 +236,12 @@ pub mod mpsc {
                     }
                     return Ok(());
                 }
+                // Counted under the lock, which the wait releases
+                // atomically: a receive that sees the count finds this
+                // sender waiting.
+                state.blocked += 1;
                 state = self.chan.space.wait(state).unwrap();
+                state.blocked -= 1;
             }
         }
 
@@ -271,7 +291,7 @@ pub mod mpsc {
                 let mut state = self.chan.state.lock().unwrap();
                 loop {
                     if let Some(value) = state.queue.pop_front() {
-                        self.chan.space.notify_one();
+                        self.chan.freed(&state);
                         return Poll::Ready(Some(value));
                     }
                     if state.senders == 0 {
@@ -291,7 +311,7 @@ pub mod mpsc {
             let mut state = self.chan.state.lock().unwrap();
             let value = state.queue.pop_front();
             if value.is_some() {
-                self.chan.space.notify_one();
+                self.chan.freed(&state);
             }
             value
         }
@@ -431,6 +451,37 @@ pub mod mpsc {
                 _ => block_on(timeout_at(soon(), rx.recv())).ok().flatten(),
             });
             senders.into_iter().for_each(|t| t.join().unwrap());
+        }
+
+        /// Receives notify `space` only while a sender is blocked on
+        /// it. A sender blocked on a full queue must still wake, whether
+        /// the receiver takes the value with `recv` or `try_recv`.
+        #[test]
+        fn a_sender_blocked_on_a_full_queue_wakes_on_either_receive() {
+            for via_try in [false, true] {
+                let (tx, mut rx) = super::channel::<u32>(1);
+                tx.try_send(1).unwrap();
+                let tx2 = tx.clone();
+                let (done_tx, done_rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    done_tx.send(crate::block_on(tx2.send(2))).unwrap();
+                });
+                while tx.chan.state.lock().unwrap().blocked == 0 {
+                    std::thread::yield_now();
+                }
+                let first = if via_try {
+                    rx.try_recv()
+                } else {
+                    crate::block_on(rx.recv())
+                };
+                assert_eq!(first, Some(1));
+                done_rx
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .expect("the blocked sender never woke")
+                    .unwrap();
+                assert_eq!(rx.try_recv(), Some(2));
+                assert_eq!(tx.chan.state.lock().unwrap().blocked, 0);
+            }
         }
 
         #[test]

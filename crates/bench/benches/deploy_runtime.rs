@@ -15,7 +15,7 @@
 use spotless_baselines::PbftReplica;
 use spotless_bench::FigureTable;
 use spotless_core::{ReplicaConfig, SpotLessReplica};
-use spotless_runtime::StorageConfig;
+use spotless_runtime::{NetStats, StorageConfig};
 use spotless_transport::InProcCluster;
 use spotless_types::{BatchId, ClientBatch, ClientId, ClusterConfig, ReplicaId, SimTime};
 use spotless_workload::{encode_txns, Operation, Transaction};
@@ -95,22 +95,53 @@ fn storage_for(dirs: &[tempfile::TempDir]) -> Vec<Option<StorageConfig>> {
         .collect()
 }
 
+/// Ceiling on envelopes sent per committed batch, cluster-wide, on the
+/// SpotLess in-memory row. The event loop bundles each run of messages
+/// it emits for one fan-out until its event queue runs dry
+/// (`egress::Outbox`); when the egress lane bundled instead, only the
+/// messages already queued behind its head job shared an envelope. On a
+/// 2-vCPU box this row read 10.2–12.8 envelopes per batch with lane
+/// bundling (9 runs) and 6.9–8.7 with loop bundling (9 runs), so the
+/// ceiling sits between the two: a return to lane-style bundling fails
+/// the bench.
+const SPOTLESS_MEM_ENVELOPES_PER_BATCH_MAX: f64 = 9.5;
+
 /// Cluster-wide wire traffic, per the runtime's `NetStats` counters:
 /// encoded envelope payload bytes sent — the column that shows the
 /// binary codec's ~2× shrink against the JSON-era numbers instead of
-/// asserting it — and envelopes sent per committed batch, which shows
-/// how many protocol messages the egress lanes bundle under one
-/// signature.
-fn wire(handle: &InProcCluster, batches: u64) -> [String; 2] {
-    let nets: Vec<_> = (0..4)
-        .map(|r| handle.handle(ReplicaId(r)).net().clone())
-        .collect();
-    let bytes: u64 = nets.iter().map(|net| net.bytes_sent()).sum();
-    let envelopes: u64 = nets.iter().map(|net| net.msgs_sent()).sum();
-    [
-        format!("{:7.2} MiB", bytes as f64 / (1024.0 * 1024.0)),
-        format!("{:6.1}", envelopes as f64 / batches.max(1) as f64),
-    ]
+/// asserting it — envelopes sent per committed batch, and protocol
+/// messages per envelope, which shows how many messages the event loop
+/// bundles under one signature.
+struct Wire {
+    mib: f64,
+    envelopes_per_batch: f64,
+    msgs_per_envelope: f64,
+}
+
+impl Wire {
+    fn of(handle: &InProcCluster, batches: u64) -> Wire {
+        let nets: Vec<_> = (0..4)
+            .map(|r| handle.handle(ReplicaId(r)).net().clone())
+            .collect();
+        let sum =
+            |count: fn(&NetStats) -> u64| -> f64 { nets.iter().map(count).sum::<u64>() as f64 };
+        let envelopes = sum(|net| net.msgs_sent());
+        Wire {
+            mib: sum(|net| net.bytes_sent()) / (1024.0 * 1024.0),
+            envelopes_per_batch: envelopes / batches.max(1) as f64,
+            msgs_per_envelope: sum(|net| net.protocol_msgs_sent()) / envelopes.max(1.0),
+        }
+    }
+
+    /// The table cells: bytes sent, envelopes per batch, messages per
+    /// envelope.
+    fn cells(&self) -> [String; 3] {
+        [
+            format!("{:7.2} MiB", self.mib),
+            format!("{:6.1}", self.envelopes_per_batch),
+            format!("{:5.2}", self.msgs_per_envelope),
+        ]
+    }
 }
 
 #[tokio::main]
@@ -123,6 +154,7 @@ async fn main() {
             "throughput",
             "wire_sent",
             "envelopes_per_batch",
+            "msgs_per_envelope",
         ],
     );
     let count = batches();
@@ -136,15 +168,23 @@ async fn main() {
         })
         .expect("in-memory cluster");
         let secs = drive(&handle, (0..count).map(real_batch).collect()).await;
-        let [sent, per_batch] = wire(&handle, count);
+        let wire = Wire::of(&handle, count);
+        let [sent, per_batch, per_envelope] = wire.cells();
         table.row(&[
             "SpotLess inproc (mem)".into(),
             format!("{count}"),
             format!("{:8.1} ktxn/s", total_txns / secs / 1_000.0),
             sent,
             per_batch,
+            per_envelope,
         ]);
         handle.shutdown().await;
+        assert!(
+            wire.envelopes_per_batch <= SPOTLESS_MEM_ENVELOPES_PER_BATCH_MAX,
+            "{:.1} envelopes per committed batch, above the ceiling of {}",
+            wire.envelopes_per_batch,
+            SPOTLESS_MEM_ENVELOPES_PER_BATCH_MAX
+        );
     }
 
     // SpotLess, durable: group commit + certificate-verified appends.
@@ -158,13 +198,14 @@ async fn main() {
             })
             .expect("durable cluster");
         let secs = drive(&handle, (0..count).map(real_batch).collect()).await;
-        let [sent, per_batch] = wire(&handle, count);
+        let [sent, per_batch, per_envelope] = Wire::of(&handle, count).cells();
         table.row(&[
             "SpotLess inproc (durable)".into(),
             format!("{count}"),
             format!("{:8.1} ktxn/s", total_txns / secs / 1_000.0),
             sent,
             per_batch,
+            per_envelope,
         ]);
         handle.shutdown().await;
     }
@@ -179,13 +220,14 @@ async fn main() {
         })
         .expect("pbft cluster");
         let secs = drive(&handle, (0..count).map(real_batch).collect()).await;
-        let [sent, per_batch] = wire(&handle, count);
+        let [sent, per_batch, per_envelope] = Wire::of(&handle, count).cells();
         table.row(&[
             "PBFT inproc (mem)".into(),
             format!("{count}"),
             format!("{:8.1} ktxn/s", total_txns / secs / 1_000.0),
             sent,
             per_batch,
+            per_envelope,
         ]);
         handle.shutdown().await;
     }

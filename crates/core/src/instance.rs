@@ -633,7 +633,7 @@ impl InstanceState {
             return false;
         }
         // Recompute the digest: a forwarded body must match its reference.
-        let expect = Proposal::new(p.instance, p.view, p.batch.clone(), p.justification).digest;
+        let expect = Proposal::digest_of(p.instance, p.view, &p.batch, &p.justification);
         if expect != p.digest {
             return false;
         }

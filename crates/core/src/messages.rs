@@ -99,23 +99,7 @@ impl Proposal {
         batch: ClientBatch,
         justification: Justification,
     ) -> Proposal {
-        let parent_bytes = match &justification.parent {
-            Some(p) => {
-                let mut b = Vec::with_capacity(40);
-                b.extend_from_slice(&p.view.0.to_be_bytes());
-                b.extend_from_slice(&p.digest.0);
-                b
-            }
-            None => Vec::new(),
-        };
-        let digest = spotless_crypto::digest_fields(&[
-            b"spotless-proposal",
-            &u64::from(instance.0).to_be_bytes(),
-            &view.0.to_be_bytes(),
-            &batch.digest.0,
-            &batch.id.0.to_be_bytes(),
-            &parent_bytes,
-        ]);
+        let digest = Proposal::digest_of(instance, view, &batch, &justification);
         Proposal {
             instance,
             view,
@@ -123,6 +107,34 @@ impl Proposal {
             justification,
             digest,
         }
+    }
+
+    /// The digest a proposal with these fields carries. It reads only
+    /// the batch's digest and id, so a receiver re-checks a forwarded
+    /// body without copying its payload.
+    pub fn digest_of(
+        instance: InstanceId,
+        view: View,
+        batch: &ClientBatch,
+        justification: &Justification,
+    ) -> Digest {
+        let mut parent = [0u8; 40];
+        let parent: &[u8] = match &justification.parent {
+            Some(p) => {
+                parent[..8].copy_from_slice(&p.view.0.to_be_bytes());
+                parent[8..].copy_from_slice(&p.digest.0);
+                &parent
+            }
+            None => &[],
+        };
+        spotless_crypto::digest_fields(&[
+            b"spotless-proposal",
+            &u64::from(instance.0).to_be_bytes(),
+            &view.0.to_be_bytes(),
+            &batch.digest.0,
+            &batch.id.0.to_be_bytes(),
+            parent,
+        ])
     }
 
     /// The (view, digest) reference to this proposal. (Named `reference`
@@ -324,6 +336,29 @@ mod tests {
                 assert_ne!(digests[i], digests[j], "{i} vs {j}");
             }
         }
+    }
+
+    /// `digest_of` hashes the same bytes `Proposal::new` always has,
+    /// for both parent shapes, and never reads the payload.
+    #[test]
+    fn proposal_digests_are_pinned_and_ignore_the_payload() {
+        let hex = |d: Digest| d.0.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let mut b = batch(7);
+        b.digest = Digest::from_u64(9);
+        b.payload = vec![1, 2, 3];
+        let g = Proposal::new(InstanceId(2), View(5), b.clone(), Justification::genesis());
+        let j = Justification::certificate(g.reference());
+        let c = Proposal::new(InstanceId(2), View(6), b.clone(), j);
+        assert_eq!(
+            hex(g.digest),
+            "2557a8f5c9c82c0c5f4e61cb84fa2d65969351fc320c1b129ea49ce2ab98974e"
+        );
+        assert_eq!(
+            hex(c.digest),
+            "ea33a3e1cb740b2a25d16e96da44176ee84f81beab1f35d5a40054ed4a3ff550"
+        );
+        b.payload.clear();
+        assert_eq!(Proposal::digest_of(c.instance, c.view, &b, &j), c.digest);
     }
 
     #[test]

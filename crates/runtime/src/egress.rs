@@ -1,46 +1,57 @@
-//! Egress sealing: the one lane that signs a replica's outbound
-//! envelopes and hands them to the fabric, off the event-loop thread.
+//! Outbound traffic: the event loop's bundle buffer ([`Outbox`]) and
+//! the one lane that signs a replica's envelopes and hands them to the
+//! fabric, off the event-loop thread.
 //!
-//! Every envelope a replica emits is Ed25519-signed. The event loop
-//! encodes each message (into a recycled [`BufferPool`] buffer, wrapped
-//! once as a refcounted [`Payload`]), submits it with its fan-out, and
-//! returns to the next event without touching the signature. A
-//! signature costs ≈ 20 µs (its nonce commitment comes from the
-//! fixed-base table, see `spotless-crypto::signing`) plus a hash of what
-//! it covers, and every receiver pays one verification per envelope, so
-//! the lane signs as few envelopes as the queue allows: after taking a
-//! job it appends every protocol message already queued behind it for
-//! the same fan-out — `Broadcast` joins `Broadcast`, `To(r)` joins
-//! `To(r)` — up to [`MAX_BUNDLE`] messages or [`BUNDLE_BYTES`], signs
-//! the bundle once and performs the [`Fabric::send`] fan-out itself. It never waits for
-//! more jobs: a lone message leaves as soon as the lane is free, in a
-//! payload byte-identical to [`encode_protocol`]'s.
+//! Every envelope a replica emits is Ed25519-signed. A signature costs
+//! ≈ 20 µs (its nonce commitment comes from the fixed-base table, see
+//! `spotless-crypto::signing`) plus a hash of what it covers, and every
+//! receiver pays one verification per envelope, so a replica sends as
+//! few envelopes as its traffic allows. The event loop encodes each
+//! outbound protocol message straight into one open bundle buffer
+//! ([`Outbox::push`]): consecutive messages for the same fan-out —
+//! `Broadcast` after `Broadcast`, `To(r)` after `To(r)` — share it. The
+//! bundle is closed and handed to the lane when
 //!
-//! **Ordering contract:** sends leave the replica in submission order
-//! — globally, hence per destination. One lane signs and sends in the
-//! order the loop submitted, and a bundle joins only jobs that were
-//! adjacent in the queue, so a destination observes exactly the
-//! sequence the protocol emitted. Loopback self-delivery never enters
-//! this stage (it carries no signature at all).
+//! * it holds [`MAX_BUNDLE`] messages, or [`BUNDLE_BYTES`] of payload;
+//! * the next message has a different fan-out, or would take it past
+//!   [`BUNDLE_BYTES`];
+//! * the loop flushes ([`Outbox::flush`]): its event queue ran dry, or
+//!   it is about to block on the commit queue (see `crate::runtime`);
+//! * it has waited out [`FLUSH_EVENTS`] events ([`Outbox::handled`]).
+//!
+//! The loop submits closed bundles to the lane after each step, through
+//! a bounded queue. The lane signs each bundle once and performs the
+//! [`Fabric::send`] fan-out itself. A one-message bundle is byte-identical to
+//! [`encode_protocol`]'s payload.
+//!
+//! **Ordering contract:** messages leave the replica in the order the
+//! loop pushes them (each step's unicasts, then its broadcasts) —
+//! globally, hence per destination. A bundle holds only messages pushed
+//! back to back, bundles are submitted in the order they were opened,
+//! and one lane signs and sends them in that order, so a destination
+//! decodes exactly the sequence the loop pushed.
+//! Loopback self-delivery never enters this stage (it carries no
+//! signature at all).
 //!
 //! **Failure contract:** signing cannot fail and [`Fabric::send`] is
 //! fire-and-forget, so the lane reports nothing back; a frame the
 //! fabric loses is recovered by consensus retransmission (Υ retries,
 //! Ask recovery, client timeouts), as for any lost packet.
 //!
-//! A lone message is handed to the transport with **zero copies**: the
-//! payload bytes are encoded once into the pooled buffer, the
-//! [`Payload`] view is refcounted through signing and every
-//! per-destination [`Envelope`] clone, and the buffer returns to the
-//! pool when the last send completes. A bundle copies its messages once
-//! into one pooled buffer.
+//! A message is handed to the transport with **zero copies**: it is
+//! encoded once, into the bundle's recycled [`BufferPool`] buffer, the
+//! [`Payload`] view of that buffer is refcounted through signing and
+//! every per-destination [`Envelope`] clone, and the buffer returns to
+//! the pool when the last send completes. Only a message that overflows
+//! the byte budget is copied once, into the next bundle.
 //!
 //! [`encode_protocol`]: crate::envelope::encode_protocol
 
-use crate::envelope::{
-    append_protocol, payload_tag, BufferPool, Envelope, Payload, MAX_BUNDLE, TAG_PROTOCOL,
-};
+use crate::envelope::{open_protocol, push_protocol, BufferPool, Envelope, Payload, MAX_BUNDLE};
 use crate::fabric::Fabric;
+use crate::ingress::MAX_VERIFY_BATCH;
+use crate::observe::NetStats;
+use serde::Serialize;
 use spotless_crypto::KeyStore;
 use spotless_types::ReplicaId;
 use tokio::sync::mpsc;
@@ -49,8 +60,23 @@ use tokio::sync::mpsc;
 /// already sends in one catch-up response or state chunk, well inside
 /// the frame limit. A message that would push a bundle past it starts
 /// the next envelope instead; a message larger on its own still leaves
-/// alone, as it always did.
-const BUNDLE_BYTES: usize = spotless_types::SNAPSHOT_CHUNK_BYTES;
+/// alone.
+pub(crate) const BUNDLE_BYTES: usize = spotless_types::SNAPSHOT_CHUNK_BYTES;
+
+/// Most events the loop handles while a bundle stays open: the bundle
+/// leaves after the event that opened it and the next
+/// `FLUSH_EVENTS − 1`, even if the event queue never runs dry. A full
+/// ingress run forwards at least this many events (one envelope carries
+/// one message or more), so a held message never waits behind more than
+/// one ingress run. A fixed property of the loop, not a setting.
+pub(crate) const FLUSH_EVENTS: usize = MAX_VERIFY_BATCH;
+
+/// Bundles the egress queue holds. Overflow policy: the event loop
+/// waits (backpressure) while the lane is this many bundles behind, so
+/// a replica whose signing falls behind slows its own emission instead
+/// of queueing without bound. The lane never waits on the loop —
+/// [`Fabric::send`] only queues — so the wait always ends.
+const EGRESS_QUEUE: usize = 64;
 
 /// Where a sealed envelope goes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,61 +88,29 @@ pub(crate) enum Fanout {
     Broadcast,
 }
 
-/// One submitted payload and where it goes.
-type Job = (Payload, Fanout);
+/// One closed bundle: its payload, where it goes, and how many
+/// protocol messages it carries.
+type Job = (Payload, Fanout, usize);
 
-/// The egress stage: one lane fed in submission order. Owned by the
-/// event loop; dropping it closes the lane once it has sent what was
-/// already submitted.
-pub(crate) struct Egress {
-    jobs: mpsc::UnboundedSender<Job>,
-    /// Recycled payload buffers: encode → sign → send → back here.
-    pub(crate) buffers: BufferPool,
-}
-
-impl Egress {
-    /// Spawns the lane. Must be called inside a tokio runtime context.
-    pub(crate) fn spawn<F: Fabric>(keystore: KeyStore, fabric: F, me: ReplicaId, n: u32) -> Egress {
-        let (jobs, rx) = mpsc::unbounded_channel();
-        let buffers = BufferPool::default();
-        tokio::spawn(lane(keystore, fabric, me, n, buffers.clone(), rx));
-        Egress { jobs, buffers }
-    }
-
-    /// Submits one encoded payload for sealing and fan-out.
-    /// Non-blocking.
-    pub(crate) fn submit(&self, payload: Payload, fanout: Fanout) {
-        let _ = self.jobs.send((payload, fanout));
-    }
-}
-
-/// The lane: take a job, bundle what is queued behind it, sign once and
-/// fan out.
+/// The lane: sign each bundle once and fan it out.
 async fn lane<F: Fabric>(
     keystore: KeyStore,
     fabric: F,
     me: ReplicaId,
     n: u32,
-    buffers: BufferPool,
-    mut jobs: mpsc::UnboundedReceiver<Job>,
+    net: NetStats,
+    mut jobs: mpsc::Receiver<Job>,
 ) {
-    // The job that ended the previous bundle without joining it.
-    let mut held = None;
-    loop {
-        let first = match held.take() {
-            Some(job) => job,
-            None => match jobs.recv().await {
-                Some(job) => job,
-                None => return,
-            },
-        };
-        let ((payload, fanout), next) = bundle(first, &mut jobs, &buffers);
-        held = next;
+    while let Some((payload, fanout, msgs)) = jobs.recv().await {
         let env = Envelope::seal_payload(&keystore, payload);
         match fanout {
-            Fanout::To(to) => fabric.send(to, env),
+            Fanout::To(to) => {
+                net.record_protocol_sent(msgs);
+                fabric.send(to, env);
+            }
             Fanout::Broadcast => {
                 for r in (0..n).filter(|&r| r != me.0) {
+                    net.record_protocol_sent(msgs);
                     fabric.send(ReplicaId(r), env.clone());
                 }
             }
@@ -124,57 +118,142 @@ async fn lane<F: Fabric>(
     }
 }
 
-/// Appends to `first` every protocol message queued behind it for the
-/// same fan-out, up to [`MAX_BUNDLE`] messages and [`BUNDLE_BYTES`].
-/// Returns the payload to seal, and the queued job that stopped the
-/// bundle, if one did. Never waits: only what is already queued joins.
-fn bundle(
-    first: Job,
-    jobs: &mut mpsc::UnboundedReceiver<Job>,
-    buffers: &BufferPool,
-) -> (Job, Option<Job>) {
-    let (payload, fanout) = first;
-    let protocol = |p: &Payload| payload_tag(p) == Some(TAG_PROTOCOL);
-    if !protocol(&payload) {
-        return ((payload, fanout), None);
-    }
-    let mut rest = Vec::new();
-    let mut bytes = payload.len();
-    let mut stopper = None;
-    while 1 + rest.len() < MAX_BUNDLE {
-        let Some((next, to)) = jobs.try_recv() else {
-            break;
-        };
-        if to != fanout || !protocol(&next) || bytes + next.len() > BUNDLE_BYTES {
-            stopper = Some((next, to));
-            break;
+/// The bundle being filled.
+struct Open {
+    /// Its payload so far: the protocol header and each message.
+    buf: Vec<u8>,
+    fanout: Fanout,
+    msgs: usize,
+    /// Events handled since it opened, the opening one included.
+    events: usize,
+}
+
+/// The event loop's outbound buffer: at most one open bundle, and the
+/// closed ones not yet handed to the egress lane (see the module docs).
+/// Encoding never waits; [`submit`](Outbox::submit) does, and the loop
+/// calls it after each step. Dropping the outbox closes the lane once
+/// it has sent what was already submitted.
+pub(crate) struct Outbox {
+    /// The lane's queue, in submission order.
+    jobs: mpsc::Sender<Job>,
+    /// Recycled bundle buffers: encode → sign → send → back here.
+    buffers: BufferPool,
+    open: Option<Open>,
+    /// Closed bundles, in the order they were opened.
+    closed: Vec<Job>,
+}
+
+impl Outbox {
+    /// Spawns the egress lane. Must be called inside a tokio runtime
+    /// context.
+    pub(crate) fn spawn<F: Fabric>(
+        keystore: KeyStore,
+        fabric: F,
+        me: ReplicaId,
+        n: u32,
+        net: NetStats,
+    ) -> Outbox {
+        let (jobs, rx) = mpsc::channel(EGRESS_QUEUE);
+        tokio::spawn(lane(keystore, fabric, me, n, net, rx));
+        Outbox {
+            jobs,
+            buffers: BufferPool::default(),
+            open: None,
+            closed: Vec::new(),
         }
-        bytes += next.len();
-        rest.push(next);
     }
-    if rest.is_empty() {
-        return ((payload, fanout), stopper);
+
+    /// Encodes `msg` into the open bundle, first closing it if it goes
+    /// elsewhere, and closes the bundle once it is full.
+    pub(crate) fn push<M: Serialize>(&mut self, msg: &M, fanout: Fanout) {
+        if self.open.as_ref().is_some_and(|open| open.fanout != fanout) {
+            self.close();
+        }
+        let buffers = &self.buffers;
+        let open = self.open.get_or_insert_with(|| Open {
+            buf: open_protocol(buffers.take()),
+            fanout,
+            msgs: 0,
+            events: 0,
+        });
+        let mark = open.buf.len();
+        push_protocol(&mut open.buf, msg);
+        open.msgs += 1;
+        if open.msgs > 1 && open.buf.len() > BUNDLE_BYTES {
+            // Over budget: the message starts the next bundle instead.
+            let mut next = open_protocol(self.buffers.take());
+            next.extend_from_slice(&open.buf[mark..]);
+            open.buf.truncate(mark);
+            open.msgs -= 1;
+            self.close();
+            self.open = Some(Open {
+                buf: next,
+                fanout,
+                msgs: 1,
+                events: 0,
+            });
+        }
+        if self
+            .open
+            .as_ref()
+            .is_some_and(|open| open.msgs == MAX_BUNDLE || open.buf.len() >= BUNDLE_BYTES)
+        {
+            self.close();
+        }
     }
-    let mut joined = buffers.take();
-    joined.extend_from_slice(&payload);
-    for next in &rest {
-        append_protocol(&mut joined, next);
+
+    /// Counts one handled event against the open bundle's hold, closing
+    /// it once it has waited [`FLUSH_EVENTS`] events, and submits what
+    /// is closed.
+    pub(crate) async fn handled(&mut self) {
+        if let Some(open) = &mut self.open {
+            open.events += 1;
+            if open.events >= FLUSH_EVENTS {
+                self.close();
+            }
+        }
+        self.submit().await;
     }
-    let len = joined.len();
-    ((Payload::pooled(joined, buffers, 0, len), fanout), stopper)
+
+    /// Closes the open bundle, if any, and submits every closed one.
+    pub(crate) async fn flush(&mut self) {
+        self.close();
+        self.submit().await;
+    }
+
+    /// Hands the closed bundles to the egress lane, in order, waiting
+    /// while it is [`EGRESS_QUEUE`] bundles behind.
+    pub(crate) async fn submit(&mut self) {
+        for job in self.closed.drain(..) {
+            // Fails only once the lane has stopped.
+            let _ = self.jobs.send(job).await;
+        }
+    }
+
+    fn close(&mut self) {
+        if let Some(Open {
+            buf, fanout, msgs, ..
+        }) = self.open.take()
+        {
+            let len = buf.len();
+            let payload = Payload::pooled(buf, &self.buffers, 0, len);
+            self.closed.push((payload, fanout, msgs));
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::envelope::{decode, encode_catchup_req, encode_protocol, WireMsg, WIRE_VERSION};
+    use crate::envelope::{decode, WireMsg};
     use std::collections::{BTreeMap, HashSet};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
 
     /// A fabric that records every delivery in arrival order.
     #[derive(Clone, Default)]
-    struct RecordingFabric {
-        sent: Arc<Mutex<Vec<(ReplicaId, Envelope)>>>,
+    pub(crate) struct RecordingFabric {
+        pub(crate) sent: Arc<Mutex<Vec<(ReplicaId, Envelope)>>>,
     }
 
     impl Fabric for RecordingFabric {
@@ -183,108 +262,66 @@ mod tests {
         }
     }
 
-    /// Sends must hit the fabric in submission order, per destination
-    /// and globally, every envelope carrying a signature its peers
-    /// accept.
-    #[tokio::test(flavor = "multi_thread")]
-    async fn sealed_sends_arrive_in_submission_order() {
-        let stores = KeyStore::cluster(b"egress-test", 4);
-        let fabric = RecordingFabric::default();
-        let egress = Egress::spawn(stores[1].clone(), fabric.clone(), ReplicaId(1), 4);
-
-        const SENDS: u64 = 200;
-        for h in 0..SENDS {
-            let payload = Payload::new(encode_catchup_req(h));
-            let fanout = if h % 5 == 0 {
-                Fanout::Broadcast
-            } else {
-                Fanout::To(ReplicaId((h % 3) as u32 * 2 % 4)) // peers 0 and 2
-            };
-            egress.submit(payload, fanout);
-        }
-
-        // The lane drains in order; poll until everything arrived.
-        let expect_total: usize = (0..SENDS).map(|h| if h % 5 == 0 { 3 } else { 1 }).sum();
-        for _ in 0..500 {
-            if fabric.sent.lock().unwrap().len() >= expect_total {
-                break;
+    impl RecordingFabric {
+        /// Waits until `deliveries` envelopes have reached the fabric,
+        /// then returns them.
+        pub(crate) async fn wait_for(&self, deliveries: usize) -> Vec<(ReplicaId, Envelope)> {
+            for _ in 0..5000 {
+                if self.sent.lock().unwrap().len() >= deliveries {
+                    break;
+                }
+                tokio::time::sleep(Duration::from_millis(2)).await;
             }
-            tokio::time::sleep(std::time::Duration::from_millis(2)).await;
+            self.sent.lock().unwrap().clone()
         }
+    }
 
-        let sent = fabric.sent.lock().unwrap();
-        assert_eq!(sent.len(), expect_total);
-        // Global submission order: the decoded heights are
-        // non-decreasing (broadcast fan-out repeats a height).
-        let mut last = 0u64;
-        for (_, env) in sent.iter() {
+    /// Replica 1's outbox in a 4-cluster, over `fabric`, counting into
+    /// `net`.
+    fn outbox(stores: &[KeyStore], fabric: &RecordingFabric, net: &NetStats) -> Outbox {
+        Outbox::spawn(
+            stores[1].clone(),
+            fabric.clone(),
+            ReplicaId(1),
+            4,
+            net.clone(),
+        )
+    }
+
+    /// The peers a fan-out from replica 1 reaches.
+    fn dests(fanout: Fanout) -> Vec<u32> {
+        match fanout {
+            Fanout::To(r) => vec![r.0],
+            Fanout::Broadcast => vec![0, 2, 3],
+        }
+    }
+
+    /// Every envelope verifies and carries a legal bundle of
+    /// `(sequence, fan-out code)` messages. Returns what each
+    /// destination received, and the distinct envelopes sealed.
+    fn received(
+        stores: &[KeyStore],
+        sent: &[(ReplicaId, Envelope)],
+    ) -> (BTreeMap<u32, Vec<u64>>, usize) {
+        let mut got: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+        for (to, env) in sent {
             assert!(env.verify(&stores[0]).is_ok(), "bad egress signature");
-            let h = match decode::<u64>(&env.payload) {
-                Some(WireMsg::CatchUpReq { from_height }) => from_height,
-                _ => panic!("unexpected payload"),
+            let Some(WireMsg::Protocol(msgs)) = decode::<(u64, u64)>(&env.payload) else {
+                panic!("unexpected payload");
             };
-            assert!(h >= last, "send order violated: {h} after {last}");
-            last = h;
+            assert!(msgs.len() <= MAX_BUNDLE, "{} messages", msgs.len());
+            let codes: HashSet<u64> = msgs.iter().map(|&(_, code)| code).collect();
+            assert_eq!(codes.len(), 1, "fan-outs merged: {msgs:?}");
+            got.entry(to.0)
+                .or_default()
+                .extend(msgs.iter().map(|&(seq, _)| seq));
         }
-        // A broadcast from replica 1 in a 4-cluster reaches 0, 2, 3.
-        let bcast: Vec<ReplicaId> = sent
-            .iter()
-            .filter(|(_, e)| {
-                matches!(
-                    decode::<u64>(&e.payload),
-                    Some(WireMsg::CatchUpReq { from_height: 0 })
-                )
-            })
-            .map(|(to, _)| *to)
-            .collect();
-        assert_eq!(bcast, vec![ReplicaId(0), ReplicaId(2), ReplicaId(3)]);
+        let envelopes: HashSet<[u8; 64]> = sent.iter().map(|(_, env)| env.sig.0).collect();
+        (got, envelopes.len())
     }
 
-    /// A recording fabric whose first send blocks until the test opens
-    /// its gate, so the jobs submitted meanwhile are all queued when the
-    /// lane next looks.
-    #[derive(Clone, Default)]
-    struct GatedFabric {
-        sent: Arc<Mutex<Vec<(ReplicaId, Envelope)>>>,
-        /// (a send has begun, the gate is open).
-        gate: Arc<(Mutex<(bool, bool)>, Condvar)>,
-    }
-
-    impl GatedFabric {
-        fn entered(&self) -> bool {
-            self.gate.0.lock().unwrap().0
-        }
-
-        fn open(&self) {
-            self.gate.0.lock().unwrap().1 = true;
-            self.gate.1.notify_all();
-        }
-    }
-
-    impl Fabric for GatedFabric {
-        fn send(&self, to: ReplicaId, env: Envelope) {
-            let (lock, opened) = &*self.gate;
-            let mut gate = lock.lock().unwrap();
-            gate.0 = true;
-            while !gate.1 {
-                gate = opened.wait(gate).unwrap();
-            }
-            drop(gate);
-            self.sent.lock().unwrap().push((to, env));
-        }
-    }
-
-    /// What a destination received, one entry per message.
-    #[derive(Clone, Debug, PartialEq)]
-    enum Got {
-        /// A protocol message: its sequence number and fan-out code.
-        Msg(u64, u64),
-        /// A catch-up request.
-        CatchUp(u64),
-    }
-
-    /// The fan-out a job's message records in its low byte: 0 for a
-    /// broadcast, `1 + r` for `To(r)`.
+    /// The fan-out a message records: 0 for a broadcast, `1 + r` for
+    /// `To(r)`.
     fn code(fanout: Fanout) -> u64 {
         match fanout {
             Fanout::Broadcast => 0,
@@ -292,121 +329,122 @@ mod tests {
         }
     }
 
-    /// Jobs queued behind a busy lane leave in bundles: runs of one
-    /// fan-out merge up to `MAX_BUNDLE`, different fan-outs and
-    /// non-protocol payloads never do, every bundle verifies, and each
-    /// destination decodes exactly the submission order.
+    /// Runs of one fan-out share an envelope up to `MAX_BUNDLE`; a new
+    /// fan-out or a flush closes it. Across interleaved `To(r)` and
+    /// `Broadcast` runs, each destination decodes exactly the emission
+    /// order, every bundle verifies, and `protocol_msgs_sent` counts
+    /// each message once per destination.
     #[tokio::test(flavor = "multi_thread")]
-    async fn queued_runs_coalesce_and_keep_order() {
-        let stores = KeyStore::cluster(b"egress-bundle-test", 4);
-        let fabric = GatedFabric::default();
-        let egress = Egress::spawn(stores[1].clone(), fabric.clone(), ReplicaId(1), 4);
-        let to = |r| Some(Fanout::To(ReplicaId(r)));
-        let broadcast = Some(Fanout::Broadcast);
-        // Runs of (fan-out, jobs); `None` is a catch-up request to
-        // replica 2, between two runs of protocol messages to it.
+    async fn interleaved_fanouts_keep_per_destination_order() {
+        let stores = KeyStore::cluster(b"outbox-order-test", 4);
+        let fabric = RecordingFabric::default();
+        let net = NetStats::default();
+        let mut outbox = outbox(&stores, &fabric, &net);
+        let to = |r| Fanout::To(ReplicaId(r));
+        let broadcast = Fanout::Broadcast;
+        // Runs of (fan-out, messages); `None` flushes.
         let runs = [
-            (to(2), 1),
-            (broadcast, MAX_BUNDLE + 4),
-            (to(2), 3),
-            (to(3), 2),
-            (to(2), 1),
-            (None, 1),
-            (to(2), 2),
-            (broadcast, 1),
-            (to(0), 2),
+            (Some(to(2)), 1),
+            (Some(broadcast), MAX_BUNDLE + 4),
+            (Some(to(2)), 3),
+            (Some(to(3)), 2),
+            (Some(to(2)), 1),
+            (None, 0),
+            (Some(to(2)), 2),
+            (Some(broadcast), 1),
+            (Some(to(0)), 2),
+            (None, 0),
         ];
-
-        let mut expected: BTreeMap<u32, Vec<Got>> = BTreeMap::new();
-        let mut jobs = 0;
-        for (run, &(fanout, k)) in runs.iter().enumerate() {
+        let mut expected: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+        let mut seq = 0;
+        for (fanout, k) in runs {
+            let Some(fanout) = fanout else {
+                outbox.flush().await;
+                continue;
+            };
             for _ in 0..k {
-                let seq = jobs as u64;
-                let (payload, fanout, got) = match fanout {
-                    Some(f) => (
-                        encode_protocol(&(seq << 8 | code(f))),
-                        f,
-                        Got::Msg(seq, code(f)),
-                    ),
-                    None => (
-                        encode_catchup_req(seq),
-                        Fanout::To(ReplicaId(2)),
-                        Got::CatchUp(seq),
-                    ),
-                };
-                let dests = match fanout {
-                    Fanout::To(r) => vec![r.0],
-                    Fanout::Broadcast => vec![0, 2, 3],
-                };
-                for d in dests {
-                    expected.entry(d).or_default().push(got.clone());
+                outbox.push(&(seq, code(fanout)), fanout);
+                for d in dests(fanout) {
+                    expected.entry(d).or_default().push(seq);
                 }
-                egress.submit(Payload::new(payload), fanout);
-                jobs += 1;
-            }
-            if run == 0 {
-                // The lane is now blocked sending the first job, so
-                // everything after it queues up behind.
-                while !fabric.entered() {
-                    tokio::time::sleep(std::time::Duration::from_millis(1)).await;
-                }
+                seq += 1;
             }
         }
-        fabric.open();
-
-        let deliveries: usize = expected.values().map(Vec::len).sum();
-        let mut got: BTreeMap<u32, Vec<Got>> = BTreeMap::new();
-        let mut sent = Vec::new();
-        for _ in 0..2000 {
-            sent = fabric.sent.lock().unwrap().clone();
-            got.clear();
-            for (to, env) in &sent {
-                let mine = got.entry(to.0).or_default();
-                match decode::<u64>(&env.payload) {
-                    Some(WireMsg::Protocol(msgs)) => {
-                        assert!(msgs.len() <= MAX_BUNDLE, "{} messages", msgs.len());
-                        let codes: HashSet<u64> = msgs.iter().map(|m| m & 0xFF).collect();
-                        assert_eq!(codes.len(), 1, "fan-outs merged: {msgs:?}");
-                        mine.extend(msgs.iter().map(|m| Got::Msg(m >> 8, m & 0xFF)));
-                    }
-                    Some(WireMsg::CatchUpReq { from_height }) => {
-                        mine.push(Got::CatchUp(from_height))
-                    }
-                    _ => panic!("unexpected payload"),
-                }
-            }
-            if got.values().map(Vec::len).sum::<usize>() >= deliveries {
-                break;
-            }
-            tokio::time::sleep(std::time::Duration::from_millis(2)).await;
-        }
-        for (_, env) in &sent {
-            assert!(env.verify(&stores[0]).is_ok(), "bad egress signature");
-        }
-        let envelopes: HashSet<[u8; 64]> = sent.iter().map(|(_, env)| env.sig.0).collect();
-        assert_eq!(got, expected, "per-destination submission order");
-        // The first job alone, the broadcast run split at MAX_BUNDLE,
-        // then one envelope per run: the catch-up request splits the
-        // two runs to replica 2 around it.
-        assert_eq!((jobs, envelopes.len()), (MAX_BUNDLE + 17, 10));
+        // Three broadcast envelopes reach three peers each, six
+        // unicast ones one peer.
+        let (got, envelopes) = received(&stores, &fabric.wait_for(3 * 3 + 6).await);
+        assert_eq!(got, expected, "per-destination emission order");
+        let deliveries = expected.values().map(Vec::len).sum::<usize>();
+        assert_eq!(net.protocol_msgs_sent(), deliveries as u64);
+        // The broadcast run splits at MAX_BUNDLE; the first flush
+        // splits the two runs to replica 2 around it; every other run
+        // is one envelope.
+        assert_eq!((seq as usize, envelopes), (MAX_BUNDLE + 16, 9));
     }
 
-    /// A message that would take a bundle past `BUNDLE_BYTES` starts
-    /// the next envelope.
-    #[test]
-    fn a_bundle_stops_at_its_byte_budget() {
-        let (jobs, mut queue) = mpsc::unbounded_channel();
-        for fill in 0..3u8 {
-            let mut half = vec![WIRE_VERSION, TAG_PROTOCOL];
-            half.resize(BUNDLE_BYTES / 2, fill);
-            jobs.send((Payload::new(half), Fanout::Broadcast)).unwrap();
+    /// No bundle passes `MAX_BUNDLE` messages, and none passes
+    /// `BUNDLE_BYTES` unless it carries one message alone; nothing is
+    /// lost or reordered at either bound.
+    #[tokio::test(flavor = "multi_thread")]
+    async fn no_bundle_passes_its_count_or_byte_bound() {
+        let stores = KeyStore::cluster(b"outbox-bound-test", 4);
+        let fabric = RecordingFabric::default();
+        let mut outbox = outbox(&stores, &fabric, &NetStats::default());
+        // Small messages, then thirds and halves of the byte budget,
+        // then one message over it on its own.
+        let sizes = [0; MAX_BUNDLE * 2 + 3]
+            .into_iter()
+            .chain([BUNDLE_BYTES / 3; 4])
+            .chain([0, BUNDLE_BYTES / 2, BUNDLE_BYTES / 2, 0])
+            .chain([BUNDLE_BYTES + 10, 0]);
+        let mut want = Vec::new();
+        for (seq, size) in sizes.enumerate() {
+            outbox.push(
+                &(seq as u64, vec![seq as u8; size]),
+                Fanout::To(ReplicaId(2)),
+            );
+            want.push(seq as u64);
         }
-        let first = queue.try_recv().unwrap();
-        let ((payload, _), stopper) = bundle(first, &mut queue, &BufferPool::default());
-        assert_eq!(payload.len(), BUNDLE_BYTES - 2, "two halves, one header");
-        let Some((third, _)) = stopper else {
-            panic!("the third half must stop the bundle");
-        };
-        assert_eq!(third[2], 2);
+        outbox.flush().await;
+        let mut got = Vec::new();
+        let mut shapes = Vec::new();
+        for (_, env) in fabric.wait_for(8).await {
+            assert!(env.verify(&stores[0]).is_ok());
+            let Some(WireMsg::Protocol(msgs)) = decode::<(u64, Vec<u8>)>(&env.payload) else {
+                panic!("unexpected payload")
+            };
+            assert!(msgs.len() <= MAX_BUNDLE);
+            assert!(msgs.len() == 1 || env.payload.len() <= BUNDLE_BYTES);
+            shapes.push(msgs.len());
+            got.extend(msgs.into_iter().map(|(seq, _)| seq));
+        }
+        assert_eq!(got, want, "every message once, in order");
+        // 35 small ones: two full bundles, and three that the first two
+        // thirds join; the third would overflow, so it opens the next
+        // with the fourth and a small one; each half overflows the
+        // bundle before it; the small one joins the second half; the
+        // oversized one leaves alone, then the last small one.
+        assert_eq!(shapes, [16, 16, 5, 3, 1, 2, 1, 1]);
+    }
+
+    /// An open bundle leaves after `FLUSH_EVENTS` handled events, the
+    /// one that opened it included, with no flush and no further
+    /// message.
+    #[tokio::test(flavor = "multi_thread")]
+    async fn a_held_bundle_leaves_after_flush_events() {
+        assert_eq!(FLUSH_EVENTS, 32, "a fixed property of the loop");
+        let stores = KeyStore::cluster(b"outbox-hold-test", 4);
+        let fabric = RecordingFabric::default();
+        let mut outbox = outbox(&stores, &fabric, &NetStats::default());
+        outbox.handled().await; // nothing open: counts nothing
+        outbox.push(&(0u64, 0u64), Fanout::Broadcast);
+        for _ in 1..FLUSH_EVENTS {
+            outbox.handled().await;
+            assert!(outbox.open.is_some(), "left early");
+        }
+        outbox.handled().await;
+        assert!(outbox.open.is_none(), "held past FLUSH_EVENTS");
+        let (got, envelopes) = received(&stores, &fabric.wait_for(3).await);
+        assert_eq!((got.len(), envelopes), (3, 1));
     }
 }

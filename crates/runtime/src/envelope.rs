@@ -33,10 +33,10 @@
 //! * [`TAG_PROTOCOL`] — one to [`MAX_BUNDLE`] protocol messages
 //!   (derived binary encoding), concatenated: the codec is
 //!   self-delimiting, so a bundle needs no count or lengths. This is the
-//!   only tag consensus traffic uses. The egress lane bundles the
-//!   messages queued for one fan-out under one signature (see
-//!   `crate::egress`); a one-message payload is what
-//!   [`encode_protocol`] makes.
+//!   only tag consensus traffic uses. The event loop encodes each run of
+//!   messages it emits for one fan-out into one such payload, which the
+//!   egress lane signs once (see `crate::egress`); a one-message payload
+//!   is what [`encode_protocol`] makes.
 //! * [`TAG_CATCHUP_REQ`] / [`TAG_CATCHUP_RESP`] — the runtime-level
 //!   catch-up exchange a restarted replica uses to close the gap between
 //!   its durable log and the cluster's head (see `crate::pipeline`).
@@ -115,9 +115,9 @@ pub const WIRE_VERSION: u8 = 0xB7;
 /// Most protocol messages one payload carries. Bounds the delivery
 /// burst a single envelope can cause and the work one bad message
 /// throws away (a payload with one undecodable message is dropped
-/// whole). Sixteen leaves ample headroom over the runs the egress lane
-/// finds queued on a loaded replica: about two messages an envelope on
-/// the `ordering-small` benchmark workload (2 vCPUs).
+/// whole). Sixteen leaves headroom over the runs of one fan-out the
+/// event loop emits between two flushes on a loaded replica: 3.0–3.7
+/// messages an envelope in the `deploy_runtime` bench (2 vCPUs).
 pub const MAX_BUNDLE: usize = 16;
 
 // The fail-closed argument above requires the version byte to be
@@ -282,9 +282,9 @@ impl Envelope {
     }
 
     /// Signs an already-wrapped [`Payload`] — the zero-copy seal used
-    /// by the egress stage: the payload bytes (typically a pooled
-    /// buffer the event loop encoded into) are signed and moved into
-    /// the envelope without copying.
+    /// by the egress stage: the payload bytes (typically the pooled
+    /// bundle buffer the event loop encoded into) are signed and moved
+    /// into the envelope without copying.
     pub fn seal_payload(keystore: &KeyStore, payload: Payload) -> Envelope {
         let sig = keystore.sign(&payload);
         Envelope {
@@ -477,24 +477,29 @@ pub fn encode_protocol<M: Serialize>(msg: &M) -> Vec<u8> {
 }
 
 /// Like [`encode_protocol`], but reusing `buf`'s allocation (cleared
-/// first). The egress stage encodes into [`BufferPool`] buffers so
-/// steady-state sends allocate nothing per message.
-pub fn encode_protocol_into<M: Serialize>(msg: &M, mut buf: Vec<u8>) -> Vec<u8> {
-    buf.clear();
-    buf.push(WIRE_VERSION);
-    buf.push(TAG_PROTOCOL);
-    msg.ser_bin(&mut buf);
+/// first).
+pub fn encode_protocol_into<M: Serialize>(msg: &M, buf: Vec<u8>) -> Vec<u8> {
+    let mut buf = open_protocol(buf);
+    push_protocol(&mut buf, msg);
     buf
 }
 
-/// Appends the messages of protocol payload `next` to protocol payload
-/// `bundle`, which then carries both runs in order: a bundle is its
+/// Starts a protocol payload in `buf` (cleared first): the header its
+/// messages follow back to back ([`push_protocol`]). The event loop's
+/// outbox opens every bundle this way, in a [`BufferPool`] buffer.
+pub(crate) fn open_protocol(mut buf: Vec<u8>) -> Vec<u8> {
+    buf.clear();
+    buf.push(WIRE_VERSION);
+    buf.push(TAG_PROTOCOL);
+    buf
+}
+
+/// Appends `msg` to the protocol payload `bundle`: a bundle is its
 /// messages' encodings back to back behind one header. The caller keeps
-/// the count within [`MAX_BUNDLE`]; the egress lane builds its bundles
-/// this way.
-pub(crate) fn append_protocol(bundle: &mut Vec<u8>, next: &[u8]) {
-    debug_assert_eq!(payload_tag(next), Some(TAG_PROTOCOL));
-    bundle.extend_from_slice(&next[2..]);
+/// the count within [`MAX_BUNDLE`].
+pub(crate) fn push_protocol<M: Serialize>(bundle: &mut Vec<u8>, msg: &M) {
+    debug_assert_eq!(payload_tag(bundle), Some(TAG_PROTOCOL));
+    msg.ser_bin(bundle);
 }
 
 /// Encodes a catch-up request payload.
@@ -802,9 +807,9 @@ mod tests {
 
     /// `k` one-byte `u64` messages `0..k` as one protocol payload.
     fn bundle(k: u64) -> Vec<u8> {
-        let mut enc = encode_protocol(&0u64);
-        for m in 1..k {
-            append_protocol(&mut enc, &encode_protocol(&m));
+        let mut enc = open_protocol(Vec::new());
+        for m in 0..k {
+            push_protocol(&mut enc, &m);
         }
         enc
     }

@@ -81,7 +81,9 @@ use tokio::sync::mpsc;
 /// each), more than the verdict cache keeps across a rotation. Every
 /// message is therefore forwarded with verdicts from the run's own
 /// table, never from the cache, so no run is large enough to push a
-/// listed vote's check onto the event loop.
+/// listed vote's check onto the event loop. It also bounds, in events,
+/// how long the event loop holds an open outbound bundle
+/// (`egress::FLUSH_EVENTS`).
 pub(crate) const MAX_VERIFY_BATCH: usize = 32;
 
 /// Spawns the ingress task: drains the fabric's inbound channel in runs
@@ -367,8 +369,8 @@ fn verify_by_sender(keystore: &KeyStore, checks: &[Check]) -> Vec<bool> {
 mod tests {
     use super::*;
     use crate::envelope::{
-        append_protocol, decode, encode_catchup_req, encode_protocol, WireMsg, MAX_BUNDLE,
-        WIRE_VERSION,
+        decode, encode_catchup_req, encode_protocol, open_protocol, push_protocol, WireMsg,
+        MAX_BUNDLE,
     };
     use spotless_core::{Message, ProposalRef, SyncMsg};
     use spotless_types::{Digest, InstanceId, View, VoteStatement};
@@ -515,9 +517,9 @@ mod tests {
 
     /// `msgs` as one protocol payload.
     fn bundle(msgs: &[Message]) -> Vec<u8> {
-        let mut payload = vec![WIRE_VERSION, TAG_PROTOCOL];
+        let mut payload = open_protocol(Vec::new());
         for msg in msgs {
-            append_protocol(&mut payload, &encode_protocol(msg));
+            push_protocol(&mut payload, msg);
         }
         payload
     }

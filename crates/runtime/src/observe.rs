@@ -63,6 +63,7 @@ pub struct NetStats {
 #[derive(Default)]
 struct NetCounters {
     msgs_sent: AtomicU64,
+    protocol_msgs_sent: AtomicU64,
     bytes_sent: AtomicU64,
     msgs_recv: AtomicU64,
     bytes_recv: AtomicU64,
@@ -78,6 +79,12 @@ impl NetStats {
         self.inner
             .bytes_sent
             .fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    pub(crate) fn record_protocol_sent(&self, msgs: usize) {
+        self.inner
+            .protocol_msgs_sent
+            .fetch_add(msgs as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn record_recv(&self, bytes: usize) {
@@ -107,6 +114,14 @@ impl NetStats {
     /// Envelopes handed to the fabric.
     pub fn msgs_sent(&self) -> u64 {
         self.inner.msgs_sent.load(Ordering::Relaxed)
+    }
+
+    /// Protocol messages handed to the fabric, counted once per
+    /// envelope that carries them, as [`msgs_sent`](NetStats::msgs_sent)
+    /// counts envelopes: the ratio of the two is the messages an
+    /// envelope bundles under its one signature.
+    pub fn protocol_msgs_sent(&self) -> u64 {
+        self.inner.protocol_msgs_sent.load(Ordering::Relaxed)
     }
 
     /// Encoded payload bytes handed to the fabric (a broadcast counts

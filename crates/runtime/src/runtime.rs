@@ -13,11 +13,13 @@
 //!   carry — are verified in one batch by the ingress task, which also
 //!   decodes the messages, before they reach the loop
 //!   (`crate::ingress`);
-//! * **outbound traffic** is serialized once per message on the loop,
-//!   then bundled with whatever is queued for the same destinations,
-//!   signed once per bundle and fanned out by the egress lane
-//!   (`crate::egress`); broadcast fan-out shares the bytes via `Arc`
-//!   (see [`crate::envelope`]).
+//! * **outbound traffic** is encoded once per message on the loop,
+//!   straight into the open bundle of its run of one fan-out; the loop
+//!   submits the bundle when it fills, when the fan-out changes, when
+//!   the event queue runs dry or before the loop blocks, and after at
+//!   most `FLUSH_EVENTS` events, and the egress lane signs it once and
+//!   fans it out (`crate::egress`); broadcast fan-out shares the bytes
+//!   via `Arc` (see [`crate::envelope`]).
 //!
 //! Restart story: give the runtime the same storage directory it had
 //! before the crash and it recovers the hash-chained ledger from the
@@ -36,8 +38,8 @@
 //! `tests/transport_e2e.rs` (facade crate) for the end-to-end
 //! crash–restart and pruned-history recovery proofs.
 
-use crate::egress::{Egress, Fanout};
-use crate::envelope::{encode_protocol_into, Envelope, Payload};
+use crate::egress::{Fanout, Outbox};
+use crate::envelope::Envelope;
 use crate::fabric::{Fabric, MeteredFabric};
 use crate::observe::{CommitLog, Inform, NetStats};
 use crate::pipeline::{live_proof, Pipeline, PipelineCmd, VerifiedProof};
@@ -56,7 +58,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use tokio::sync::mpsc;
+use tokio::sync::mpsc::{self, TrySendError};
 use tokio::time::{timeout_at, Instant};
 
 /// Timer kind reserved for the runtime's catch-up retry tick. Protocols
@@ -589,9 +591,15 @@ impl ReplicaRuntime {
             });
         });
 
-        // 4. Egress: outbound envelopes are signed and fanned out in
+        // 4. Egress: the loop's bundles are signed and fanned out in
         //    submission order by one lane off the loop.
-        let egress = Egress::spawn(cfg.keystore.clone(), fabric, cfg.me, cfg.cluster.n);
+        let outbox = Outbox::spawn(
+            cfg.keystore.clone(),
+            fabric,
+            cfg.me,
+            cfg.cluster.n,
+            net.clone(),
+        );
 
         // 5. The event loop.
         let debug = Arc::new(DebugCounts::default());
@@ -599,7 +607,7 @@ impl ReplicaRuntime {
             me: cfg.me,
             node,
             keystore: cfg.keystore,
-            egress,
+            outbox,
             events_tx,
             pipeline_tx,
             synced: synced.clone(),
@@ -628,8 +636,9 @@ struct EventLoop<N: Node> {
     me: ReplicaId,
     node: N,
     keystore: KeyStore,
-    /// Signs and sends outbound envelopes, in submission order.
-    egress: Egress,
+    /// Bundles outbound messages for the egress lane, which signs and
+    /// sends them in emission order.
+    outbox: Outbox,
     events_tx: mpsc::UnboundedSender<Event<N::Message>>,
     pipeline_tx: mpsc::Sender<PipelineCmd>,
     synced: Arc<AtomicBool>,
@@ -649,7 +658,13 @@ where
     N: Node + Send + 'static,
     N::Message: Serialize + Deserialize + Send + 'static,
 {
-    async fn run(mut self, mut events: mpsc::UnboundedReceiver<Event<N::Message>>) {
+    async fn run(mut self, events: mpsc::UnboundedReceiver<Event<N::Message>>) {
+        self.serve(events).await;
+        // What the last steps emitted still leaves.
+        self.outbox.flush().await;
+    }
+
+    async fn serve(&mut self, mut events: mpsc::UnboundedReceiver<Event<N::Message>>) {
         if self.silent {
             // A1: consume and drop everything until shutdown.
             while let Some(ev) = events.recv().await {
@@ -686,12 +701,19 @@ where
         // vanished mid-transfer).
         self.arm_catchup_tick();
         loop {
-            // Wait for the next event or the earliest deadline,
-            // whichever comes first — a quiet cluster's timeouts do not
-            // depend on traffic.
-            let ev = match self.timers.next_deadline() {
-                Some(deadline) => timeout_at(deadline, events.recv()).await.ok(),
-                None => Some(events.recv().await),
+            // Take the next queued event; once the queue runs dry, what
+            // the loop has emitted leaves before it waits for the next
+            // event or the earliest deadline, whichever comes first — a
+            // quiet cluster's timeouts do not depend on traffic.
+            let ev = match events.try_recv() {
+                Some(ev) => Some(Some(ev)),
+                None => {
+                    self.outbox.flush().await;
+                    match self.timers.next_deadline() {
+                        Some(deadline) => timeout_at(deadline, events.recv()).await.ok(),
+                        None => Some(events.recv().await),
+                    }
+                }
             };
             // Checked on every wake-up and before the event in hand is
             // looked at: the first protocol message to arrive after
@@ -716,7 +738,7 @@ where
                     // promptly); while synced it drives the pipeline's
                     // serving-side maintenance. Always re-armed — the
                     // tick is the replica's heartbeat.
-                    let _ = self.pipeline_tx.send(PipelineCmd::Tick).await;
+                    self.send_pipeline(PipelineCmd::Tick).await;
                     self.arm_catchup_tick();
                 } else if started {
                     self.step(Input::Timer(id)).await;
@@ -748,13 +770,11 @@ where
                 // The transfer family ships to the pipeline as raw
                 // verified bytes and is decoded there, off this thread.
                 Event::Envelope(env) => {
-                    let _ = self
-                        .pipeline_tx
-                        .send(PipelineCmd::Transfer {
-                            from: env.from,
-                            payload: env.payload,
-                        })
-                        .await;
+                    self.send_pipeline(PipelineCmd::Transfer {
+                        from: env.from,
+                        payload: env.payload,
+                    })
+                    .await;
                 }
                 Event::Request(batch) => {
                     if started {
@@ -765,12 +785,13 @@ where
                 }
                 Event::Shutdown => return,
             }
+            self.outbox.handled().await;
         }
     }
 
     /// Steps the protocol once and applies its effects: commits into
     /// the bounded pipeline, timers onto the deadline heap, messages
-    /// sealed once and fanned out through the fabric.
+    /// into the outbox (loopback self-delivery onto the event queue).
     async fn step(&mut self, input: Input<N::Message>) {
         let mut ctx = RuntimeCtx {
             start: self.start,
@@ -808,12 +829,7 @@ where
                     .fetch_add(u64::from(witness.is_some()), Ordering::Relaxed);
                 witness
             };
-            // Bounded: consensus blocks here iff the storage/execution
-            // pipeline is `COMMIT_QUEUE` slots behind (the ack queue).
-            let _ = self
-                .pipeline_tx
-                .send(PipelineCmd::Commit(info, witness))
-                .await;
+            self.send_pipeline(PipelineCmd::Commit(info, witness)).await;
         }
         // One clock read per step: timers armed together with equal
         // durations share a deadline and fire in arming order.
@@ -828,15 +844,28 @@ where
             if to == self.me {
                 self.loopback(msg);
             } else {
-                self.emit(&msg, Fanout::To(to));
+                self.outbox.push(&msg, Fanout::To(to));
             }
         }
         for msg in broadcasts {
-            // Serialize + sign once; every peer shares the same Arc'd
-            // bytes. Self-delivery is a local loopback (Remark 3.1) —
-            // it never enters the egress stage.
-            self.emit(&msg, Fanout::Broadcast);
+            // Encoded once; every peer shares the bundle's Arc'd bytes.
+            // Self-delivery is a local loopback (Remark 3.1) — it never
+            // enters the outbox.
+            self.outbox.push(&msg, Fanout::Broadcast);
             self.loopback(msg);
+        }
+        self.outbox.submit().await;
+    }
+
+    /// Puts `cmd` on the bounded commit queue. The queue is full iff the
+    /// pipeline is `COMMIT_QUEUE` commands behind, and then consensus
+    /// blocks here until it catches up (the ack queue) — after the
+    /// outbox is flushed, so no emitted message waits out the stall.
+    async fn send_pipeline(&mut self, cmd: PipelineCmd) {
+        if let Err(TrySendError::Full(cmd)) = self.pipeline_tx.try_send(cmd) {
+            self.outbox.flush().await;
+            // Fails only once the pipeline has stopped.
+            let _ = self.pipeline_tx.send(cmd).await;
         }
     }
 
@@ -847,18 +876,6 @@ where
             msg,
             votes: Vec::new(),
         });
-    }
-
-    /// Encodes one outbound protocol message into a pooled buffer and
-    /// hands it to the egress lane, which seals it — bundled with the
-    /// messages queued next to it for the same fan-out — and fans it out
-    /// in submission order.
-    fn emit(&self, msg: &N::Message, fanout: Fanout) {
-        let buffers = &self.egress.buffers;
-        let enc = encode_protocol_into(msg, buffers.take());
-        let len = enc.len();
-        self.egress
-            .submit(Payload::pooled(enc, buffers, 0, len), fanout);
     }
 
     fn arm_catchup_tick(&mut self) {
@@ -873,16 +890,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::egress::tests::RecordingFabric;
+    use crate::egress::FLUSH_EVENTS;
     use parking_lot::Mutex;
     use std::time::Duration;
-
-    /// A fabric that drops everything: these replicas have no peers.
-    #[derive(Clone)]
-    struct NullFabric;
-
-    impl Fabric for NullFabric {
-        fn send(&self, _to: ReplicaId, _env: Envelope) {}
-    }
 
     type Fired = Arc<Mutex<Vec<(TimerId, Instant)>>>;
 
@@ -923,10 +934,28 @@ mod tests {
         TimerId::new(TimerKind::Custom(1), InstanceId(0), View(k))
     }
 
-    /// A lone memory-only replica running `script`, with the catch-up
-    /// heartbeat pushed out of the way so the script's timers are the
-    /// only deadlines and nothing else ever wakes the loop. The
-    /// returned senders keep its inbound channels open.
+    /// A lone memory-only replica 0 of four running `node` over
+    /// `fabric`, with the catch-up heartbeat pushed out of the way so
+    /// the node's own timers are the only deadlines. The second value
+    /// keeps its inbound channels open.
+    fn spawn_alone<N>(node: N, fabric: RecordingFabric) -> (ReplicaHandle, impl Sized)
+    where
+        N: Node + Send + 'static,
+        N::Message: Serialize + Deserialize + Send + 'static,
+    {
+        let keystore = KeyStore::cluster(b"runtime-loop-test", 4).remove(0);
+        let mut cfg = RuntimeConfig::new(ClusterConfig::new(4), ReplicaId(0), keystore);
+        cfg.catchup_interval = SimDuration::from_secs(3600);
+        let (env_tx, env_rx) = mpsc::unbounded_channel();
+        let (inform_tx, inform_rx) = mpsc::unbounded_channel();
+        let handle =
+            ReplicaRuntime::spawn(node, cfg, fabric, env_rx, CommitLog::default(), inform_tx)
+                .expect("memory-only spawn cannot fail");
+        (handle, (env_tx, inform_rx))
+    }
+
+    /// A lone replica running `script`: nothing but its timers ever
+    /// wakes the loop.
     fn spawn_scripted(
         script: Vec<(Option<TimerId>, TimerId, u64)>,
     ) -> (ReplicaHandle, Fired, impl Sized) {
@@ -935,21 +964,8 @@ mod tests {
             script,
             fired: fired.clone(),
         };
-        let keystore = KeyStore::cluster(b"timer-heap-test", 4).remove(0);
-        let mut cfg = RuntimeConfig::new(ClusterConfig::new(4), ReplicaId(0), keystore);
-        cfg.catchup_interval = SimDuration::from_secs(3600);
-        let (env_tx, env_rx) = mpsc::unbounded_channel();
-        let (inform_tx, inform_rx) = mpsc::unbounded_channel();
-        let handle = ReplicaRuntime::spawn(
-            node,
-            cfg,
-            NullFabric,
-            env_rx,
-            CommitLog::default(),
-            inform_tx,
-        )
-        .expect("memory-only spawn cannot fail");
-        (handle, fired, (env_tx, inform_rx))
+        let (handle, open) = spawn_alone(node, RecordingFabric::default());
+        (handle, fired, open)
     }
 
     async fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
@@ -961,6 +977,124 @@ mod tests {
             );
             tokio::time::sleep(Duration::from_millis(2)).await;
         }
+    }
+
+    /// What a `Talker` does on its `k`-th request.
+    type Script = Box<dyn Fn(usize, &mut dyn Context<Message = spotless_core::Message>) + Send>;
+
+    /// A node that holds `Start` until its gate opens, then runs its
+    /// script on every client request.
+    struct Talker {
+        gate: std::sync::mpsc::Receiver<()>,
+        requests: usize,
+        script: Script,
+    }
+
+    impl Node for Talker {
+        type Message = spotless_core::Message;
+
+        fn on_input(
+            &mut self,
+            input: Input<Self::Message>,
+            ctx: &mut dyn Context<Message = Self::Message>,
+        ) {
+            match input {
+                Input::Start => {
+                    let _ = self.gate.recv();
+                }
+                Input::Request(_) => {
+                    (self.script)(self.requests, ctx);
+                    self.requests += 1;
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// A small protocol message for the loop to send.
+    fn ask(k: u64) -> spotless_core::Message {
+        spotless_core::Message::Ask {
+            instance: InstanceId(0),
+            target: spotless_core::ProposalRef {
+                view: View(k),
+                digest: spotless_types::Digest::from_u64(k),
+            },
+        }
+    }
+
+    /// A lone replica running `script` over `fabric`. The returned
+    /// gate releases `Start`.
+    fn spawn_talker(
+        script: Script,
+        fabric: &RecordingFabric,
+    ) -> (ReplicaHandle, std::sync::mpsc::Sender<()>, impl Sized) {
+        let (gate_tx, gate) = std::sync::mpsc::channel();
+        let node = Talker {
+            gate,
+            requests: 0,
+            script,
+        };
+        let (handle, open) = spawn_alone(node, fabric.clone());
+        (handle, gate_tx, open)
+    }
+
+    /// The last message a step emits before the loop goes quiet leaves
+    /// when the event queue runs dry: no further event, timer or
+    /// message is needed to push it out.
+    #[tokio::test]
+    async fn a_lone_message_before_the_loop_goes_quiet_reaches_its_peers() {
+        let script: Script = Box::new(|_, ctx| {
+            for r in 1..4 {
+                ctx.send(NodeId::Replica(ReplicaId(r)), ask(u64::from(r)));
+            }
+        });
+        let fabric = RecordingFabric::default();
+        let (handle, gate, _open) = spawn_talker(script, &fabric);
+        gate.send(()).unwrap();
+        // Let the loop block on its empty queue first.
+        tokio::time::sleep(Duration::from_millis(50)).await;
+        handle.submit(ClientBatch::noop(SimTime::ZERO));
+        let sent = fabric.wait_for(3).await;
+        let to: Vec<u32> = sent.iter().map(|(to, _)| to.0).collect();
+        assert_eq!(to, [1, 2, 3], "one envelope to each peer, in order");
+        handle.shutdown();
+    }
+
+    /// A message held while the event queue never runs dry leaves after
+    /// `FLUSH_EVENTS` events: the node's step on the event after that
+    /// finds it at the fabric, and the step before it does not.
+    #[tokio::test]
+    async fn a_held_message_leaves_after_flush_events_on_a_busy_loop() {
+        let seen: Arc<Mutex<Vec<(usize, bool)>>> = Arc::default();
+        let fabric = RecordingFabric::default();
+        let (log, script_seen) = (fabric.sent.clone(), seen.clone());
+        let script: Script = Box::new(move |k, ctx| {
+            let sent = || log.lock().unwrap().len();
+            if k == 0 {
+                ctx.send(NodeId::Replica(ReplicaId(1)), ask(0));
+            } else if k == FLUSH_EVENTS - 1 {
+                script_seen.lock().push((k, sent() > 0));
+            } else if k == FLUSH_EVENTS {
+                let began = Instant::now();
+                while sent() == 0 && began.elapsed() < Duration::from_secs(10) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                script_seen.lock().push((k, sent() > 0));
+            }
+        });
+        let (handle, gate, _open) = spawn_talker(script, &fabric);
+        // Queue every request while `Start` holds the loop, so the
+        // queue stays full for the whole run.
+        for _ in 0..2 * FLUSH_EVENTS {
+            handle.submit(ClientBatch::noop(SimTime::ZERO));
+        }
+        gate.send(()).unwrap();
+        wait_for("both checks", || seen.lock().len() == 2).await;
+        assert_eq!(
+            *seen.lock(),
+            [(FLUSH_EVENTS - 1, false), (FLUSH_EVENTS, true)]
+        );
+        handle.shutdown();
     }
 
     #[test]
