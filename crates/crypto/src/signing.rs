@@ -32,9 +32,8 @@
 //! after which Ed25519's work is flat in the message length: ≈ 40 µs
 //! and ≈ 52 µs for the same envelope (the `sig_verify` bench's
 //! `sig_size` table). The entry points hash as little as they can:
-//! [`KeyStore::verify_quorum`] and [`KeyStore::filter_valid`] hash their
-//! shared statement once per call, [`KeyStore::verify_batch_refs`] once
-//! per item. Security rests on SHA-256's collision resistance on top of
+//! [`KeyStore::verify_quorum`] hashes its shared statement once per
+//! call, [`KeyStore::verify_batch_refs`] each item once. Security rests on SHA-256's collision resistance on top of
 //! Ed25519's, the trade PBFT makes by signing digests (Castro & Liskov,
 //! TOCS 2002); the domain tag keeps these digests apart from every
 //! other SHA-256 the workspace computes. `compat/ed25519` itself stays
@@ -362,21 +361,6 @@ impl KeyStore {
             .try_for_each(|(signer, sig)| self.verify_digest(*signer, &digest, sig))
     }
 
-    /// Which of `votes` verify over `message` (hashed once), in one
-    /// serial pass: the sanitizing counterpart to [`verify_quorum`] for
-    /// live certificates, where a Byzantine replica may have attached
-    /// garbage alongside honest votes and all-or-nothing rejection would
-    /// poison honest commits.
-    ///
-    /// [`verify_quorum`]: KeyStore::verify_quorum
-    pub fn filter_valid(&self, message: &[u8], votes: &[(ReplicaId, Signature)]) -> Vec<bool> {
-        let digest = signing_digest(message);
-        votes
-            .iter()
-            .map(|(signer, sig)| self.verify_digest(*signer, &digest, sig).is_ok())
-            .collect()
-    }
-
     /// Public key of `replica`.
     pub fn public_of(&self, replica: ReplicaId) -> Option<&PublicKey> {
         self.signers.get(replica.as_usize()).map(|s| &s.key)
@@ -474,10 +458,6 @@ mod tests {
         assert_eq!(
             stores[1].verify_quorum(&message, &[(ReplicaId(0), sig)]),
             bad
-        );
-        assert_eq!(
-            stores[1].filter_valid(&message, &[(ReplicaId(0), sig)]),
-            [false]
         );
     }
 
@@ -668,8 +648,11 @@ mod tests {
         // Swap one vote for a forgery: the whole quorum check fails.
         votes[2].1 = Signature([7u8; SIGNATURE_LEN]);
         assert!(stores[0].verify_quorum(statement, &votes).is_err());
-        // filter_valid attributes the blame.
-        let mask = stores[0].filter_valid(statement, &votes);
+        // Verifying each vote on its own attributes the blame.
+        let mask: Vec<bool> = votes
+            .iter()
+            .map(|(signer, sig)| stores[0].verify(*signer, statement, sig).is_ok())
+            .collect();
         assert_eq!(mask, vec![true, true, false, true]);
     }
 

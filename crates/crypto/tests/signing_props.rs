@@ -7,7 +7,7 @@
 //! verification of every member accepts, and with exactly one bad
 //! signature the serial pass blames exactly that index. The ingress
 //! task's batch pass is built on that last equivalence, so it is
-//! load-bearing, not decorative; the pipeline's certificate sanitizer
+//! load-bearing, not decorative; the runtime's live-certificate check
 //! and `KeyStore::verify_quorum` are serial loops over
 //! `KeyStore::verify`.
 
@@ -195,7 +195,7 @@ proptest! {
 
     /// Batch acceptance ⇔ serial acceptance. All-valid batches verify;
     /// corrupting exactly one signature fails the batch, and the serial
-    /// pass (and `KeyStore::filter_valid`) blames exactly that index.
+    /// pass blames exactly that index.
     #[test]
     fn batch_matches_serial_with_one_bad_signature(
         n in 4u32..9,
@@ -206,6 +206,13 @@ proptest! {
         let votes: Vec<(ReplicaId, Signature)> = (0..n)
             .map(|r| (ReplicaId(r), stores[r as usize].sign(&message)))
             .collect();
+        // Each vote verified on its own.
+        let serial = |votes: &[(ReplicaId, Signature)]| -> Vec<bool> {
+            votes
+                .iter()
+                .map(|(r, sig)| stores[0].verify(*r, &message, sig).is_ok())
+                .collect()
+        };
 
         // All valid: batch and serial agree on acceptance. Every vote
         // appears twice, so the batch has repeated signers and takes
@@ -217,7 +224,7 @@ proptest! {
             .collect();
         prop_assert!(stores[0].verify_batch_refs(&items).is_ok());
         prop_assert!(stores[0].verify_quorum(&message, &votes).is_ok());
-        prop_assert_eq!(stores[0].filter_valid(&message, &votes), vec![true; n as usize]);
+        prop_assert_eq!(serial(&votes), vec![true; n as usize]);
 
         // One forged member: the batch rejects as a whole; the serial
         // mask singles out the culprit and only the culprit.
@@ -231,7 +238,7 @@ proptest! {
             .collect();
         prop_assert!(stores[0].verify_batch_refs(&items).is_err());
         prop_assert!(stores[0].verify_quorum(&message, &forged).is_err());
-        let mask = stores[0].filter_valid(&message, &forged);
+        let mask = serial(&forged);
         for (i, ok) in mask.iter().enumerate() {
             prop_assert_eq!(*ok, i != bad_index, "blame must land on index {bad_index} alone");
         }

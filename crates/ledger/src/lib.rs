@@ -151,8 +151,8 @@ impl std::error::Error for ProofError {}
 /// On its own this is only enough for a proof whose every (signer,
 /// signature) pair the caller has *already* verified over
 /// [`CommitProof::statement`] — the runtime's live path, where the
-/// certificate sanitizer's signature pass decides which votes survive
-/// into the proof, and re-verifying the survivors would check the same
+/// event loop's check of each vote decides which votes survive into
+/// the proof, and re-verifying the survivors would check the same
 /// signatures twice. Anything received from a peer goes through
 /// [`verify_proof`].
 pub fn verify_proof_rules(proof: &CommitProof, rules: &ProofRules) -> Result<(), ProofError> {
@@ -196,7 +196,7 @@ pub fn verify_proof_rules(proof: &CommitProof, rules: &ProofRules) -> Result<(),
 /// before it reaches durable storage, so a forged quorum is rejected
 /// even when its signer *identities* look plausible; locally decided
 /// blocks get the same two checks, the signature pass coming from the
-/// certificate sanitizer.
+/// event loop's vote memo.
 pub fn verify_proof(
     proof: &CommitProof,
     rules: &ProofRules,

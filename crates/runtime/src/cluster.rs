@@ -38,31 +38,12 @@ pub struct ClusterHandles {
 /// Assembles a cluster over pre-built fabric endpoints: `endpoints[i]`
 /// is replica `i`'s sending fabric plus its inbound envelope stream.
 /// `make` builds each replica's protocol node, `storage[i]` optionally
-/// makes replica `i` durable, `silent[i]` deploys it crash-faulty.
-/// Must be called inside a tokio runtime.
-pub fn assemble<N, F, M>(
-    cluster: ClusterConfig,
-    key_salt: &[u8],
-    endpoints: Vec<(F, mpsc::UnboundedReceiver<Envelope>)>,
-    storage: Vec<Option<StorageConfig>>,
-    silent: Vec<bool>,
-    make: M,
-) -> Result<ClusterHandles, StorageError>
-where
-    N: Node + Send + 'static,
-    N::Message: Serialize + Deserialize + Send + 'static,
-    F: Fabric,
-    M: FnMut(ReplicaId) -> N,
-{
-    assemble_tuned(cluster, key_salt, endpoints, storage, silent, |_| {}, make)
-}
-
-/// [`assemble`] with a tuning hook applied to every replica's
-/// [`RuntimeConfig`] before spawn (queue depths, chunk budget, catch-up
-/// interval). Tests use this to force multi-chunk snapshot transfers at
-/// small state sizes.
-#[allow(clippy::type_complexity)]
-pub fn assemble_tuned<N, F, M, T>(
+/// makes replica `i` durable, `silent[i]` deploys it crash-faulty, and
+/// `tune` adjusts every replica's [`RuntimeConfig`] before spawn (chunk
+/// budget, catch-up interval; tests use it to force multi-chunk
+/// snapshot transfers at small state sizes — pass `|_| {}` for the
+/// defaults). Must be called inside a tokio runtime.
+pub fn assemble<N, F, M, T>(
     cluster: ClusterConfig,
     key_salt: &[u8],
     endpoints: Vec<(F, mpsc::UnboundedReceiver<Envelope>)>,

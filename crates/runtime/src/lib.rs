@@ -49,7 +49,7 @@ pub(crate) mod pipeline;
 pub mod runtime;
 
 pub use client::ClusterClient;
-pub use cluster::{assemble, assemble_tuned, ClusterHandles};
+pub use cluster::{assemble, ClusterHandles};
 pub use envelope::{
     BufferPool, CatchUpBlock, ChunkInfo, ChunkTransfer, Envelope, Payload, TransferManifest,
     WireMsg, WireMsgRef, WIRE_VERSION,

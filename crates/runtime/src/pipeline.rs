@@ -38,16 +38,15 @@
 //! non-empty, duplicate-free, known signers meeting the phase's quorum,
 //! **and every signature batch-verified against the signer's public
 //! key**. Blocks received through state transfer get both from
-//! `spotless_ledger::verify_proof`. Live certificates need no
-//! signature pass here when the event loop's vote memo already holds a
-//! passing verdict on every one of their votes — the protocol checked
-//! each as it arrived — and says so with a [`VerifiedProof`] witness.
-//! Any other live certificate gets the pass from the sanitizer —
-//! (signer, signature) pairs that fail verification are dropped and
-//! the phase downgraded if the survivors no longer meet the strong
+//! `spotless_ledger::verify_proof`. A live certificate has had its
+//! signature pass on the event loop before it gets here: the loop
+//! checks each vote through its vote memo — a lookup for every vote the
+//! protocol checked as it arrived — drops the pairs that fail and
+//! downgrades the phase if the survivors no longer meet the strong
 //! quorum, so one forged vote smuggled into an otherwise-valid quorum
-//! cannot poison the pipeline. Either way only `verify_proof_rules`
-//! runs on the result: each vote is verified once per replica.
+//! cannot poison the pipeline. The commit arrives with the result as a
+//! [`VerifiedProof`], and only `verify_proof_rules` runs on it here:
+//! each vote is verified once per replica.
 //!
 //! The worker also owns the runtime-level **state-transfer** exchange,
 //! which runs in two modes. A replica that restarts from its durable
@@ -76,11 +75,11 @@
 //! final time against the chain's root and installed wholesale.
 //!
 //! While catching up the replica does not participate in consensus at
-//! all — the event loop holds the protocol node un-started until a
-//! weak quorum of peers confirms we stand at their heads (see
-//! [`crate::ReplicaRuntime`]) — so the live-commit buffer below stays
-//! empty in practice and no longer grows with catch-up duration; it
-//! remains as a safety net for commits raced in right after sync.
+//! all: the event loop starts the protocol node only once the shared
+//! `synced` flag is raised (see [`crate::ReplicaRuntime`]), and this
+//! worker raises it only after it has left catch-up, once a weak quorum
+//! of peers confirms we stand at their heads. So every live commit
+//! reaches a synced pipeline, and none needs buffering.
 
 use crate::envelope::{
     decode_ref, encode_catchup_manifest, encode_catchup_req, encode_catchup_resp, encode_chunk,
@@ -89,15 +88,14 @@ use crate::envelope::{
 use crate::executor::execute_group;
 use crate::fabric::Fabric;
 use crate::observe::{CommitLog, CommittedEntry, Inform};
-use crate::runtime::VoteMemo;
+use crate::runtime::VerifiedProof;
 use spotless_crypto::{proof_index, verify_inclusion, KeyStore, ProofStep};
 use spotless_ledger::{verify_proof, verify_proof_rules, Block, CommitProof, ProofRules};
 use spotless_storage::snapshot::Snapshot;
 use spotless_storage::transfer::{InstallJournal, InstallManifest};
 use spotless_storage::DurableLedger;
 use spotless_types::{
-    BatchId, CertPhase, ClientBatch, ClientId, ClusterConfig, CommitInfo, Digest, ReplicaId,
-    SimTime,
+    BatchId, ClientBatch, ClientId, ClusterConfig, CommitInfo, Digest, ReplicaId, SimTime,
 };
 use spotless_workload::{
     decode_txns, shard_of_bucket, verify_bucket, KvStore, StateChunk, Transaction, META_LEAF,
@@ -156,10 +154,10 @@ const OUTGOING_SNAPSHOT_SLOTS: usize = 2;
 // boxing it would buy queue-slot bytes with an allocation per commit.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum PipelineCmd {
-    /// A consensus decision to persist, execute, and acknowledge —
-    /// with the event loop's witness that every vote of its certificate
-    /// has already verified, when the vote memo could give one.
-    Commit(CommitInfo, Option<VerifiedProof>),
+    /// A consensus decision to persist, execute, and acknowledge, under
+    /// the proof the event loop checked its certificate into. Never a
+    /// no-op: those persist nothing and stay on the loop.
+    Commit(CommitInfo, VerifiedProof),
     /// A signature-verified transfer-family envelope (any tag except
     /// `TAG_PROTOCOL`), still encoded. The pipeline decodes it off the
     /// event-loop thread — the event loop ships the refcounted
@@ -178,10 +176,9 @@ pub(crate) enum PipelineCmd {
 
 enum Mode {
     Synced,
-    /// Behind the cluster: live commits buffer here until the gap in
-    /// the execution order is filled from peers.
+    /// Behind the cluster: the gap in the execution order is being
+    /// filled from peers.
     CatchingUp {
-        pending: Vec<CommitInfo>,
         /// Peers that confirmed we stand at (or above) their head. One
         /// lagging peer's word is not enough to declare ourselves
         /// caught up — it might be freshly restarted too; a weak quorum
@@ -332,7 +329,6 @@ impl<F: Fabric> Pipeline<F> {
         let behind = allow_catchup && (store.dir().is_some() || chain_height > 0 || kv_height > 0);
         let mode = if behind {
             Mode::CatchingUp {
-                pending: Vec::new(),
                 confirmed: std::collections::HashSet::new(),
             }
         } else {
@@ -380,7 +376,7 @@ impl<F: Fabric> Pipeline<F> {
             let mut group = Vec::new();
             for cmd in cmds {
                 match cmd {
-                    PipelineCmd::Commit(info, witness) => group.push((info, witness)),
+                    PipelineCmd::Commit(info, proof) => group.push((info, proof)),
                     other => {
                         self.flush_group(std::mem::take(&mut group));
                         self.handle(other);
@@ -421,17 +417,16 @@ impl<F: Fabric> Pipeline<F> {
 
     /// Applies a group of live commits: validates all in commit order,
     /// hands the valid ones to [`Self::extend`] to execute, seal, append
-    /// and fsync, and acknowledges them. While catching up, commits are
-    /// buffered instead — they sit after the gap in the execution order
-    /// — and their witnesses dropped: whatever waited is re-verified.
-    fn flush_group(&mut self, group: Vec<(CommitInfo, Option<VerifiedProof>)>) {
+    /// and fsync, and acknowledges them. Live commits reach only a
+    /// synced pipeline (see the module docs).
+    fn flush_group(&mut self, group: Vec<(CommitInfo, VerifiedProof)>) {
         if group.is_empty() || self.poisoned {
             return;
         }
-        if let Mode::CatchingUp { pending, .. } = &mut self.mode {
-            pending.extend(group.into_iter().map(|(info, _)| info));
-            return;
-        }
+        debug_assert!(
+            matches!(self.mode, Mode::Synced),
+            "a live commit reached a pipeline that is still catching up"
+        );
         // Execute-then-seal. The roots sealed below are a function of
         // the exact chain prefix executed so far, which makes
         // deterministic execution order consensus-critical — assert the
@@ -441,9 +436,9 @@ impl<F: Fabric> Pipeline<F> {
             self.store.ledger().height(),
             "execute-then-seal requires the KV state to track the chain head exactly"
         );
-        // Validate in commit order. Skips no-ops, batches the store
-        // already holds (via catch-up, or covered by a snapshot whose
-        // batch-id dedup set remembers it — a rejoining protocol instance
+        // Validate in commit order. Skips batches the store already
+        // holds (via catch-up, or covered by a snapshot whose batch-id
+        // dedup set remembers it — a rejoining protocol instance
         // re-announces the chain tail it just learned, and re-executing
         // any of it would fork this replica's state), and duplicates
         // *within* this group (appends happen after the whole group
@@ -453,11 +448,8 @@ impl<F: Fabric> Pipeline<F> {
         // re-execute its log tail.
         let mut run = Vec::new();
         let mut seen = std::collections::HashSet::new();
-        for (info, witness) in group {
-            if info.batch.is_noop()
-                || self.store.knows_batch(info.batch.id)
-                || !seen.insert(info.batch.id)
-            {
+        for (info, proof) in group {
+            if self.store.knows_batch(info.batch.id) || !seen.insert(info.batch.id) {
                 continue;
             }
             let txns = match decode_payload(&info.batch.payload) {
@@ -468,18 +460,10 @@ impl<F: Fabric> Pipeline<F> {
             // durable proof — and it is refused unless the signer set
             // is non-empty, duplicate-free, within the cluster, meets
             // the phase's quorum, and every signature verifies against
-            // its signer's key. A witnessed proof has had its signature
-            // pass already, vote by vote, in the event loop. For any
-            // other the sanitizer is the signature pass: it drops
-            // (signer, signature) pairs that fail verification and
-            // downgrades the phase when the survivors fall below the
-            // strong quorum, so a single forged vote riding an
-            // otherwise-valid quorum costs that vote, not the replica.
-            // Every pair left in a `VerifiedProof` has verified, so
-            // the rules are all that is left to check.
-            let proof = witness
-                .unwrap_or_else(|| sanitize_proof(live_proof(&info), &self.keystore, &self.rules))
-                .into_proof();
+            // its signer's key. Every pair left in a `VerifiedProof`
+            // has verified on the event loop, so the rules are all that
+            // is left to check.
+            let proof = proof.into_proof();
             if verify_proof_rules(&proof, &self.rules).is_err() {
                 // The batch WAS decided cluster-wide; skipping it while
                 // continuing to append later commits would leave a
@@ -499,11 +483,6 @@ impl<F: Fabric> Pipeline<F> {
         }
         let acked = self.extend(run);
         self.acknowledge(acked);
-    }
-
-    /// [`Self::flush_group`] for commits that carry no witness.
-    fn flush(&mut self, group: Vec<CommitInfo>) {
-        self.flush_group(group.into_iter().map(|info| (info, None)).collect());
     }
 
     /// The one way onto the chain: puts a commit-ordered run of decoded
@@ -1210,14 +1189,10 @@ impl<F: Fabric> Pipeline<F> {
     }
 
     fn finish_catchup(&mut self) {
-        let pending = match std::mem::replace(&mut self.mode, Mode::Synced) {
-            Mode::CatchingUp { pending, .. } => pending,
-            Mode::Synced => Vec::new(),
-        };
+        // In this order: the event loop starts the protocol node once it
+        // sees `synced`, and its commits must find the pipeline synced.
+        self.mode = Mode::Synced;
         self.synced.store(true, Ordering::Relaxed);
-        // Live commits buffered during catch-up: apply what the
-        // catch-up did not already cover (dedup by batch id).
-        self.flush(pending);
     }
 }
 
@@ -1271,100 +1246,6 @@ fn decode_payload(payload: &[u8]) -> Result<Option<Vec<Transaction>>, ()> {
     decode_txns(payload).map(Some).ok_or(())
 }
 
-/// The proof a live commit is persisted under. The one place that says
-/// which statement a live certificate's votes are held to — the event
-/// loop's witness and the sanitizer both start from it — and that
-/// statement claims the *commit's* view: a certificate inherited from
-/// another view verifies under neither.
-pub(crate) fn live_proof(info: &CommitInfo) -> CommitProof {
-    CommitProof {
-        instance: info.instance,
-        view: info.view,
-        phase: info.cert.phase,
-        voted: info.cert.voted,
-        slot: info.cert.slot,
-        signers: info.cert.signers.clone(),
-        sigs: info.cert.sigs.clone(),
-    }
-}
-
-pub(crate) use verified::{sanitize_proof, VerifiedProof};
-
-/// Keeps [`VerifiedProof`]'s field out of the pipeline's reach: the two
-/// functions in here are the only ways to make one.
-mod verified {
-    use super::{CertPhase, CommitProof, KeyStore, ProofRules, VoteMemo};
-
-    /// A live certificate's proof each of whose `(signer, signature)`
-    /// pairs has verified at this replica over the statement the proof
-    /// itself claims ([`CommitProof::statement`]) — exactly what a third
-    /// party (or a catch-up peer) re-verifies later. Lists of unequal
-    /// length are the one exception: `sanitize_proof` passes them
-    /// through for the rules to reject.
-    pub(crate) struct VerifiedProof(CommitProof);
-
-    impl VerifiedProof {
-        /// Witnesses `proof` from the event loop's vote memo: `Some`
-        /// iff the memo still holds a passing verdict on every one of
-        /// its votes. A forged or never-seen vote, a verdict rotated
-        /// out, or a statement the votes were not cast over all come
-        /// back `None`, and the proof takes [`sanitize_proof`].
-        pub(crate) fn witnessed(proof: CommitProof, votes: &VoteMemo) -> Option<VerifiedProof> {
-            let statement = proof.statement();
-            let verified = proof.signers.len() == proof.sigs.len()
-                && proof
-                    .signers
-                    .iter()
-                    .zip(&proof.sigs)
-                    .all(|(&signer, &sig)| votes.get(&(signer, statement, sig)) == Some(true));
-            verified.then_some(VerifiedProof(proof))
-        }
-
-        pub(crate) fn into_proof(self) -> CommitProof {
-            self.0
-        }
-    }
-
-    /// Drops the votes of a live certificate's proof whose signature
-    /// fails verification and downgrades the phase when the survivors
-    /// no longer meet the strong quorum — the signature pass of every
-    /// live certificate the vote memo could not witness. An unknown
-    /// signer never verifies. Weak certificates are never upgraded; the
-    /// final quorum check belongs to `verify_proof_rules`, which runs on
-    /// the result (so a certificate stripped below the weak quorum still
-    /// poisons the pipeline). Lists of unequal length are left untouched
-    /// and unverified — the rules reject those structurally with better
-    /// attribution.
-    pub(crate) fn sanitize_proof(
-        mut proof: CommitProof,
-        keys: &KeyStore,
-        rules: &ProofRules,
-    ) -> VerifiedProof {
-        if proof.signers.len() != proof.sigs.len() {
-            return VerifiedProof(proof);
-        }
-        let votes: Vec<_> = proof
-            .signers
-            .iter()
-            .copied()
-            .zip(proof.sigs.iter().copied())
-            .collect();
-        let mask = keys.filter_valid(&proof.statement().signing_bytes(), &votes);
-        if mask.iter().all(|&ok| ok) {
-            return VerifiedProof(proof);
-        }
-        (proof.signers, proof.sigs) = votes
-            .into_iter()
-            .zip(mask)
-            .filter_map(|(vote, ok)| ok.then_some(vote))
-            .unzip();
-        if proof.signers.len() < rules.strong as usize {
-            proof.phase = CertPhase::Weak;
-        }
-        VerifiedProof(proof)
-    }
-}
-
 /// Reconstructs commit metadata for a block appended via catch-up. The
 /// original client batch envelope is gone; what matters downstream is the batch
 /// identity, digest, payload, and the (re-verified) commit certificate
@@ -1397,6 +1278,7 @@ fn commit_info_of(block: &Block, payload: Vec<u8>) -> CommitInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{live_proof, VoteMemo, VOTE_MEMO_MAX};
     use spotless_types::{CertPhase, ClusterConfig, CommitCertificate, InstanceId, View};
 
     /// A fabric that drops everything — these tests drive the pipeline
@@ -1489,10 +1371,29 @@ mod tests {
         pipeline_over(DurableLedger::in_memory(), CommitLog::default()).0
     }
 
+    /// What the event loop of `synced_pipeline()`'s replica sends for
+    /// `info`, its certificate checked through `memo`.
+    fn announced(info: CommitInfo, memo: &mut VoteMemo) -> (CommitInfo, VerifiedProof) {
+        let strong = ClusterConfig::new(4).quorum();
+        let proof = VerifiedProof::check(live_proof(&info), memo, &test_stores()[0], strong);
+        (info, proof)
+    }
+
+    /// Commits `infos` in one group, as the event loop announces them
+    /// from a memo that has seen none of their votes.
+    fn commit(p: &mut Pipeline<NullFabric>, infos: Vec<CommitInfo>) {
+        let mut memo = VoteMemo::default();
+        let group = infos
+            .into_iter()
+            .map(|info| announced(info, &mut memo))
+            .collect();
+        p.flush_group(group);
+    }
+
     #[test]
     fn frozen_outgoing_snapshot_ages_out_on_idle_ticks() {
         let mut p = synced_pipeline();
-        p.flush(vec![commit_info(1), commit_info(2)]);
+        commit(&mut p, vec![commit_info(1), commit_info(2)]);
         assert_eq!(p.kv_height, 2, "both commits executed");
         // A manifest request freezes an outgoing snapshot slot…
         assert!(p.build_manifest().is_some());
@@ -1513,7 +1414,7 @@ mod tests {
     #[test]
     fn chunk_fetches_keep_the_outgoing_snapshot_alive() {
         let mut p = synced_pipeline();
-        p.flush(vec![commit_info(1)]);
+        commit(&mut p, vec![commit_info(1)]);
         let m = p.build_manifest().expect("manifest freezes a snapshot");
         for round in 0..3 {
             for _ in 0..OUTGOING_SNAPSHOT_IDLE_TICKS {
@@ -1544,18 +1445,18 @@ mod tests {
     #[test]
     fn two_recovering_peers_hold_independent_snapshot_slots() {
         let mut p = synced_pipeline();
-        p.flush(vec![commit_info(1)]);
+        commit(&mut p, vec![commit_info(1)]);
         let first = p.build_manifest().expect("first slot freezes");
         assert_eq!(first.height, 1);
         // The chain advances while peer A is mid-fetch; peer B arrives
         // and must get its own frozen slot, not evict A's.
-        p.flush(vec![commit_info(2)]);
+        commit(&mut p, vec![commit_info(2)]);
         let second = p.build_manifest().expect("second slot freezes");
         assert_eq!(second.height, 2);
         assert_eq!(p.outgoing.len(), 2, "both transfers frozen concurrently");
         // Re-requesting a manifest for the older in-flight height
         // serves the already-frozen slot — same content, no rebuild.
-        p.flush(vec![commit_info(3)]);
+        commit(&mut p, vec![commit_info(3)]);
         assert_eq!(p.outgoing.len(), 2);
         assert!(p.outgoing.iter().any(|o| o.height == first.height));
         // Chunk fetches against either height keep that slot alive
@@ -1571,7 +1472,7 @@ mod tests {
         assert_eq!(third.height, 3);
         p.outgoing[0].idle_ticks = 5; // mark one slot idler
         let idle_height = p.outgoing[0].height;
-        p.flush(vec![commit_info(4)]);
+        commit(&mut p, vec![commit_info(4)]);
         assert!(p.build_manifest().is_some());
         assert_eq!(p.outgoing.len(), OUTGOING_SNAPSHOT_SLOTS);
         assert!(
@@ -1584,46 +1485,51 @@ mod tests {
     fn fully_forged_certificate_poisons_instead_of_committing() {
         let mut p = synced_pipeline();
         let mut info = commit_info(1);
-        // A valid signer set, but every signature is forged: the
-        // sanitizer strips all three votes, the survivor count falls
-        // below even the weak quorum, and `verify_proof` rejects.
+        // A valid signer set, but every signature is forged: the check
+        // drops all three votes, the survivor count falls below even
+        // the weak quorum, and the rules reject.
         for s in &mut info.cert.sigs {
             *s = spotless_types::Signature::ZERO;
         }
-        p.flush(vec![info]);
+        commit(&mut p, vec![info]);
         assert!(p.poisoned, "an unverifiable decided commit must loud-stall");
         assert_eq!(p.store.ledger().height(), 0, "nothing appended");
         assert_eq!(p.kv_height, 0, "rejected before execution");
     }
 
     #[test]
-    fn sanitizer_drops_forged_vote_and_keeps_strong_quorum() {
-        let mut p = synced_pipeline();
+    fn a_forged_vote_is_dropped_and_the_strong_quorum_kept() {
         // Four votes, one forged: the three genuine survivors still
         // meet the strong quorum (n − f = 3), so the commit lands
         // strong — the forgery costs the forged vote, nothing else.
         let mut info = signed_commit_info(1, Digest::from_u64(1), &[0, 1, 2, 3]);
         info.cert.sigs[3] = spotless_types::Signature([0x55; 64]);
-        p.flush(vec![info]);
-        assert!(!p.poisoned);
-        let block = p.store.ledger().block(0).expect("committed");
-        assert_eq!(block.proof.phase, CertPhase::Strong);
-        assert_eq!(
-            block.proof.signers,
-            vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)],
-            "only the genuine votes are persisted"
-        );
+        // Whether the memo knows the forgery for what it is or never
+        // saw the certificate at all.
+        for (mut memo, misses) in [(memo_after_checking(&info), 0), (VoteMemo::default(), 4)] {
+            let mut p = synced_pipeline();
+            p.flush_group(vec![announced(info.clone(), &mut memo)]);
+            assert_eq!(memo.misses.load(Ordering::Relaxed), misses);
+            assert!(!p.poisoned);
+            let block = p.store.ledger().block(0).expect("committed");
+            assert_eq!(block.proof.phase, CertPhase::Strong);
+            assert_eq!(
+                block.proof.signers,
+                vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)],
+                "only the genuine votes are persisted"
+            );
+        }
     }
 
     #[test]
-    fn sanitizer_downgrades_below_strong_quorum_to_weak() {
+    fn a_forged_vote_below_the_strong_quorum_downgrades_to_weak() {
         let mut p = synced_pipeline();
         // Exactly a strong quorum with one vote forged: two survivors
         // make only the weak quorum (f + 1 = 2), so the certificate is
         // persisted weak rather than rejected outright.
         let mut info = commit_info(1);
         info.cert.sigs[2] = spotless_types::Signature([0x55; 64]);
-        p.flush(vec![info]);
+        commit(&mut p, vec![info]);
         assert!(!p.poisoned);
         let block = p.store.ledger().block(0).expect("committed");
         assert_eq!(block.proof.phase, CertPhase::Weak);
@@ -1650,92 +1556,51 @@ mod tests {
         memo
     }
 
-    /// What the event loop sends for `info` given its memo.
-    fn announced(info: CommitInfo, memo: &VoteMemo) -> (CommitInfo, Option<VerifiedProof>) {
-        let witness = VerifiedProof::witnessed(live_proof(&info), memo);
-        (info, witness)
-    }
-
     #[test]
-    fn witnessed_and_sanitized_commits_persist_the_same_block() {
+    fn a_memo_hit_and_a_memo_miss_persist_the_same_block() {
         let info = signed_commit_info(1, Digest::from_u64(1), &[0, 1, 2, 3]);
-        let memo = memo_after_checking(&info);
-        let announced = announced(info.clone(), &memo);
-        assert!(announced.1.is_some(), "every vote is in the memo");
-        let mut witnessed = synced_pipeline();
-        witnessed.flush_group(vec![announced]);
-        let mut sanitized = synced_pipeline();
-        sanitized.flush(vec![info]);
-        assert!(!witnessed.poisoned && !sanitized.poisoned);
-        let (a, b) = (
-            witnessed.store.ledger().block(0).expect("committed"),
-            sanitized.store.ledger().block(0).expect("committed"),
-        );
-        assert_eq!(a, b, "the persisted block is the same");
-        assert_eq!(a.proof.signers.len(), 4);
-    }
-
-    #[test]
-    fn a_forged_vote_is_never_witnessed_and_the_sanitizer_drops_it() {
-        let mut info = signed_commit_info(1, Digest::from_u64(1), &[0, 1, 2, 3]);
-        info.cert.sigs[3] = spotless_types::Signature([0x55; 64]);
-        // The memo knows the forgery for what it is…
-        let memo = memo_after_checking(&info);
-        let forged = (
-            ReplicaId(3),
-            live_proof(&info).statement(),
-            info.cert.sigs[3],
-        );
-        assert_eq!(memo.get(&forged), Some(false));
-        let announced = announced(info.clone(), &memo);
-        assert!(announced.1.is_none());
-        // …as little as a memo that never saw the certificate at all.
-        assert!(VerifiedProof::witnessed(live_proof(&info), &VoteMemo::default()).is_none());
-        let mut p = synced_pipeline();
-        p.flush_group(vec![announced]);
-        assert!(!p.poisoned);
-        let block = p.store.ledger().block(0).expect("committed");
-        assert_eq!(block.proof.phase, CertPhase::Strong);
+        let mut hit = memo_after_checking(&info);
+        let mut miss = VoteMemo::default();
+        let mut blocks = Vec::new();
+        for memo in [&mut hit, &mut miss] {
+            let mut p = synced_pipeline();
+            p.flush_group(vec![announced(info.clone(), memo)]);
+            assert!(!p.poisoned);
+            blocks.push(p.store.ledger().block(0).expect("committed").clone());
+        }
+        assert_eq!(hit.misses.load(Ordering::Relaxed), 0, "every vote is a hit");
         assert_eq!(
-            block.proof.signers,
-            vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)]
+            miss.misses.load(Ordering::Relaxed),
+            4,
+            "every vote is verified"
         );
+        assert_eq!(blocks[0], blocks[1], "the persisted block is the same");
+        assert_eq!(blocks[0].proof.signers.len(), 4);
     }
 
     #[test]
-    fn a_memo_rotated_before_the_commit_falls_back_and_still_commits() {
+    fn a_verdict_rotated_out_is_verified_again_and_the_commit_persists() {
         let info = commit_info(1);
         let mut memo = memo_after_checking(&info);
-        assert!(VerifiedProof::witnessed(live_proof(&info), &memo).is_some());
         // A cap's worth of other verdicts pushes the certificate's out
         // of both generations.
         let mut other = live_proof(&info).statement();
-        let mut rounds = 0u64;
-        while VerifiedProof::witnessed(live_proof(&info), &memo).is_some() {
-            rounds += 1;
-            other.view = View(1_000 + rounds);
+        for round in 0..VOTE_MEMO_MAX as u64 {
+            other.view = View(1_000 + round);
             memo.insert(
                 (ReplicaId(1), other, spotless_types::Signature::ZERO),
                 false,
             );
         }
-        let announced = announced(info, &memo);
-        assert!(announced.1.is_none());
         let mut p = synced_pipeline();
-        p.flush_group(vec![announced]);
+        p.flush_group(vec![announced(info, &mut memo)]);
+        assert_eq!(
+            memo.misses.load(Ordering::Relaxed),
+            3,
+            "each vote is verified on the loop"
+        );
         assert!(!p.poisoned);
-        assert_eq!(p.store.ledger().height(), 1, "committed by the sanitizer");
-    }
-
-    #[test]
-    fn a_certificate_from_another_view_is_never_witnessed() {
-        // The memo holds the votes under the view they were cast in;
-        // the proof claims the commit's view, so none is found and the
-        // commit takes the sanitizer to its poisoning end (next test).
-        let mut info = commit_info(1);
-        let memo = memo_after_checking(&info);
-        info.view = View(2);
-        assert!(VerifiedProof::witnessed(live_proof(&info), &memo).is_none());
+        assert_eq!(p.store.ledger().height(), 1, "committed");
     }
 
     #[test]
@@ -1744,13 +1609,21 @@ mod tests {
         // Genuine votes, but over the certificate's own view while the
         // commit is reported (and would be persisted) under a later
         // one — a straggler's inherited certificate. The persisted
-        // proof claims `info.view`, none of the votes verify over that
-        // statement, so nothing survives and the rules reject: only
-        // pairs verified over the persisted statement ever reach disk.
+        // proof claims `info.view`: the memo's verdicts, recorded under
+        // the view the votes were cast in, do not answer for it, none of
+        // the votes verifies over it, so nothing survives and the rules
+        // reject. Only pairs verified over the persisted statement ever
+        // reach disk.
         let mut info = commit_info(1);
+        let mut memo = memo_after_checking(&info);
         info.view = View(2);
         assert_ne!(info.cert.view, info.view);
-        p.flush(vec![info]);
+        p.flush_group(vec![announced(info, &mut memo)]);
+        assert_eq!(
+            memo.misses.load(Ordering::Relaxed),
+            3,
+            "no verdict is reused"
+        );
         assert!(p.poisoned, "an unverifiable decided commit must loud-stall");
         assert_eq!(p.store.ledger().height(), 0, "nothing appended");
         assert_eq!(p.kv_height, 0, "rejected before execution");
@@ -1764,10 +1637,13 @@ mod tests {
         // against the digest the block binds.
         let empty_digest = spotless_crypto::digest_bytes(b"");
         let mut peer = synced_pipeline();
-        peer.flush(vec![
-            signed_commit_info(1, empty_digest, &[0, 1, 2]),
-            signed_commit_info(2, empty_digest, &[0, 1, 2]),
-        ]);
+        commit(
+            &mut peer,
+            vec![
+                signed_commit_info(1, empty_digest, &[0, 1, 2]),
+                signed_commit_info(2, empty_digest, &[0, 1, 2]),
+            ],
+        );
         assert_eq!(peer.store.ledger().height(), 2);
         let cb = |h: u64| CatchUpBlock {
             block: peer.store.ledger().block(h).expect("peer holds it").clone(),
@@ -1775,7 +1651,6 @@ mod tests {
         };
         let mut victim = synced_pipeline();
         victim.mode = Mode::CatchingUp {
-            pending: Vec::new(),
             confirmed: Default::default(),
         };
         // The serving peer forges a certificate signature on the
@@ -1804,11 +1679,13 @@ mod tests {
     #[test]
     fn chunked_transfer_installs_into_the_in_memory_store() {
         let mut peer = synced_pipeline();
-        peer.flush(vec![commit_info(1), commit_info(2), commit_info(3)]);
+        commit(
+            &mut peer,
+            vec![commit_info(1), commit_info(2), commit_info(3)],
+        );
         let manifest = peer.build_manifest().expect("peer serves a snapshot");
         let mut victim = synced_pipeline();
         victim.mode = Mode::CatchingUp {
-            pending: Vec::new(),
             confirmed: Default::default(),
         };
         victim.on_transfer(ReplicaId(1), &encode_catchup_manifest(&manifest));
@@ -1839,12 +1716,11 @@ mod tests {
         // dropped like any other whose head does not sit just below
         // its height, not overflow.
         let mut peer = synced_pipeline();
-        peer.flush(vec![commit_info(1)]);
+        commit(&mut peer, vec![commit_info(1)]);
         let mut manifest = peer.build_manifest().expect("peer serves a snapshot");
         manifest.head.height = u64::MAX;
         let mut victim = synced_pipeline();
         victim.mode = Mode::CatchingUp {
-            pending: Vec::new(),
             confirmed: Default::default(),
         };
         victim.on_transfer(ReplicaId(1), &encode_catchup_manifest(&manifest));

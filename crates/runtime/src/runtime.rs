@@ -33,8 +33,8 @@
 //! a recovering replica is **held out of consensus** the whole time:
 //! the protocol node is not even started (no votes, no proposals, no
 //! request intake) until a weak quorum of peers confirms the replica
-//! stands at their heads, so the commit pipeline cannot accumulate a
-//! live-commit buffer that grows with catch-up duration. See
+//! stands at their heads, so no live commit can reach a pipeline that
+//! is still catching up. See
 //! `tests/transport_e2e.rs` (facade crate) for the end-to-end
 //! crash–restart and pruned-history recovery proofs.
 
@@ -42,9 +42,10 @@ use crate::egress::{Fanout, Outbox};
 use crate::envelope::Envelope;
 use crate::fabric::{Fabric, MeteredFabric};
 use crate::observe::{CommitLog, Inform, NetStats};
-use crate::pipeline::{live_proof, Pipeline, PipelineCmd, VerifiedProof};
+use crate::pipeline::{Pipeline, PipelineCmd};
 use serde::{Deserialize, Serialize};
 use spotless_crypto::KeyStore;
+use spotless_ledger::CommitProof;
 use spotless_storage::log::SyncPolicy;
 use spotless_storage::transfer::InstallJournal;
 use spotless_storage::{DurableLedger, DurableLedgerOptions, RecoveryReport, StorageError};
@@ -179,17 +180,8 @@ pub struct ReplicaHandle {
     synced: Arc<AtomicBool>,
     stopped: Arc<AtomicBool>,
     net: NetStats,
-    debug: Arc<DebugCounts>,
-}
-
-/// The event loop's debug counters: how many live non-no-op commits it
-/// announced, how many of them it could witness from the vote memo,
-/// and how many votes it had to verify itself.
-#[derive(Default)]
-struct DebugCounts {
-    commits: AtomicU64,
-    witnessed: AtomicU64,
-    vote_misses: AtomicU64,
+    /// The event loop's [`VoteMemo::misses`].
+    vote_misses: Arc<AtomicU64>,
 }
 
 impl ReplicaHandle {
@@ -234,26 +226,15 @@ impl ReplicaHandle {
         &self.net
     }
 
-    /// Debug counter, not a metric: `(witnessed, commits)` — of the
-    /// live non-no-op commits announced so far, how many reached the
-    /// pipeline with a passing verdict on every vote already in the
-    /// event loop's memo and so skipped the sanitizer's signature pass.
-    #[doc(hidden)]
-    pub fn witness_counts(&self) -> (u64, u64) {
-        (
-            self.debug.witnessed.load(Ordering::Relaxed),
-            self.debug.commits.load(Ordering::Relaxed),
-        )
-    }
-
     /// Debug counter, not a metric: the vote signatures the event loop
     /// verified itself because its memo held no verdict — a vote the
-    /// message did not list in `carried_votes`, or one rotated out.
-    /// Ingress verifies every listed vote, so a fault-free cluster
-    /// keeps this at 0.
+    /// protocol checks that its message did not list in
+    /// `carried_votes`, a certificate vote cast over another statement
+    /// than the commit's, or a verdict rotated out. Ingress verifies
+    /// every listed vote, so a fault-free cluster keeps this at 0.
     #[doc(hidden)]
     pub fn loop_vote_misses(&self) -> u64 {
-        self.debug.vote_misses.load(Ordering::Relaxed)
+        self.vote_misses.load(Ordering::Relaxed)
     }
 }
 
@@ -261,7 +242,7 @@ impl ReplicaHandle {
 pub(crate) type VoteKey = (ReplicaId, VoteStatement, Signature);
 
 /// Verdicts the vote memo holds at most.
-const VOTE_MEMO_MAX: usize = 8192;
+pub(crate) const VOTE_MEMO_MAX: usize = 8192;
 
 /// A record of which votes this replica's keystore has checked, and
 /// with what verdict. Serial Ed25519 verification from per-signer
@@ -270,7 +251,8 @@ const VOTE_MEMO_MAX: usize = 8192;
 /// view after view), and the memo turns every re-check into a hash
 /// lookup. The ingress task keeps one as its verdict cache; the event
 /// loop keeps another, filled from the verdicts ingress forwards with
-/// each message and from the votes the replica signs itself.
+/// each message and from the votes the replica signs itself, and
+/// trusts a vote only through [`check`](VoteMemo::check).
 ///
 /// Bounded by two generations rather than an LRU: verdicts enter
 /// `current`; when that holds half the cap it becomes `previous`,
@@ -283,19 +265,15 @@ const VOTE_MEMO_MAX: usize = 8192;
 pub(crate) struct VoteMemo {
     current: HashMap<VoteKey, bool>,
     previous: HashMap<VoteKey, bool>,
+    /// The votes [`check`](VoteMemo::check) had to verify itself; the
+    /// event loop's is its handle's `loop_vote_misses`.
+    pub(crate) misses: Arc<AtomicU64>,
 }
 
 impl VoteMemo {
-    /// The recorded verdict on `key`, if it is still remembered.
-    pub(crate) fn get(&self, key: &VoteKey) -> Option<bool> {
-        self.current
-            .get(key)
-            .or_else(|| self.previous.get(key))
-            .copied()
-    }
-
-    /// [`get`](VoteMemo::get) for a vote being seen again: a verdict
-    /// about to rotate out is renewed.
+    /// The recorded verdict on `key`, if it is still remembered. A
+    /// verdict about to rotate out is renewed: the vote is being seen
+    /// again.
     pub(crate) fn recall(&mut self, key: &VoteKey) -> Option<bool> {
         if let Some(&ok) = self.current.get(key) {
             return Some(ok);
@@ -320,6 +298,93 @@ impl VoteMemo {
         }
         self.current.insert(key, ok);
     }
+
+    /// Whether the vote `key` verifies under `keys`: the recorded
+    /// verdict, or — for a vote no longer remembered, or never listed
+    /// by the message that carried it — one Ed25519 check, remembered
+    /// and counted in [`misses`](VoteMemo::misses).
+    pub(crate) fn check(&mut self, keys: &KeyStore, key: VoteKey) -> bool {
+        if let Some(ok) = self.recall(&key) {
+            return ok;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let (signer, statement, sig) = &key;
+        let ok = keys.verify_vote(*signer, statement, sig).is_ok();
+        self.insert(key, ok);
+        ok
+    }
+}
+
+/// The proof a live commit is persisted under. The one place that says
+/// which statement a live certificate's votes are held to, and that
+/// statement claims the *commit's* view: a certificate inherited from
+/// another view does not verify.
+pub(crate) fn live_proof(info: &CommitInfo) -> CommitProof {
+    CommitProof {
+        instance: info.instance,
+        view: info.view,
+        phase: info.cert.phase,
+        voted: info.cert.voted,
+        slot: info.cert.slot,
+        signers: info.cert.signers.clone(),
+        sigs: info.cert.sigs.clone(),
+    }
+}
+
+pub(crate) use verified::VerifiedProof;
+
+/// Keeps [`VerifiedProof`]'s field out of reach: [`VerifiedProof::check`]
+/// is the only way to make one.
+mod verified {
+    use super::{CommitProof, KeyStore, VoteMemo};
+    use spotless_types::CertPhase;
+
+    /// A live certificate's proof each of whose `(signer, signature)`
+    /// pairs has verified at this replica over the statement the proof
+    /// itself claims ([`CommitProof::statement`]) — exactly what a third
+    /// party (or a catch-up peer) re-verifies later. Lists of unequal
+    /// length are the one exception: [`check`](VerifiedProof::check)
+    /// passes them through for the rules to reject.
+    pub(crate) struct VerifiedProof(CommitProof);
+
+    impl VerifiedProof {
+        /// Checks every vote of `proof` through the event loop's memo
+        /// ([`VoteMemo::check`]) and drops those that fail; if any did
+        /// and the survivors fall below the `strong` quorum, the phase
+        /// is downgraded to weak. So one forged vote smuggled into an
+        /// otherwise-valid quorum costs that vote, not the replica. A
+        /// weak certificate is never upgraded, and the final quorum
+        /// check belongs to `verify_proof_rules`, which the pipeline
+        /// runs on the result — a certificate stripped below the weak
+        /// quorum still poisons it. An unknown signer never verifies.
+        pub(crate) fn check(
+            mut proof: CommitProof,
+            votes: &mut VoteMemo,
+            keys: &KeyStore,
+            strong: u32,
+        ) -> VerifiedProof {
+            if proof.signers.len() != proof.sigs.len() {
+                return VerifiedProof(proof);
+            }
+            let statement = proof.statement();
+            let cast = proof.signers.len();
+            (proof.signers, proof.sigs) = proof
+                .signers
+                .iter()
+                .copied()
+                .zip(proof.sigs.iter().copied())
+                .filter(|&(signer, sig)| votes.check(keys, (signer, statement, sig)))
+                .unzip();
+            if proof.signers.len() < cast && proof.signers.len() < strong as usize {
+                proof.phase = CertPhase::Weak;
+            }
+            VerifiedProof(proof)
+        }
+
+        pub(crate) fn into_proof(self) -> CommitProof {
+            self.0
+        }
+    }
 }
 
 /// Buffered effect collector handed to the protocol on each step.
@@ -333,8 +398,6 @@ struct RuntimeCtx<'a, M> {
     me: NodeId,
     keystore: &'a KeyStore,
     votes: &'a mut VoteMemo,
-    /// Counts the verifications a memo miss costs the loop.
-    debug: &'a DebugCounts,
     sends: Vec<(NodeId, M)>,
     broadcasts: Vec<M>,
     timers: Vec<(TimerId, SimDuration)>,
@@ -371,16 +434,7 @@ impl<M> Context for RuntimeCtx<'_, M> {
         statement: &VoteStatement,
         sig: &Signature,
     ) -> bool {
-        let key = (signer, *statement, *sig);
-        if let Some(ok) = self.votes.recall(&key) {
-            return ok;
-        }
-        // A vote the message did not list (`carried_votes`), or one no
-        // longer remembered: the one Ed25519 check the loop still does.
-        self.debug.vote_misses.fetch_add(1, Ordering::Relaxed);
-        let ok = self.keystore.verify_vote(signer, statement, sig).is_ok();
-        self.votes.insert(key, ok);
-        ok
+        self.votes.check(self.keystore, (signer, *statement, *sig))
     }
 }
 
@@ -602,11 +656,13 @@ impl ReplicaRuntime {
         );
 
         // 5. The event loop.
-        let debug = Arc::new(DebugCounts::default());
+        let votes = VoteMemo::default();
+        let vote_misses = votes.misses.clone();
         let event_loop = EventLoop {
             me: cfg.me,
             node,
             keystore: cfg.keystore,
+            strong: cfg.cluster.quorum(),
             outbox,
             events_tx,
             pipeline_tx,
@@ -615,8 +671,7 @@ impl ReplicaRuntime {
             timers: TimerHeap::default(),
             start: Instant::now(),
             silent: cfg.silent,
-            votes: VoteMemo::default(),
-            debug: debug.clone(),
+            votes,
         };
         tokio::spawn(event_loop.run(events_rx));
 
@@ -627,7 +682,7 @@ impl ReplicaRuntime {
             synced,
             stopped,
             net,
-            debug,
+            vote_misses,
         })
     }
 }
@@ -636,6 +691,9 @@ struct EventLoop<N: Node> {
     me: ReplicaId,
     node: N,
     keystore: KeyStore,
+    /// The strong quorum `n − f` a live certificate's surviving votes
+    /// must meet to stay strong.
+    strong: u32,
     /// Bundles outbound messages for the egress lane, which signs and
     /// sends them in emission order.
     outbox: Outbox,
@@ -650,7 +708,6 @@ struct EventLoop<N: Node> {
     silent: bool,
     /// Verdicts on votes, shared across steps.
     votes: VoteMemo,
-    debug: Arc<DebugCounts>,
 }
 
 impl<N> EventLoop<N>
@@ -677,10 +734,11 @@ where
         // Consensus participation is gated on recovery: a replica that
         // boots behind (durable storage to catch up from) does not
         // start its protocol node — no votes, no proposals — until the
-        // pipeline's state transfer completes. This is what keeps the
-        // live-commit buffer from growing with catch-up duration, and
-        // what makes a snapshot install safe (no buffered commit can
-        // predate the installed height). Protocol traffic arriving
+        // pipeline's state transfer completes. This is what makes a
+        // snapshot install safe (no live commit can predate the
+        // installed height), and the pipeline relies on it: it raises
+        // `synced` only after leaving catch-up and has no buffer for
+        // commits that arrive before. Protocol traffic arriving
         // meanwhile is dropped — retransmission (Υ, Ask, client
         // retries) recovers it, and SpotLess's RVS jump rule brings the
         // fresh node to the cluster's current view in one weak quorum
@@ -798,7 +856,6 @@ where
             me: self.me.into(),
             keystore: &self.keystore,
             votes: &mut self.votes,
-            debug: &self.debug,
             sends: Vec::new(),
             broadcasts: Vec::new(),
             timers: Vec::new(),
@@ -815,21 +872,20 @@ where
             ..
         } = ctx;
         for info in commits {
-            // The memo is the record of which votes this replica's
-            // keystore has verified: a certificate made only of those
-            // goes to the pipeline witnessed and is not checked again
-            // at append. No-ops persist nothing and need no witness.
-            let witness = if info.batch.is_noop() {
-                None
-            } else {
-                let witness = VerifiedProof::witnessed(live_proof(&info), &self.votes);
-                self.debug.commits.fetch_add(1, Ordering::Relaxed);
-                self.debug
-                    .witnessed
-                    .fetch_add(u64::from(witness.is_some()), Ordering::Relaxed);
-                witness
-            };
-            self.send_pipeline(PipelineCmd::Commit(info, witness)).await;
+            // No-ops persist nothing: the pipeline never sees them.
+            if info.batch.is_noop() {
+                continue;
+            }
+            // The certificate's one signature pass. The protocol checked
+            // each of its votes on arrival, so on a fault-free cluster
+            // every check is a memo lookup.
+            let proof = VerifiedProof::check(
+                live_proof(&info),
+                &mut self.votes,
+                &self.keystore,
+                self.strong,
+            );
+            self.send_pipeline(PipelineCmd::Commit(info, proof)).await;
         }
         // One clock read per step: timers armed together with equal
         // durations share a deadline and fire in arming order.
@@ -1097,6 +1153,11 @@ mod tests {
         handle.shutdown();
     }
 
+    /// The memo's verdict on `key`, looked up without renewing it.
+    fn known(memo: &VoteMemo, key: VoteKey) -> Option<bool> {
+        memo.current.get(&key).or(memo.previous.get(&key)).copied()
+    }
+
     #[test]
     fn the_vote_memo_rotates_generations_instead_of_forgetting_everything() {
         const HALF: u64 = VOTE_MEMO_MAX as u64 / 2;
@@ -1111,11 +1172,11 @@ mod tests {
             // Whatever the rotation phase, the newest half-cap of
             // verdicts is remembered and the whole stays within the cap.
             let oldest = i.saturating_sub(HALF - 1);
-            assert_eq!(memo.get(&key(oldest)), Some(oldest % 2 == 0), "at {i}");
-            assert_eq!(memo.get(&key(i)), Some(i % 2 == 0));
+            assert_eq!(known(&memo, key(oldest)), Some(oldest % 2 == 0), "at {i}");
+            assert_eq!(known(&memo, key(i)), Some(i % 2 == 0));
             assert!(memo.current.len() + memo.previous.len() <= VOTE_MEMO_MAX);
         }
-        assert_eq!(memo.get(&key(0)), None, "old verdicts are forgotten");
+        assert_eq!(known(&memo, key(0)), None, "old verdicts are forgotten");
     }
 
     #[test]

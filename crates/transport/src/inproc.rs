@@ -156,7 +156,7 @@ impl InProcCluster {
             .into_iter()
             .map(|rx| (fabric.clone(), rx))
             .collect();
-        let parts = spotless_runtime::assemble_tuned(
+        let parts = spotless_runtime::assemble(
             cluster.clone(),
             b"spotless-inproc-cluster",
             endpoints,
@@ -219,17 +219,12 @@ impl InProcCluster {
     {
         let old = self.handle(r);
         old.shutdown();
-        for _ in 0..400 {
-            if old.is_stopped() {
-                break;
-            }
-            tokio::time::sleep(std::time::Duration::from_millis(25)).await;
-        }
-        assert!(
-            old.is_stopped(),
-            "replica {r:?}'s previous incarnation did not stop; restarting \
-             on the same storage directory would corrupt the log"
-        );
+        wait_stopped(
+            &old,
+            "its previous incarnation's durable store is still live; restarting \
+             on the same storage directory would corrupt the log",
+        )
+        .await;
         let envelopes = self.fabric.reconnect(r);
         let mut cfg = RuntimeConfig::new(
             self.cluster.clone(),
@@ -259,17 +254,25 @@ impl InProcCluster {
             handle.shutdown();
         }
         for handle in &handles {
-            for _ in 0..400 {
-                if handle.is_stopped() {
-                    break;
-                }
-                tokio::time::sleep(std::time::Duration::from_millis(25)).await;
-            }
-            assert!(
-                handle.is_stopped(),
-                "replica {:?} did not stop; its durable store is still live",
-                handle.id()
-            );
+            wait_stopped(handle, "its durable store is still live").await;
         }
     }
+}
+
+/// Waits until `handle`'s pipeline has released its durable store,
+/// polling every 25 ms. Panics, naming the replica and `consequence`, if
+/// it does not stop within ten seconds: a wedged harness, not a
+/// recoverable condition.
+pub(crate) async fn wait_stopped(handle: &ReplicaHandle, consequence: &str) {
+    for _ in 0..400 {
+        if handle.is_stopped() {
+            return;
+        }
+        tokio::time::sleep(std::time::Duration::from_millis(25)).await;
+    }
+    assert!(
+        handle.is_stopped(),
+        "replica {:?} did not stop; {consequence}",
+        handle.id()
+    );
 }

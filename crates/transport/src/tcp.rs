@@ -421,6 +421,7 @@ impl TcpCluster {
             endpoints,
             storage,
             vec![false; n],
+            |_| {},
             make,
         )?;
         Ok(TcpCluster {
@@ -451,17 +452,7 @@ impl TcpCluster {
             handle.shutdown();
         }
         for handle in &handles {
-            for _ in 0..400 {
-                if handle.is_stopped() {
-                    break;
-                }
-                tokio::time::sleep(std::time::Duration::from_millis(25)).await;
-            }
-            assert!(
-                handle.is_stopped(),
-                "replica {:?} did not stop; its durable store is still live",
-                handle.id()
-            );
+            crate::inproc::wait_stopped(handle, "its durable store is still live").await;
         }
         for fabric in &self.fabrics {
             fabric.close().await;
